@@ -185,10 +185,10 @@ def series_sum(f: BvFunction, n: int, tol: float = DEFAULT_TOL) -> Certified:
     _require_half_line_from_zero(f)
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    if classify_convergence(f) is Convergence.BOTH_DIVERGE:
+    tail = tail_integral(f, float(n), tol)
+    if tail is DIVERGENT:
         raise SeriesDivergent("series and improper integral both diverge")
     partial = _direct_sum(f, 0, n)
-    tail = tail_integral(f, float(n), tol)
     boundary = -0.5 * (f.tail.limit_at_infinity - evaluate(f, float(n)))
     remainder = 0.5 * pointwise_variation(f, float(n), math.inf)
     return Certified(partial + tail.value + boundary, tail.radius + remainder)

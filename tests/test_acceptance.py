@@ -311,7 +311,7 @@ def test_criterion_12_cli_contract(tmp_path):
         (5, ("series", c / "harmonic.json", "--n", 10)),
         (6, ("series", notail, "--n", 10)),
         (7, ("verify", c / "linear.json", c / "linear.json", "--check", "parts",
-             "--a", 0, "--b", 1, "--tol", 1e-5, "--budget", 0)),
+             "--a", 0, "--b", 1, "--tol", 1e-5, "--budget", -1)),
     ]
     assert len(matrix) >= 20
     for want, args in matrix:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,15 @@ from bvsum import (
     pointwise_variation,
     rho,
     validate,
+)
+from bvsum import expr as ex
+from bvsum.bv import (
+    EDGE_SAMPLES,
+    FD_POINTS,
+    FD_REL_TOL,
+    MONO_SAMPLES,
+    _mono_sample_points,
+    check_antiderivative,
 )
 from oracles import grid_variation
 
@@ -118,6 +128,154 @@ class TestValidate:
                 "breakpoints": [],
             })
         assert "BadExpression" in exc.value.kinds
+
+
+# Scalar reference versions of the validation sampling, kept as oracles
+# for the array code in bvsum.bv.
+
+
+def ref_mono_sample_points(lo: float, hi: float) -> np.ndarray:
+    if math.isinf(hi):
+        w = max(1.0, abs(lo))
+        pts = [lo + w * i / (MONO_SAMPLES + 1) for i in range(1, MONO_SAMPLES + 1)]
+        pts += [lo + w * 2.0**j for j in range(0, 41)]
+        pts += [lo + w * 2.0**-j for j in range(1, EDGE_SAMPLES + 1)]
+    else:
+        w = hi - lo
+        pts = [lo + w * i / (MONO_SAMPLES + 1) for i in range(1, MONO_SAMPLES + 1)]
+        for j in range(1, EDGE_SAMPLES + 1):
+            off = w * 2.0**-j
+            pts.append(lo + off)
+            pts.append(hi - off)
+    return np.array(sorted({p for p in pts if lo < p < hi and math.isfinite(p)}))
+
+
+def ref_check_antiderivative(fe, F, lo: float, hi: float) -> float:
+    if math.isinf(hi):
+        w = max(1.0, abs(lo))
+        xs = [lo + w * 2.0**j for j in range(-2, 2 * FD_POINTS - 2, 2)][:FD_POINTS]
+    else:
+        xs = list(np.linspace(lo, hi, FD_POINTS + 2)[1:-1])
+    worst = 0.0
+    for x in xs:
+        h = max(abs(x), 1.0) * 1e-5
+        if math.isfinite(hi):
+            h = min(h, (hi - lo) * 1e-3)
+        if x - h <= lo or (math.isfinite(hi) and x + h >= hi):
+            continue
+        est = (ex.eval_expr(F, x + h) - ex.eval_expr(F, x - h)) / (2.0 * h)
+        ref = ex.eval_expr(fe, x)
+        worst = max(worst, abs(est - ref) / (FD_REL_TOL * (1.0 + abs(ref))))
+    return worst
+
+
+def assert_same_points(lo: float, hi: float) -> np.ndarray:
+    got = _mono_sample_points(lo, hi)
+    want = ref_mono_sample_points(lo, hi)
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes(), (lo, hi)
+    return got
+
+
+def corpus_antiderivatives(corpus):
+    """(name, f, F, lo, hi) for every piece and tail antiderivative."""
+    for name, fn in corpus.items():
+        for p in fn.pieces:
+            if p.antiderivative is not None:
+                yield name, p.evaluator, p.antiderivative, p.lo, p.hi
+        if fn.tail is not None and fn.tail.antiderivative is not None:
+            p = fn.pieces[-1]
+            yield name + ":tail", p.evaluator, fn.tail.antiderivative, p.lo, p.hi
+
+
+class TestVectorValidation:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.floats(-1e3, 1e3), st.floats(-1e300, 1e300)),
+           st.one_of(st.floats(1e-9, 1e9), st.floats(5e-324, 1e300)))
+    def test_sample_points_match_reference(self, lo, width):
+        hi = lo + width
+        if not (lo < hi and math.isfinite(hi)):
+            return
+        assert_same_points(lo, hi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.floats(-1e3, 1e3), st.floats(-1e300, 1e300)),
+           st.integers(1, 3000))
+    def test_sample_points_match_reference_on_tiny_widths(self, lo, ulps):
+        # widths of a few ulps: lo + w*2^-j rounds back to lo and is dropped
+        hi = lo
+        for _ in range(ulps):
+            hi = math.nextafter(hi, math.inf)
+        assert_same_points(lo, hi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.floats(-1e3, 1e3), st.floats(-1e300, 1e300)))
+    def test_sample_points_match_reference_on_half_lines(self, lo):
+        assert_same_points(lo, math.inf)
+
+    def test_sample_points_edge_cases(self):
+        tiny = assert_same_points(1.0, 1.0 + 4 * math.ulp(1.0))
+        assert len(tiny) == 3
+        assert len(assert_same_points(-1e300, 1e300)) > 0  # width overflows
+        assert len(assert_same_points(1e300, math.inf)) > 0  # ladder overflows
+        for lo, hi in [(-5.0, 5.0), (0.0, math.inf), (-1e6, math.inf)]:
+            assert_same_points(lo, hi)
+
+    def test_corpus_antiderivative_scores_match_reference(self, corpus):
+        # scores may differ by evaluator ulps amplified by the quotient's
+        # 1/(2h) and 1/FD_REL_TOL; the verdict (> 1) must not
+        for name, fe, F, lo, hi in corpus_antiderivatives(corpus):
+            got = check_antiderivative(fe, F, lo, hi)
+            want = ref_check_antiderivative(fe, F, lo, hi)
+            assert (got > 1.0) == (want > 1.0), name
+            assert got == pytest.approx(want, rel=1e-6, abs=1e-6), name
+            assert got <= 1.0, name
+
+    def test_corpus_wrong_antiderivatives_fail_both_checks(self, corpus):
+        for name, fe, F, lo, hi in corpus_antiderivatives(corpus):
+            wrong = ex.Bin("+", F, ex.Bin("*", ex.Var(), ex.Var()))
+            assert check_antiderivative(fe, wrong, lo, hi) > 1.0, name
+            assert ref_check_antiderivative(fe, wrong, lo, hi) > 1.0, name
+
+    def test_all_points_skipped_scores_zero(self):
+        # on a piece one ulp wide every stencil reaches an end
+        lo = 1.0
+        hi = math.nextafter(lo, 2.0)
+        x = ex.Var()
+        assert check_antiderivative(x, ex.parse("x^2/2"), lo, hi) == 0.0
+        assert ref_check_antiderivative(x, ex.parse("x^2/2"), lo, hi) == 0.0
+
+    def test_failing_antiderivative_evaluation_is_bad_antiderivative(self):
+        fe, F = ex.Var(), ex.parse("log(x-5)")
+        with pytest.raises(ex.EvalError):
+            check_antiderivative(fe, F, 0.0, 10.0)
+        with pytest.raises(ex.EvalError):
+            ref_check_antiderivative(fe, F, 0.0, 10.0)
+        with pytest.raises(ValidationError) as exc:
+            validate({
+                "domain": {"lo": 0, "hi": 10},
+                "pieces": [{"interval": [0, 10], "expr": "x", "direction": "inc",
+                            "left_limit": 0, "right_limit": 10,
+                            "antiderivative": "log(x-5)"}],
+                "breakpoints": [],
+            })
+        [v] = exc.value.violations
+        assert (v.kind, v.where) == ("BadAntiderivative", "pieces[0]")
+        assert "antiderivative failed" in v.message
+
+    def test_failing_tail_antiderivative_is_bad_antiderivative(self):
+        with pytest.raises(ValidationError) as exc:
+            validate({
+                "domain": {"lo": 0, "hi": "inf"},
+                "pieces": [{"interval": [0, "inf"], "expr": "exp(-x)",
+                            "direction": "dec", "left_limit": 1, "right_limit": 0}],
+                "breakpoints": [],
+                "tail": {"limit": 0, "antiderivative": "log(x-5)",
+                         "antiderivative_limit": 0},
+            })
+        [v] = exc.value.violations
+        assert (v.kind, v.where) == ("BadAntiderivative", "tail")
+        assert "antiderivative failed" in v.message
 
 
 class TestEvalAndLimits:

@@ -117,10 +117,11 @@ class TestExitCodes:
         assert r.returncode == 6
 
     def test_identity_violation_exit_7(self):
-        # force an impossible budget so the (tiny) residual trips the gate
+        # a residual is never negative, so a negative budget always fails
+        # (a zero budget passes wherever the residual rounds to exactly 0)
         r = run("verify", cpath("linear.json"), cpath("linear.json"),
                 "--check", "parts", "--a", 0, "--b", 1, "--tol", 1e-5,
-                "--budget", 0)
+                "--budget", -1)
         assert r.returncode == 7
         assert "FAIL" in r.stdout
 

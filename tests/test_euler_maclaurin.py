@@ -177,6 +177,23 @@ class TestSeries:
             enc = series_sum(f, n)
             assert enc.contains(want), n
 
+    def test_one_antiderivative_check_per_series_sum(self, corpus, monkeypatch):
+        import bvsum.measure as measure
+        calls = []
+        real = measure.check_antiderivative
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(measure, "check_antiderivative", counting)
+        series_sum(corpus["basel.json"], 10)
+        assert len(calls) == 1
+        calls.clear()
+        with pytest.raises(SeriesDivergent):
+            series_sum(corpus["harmonic.json"], 10)
+        assert len(calls) == 1
+
     def test_enclosures_intersect_and_shrink(self, corpus):
         f = corpus["basel.json"]
         e1 = series_sum(f, 10)
