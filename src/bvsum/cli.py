@@ -88,16 +88,22 @@ def _inputs(args, **extra) -> dict:
     return d
 
 
+def _pv_identity(f, lo: float, hi: float) -> tuple[float, float, float, float]:
+    """Both sides of pV(f, ]lo,hi[) = |mu_f|(]lo,hi[) + sum of rho over the
+    interior breakpoints: (pV open, |mu_f|, rho sum, residual)."""
+    pv_open = pointwise_variation(f, lo, hi, False, False)
+    tvm = total_variation_measure(f, IntervalSpec.open(lo, hi))
+    rho_sum = math.fsum(rho(f, bp.x) for bp in f.breakpoints if lo < bp.x < hi)
+    return pv_open, tvm, rho_sum, abs(pv_open - (tvm + rho_sum))
+
+
 def cmd_variation(args) -> int:
     f = load_function(args.spec)
     lo, hi = args.lo, args.hi
     closed_lo, closed_hi = not args.open_lo, not args.open_hi
     pv = pointwise_variation(f, lo, hi, closed_lo, closed_hi)
-    pv_open = pointwise_variation(f, lo, hi, False, False)
-    tvm = total_variation_measure(f, IntervalSpec.open(lo, hi))
-    rho_sum = math.fsum(rho(f, bp.x) for bp in f.breakpoints if lo < bp.x < hi)
+    pv_open, tvm, rho_sum, residual = _pv_identity(f, lo, hi)
     endpoint = pv - pv_open
-    residual = abs(pv_open - (tvm + rho_sum))
     result = {
         "command": "variation",
         "inputs": _inputs(args, lo=lo, hi=hi, closed_lo=closed_lo, closed_hi=closed_hi),
@@ -162,18 +168,23 @@ def _sweep_ns(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from None
 
 
+def _csv_sweep(args, f, enclose) -> int:
+    """CSV rows n,estimate,radius,oracle,error of enclose(f, n, tol) over the n list."""
+    print("n,estimate,radius,oracle,error")
+    for n in args.n:
+        enc = enclose(f, n, args.tol)
+        oracle = args.oracle
+        err = abs(enc.value - oracle) if oracle is not None else None
+        print(f"{n},{_fmt(enc.value)},{_fmt(enc.radius)},"
+              f"{_fmt(oracle) if oracle is not None else ''},"
+              f"{_fmt(err) if err is not None else ''}")
+    return EXIT_OK
+
+
 def cmd_series(args) -> int:
     f = load_function(args.spec)
     if args.csv:
-        print("n,estimate,radius,oracle,error")
-        for n in args.n:
-            enc = em.series_sum(f, n, args.tol)
-            oracle = args.oracle
-            err = abs(enc.value - oracle) if oracle is not None else None
-            print(f"{n},{_fmt(enc.value)},{_fmt(enc.radius)},"
-                  f"{_fmt(oracle) if oracle is not None else ''},"
-                  f"{_fmt(err) if err is not None else ''}")
-        return EXIT_OK
+        return _csv_sweep(args, f, em.series_sum)
     if len(args.n) != 1:
         print("error: a list of n values needs --csv", file=sys.stderr)
         return EXIT_USAGE
@@ -199,16 +210,8 @@ def cmd_series(args) -> int:
 def cmd_gamma(args) -> int:
     f = load_function(args.spec)
     if args.csv:
-        print("n,estimate,radius,oracle,error")
-        for n in args.n:
-            rep = em.euler_constant(f, n, args.tol)
-            est = rep.gamma_estimate
-            oracle = args.oracle
-            err = abs(est.value - oracle) if oracle is not None else None
-            print(f"{n},{_fmt(est.value)},{_fmt(est.radius)},"
-                  f"{_fmt(oracle) if oracle is not None else ''},"
-                  f"{_fmt(err) if err is not None else ''}")
-        return EXIT_OK
+        return _csv_sweep(args, f, lambda f, n, tol:
+                          em.euler_constant(f, n, tol).gamma_estimate)
     if len(args.n) != 1:
         print("error: a list of n values needs --csv", file=sys.stderr)
         return EXIT_USAGE
@@ -258,12 +261,8 @@ def _verify_one(args, f, g, path) -> tuple[dict, list[str], bool]:
         quad = rep.budget - em.IDENTITY_SLACK
         remainder = 0.0
     else:  # pvv
-        pv_open = pointwise_variation(f, args.a, args.b, False, False)
-        tvm = total_variation_measure(f, IntervalSpec.open(args.a, args.b))
-        rho_sum = math.fsum(rho(f, bp.x)
-                            for bp in f.breakpoints if args.a < bp.x < args.b)
-        rep = em.CheckReport(pv_open, tvm + rho_sum,
-                             abs(pv_open - (tvm + rho_sum)), PVV_BUDGET)
+        pv_open, tvm, rho_sum, residual = _pv_identity(f, args.a, args.b)
+        rep = em.CheckReport(pv_open, tvm + rho_sum, residual, PVV_BUDGET)
         quad = 0.0
         remainder = 0.0
     budget = rep.budget if args.budget is None else args.budget

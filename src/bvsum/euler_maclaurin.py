@@ -93,6 +93,14 @@ def _check_integers_in_domain(f: BvFunction, a: int, b: int) -> None:
         raise DomainError(f"[{a}, {b}] outside domain")
 
 
+def _em_terms(f: BvFunction, lo: float, hi: float) -> tuple[float, float]:
+    """The boundary term -(f(hi)-f(lo))/2 of the Euler-Maclaurin identity
+    on [lo, hi] and its remainder bound pV(f,[lo,hi])/2; f(inf) is the
+    tail limit."""
+    f_hi = f.tail.limit_at_infinity if math.isinf(hi) else evaluate(f, hi)
+    return -0.5 * (f_hi - evaluate(f, lo)), 0.5 * pointwise_variation(f, lo, hi)
+
+
 def em_finite_sum(f: BvFunction, a: int, b: int, tol: float = DEFAULT_TOL,
                   exact: bool = True) -> EmReport:
     """sum_{a<=k<b} f(k) = integral_a^b f - (f(b)-f(a))/2 + R with
@@ -103,8 +111,7 @@ def em_finite_sum(f: BvFunction, a: int, b: int, tol: float = DEFAULT_TOL,
         raise ValueError(f"need a < b, got a={a}, b={b}")
     _check_integers_in_domain(f, a, b)
     integral = integrate(f, float(a), float(b), tol)
-    boundary = -0.5 * (evaluate(f, float(b)) - evaluate(f, float(a)))
-    remainder = 0.5 * pointwise_variation(f, float(a), float(b))
+    boundary, remainder = _em_terms(f, float(a), float(b))
     approx = Certified(integral.value + boundary, integral.radius + remainder)
     direct = _direct_sum(f, a, b) if exact else None
     return EmReport(direct, integral, boundary, remainder, approx)
@@ -123,8 +130,7 @@ def approx_from_partial(f: BvFunction, n: int, N: int,
     if n == N:
         return Certified(partial, 0.0)
     integral = integrate(f, float(n), float(N), tol)
-    boundary = -0.5 * (evaluate(f, float(N)) - evaluate(f, float(n)))
-    remainder = 0.5 * pointwise_variation(f, float(n), float(N))
+    boundary, remainder = _em_terms(f, float(n), float(N))
     return Certified(partial + integral.value + boundary,
                      integral.radius + remainder)
 
@@ -149,19 +155,23 @@ def _require_half_line_from_zero(f: BvFunction) -> None:
         raise DomainError("operation needs the domain to contain [0, inf)")
 
 
-def euler_constant(f: BvFunction, n: int, tol: float = DEFAULT_TOL) -> GammaReport:
-    """Certified enclosure of gamma^f = lim gamma_n: the estimate is
-    gamma_n - (f(inf)-f(n))/2 with radius gamma_n.radius +
-    pV(f,[n,inf))/2."""
+def _require_tail_index(f: BvFunction, n) -> int:
+    """n as an int >= 0, for f on a half-line that contains [0, inf)."""
     n = _require_int(n)
     _require_half_line_from_zero(f)
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
+    return n
+
+
+def euler_constant(f: BvFunction, n: int, tol: float = DEFAULT_TOL) -> GammaReport:
+    """Certified enclosure of gamma^f = lim gamma_n: the estimate is
+    gamma_n - (f(inf)-f(n))/2 with radius gamma_n.radius +
+    pV(f,[n,inf))/2."""
+    n = _require_tail_index(f, n)
     gn = gamma_partial(f, n, tol)
-    f_inf = f.tail.limit_at_infinity
-    boundary = -0.5 * (f_inf - evaluate(f, float(n)))
-    tail_pv = pointwise_variation(f, float(n), math.inf)
-    estimate = Certified(gn.value + boundary, gn.radius + 0.5 * tail_pv)
+    boundary, remainder = _em_terms(f, float(n), math.inf)
+    estimate = Certified(gn.value + boundary, gn.radius + remainder)
     return GammaReport(n, gn, estimate)
 
 
@@ -181,16 +191,12 @@ def series_sum(f: BvFunction, n: int, tol: float = DEFAULT_TOL) -> Certified:
     tail integral minus (f(inf)-f(n))/2, radius = tail-integral radius
     + pV(f,[n,inf))/2.  SeriesDivergent when the integral criterion
     classifies both as divergent."""
-    n = _require_int(n)
-    _require_half_line_from_zero(f)
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    n = _require_tail_index(f, n)
     tail = tail_integral(f, float(n), tol)
     if tail is DIVERGENT:
         raise SeriesDivergent("series and improper integral both diverge")
     partial = _direct_sum(f, 0, n)
-    boundary = -0.5 * (f.tail.limit_at_infinity - evaluate(f, float(n)))
-    remainder = 0.5 * pointwise_variation(f, float(n), math.inf)
+    boundary, remainder = _em_terms(f, float(n), math.inf)
     return Certified(partial + tail.value + boundary, tail.radius + remainder)
 
 
@@ -200,10 +206,7 @@ def asymptotic_sum(f: BvFunction, n: int, tol: float = DEFAULT_TOL,
     with radius = gamma-enclosure radius + quadrature radius +
     pV(f,[n,inf)).  gamma^f is enclosed by euler_constant at the
     reference index n_gamma (default max(n, 10^4))."""
-    n = _require_int(n)
-    _require_half_line_from_zero(f)
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    n = _require_tail_index(f, n)
     ref = max(n, GAMMA_REFERENCE_INDEX) if n_gamma is None else _require_int(n_gamma)
     gamma = euler_constant(f, ref, tol).gamma_estimate
     integral = integrate(f, 0.0, float(n), tol)

@@ -6,10 +6,17 @@ On monotone pieces the Lebesgue integral is bracketed by Darboux sums
 (no smoothness assumed); when a piece carries an antiderivative the
 closed form is used instead, with an ulp-scale radius, after the
 antiderivative has passed the sampled difference-quotient check.
+
+integrate, stieltjes_beta1 and stieltjes_midvalue share one refinement
+engine: _certify splits what tol leaves after the closed-form radii over
+the segments to refine, refusing tol <= 0 or NaN before any work; each
+segment walks one chunked grid (_chunks) with a cell count fixed a priori
+(_cells) or, for mid-value sums, grown from the measured error.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -145,6 +152,78 @@ def total_variation_measure(f: BvFunction, iv: IntervalSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Refinement engine shared by integrate, stieltjes_beta1 and stieltjes_midvalue
+
+
+def _cells(s: float, t: float, spread: float, budget: float, n: int,
+           route: str) -> int:
+    """A-priori cell count on [s, t]: n is doubled until the error bound
+    (t-s) * spread / (2n) fits the budget."""
+    width = t - s
+    while width * spread / (2 * n) > budget:
+        n *= 2
+        if n > MAX_CELLS:
+            raise ToleranceUnreachable(
+                f"{route} needs more than {MAX_CELLS} cells on "
+                f"[{s}, {t}]; supply an antiderivative or relax tol")
+    return n
+
+
+def _chunks(s: float, t: float, n: int, *curves):
+    """Walk the n+1 point uniform grid over [s, t] in chunks of _CHUNK
+    cells that share their end points.  Each curve is (expr, v0, vn); per
+    chunk this yields (last, xs, one value array per curve), where the
+    grid's end values are the supplied one-sided limits v0 and vn: no
+    expression is evaluated at s or t."""
+    width = t - s
+    for start in range(0, n, _CHUNK):
+        stop = min(n, start + _CHUNK)
+        first, last = start == 0, stop == n
+        xs = s + width * (np.arange(start, stop + 1, dtype=np.float64) / n)
+        i, j = int(first), len(xs) - int(last)
+        inner = xs[i:j]
+        rows = []
+        for e, v0, vn in curves:
+            vals = np.empty(len(xs))
+            vals[i:j] = ex.eval_expr(e, inner)
+            if first:
+                vals[0] = v0
+            if last:
+                vals[-1] = vn
+            rows.append(vals)
+        yield last, xs, *rows
+
+
+def _certify(tol: float, values: list[float], radii: list[float],
+             fallback: list, weight, refine) -> Certified:
+    """One enclosure of radius at most tol from closed-form parts and the
+    fallback segments, each refined by refine(*seg, share) -> (value,
+    radius) with a share of the budget proportional to weight(*seg).  A
+    budget that is not positive (tol <= 0 or NaN) is refused up front."""
+    if fallback:
+        budget = tol - math.fsum(radii)
+        if not budget > 0.0:
+            raise ToleranceUnreachable(f"tolerance {tol} below rounding floor")
+        weights = [weight(*seg) for seg in fallback]
+        wsum = math.fsum(weights)
+        for seg, w in zip(fallback, weights):
+            v, r = refine(*seg, budget * w / wsum)
+            values.append(v)
+            radii.append(r)
+    result = Certified(math.fsum(values), math.fsum(radii))
+    if not result.radius <= tol:
+        raise ToleranceUnreachable(
+            f"achieved radius {result.radius:.3g} exceeds tol {tol:.3g}")
+    return result
+
+
+def _spread_weight(p: MonotonePiece, s: float, t: float) -> float:
+    # the a-priori error bound of a monotone segment scales with this
+    v0, vn = _segment_endpoint_values(p, s, t)
+    return (t - s) * abs(vn - v0) + 1e-300
+
+
+# ---------------------------------------------------------------------------
 # Lebesgue quadrature
 
 
@@ -155,38 +234,20 @@ def _overlapping_segments(f: BvFunction, a: float, b: float):
             yield p, s, t
 
 
-def _grid_sum(e: ex.Expr, s: float, t: float, n: int, v0: float, vn: float) -> float:
-    """Sum of evaluator values on the n+1 point uniform grid over [s, t],
-    with the end values replaced by the supplied one-sided limits."""
-    parts = [v0, vn]
-    for start in range(1, n, _CHUNK):
-        stop = min(n, start + _CHUNK)
-        idx = np.arange(start, stop, dtype=np.float64)
-        xs = s + (t - s) * (idx / n)
-        parts.append(float(np.sum(ex.eval_expr(e, xs))))
-    return math.fsum(parts)
-
-
 def _darboux_segment(p: MonotonePiece, s: float, t: float, budget: float):
     """Certified integral of a monotone piece over [s, t] by bracketing
     Darboux sums; the bracket gap for a monotone function on an n-cell
     grid is (t-s)/n * |f(t)-f(s)|, so the cell count is doubled until
     half the gap fits the budget."""
     v0, vn = _segment_endpoint_values(p, s, t)
-    width = t - s
     spread = abs(vn - v0)
-    n = 64
-    while width * spread / (2 * n) > budget:
-        n *= 2
-        if n > MAX_CELLS:
-            raise ToleranceUnreachable(
-                f"Darboux bracketing needs more than {MAX_CELLS} cells on "
-                f"[{s}, {t}]; supply an antiderivative or relax tol")
-    h = width / n
-    total = _grid_sum(p.evaluator, s, t, n, v0, vn)
-    value = h * (total - 0.5 * (v0 + vn))
-    radius = 0.5 * h * spread + _slack(value)
-    return value, radius
+    n = _cells(s, t, spread, budget, 64, "Darboux bracketing")
+    parts = [v0, vn]
+    for last, _, vals in _chunks(s, t, n, (p.evaluator, v0, vn)):
+        parts.append(float(np.sum(vals[1:-1] if last else vals[1:])))
+    h = (t - s) / n
+    value = h * (math.fsum(parts) - 0.5 * (v0 + vn))
+    return value, 0.5 * h * spread + _slack(value)
 
 
 def integrate(f: BvFunction, a: float, b: float, tol: float = DEFAULT_TOL) -> Certified:
@@ -217,24 +278,7 @@ def integrate(f: BvFunction, a: float, b: float, tol: float = DEFAULT_TOL) -> Ce
             radii.append(_slack(fs, ft, ft - fs))
         else:
             fallback.append((p, s, t))
-    if fallback:
-        budget = tol - math.fsum(radii)
-        if budget <= 0.0:
-            raise ToleranceUnreachable(f"tolerance {tol} below rounding floor")
-        weights = []
-        for p, s, t in fallback:
-            v0, vn = _segment_endpoint_values(p, s, t)
-            weights.append((t - s) * abs(vn - v0) + 1e-300)
-        wsum = math.fsum(weights)
-        for (p, s, t), w in zip(fallback, weights):
-            v, r = _darboux_segment(p, s, t, budget * w / wsum)
-            values.append(v)
-            radii.append(r)
-    result = Certified(math.fsum(values), math.fsum(radii))
-    if result.radius > tol:
-        raise ToleranceUnreachable(
-            f"achieved radius {result.radius:.3g} exceeds tol {tol:.3g}")
-    return result
+    return _certify(tol, values, radii, fallback, _spread_weight, _darboux_segment)
 
 
 def tail_integral(f: BvFunction, n: float, tol: float = DEFAULT_TOL):
@@ -290,59 +334,30 @@ def _beta1_branch(x: float, k: float) -> float:
 # Riemann-Stieltjes integration against d(mu_f)
 
 
-def _int_points(lo: float, hi: float) -> list[float]:
-    return [float(k) for k in range(math.ceil(lo), math.floor(hi) + 1)]
-
-
 def _refinement_grid(lo: float, hi: float, fns: tuple[BvFunction, ...],
                      with_integers: bool) -> list[float]:
     pts = {lo, hi}
     for fn in fns:
         pts.update(bp.x for bp in fn.breakpoints if lo < bp.x < hi)
     if with_integers:
-        pts.update(k for k in _int_points(lo, hi) if lo < k < hi)
+        pts.update(float(k) for k in range(math.floor(lo) + 1, math.ceil(hi)))
     return sorted(pts)
 
 
-def _stieltjes_beta1_segment(p: MonotonePiece, s: float, t: float, budget: float):
-    """Integral of beta1 against d(mu_f) on an open cell (s, t) that
-    contains no integer and no breakpoint; f is continuous there."""
-    if p.direction == "const":
-        return 0.0, 0.0
+def _beta1_rs(p: MonotonePiece, s: float, t: float, budget: float):
+    """beta1 against d(mu_f) on an open cell (s, t) by tagged
+    Riemann-Stieltjes sums; beta1 is 1-Lipschitz on the cell so the
+    midpoint-tag error per subcell is (h/2) * |mu_f|(subcell)."""
     k = math.floor(s)
     v0, vn = _segment_endpoint_values(p, s, t)
-    if p.antiderivative is not None:
-        # beta1 has slope 1 on the cell, so Stieltjes parts gives
-        # [branch * f] at the ends minus the plain integral of f.
-        fs = ex.eval_expr(p.antiderivative, s)
-        ft = ex.eval_expr(p.antiderivative, t)
-        value = _beta1_branch(t, k) * vn - _beta1_branch(s, k) * v0 - (ft - fs)
-        return value, _slack(fs, ft, v0, vn, value)
-    # tagged Riemann-Stieltjes sums; beta1 is 1-Lipschitz on the cell so
-    # the midpoint-tag error per subcell is (h/2) * |mu_f|(subcell)
-    width = t - s
     spread = abs(vn - v0)
-    n = 16
-    while width * spread / (2 * n) > budget:
-        n *= 2
-        if n > MAX_CELLS:
-            raise ToleranceUnreachable(
-                f"Stieltjes refinement needs more than {MAX_CELLS} cells on "
-                f"[{s}, {t}]; supply an antiderivative or relax tol")
+    n = _cells(s, t, spread, budget, 16, "Stieltjes refinement")
     parts = []
-    for start in range(0, n, _CHUNK):
-        stop = min(n, start + _CHUNK)
-        xs = s + width * (np.arange(start, stop + 1, dtype=np.float64) / n)
-        vals = ex.eval_expr(p.evaluator, xs)
-        if start == 0:
-            vals[0] = v0
-        if stop == n:
-            vals[-1] = vn
+    for _, xs, vals in _chunks(s, t, n, (p.evaluator, v0, vn)):
         mids = 0.5 * (xs[:-1] + xs[1:])
         parts.append(float(np.sum((mids - (k + 0.5)) * np.diff(vals))))
     value = math.fsum(parts)
-    radius = 0.5 * (width / n) * spread + _slack(value)
-    return value, radius
+    return value, 0.5 * ((t - s) / n) * spread + _slack(value)
 
 
 def stieltjes_beta1(f: BvFunction, lo: int, hi: int,
@@ -352,7 +367,8 @@ def stieltjes_beta1(f: BvFunction, lo: int, hi: int,
 
     Atoms at integer breakpoints vanish because beta1 is 0 there; the
     continuous part is computed per cell of the grid that contains all
-    integers and all breakpoints, so beta1 is affine on every cell.
+    integers and all breakpoints, so beta1 is affine on every cell and
+    f is continuous inside it.
     """
     lo, hi = _require_int(lo), _require_int(hi)
     if lo >= hi:
@@ -362,38 +378,29 @@ def stieltjes_beta1(f: BvFunction, lo: int, hi: int,
     atoms = math.fsum(
         beta1(bp.x) * bp.jump for bp in f.breakpoints if lo < bp.x < hi)
     grid = _refinement_grid(float(lo), float(hi), (f,), with_integers=True)
-    segments = []
+    values: list[float] = []
+    radii: list[float] = []
+    fallback: list[tuple[MonotonePiece, float, float]] = []
     for s, t in zip(grid[:-1], grid[1:]):
         p = f.piece_containing(0.5 * (s + t))
         if p is None:
             raise DomainError(f"no piece covers ({s}, {t})")
-        segments.append((p, s, t))
-    values: list[float] = []
-    radii: list[float] = []
-    fallback = [(p, s, t) for p, s, t in segments
-                if p.direction != "const" and p.antiderivative is None]
-    for p, s, t in segments:
-        if p.direction == "const" or p.antiderivative is not None:
-            v, r = _stieltjes_beta1_segment(p, s, t, tol)
-            values.append(v)
-            radii.append(r)
-    if fallback:
-        budget = tol - math.fsum(radii)
-        if budget <= 0.0:
-            raise ToleranceUnreachable(f"tolerance {tol} below rounding floor")
-        weights = []
-        for p, s, t in fallback:
+        if p.direction == "const":
+            values.append(0.0)
+            radii.append(0.0)
+        elif p.antiderivative is not None:
+            # beta1 has slope 1 on the cell, so Stieltjes parts gives
+            # [branch * f] at the ends minus the plain integral of f.
+            k = math.floor(s)
             v0, vn = _segment_endpoint_values(p, s, t)
-            weights.append((t - s) * abs(vn - v0) + 1e-300)
-        wsum = math.fsum(weights)
-        for (p, s, t), w in zip(fallback, weights):
-            v, r = _stieltjes_beta1_segment(p, s, t, budget * w / wsum)
+            fs = ex.eval_expr(p.antiderivative, s)
+            ft = ex.eval_expr(p.antiderivative, t)
+            v = _beta1_branch(t, k) * vn - _beta1_branch(s, k) * v0 - (ft - fs)
             values.append(v)
-            radii.append(r)
-    cont = Certified(math.fsum(values), math.fsum(radii))
-    if cont.radius > tol:
-        raise ToleranceUnreachable(
-            f"achieved radius {cont.radius:.3g} exceeds tol {tol:.3g}")
+            radii.append(_slack(fs, ft, v0, vn, v))
+        else:
+            fallback.append((p, s, t))
+    cont = _certify(tol, values, radii, fallback, _spread_weight, _beta1_rs)
     return StieltjesResult(Certified(atoms + cont.value, cont.radius), atoms, cont)
 
 
@@ -407,47 +414,27 @@ def _require_int(v) -> int:
     raise NonIntegerBounds(f"bounds must be integers, got {v!r}")
 
 
-def _rs_mid_pass(gp: MonotonePiece, fp: MonotonePiece, s: float, t: float,
-                 ends: tuple[float, float, float, float], n: int):
-    """One tagged Riemann-Stieltjes pass on n subcells, chunked."""
-    fv0, fvn, gv0, gvn = ends
-    width = t - s
-    value_parts: list[float] = []
-    err_parts: list[float] = []
-    for start in range(0, n, _CHUNK):
-        stop = min(n, start + _CHUNK)
-        xs = s + width * (np.arange(start, stop + 1, dtype=np.float64) / n)
-        fv = ex.eval_expr(fp.evaluator, xs)
-        gv = ex.eval_expr(gp.evaluator, xs)
-        if start == 0:
-            fv[0], gv[0] = fv0, gv0
-        if stop == n:
-            fv[-1], gv[-1] = fvn, gvn
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        gmid = ex.eval_expr(gp.evaluator, mids)
-        dmu = np.diff(fv)
-        value_parts.append(float(np.sum(gmid * dmu)))
-        err_parts.append(float(np.sum(np.abs(np.diff(gv)) * np.abs(dmu))))
-    return math.fsum(value_parts), math.fsum(err_parts)
-
-
-def _stieltjes_mid_segment(g: BvFunction, f: BvFunction, s: float, t: float,
-                           budget: float):
+def _stieltjes_mid_segment(g: BvFunction, f: BvFunction, fp: MonotonePiece,
+                           s: float, t: float, budget: float):
     """Integral of g (continuous on (s,t)) against d(mu_f) on the open
-    cell; tagged Riemann-Stieltjes sums with cell error bounded by
-    osc(g) * |mu_f| per subcell."""
-    mid = 0.5 * (s + t)
-    fp = f.piece_containing(mid)
-    if fp is None or fp.direction == "const":
-        return 0.0, 0.0
-    gp = g.piece_containing(mid)
+    cell, where f runs on the non-constant piece fp; tagged
+    Riemann-Stieltjes sums with cell error bounded by osc(g) * |mu_f|
+    per subcell, refined until the error fits the budget."""
+    gp = g.piece_containing(0.5 * (s + t))
     if gp is None:
         raise DomainError(f"no piece of the integrand covers ({s}, {t})")
-    ends = (right_limit(f, s), left_limit(f, t),
-            right_limit(g, s), left_limit(g, t))
+    f_ends = (fp.evaluator, right_limit(f, s), left_limit(f, t))
+    g_ends = (gp.evaluator, right_limit(g, s), left_limit(g, t))
     n = 16
     while True:
-        value, err = _rs_mid_pass(gp, fp, s, t, ends, n)
+        value_parts: list[float] = []
+        err_parts: list[float] = []
+        for _, xs, fv, gv in _chunks(s, t, n, f_ends, g_ends):
+            gmid = ex.eval_expr(gp.evaluator, 0.5 * (xs[:-1] + xs[1:]))
+            dmu = np.diff(fv)
+            value_parts.append(float(np.sum(gmid * dmu)))
+            err_parts.append(float(np.sum(np.abs(np.diff(gv)) * np.abs(dmu))))
+        value, err = math.fsum(value_parts), math.fsum(err_parts)
         if err <= budget or n >= MAX_CELLS:
             break
         growth = max(2.0, 1.2 * err / max(budget, 1e-300))
@@ -466,7 +453,7 @@ def stieltjes_midvalue(g: BvFunction, f: BvFunction, lo: float, hi: float,
     Atoms: g_m(x) * jump_f(x) over breakpoints of f in [lo, hi[ (the
     left end belongs to the interval).  The continuous part runs on the
     common refinement of both breakpoint sets, so g is continuous and
-    equal to g_m inside every cell.
+    equal to g_m inside every cell; cells where f is constant add 0.
     """
     if math.isnan(lo) or math.isnan(hi) or lo >= hi:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
@@ -482,28 +469,15 @@ def stieltjes_midvalue(g: BvFunction, f: BvFunction, lo: float, hi: float,
     atoms = math.fsum(atom_terms)
 
     grid = _refinement_grid(lo, hi, (f, g), with_integers=False)
-    cells = list(zip(grid[:-1], grid[1:]))
-    values: list[float] = [atoms]
-    radii: list[float] = []
-    # coarse error estimates decide the per-cell budget split
-    est = []
-    for s, t in cells:
+    fallback: list[tuple[MonotonePiece, float, float]] = []
+    for s, t in zip(grid[:-1], grid[1:]):
         fp = f.piece_containing(0.5 * (s + t))
-        if fp is None or fp.direction == "const":
-            est.append(0.0)
-        else:
-            v0, vn = _segment_endpoint_values(fp, s, t)
-            gz = abs(right_limit(g, s) - left_limit(g, t))
-            est.append(abs(vn - v0) * gz + 1e-300)
-    wsum = math.fsum(est)
-    for (s, t), w in zip(cells, est):
-        if w == 0.0:
-            continue
-        v, r = _stieltjes_mid_segment(g, f, s, t, tol * w / wsum if wsum > 0 else tol)
-        values.append(v)
-        radii.append(r)
-    result = Certified(math.fsum(values), math.fsum(radii))
-    if result.radius > tol:
-        raise ToleranceUnreachable(
-            f"achieved radius {result.radius:.3g} exceeds tol {tol:.3g}")
-    return result
+        if fp is not None and fp.direction != "const":
+            fallback.append((fp, s, t))
+
+    def weight(fp: MonotonePiece, s: float, t: float) -> float:
+        v0, vn = _segment_endpoint_values(fp, s, t)
+        return abs(vn - v0) * abs(right_limit(g, s) - left_limit(g, t)) + 1e-300
+
+    return _certify(tol, [atoms], [], fallback, weight,
+                    functools.partial(_stieltjes_mid_segment, g, f))

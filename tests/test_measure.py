@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,8 @@ from bvsum import (
     total_variation_measure,
     validate,
 )
+from bvsum import expr as ex
+from bvsum import measure
 from oracles import grid_variation
 
 
@@ -340,3 +343,86 @@ class TestStieltjesMidvalue:
         # [1, 2[ contains the atom at 1 with g_m(1) = 1
         got = stieltjes_midvalue(g, f, 1, 2, 1e-8)
         assert got.contains(1.0, slack=1e-12)
+
+
+def bare(expr, lo, hi, direction, left, right):
+    """One monotone piece on [lo, hi] without an antiderivative."""
+    return validate({
+        "domain": {"lo": lo, "hi": hi},
+        "pieces": [{"interval": [lo, hi], "expr": expr, "direction": direction,
+                    "left_limit": left, "right_limit": right}],
+        "breakpoints": [],
+    })
+
+
+class TestTolerance:
+    ROUTINES = {
+        "integrate": lambda tol: integrate(
+            bare("1/(1+x)", 0, 10, "dec", 1, 1 / 11), 0, 10, tol),
+        "stieltjes_beta1": lambda tol: stieltjes_beta1(
+            bare("1/(1+x)", 0, 20, "dec", 1, 1 / 21), 0, 3, tol),
+        "stieltjes_midvalue": lambda tol: stieltjes_midvalue(
+            bare("x", 0, 2, "inc", 0, 2), bare("x^2", 0, 2, "inc", 0, 4), 0, 1, tol),
+    }
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+    @pytest.mark.parametrize("routine", sorted(ROUTINES))
+    def test_non_positive_or_nan_tol_refused_before_refinement(self, routine, tol):
+        with pytest.raises(ToleranceUnreachable, match="below rounding floor"):
+            self.ROUTINES[routine](tol)
+
+    def test_nan_tol_refused_on_closed_form_route(self, corpus):
+        with pytest.raises(ToleranceUnreachable, match="exceeds tol nan"):
+            integrate(corpus["linear.json"], 0, 10, math.nan)
+
+    def test_exact_result_meets_zero_tol(self, corpus):
+        enc = integrate(corpus["floor_steps.json"], 0, 7, 0.0)
+        assert (enc.value, enc.radius) == (21.0, 0.0)
+
+
+def ref_grid_sum(e, s, t, n, v0, vn):
+    """The chunked Darboux grid sum the shared grid walker replaced: a
+    reference that the walker's sums must equal bit for bit."""
+    parts = [v0, vn]
+    for start in range(1, n, measure._CHUNK):
+        stop = min(n, start + measure._CHUNK)
+        idx = np.arange(start, stop, dtype=np.float64)
+        xs = s + (t - s) * (idx / n)
+        parts.append(float(np.sum(ex.eval_expr(e, xs))))
+    return math.fsum(parts)
+
+
+class TestGridWalker:
+    PIECES = [
+        ("1/(1+x)", 0.0, 10.0, "dec", 1.0, 1 / 11),
+        ("exp(x)", 0.0, 1.0, "inc", 1.0, math.e),
+        ("sqrt(x)", 0.0, 3.0, "inc", 0.0, math.sqrt(3.0)),
+        ("sin(x)", 0.0, 1.5, "inc", 0.0, math.sin(1.5)),
+        ("atan(x)+x^3", -1.0, 2.0, "inc", -math.pi / 4 - 1, math.atan(2) + 8),
+    ]
+
+    @pytest.mark.parametrize("n", [64, 1 << 20, (1 << 21) + (1 << 20)])
+    @pytest.mark.parametrize("piece", PIECES, ids=[p[0] for p in PIECES])
+    def test_darboux_sums_bit_equal_to_reference(self, piece, n, monkeypatch):
+        f = bare(*piece)
+        p = f.pieces[0]
+        s, t = p.lo + 0.125, p.hi  # one end evaluated, one from the limit
+        v0, vn = ex.eval_expr(p.evaluator, s), p.right_boundary_limit
+        monkeypatch.setattr(measure, "_cells", lambda *args: n)
+        value, radius = measure._darboux_segment(p, s, t, 1.0)
+        h = (t - s) / n
+        want = h * (ref_grid_sum(p.evaluator, s, t, n, v0, vn) - 0.5 * (v0 + vn))
+        assert value == want
+        assert radius == 0.5 * h * abs(vn - v0) + measure._slack(want)
+
+    def test_expression_never_evaluated_at_segment_ends(self):
+        # sin(x)/x is 0/0 at 0; the piece's left limit stands in for it
+        f = bare("sin(x)/x", 0, 3, "dec", 1.0, math.sin(3.0) / 3.0)
+        integral = integrate(f, 0, 1, 1e-6)
+        assert integral.contains(0.946083070367183, slack=1e-12)  # Si(1)
+        beta = stieltjes_beta1(f, 0, 1, 1e-6)
+        # slope-1 parts: (1/2) f(1) + (1/2) f(0) - Si(1)
+        assert beta.certified.contains(0.5 * math.sin(1.0) + 0.5 - 0.946083070367183, slack=1e-12)
+        mid = stieltjes_midvalue(f, f, 0, 1, 1e-4)
+        # f continuous: int f d(mu_f) over [0, 1[ is (f(1)^2 - f(0)^2)/2
+        assert mid.contains(0.5 * (math.sin(1.0) ** 2 - 1.0), slack=1e-12)
