@@ -14,6 +14,7 @@ and is byte-identical across runs for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -389,9 +390,14 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _main_parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser as it was, so one serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         if args.command == "verify" and args.check == "midvalue":
             for name in ("a", "b"):

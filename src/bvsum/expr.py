@@ -17,6 +17,16 @@ is -(2^2) = -4 while "(-2)^2" is 4.  Evaluation is total: any domain
 violation (log of a nonpositive number, division by zero, 0^negative)
 or non-finite intermediate raises EvalError instead of propagating
 NaN/inf into certified results.
+
+Where finiteness is checked: a float is checked after every operation.
+An array is first walked with tests only at the result and at the
+operands of the _MASKING ops (/, ^, pow, exp, atan), the only ops that
+can turn a non-finite value finite; each node of that walk writes into a
+temporary one of its operands owns.  When a test trips, the strict walk
+that tests every node runs instead, so the error kind and the offending
+x are those of that walk; finite values whose sum overflows the test
+are still returned.  Both walks run the same ufuncs in the same order,
+so their values are bit-identical.
 """
 
 from __future__ import annotations
@@ -285,30 +295,56 @@ def _eval_scalar(e: Expr, x: float) -> float:
     raise EvalError("unknown_function", x)
 
 
-def _first_bad(r: np.ndarray, x: np.ndarray) -> float:
-    bad = ~np.isfinite(np.asarray(r))
-    if np.ndim(x) == 0:
-        return float(x)
-    xs = np.broadcast_to(x, np.asarray(r).shape)
-    return float(xs[bad][0]) if bad.any() else float(xs.flat[0])
+def _first_bad(r, x: np.ndarray) -> float:
+    """The first point of x at which r is not finite.  A constant r fails
+    at every point, so the first point stands for it."""
+    if np.ndim(r) == 0:
+        return float(x.flat[0]) if x.size else math.nan
+    return float(x.flat[np.flatnonzero(~np.isfinite(r))[0]])
 
 
-def _check_array(r: np.ndarray, x: np.ndarray, kind: str) -> np.ndarray:
-    if not np.all(np.isfinite(r)):
-        raise EvalError(kind, _first_bad(r, x))
-    return r
+_UFUNCS = {"+": (np.add, "overflow"), "-": (np.subtract, "overflow"),
+           "*": (np.multiply, "overflow"),
+           "/": (np.true_divide, "division_by_zero"),
+           "^": (np.power, "pow_domain"), "pow": (np.power, "pow_domain"),
+           "exp": (np.exp, "overflow"), "log": (np.log, "log_domain"),
+           "sqrt": (np.sqrt, "sqrt_domain"), "abs": (np.abs, "overflow"),
+           "sin": (np.sin, "overflow"), "cos": (np.cos, "overflow"),
+           "atan": (np.atan if hasattr(np, "atan") else np.arctan, "overflow"),
+           "floor": (np.floor, "overflow")}
+
+# The ops that can map a non-finite operand to a finite value: x/inf = 0,
+# 1^nan = 1, exp(-inf) = 0, atan(inf) = pi/2.  Every other op keeps a
+# non-finite value non-finite at the same point, so it reaches the root
+# unless one of these ops' operand tests sees it first.
+_MASKING = frozenset({"/", "^", "pow", "exp", "atan"})
 
 
-_ARRAY_KIND = {"+": "overflow", "-": "overflow", "*": "overflow",
-               "/": "division_by_zero", "^": "pow_domain"}
-_ARRAY_FN = {"exp": (np.exp, "overflow"), "log": (np.log, "log_domain"),
-             "sqrt": (np.sqrt, "sqrt_domain"), "abs": (np.abs, "overflow"),
-             "sin": (np.sin, "overflow"), "cos": (np.cos, "overflow"),
-             "atan": (np.atan if hasattr(np, "atan") else np.arctan, "overflow"),
-             "floor": (np.floor, "overflow")}
+class _Recheck(Exception):
+    """A non-finite value appeared in an unchecked walk."""
 
 
-def _eval_array(e: Expr, x: np.ndarray) -> np.ndarray:
+def _guard(*vals) -> None:
+    for v in vals:
+        # a finite sum means every term is finite
+        if not math.isfinite(np.add.reduce(v, axis=None)):
+            raise _Recheck
+
+
+def _temp(vals, x: np.ndarray):
+    """An operand array this walk made, which the op may overwrite."""
+    for v in vals:
+        if type(v) is np.ndarray and v is not x:
+            return v
+    return None
+
+
+def _eval_array(e: Expr, x: np.ndarray, strict: bool):
+    """Walk e over the points x.  With strict, every Bin and Call node is
+    tested for finiteness and the first failure raises its EvalError.
+    Without it, only the operands of the _MASKING ops are tested, a failed
+    test raises _Recheck, and each node writes into a temporary that one
+    of its operands owns; x must then be a non-empty float64 array."""
     if isinstance(e, Num):
         return np.float64(e.value)
     if isinstance(e, Var):
@@ -316,28 +352,36 @@ def _eval_array(e: Expr, x: np.ndarray) -> np.ndarray:
     if isinstance(e, Const):
         return np.float64(CONSTANTS[e.name])
     if isinstance(e, Neg):
-        return -_eval_array(e.arg, x)
+        v = _eval_array(e.arg, x, strict)
+        return np.negative(v, out=None if strict else _temp((v,), x))
     if isinstance(e, Bin):
-        a = _eval_array(e.left, x)
-        b = _eval_array(e.right, x)
-        if e.op == "+":
-            r = a + b
-        elif e.op == "-":
-            r = a - b
-        elif e.op == "*":
-            r = a * b
-        elif e.op == "/":
-            r = a / b
-        else:
-            r = np.power(a, b)
-        return _check_array(r, x, _ARRAY_KIND[e.op])
-    assert isinstance(e, Call)
-    if e.fn == "pow":
-        a = _eval_array(e.args[0], x)
-        b = _eval_array(e.args[1], x)
-        return _check_array(np.power(a, b), x, "pow_domain")
-    fn, kind = _ARRAY_FN[e.fn]
-    return _check_array(fn(_eval_array(e.args[0], x)), x, kind)
+        op, args = e.op, (e.left, e.right)
+    else:
+        assert isinstance(e, Call)
+        op, args = e.fn, e.args
+    fn, kind = _UFUNCS[op]
+    vals = [_eval_array(a, x, strict) for a in args]
+    if strict:
+        r = fn(*vals)
+        if not np.all(np.isfinite(r)):
+            raise EvalError(kind, _first_bad(r, x))
+        return r
+    if op in _MASKING:
+        _guard(*vals)
+    return fn(*vals, out=_temp(vals, x))
+
+
+def _eval_points(e: Expr, x: np.ndarray):
+    # a tripped test leaves the points to the strict walk, whose values
+    # or EvalError then stand
+    if x.dtype == np.float64 and x.size:
+        try:
+            r = _eval_array(e, x, False)
+            _guard(r)
+            return r
+        except _Recheck:
+            pass
+    return _eval_array(e, x, True)
 
 
 def eval_expr(e: Expr, x):
@@ -345,7 +389,7 @@ def eval_expr(e: Expr, x):
     point produces a domain violation or a non-finite value."""
     if isinstance(x, np.ndarray):
         with np.errstate(all="ignore"):
-            r = _eval_array(e, x)
+            r = _eval_points(e, x)
         if np.ndim(r) == 0:
             return np.full_like(x, float(r), dtype=np.float64)
         return np.asarray(r, dtype=np.float64)

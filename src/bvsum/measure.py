@@ -286,12 +286,15 @@ def tail_integral(f: BvFunction, n: float, tol: float = DEFAULT_TOL):
 
     Requires tail antiderivative data; F' is re-checked against f by
     sampled difference quotients (BadAntiderivative on mismatch).  For
-    n below the last breakpoint the head is handled by integrate().
+    n below the last breakpoint the head is handled by integrate().  A
+    tol that is not positive (<= 0 or NaN) is refused up front.
     """
     if not f.is_half_line:
         raise DomainError("tail_integral needs a half-line domain")
     if math.isnan(n) or n < f.domain_lo:
         raise DomainError(f"n={n!r} outside domain")
+    if not tol > 0.0:
+        raise ToleranceUnreachable(f"tolerance {tol} below rounding floor")
     ts = f.tail
     if ts is None or ts.antiderivative is None:
         raise MissingAntiderivative("no tail antiderivative supplied")

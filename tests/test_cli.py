@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from bvsum.cli import main
 from conftest import CORPUS_DIR
 
 REPO = Path(__file__).resolve().parent.parent
@@ -18,6 +19,12 @@ def run(*args):
 
 def cpath(name):
     return CORPUS_DIR / name
+
+
+def run_main(capsys, *args):
+    code = main([str(a) for a in args])
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 class TestExitCodes:
@@ -77,6 +84,21 @@ class TestExitCodes:
         r = run("sum", mangled, "--a", 0, "--b", 5)
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("expr", ["exp(1000)*x", "10^400*x"])
+    def test_nonfinite_constant_is_bad_expression_exit_2(self, tmp_path, capsys,
+                                                         expr):
+        spec = tmp_path / "const.json"
+        spec.write_text(json.dumps({
+            "format": 1, "name": "nonfinite-constant",
+            "domain": {"lo": 0, "hi": 10},
+            "pieces": [{"interval": [0, 10], "expr": expr, "direction": "inc",
+                        "left_limit": 0, "right_limit": 1}],
+            "breakpoints": [],
+        }))
+        code, _, err = run_main(capsys, "variation", spec, "--lo", 0, "--hi", 10)
+        assert code == 2
+        assert "BadExpression" in err
+
     def test_domain_errors_exit_3(self):
         r = run("variation", cpath("vshape.json"), "--lo", 0, "--hi", 10)
         assert r.returncode == 3
@@ -95,6 +117,13 @@ class TestExitCodes:
         }))
         r = run("sum", bare, "--a", 0, "--b", 10, "--tol", 1e-13)
         assert r.returncode == 4
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+    def test_series_refuses_non_positive_tol_exit_4(self, capsys, tol):
+        code, out, err = run_main(capsys, "series", cpath("basel.json"),
+                                  "--n", 10, "--tol", tol)
+        assert code == 4
+        assert "below rounding floor" in err and out == ""
 
     def test_divergent_exit_5(self):
         r = run("series", cpath("harmonic.json"), "--n", 10)

@@ -1,12 +1,17 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bvsum import expr as ex
 from bvsum.expr import (
     Bin,
     Call,
     Const,
     EvalError,
+    FUNCTIONS,
     Neg,
     Num,
     ParseError,
@@ -87,20 +92,32 @@ class TestEvalErrors:
             eval_expr(parse("exp(x)"), 1000.0)
 
     def test_array_eval_reports_offending_point(self):
-        import numpy as np
-
         with pytest.raises(EvalError) as exc:
             eval_expr(parse("sqrt(x)"), np.array([1.0, 4.0, -9.0]))
         assert exc.value.x == -9.0
 
     def test_array_matches_scalar(self):
-        import numpy as np
-
         e = parse("1/(1+x)^2 + sin(x)")
         xs = np.linspace(0.0, 5.0, 11)
         arr = eval_expr(e, xs)
         for x, v in zip(xs, arr):
             assert eval_expr(e, float(x)) == pytest.approx(float(v), abs=1e-15)
+
+
+class TestConstantFailures:
+    # a non-finite constant subexpression fails at every point; the first
+    # point is reported
+    @pytest.mark.parametrize("text,kind", [("exp(1000)*x", "overflow"),
+                                           ("10^400*x", "pow_domain")])
+    def test_array_reports_first_point(self, text, kind):
+        xs = np.array([0.5, 1.0, 2.0])
+        with pytest.raises(EvalError) as exc:
+            eval_expr(parse(text), xs)
+        assert (exc.value.kind, exc.value.x) == (kind, 0.5)
+
+    def test_scalar_still_raises(self):
+        with pytest.raises(EvalError):
+            eval_expr(parse("exp(1000)*x"), 0.5)
 
 
 def test_determinism():
@@ -158,3 +175,92 @@ def test_round_trip_corpus_of_100():
     assert len(trees) >= 100
     for t in trees:
         assert parse(render(t)) == t
+
+
+# ---------------------------------------------------------------------------
+# The array evaluator tests finiteness only at the root and at the operands
+# of the ops that can hide a non-finite value; it must agree with the walk
+# that tests every node.
+
+_POISON = [0.0, -0.0, 1.0, -1.0, -2.5, 1e3, -1e3, 710.0, 1e-300, 1e308,
+           math.inf, -math.inf, math.nan]
+
+_masking_leaf = st.sampled_from([
+    parse("1/(1/x)"), parse("pow(1, log(x))"), parse("exp(-1/x)"),
+    parse("atan(1/x)"), parse("2^(-1/x)"), parse("x/exp(-log(x))"),
+    Num(0.0), Num(1.0), Num(1e3), parse("1e400"),
+])
+
+_poison_ast = st.recursive(st.one_of(_leaf, _masking_leaf), _node,
+                           max_leaves=12)
+
+_points = st.lists(
+    st.one_of(st.sampled_from(_POISON),
+              st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)),
+    min_size=1, max_size=12).map(lambda v: np.array(v, dtype=np.float64))
+
+
+def _outcome(fn):
+    try:
+        r = fn()
+    except EvalError as e:
+        return ("error", e.kind, e.x)
+    return ("value", np.asarray(r, dtype=np.float64).tobytes())
+
+
+def _strict(e, xs):
+    with np.errstate(all="ignore"):
+        r = ex._eval_array(e, xs, True)
+    return np.full_like(xs, float(r)) if np.ndim(r) == 0 else r
+
+
+@settings(max_examples=600, deadline=None)
+@given(_poison_ast, _points)
+def test_array_eval_matches_strict_walk(tree, xs):
+    x_before = xs.tobytes()
+    got = _outcome(lambda: eval_expr(tree, xs))
+    want = _outcome(lambda: _strict(tree, xs))
+    assert got[:2] == want[:2]
+    if got[0] == "error":
+        assert got[2] == want[2] or (math.isnan(got[2]) and math.isnan(want[2]))
+    else:
+        assert got[1] == want[1]
+    assert xs.tobytes() == x_before  # never written into
+
+
+@settings(max_examples=300, deadline=None)
+@given(_poison_ast, _points)
+def test_unchecked_walk_passing_means_strict_walk_passes(tree, xs):
+    with np.errstate(all="ignore"):
+        try:
+            r = ex._eval_array(tree, xs, False)
+            ex._guard(r)
+        except ex._Recheck:
+            return
+    assert _outcome(lambda: _strict(tree, xs)) == (
+        "value", np.broadcast_to(r, xs.shape).tobytes())
+
+
+_NONFINITE = (math.inf, -math.inf, math.nan)
+_ANY = _NONFINITE + (0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.0, 1e-300, 1e300)
+
+
+@pytest.mark.parametrize("op", sorted(set(ex._UFUNCS) - ex._MASKING) + ["neg"])
+def test_unmasked_ops_keep_nonfinite_values_nonfinite(op):
+    """Only the _MASKING ops may turn a non-finite operand finite; a new
+    entry in FUNCTIONS that can must join them."""
+    fn = np.negative if op == "neg" else ex._UFUNCS[op][0]
+    bad = np.array(_NONFINITE)
+    with np.errstate(all="ignore"):
+        if fn.nin == 1:
+            outs = [fn(bad)]
+        else:
+            other = np.array(_ANY)
+            outs = [fn(a, b) for v in _NONFINITE
+                    for a, b in ((v, other), (other, v))]
+    for r in outs:
+        assert not np.isfinite(r).any(), (op, r)
+
+
+def test_every_function_has_an_array_ufunc():
+    assert set(FUNCTIONS) | {"pow"} <= set(ex._UFUNCS)

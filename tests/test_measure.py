@@ -15,6 +15,7 @@ from bvsum import (
     beta1,
     integrate,
     linear_combination,
+    load_function,
     measure_interval,
     pointwise_variation,
     rho,
@@ -26,6 +27,7 @@ from bvsum import (
 )
 from bvsum import expr as ex
 from bvsum import measure
+from conftest import corpus_path
 from oracles import grid_variation
 
 
@@ -363,6 +365,8 @@ class TestTolerance:
             bare("1/(1+x)", 0, 20, "dec", 1, 1 / 21), 0, 3, tol),
         "stieltjes_midvalue": lambda tol: stieltjes_midvalue(
             bare("x", 0, 2, "inc", 0, 2), bare("x^2", 0, 2, "inc", 0, 4), 0, 1, tol),
+        "tail_integral": lambda tol: tail_integral(
+            load_function(corpus_path("basel.json")), 10, tol),
     }
 
     @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
