@@ -18,19 +18,30 @@ violation (log of a nonpositive number, division by zero, 0^negative)
 or non-finite intermediate raises EvalError instead of propagating
 NaN/inf into certified results.
 
-Where finiteness is checked: a float is checked after every operation.
-An array is first walked with tests only at the result and at the
-operands of the _MASKING ops (/, ^, pow, exp, atan), the only ops that
-can turn a non-finite value finite; each node of that walk writes into a
-temporary one of its operands owns.  When a test trips, the strict walk
-that tests every node runs instead, so the error kind and the offending
-x are those of that walk; finite values whose sum overflows the test
-are still returned.  Both walks run the same ufuncs in the same order,
-so their values are bit-identical.
+A float is evaluated by a closure compiled from the AST once, on the
+first scalar evaluation, and kept on the node (Expr.compiled).  The
+operands are evaluated left to right, and each closure checks what it
+computed: a zero divisor before "/", finiteness after every binary
+operation and pow, the log and sqrt domains, and exp's overflow.  A
+subexpression without x is evaluated once, at compile time, unless it
+fails; then it fails at every x, in its place.
+
+Where finiteness is checked: a float is checked after every binary
+operation and pow, as above.  An array is first walked with tests only
+at the result and at the operands of the _MASKING ops (/, ^, pow, exp,
+atan), the only ops that can turn a non-finite value finite; each node
+of that walk writes into a temporary one of its operands owns.  When a
+test trips, the strict walk that tests every node runs instead, so the
+error kind and the offending x are those of that walk; an infinite
+power of finite operands with a non-zero base is "overflow" there, as
+it is for a float.  Finite values whose sum overflows the test are
+still returned.  Both walks run the same ufuncs in the same order, so
+their values are bit-identical.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -62,6 +73,16 @@ class EvalError(ArithmeticError):
 
 class Expr:
     """Base class of AST nodes; all nodes are immutable and hashable."""
+
+    @functools.cached_property
+    def compiled(self):
+        """The closure x -> e(x) for a float x, built on first use and kept
+        on the node (outside the fields, so eq, hash and repr ignore it)."""
+        return _compile(self)[0]
+
+    def __getstate__(self):
+        # closures do not pickle; the copy compiles again on first use
+        return {k: v for k, v in vars(self).items() if k != "compiled"}
 
 
 @dataclass(frozen=True)
@@ -233,74 +254,154 @@ def _scalar_pow(a: float, b: float, x: float) -> float:
         raise EvalError("pow_domain", x) from None
 
 
-def _eval_scalar(e: Expr, x: float) -> float:
+def _compile(e: Expr):
+    """(closure, foldable) for e: the closure maps a float x to e(x) with
+    the checks of the scalar evaluation, in its order; foldable means e
+    has no x.  A foldable node is evaluated once here and becomes a
+    constant, unless it fails, in which case it fails at every x."""
     if isinstance(e, Num):
-        return e.value
+        v = e.value
+        return (lambda x: v), True
     if isinstance(e, Var):
-        return x
+        return (lambda x: x), False
     if isinstance(e, Const):
-        return CONSTANTS[e.name]
+        v = CONSTANTS[e.name]
+        return (lambda x: v), True
     if isinstance(e, Neg):
-        return -_eval_scalar(e.arg, x)
-    if isinstance(e, Bin):
-        a = _eval_scalar(e.left, x)
-        b = _eval_scalar(e.right, x)
-        if e.op == "+":
-            r = a + b
-        elif e.op == "-":
-            r = a - b
-        elif e.op == "*":
-            r = a * b
-        elif e.op == "/":
-            if b == 0.0:
-                raise EvalError("division_by_zero", x)
-            r = a / b
+        g, foldable = _compile(e.arg)
+        f = lambda x: -g(x)
+    elif isinstance(e, Bin):
+        (ga, fa), (gb, fb) = _compile(e.left), _compile(e.right)
+        f, foldable = _BINARY.get(e.op, _pow)(ga, gb), fa and fb
+    else:
+        assert isinstance(e, Call)
+        if e.fn == "pow":
+            (ga, fa), (gb, fb) = _compile(e.args[0]), _compile(e.args[1])
+            f, foldable = _pow(ga, gb), fa and fb
         else:
-            r = _scalar_pow(a, b, x)
+            g, foldable = _compile(e.args[0])
+            f = _UNARY.get(e.fn, _unknown)(g)
+    if foldable:
+        try:
+            v = f(math.nan)
+        except (ArithmeticError, ValueError):  # EvalError, or libm's own
+            return f, False
+        return (lambda x: v), True
+    return f, False
+
+
+# One closure per operator, with the operator inline: calling
+# operator.add and the like from one shared closure costs about a fifth
+# more per evaluation.
+def _add(ga, gb):
+    def f(x):
+        r = ga(x) + gb(x)
         if not math.isfinite(r):
             raise EvalError("overflow", x)
         return r
-    assert isinstance(e, Call)
-    if e.fn == "pow":
-        a = _eval_scalar(e.args[0], x)
-        b = _eval_scalar(e.args[1], x)
-        r = _scalar_pow(a, b, x)
+    return f
+
+
+def _sub(ga, gb):
+    def f(x):
+        r = ga(x) - gb(x)
         if not math.isfinite(r):
             raise EvalError("overflow", x)
         return r
-    v = _eval_scalar(e.args[0], x)
-    if e.fn == "log":
+    return f
+
+
+def _mul(ga, gb):
+    def f(x):
+        r = ga(x) * gb(x)
+        if not math.isfinite(r):
+            raise EvalError("overflow", x)
+        return r
+    return f
+
+
+def _div(ga, gb):
+    def f(x):
+        a = ga(x)
+        b = gb(x)
+        if b == 0.0:
+            raise EvalError("division_by_zero", x)
+        r = a / b
+        if not math.isfinite(r):
+            raise EvalError("overflow", x)
+        return r
+    return f
+
+
+def _pow(ga, gb):
+    def f(x):
+        r = _scalar_pow(ga(x), gb(x), x)
+        if not math.isfinite(r):
+            raise EvalError("overflow", x)
+        return r
+    return f
+
+
+def _log(g):
+    def f(x):
+        v = g(x)
         if v <= 0.0:
             raise EvalError("log_domain", x)
         return math.log(v)
-    if e.fn == "sqrt":
+    return f
+
+
+def _sqrt(g):
+    def f(x):
+        v = g(x)
         if v < 0.0:
             raise EvalError("sqrt_domain", x)
         return math.sqrt(v)
-    if e.fn == "exp":
+    return f
+
+
+def _exp(g):
+    def f(x):
         try:
-            return math.exp(v)
+            return math.exp(g(x))
         except OverflowError:
             raise EvalError("overflow", x) from None
-    if e.fn == "abs":
-        return abs(v)
-    if e.fn == "floor":
-        return float(math.floor(v))
-    if e.fn == "sin":
-        return math.sin(v)
-    if e.fn == "cos":
-        return math.cos(v)
-    if e.fn == "atan":
-        return math.atan(v)
-    raise EvalError("unknown_function", x)
+    return f
 
 
-def _first_bad(r, x: np.ndarray) -> float:
-    """The first point of x at which r is not finite.  A constant r fails
-    at every point, so the first point stands for it."""
-    if np.ndim(r) == 0:
-        return float(x.flat[0]) if x.size else math.nan
-    return float(x.flat[np.flatnonzero(~np.isfinite(r))[0]])
+def _floor(g):
+    return lambda x: float(math.floor(g(x)))
+
+
+def _unknown(g):
+    def f(x):
+        g(x)
+        raise EvalError("unknown_function", x)
+    return f
+
+
+def _applied(fn):
+    return lambda g: lambda x: fn(g(x))
+
+
+_BINARY = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _pow}
+_UNARY = {"log": _log, "sqrt": _sqrt, "exp": _exp, "floor": _floor,
+          "abs": _applied(abs), "sin": _applied(math.sin),
+          "cos": _applied(math.cos), "atan": _applied(math.atan)}
+
+
+def _first_bad(r) -> int:
+    """The index of the first point at which r is not finite.  A constant
+    r fails at every point, so the first point stands for it."""
+    return 0 if np.ndim(r) == 0 else int(np.flatnonzero(~np.isfinite(r))[0])
+
+
+def _pow_kind(a: float, b: float, r: float) -> str:
+    # math.pow raises OverflowError, not ValueError, exactly when finite
+    # operands with a non-zero base give an infinite power
+    if math.isfinite(a) and math.isfinite(b) and a != 0.0 and math.isinf(r):
+        return "overflow"
+    return "pow_domain"
 
 
 _UFUNCS = {"+": (np.add, "overflow"), "-": (np.subtract, "overflow"),
@@ -364,7 +465,11 @@ def _eval_array(e: Expr, x: np.ndarray, strict: bool):
     if strict:
         r = fn(*vals)
         if not np.all(np.isfinite(r)):
-            raise EvalError(kind, _first_bad(r, x))
+            i = _first_bad(r)
+            if kind == "pow_domain":
+                kind = _pow_kind(*(float(v if np.ndim(v) == 0 else v.flat[i])
+                                   for v in (*vals, r)))
+            raise EvalError(kind, float(x.flat[i]) if x.size else math.nan)
         return r
     if op in _MASKING:
         _guard(*vals)
@@ -393,7 +498,7 @@ def eval_expr(e: Expr, x):
         if np.ndim(r) == 0:
             return np.full_like(x, float(r), dtype=np.float64)
         return np.asarray(r, dtype=np.float64)
-    return _eval_scalar(e, float(x))
+    return e.compiled(float(x))
 
 
 _PREC_ATOM = 5

@@ -1,9 +1,16 @@
 import math
+import struct
+import tracemalloc
 
 import pytest
 
 from bvsum import (
+    Breakpoint,
+    BvFunction,
     Convergence,
+    DomainError,
+    EvalError,
+    MonotonePiece,
     NotMonotone,
     SeriesDivergent,
     approx_from_partial,
@@ -15,9 +22,14 @@ from bvsum import (
     euler_constant,
     gamma_partial,
     parts_check,
+    evaluate,
+    jordan_decompose,
+    parse,
     series_sum,
     validate,
 )
+from bvsum.euler_maclaurin import _direct_sum
+from conftest import CORPUS_NAMES
 from oracles import BASEL_SUM, EULER_GAMMA, direct_sum, harmonic_number
 
 
@@ -313,3 +325,97 @@ class TestPartsIdentity:
             b = a + 2
             rep = parts_check(f, g, a, b, 1e-5)
             assert rep.passed, (fa, fb, rep.residual, rep.budget)
+
+
+# ---------------------------------------------------------------------------
+# The direct sum streams each piece's compiled evaluator over the integers
+# inside it; it must equal the term-by-term sum of evaluate() bit for bit.
+
+def ref_direct_sum(f, a, b):
+    return math.fsum(evaluate(f, float(k)) for k in range(a, b))
+
+
+def _sum_outcome(fn, *args):
+    try:
+        return ("value", struct.pack("<d", fn(*args)))
+    except EvalError as e:
+        return ("error", e.kind, e.x)
+    except DomainError as e:
+        return ("domain", str(e))
+
+
+def _ranges(f):
+    lo = math.ceil(f.domain_lo)
+    hi = math.floor(f.domain_hi) if math.isfinite(f.domain_hi) else lo + 120
+    out = [(lo, hi + 1), (lo, hi), (lo, lo + 1), (lo, lo + 2), (lo + 1, lo + 6),
+           (lo + 2, lo + 3), (hi - 3, hi + 1), (hi, hi + 1), (lo + 3, lo + 3),
+           (lo + 5, lo + 2)]
+    out += [(math.floor(bp.x) - 1, math.floor(bp.x) + 2) for bp in f.breakpoints
+            if lo < bp.x < hi]
+    if f.is_half_line:
+        out += [(1000, 1300), (10**6, 10**6 + 50), (lo, 2000)]
+    return out
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_direct_sum_matches_evaluate_term_by_term(corpus, name):
+    f = corpus[name]
+    for g in (f, *jordan_decompose(f)):
+        for a, b in _ranges(g):
+            assert _sum_outcome(_direct_sum, g, a, b) == \
+                _sum_outcome(ref_direct_sum, g, a, b), (name, a, b)
+
+
+def test_direct_sum_ranges_reach_the_conventions(corpus):
+    # integer breakpoints whose value is not the mid-value, a breakpoint
+    # between integers, and domain_lo with and without one
+    for name in ("mixed_jumps.json", "floor_steps.json", "frac_sawtooth.json",
+                 "rho_int.json"):
+        f = corpus[name]
+        assert any(bp.x.is_integer() and bp.value != 0.5 * (bp.left_value + bp.right_value)
+                   for bp in f.breakpoints), name
+    assert [bp.x for bp in corpus["step_half.json"].breakpoints] == [0.5]
+    assert corpus["harmonic.json"].breakpoint_at(0.0) is not None
+    assert corpus["exp_decay.json"].breakpoint_at(-1.0) is None
+    assert _direct_sum(corpus["exp_decay.json"], -1, 0) == math.e
+    assert not float(corpus["floor_steps.json"].domain_hi).is_integer()
+
+
+def _overflowing():
+    # x up to 10, then exp(x), which overflows at 710: a spec validate
+    # would refuse, built directly
+    return BvFunction(0.0, 1000.0, (Breakpoint(10.0, 10.0, 10.0, math.exp(10.0)),),
+                      (MonotonePiece(0.0, 10.0, parse("x"), "inc", 0.0, 10.0),
+                       MonotonePiece(10.0, 1000.0, parse("exp(x)"), "inc",
+                                     math.exp(10.0), 1e308)))
+
+
+def test_direct_sum_fails_at_the_first_failing_integer():
+    f = _overflowing()
+    for a, b in ((0, 1000), (5, 711), (700, 800), (0, 710)):
+        want = _sum_outcome(ref_direct_sum, f, a, b)
+        assert _sum_outcome(_direct_sum, f, a, b) == want
+    assert _sum_outcome(_direct_sum, f, 0, 1000) == ("error", "overflow", 710.0)
+
+
+def test_direct_sum_memory_does_not_grow_with_the_range(corpus):
+    f = corpus["harmonic.json"]
+    _direct_sum(f, 0, 10)  # compile outside the traced window
+    tracemalloc.start()
+    try:
+        _direct_sum(f, 0, 200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # a list of the terms would take ~6 MB
+
+
+def test_direct_sum_compiles_only_the_pieces_it_overlaps():
+    # 512 pieces (i + 0.5, i + 1.5), each around the integer i + 1
+    bps = tuple(Breakpoint(i + 0.5, float(i), float(i), float(i)) for i in range(1, 512))
+    pieces = tuple(MonotonePiece(i + 0.5, i + 1.5, parse(f"{i}+0*x"), "const",
+                                 float(i), float(i)) for i in range(512))
+    f = BvFunction(0.5, 512.5, bps, pieces)
+    assert _direct_sum(f, 100, 102) == ref_direct_sum(f, 100, 102) == 99.0 + 100.0
+    compiled = [i for i, p in enumerate(f.pieces) if "compiled" in vars(p.evaluator)]
+    assert compiled == [99, 100]

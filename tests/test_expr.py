@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -108,7 +109,7 @@ class TestConstantFailures:
     # a non-finite constant subexpression fails at every point; the first
     # point is reported
     @pytest.mark.parametrize("text,kind", [("exp(1000)*x", "overflow"),
-                                           ("10^400*x", "pow_domain")])
+                                           ("10^400*x", "overflow")])
     def test_array_reports_first_point(self, text, kind):
         xs = np.array([0.5, 1.0, 2.0])
         with pytest.raises(EvalError) as exc:
@@ -264,3 +265,150 @@ def test_unmasked_ops_keep_nonfinite_values_nonfinite(op):
 
 def test_every_function_has_an_array_ufunc():
     assert set(FUNCTIONS) | {"pow"} <= set(ex._UFUNCS)
+
+
+# ---------------------------------------------------------------------------
+# A float is evaluated by a closure compiled once per expression; it must
+# agree with the tree walk it replaced, kept here as the reference.
+
+def _ref_scalar_pow(a, b, x):
+    try:
+        return math.pow(a, b)
+    except OverflowError:
+        raise EvalError("overflow", x) from None
+    except ValueError:
+        raise EvalError("pow_domain", x) from None
+    except ZeroDivisionError:
+        raise EvalError("pow_domain", x) from None
+
+
+def ref_eval_scalar(e, x):
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        return x
+    if isinstance(e, Const):
+        return ex.CONSTANTS[e.name]
+    if isinstance(e, Neg):
+        return -ref_eval_scalar(e.arg, x)
+    if isinstance(e, Bin):
+        a = ref_eval_scalar(e.left, x)
+        b = ref_eval_scalar(e.right, x)
+        if e.op == "+":
+            r = a + b
+        elif e.op == "-":
+            r = a - b
+        elif e.op == "*":
+            r = a * b
+        elif e.op == "/":
+            if b == 0.0:
+                raise EvalError("division_by_zero", x)
+            r = a / b
+        else:
+            r = _ref_scalar_pow(a, b, x)
+        if not math.isfinite(r):
+            raise EvalError("overflow", x)
+        return r
+    assert isinstance(e, Call)
+    if e.fn == "pow":
+        a = ref_eval_scalar(e.args[0], x)
+        b = ref_eval_scalar(e.args[1], x)
+        r = _ref_scalar_pow(a, b, x)
+        if not math.isfinite(r):
+            raise EvalError("overflow", x)
+        return r
+    v = ref_eval_scalar(e.args[0], x)
+    if e.fn == "log":
+        if v <= 0.0:
+            raise EvalError("log_domain", x)
+        return math.log(v)
+    if e.fn == "sqrt":
+        if v < 0.0:
+            raise EvalError("sqrt_domain", x)
+        return math.sqrt(v)
+    if e.fn == "exp":
+        try:
+            return math.exp(v)
+        except OverflowError:
+            raise EvalError("overflow", x) from None
+    if e.fn == "abs":
+        return abs(v)
+    if e.fn == "floor":
+        return float(math.floor(v))
+    if e.fn == "sin":
+        return math.sin(v)
+    if e.fn == "cos":
+        return math.cos(v)
+    if e.fn == "atan":
+        return math.atan(v)
+    raise EvalError("unknown_function", x)
+
+
+def _scalar_outcome(fn, x):
+    # bits of the value, or the exception: EvalError kind and x, or the
+    # type of a libm error (floor(inf), sin(inf)) that escapes both
+    try:
+        r = fn(x)
+    except EvalError as e:
+        return ("error", e.kind, repr(e.x))
+    except (ValueError, OverflowError) as e:
+        return ("raised", type(e).__name__)
+    return ("value", struct.pack("<d", r))
+
+
+_SCALAR_POISON = [0.0, -0.0, 1.0, -1.0, 710.0, -710.0, 1e308, -1e308,
+                  -2.5, -1e3, 1e3, 1e-300, 0.5, math.inf, -math.inf, math.nan]
+
+_scalar_points = st.lists(
+    st.one_of(st.sampled_from(_SCALAR_POISON),
+              st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=800, deadline=None)
+@given(_poison_ast, _scalar_points)
+def test_compiled_matches_tree_walk(tree, xs):
+    for x in xs:
+        got = _scalar_outcome(lambda v: eval_expr(tree, v), x)
+        assert got == _scalar_outcome(lambda v: ref_eval_scalar(tree, v), x), x
+
+
+@pytest.mark.parametrize("text", ["1/x", "x+x", "x*x", "x-(-x)", "2^x",
+                                  "pow(x,x)", "log(x)", "sqrt(x)", "exp(x)",
+                                  "log(0)*x", "1/(x-x)", "(1/0)+log(x)"])
+def test_compiled_matches_tree_walk_at_poison_points(text):
+    e = parse(text)
+    for x in _SCALAR_POISON:
+        assert _scalar_outcome(lambda v: eval_expr(e, v), x) == \
+            _scalar_outcome(lambda v: ref_eval_scalar(e, v), x), (text, x)
+
+
+def test_compiled_once_per_node_and_outside_the_fields():
+    import pickle
+
+    e = parse("1/(1+x)")
+    assert "compiled" not in vars(e)
+    eval_expr(e, 1.0)
+    fn = vars(e)["compiled"]
+    eval_expr(e, 2.0)
+    assert e.compiled is fn
+    assert e == parse("1/(1+x)") and hash(e) == hash(parse("1/(1+x)"))
+    assert repr(e) == repr(parse("1/(1+x)"))
+    assert eval_expr(pickle.loads(pickle.dumps(e)), 3.0) == 0.25
+
+
+# a constant power fails at every point, so the first one is reported
+_POW_CASES = [("10^400*x", 0.5, [0.5, 2.0]), ("pow(x,400)", 1e3, [2.0, 1e3]),
+              ("(-10)^401*x", 0.5, [0.5, 2.0]), ("x^(-1)", 0.0, [2.0, 0.0]),
+              ("pow(x,0.5)", -1.0, [2.0, -1.0]),
+              ("(-8)^(1/3)*x", 0.5, [0.5, 2.0])]
+
+
+@pytest.mark.parametrize("text,x,points", _POW_CASES)
+def test_pow_errors_agree_between_float_and_array(text, x, points):
+    e = parse(text)
+    with pytest.raises(EvalError) as scalar:
+        eval_expr(e, x)
+    with pytest.raises(EvalError) as array:
+        eval_expr(e, np.array(points))
+    assert (array.value.kind, array.value.x) == (scalar.value.kind, x)
