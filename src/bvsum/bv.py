@@ -11,6 +11,7 @@ limit consistency are tested by sampling, not proved.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -161,6 +162,33 @@ def evaluate(f: BvFunction, x: float) -> float:
     if x == f.domain_lo:
         return f.pieces[0].left_boundary_limit
     return f.pieces[-1].right_boundary_limit
+
+
+def values_at_integers(f: BvFunction, a: int, b: int):
+    """An iterator of evaluate(f, k) for the integers a <= k < b, in
+    increasing k, so the first failing k raises.  The pieces tile the
+    domain between breakpoints, so an integer strictly inside a piece
+    takes that piece's compiled evaluator, and evaluate() gives the
+    others, which are breakpoints or domain_lo.  Only the pieces that
+    overlap [a, b) are visited, and no list of values is built."""
+    runs = []
+    k = a
+    i = max(bisect.bisect_right(f._piece_los, a) - 1, 0)
+    for p in f.pieces[i:]:
+        if p.lo >= b:
+            break
+        s = max(k, math.floor(p.lo) + 1)
+        t = b if math.isinf(p.hi) else min(b, math.ceil(p.hi))
+        if s < t:
+            runs.append(_evaluated(f, k, s))
+            runs.append(map(p.evaluator.compiled, map(float, range(s, t))))
+            k = t
+    runs.append(_evaluated(f, k, b))
+    return itertools.chain.from_iterable(runs)
+
+
+def _evaluated(f: BvFunction, a: int, b: int):
+    return (evaluate(f, float(k)) for k in range(a, b))
 
 
 def right_limit(f: BvFunction, x: float, strict: bool = False) -> float:

@@ -9,8 +9,6 @@ relevant interval), never as a point value.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -22,6 +20,7 @@ from .bv import (
     left_limit,
     mid_value_strict,
     pointwise_variation,
+    values_at_integers,
 )
 from .errors import (
     DomainError,
@@ -86,30 +85,9 @@ class Convergence(Enum):
 
 
 def _direct_sum(f: BvFunction, a: int, b: int) -> float:
-    """sum_{a<=k<b} f(k), exactly rounded by one math.fsum.  The terms
-    stream in increasing k, so the first failing k raises: each piece's
-    compiled evaluator maps the integers strictly inside it, and
-    evaluate() gives the others, which are breakpoints or domain_lo
-    (validate puts every breakpoint at a piece end).  Only the pieces
-    that overlap [a, b) are visited, and no list of terms is built."""
-    runs = []
-    k = a
-    i = max(bisect.bisect_right(f._piece_los, a) - 1, 0)
-    for p in f.pieces[i:]:
-        if p.lo >= b:
-            break
-        s = max(k, math.floor(p.lo) + 1)
-        t = b if math.isinf(p.hi) else min(b, math.ceil(p.hi))
-        if s < t:
-            runs.append(_evaluated(f, k, s))
-            runs.append(map(p.evaluator.compiled, map(float, range(s, t))))
-            k = t
-    runs.append(_evaluated(f, k, b))
-    return math.fsum(itertools.chain.from_iterable(runs))
-
-
-def _evaluated(f: BvFunction, a: int, b: int):
-    return (evaluate(f, float(k)) for k in range(a, b))
+    # math.fsum is exactly rounded, stronger than compensated summation;
+    # the values stream, so memory does not grow with b - a
+    return math.fsum(values_at_integers(f, a, b))
 
 
 def _check_integers_in_domain(f: BvFunction, a: int, b: int) -> None:

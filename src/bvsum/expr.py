@@ -22,9 +22,7 @@ A float is evaluated by a closure compiled from the AST once, on the
 first scalar evaluation, and kept on the node (Expr.compiled).  The
 operands are evaluated left to right, and each closure checks what it
 computed: a zero divisor before "/", finiteness after every binary
-operation and pow, the log and sqrt domains, and exp's overflow.  A
-subexpression without x is evaluated once, at compile time, unless it
-fails; then it fails at every x, in its place.
+operation and pow, the log and sqrt domains, and exp's overflow.
 
 Where finiteness is checked: a float is checked after every binary
 operation and pow, as above.  An array is first walked with tests only
@@ -32,11 +30,10 @@ at the result and at the operands of the _MASKING ops (/, ^, pow, exp,
 atan), the only ops that can turn a non-finite value finite; each node
 of that walk writes into a temporary one of its operands owns.  When a
 test trips, the strict walk that tests every node runs instead, so the
-error kind and the offending x are those of that walk; an infinite
-power of finite operands with a non-zero base is "overflow" there, as
-it is for a float.  Finite values whose sum overflows the test are
-still returned.  Both walks run the same ufuncs in the same order, so
-their values are bit-identical.
+error kind and the offending x are those of that walk; a failing power
+takes there the kind the float path gives it at that point.  Finite
+values whose sum overflows the test are still returned.  Both walks run
+the same ufuncs in the same order, so their values are bit-identical.
 """
 
 from __future__ import annotations
@@ -78,7 +75,7 @@ class Expr:
     def compiled(self):
         """The closure x -> e(x) for a float x, built on first use and kept
         on the node (outside the fields, so eq, hash and repr ignore it)."""
-        return _compile(self)[0]
+        return _compile(self)
 
     def __getstate__(self):
         # closures do not pickle; the copy compiles again on first use
@@ -255,39 +252,25 @@ def _scalar_pow(a: float, b: float, x: float) -> float:
 
 
 def _compile(e: Expr):
-    """(closure, foldable) for e: the closure maps a float x to e(x) with
-    the checks of the scalar evaluation, in its order; foldable means e
-    has no x.  A foldable node is evaluated once here and becomes a
-    constant, unless it fails, in which case it fails at every x."""
+    """The closure mapping a float x to e(x), with the checks of the
+    scalar evaluation, in its order."""
     if isinstance(e, Num):
         v = e.value
-        return (lambda x: v), True
+        return lambda x: v
     if isinstance(e, Var):
-        return (lambda x: x), False
+        return lambda x: x
     if isinstance(e, Const):
         v = CONSTANTS[e.name]
-        return (lambda x: v), True
+        return lambda x: v
     if isinstance(e, Neg):
-        g, foldable = _compile(e.arg)
-        f = lambda x: -g(x)
-    elif isinstance(e, Bin):
-        (ga, fa), (gb, fb) = _compile(e.left), _compile(e.right)
-        f, foldable = _BINARY.get(e.op, _pow)(ga, gb), fa and fb
-    else:
-        assert isinstance(e, Call)
-        if e.fn == "pow":
-            (ga, fa), (gb, fb) = _compile(e.args[0]), _compile(e.args[1])
-            f, foldable = _pow(ga, gb), fa and fb
-        else:
-            g, foldable = _compile(e.args[0])
-            f = _UNARY.get(e.fn, _unknown)(g)
-    if foldable:
-        try:
-            v = f(math.nan)
-        except (ArithmeticError, ValueError):  # EvalError, or libm's own
-            return f, False
-        return (lambda x: v), True
-    return f, False
+        g = _compile(e.arg)
+        return lambda x: -g(x)
+    if isinstance(e, Bin):
+        return _BINARY.get(e.op, _pow)(_compile(e.left), _compile(e.right))
+    assert isinstance(e, Call)
+    if e.fn == "pow":
+        return _pow(_compile(e.args[0]), _compile(e.args[1]))
+    return _UNARY.get(e.fn, _unknown)(_compile(e.args[0]))
 
 
 # One closure per operator, with the operator inline: calling
@@ -396,14 +379,6 @@ def _first_bad(r) -> int:
     return 0 if np.ndim(r) == 0 else int(np.flatnonzero(~np.isfinite(r))[0])
 
 
-def _pow_kind(a: float, b: float, r: float) -> str:
-    # math.pow raises OverflowError, not ValueError, exactly when finite
-    # operands with a non-zero base give an infinite power
-    if math.isfinite(a) and math.isfinite(b) and a != 0.0 and math.isinf(r):
-        return "overflow"
-    return "pow_domain"
-
-
 _UFUNCS = {"+": (np.add, "overflow"), "-": (np.subtract, "overflow"),
            "*": (np.multiply, "overflow"),
            "/": (np.true_divide, "division_by_zero"),
@@ -466,10 +441,16 @@ def _eval_array(e: Expr, x: np.ndarray, strict: bool):
         r = fn(*vals)
         if not np.all(np.isfinite(r)):
             i = _first_bad(r)
+            xi = float(x.flat[i]) if x.size else math.nan
             if kind == "pow_domain":
-                kind = _pow_kind(*(float(v if np.ndim(v) == 0 else v.flat[i])
-                                   for v in (*vals, r)))
-            raise EvalError(kind, float(x.flat[i]) if x.size else math.nan)
+                # the kind the float path gives this power at that point
+                a, b = (float(v if np.ndim(v) == 0 else v.flat[i]) for v in vals)
+                try:
+                    if not math.isfinite(_scalar_pow(a, b, xi)):
+                        kind = "overflow"
+                except EvalError as err:
+                    kind = err.kind
+            raise EvalError(kind, xi)
         return r
     if op in _MASKING:
         _guard(*vals)

@@ -401,7 +401,8 @@ def test_compiled_once_per_node_and_outside_the_fields():
 _POW_CASES = [("10^400*x", 0.5, [0.5, 2.0]), ("pow(x,400)", 1e3, [2.0, 1e3]),
               ("(-10)^401*x", 0.5, [0.5, 2.0]), ("x^(-1)", 0.0, [2.0, 0.0]),
               ("pow(x,0.5)", -1.0, [2.0, -1.0]),
-              ("(-8)^(1/3)*x", 0.5, [0.5, 2.0])]
+              ("(-8)^(1/3)*x", 0.5, [0.5, 2.0]), ("1e400^x", 0.5, [0.5, 2.0]),
+              ("pow(x,1e400)", 2.0, [0.5, 2.0])]
 
 
 @pytest.mark.parametrize("text,x,points", _POW_CASES)
