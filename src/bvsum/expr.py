@@ -18,22 +18,23 @@ violation (log of a nonpositive number, division by zero, 0^negative)
 or non-finite intermediate raises EvalError instead of propagating
 NaN/inf into certified results.
 
-A float is evaluated by a closure compiled from the AST once, on the
-first scalar evaluation, and kept on the node (Expr.compiled).  The
-operands are evaluated left to right, and each closure checks what it
-computed: a zero divisor before "/", finiteness after every binary
-operation and pow, the log and sqrt domains, and exp's overflow.
+Each node compiles itself once, on first use, and keeps the result
+outside its fields, so eq, hash, repr and pickle ignore it.  A float is
+evaluated by nested closures (Expr.compiled) that evaluate operands left
+to right and check each result: a zero divisor before "/", finiteness
+after every binary op and pow, and the libm errors of the functions.
 
-Where finiteness is checked: a float is checked after every binary
-operation and pow, as above.  An array is first walked with tests only
-at the result and at the operands of the _MASKING ops (/, ^, pow, exp,
-atan), the only ops that can turn a non-finite value finite; each node
-of that walk writes into a temporary one of its operands owns.  When a
-test trips, the strict walk that tests every node runs instead, so the
-error kind and the offending x are those of that walk; a failing power
-takes there the kind the float path gives it at that point.  Finite
-values whose sum overflows the test are still returned.  Both walks run
-the same ufuncs in the same order, so their values are bit-identical.
+An array is evaluated by a flat postorder program of ufunc calls
+(Expr.program), run by one interpreter in two modes.  The unchecked run
+tests finiteness only at the root and at the operands of the masking ops
+(/, ^, pow, exp, atan), the only ops that can turn a non-finite value
+finite, and writes into arrays it made itself.  When a test trips, or x
+is not a non-empty float64 array, the strict run tests every Bin and
+Call result, so the error kind and the offending x are those of a fully
+tested evaluation; a failing power takes there the kind the float path
+gives it.  A test is a sum, so finite values whose sum overflows reach
+the strict run, which returns them.  Both modes run the same ufuncs in
+the same order, so their values are bit-identical.
 """
 
 from __future__ import annotations
@@ -73,13 +74,18 @@ class Expr:
 
     @functools.cached_property
     def compiled(self):
-        """The closure x -> e(x) for a float x, built on first use and kept
-        on the node (outside the fields, so eq, hash and repr ignore it)."""
+        """The closure x -> e(x) for a float x."""
         return _compile(self)
+
+    @functools.cached_property
+    def program(self):
+        """The program that evaluates e over an array (see _program)."""
+        return _program(self)
 
     def __getstate__(self):
         # closures do not pickle; the copy compiles again on first use
-        return {k: v for k, v in vars(self).items() if k != "compiled"}
+        return {k: v for k, v in vars(self).items()
+                if k not in ("compiled", "program")}
 
 
 @dataclass(frozen=True)
@@ -245,37 +251,37 @@ def _scalar_pow(a: float, b: float, x: float) -> float:
         return math.pow(a, b)
     except OverflowError:
         raise EvalError("overflow", x) from None
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise EvalError("pow_domain", x) from None
-    except ZeroDivisionError:
-        raise EvalError("pow_domain", x) from None
+
+
+def _op(e: Expr) -> tuple[str, tuple[Expr, ...]]:
+    """The _OPS name and the operands of a Neg, Bin or Call node."""
+    if type(e) is Bin:
+        return e.op, (e.left, e.right)
+    if type(e) is Neg:
+        return "neg", (e.arg,)
+    return e.fn, e.args
 
 
 def _compile(e: Expr):
     """The closure mapping a float x to e(x), with the checks of the
     scalar evaluation, in its order."""
-    if isinstance(e, Num):
-        v = e.value
-        return lambda x: v
     if isinstance(e, Var):
         return lambda x: x
-    if isinstance(e, Const):
-        v = CONSTANTS[e.name]
+    if isinstance(e, (Num, Const)):
+        v = e.value if isinstance(e, Num) else CONSTANTS[e.name]
         return lambda x: v
-    if isinstance(e, Neg):
-        g = _compile(e.arg)
-        return lambda x: -g(x)
-    if isinstance(e, Bin):
-        return _BINARY.get(e.op, _pow)(_compile(e.left), _compile(e.right))
-    assert isinstance(e, Call)
-    if e.fn == "pow":
-        return _pow(_compile(e.args[0]), _compile(e.args[1]))
-    return _UNARY.get(e.fn, _unknown)(_compile(e.args[0]))
+    op, args = _op(e)
+    return _OPS[op][0](*map(_compile, args))
 
 
-# One closure per operator, with the operator inline: calling
-# operator.add and the like from one shared closure costs about a fifth
-# more per evaluation.
+# One closure per operator, with the operator inline: operator.add and the
+# like called from one shared closure cost about a fifth more per call.
+def _neg(g):
+    return lambda x: -g(x)
+
+
 def _add(ga, gb):
     def f(x):
         r = ga(x) + gb(x)
@@ -305,8 +311,7 @@ def _mul(ga, gb):
 
 def _div(ga, gb):
     def f(x):
-        a = ga(x)
-        b = gb(x)
+        a, b = ga(x), gb(x)
         if b == 0.0:
             raise EvalError("division_by_zero", x)
         r = a / b
@@ -325,158 +330,153 @@ def _pow(ga, gb):
     return f
 
 
-def _log(g):
-    def f(x):
-        v = g(x)
-        if v <= 0.0:
-            raise EvalError("log_domain", x)
-        return math.log(v)
-    return f
+def _applied(fn, kind: str):
+    # a libm error is the EvalError of the op: log or sqrt outside its
+    # domain, exp's overflow, sin or cos of inf, floor of inf or nan
+    def build(g):
+        def f(x):
+            v = g(x)
+            try:
+                return fn(v)
+            except (ValueError, OverflowError):
+                raise EvalError(kind, x) from None
+        return f
+    return build
 
 
-def _sqrt(g):
-    def f(x):
-        v = g(x)
-        if v < 0.0:
-            raise EvalError("sqrt_domain", x)
-        return math.sqrt(v)
-    return f
+# op -> (float closure builder, ufunc, kind of a non-finite result (None:
+# the strict run does not test it), masking).  The masking ops can map a
+# non-finite operand to a finite value: x/inf = 0, 1^nan = 1, exp(-inf) =
+# 0, atan(inf) = pi/2.  Every other op keeps a non-finite value non-finite
+# at the same point, so it reaches the root unless a masking op's operand
+# test sees it first.
+_OPS = {
+    "neg": (_neg, np.negative, None, False),
+    "+": (_add, np.add, "overflow", False),
+    "-": (_sub, np.subtract, "overflow", False),
+    "*": (_mul, np.multiply, "overflow", False),
+    "/": (_div, np.true_divide, "division_by_zero", True),
+    "^": (_pow, np.power, "pow_domain", True),
+    "pow": (_pow, np.power, "pow_domain", True),
+    "exp": (_applied(math.exp, "overflow"), np.exp, "overflow", True),
+    "log": (_applied(math.log, "log_domain"), np.log, "log_domain", False),
+    "sqrt": (_applied(math.sqrt, "sqrt_domain"), np.sqrt, "sqrt_domain", False),
+    "abs": (_applied(abs, "overflow"), np.abs, "overflow", False),
+    "sin": (_applied(math.sin, "overflow"), np.sin, "overflow", False),
+    "cos": (_applied(math.cos, "overflow"), np.cos, "overflow", False),
+    "atan": (_applied(math.atan, "overflow"), np.arctan, "overflow", True),
+    "floor": (_applied(lambda v: float(math.floor(v)), "overflow"), np.floor,
+              "overflow", False),
+}
 
 
-def _exp(g):
-    def f(x):
-        try:
-            return math.exp(g(x))
-        except OverflowError:
-            raise EvalError("overflow", x) from None
-    return f
+def _program(e: Expr):
+    """(the registers after x, ops): the flat program of e over points x.
+    Register 0 holds x, the others each constant and op result in
+    postorder.  An op is (ufunc, operand register a, b or None, result
+    register, the operand it may overwrite or None, the operands the
+    unchecked run tests first, kind).  It may overwrite only an operand
+    computed from x in the same run: never x, never a constant-only value.
+    Only masking ops test operands, and never a finite literal."""
+    init, code = [], []
+    # per register: 0 computed from x, 1 a finite literal, 2 any other
+    # constant (a non-finite literal or an op on constants)
+    sort = [0]
 
+    def emit(e: Expr) -> int:
+        # type(), not isinstance: each CLI request compiles all its pieces
+        t = type(e)
+        if t is Var:
+            return 0
+        if t is Num or t is Const:
+            v = e.value if t is Num else CONSTANTS[e.name]
+            init.append(np.float64(v))
+            sort.append(1 if math.isfinite(v) else 2)
+            return len(init)
+        op, args = _op(e)
+        _, fn, kind, masking = _OPS[op]
+        a = emit(args[0])
+        b = emit(args[1]) if len(args) > 1 else None
+        ab = (a,) if b is None else (a, b)
+        tmp = a if a and not sort[a] else b if b and not sort[b] else None
+        guards = tuple(r for r in ab if sort[r] != 1) if masking else ()
+        init.append(None)
+        sort.append(0 if sort[a] == 0 or b is not None and sort[b] == 0 else 2)
+        code.append((fn, a, b, len(init), tmp, guards, kind))
+        return len(init)
 
-def _floor(g):
-    return lambda x: float(math.floor(g(x)))
-
-
-def _unknown(g):
-    def f(x):
-        g(x)
-        raise EvalError("unknown_function", x)
-    return f
-
-
-def _applied(fn):
-    return lambda g: lambda x: fn(g(x))
-
-
-_BINARY = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _pow}
-_UNARY = {"log": _log, "sqrt": _sqrt, "exp": _exp, "floor": _floor,
-          "abs": _applied(abs), "sin": _applied(math.sin),
-          "cos": _applied(math.cos), "atan": _applied(math.atan)}
-
-
-def _first_bad(r) -> int:
-    """The index of the first point at which r is not finite.  A constant
-    r fails at every point, so the first point stands for it."""
-    return 0 if np.ndim(r) == 0 else int(np.flatnonzero(~np.isfinite(r))[0])
-
-
-_UFUNCS = {"+": (np.add, "overflow"), "-": (np.subtract, "overflow"),
-           "*": (np.multiply, "overflow"),
-           "/": (np.true_divide, "division_by_zero"),
-           "^": (np.power, "pow_domain"), "pow": (np.power, "pow_domain"),
-           "exp": (np.exp, "overflow"), "log": (np.log, "log_domain"),
-           "sqrt": (np.sqrt, "sqrt_domain"), "abs": (np.abs, "overflow"),
-           "sin": (np.sin, "overflow"), "cos": (np.cos, "overflow"),
-           "atan": (np.atan if hasattr(np, "atan") else np.arctan, "overflow"),
-           "floor": (np.floor, "overflow")}
-
-# The ops that can map a non-finite operand to a finite value: x/inf = 0,
-# 1^nan = 1, exp(-inf) = 0, atan(inf) = pi/2.  Every other op keeps a
-# non-finite value non-finite at the same point, so it reaches the root
-# unless one of these ops' operand tests sees it first.
-_MASKING = frozenset({"/", "^", "pow", "exp", "atan"})
+    emit(e)
+    return tuple(init), tuple(code)
 
 
 class _Recheck(Exception):
-    """A non-finite value appeared in an unchecked walk."""
+    """A non-finite value appeared in an unchecked run."""
 
 
-def _guard(*vals) -> None:
-    for v in vals:
-        # a finite sum means every term is finite
-        if not math.isfinite(np.add.reduce(v, axis=None)):
-            raise _Recheck
+def _finite(v) -> bool:
+    # a finite sum means every term is finite
+    return math.isfinite(np.add.reduce(v, axis=None))
 
 
-def _temp(vals, x: np.ndarray):
-    """An operand array this walk made, which the op may overwrite."""
-    for v in vals:
-        if type(v) is np.ndarray and v is not x:
-            return v
-    return None
-
-
-def _eval_array(e: Expr, x: np.ndarray, strict: bool):
-    """Walk e over the points x.  With strict, every Bin and Call node is
-    tested for finiteness and the first failure raises its EvalError.
-    Without it, only the operands of the _MASKING ops are tested, a failed
-    test raises _Recheck, and each node writes into a temporary that one
-    of its operands owns; x must then be a non-empty float64 array."""
-    if isinstance(e, Num):
-        return np.float64(e.value)
-    if isinstance(e, Var):
-        return x
-    if isinstance(e, Const):
-        return np.float64(CONSTANTS[e.name])
-    if isinstance(e, Neg):
-        v = _eval_array(e.arg, x, strict)
-        return np.negative(v, out=None if strict else _temp((v,), x))
-    if isinstance(e, Bin):
-        op, args = e.op, (e.left, e.right)
-    else:
-        assert isinstance(e, Call)
-        op, args = e.fn, e.args
-    fn, kind = _UFUNCS[op]
-    vals = [_eval_array(a, x, strict) for a in args]
-    if strict:
-        r = fn(*vals)
-        if not np.all(np.isfinite(r)):
-            i = _first_bad(r)
-            xi = float(x.flat[i]) if x.size else math.nan
-            if kind == "pow_domain":
-                # the kind the float path gives this power at that point
-                a, b = (float(v if np.ndim(v) == 0 else v.flat[i]) for v in vals)
-                try:
-                    if not math.isfinite(_scalar_pow(a, b, xi)):
-                        kind = "overflow"
-                except EvalError as err:
-                    kind = err.kind
-            raise EvalError(kind, xi)
-        return r
-    if op in _MASKING:
-        _guard(*vals)
-    return fn(*vals, out=_temp(vals, x))
-
-
-def _eval_points(e: Expr, x: np.ndarray):
-    # a tripped test leaves the points to the strict walk, whose values
-    # or EvalError then stand
-    if x.dtype == np.float64 and x.size:
+def _fail(kind: str, x: np.ndarray, r, vals) -> EvalError:
+    """The EvalError of the op that made r from vals, at r's first
+    non-finite point (the first point, if r is a constant)."""
+    i = 0 if np.ndim(r) == 0 else int(np.flatnonzero(~np.isfinite(r))[0])
+    xi = float(x.flat[i]) if x.size else math.nan
+    if kind == "pow_domain":
+        # the kind the float path gives this power at that point
+        a, b = (float(v if np.ndim(v) == 0 else v.flat[i]) for v in vals)
         try:
-            r = _eval_array(e, x, False)
-            _guard(r)
-            return r
+            if not math.isfinite(_scalar_pow(a, b, xi)):
+                kind = "overflow"
+        except EvalError as err:
+            kind = err.kind
+    return EvalError(kind, xi)
+
+
+def _run(prog, x: np.ndarray, strict: bool):
+    """The root's value over the points x.  Strict, every op but neg is
+    tested and the first non-finite result raises its EvalError.
+    Unchecked, only each op's guards are tested, a failed test raises
+    _Recheck, and each op writes into the operand it may overwrite; x
+    must then be a non-empty float64 array of at least one dimension."""
+    init, code = prog
+    regs = [x, *init]
+    for fn, a, b, dst, tmp, guards, kind in code:
+        va = regs[a]
+        vb = None if b is None else regs[b]
+        if strict:
+            r = fn(va) if b is None else fn(va, vb)
+            if kind is not None and not np.isfinite(r).all():
+                raise _fail(kind, x, r, (va, vb))
+        else:
+            for g in guards:
+                if not _finite(regs[g]):
+                    raise _Recheck
+            out = None if tmp is None else regs[tmp]
+            r = fn(va, out=out) if b is None else fn(va, vb, out=out)
+        regs[dst] = r
+    return regs[-1]
+
+
+@np.errstate(all="ignore")  # cheaper per call than a with block
+def _eval_points(prog, x: np.ndarray):
+    if x.ndim and x.size and x.dtype == np.float64:
+        try:
+            r = _run(prog, x, False)
+            if _finite(r):
+                return r
         except _Recheck:
             pass
-    return _eval_array(e, x, True)
+    return _run(prog, x, True)
 
 
 def eval_expr(e: Expr, x):
     """Evaluate at a float or a numpy array; raises EvalError when any
     point produces a domain violation or a non-finite value."""
     if isinstance(x, np.ndarray):
-        with np.errstate(all="ignore"):
-            r = _eval_points(e, x)
-        if np.ndim(r) == 0:
+        r = _eval_points(e.program, x)
+        if r.ndim == 0:
             return np.full_like(x, float(r), dtype=np.float64)
         return np.asarray(r, dtype=np.float64)
     return e.compiled(float(x))

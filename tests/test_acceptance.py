@@ -4,13 +4,13 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion; any assertion failure marks the criterion red.
 """
 
+import contextlib
+import io
 import json
 import math
 import random
 import re
-import subprocess
-import sys
-from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,11 +32,10 @@ from bvsum import (
     series_sum,
     total_variation_measure,
 )
+from bvsum.cli import main
 from bvsum.expr import ParseError, eval_expr
 from conftest import CORPUS_DIR
 from oracles import BASEL_SUM, EULER_GAMMA, direct_sum
-
-REPO = Path(__file__).resolve().parent.parent
 
 
 def _ok(n: int, text: str) -> None:
@@ -259,8 +258,15 @@ def test_criterion_11_parser():
 
 
 def _run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "bvsum", *map(str, args)],
-                          capture_output=True, text=True, cwd=REPO)
+    """The CLI run in-process on argv: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([str(a) for a in args])
+        except SystemExit as e:  # argparse usage errors
+            code = e.code
+    return SimpleNamespace(returncode=code, stdout=out.getvalue(),
+                           stderr=err.getvalue())
 
 
 def test_criterion_12_cli_contract(tmp_path):

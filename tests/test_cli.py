@@ -27,8 +27,22 @@ def run_main(capsys, *args):
     return code, out, err
 
 
+class TestModuleEntryPoint:
+    # the other tests call main(argv) in-process; these two run the module
+    # as a user does, in a fresh interpreter
+    def test_exit_0(self):
+        r = run("sum", cpath("harmonic.json"), "--a", 0, "--b", 10, "--json")
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["command"] == "sum"
+
+    def test_nonzero_exit(self):
+        r = run("series", cpath("harmonic.json"), "--n", 10)
+        assert r.returncode == 5
+        assert "divergent" in r.stderr
+
+
 class TestExitCodes:
-    def test_success_paths(self):
+    def test_success_paths(self, capsys):
         matrix = [
             ("variation", cpath("rho_int.json"), "--lo", 0, "--hi", 2,
              "--open-lo", "--open-hi"),
@@ -50,8 +64,8 @@ class TestExitCodes:
              "--a", 0, "--b", 2),
         ]
         for args in matrix:
-            r = run(*args)
-            assert r.returncode == 0, (args, r.stderr)
+            code, _, err = run_main(capsys, *args)
+            assert code == 0, (args, err)
 
     def test_usage_errors_exit_1(self):
         r = run("sum", cpath("linear.json"), "--a", 10, "--b", 3)

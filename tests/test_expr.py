@@ -179,9 +179,91 @@ def test_round_trip_corpus_of_100():
 
 
 # ---------------------------------------------------------------------------
-# The array evaluator tests finiteness only at the root and at the operands
-# of the ops that can hide a non-finite value; it must agree with the walk
-# that tests every node.
+# An array is evaluated by a flat program compiled once per expression and
+# run in two modes.  It must agree with the tree walk it replaced, kept here
+# as the reference in both of its modes: the strict walk that tests every
+# node, and the unchecked walk that tests only the operands of the ops that
+# can hide a non-finite value, writing into temporaries it made.
+
+_REF_UFUNCS = {"+": (np.add, "overflow"), "-": (np.subtract, "overflow"),
+               "*": (np.multiply, "overflow"),
+               "/": (np.true_divide, "division_by_zero"),
+               "^": (np.power, "pow_domain"), "pow": (np.power, "pow_domain"),
+               "exp": (np.exp, "overflow"), "log": (np.log, "log_domain"),
+               "sqrt": (np.sqrt, "sqrt_domain"), "abs": (np.abs, "overflow"),
+               "sin": (np.sin, "overflow"), "cos": (np.cos, "overflow"),
+               "atan": (np.arctan, "overflow"), "floor": (np.floor, "overflow")}
+_REF_MASKING = frozenset({"/", "^", "pow", "exp", "atan"})
+
+
+class _RefRecheck(Exception):
+    pass
+
+
+def _ref_guard(*vals):
+    for v in vals:
+        if not math.isfinite(np.add.reduce(v, axis=None)):
+            raise _RefRecheck
+
+
+def _ref_temp(vals, x):
+    for v in vals:
+        if type(v) is np.ndarray and v is not x:
+            return v
+    return None
+
+
+def ref_eval_array(e, x, strict):
+    if isinstance(e, Num):
+        return np.float64(e.value)
+    if isinstance(e, Var):
+        return x
+    if isinstance(e, Const):
+        return np.float64(ex.CONSTANTS[e.name])
+    if isinstance(e, Neg):
+        v = ref_eval_array(e.arg, x, strict)
+        return np.negative(v, out=None if strict else _ref_temp((v,), x))
+    if isinstance(e, Bin):
+        op, args = e.op, (e.left, e.right)
+    else:
+        op, args = e.fn, e.args
+    fn, kind = _REF_UFUNCS[op]
+    vals = [ref_eval_array(a, x, strict) for a in args]
+    if strict:
+        r = fn(*vals)
+        if not np.all(np.isfinite(r)):
+            i = 0 if np.ndim(r) == 0 else int(np.flatnonzero(~np.isfinite(r))[0])
+            xi = float(x.flat[i]) if x.size else math.nan
+            if kind == "pow_domain":
+                a, b = (float(v if np.ndim(v) == 0 else v.flat[i]) for v in vals)
+                try:
+                    if not math.isfinite(_ref_scalar_pow(a, b, xi)):
+                        kind = "overflow"
+                except EvalError as err:
+                    kind = err.kind
+            raise EvalError(kind, xi)
+        return r
+    if op in _REF_MASKING:
+        _ref_guard(*vals)
+    return fn(*vals, out=_ref_temp(vals, x))
+
+
+def ref_eval_points(e, x):
+    """eval_expr over an array, as it was built on the walk."""
+    with np.errstate(all="ignore"):
+        r = None
+        if x.dtype == np.float64 and x.size:
+            try:
+                r = ref_eval_array(e, x, False)
+                _ref_guard(r)
+            except _RefRecheck:
+                r = None
+        if r is None:
+            r = ref_eval_array(e, x, True)
+    if np.ndim(r) == 0:
+        return np.full_like(x, float(r), dtype=np.float64)
+    return np.asarray(r, dtype=np.float64)
+
 
 _POISON = [0.0, -0.0, 1.0, -1.0, -2.5, 1e3, -1e3, 710.0, 1e-300, 1e308,
            math.inf, -math.inf, math.nan]
@@ -200,57 +282,133 @@ _points = st.lists(
               st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)),
     min_size=1, max_size=12).map(lambda v: np.array(v, dtype=np.float64))
 
+# points only the strict mode runs on: empty, integer or zero-dimensional
+_strict_points = st.one_of(
+    st.just(np.array([], dtype=np.float64)),
+    st.lists(st.integers(min_value=-3, max_value=1000), max_size=8).map(
+        lambda v: np.array(v, dtype=np.int64)),
+    st.sampled_from(_POISON).map(lambda v: np.array(v, dtype=np.float64)))
+
 
 def _outcome(fn):
+    # bits of the value, the EvalError kind and x, a tripped unchecked
+    # test, or the type of a numpy error (integers to negative powers)
     try:
         r = fn()
     except EvalError as e:
-        return ("error", e.kind, e.x)
-    return ("value", np.asarray(r, dtype=np.float64).tobytes())
+        return ("error", e.kind, repr(e.x))
+    except (ex._Recheck, _RefRecheck):
+        return ("recheck",)
+    except ValueError as e:
+        return ("raised", type(e).__name__)
+    return ("value", np.asarray(r).dtype.str, np.asarray(r).tobytes())
 
 
-def _strict(e, xs):
+def _run(tree, xs, strict):
     with np.errstate(all="ignore"):
-        r = ex._eval_array(e, xs, True)
-    return np.full_like(xs, float(r)) if np.ndim(r) == 0 else r
+        return ex._run(tree.program, xs, strict)
+
+
+def _ref(tree, xs, strict):
+    with np.errstate(all="ignore"):
+        return ref_eval_array(tree, xs, strict)
+
+
+def _assert_same_in_both_modes(tree, xs):
+    x_before = xs.tobytes()
+    modes = (True, False) if xs.dtype == np.float64 and xs.size and xs.ndim \
+        else (True,)
+    for strict in modes:
+        assert _outcome(lambda: _run(tree, xs, strict)) == \
+            _outcome(lambda: _ref(tree, xs, strict)), (render(tree), strict)
+    assert _outcome(lambda: eval_expr(tree, xs)) == \
+        _outcome(lambda: ref_eval_points(tree, xs)), render(tree)
+    assert xs.tobytes() == x_before  # never written into
 
 
 @settings(max_examples=600, deadline=None)
 @given(_poison_ast, _points)
-def test_array_eval_matches_strict_walk(tree, xs):
-    x_before = xs.tobytes()
-    got = _outcome(lambda: eval_expr(tree, xs))
-    want = _outcome(lambda: _strict(tree, xs))
-    assert got[:2] == want[:2]
-    if got[0] == "error":
-        assert got[2] == want[2] or (math.isnan(got[2]) and math.isnan(want[2]))
-    else:
-        assert got[1] == want[1]
-    assert xs.tobytes() == x_before  # never written into
+def test_program_matches_tree_walk(tree, xs):
+    _assert_same_in_both_modes(tree, xs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poison_ast, _strict_points)
+def test_program_matches_tree_walk_off_the_unchecked_path(tree, xs):
+    _assert_same_in_both_modes(tree, xs)
+
+
+_FIXED_POINTS = {
+    "empty": np.array([]), "one": np.array([0.5]),
+    "poison": np.array([2.0, 0.0, -1.0, math.nan]),
+    "2d": np.array([[1.0, 2.0], [3.0, math.inf]]), "int": np.arange(-2, 4),
+    "0d": np.array(0.25), "strided": np.linspace(0.0, 5.0, 17)[::2]}
+
+
+@pytest.mark.parametrize("text", [
+    "2", "pi*e", "-1e400", "exp(1000)", "1/(2-2)", "log(-1)+1", "2^(1/3)",
+    "x", "-x", "-x+0.5", "abs(x)*0.5", "floor(-x)/2", "(x+1)*(1+x)",
+    "1/(1+x)^2", "x^(3/2)", "1-(2-x)", "exp(-x)*sin(x)+x^2/7"])
+@pytest.mark.parametrize("points", sorted(_FIXED_POINTS))
+def test_program_matches_tree_walk_on_fixed_cases(text, points):
+    _assert_same_in_both_modes(parse(text), _FIXED_POINTS[points])
 
 
 @settings(max_examples=300, deadline=None)
 @given(_poison_ast, _points)
-def test_unchecked_walk_passing_means_strict_walk_passes(tree, xs):
+def test_unchecked_run_passing_means_strict_run_passes(tree, xs):
     with np.errstate(all="ignore"):
         try:
-            r = ex._eval_array(tree, xs, False)
-            ex._guard(r)
+            r = ex._run(tree.program, xs, False)
+            if not ex._finite(r):
+                return
         except ex._Recheck:
             return
-    assert _outcome(lambda: _strict(tree, xs)) == (
-        "value", np.broadcast_to(r, xs.shape).tobytes())
+    assert _outcome(lambda: np.broadcast_to(_run(tree, xs, True), xs.shape)) \
+        == _outcome(lambda: np.broadcast_to(r, xs.shape))
+
+
+def test_program_built_once_per_node_and_outside_the_fields():
+    import pickle
+
+    e = parse("exp(-x)*sin(x)")
+    assert "program" not in vars(e)
+    eval_expr(e, np.array([1.0, 2.0]))
+    prog = vars(e)["program"]
+    eval_expr(e, np.array([3.0]))
+    assert e.program is prog and "compiled" not in vars(e)
+    assert e == parse("exp(-x)*sin(x)")
+    assert hash(e) == hash(parse("exp(-x)*sin(x)"))
+    assert repr(e) == repr(parse("exp(-x)*sin(x)"))
+    copy = pickle.loads(pickle.dumps(e))
+    assert "program" not in vars(copy)
+    assert np.array_equal(eval_expr(copy, np.array([1.0, 2.0])),
+                          eval_expr(e, np.array([1.0, 2.0])))
+
+
+def test_program_never_overwrites_x_or_a_constant():
+    # the only register an op may overwrite holds a value computed from x
+    for text in ["-x", "x+x", "2*x", "(1+2)*x", "x*(1+2)", "exp(x)*x",
+                 "x/(1-x)", "pow(2, x)", "sin(x)+cos(1)"]:
+        init, code = parse(text).program
+        from_x = {0}
+        for _, a, b, dst, tmp, _, _ in code:
+            assert tmp is None or (tmp != 0 and tmp in from_x and tmp in (a, b))
+            if a in from_x or b in from_x:
+                from_x.add(dst)
+            assert init[dst - 1] is None
 
 
 _NONFINITE = (math.inf, -math.inf, math.nan)
 _ANY = _NONFINITE + (0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.0, 1e-300, 1e300)
 
 
-@pytest.mark.parametrize("op", sorted(set(ex._UFUNCS) - ex._MASKING) + ["neg"])
+@pytest.mark.parametrize("op", sorted(op for op, spec in ex._OPS.items()
+                                      if not spec[3]))
 def test_unmasked_ops_keep_nonfinite_values_nonfinite(op):
-    """Only the _MASKING ops may turn a non-finite operand finite; a new
-    entry in FUNCTIONS that can must join them."""
-    fn = np.negative if op == "neg" else ex._UFUNCS[op][0]
+    """Only the masking ops may turn a non-finite operand finite; a new
+    entry in FUNCTIONS that can must be marked masking in _OPS."""
+    fn = ex._OPS[op][1]
     bad = np.array(_NONFINITE)
     with np.errstate(all="ignore"):
         if fn.nin == 1:
@@ -264,7 +422,7 @@ def test_unmasked_ops_keep_nonfinite_values_nonfinite(op):
 
 
 def test_every_function_has_an_array_ufunc():
-    assert set(FUNCTIONS) | {"pow"} <= set(ex._UFUNCS)
+    assert set(FUNCTIONS) | {"pow"} <= set(ex._OPS)
 
 
 # ---------------------------------------------------------------------------
@@ -333,26 +491,24 @@ def ref_eval_scalar(e, x):
             raise EvalError("overflow", x) from None
     if e.fn == "abs":
         return abs(v)
-    if e.fn == "floor":
-        return float(math.floor(v))
-    if e.fn == "sin":
-        return math.sin(v)
-    if e.fn == "cos":
-        return math.cos(v)
+    if e.fn in ("floor", "sin", "cos"):
+        try:
+            return float(math.floor(v)) if e.fn == "floor" else \
+                getattr(math, e.fn)(v)
+        except (ValueError, OverflowError):
+            raise EvalError("overflow", x) from None
     if e.fn == "atan":
         return math.atan(v)
     raise EvalError("unknown_function", x)
 
 
 def _scalar_outcome(fn, x):
-    # bits of the value, or the exception: EvalError kind and x, or the
-    # type of a libm error (floor(inf), sin(inf)) that escapes both
+    # bits of the value, or the EvalError kind and x; any other exception,
+    # such as a libm error of floor(inf) or sin(inf), fails the test
     try:
         r = fn(x)
     except EvalError as e:
         return ("error", e.kind, repr(e.x))
-    except (ValueError, OverflowError) as e:
-        return ("raised", type(e).__name__)
     return ("value", struct.pack("<d", r))
 
 
@@ -413,3 +569,24 @@ def test_pow_errors_agree_between_float_and_array(text, x, points):
     with pytest.raises(EvalError) as array:
         eval_expr(e, np.array(points))
     assert (array.value.kind, array.value.x) == (scalar.value.kind, x)
+
+
+# a libm error at a single point is the "overflow" the array reports there
+_LIBM_CASES = [("sin(1e400)", 0.5, [0.5, 2.0]), ("cos(1e400)*x", 0.5, [0.5, 2.0]),
+               ("floor(1e400)+x", 0.5, [0.5, 2.0]),
+               ("sin(x)", math.inf, [2.0, math.inf]),
+               ("sin(x)", -math.inf, [-math.inf, 2.0]),
+               ("cos(x)", math.inf, [2.0, math.inf]),
+               ("floor(x)", math.nan, [2.0, math.nan]),
+               ("floor(x)", -math.inf, [-math.inf])]
+
+
+@pytest.mark.parametrize("text,x,points", _LIBM_CASES)
+def test_libm_errors_agree_between_float_and_array(text, x, points):
+    e = parse(text)
+    with pytest.raises(EvalError) as scalar:
+        eval_expr(e, x)
+    with pytest.raises(EvalError) as array:
+        eval_expr(e, np.array(points))
+    assert scalar.value.kind == array.value.kind == "overflow"
+    assert repr(scalar.value.x) == repr(array.value.x) == repr(x)
