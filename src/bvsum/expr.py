@@ -379,9 +379,7 @@ def _program(e: Expr):
     computed from x in the same run: never x, never a constant-only value.
     Only masking ops test operands, and never a finite literal."""
     init, code = [], []
-    # per register: 0 computed from x, 1 a finite literal, 2 any other
-    # constant (a non-finite literal or an op on constants)
-    sort = [0]
+    sort = [0]  # per register: 0 from x, 1 a finite literal, 2 other constant
 
     def emit(e: Expr) -> int:
         # type(), not isinstance: each CLI request compiles all its pieces
@@ -406,6 +404,7 @@ def _program(e: Expr):
         return len(init)
 
     emit(e)
+    del emit  # it refers to itself: a cycle would wait for the collector
     return tuple(init), tuple(code)
 
 
