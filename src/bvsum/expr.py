@@ -22,7 +22,8 @@ Each node compiles itself once, on first use, and keeps the result
 outside its fields, so eq, hash, repr and pickle ignore it.  A float is
 evaluated by nested closures (Expr.compiled) that evaluate operands left
 to right and check each result: a zero divisor before "/", finiteness
-after every binary op and pow, and the libm errors of the functions.
+after every binary op, pow and function, and the libm errors of the
+functions, each with the kind the array path gives it.
 
 An array is evaluated by a flat postorder program of ufunc calls
 (Expr.program), run by one interpreter in two modes.  The unchecked run
@@ -35,6 +36,14 @@ tested evaluation; a failing power takes there the kind the float path
 gives it.  A test is a sum, so finite values whose sum overflows reach
 the strict run, which returns them.  Both modes run the same ufuncs in
 the same order, so their values are bit-identical.
+
+Many small arrays are evaluated at once by eval_rows, one expression per
+row of a 2-D array.  Rows whose programs have the same ops (Expr.shape)
+share one unchecked run, each constant stacked into a column; a program
+whose inexact op reads a constant runs only with rows of its own, since
+numpy may round such an op differently over a column than over a
+scalar.  If a test of the shared run trips, each of its rows falls back
+to eval_expr, so every row's values and error are those of eval_expr.
 """
 
 from __future__ import annotations
@@ -82,10 +91,16 @@ class Expr:
         """The program that evaluates e over an array (see _program)."""
         return _program(self)
 
+    @functools.cached_property
+    def shape(self):
+        """The ops of the program if eval_rows may run it together with
+        programs of the same ops (see _stackable), else None."""
+        return self.program[1] if _stackable(self.program) else None
+
     def __getstate__(self):
         # closures do not pickle; the copy compiles again on first use
         return {k: v for k, v in vars(self).items()
-                if k not in ("compiled", "program")}
+                if k not in ("compiled", "program", "shape")}
 
 
 @dataclass(frozen=True)
@@ -331,15 +346,19 @@ def _pow(ga, gb):
 
 
 def _applied(fn, kind: str):
-    # a libm error is the EvalError of the op: log or sqrt outside its
-    # domain, exp's overflow, sin or cos of inf, floor of inf or nan
+    # a libm error or a non-finite result is the EvalError of the op: log
+    # or sqrt outside its domain, exp's overflow, sin or cos of inf, floor
+    # of inf, any of them of an inf or nan operand
     def build(g):
         def f(x):
             v = g(x)
             try:
-                return fn(v)
+                r = fn(v)
             except (ValueError, OverflowError):
-                raise EvalError(kind, x) from None
+                r = math.nan
+            if not math.isfinite(r):
+                raise EvalError(kind, x)
+            return r
         return f
     return build
 
@@ -479,6 +498,89 @@ def eval_expr(e: Expr, x):
             return np.full_like(x, float(r), dtype=np.float64)
         return np.asarray(r, dtype=np.float64)
     return e.compiled(float(x))
+
+
+# Ufuncs whose result is exact or correctly rounded on every loop numpy
+# may pick.  The others may round differently when a constant operand is a
+# column rather than a scalar: power takes its fast paths only for a
+# scalar exponent, and the transcendentals may switch between SIMD and
+# libm loops.
+_EXACT = frozenset((np.negative, np.add, np.subtract, np.multiply,
+                    np.true_divide, np.sqrt, np.abs, np.floor))
+
+
+def _stackable(prog) -> bool:
+    """Whether a program may run together with others of its ops, over
+    constants stacked into columns: no inexact op reads a constant."""
+    init, code = prog
+    if not code:
+        return False  # the root is x or a constant: the ops do not tell
+    from_x = {0}
+    for fn, a, b, dst, _, _, _ in code:
+        ab = (a,) if b is None else (a, b)
+        if fn not in _EXACT and not from_x.issuperset(ab):
+            return False
+        if not from_x.isdisjoint(ab):
+            from_x.add(dst)
+    return True
+
+
+@np.errstate(all="ignore")
+def eval_rows(exprs, x: np.ndarray):
+    """Evaluate exprs[i] over the points x[i] of a 2-D float64 array:
+    (values, errors), where values[i] is eval_expr(exprs[i], x[i]) bit for
+    bit and errors maps each row on which eval_expr raises to its
+    EvalError; a failing row's values are NaN.
+
+    Rows whose programs have the same ops run as one unchecked run, each
+    constant register stacked into a column with one entry per row.  If
+    any test of that run trips, each of its rows falls back to eval_expr,
+    in row order, so error kinds and points are those of eval_expr."""
+    if not exprs:
+        return np.empty(x.shape), {}
+    progs = [e.program for e in exprs]
+    shapes = {}  # shape number -> its rows, in order
+    if all(p is progs[0] for p in progs):
+        shapes[0] = range(len(progs))
+    else:
+        numbers = {}  # op tuple (or program id, if it cannot stack) -> number
+        shape_of = {}  # program id -> shape number
+        for i, (e, p) in enumerate(zip(exprs, progs)):
+            k = shape_of.get(id(p))
+            if k is None:
+                key = id(p) if e.shape is None else e.shape
+                k = shape_of[id(p)] = numbers.setdefault(key, len(numbers))
+            shapes.setdefault(k, []).append(i)
+    values, errors = None, {}
+    for rows in shapes.values():
+        init, code = progs[rows[0]]
+        if any(progs[i][0] is not init for i in rows):
+            init = tuple(None if v is None else
+                         np.array([progs[i][0][k] for i in rows])[:, None]
+                         for k, v in enumerate(init))
+        whole = len(rows) == len(x)
+        r = None
+        if x.size:
+            try:
+                r = _run((init, code), x if whole else x[rows], False)
+                if not _finite(r):
+                    r = None
+            except _Recheck:
+                pass
+        if r is not None and whole and r is not x and r.shape == x.shape:
+            return r, errors
+        if values is None:
+            values = np.empty(x.shape)
+        if r is not None:
+            values[rows] = r
+            continue
+        for i in rows:
+            try:
+                values[i] = eval_expr(exprs[i], x[i])
+            except EvalError as err:
+                values[i] = math.nan
+                errors[i] = err
+    return values, errors
 
 
 _PREC_ATOM = 5

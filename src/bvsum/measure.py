@@ -8,10 +8,17 @@ closed form is used instead, with an ulp-scale radius, after the
 antiderivative has passed the sampled difference-quotient check.
 
 integrate, stieltjes_beta1 and stieltjes_midvalue share one refinement
-engine: _certify splits what tol leaves after the closed-form radii over
-the segments to refine, refusing tol <= 0 or NaN before any work; each
-segment walks one chunked grid (_chunks) with a cell count fixed a priori
-(_cells) or, for mid-value sums, grown from the measured error.
+engine.  _certify splits what tol leaves after the closed-form radii over
+the segments to refine, refusing tol <= 0 or NaN before any work, and
+hands all of them to the route at once.  Each segment's cell count is
+fixed a priori (_cells) or, for mid-value sums, grown round by round from
+the measured error.  _walk evaluates the grids of all segments together:
+segments with the same cell count are rows of one 2-D grid, capped at
+_BATCH points, and eval_rows runs the rows of one expression shape as
+one program.  Every point, value and sum is the float operation a lone
+per-segment grid makes, so results are bit for bit those of refining one
+segment after the other, and so is the error: that of the first segment,
+in segment order, whose refinement fails.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from .bv import (
 )
 from .errors import (
     BadAntiderivative,
+    BvError,
     DomainError,
     MissingAntiderivative,
     NonIntegerBounds,
@@ -44,6 +52,7 @@ from .errors import (
 _EPS = sys.float_info.epsilon
 MAX_CELLS = 1 << 24  # subdivision cap per piece segment
 _CHUNK = 1 << 20
+_BATCH = 1 << 15  # points per batched grid, so that a batch stays in cache
 
 DEFAULT_TOL = 1e-10
 
@@ -169,45 +178,94 @@ def _cells(s: float, t: float, spread: float, budget: float, n: int,
     return n
 
 
-def _chunks(s: float, t: float, n: int, *curves):
-    """Walk the n+1 point uniform grid over [s, t] in chunks of _CHUNK
-    cells that share their end points.  Each curve is (expr, v0, vn); per
-    chunk this yields (last, xs, one value array per curve), where the
-    grid's end values are the supplied one-sided limits v0 and vn: no
-    expression is evaluated at s or t."""
-    width = t - s
-    for start in range(0, n, _CHUNK):
+def _walk(jobs, bounds, curves, failed: dict, sums) -> dict:
+    """Walk the uniform grids of the jobs (i, n), in segment order, and
+    return per segment i the list of its chunks' sums.
+
+    Segment i's grid is the n+1 points over bounds[i] = (s, t), cut into
+    chunks of _CHUNK cells that share their end points.  Chunks of the
+    same span and cell count are the rows of one batch of at most _BATCH
+    points, each with the float operations of a lone grid.  Per batch,
+    sums(rows, first, last, xs, *vals) gives arrays with one entry per
+    row: rows are the batch's segments, first and last tell whether it
+    holds the grids' ends, xs are its points and vals has one array per
+    curve, curves[c][i] being segment i's expression.  vals cover xs but
+    the grids' ends, so no expression is evaluated at s or t (_with_ends
+    puts the one-sided limits there).  A row that fails to evaluate
+    records its segment's first EvalError in failed; rows of segments at
+    or after the first failed one are skipped."""
+    parts = {i: [] for i, _ in jobs}
+    batches = {}
+    for i, n in jobs:
+        for start in range(0, n, _CHUNK):
+            batches.setdefault((n, start), []).append(i)
+    for (n, start), segs in batches.items():
         stop = min(n, start + _CHUNK)
         first, last = start == 0, stop == n
-        xs = s + width * (np.arange(start, stop + 1, dtype=np.float64) / n)
-        i, j = int(first), len(xs) - int(last)
-        inner = xs[i:j]
-        rows = []
-        for e, v0, vn in curves:
-            vals = np.empty(len(xs))
-            vals[i:j] = ex.eval_expr(e, inner)
-            if first:
-                vals[0] = v0
-            if last:
-                vals[-1] = vn
-            rows.append(vals)
-        yield last, xs, *rows
+        size = max(1, _BATCH // (stop - start + 1))
+        for k in range(0, len(segs), size):
+            cut = min(failed, default=math.inf)
+            rows = [i for i in segs[k:k + size] if i < cut]
+            if not rows:
+                continue
+            s = np.array([bounds[i][0] for i in rows])[:, None]
+            xs = (np.array([bounds[i][1] for i in rows])[:, None] - s) * (
+                np.arange(start, stop + 1, dtype=np.float64) / n)
+            xs += s  # s + (t - s) * (k / n), as for a lone grid
+            inner = xs[:, int(first):xs.shape[1] - int(last)]
+            vals = [_evaluate(curve, rows, inner, failed) for curve in curves]
+            for i, *sum_ in zip(rows, *sums(rows, first, last, xs, *vals)):
+                parts[i].append(sum_)
+            del xs, inner, vals  # free this batch before the next is built
+    return parts
+
+
+def _evaluate(exprs, rows, xs, failed: dict):
+    """exprs[i] over the points xs of each row, for the segments rows;
+    a failing row records its segment's error in failed, if it is the
+    first."""
+    vals, errors = ex.eval_rows([exprs[i] for i in rows], xs)
+    for r, err in errors.items():
+        failed.setdefault(rows[r], err)
+    return vals
+
+
+def _with_ends(vals, rows, ends, first: bool, last: bool):
+    """A curve's values over whole grid rows: vals inside, and at a
+    grid's ends the one-sided limits ends[i] = (v0, vn) of segment i."""
+    m, k = vals.shape
+    whole = np.empty((m, k + first + last))
+    whole[:, int(first):k + int(first)] = vals
+    if first:
+        whole[:, 0] = [ends[i][0] for i in rows]
+    if last:
+        whole[:, -1] = [ends[i][1] for i in rows]
+    return whole
+
+
+def _raise_first(failed: dict) -> None:
+    # the error of the first segment that fails, as one walk in segment
+    # order would meet it
+    if failed:
+        raise failed[min(failed)]
 
 
 def _certify(tol: float, values: list[float], radii: list[float],
-             fallback: list, weight, refine) -> Certified:
+             fallback: list, weigh, refine) -> Certified:
     """One enclosure of radius at most tol from closed-form parts and the
-    fallback segments, each refined by refine(*seg, share) -> (value,
-    radius) with a share of the budget proportional to weight(*seg).  A
-    budget that is not positive (tol <= 0 or NaN) is refused up front."""
+    fallback segments.  weigh(*seg) -> (weight, ends) gives a segment a
+    share of the budget proportional to weight, and the one-sided limits
+    ends that its refinement reuses; refine(fallback, ends, shares) ->
+    [(value, radius)] refines all segments together.  A budget that is
+    not positive (tol <= 0 or NaN) is refused up front."""
     if fallback:
         budget = tol - math.fsum(radii)
         if not budget > 0.0:
             raise ToleranceUnreachable(f"tolerance {tol} below rounding floor")
-        weights = [weight(*seg) for seg in fallback]
+        weights, ends = zip(*[weigh(*seg) for seg in fallback])
         wsum = math.fsum(weights)
-        for seg, w in zip(fallback, weights):
-            v, r = refine(*seg, budget * w / wsum)
+        shares = [budget * w / wsum for w in weights]
+        for v, r in refine(fallback, ends, shares):
             values.append(v)
             radii.append(r)
     result = Certified(math.fsum(values), math.fsum(radii))
@@ -217,10 +275,28 @@ def _certify(tol: float, values: list[float], radii: list[float],
     return result
 
 
-def _spread_weight(p: MonotonePiece, s: float, t: float) -> float:
+def _a_priori(segs, ends, shares, n0: int, route: str, sums):
+    """Walk monotone segments (p, s, t) with ends (v0, vn) on a-priori
+    grids (_cells from n0) and sum them by sums (see _walk): per segment
+    its cell count and its chunks' sums.  A segment's refusal is raised
+    only if the segments before it evaluate."""
+    jobs, failed = [], {}
+    for i, ((_, s, t), (v0, vn), share) in enumerate(zip(segs, ends, shares)):
+        try:
+            jobs.append((i, _cells(s, t, abs(vn - v0), share, n0, route)))
+        except ToleranceUnreachable as exc:
+            failed[i] = exc
+            break
+    parts = _walk(jobs, [seg[1:] for seg in segs],
+                  [[p.evaluator for p, _, _ in segs]], failed, sums)
+    _raise_first(failed)
+    return [(n, [sum_[0] for sum_ in parts[i]]) for i, n in jobs]
+
+
+def _spread_weight(p: MonotonePiece, s: float, t: float):
     # the a-priori error bound of a monotone segment scales with this
     v0, vn = _segment_endpoint_values(p, s, t)
-    return (t - s) * abs(vn - v0) + 1e-300
+    return (t - s) * abs(vn - v0) + 1e-300, (v0, vn)
 
 
 # ---------------------------------------------------------------------------
@@ -234,20 +310,23 @@ def _overlapping_segments(f: BvFunction, a: float, b: float):
             yield p, s, t
 
 
-def _darboux_segment(p: MonotonePiece, s: float, t: float, budget: float):
-    """Certified integral of a monotone piece over [s, t] by bracketing
-    Darboux sums; the bracket gap for a monotone function on an n-cell
-    grid is (t-s)/n * |f(t)-f(s)|, so the cell count is doubled until
-    half the gap fits the budget."""
-    v0, vn = _segment_endpoint_values(p, s, t)
-    spread = abs(vn - v0)
-    n = _cells(s, t, spread, budget, 64, "Darboux bracketing")
-    parts = [v0, vn]
-    for last, _, vals in _chunks(s, t, n, (p.evaluator, v0, vn)):
-        parts.append(float(np.sum(vals[1:-1] if last else vals[1:])))
-    h = (t - s) / n
-    value = h * (math.fsum(parts) - 0.5 * (v0 + vn))
-    return value, 0.5 * h * spread + _slack(value)
+def _darboux(segs, ends, shares):
+    """Certified integrals of monotone pieces over their segments by
+    bracketing Darboux sums; the bracket gap for a monotone function on
+    an n-cell grid is (t-s)/n * |f(t)-f(s)|, so each segment's cell count
+    is doubled until half the gap fits its share."""
+    def sums(rows, first, last, xs, vals):
+        # each chunk after the first leaves its first point to the one
+        # before it
+        return (np.sum(vals if first else vals[:, 1:], axis=1),)
+
+    out = []
+    walked = _a_priori(segs, ends, shares, 64, "Darboux bracketing", sums)
+    for (_, s, t), (v0, vn), (n, parts) in zip(segs, ends, walked):
+        h = (t - s) / n
+        value = h * (math.fsum([v0, vn, *parts]) - 0.5 * (v0 + vn))
+        out.append((value, 0.5 * h * abs(vn - v0) + _slack(value)))
+    return out
 
 
 def integrate(f: BvFunction, a: float, b: float, tol: float = DEFAULT_TOL) -> Certified:
@@ -278,7 +357,7 @@ def integrate(f: BvFunction, a: float, b: float, tol: float = DEFAULT_TOL) -> Ce
             radii.append(_slack(fs, ft, ft - fs))
         else:
             fallback.append((p, s, t))
-    return _certify(tol, values, radii, fallback, _spread_weight, _darboux_segment)
+    return _certify(tol, values, radii, fallback, _spread_weight, _darboux)
 
 
 def tail_integral(f: BvFunction, n: float, tol: float = DEFAULT_TOL):
@@ -347,20 +426,23 @@ def _refinement_grid(lo: float, hi: float, fns: tuple[BvFunction, ...],
     return sorted(pts)
 
 
-def _beta1_rs(p: MonotonePiece, s: float, t: float, budget: float):
-    """beta1 against d(mu_f) on an open cell (s, t) by tagged
-    Riemann-Stieltjes sums; beta1 is 1-Lipschitz on the cell so the
+def _beta1_stieltjes(segs, ends, shares):
+    """beta1 against d(mu_f) on open cells (s, t) by tagged
+    Riemann-Stieltjes sums; beta1 is 1-Lipschitz on a cell so the
     midpoint-tag error per subcell is (h/2) * |mu_f|(subcell)."""
-    k = math.floor(s)
-    v0, vn = _segment_endpoint_values(p, s, t)
-    spread = abs(vn - v0)
-    n = _cells(s, t, spread, budget, 16, "Stieltjes refinement")
-    parts = []
-    for _, xs, vals in _chunks(s, t, n, (p.evaluator, v0, vn)):
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        parts.append(float(np.sum((mids - (k + 0.5)) * np.diff(vals))))
-    value = math.fsum(parts)
-    return value, 0.5 * ((t - s) / n) * spread + _slack(value)
+    def sums(rows, first, last, xs, vals):
+        # beta1's affine branch on the cell (k, k+1) of each row
+        k = np.array([math.floor(segs[i][1]) + 0.5 for i in rows])[:, None]
+        mids = 0.5 * (xs[:, :-1] + xs[:, 1:])
+        dmu = np.diff(_with_ends(vals, rows, ends, first, last), axis=1)
+        return (np.sum((mids - k) * dmu, axis=1),)
+
+    out = []
+    walked = _a_priori(segs, ends, shares, 16, "Stieltjes refinement", sums)
+    for (_, s, t), (v0, vn), (n, parts) in zip(segs, ends, walked):
+        value = math.fsum(parts)
+        out.append((value, 0.5 * ((t - s) / n) * abs(vn - v0) + _slack(value)))
+    return out
 
 
 def stieltjes_beta1(f: BvFunction, lo: int, hi: int,
@@ -403,7 +485,7 @@ def stieltjes_beta1(f: BvFunction, lo: int, hi: int,
             radii.append(_slack(fs, ft, v0, vn, v))
         else:
             fallback.append((p, s, t))
-    cont = _certify(tol, values, radii, fallback, _spread_weight, _beta1_rs)
+    cont = _certify(tol, values, radii, fallback, _spread_weight, _beta1_stieltjes)
     return StieltjesResult(Certified(atoms + cont.value, cont.radius), atoms, cont)
 
 
@@ -417,35 +499,62 @@ def _require_int(v) -> int:
     raise NonIntegerBounds(f"bounds must be integers, got {v!r}")
 
 
-def _stieltjes_mid_segment(g: BvFunction, f: BvFunction, fp: MonotonePiece,
-                           s: float, t: float, budget: float):
-    """Integral of g (continuous on (s,t)) against d(mu_f) on the open
-    cell, where f runs on the non-constant piece fp; tagged
-    Riemann-Stieltjes sums with cell error bounded by osc(g) * |mu_f|
-    per subcell, refined until the error fits the budget."""
-    gp = g.piece_containing(0.5 * (s + t))
-    if gp is None:
-        raise DomainError(f"no piece of the integrand covers ({s}, {t})")
-    f_ends = (fp.evaluator, right_limit(f, s), left_limit(f, t))
-    g_ends = (gp.evaluator, right_limit(g, s), left_limit(g, t))
-    n = 16
-    while True:
-        value_parts: list[float] = []
-        err_parts: list[float] = []
-        for _, xs, fv, gv in _chunks(s, t, n, f_ends, g_ends):
-            gmid = ex.eval_expr(gp.evaluator, 0.5 * (xs[:-1] + xs[1:]))
-            dmu = np.diff(fv)
-            value_parts.append(float(np.sum(gmid * dmu)))
-            err_parts.append(float(np.sum(np.abs(np.diff(gv)) * np.abs(dmu))))
-        value, err = math.fsum(value_parts), math.fsum(err_parts)
-        if err <= budget or n >= MAX_CELLS:
+def _stieltjes_mid(g: BvFunction, f: BvFunction, segs, ends, shares):
+    """Integrals of g (continuous on each cell (s, t)) against d(mu_f) on
+    open cells where f runs on the non-constant piece fp of (fp, s, t),
+    with g's ends (g(s+), g(t-)); tagged Riemann-Stieltjes sums with cell
+    error bounded by osc(g) * |mu_f| per subcell.  Every pending segment
+    refines one round at a time, from 16 cells, until its error fits its
+    share or it reaches the cell cap."""
+    failed: dict = {}
+    curves: tuple[list, list] = ([], [])
+    f_ends = []
+    for i, (fp, s, t) in enumerate(segs):
+        try:
+            gp = g.piece_containing(0.5 * (s + t))
+            if gp is None:
+                raise DomainError(f"no piece of the integrand covers ({s}, {t})")
+            f_ends.append((right_limit(f, s), left_limit(f, t)))
+        except (BvError, ex.EvalError) as exc:
+            failed[i] = exc
             break
-        growth = max(2.0, 1.2 * err / max(budget, 1e-300))
-        n = min(MAX_CELLS, int(n * growth) + 1)
-    if err > budget:
-        raise ToleranceUnreachable(
-            f"Stieltjes refinement hit the {MAX_CELLS}-cell cap on [{s}, {t}]")
-    return value, err + _slack(value)
+        curves[0].append(fp.evaluator)
+        curves[1].append(gp.evaluator)
+
+    def sums(rows, first, last, xs, fv, gv):
+        gmid = _evaluate(curves[1], rows, 0.5 * (xs[:, :-1] + xs[:, 1:]), failed)
+        dmu = np.diff(_with_ends(fv, rows, f_ends, first, last), axis=1)
+        dg = np.diff(_with_ends(gv, rows, ends, first, last), axis=1)
+        return np.sum(gmid * dmu, axis=1), np.sum(np.abs(dg) * np.abs(dmu), axis=1)
+
+    bounds = [seg[1:] for seg in segs]
+    ns = [16] * len(f_ends)
+    out: list = [None] * len(ns)
+    pending = list(range(len(ns)))
+    while pending:
+        parts = _walk([(i, ns[i]) for i in pending], bounds, curves, failed, sums)
+        cut = min(failed, default=math.inf)
+        grown = []
+        for i in pending:
+            if i >= cut:
+                break
+            value = math.fsum(v for v, _ in parts[i])
+            err = math.fsum(e for _, e in parts[i])
+            n, budget = ns[i], shares[i]
+            if err <= budget:
+                out[i] = (value, err + _slack(value))
+            elif n >= MAX_CELLS:
+                _, s, t = segs[i]
+                failed[i] = ToleranceUnreachable(
+                    f"Stieltjes refinement hit the {MAX_CELLS}-cell cap on [{s}, {t}]")
+                break
+            else:
+                growth = max(2.0, 1.2 * err / max(budget, 1e-300))
+                ns[i] = min(MAX_CELLS, int(n * growth) + 1)
+                grown.append(i)
+        pending = grown
+    _raise_first(failed)
+    return out
 
 
 def stieltjes_midvalue(g: BvFunction, f: BvFunction, lo: float, hi: float,
@@ -478,9 +587,10 @@ def stieltjes_midvalue(g: BvFunction, f: BvFunction, lo: float, hi: float,
         if fp is not None and fp.direction != "const":
             fallback.append((fp, s, t))
 
-    def weight(fp: MonotonePiece, s: float, t: float) -> float:
+    def weigh(fp: MonotonePiece, s: float, t: float):
         v0, vn = _segment_endpoint_values(fp, s, t)
-        return abs(vn - v0) * abs(right_limit(g, s) - left_limit(g, t)) + 1e-300
+        gs, gt = right_limit(g, s), left_limit(g, t)
+        return abs(vn - v0) * abs(gs - gt) + 1e-300, (gs, gt)
 
-    return _certify(tol, [atoms], [], fallback, weight,
-                    functools.partial(_stieltjes_mid_segment, g, f))
+    return _certify(tol, [atoms], [], fallback, weigh,
+                    functools.partial(_stieltjes_mid, g, f))

@@ -22,9 +22,18 @@ def cpath(name):
 
 
 def run_main(capsys, *args):
-    code = main([str(a) for a in args])
+    try:
+        code = main([str(a) for a in args])
+    except SystemExit as e:  # argparse's usage errors
+        code = e.code
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def run_in(capsys, *args):
+    """main(argv) in this process, with the result run() gives."""
+    code, out, err = run_main(capsys, *args)
+    return subprocess.CompletedProcess(args, code, out, err)
 
 
 class TestModuleEntryPoint:
@@ -67,17 +76,17 @@ class TestExitCodes:
             code, _, err = run_main(capsys, *args)
             assert code == 0, (args, err)
 
-    def test_usage_errors_exit_1(self):
-        r = run("sum", cpath("linear.json"), "--a", 10, "--b", 3)
+    def test_usage_errors_exit_1(self, capsys):
+        r = run_in(capsys, "sum", cpath("linear.json"), "--a", 10, "--b", 3)
         assert r.returncode == 1
-        r = run("sum", cpath("linear.json"), "--a", 0)   # missing --b
+        r = run_in(capsys, "sum", cpath("linear.json"), "--a", 0)   # missing --b
         assert r.returncode == 1
-        r = run("frobnicate", cpath("linear.json"))
+        r = run_in(capsys, "frobnicate", cpath("linear.json"))
         assert r.returncode == 1
-        r = run("sum", cpath("linear.json"), "--a", 0, "--b", "x")
+        r = run_in(capsys, "sum", cpath("linear.json"), "--a", 0, "--b", "x")
         assert r.returncode == 1
 
-    def test_validation_errors_exit_2(self, tmp_path):
+    def test_validation_errors_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
             "format": 1, "name": "bad", "domain": {"lo": 0, "hi": 10},
@@ -86,16 +95,16 @@ class TestExitCodes:
                         "right_limit": -0.5440211108893698}],
             "breakpoints": [],
         }))
-        r = run("sum", bad, "--a", 0, "--b", 5)
+        r = run_in(capsys, "sum", bad, "--a", 0, "--b", 5)
         assert r.returncode == 2
         assert "NonMonotonePiece" in r.stderr
 
-        r = run("sum", tmp_path / "missing.json", "--a", 0, "--b", 5)
+        r = run_in(capsys, "sum", tmp_path / "missing.json", "--a", 0, "--b", 5)
         assert r.returncode == 2
 
         mangled = tmp_path / "mangled.json"
         mangled.write_text("{ not json")
-        r = run("sum", mangled, "--a", 0, "--b", 5)
+        r = run_in(capsys, "sum", mangled, "--a", 0, "--b", 5)
         assert r.returncode == 2
 
     @pytest.mark.parametrize("expr", ["exp(1000)*x", "10^400*x"])
@@ -113,13 +122,13 @@ class TestExitCodes:
         assert code == 2
         assert "BadExpression" in err
 
-    def test_domain_errors_exit_3(self):
-        r = run("variation", cpath("vshape.json"), "--lo", 0, "--hi", 10)
+    def test_domain_errors_exit_3(self, capsys):
+        r = run_in(capsys, "variation", cpath("vshape.json"), "--lo", 0, "--hi", 10)
         assert r.returncode == 3
-        r = run("sum", cpath("vshape.json"), "--a", 0, "--b", 10)
+        r = run_in(capsys, "sum", cpath("vshape.json"), "--a", 0, "--b", 10)
         assert r.returncode == 3
 
-    def test_tolerance_unreachable_exit_4(self, tmp_path):
+    def test_tolerance_unreachable_exit_4(self, capsys, tmp_path):
         bare = tmp_path / "bare.json"
         bare.write_text(json.dumps({
             "format": 1, "name": "bare-harmonic",
@@ -129,7 +138,7 @@ class TestExitCodes:
                         "right_limit": 1.0 / 11.0}],
             "breakpoints": [],
         }))
-        r = run("sum", bare, "--a", 0, "--b", 10, "--tol", 1e-13)
+        r = run_in(capsys, "sum", bare, "--a", 0, "--b", 10, "--tol", 1e-13)
         assert r.returncode == 4
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
@@ -139,11 +148,11 @@ class TestExitCodes:
         assert code == 4
         assert "below rounding floor" in err and out == ""
 
-    def test_divergent_exit_5(self):
-        r = run("series", cpath("harmonic.json"), "--n", 10)
+    def test_divergent_exit_5(self, capsys):
+        r = run_in(capsys, "series", cpath("harmonic.json"), "--n", 10)
         assert r.returncode == 5
 
-    def test_missing_antiderivative_exit_6(self, tmp_path):
+    def test_missing_antiderivative_exit_6(self, capsys, tmp_path):
         f = tmp_path / "no_tail_f.json"
         f.write_text(json.dumps({
             "format": 1, "name": "no-tail-antiderivative",
@@ -154,30 +163,30 @@ class TestExitCodes:
             "breakpoints": [],
             "tail": {"limit": 0},
         }))
-        r = run("series", f, "--n", 10)
+        r = run_in(capsys, "series", f, "--n", 10)
         assert r.returncode == 6
-        r = run("convergence", f)
+        r = run_in(capsys, "convergence", f)
         assert r.returncode == 6
 
-    def test_identity_violation_exit_7(self):
+    def test_identity_violation_exit_7(self, capsys):
         # a residual is never negative, so a negative budget always fails
         # (a zero budget passes wherever the residual rounds to exactly 0)
-        r = run("verify", cpath("linear.json"), cpath("linear.json"),
-                "--check", "parts", "--a", 0, "--b", 1, "--tol", 1e-5,
-                "--budget", -1)
+        r = run_in(capsys, "verify", cpath("linear.json"), cpath("linear.json"),
+                           "--check", "parts", "--a", 0, "--b", 1, "--tol", 1e-5,
+                           "--budget", -1)
         assert r.returncode == 7
         assert "FAIL" in r.stdout
 
 
 class TestJsonContract:
-    def test_byte_identical_runs(self):
-        a = run("sum", cpath("harmonic.json"), "--a", 0, "--b", 10, "--json")
-        b = run("sum", cpath("harmonic.json"), "--a", 0, "--b", 10, "--json")
+    def test_byte_identical_runs(self, capsys):
+        a = run_in(capsys, "sum", cpath("harmonic.json"), "--a", 0, "--b", 10, "--json")
+        b = run_in(capsys, "sum", cpath("harmonic.json"), "--a", 0, "--b", 10, "--json")
         assert a.stdout == b.stdout
         assert a.returncode == b.returncode == 0
 
-    def test_schema_keys_and_digits(self):
-        r = run("sum", cpath("harmonic.json"), "--a", 0, "--b", 10, "--json")
+    def test_schema_keys_and_digits(self, capsys):
+        r = run_in(capsys, "sum", cpath("harmonic.json"), "--a", 0, "--b", 10, "--json")
         doc = json.loads(r.stdout)
         assert set(doc) >= {"command", "inputs", "value", "radius", "bounds",
                             "exact"}
@@ -187,31 +196,31 @@ class TestJsonContract:
             assert len(m.group(1)) == 16
         assert doc["value"] == pytest.approx(2.8524407273438253, abs=1e-15)
 
-    def test_verify_json_residual(self):
-        r = run("verify", cpath("floor_steps.json"), "--check", "midvalue",
-                "--a", 0, "--b", 3, "--json")
+    def test_verify_json_residual(self, capsys):
+        r = run_in(capsys, "verify", cpath("floor_steps.json"), "--check", "midvalue",
+                           "--a", 0, "--b", 3, "--json")
         doc = json.loads(r.stdout)
         assert doc["residual"] == 0.0
         assert doc["pass"] is True
 
-    def test_gamma_json_carries_gamma_n(self):
-        r = run("gamma", cpath("harmonic.json"), "--n", 100, "--json")
+    def test_gamma_json_carries_gamma_n(self, capsys):
+        r = run_in(capsys, "gamma", cpath("harmonic.json"), "--n", 100, "--json")
         doc = json.loads(r.stdout)
         assert doc["gamma_n"] == pytest.approx(0.572257000798361, abs=1e-12)
 
-    def test_human_numerics_appear_in_json(self):
-        human = run("sum", cpath("harmonic.json"), "--a", 0, "--b", 10)
-        machine = run("sum", cpath("harmonic.json"), "--a", 0, "--b", 10,
-                      "--json")
+    def test_human_numerics_appear_in_json(self, capsys):
+        human = run_in(capsys, "sum", cpath("harmonic.json"), "--a", 0, "--b", 10)
+        machine = run_in(capsys, "sum", cpath("harmonic.json"), "--a", 0, "--b", 10,
+                                 "--json")
         human_numbers = set(re.findall(r"-?\d\.\d{16}e[+-]\d+", human.stdout))
         assert human_numbers <= set(
             re.findall(r"-?\d\.\d{16}e[+-]\d+", machine.stdout))
 
 
 class TestCsv:
-    def test_series_sweep(self):
-        r = run("series", cpath("basel.json"), "--n", "10,100", "--csv",
-                "--oracle", 1.6449340668482269)
+    def test_series_sweep(self, capsys):
+        r = run_in(capsys, "series", cpath("basel.json"), "--n", "10,100", "--csv",
+                           "--oracle", 1.6449340668482269)
         lines = r.stdout.strip().splitlines()
         assert lines[0] == "n,estimate,radius,oracle,error"
         assert len(lines) == 3
@@ -221,7 +230,7 @@ class TestCsv:
 
 
 class TestBatch:
-    def test_batch_midvalue_over_corpus(self, tmp_path):
+    def test_batch_midvalue_over_corpus(self, capsys, tmp_path):
         # run on the files whose domain covers [0, 3]
         import shutil
 
@@ -230,7 +239,7 @@ class TestBatch:
         for name in ("floor_steps.json", "step_quarter.json", "rho_int.json",
                      "harmonic.json", "mixed_jumps.json"):
             shutil.copy(cpath(name), sub / name)
-        r = run("verify", "--batch", sub, "--check", "midvalue",
-                "--a", 0, "--b", 3, "--tol", 1e-6)
+        r = run_in(capsys, "verify", "--batch", sub, "--check", "midvalue",
+                           "--a", 0, "--b", 3, "--tol", 1e-6)
         assert r.returncode == 0, r.stderr
         assert r.stdout.count("PASS") == 5

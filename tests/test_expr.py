@@ -1,4 +1,5 @@
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -475,29 +476,37 @@ def ref_eval_scalar(e, x):
         if not math.isfinite(r):
             raise EvalError("overflow", x)
         return r
-    v = ref_eval_scalar(e.args[0], x)
-    if e.fn == "log":
+    r = _ref_call(e.fn, ref_eval_scalar(e.args[0], x), x)
+    if not math.isfinite(r):
+        # a non-finite result of a function, as the array path reports it
+        raise EvalError({"log": "log_domain", "sqrt": "sqrt_domain"}.get(
+            e.fn, "overflow"), x)
+    return r
+
+
+def _ref_call(fn, v, x):
+    if fn == "log":
         if v <= 0.0:
             raise EvalError("log_domain", x)
         return math.log(v)
-    if e.fn == "sqrt":
+    if fn == "sqrt":
         if v < 0.0:
             raise EvalError("sqrt_domain", x)
         return math.sqrt(v)
-    if e.fn == "exp":
+    if fn == "exp":
         try:
             return math.exp(v)
         except OverflowError:
             raise EvalError("overflow", x) from None
-    if e.fn == "abs":
+    if fn == "abs":
         return abs(v)
-    if e.fn in ("floor", "sin", "cos"):
+    if fn in ("floor", "sin", "cos"):
         try:
-            return float(math.floor(v)) if e.fn == "floor" else \
-                getattr(math, e.fn)(v)
+            return float(math.floor(v)) if fn == "floor" else \
+                getattr(math, fn)(v)
         except (ValueError, OverflowError):
             raise EvalError("overflow", x) from None
-    if e.fn == "atan":
+    if fn == "atan":
         return math.atan(v)
     raise EvalError("unknown_function", x)
 
@@ -590,3 +599,122 @@ def test_libm_errors_agree_between_float_and_array(text, x, points):
         eval_expr(e, np.array(points))
     assert scalar.value.kind == array.value.kind == "overflow"
     assert repr(scalar.value.x) == repr(array.value.x) == repr(x)
+
+
+# a non-finite libm result is the op's EvalError on both paths
+_NONFINITE_CASES = [("abs(1e400)", 0.5, [0.5, 2.0], "overflow"),
+                    ("sqrt(1e400)", 0.5, [0.5, 2.0], "sqrt_domain"),
+                    ("log(1e400)", 0.5, [0.5, 2.0], "log_domain"),
+                    ("exp(1e400)", 0.5, [0.5, 2.0], "overflow"),
+                    ("sin(x)", math.nan, [2.0, math.nan], "overflow"),
+                    ("atan(x)+1", math.nan, [math.nan], "overflow"),
+                    ("sqrt(x)*2", math.inf, [2.0, math.inf], "sqrt_domain")]
+
+
+@pytest.mark.parametrize("text,x,points,kind", _NONFINITE_CASES)
+def test_nonfinite_results_agree_between_float_and_array(text, x, points, kind):
+    e = parse(text)
+    with pytest.raises(EvalError) as scalar:
+        eval_expr(e, x)
+    with pytest.raises(EvalError) as array:
+        eval_expr(e, np.array(points))
+    assert scalar.value.kind == array.value.kind == kind
+    assert repr(scalar.value.x) == repr(array.value.x) == repr(x)
+
+
+# ---------------------------------------------------------------------------
+# Many small rows are evaluated in one batched run; each row must come out
+# as eval_expr gives it, values and errors alike.
+
+
+def _with_constants(tree, value):
+    """tree with each Num leaf replaced by value(): a program of the same
+    ops with other constants."""
+    if isinstance(tree, Num):
+        return Num(value())
+    if isinstance(tree, Neg):
+        return Neg(_with_constants(tree.arg, value))
+    if isinstance(tree, Bin):
+        return Bin(tree.op, _with_constants(tree.left, value),
+                   _with_constants(tree.right, value))
+    if isinstance(tree, Call):
+        return Call(tree.fn, tuple(_with_constants(a, value) for a in tree.args))
+    return tree
+
+
+# numpy's power has fast paths for a scalar exponent of -1, 0, 0.5, 1 and 2
+_constants = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -1.0, 19.0,
+                                        710.0, math.inf, math.nan]),
+                       st.floats(min_value=-1e3, max_value=1e3))
+_point = st.one_of(st.sampled_from(_POISON + [0.1, 0.3, 19.0]),
+                   st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+
+
+_row_shapes = st.one_of(_poison_ast, st.sampled_from([
+    Var(), Num(2.0), parse("x^2"), parse("x^0.5"), parse("2^x"),
+    parse("exp(1)*x"), parse("1/(1+x)^2"), parse("3+2*exp(-1.5*(x-0.5))")]))
+
+
+@st.composite
+def _batches(draw):
+    shapes = draw(st.lists(_row_shapes, min_size=1, max_size=3))
+    m, k = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    exprs = []
+    for _ in range(m):
+        e = draw(st.sampled_from(shapes))
+        if draw(st.booleans()):
+            e = _with_constants(e, lambda: draw(_constants))
+        exprs.append(e)
+    rows = draw(st.lists(st.lists(_point, min_size=k, max_size=k),
+                         min_size=m, max_size=m))
+    return exprs, np.array(rows, dtype=np.float64)
+
+
+def _assert_rows_as_eval_expr(exprs, xs):
+    x_before = xs.tobytes()
+    values, errors = ex.eval_rows(exprs, xs)
+    assert values.shape == xs.shape
+    for i, e in enumerate(exprs):
+        want = _outcome(lambda: eval_expr(e, xs[i]))
+        if i in errors:
+            got = ("error", errors[i].kind, repr(errors[i].x))
+        else:
+            got = ("value", values[i].dtype.str, values[i].tobytes())
+        assert got == want, (i, render(e))
+    assert xs.tobytes() == x_before  # never written into
+
+
+@settings(max_examples=400, deadline=None)
+@given(_batches())
+def test_rows_match_eval_expr(batch):
+    _assert_rows_as_eval_expr(*batch)
+
+
+@pytest.mark.parametrize("texts,rows", [
+    # a power of constants alone keeps numpy's scalar-exponent fast path
+    (["19^0.5*x", "51^0.5*x", "63^0.5*x"], [[1.0, 2.0]] * 3),
+    # a row of one point keeps it too: its constants are not stacked
+    (["x^2", "x^2"], [[0.1], [0.1]]),
+    (["x^2", "x^2", "x^0.5"], [[0.1, 0.3], [0.1, 0.7], [19.0, 51.0]]),
+    # one failing row; the others keep their values
+    (["log(x)", "log(x+1)", "1/x"], [[1.0, 2.0], [-2.0, 1.0], [0.0, 1.0]]),
+    (["x", "exp(1)*x", "2"], [[0.5, 1.5], [0.5, 1.5], [0.5, 1.5]]),
+])
+def test_rows_match_eval_expr_on_fixed_cases(texts, rows):
+    _assert_rows_as_eval_expr([parse(t) for t in texts],
+                              np.array(rows, dtype=np.float64))
+
+
+def test_rows_run_once_per_shape(monkeypatch):
+    runs = []
+    real = ex._run
+    monkeypatch.setattr(ex, "_run", lambda prog, x, strict: runs.append(x.shape)
+                        or real(prog, x, strict))
+    exprs = [parse(f"{c}+{2 * c}*exp(-{c}*(x-0.25))") for c in (0.5, 1.5, 2.5)]
+    exprs += [parse("sin(x)")] * 2
+    values, errors = ex.eval_rows(exprs, np.linspace(0.0, 1.0, 5 * 16).reshape(5, 16))
+    assert not errors and sorted(runs) == [(2, 16), (3, 16)]
+    # the shape is cached beside the program, outside the fields
+    assert exprs[0].shape == exprs[1].shape and parse("x^2").shape is None
+    copy = pickle.loads(pickle.dumps(exprs[0]))
+    assert copy == exprs[0] and "shape" not in vars(copy)

@@ -1,4 +1,7 @@
+import functools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from bvsum import (
     DIVERGENT,
+    Certified,
     DomainError,
     ExteriorLimitRequired,
     IntervalSpec,
@@ -27,6 +31,15 @@ from bvsum import (
 )
 from bvsum import expr as ex
 from bvsum import measure
+from bvsum.bv import (
+    Breakpoint,
+    BvFunction,
+    MonotonePiece,
+    _segment_endpoint_values,
+    left_limit,
+    right_limit,
+)
+from bvsum.errors import BvError
 from conftest import corpus_path
 from oracles import grid_variation
 
@@ -413,7 +426,7 @@ class TestGridWalker:
         s, t = p.lo + 0.125, p.hi  # one end evaluated, one from the limit
         v0, vn = ex.eval_expr(p.evaluator, s), p.right_boundary_limit
         monkeypatch.setattr(measure, "_cells", lambda *args: n)
-        value, radius = measure._darboux_segment(p, s, t, 1.0)
+        [(value, radius)] = measure._darboux([(p, s, t)], [(v0, vn)], [1.0])
         h = (t - s) / n
         want = h * (ref_grid_sum(p.evaluator, s, t, n, v0, vn) - 0.5 * (v0 + vn))
         assert value == want
@@ -430,3 +443,291 @@ class TestGridWalker:
         mid = stieltjes_midvalue(f, f, 0, 1, 1e-4)
         # f continuous: int f d(mu_f) over [0, 1[ is (f(1)^2 - f(0)^2)/2
         assert mid.contains(0.5 * (math.sin(1.0) ** 2 - 1.0), slack=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The engine refines all segments of a call together.  The per-segment
+# routines it replaced are kept here as references: every value, radius,
+# error kind and refusal must be theirs, bit for bit.
+
+
+def ref_chunks(s, t, n, *curves):
+    width = t - s
+    for start in range(0, n, measure._CHUNK):
+        stop = min(n, start + measure._CHUNK)
+        first, last = start == 0, stop == n
+        xs = s + width * (np.arange(start, stop + 1, dtype=np.float64) / n)
+        i, j = int(first), len(xs) - int(last)
+        rows = []
+        for e, v0, vn in curves:
+            vals = np.empty(len(xs))
+            vals[i:j] = ex.eval_expr(e, xs[i:j])
+            if first:
+                vals[0] = v0
+            if last:
+                vals[-1] = vn
+            rows.append(vals)
+        yield last, xs, *rows
+
+
+def ref_darboux_segment(p, s, t, budget):
+    v0, vn = _segment_endpoint_values(p, s, t)
+    spread = abs(vn - v0)
+    n = measure._cells(s, t, spread, budget, 64, "Darboux bracketing")
+    parts = [v0, vn]
+    for last, _, vals in ref_chunks(s, t, n, (p.evaluator, v0, vn)):
+        parts.append(float(np.sum(vals[1:-1] if last else vals[1:])))
+    h = (t - s) / n
+    value = h * (math.fsum(parts) - 0.5 * (v0 + vn))
+    return value, 0.5 * h * spread + measure._slack(value)
+
+
+def ref_beta1_rs(p, s, t, budget):
+    k = math.floor(s)
+    v0, vn = _segment_endpoint_values(p, s, t)
+    spread = abs(vn - v0)
+    n = measure._cells(s, t, spread, budget, 16, "Stieltjes refinement")
+    parts = []
+    for _, xs, vals in ref_chunks(s, t, n, (p.evaluator, v0, vn)):
+        mids = 0.5 * (xs[:-1] + xs[1:])
+        parts.append(float(np.sum((mids - (k + 0.5)) * np.diff(vals))))
+    value = math.fsum(parts)
+    return value, 0.5 * ((t - s) / n) * spread + measure._slack(value)
+
+
+def ref_stieltjes_mid_segment(g, f, fp, s, t, budget):
+    gp = g.piece_containing(0.5 * (s + t))
+    if gp is None:
+        raise DomainError(f"no piece of the integrand covers ({s}, {t})")
+    f_ends = (fp.evaluator, right_limit(f, s), left_limit(f, t))
+    g_ends = (gp.evaluator, right_limit(g, s), left_limit(g, t))
+    n = 16
+    while True:
+        value_parts, err_parts = [], []
+        for _, xs, fv, gv in ref_chunks(s, t, n, f_ends, g_ends):
+            gmid = ex.eval_expr(gp.evaluator, 0.5 * (xs[:-1] + xs[1:]))
+            dmu = np.diff(fv)
+            value_parts.append(float(np.sum(gmid * dmu)))
+            err_parts.append(float(np.sum(np.abs(np.diff(gv)) * np.abs(dmu))))
+        value, err = math.fsum(value_parts), math.fsum(err_parts)
+        if err <= budget or n >= measure.MAX_CELLS:
+            break
+        growth = max(2.0, 1.2 * err / max(budget, 1e-300))
+        n = min(measure.MAX_CELLS, int(n * growth) + 1)
+    if err > budget:
+        raise ToleranceUnreachable(
+            f"Stieltjes refinement hit the {measure.MAX_CELLS}-cell cap on [{s}, {t}]")
+    return value, err + measure._slack(value)
+
+
+def ref_certify(tol, values, radii, fallback, weigh, refine):
+    """_certify as it was: each fallback segment refined on its own, in
+    order, by the reference of the route."""
+    if isinstance(refine, functools.partial):
+        one = functools.partial(ref_stieltjes_mid_segment, *refine.args)
+    else:
+        one = {measure._darboux: ref_darboux_segment,
+               measure._beta1_stieltjes: ref_beta1_rs}[refine]
+    if fallback:
+        budget = tol - math.fsum(radii)
+        if not budget > 0.0:
+            raise ToleranceUnreachable(f"tolerance {tol} below rounding floor")
+        weights = [weigh(*seg)[0] for seg in fallback]
+        wsum = math.fsum(weights)
+        for seg, w in zip(fallback, weights):
+            v, r = one(*seg, budget * w / wsum)
+            values.append(v)
+            radii.append(r)
+    result = Certified(math.fsum(values), math.fsum(radii))
+    if not result.radius <= tol:
+        raise ToleranceUnreachable(
+            f"achieved radius {result.radius:.3g} exceeds tol {tol:.3g}")
+    return result
+
+
+def _outcome(call):
+    try:
+        return "value", repr(call())
+    except (BvError, ex.EvalError) as e:
+        return "error", type(e).__name__, str(e)
+
+
+def assert_as_reference(call):
+    got = _outcome(call)
+    with mock.patch.object(measure, "_certify", ref_certify):
+        want = _outcome(call)
+    assert got == want
+
+
+def _piece(kind, p, q, spread, base, k):
+    """(expression, direction) of a monotone piece on [p, q] that moves by
+    about spread; k in [0.5, 2] shapes its curvature."""
+    w, X = q - p, f"(x-{p!r})"
+    if kind == "lin":
+        return f"{base!r}+{spread / w!r}*{X}", "inc"
+    if kind == "exp":
+        return f"{base!r}+{spread / math.expm1(k)!r}*exp({k / w!r}*{X})", "inc"
+    if kind == "recip":
+        return f"{base!r}+{spread * (1 + k) / k!r}/(1+{k / w!r}*{X})", "dec"
+    if kind == "sqrt":
+        return f"{base!r}-{spread!r}*sqrt({X}+{k * w!r})", "dec"
+    if kind == "atan":
+        return f"{base!r}+{spread!r}*atan({4 * k / w!r}*(x-{p + w / 2!r}))", "inc"
+    return f"{base!r}+{spread!r}*sin({math.pi / w!r}*{X}-{math.pi / 2!r})", "inc"
+
+
+@st.composite
+def monotone_specs(draw, length):
+    """A validated spec on [0, length] of up to 5 monotone pieces without
+    antiderivatives (some constant), with jumps and misplaced values."""
+    cuts = draw(st.lists(st.integers(1, 8 * length - 1), unique=True, max_size=4))
+    cuts = [0.0, *sorted(c / 8 for c in cuts), float(length)]
+    pieces, bps = [], []
+    for p, q in zip(cuts, cuts[1:]):
+        kind = draw(st.sampled_from(["lin", "exp", "recip", "sqrt", "atan", "sin",
+                                     "const"]))
+        base = draw(st.floats(-1.0, 1.0))
+        if kind == "const":
+            text, direction = repr(base), "const"
+        else:
+            text, direction = _piece(kind, p, q, draw(st.floats(1e-4, 3e-3)), base,
+                                     draw(st.floats(0.5, 2.0)))
+        e = ex.parse(text)
+        pieces.append({"interval": [p, q], "expr": text, "direction": direction,
+                       "left_limit": ex.eval_expr(e, p),
+                       "right_limit": ex.eval_expr(e, q)})
+    for i, x in enumerate(cuts[:-1]):
+        right = pieces[i]["left_limit"]
+        left = pieces[i - 1]["right_limit"] if i else right + draw(st.floats(-0.1, 0.1))
+        value = draw(st.sampled_from([left, right, 0.5 * (left + right), right + 0.25]))
+        bps.append({"x": x, "left": left, "value": value, "right": right})
+    return validate({"domain": {"lo": 0, "hi": length}, "pieces": pieces,
+                     "breakpoints": bps})
+
+
+_tols = st.floats(-8.0, -3.0).map(lambda lg: 10.0 ** lg)
+
+
+class TestBatchedEngine:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), _tols)
+    def test_integrate_bit_equal_to_per_segment_refinement(self, data, tol):
+        f = data.draw(monotone_specs(2))
+        a = data.draw(st.sampled_from([0.0, 0.25, 0.5]))
+        b = data.draw(st.sampled_from([1.0, 1.75, 2.0]))
+        assert_as_reference(lambda: integrate(f, a, b, tol))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), _tols)
+    def test_stieltjes_beta1_bit_equal_to_per_segment_refinement(self, data, tol):
+        f = data.draw(monotone_specs(3))
+        lo = data.draw(st.integers(0, 1))
+        assert_as_reference(lambda: stieltjes_beta1(f, lo, 3, tol))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), _tols)
+    def test_stieltjes_midvalue_bit_equal_to_per_segment_refinement(self, data, tol):
+        f, g = data.draw(monotone_specs(2)), data.draw(monotone_specs(2))
+        hi = data.draw(st.sampled_from([1.5, 2.0]))
+        assert_as_reference(lambda: stieltjes_midvalue(g, f, 0.0, hi, tol))
+
+
+def direct(*pieces):
+    """A BvFunction built without validation from increasing pieces (lo,
+    hi, expr, left limit, right limit), with breakpoints at the inner
+    cuts that join the limits."""
+    ps = tuple(MonotonePiece(float(lo), float(hi), ex.parse(e), "inc", vl, vr)
+               for lo, hi, e, vl, vr in pieces)
+    bps = tuple(Breakpoint(a.hi, a.right_boundary_limit, a.right_boundary_limit,
+                           b.left_boundary_limit) for a, b in zip(ps, ps[1:]))
+    return BvFunction(ps[0].lo, ps[-1].hi, bps, ps)
+
+
+def sawtooth(n, length, spread, base):
+    """A validated spec of n increasing linear pieces on [0, length]."""
+    cuts = [length * i / n for i in range(n + 1)]
+    pieces, bps = [], []
+    for i, (p, q) in enumerate(zip(cuts, cuts[1:])):
+        pieces.append({"interval": [p, q],
+                       "expr": f"{base!r}+{spread / (q - p)!r}*(x-{p!r})",
+                       "direction": "inc", "left_limit": base,
+                       "right_limit": base + spread})
+        bps.append({"x": p, "left": base + spread if i else base, "value": base,
+                    "right": base})
+    return validate({"domain": {"lo": 0, "hi": length}, "pieces": pieces,
+                     "breakpoints": bps})
+
+
+class TestEngineErrorOrder:
+    """When several segments fail, the error is that of the first one, in
+    segment order, as a walk of one segment after the other meets it."""
+
+    @staticmethod
+    def refuse_from(monkeypatch, x):
+        real = measure._cells
+
+        def cells(s, t, spread, budget, n, route):
+            if s >= x:
+                raise ToleranceUnreachable(f"{route} refused on [{s}, {t}]")
+            return real(s, t, spread, budget, n, route)
+
+        monkeypatch.setattr(measure, "_cells", cells)
+
+    def test_eval_error_before_a_later_refusal(self, monkeypatch):
+        f = direct((0, 1, "log(x-0.5)", -5, -0.7), (1, 2, "x", 1, 2))
+        self.refuse_from(monkeypatch, 1.0)
+        with pytest.raises(ex.EvalError) as err:
+            integrate(f, 0, 2, 1e-3)
+        assert err.value.kind == "log_domain" and err.value.x < 0.5
+        assert_as_reference(lambda: integrate(f, 0, 2, 1e-3))
+
+    def test_refusal_raised_after_the_segments_before_it_evaluate(self, monkeypatch):
+        f = direct((0, 1, "x", 0, 1), (1, 2, "x", 1, 2),
+                   (2, 3, "log(x-2.5)", -5, -0.7))
+        self.refuse_from(monkeypatch, 1.0)
+        with pytest.raises(ToleranceUnreachable, match=r"refused on \[1.0, 2.0\]"):
+            integrate(f, 0, 3, 1e-3)
+        assert_as_reference(lambda: integrate(f, 0, 3, 1e-3))
+
+    def test_first_of_two_failing_segments_of_one_shape(self):
+        f = direct((0, 1, "log(x-0.5)", -5, -0.7), (1, 2, "log(x-1.75)", -5, -1.4))
+        with pytest.raises(ex.EvalError) as err:
+            integrate(f, 0, 2, 1e-3)
+        assert err.value.kind == "log_domain" and err.value.x < 0.5
+        assert_as_reference(lambda: integrate(f, 0, 2, 1e-3))
+
+    def test_first_of_two_failing_cells_of_one_piece(self):
+        # undefined on (1/3, 2/3) of each unit cell, defined at the integers
+        f = direct((0, 2, "log(cos(6.283185307179586*x)+0.5)", 0.4, 0.4))
+        with pytest.raises(ex.EvalError) as err:
+            stieltjes_beta1(f, 0, 2, 1e-4)
+        assert 1 / 3 < err.value.x < 2 / 3
+        assert_as_reference(lambda: stieltjes_beta1(f, 0, 2, 1e-4))
+
+    @pytest.mark.parametrize("g,want", [
+        # the cap in the first cell, an error in the second
+        (direct((0, 1, "x", 0, 1), (1, 2, "log(x-1.5)", -5, -0.7)),
+         r"cap on \[0.0, 1.0\]"),
+        # an error in the first cell, the cap in the second
+        (direct((0, 1, "log(x-0.5)", -5, -0.7), (1, 2, "x", 1, 2)), "log_domain"),
+        # the first cell converges at once, the second reaches the cap
+        (direct((0, 1, "2", 2, 2), (1, 2, "x", 1, 2)), r"cap on \[1.0, 2.0\]"),
+    ])
+    def test_midvalue_cell_cap(self, monkeypatch, g, want):
+        monkeypatch.setattr(measure, "MAX_CELLS", 256)
+        f = direct((0, 1, "x", 0, 1), (1, 2, "x", 1, 2))
+        with pytest.raises((ToleranceUnreachable, ex.EvalError), match=want):
+            stieltjes_midvalue(g, f, 0.0, 2.0, 1e-12)
+        assert_as_reference(lambda: stieltjes_midvalue(g, f, 0.0, 2.0, 1e-12))
+
+    def test_memory_of_a_48_piece_call_is_bounded_by_a_batch(self):
+        f, g = sawtooth(48, 12, 0.01, 0.0), sawtooth(48, 12, 0.02, 1.0)
+        tracemalloc.start()
+        try:
+            stieltjes_midvalue(g, f, 0.0, 12.0, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the call walks about 1.7 million points; a batch of at most
+        # _BATCH points lives in about a dozen arrays at a time
+        assert peak < 16 * 8 * measure._BATCH
