@@ -512,7 +512,7 @@ _EXACT = frozenset((np.negative, np.add, np.subtract, np.multiply,
 def _stackable(prog) -> bool:
     """Whether a program may run together with others of its ops, over
     constants stacked into columns: no inexact op reads a constant."""
-    init, code = prog
+    code = prog[1]
     if not code:
         return False  # the root is x or a constant: the ops do not tell
     from_x = {0}
@@ -532,10 +532,11 @@ def eval_rows(exprs, x: np.ndarray):
     bit and errors maps each row on which eval_expr raises to its
     EvalError; a failing row's values are NaN.
 
-    Rows whose programs have the same ops run as one unchecked run, each
-    constant register stacked into a column with one entry per row.  If
-    any test of that run trips, each of its rows falls back to eval_expr,
-    in row order, so error kinds and points are those of eval_expr."""
+    Rows whose programs have the same Expr.shape run as one unchecked
+    run, each constant register stacked into a column with one entry per
+    row.  If any test of that run trips, each of its rows falls back to
+    eval_expr, in row order, so error kinds and points are those of
+    eval_expr."""
     if not exprs:
         return np.empty(x.shape), {}
     progs = [e.program for e in exprs]
