@@ -16,14 +16,23 @@ Grammar (EBNF, whitespace insignificant):
 is -(2^2) = -4 while "(-2)^2" is 4.  Evaluation is total: any domain
 violation (log of a nonpositive number, division by zero, 0^negative)
 or non-finite intermediate raises EvalError instead of propagating
-NaN/inf into certified results.
+NaN/inf into certified results.  An expression nested more than
+_MAX_DEPTH levels deep, in ops on one path or in parentheses and operands
+open at once, is a ParseError, so every accepted one is evaluated,
+compared, hashed and printed within the default recursion limit.
 
 Each node compiles itself once, on first use, and keeps the result
 outside its fields, so eq, hash, repr and pickle ignore it.  A float is
-evaluated by nested closures (Expr.compiled) that evaluate operands left
-to right and check each result: a zero divisor before "/", finiteness
+evaluated by one straight-line function (Expr.compiled) with one group
+of statements per op, in postorder, that evaluates operands left to
+right and checks each result: a zero divisor before "/", finiteness
 after every binary op, pow and function, and the libm errors of the
-functions, each with the kind the array path gives it.
+functions, each with the kind the array path gives it.  Its source is
+made only of the op templates in _OPS and register names: x, c<i> for
+the constants and t<i> for the op results, never text from the node.  So
+it depends only on the expression's shape: the constants are the
+arguments of a generated factory, compiled once per shape and kept in a
+bounded cache that a CLI request, which parses its spec again, reuses.
 
 An array is evaluated by a flat postorder program of ufunc calls
 (Expr.program), run by one interpreter in two modes.  The unchecked run
@@ -83,7 +92,7 @@ class Expr:
 
     @functools.cached_property
     def compiled(self):
-        """The closure x -> e(x) for a float x."""
+        """The function x -> e(x) for a float x (see _compile)."""
         return _compile(self)
 
     @functools.cached_property
@@ -98,7 +107,7 @@ class Expr:
         return self.program[1] if _stackable(self.program) else None
 
     def __getstate__(self):
-        # closures do not pickle; the copy compiles again on first use
+        # functions do not pickle; the copy compiles again on first use
         return {k: v for k, v in vars(self).items()
                 if k not in ("compiled", "program", "shape")}
 
@@ -160,11 +169,20 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# The most ops on a path from the root to a leaf, and the most operands
+# and parentheses open at once while parsing.  Evaluation, eq, hash, repr,
+# render and pickle recurse once per level, at up to three frames a level,
+# and the parser at six frames a parenthesis: at this depth the deepest of
+# them needs a recursion limit of about 620 of the default 1000.
+_MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # operands and parentheses open
 
     def peek(self):
         return self.tokens[self.i]
@@ -180,11 +198,23 @@ class _Parser:
             return self.advance()
         raise ParseError(pos, (op,), f"expected {op!r}")
 
+    def nested(self, parse, pos: int) -> Expr:
+        """parse() one level deeper in the text, which opens at pos."""
+        if self.depth == _MAX_DEPTH:
+            raise ParseError(pos, (), "nested too deeply")
+        self.depth += 1
+        e = parse()
+        self.depth -= 1
+        return e
+
     def parse(self) -> Expr:
         e = self.expr()
         kind, text, pos = self.peek()
         if kind != "end":
             raise ParseError(pos, ("end of input",), f"unexpected token {text!r}")
+        # a tree has fewer ops than its text has tokens
+        if len(self.tokens) > _MAX_DEPTH and _height(e) > _MAX_DEPTH:
+            raise ParseError(0, (), "nested too deeply")
         return e
 
     def expr(self) -> Expr:
@@ -208,18 +238,18 @@ class _Parser:
                 return e
 
     def unary(self) -> Expr:
-        kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.unary())
+            return Neg(self.nested(self.unary, pos))
         return self.power()
 
     def power(self) -> Expr:
         base = self.atom()
-        kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            return Bin("^", base, self.unary())
+            return Bin("^", base, self.nested(self.unary, pos))
         return base
 
     def atom(self) -> Expr:
@@ -233,20 +263,20 @@ class _Parser:
                 return Const(text)
             if text in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg = self.nested(self.expr, pos)
                 self.expect_op(")")
                 return Call(text, (arg,))
             if text == "pow":
                 self.expect_op("(")
-                a = self.expr()
+                a = self.nested(self.expr, pos)
                 self.expect_op(",")
-                b = self.expr()
+                b = self.nested(self.expr, pos)
                 self.expect_op(")")
                 return Call("pow", (a, b))
             raise ParseError(pos, ("x", "pi", "e") + FUNCTIONS + ("pow",),
                              f"unknown identifier {text!r}")
         if kind == "op" and text == "(":
-            e = self.expr()
+            e = self.nested(self.expr, pos)
             self.expect_op(")")
             return e
         if kind == "end":
@@ -256,18 +286,21 @@ class _Parser:
                          f"unexpected token {text!r}")
 
 
+def _height(e: Expr) -> int:
+    """The most ops on a path from e to a leaf, found without recursion."""
+    most, todo = 0, [(e, 0)]
+    while todo:
+        e, h = todo.pop()
+        if type(e) in (Num, Var, Const):
+            most = max(most, h)
+        else:
+            todo.extend((a, h + 1) for a in _op(e)[1])
+    return most
+
+
 def parse(text: str) -> Expr:
     """Parse expression text into an AST, raising ParseError on bad input."""
     return _Parser(text).parse()
-
-
-def _scalar_pow(a: float, b: float, x: float) -> float:
-    try:
-        return math.pow(a, b)
-    except OverflowError:
-        raise EvalError("overflow", x) from None
-    except (ValueError, ZeroDivisionError):
-        raise EvalError("pow_domain", x) from None
 
 
 def _op(e: Expr) -> tuple[str, tuple[Expr, ...]]:
@@ -280,112 +313,130 @@ def _op(e: Expr) -> tuple[str, tuple[Expr, ...]]:
 
 
 def _compile(e: Expr):
-    """The closure mapping a float x to e(x), with the checks of the
-    scalar evaluation, in its order."""
-    if isinstance(e, Var):
+    """The function mapping a float x to e(x), with the checks of the
+    scalar evaluation, in its order: a Var or constant root's lambda, else
+    the function generated for e's shape, over e's constants."""
+    t = type(e)
+    if t is Var:
         return lambda x: x
-    if isinstance(e, (Num, Const)):
-        v = e.value if isinstance(e, Num) else CONSTANTS[e.name]
+    if t is Num or t is Const:
+        v = e.value if t is Num else CONSTANTS[e.name]
         return lambda x: v
-    op, args = _op(e)
-    return _OPS[op][0](*map(_compile, args))
+    source, consts = _source(e)
+    return _factory(source)(*consts)
 
 
-# One closure per operator, with the operator inline: operator.add and the
-# like called from one shared closure cost about a fifth more per call.
-def _neg(g):
-    return lambda x: -g(x)
+def _source(e: Expr) -> tuple[str, list]:
+    """(the source of a factory that takes e's constants and returns the
+    float function of e, the constants).  The function runs one group of
+    statements per op, in postorder, each from the op's template in _OPS.
+    Registers are x, c<i> for the i-th constant and t<i> for the i-th op
+    result, so the source depends only on e's shape."""
+    consts, steps = [], []
+
+    def emit(e: Expr) -> str:
+        t = type(e)
+        if t is Var:
+            return "x"
+        if t is Num or t is Const:
+            consts.append(e.value if t is Num else CONSTANTS[e.name])
+            return f"c{len(consts) - 1}"
+        op, args = _op(e)
+        template = _OPS[op][0]
+        a = emit(args[0])
+        b = emit(args[1]) if len(args) > 1 else None
+        steps.append((template, a, b))
+        return f"t{len(steps) - 1}"
+
+    emit(e)
+    del emit  # it refers to itself: a cycle would wait for the collector
+    params = ", ".join(f"c{i}" for i in range(len(consts)))
+    body = "".join(template.format(r=f"t{i}", a=a, b=b)
+                   for i, (template, a, b) in enumerate(steps))
+    return (f"def factory({params}):\n    def f(x):{body}\n"
+            f"        return t{len(steps) - 1}\n    return f\n"), consts
 
 
-def _add(ga, gb):
-    def f(x):
-        r = ga(x) + gb(x)
-        if not math.isfinite(r):
-            raise EvalError("overflow", x)
-        return r
-    return f
+# The factories kept, one per shape.  A CLI request parses its spec again
+# and so compiles each piece again: the cache, not the node, makes that
+# once per shape.
+_FACTORIES = 256
+
+# The names the generated source may use besides its registers.
+_NAMES = {"EvalError": EvalError,
+          **{name: getattr(math, name) for name in
+             ("isfinite", "pow", "exp", "log", "sqrt", "sin", "cos", "atan",
+              "floor")}}
 
 
-def _sub(ga, gb):
-    def f(x):
-        r = ga(x) - gb(x)
-        if not math.isfinite(r):
-            raise EvalError("overflow", x)
-        return r
-    return f
+@functools.lru_cache(maxsize=_FACTORIES)
+def _factory(source: str):
+    """The factory that source defines, compiled once per shape."""
+    scope = {}
+    exec(compile(source, "<bvsum.expr>", "exec"), _NAMES, scope)
+    return scope["factory"]
 
 
-def _mul(ga, gb):
-    def f(x):
-        r = ga(x) * gb(x)
-        if not math.isfinite(r):
-            raise EvalError("overflow", x)
-        return r
-    return f
+# The statements of each op in the generated function: {r} is the result's
+# register, {a} and {b} the operands'.  Each op but neg tests its result.
+def _checked(statements: str, kind: str = "overflow") -> str:
+    return statements + f"""
+        if not isfinite({{r}}):
+            raise EvalError("{kind}", x)"""
 
 
-def _div(ga, gb):
-    def f(x):
-        a, b = ga(x), gb(x)
-        if b == 0.0:
+def _arith(sign: str) -> str:
+    return _checked(f"\n        {{r}} = {{a}} {sign} {{b}}")
+
+
+_DIV = _checked("""
+        if {b} == 0.0:
             raise EvalError("division_by_zero", x)
-        r = a / b
-        if not math.isfinite(r):
-            raise EvalError("overflow", x)
-        return r
-    return f
+        {r} = {a} / {b}""")
+
+_POW = _checked("""
+        try:
+            {r} = pow({a}, {b})
+        except OverflowError:
+            raise EvalError("overflow", x) from None
+        except (ValueError, ZeroDivisionError):
+            raise EvalError("pow_domain", x) from None""")
 
 
-def _pow(ga, gb):
-    def f(x):
-        r = _scalar_pow(ga(x), gb(x), x)
-        if not math.isfinite(r):
-            raise EvalError("overflow", x)
-        return r
-    return f
-
-
-def _applied(fn, kind: str):
+def _call(call: str, kind: str) -> str:
     # a libm error or a non-finite result is the EvalError of the op: log
     # or sqrt outside its domain, exp's overflow, sin or cos of inf, floor
     # of inf, any of them of an inf or nan operand
-    def build(g):
-        def f(x):
-            v = g(x)
-            try:
-                r = fn(v)
-            except (ValueError, OverflowError):
-                r = math.nan
-            if not math.isfinite(r):
-                raise EvalError(kind, x)
-            return r
-        return f
-    return build
+    return _checked(f"""
+        try:
+            {{r}} = {call}
+        except (ValueError, OverflowError):
+            raise EvalError("{kind}", x) from None""", kind)
 
 
-# op -> (float closure builder, ufunc, kind of a non-finite result (None:
-# the strict run does not test it), masking).  The masking ops can map a
-# non-finite operand to a finite value: x/inf = 0, 1^nan = 1, exp(-inf) =
-# 0, atan(inf) = pi/2.  Every other op keeps a non-finite value non-finite
-# at the same point, so it reaches the root unless a masking op's operand
-# test sees it first.
+# op -> (source template of the float function, ufunc, kind of a non-finite
+# result (None: the strict run does not test it), masking).  The masking
+# ops can map a non-finite operand to a finite value: x/inf = 0, 1^nan = 1,
+# exp(-inf) = 0, atan(inf) = pi/2.  Every other op keeps a non-finite value
+# non-finite at the same point, so it reaches the root unless a masking
+# op's operand test sees it first.
 _OPS = {
-    "neg": (_neg, np.negative, None, False),
-    "+": (_add, np.add, "overflow", False),
-    "-": (_sub, np.subtract, "overflow", False),
-    "*": (_mul, np.multiply, "overflow", False),
-    "/": (_div, np.true_divide, "division_by_zero", True),
-    "^": (_pow, np.power, "pow_domain", True),
-    "pow": (_pow, np.power, "pow_domain", True),
-    "exp": (_applied(math.exp, "overflow"), np.exp, "overflow", True),
-    "log": (_applied(math.log, "log_domain"), np.log, "log_domain", False),
-    "sqrt": (_applied(math.sqrt, "sqrt_domain"), np.sqrt, "sqrt_domain", False),
-    "abs": (_applied(abs, "overflow"), np.abs, "overflow", False),
-    "sin": (_applied(math.sin, "overflow"), np.sin, "overflow", False),
-    "cos": (_applied(math.cos, "overflow"), np.cos, "overflow", False),
-    "atan": (_applied(math.atan, "overflow"), np.arctan, "overflow", True),
-    "floor": (_applied(lambda v: float(math.floor(v)), "overflow"), np.floor,
-              "overflow", False),
+    "neg": ("\n        {r} = -{a}", np.negative, None, False),
+    "+": (_arith("+"), np.add, "overflow", False),
+    "-": (_arith("-"), np.subtract, "overflow", False),
+    "*": (_arith("*"), np.multiply, "overflow", False),
+    "/": (_DIV, np.true_divide, "division_by_zero", True),
+    "^": (_POW, np.power, "pow_domain", True),
+    "pow": (_POW, np.power, "pow_domain", True),
+    "exp": (_call("exp({a})", "overflow"), np.exp, "overflow", True),
+    "log": (_call("log({a})", "log_domain"), np.log, "log_domain", False),
+    "sqrt": (_call("sqrt({a})", "sqrt_domain"), np.sqrt, "sqrt_domain", False),
+    "abs": (_call("abs({a})", "overflow"), np.abs, "overflow", False),
+    "sin": (_call("sin({a})", "overflow"), np.sin, "overflow", False),
+    "cos": (_call("cos({a})", "overflow"), np.cos, "overflow", False),
+    "atan": (_call("atan({a})", "overflow"), np.arctan, "overflow", True),
+    "floor": (_call("float(floor({a}))", "overflow"), np.floor, "overflow",
+              False),
 }
 
 
@@ -445,8 +496,7 @@ def _fail(kind: str, x: np.ndarray, r, vals) -> EvalError:
         # the kind the float path gives this power at that point
         a, b = (float(v if np.ndim(v) == 0 else v.flat[i]) for v in vals)
         try:
-            if not math.isfinite(_scalar_pow(a, b, xi)):
-                kind = "overflow"
+            _compile(Bin("^", Num(a), Num(b)))(xi)
         except EvalError as err:
             kind = err.kind
     return EvalError(kind, xi)

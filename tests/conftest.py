@@ -11,6 +11,14 @@ CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
 CORPUS_NAMES = sorted(p.name for p in CORPUS_DIR.glob("*.json"))
 
+# text nested n levels deep: n ops on one path, or n open parentheses
+DEEP = {
+    "sum": lambda n: "+".join(["x"] * (n + 1)),
+    "minus": lambda n: "-" * n + "x",
+    "power": lambda n: "^".join(["x"] + ["1"] * n),
+    "parentheses": lambda n: "(" * n + "x" + ")" * n,
+}
+
 
 @pytest.fixture(scope="session")
 def corpus() -> dict[str, BvFunction]:

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from bvsum import expr as ex
 from bvsum.cli import main
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, DEEP
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -121,6 +122,42 @@ class TestExitCodes:
         code, _, err = run_main(capsys, "variation", spec, "--lo", 0, "--hi", 10)
         assert code == 2
         assert "BadExpression" in err
+
+    @pytest.mark.parametrize("kind", sorted(DEEP))
+    def test_deep_expression_runs_at_the_bound_and_is_refused_past_it(
+            self, tmp_path, capsys, monkeypatch, kind):
+        # every accepted expression survives eq, hash, repr and render where
+        # main(argv) parses it, at the default recursion limit, and is then
+        # evaluated on both paths
+        parse, parsed = ex.parse, []
+
+        def parse_and_check(text):
+            e, same = parse(text), parse(text)
+            assert e == same and hash(e) == hash(same) and repr(e) == repr(same)
+            assert parse(ex.render(e)) == e
+            parsed.append(text)
+            return e
+
+        monkeypatch.setattr(ex, "parse", parse_and_check)
+        assert sys.getrecursionlimit() == 1000
+        for depth, want in ((ex._MAX_DEPTH, 0), (ex._MAX_DEPTH + 1, 2)):
+            text = DEEP[kind](depth)  # c*x
+            c = depth + 1 if kind == "sum" else 1
+            spec = tmp_path / f"{kind}{depth}.json"
+            spec.write_text(json.dumps({
+                "format": 1, "name": "deep", "domain": {"lo": 0, "hi": 4},
+                "pieces": [{"interval": [0, 4], "expr": text, "direction": "inc",
+                            "left_limit": 0, "right_limit": 4 * c,
+                            "antiderivative": f"{c}*x^2/2"}],
+                "breakpoints": [],
+            }))
+            for argv in (("variation", spec, "--lo", 0, "--hi", 4),
+                         ("sum", spec, "--a", 0, "--b", 4)):
+                code, out, err = run_main(capsys, *argv, "--json")
+                assert code == want, err
+                if want:
+                    assert "BadExpression" in err and "nested too deeply" in err
+            assert parsed.count(text) == (2 if want == 0 else 0)
 
     def test_domain_errors_exit_3(self, capsys):
         r = run_in(capsys, "variation", cpath("vshape.json"), "--lo", 0, "--hi", 10)

@@ -22,6 +22,7 @@ from bvsum.expr import (
     parse,
     render,
 )
+from conftest import DEEP
 
 
 class TestGoldenPrecedence:
@@ -72,6 +73,21 @@ def test_malformed_inputs_report_position(text, offset):
         parse(text)
     assert exc.value.offset == offset
     assert exc.value.offset <= len(text) + 1
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP))
+def test_deepest_accepted_expression_works_and_one_more_level_is_refused(kind):
+    text = DEEP[kind](ex._MAX_DEPTH)
+    e, same = parse(text), parse(text)
+    assert e == same and hash(e) == hash(same) and repr(e) == repr(same)
+    assert parse(render(e)) == e
+    copy = pickle.loads(pickle.dumps(e))
+    xs = np.array([0.5, 0.25])
+    for x in xs:
+        assert eval_expr(e, x) == eval_expr(copy, x) == ref_eval_scalar(e, x)
+    assert eval_expr(e, xs).tolist() == [eval_expr(e, x) for x in xs]
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse(DEEP[kind](ex._MAX_DEPTH + 1))
 
 
 class TestEvalErrors:
@@ -427,7 +443,7 @@ def test_every_function_has_an_array_ufunc():
 
 
 # ---------------------------------------------------------------------------
-# A float is evaluated by a closure compiled once per expression; it must
+# A float is evaluated by a function generated once per expression; it must
 # agree with the tree walk it replaced, kept here as the reference.
 
 def _ref_scalar_pow(a, b, x):
@@ -549,17 +565,69 @@ def test_compiled_matches_tree_walk_at_poison_points(text):
 
 
 def test_compiled_once_per_node_and_outside_the_fields():
-    import pickle
-
     e = parse("1/(1+x)")
     assert "compiled" not in vars(e)
     eval_expr(e, 1.0)
     fn = vars(e)["compiled"]
     eval_expr(e, 2.0)
-    assert e.compiled is fn
+    assert e.compiled is fn and fn.__code__.co_filename == "<bvsum.expr>"
     assert e == parse("1/(1+x)") and hash(e) == hash(parse("1/(1+x)"))
     assert repr(e) == repr(parse("1/(1+x)"))
-    assert eval_expr(pickle.loads(pickle.dumps(e)), 3.0) == 0.25
+    copy = pickle.loads(pickle.dumps(e))
+    assert "compiled" not in vars(copy)
+    assert eval_expr(copy, 3.0) == 0.25
+
+
+# The float function is generated from fixed text alone, the op templates
+# of _OPS and register names, and its factory is compiled once per shape.
+
+def _bits(v):
+    return struct.pack("<d", v)
+
+
+@pytest.mark.parametrize("node", [
+    Call("__import__('os').getpid", (Var(),)),
+    Bin("+ 0 or exit(1) +", Var(), Num(1.0)),
+    Bin("+", Var(), Call("sinh", (Var(),))),
+])
+def test_unknown_op_raises_key_error_and_compiles_nothing(node):
+    before = ex._factory.cache_info()
+    with pytest.raises(KeyError):
+        eval_expr(node, 1.0)
+    after = ex._factory.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
+
+
+def test_one_shape_shares_one_code_object_over_its_constants():
+    a, b = parse("2/(1+3*x)^0.5"), parse("pi/(1e-3+7*x)^2")
+    assert ex._source(a)[0] == ex._source(b)[0]
+    assert a.compiled.__code__ is b.compiled.__code__
+    for x in (0.5, 2.0, 1e3):
+        assert _bits(a.compiled(x)) == _bits(ref_eval_scalar(a, x))
+        assert _bits(b.compiled(x)) == _bits(ref_eval_scalar(b, x))
+    assert a.compiled(2.0) != b.compiled(2.0)
+
+
+def test_factory_cache_stays_at_its_bound():
+    # nested sin and cos calls, one shape per bit pattern: twice as many
+    # shapes as the cache keeps
+    n = 2 * ex._FACTORIES
+    levels = (n - 1).bit_length()
+    for i in range(n):
+        e = parse("".join("sin(" if i >> k & 1 else "cos("
+                          for k in range(levels)) + "x" + ")" * levels)
+        assert _bits(eval_expr(e, 0.5)) == _bits(ref_eval_scalar(e, 0.5))
+    assert ex._factory.cache_info().currsize == ex._FACTORIES
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poison_ast, _scalar_points)
+def test_pickled_node_compiles_again_to_the_same_bits(tree, xs):
+    copy = pickle.loads(pickle.dumps(tree))
+    assert "compiled" not in vars(copy)
+    for x in xs:
+        assert _scalar_outcome(copy.compiled, x) == \
+            _scalar_outcome(tree.compiled, x), x
 
 
 # a constant power fails at every point, so the first one is reported
