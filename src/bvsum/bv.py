@@ -491,93 +491,260 @@ def _parse_expr(raw, where: str, out: list[Violation]) -> ex.Expr | None:
         return None
 
 
+# ---------------------------------------------------------------------------
+# Piece checks.  validate checks all pieces of a spec together: pieces of
+# one expression shape are the rows of 2-D arrays of at most _BATCH points,
+# expr.eval_rows evaluates the rows of one shape as one program, and each
+# check is a reduction over the rows.  Every point, value, verdict, message
+# and error is the one a check of the piece alone gives (tests/test_bv.py
+# keeps those checks as references); only the failing rows reach Python.
+
+_BATCH = 1 << 15  # points per batch, so that a batch stays in cache
+
 # factors of the sample points lo + w*i/(MONO_SAMPLES+1) and lo + w*2^j;
 # the powers of two are exact, so each point is rounded as if computed alone
 _MONO_I = np.arange(1, MONO_SAMPLES + 1, dtype=np.float64)
 _EDGE_POW2 = np.array([2.0**-j for j in range(1, EDGE_SAMPLES + 1)])
 _LADDER_POW2 = np.array([2.0**j for j in range(0, 41)])
+_FD_I = np.arange(1, FD_POINTS + 1, dtype=np.float64)
 _FD_LADDER_POW2 = np.array([2.0**j for j in range(-2, 2 * FD_POINTS - 2, 2)])
 
 
-def _mono_sample_points(lo: float, hi: float) -> np.ndarray:
-    """Sorted distinct points strictly inside (lo, hi): MONO_SAMPLES
-    equispaced ones, EDGE_SAMPLES approaching each finite end at
-    distance w*2^-j, and on a half-line a doubling ladder lo + w*2^j."""
+def _fraction_order(half_line: bool) -> np.ndarray:
+    """The order of the exact fractions of w at which _sample_points
+    computes its points, in the order it computes them: i/(MONO_SAMPLES+1),
+    then 2^j and 2^-j on a half-line, or 2^-j and 1 - 2^-j.  Each fraction
+    is scaled to an integer; ties keep their order."""
+    unit = (MONO_SAMPLES + 1) << EDGE_SAMPLES
+    edge = [unit >> j for j in range(1, EDGE_SAMPLES + 1)]
+    keys = [i << EDGE_SAMPLES for i in range(1, MONO_SAMPLES + 1)]
+    if half_line:
+        keys += [unit << j for j in range(len(_LADDER_POW2))] + edge
+    else:
+        keys += edge + [unit - k for k in edge]
+    return np.array(sorted(range(len(keys)), key=keys.__getitem__))
+
+
+_ORDER = {half_line: _fraction_order(half_line) for half_line in (False, True)}
+
+
+def _sample_points(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, empty) for the pieces on (lo[i], hi[i]), all bounded or all
+    half-lines.  Row i of xs holds, in increasing order, the distinct
+    points strictly inside the piece: MONO_SAMPLES equispaced ones,
+    EDGE_SAMPLES approaching each finite end at distance w*2^-j, and on a
+    half-line a doubling ladder lo + w*2^j.  A point that is not finite,
+    not inside or equal to another is replaced by a kept neighbour, so
+    every row has the same length and its distinct points in order;
+    empty[i] tells that row i keeps none."""
+    lo, hi = lo[:, None], hi[:, None]
+    half_line = math.isinf(hi[0, 0])
     with np.errstate(over="ignore"):
-        if math.isinf(hi):
-            w = max(1.0, abs(lo))
-            pts = np.concatenate((lo + w * _MONO_I / (MONO_SAMPLES + 1),
-                                  lo + w * _LADDER_POW2,
-                                  lo + w * _EDGE_POW2))
+        if half_line:
+            w = np.maximum(1.0, np.abs(lo))
+            parts = (lo + w * _MONO_I / (MONO_SAMPLES + 1),
+                     lo + w * _LADDER_POW2, lo + w * _EDGE_POW2)
         else:
             w = hi - lo
             off = w * _EDGE_POW2
-            pts = np.concatenate((lo + w * _MONO_I / (MONO_SAMPLES + 1),
-                                  lo + off, hi - off))
-    return np.unique(pts[(lo < pts) & (pts < hi) & np.isfinite(pts)])
+            parts = (lo + w * _MONO_I / (MONO_SAMPLES + 1), lo + off, hi - off)
+    pts = np.take(np.concatenate(parts, axis=1), _ORDER[half_line], axis=1)
+    # rounding may swap close points on a piece a few ulps wide
+    swapped = pts[:, 1:] < pts[:, :-1]
+    if swapped.any():
+        unsorted = swapped.any(axis=1)
+        pts[unsorted] = np.sort(pts[unsorted], axis=1)
+    # A point equal to the one before it already holds a kept neighbour.
+    # The points at or below lo (or -inf) come first and take the first
+    # point inside; those at or above hi (or inf) come last and take the
+    # last point inside.
+    n = pts.shape[1]
+    first = (pts > lo).argmax(axis=1)
+    last = n - 1 - (pts < hi)[:, ::-1].argmax(axis=1)
+    at = np.arange(0, pts.size, n)
+    flat = pts.reshape(-1)
+    inside_lo, inside_hi = flat[at + first], flat[at + last]
+    np.maximum(pts, inside_lo[:, None], out=pts)
+    np.minimum(pts, inside_hi[:, None], out=pts)
+    # a row keeps a point if its first point above lo is below hi
+    return pts, ~((lo[:, 0] < inside_lo) & (inside_lo < hi[:, 0]))
 
 
-def _check_piece_sampling(p: MonotonePiece, where: str, out: list[Violation]) -> None:
-    xs = _mono_sample_points(p.lo, p.hi)
-    try:
-        vals = ex.eval_expr(p.evaluator, xs)
-    except ex.EvalError as e:
-        out.append(Violation("BadExpression", where, f"evaluator failed: {e}"))
-        return
-    lim_lo = min(p.left_boundary_limit, p.right_boundary_limit)
-    lim_hi = max(p.left_boundary_limit, p.right_boundary_limit)
-    scale = max(abs(lim_lo), abs(lim_hi), float(np.max(np.abs(vals))))
-    slack = ABS_TOL + REL_TOL * scale
-    d = np.diff(vals)
-    if p.direction == INC and not np.all(d >= -slack):
-        i = int(np.argmin(d))
-        out.append(Violation("NonMonotonePiece", where,
-                             f"declared increasing but decreases near x={xs[i]:.6g}"))
-    elif p.direction == DEC and not np.all(d <= slack):
-        i = int(np.argmax(d))
-        out.append(Violation("NonMonotonePiece", where,
-                             f"declared decreasing but increases near x={xs[i]:.6g}"))
-    elif p.direction == CONST and not np.all(np.abs(vals - vals[0]) <= slack):
-        out.append(Violation("NonMonotonePiece", where, "declared constant but varies"))
-    if np.any(vals < lim_lo - slack) or np.any(vals > lim_hi + slack):
-        out.append(Violation("InconsistentLimits", where,
-                             "sampled values leave the declared boundary-limit range"))
+def _batches(items, half_line, shape, width: int):
+    """items in lists of at most _BATCH // width, the bounded ones, then
+    the half-lines, each ordered by shape(item), so that a list holds one
+    kind of piece and few shapes."""
+    size = max(1, _BATCH // width)
+    for side in (False, True):
+        groups: dict = {}
+        for item in items:
+            if half_line(item) == side:
+                groups.setdefault(shape(item), []).append(item)
+        run = [item for group in groups.values() for item in group]
+        for k in range(0, len(run), size):
+            yield run[k:k + size]
+
+
+_SAMPLES = MONO_SAMPLES + 2 * EDGE_SAMPLES  # the most sample points of a piece
+_DIRECTION_INDEX = {INC: 0, DEC: 1, CONST: 2}
+
+
+def _check_sampling(pieces: list[MonotonePiece], found: list[list[Violation]]) -> None:
+    """Sample each piece at the points of _sample_points and append to
+    found[i] what piece i violates: its evaluator must give finite values
+    there, monotone in its direction and inside its boundary limits, up
+    to a slack.  A piece with no point inside it is not sampled."""
+    for rows in _batches(range(len(pieces)), lambda i: math.isinf(pieces[i].hi),
+                         lambda i: pieces[i].evaluator.shape, _SAMPLES):
+        xs, empty = _sample_points(np.array([pieces[i].lo for i in rows]),
+                                   np.array([pieces[i].hi for i in rows]))
+        if empty.any():
+            rows = [i for i, e in zip(rows, empty) if not e]
+            xs = xs[~empty]
+            if not rows:
+                continue
+        ps = [pieces[i] for i in rows]
+        vals, errors = ex.eval_rows([p.evaluator for p in ps], xs)
+        with np.errstate(all="ignore"):  # the rows that failed hold NaN
+            # per row: the least and the greatest limit, value and step
+            lim_lo, lim_hi = np.array([sorted((p.left_boundary_limit, p.right_boundary_limit))
+                                       for p in ps]).T
+            vmin, vmax, v0 = vals.min(axis=1), vals.max(axis=1), vals[:, 0]
+            d = vals[:, 1:] - vals[:, :-1]
+            # max(|v|) is max(vmax, -vmin)
+            scale = np.maximum(np.maximum(vmax, -vmin), np.maximum(-lim_lo, lim_hi))
+            slack = ABS_TOL + REL_TOL * scale
+            # per direction, the step or spread that must stay within the
+            # slack; v - v0 rounds monotonically in v, so the largest
+            # |v - v0| is at vmin or vmax
+            worst = np.choose([_DIRECTION_INDEX[p.direction] for p in ps],
+                              (-d.min(axis=1), d.max(axis=1),
+                               np.maximum(vmax - v0, v0 - vmin)))
+            varies = worst > slack
+            leaves = (vmin < lim_lo - slack) | (vmax > lim_hi + slack)
+        for r in sorted({*np.flatnonzero(varies | leaves).tolist(), *errors}):
+            where, p, out = f"pieces[{rows[r]}]", ps[r], found[rows[r]]
+            if r in errors:
+                out.append(Violation("BadExpression", where, f"evaluator failed: {errors[r]}"))
+                continue
+            if varies[r] and p.direction == INC:
+                out.append(Violation("NonMonotonePiece", where,
+                                     "declared increasing but decreases near "
+                                     f"x={xs[r, np.argmin(d[r])]:.6g}"))
+            elif varies[r] and p.direction == DEC:
+                out.append(Violation("NonMonotonePiece", where,
+                                     "declared decreasing but increases near "
+                                     f"x={xs[r, np.argmax(d[r])]:.6g}"))
+            elif varies[r]:
+                out.append(Violation("NonMonotonePiece", where, "declared constant but varies"))
+            if leaves[r]:
+                out.append(Violation("InconsistentLimits", where,
+                                     "sampled values leave the declared boundary-limit range"))
+
+
+
+def _kept_neighbours(keep: np.ndarray) -> np.ndarray:
+    """Per row, the column of each kept entry, and for any other entry
+    the column of the last kept entry before it, or of the row's first
+    kept entry if none is before it."""
+    cols = np.where(keep, np.arange(keep.shape[1]), -1)
+    np.maximum.accumulate(cols, axis=1, out=cols)
+    return np.where(cols < 0, keep.argmax(axis=1)[:, None], cols)
+
+
+def _stencils(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(xs, h, empty) for check_antiderivative on the pieces (lo[i],
+    hi[i]), all bounded or all half-lines: row i holds the FD_POINTS
+    points, np.linspace(lo, hi, FD_POINTS + 2)[1:-1] or the ladder
+    lo + max(1, |lo|)*4^j, and their steps.  A point whose stencil
+    reaches an end is replaced, with its step, by a kept neighbour;
+    empty[i] tells that row i keeps none."""
+    lo, hi = lo[:, None], hi[:, None]
+    with np.errstate(all="ignore"):
+        if math.isinf(hi[0, 0]):
+            xs = lo + np.maximum(1.0, np.abs(lo)) * _FD_LADDER_POW2
+            h = np.maximum(np.abs(xs), 1.0) * 1e-5
+            skip = xs - h <= lo
+        else:
+            # the float operations of linspace, its branch for a zero step
+            # taken row by row
+            delta = hi - lo
+            step = delta / (FD_POINTS + 1)
+            xs = _FD_I * step
+            if not step.all():
+                xs = np.where(step == 0.0, _FD_I / (FD_POINTS + 1) * delta, xs)
+            xs += lo
+            h = np.minimum(np.maximum(np.abs(xs), 1.0) * 1e-5, delta * 1e-3)
+            skip = (xs - h <= lo) | (xs + h >= hi)
+    if skip.any():
+        cols = _kept_neighbours(~skip)
+        xs, h = np.take_along_axis(xs, cols, axis=1), np.take_along_axis(h, cols, axis=1)
+    return xs, h, skip.all(axis=1)
+
+
+def _antiderivative_scores(checks) -> list:
+    """Per check (f, F, lo, hi), the score of check_antiderivative, or the
+    EvalError it raises."""
+    results: list = [0.0] * len(checks)
+
+    for rows in _batches(range(len(checks)), lambda k: math.isinf(checks[k][3]),
+                         lambda k: checks[k][1].shape, FD_POINTS):
+        xs, h, empty = _stencils(np.array([checks[k][2] for k in rows]),
+                                 np.array([checks[k][3] for k in rows]))
+        if empty.any():  # these score 0.0, and nothing is evaluated
+            rows = [k for k, e in zip(rows, empty) if not e]
+            xs, h = xs[~empty], h[~empty]
+            if not rows:
+                continue
+        Fs = [checks[k][1] for k in rows]
+        up, up_errors = ex.eval_rows(Fs, xs + h)
+        down, down_errors = ex.eval_rows(Fs, xs - h)
+        ref, ref_errors = ex.eval_rows([checks[k][0] for k in rows], xs)
+        with np.errstate(all="ignore"):
+            score = np.abs((up - down) / (2.0 * h) - ref) / (FD_REL_TOL * (1.0 + np.abs(ref)))
+        # fmax ignores NaN scores, from stencils at points that overflowed to inf
+        worst = np.fmax.reduce(score, axis=1, initial=0.0).tolist()
+        for r, k in enumerate(rows):
+            err = up_errors.get(r) or down_errors.get(r) or ref_errors.get(r)
+            results[k] = worst[r] if err is None else err
+    return results
 
 
 def check_antiderivative(fe: ex.Expr, F: ex.Expr, lo: float, hi: float) -> float:
     """Max mismatch of (F(x+h)-F(x-h))/2h against f over FD_POINTS samples,
     scaled by the tolerance; values > 1 mean the check failed.  Points
-    whose stencil reaches lo or hi are skipped; 0.0 when all are."""
-    with np.errstate(all="ignore"):
-        if math.isfinite(hi):
-            xs = np.linspace(lo, hi, FD_POINTS + 2)[1:-1]
-            h = np.minimum(np.maximum(np.abs(xs), 1.0) * 1e-5, (hi - lo) * 1e-3)
-            skip = (xs - h <= lo) | (xs + h >= hi)
-        else:
-            xs = lo + max(1.0, abs(lo)) * _FD_LADDER_POW2
-            h = np.maximum(np.abs(xs), 1.0) * 1e-5
-            skip = xs - h <= lo
-        xs, h = xs[~skip], h[~skip]
-        if not len(xs):
-            return 0.0
-        est = (ex.eval_expr(F, xs + h) - ex.eval_expr(F, xs - h)) / (2.0 * h)
-        ref = ex.eval_expr(fe, xs)
-        score = np.abs(est - ref) / (FD_REL_TOL * (1.0 + np.abs(ref)))
-    # fmax ignores NaN scores, from stencils at points that overflowed to inf
-    return float(np.fmax.reduce(score, initial=0.0))
+    whose stencil reaches lo or hi are skipped; 0.0 when all are.  An
+    EvalError of F or f is raised."""
+    [score] = _antiderivative_scores([(fe, F, lo, hi)])
+    if isinstance(score, ex.EvalError):
+        raise score
+    return score
 
 
-def _check_piece_antiderivative(p: MonotonePiece, where: str, out: list[Violation]) -> None:
-    if p.antiderivative is None:
-        return
-    try:
-        worst = check_antiderivative(p.evaluator, p.antiderivative, p.lo, p.hi)
-    except ex.EvalError as e:
-        out.append(Violation("BadAntiderivative", where, f"antiderivative failed: {e}"))
-        return
-    if worst > 1.0:
-        out.append(Violation("BadAntiderivative", where,
-                             "difference quotients of the antiderivative do not match"))
+def _check_pieces(pieces: list[MonotonePiece], tail: TailSpec | None,
+                  out: list[Violation]) -> None:
+    """Append the sampled violations of all pieces, in piece order, each
+    piece's sampling ones before its antiderivative's, then the tail's."""
+    found: list[list[Violation]] = [[] for _ in range(len(pieces) + 1)]
+    _check_sampling(pieces, found)
+    checks = [(i, p.evaluator, p.antiderivative, p.lo, p.hi)
+              for i, p in enumerate(pieces) if p.antiderivative is not None]
+    if tail is not None and tail.antiderivative is not None and pieces \
+            and math.isinf(pieces[-1].hi):
+        p = pieces[-1]
+        checks.append((len(pieces), p.evaluator, tail.antiderivative, p.lo, p.hi))
+    scores = _antiderivative_scores([check[1:] for check in checks])
+    for (i, *_), score in zip(checks, scores):
+        where = "tail" if i == len(pieces) else f"pieces[{i}]"
+        if isinstance(score, ex.EvalError):
+            found[i].append(Violation("BadAntiderivative", where,
+                                      f"antiderivative failed: {score}"))
+        elif score > 1.0:
+            found[i].append(Violation("BadAntiderivative", where,
+                                      "difference quotients of the antiderivative "
+                                      "do not match"))
+    for violations in found:
+        out.extend(violations)
 
 
 def validate(spec: Mapping) -> BvFunction:
@@ -717,21 +884,7 @@ def validate(spec: Mapping) -> BvFunction:
     elif traw is not None:
         out.append(Violation("BadPartition", "tail", "tail given for a compact domain"))
 
-    for i, p in enumerate(pieces):
-        _check_piece_sampling(p, f"pieces[{i}]", out)
-        _check_piece_antiderivative(p, f"pieces[{i}]", out)
-    if tail is not None and tail.antiderivative is not None and pieces \
-            and math.isinf(pieces[-1].hi):
-        p = pieces[-1]
-        try:
-            worst = check_antiderivative(p.evaluator, tail.antiderivative, p.lo, p.hi)
-            if worst > 1.0:
-                out.append(Violation("BadAntiderivative", "tail",
-                                     "difference quotients of the antiderivative "
-                                     "do not match"))
-        except ex.EvalError as e:
-            out.append(Violation("BadAntiderivative", "tail", f"antiderivative failed: {e}"))
-
+    _check_pieces(pieces, tail, out)
     if out:
         raise ValidationError(out)
     return BvFunction(lo, hi, tuple(bps), tuple(pieces), tail)

@@ -21,18 +21,27 @@ _MAX_DEPTH levels deep, in ops on one path or in parentheses and operands
 open at once, is a ParseError, so every accepted one is evaluated,
 compared, hashed and printed within the default recursion limit.
 
-Each node compiles itself once, on first use, and keeps the result
-outside its fields, so eq, hash, repr and pickle ignore it.  A float is
-evaluated by one straight-line function (Expr.compiled) with one group
-of statements per op, in postorder, that evaluates operands left to
-right and checks each result: a zero divisor before "/", finiteness
-after every binary op, pow and function, and the libm errors of the
-functions, each with the kind the array path gives it.  Its source is
-made only of the op templates in _OPS and register names: x, c<i> for
-the constants and t<i> for the op results, never text from the node.  So
-it depends only on the expression's shape: the constants are the
-arguments of a generated factory, compiled once per shape and kept in a
-bounded cache that a CLI request, which parses its spec again, reuses.
+parse works per template: texts whose tokens differ only in the values
+of their numbers share one, keyed by the text with its numbers blanked.
+The parser makes each template once, from a text of 0s in the place of
+the numbers, and a generated builder then makes each text's tree from
+its numbers, with the array program set on the root.  The templates are
+kept in a bounded cache.  A text that does not parse, or has a number
+that is not finite, goes to the parser, which raises its errors.
+
+Each node compiles itself once, on first use (parse sets the root's
+array program), and keeps the result outside its fields, so eq, hash,
+repr and pickle ignore it.  A float is evaluated by one straight-line
+function (Expr.compiled) with one group of statements per op, in
+postorder, that evaluates operands left to right and checks each result:
+a zero divisor before "/", finiteness after every binary op, pow and
+function, and the libm errors of the functions, each with the kind the
+array path gives it.  Its source is made only of the op templates in
+_OPS and register names: x, c<i> for the constants and t<i> for the op
+results, never text from the node.  So it depends only on the
+expression's shape: the constants are the arguments of a generated
+factory, compiled once per shape and kept in a bounded cache that a CLI
+request, which parses its spec again, reuses.
 
 An array is evaluated by a flat postorder program of ufunc calls
 (Expr.program), run by one interpreter in two modes.  The unchecked run
@@ -145,13 +154,18 @@ class Call(Expr):
     args: tuple[Expr, ...]
 
 
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 _TOKEN_RE = re.compile(
-    r"""(?P<num>(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?)
-      | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+    rf"""(?P<num>{_NUMBER})
+      | (?P<name>{_NAME})
       | (?P<op>[-+*/^(),])
       | (?P<ws>\s+)""",
     re.VERBOSE,
 )
+# A text's names and numbers; the text between them holds its op and space
+# tokens, or a character that starts no token.
+_WORD_RE = re.compile(f"({_NAME})|({_NUMBER})")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -299,8 +313,92 @@ def _height(e: Expr) -> int:
 
 
 def parse(text: str) -> Expr:
-    """Parse expression text into an AST, raising ParseError on bad input."""
+    """Parse expression text into an AST, raising ParseError on bad input.
+
+    Texts whose tokens differ only in the values of their numbers share a
+    template, keyed by the text cut at its names and numbers with the
+    numbers blanked.  The template's builder, made once per key, builds
+    the AST from the numbers in text order.  A key without a builder, or
+    a number that is not finite, takes the parser, whose errors hold the
+    offsets in the text."""
+    parts = _WORD_RE.split(text)
+    numbers = parts[2::3]
+    del parts[2::3]
+    build = _template(tuple(parts))
+    if build is not None:
+        values = [float(n) for n in numbers if n is not None]
+        if math.isfinite(sum(values)):
+            return build(*values)
     return _Parser(text).parse()
+
+
+# The templates kept, one per key.  A CLI request parses its spec again:
+# the cache, not the request, makes each template once.
+_TEMPLATES = 256
+
+
+@functools.lru_cache(maxsize=_TEMPLATES)
+def _template(key: tuple):
+    """The builder of the texts cut into key, which alternates the text
+    between words with a name or None for a number (see parse), or None
+    if such a text does not parse.  The text parsed has 0 for each number,
+    set apart by spaces so that it runs into no word beside it.  So it has
+    the tokens of every text cut into key but for the numbers; a character
+    between words that starts no token ("." not before a digit, "$") fails
+    there as in those texts."""
+    text = "".join(" 0 " if word is None else word for word in key)
+    try:
+        return _builder(_Parser(text).parse())
+    except ParseError:
+        return None
+
+
+def _builder(e: Expr):
+    """A function of e's numbers, in text order, that builds e's AST with
+    them as one straight-line function and sets its array program: e's
+    ops, over those numbers and e's named constants."""
+    init, code = _program(e)
+    lines, registers = [], []  # per program register after x: its source
+    count = 0  # numbers
+
+    def emit(e: Expr) -> str:
+        nonlocal count
+        t = type(e)
+        if t is Var:
+            return "Var()"
+        if t is Num:
+            registers.append(f"F(n{count})")
+            node = f"Num(n{count})"
+            count += 1
+        elif t is Const:
+            registers.append(f"I[{len(registers)}]")
+            node = f"Const({e.name!r})"
+        else:
+            op, args = _op(e)
+            a = ", ".join([emit(arg) for arg in args])
+            registers.append("None")
+            if t is Neg:
+                node = f"Neg({a})"
+            elif t is Bin:
+                node = f"Bin({op!r}, {a})"
+            else:
+                node = f"Call({op!r}, ({a},))"
+        lines.append(f"    t{len(lines)} = {node}\n")
+        return f"t{len(lines) - 1}"
+
+    root = emit(e)
+    del emit  # it refers to itself: a cycle would wait for the collector
+    init_source = "".join(r + ", " for r in registers)
+    source = (f"def build({', '.join(f'n{i}' for i in range(count))}):\n"
+              f"{''.join(lines)}    e = {root}\n"
+              f"    e.__dict__.update(program=(({init_source}), CODE), shape=SHAPE)\n"
+              f"    return e\n")
+    scope = {}
+    names = {"Num": Num, "Var": Var, "Const": Const, "Neg": Neg, "Bin": Bin,
+             "Call": Call, "F": np.float64, "I": init, "CODE": code,
+             "SHAPE": code if _stackable((init, code)) else None}
+    exec(compile(source, "<bvsum.expr template>", "exec"), names, scope)
+    return scope["build"]
 
 
 def _op(e: Expr) -> tuple[str, tuple[Expr, ...]]:

@@ -35,13 +35,12 @@ from .bv import (
     BvFunction,
     Certified,
     MonotonePiece,
-    check_antiderivative,
     left_limit,
     right_limit,
+    _BATCH,
     _segment_endpoint_values,
 )
 from .errors import (
-    BadAntiderivative,
     BvError,
     DomainError,
     MissingAntiderivative,
@@ -52,7 +51,6 @@ from .errors import (
 _EPS = sys.float_info.epsilon
 MAX_CELLS = 1 << 24  # subdivision cap per piece segment
 _CHUNK = 1 << 20
-_BATCH = 1 << 15  # points per batched grid, so that a batch stays in cache
 
 DEFAULT_TOL = 1e-10
 
@@ -363,10 +361,10 @@ def integrate(f: BvFunction, a: float, b: float, tol: float = DEFAULT_TOL) -> Ce
 def tail_integral(f: BvFunction, n: float, tol: float = DEFAULT_TOL):
     """Certified integral of f from n to +inf, or DIVERGENT.
 
-    Requires tail antiderivative data; F' is re-checked against f by
-    sampled difference quotients (BadAntiderivative on mismatch).  For
-    n below the last breakpoint the head is handled by integrate().  A
-    tol that is not positive (<= 0 or NaN) is refused up front.
+    Requires tail antiderivative data, which validate() has checked
+    against f by sampled difference quotients.  For n below the last
+    breakpoint the head is handled by integrate().  A tol that is not
+    positive (<= 0 or NaN) is refused up front.
     """
     if not f.is_half_line:
         raise DomainError("tail_integral needs a half-line domain")
@@ -378,9 +376,6 @@ def tail_integral(f: BvFunction, n: float, tol: float = DEFAULT_TOL):
     if ts is None or ts.antiderivative is None:
         raise MissingAntiderivative("no tail antiderivative supplied")
     tail_piece = f.pieces[-1]
-    if check_antiderivative(tail_piece.evaluator, ts.antiderivative,
-                            tail_piece.lo, tail_piece.hi) > 1.0:
-        raise BadAntiderivative("tail antiderivative fails the sampled F' = f check")
     if ts.antiderivative_limit is None or math.isinf(ts.antiderivative_limit):
         return DIVERGENT
     f_inf = ts.antiderivative_limit
@@ -499,13 +494,34 @@ def _require_int(v) -> int:
     raise NonIntegerBounds(f"bounds must be integers, got {v!r}")
 
 
-def _stieltjes_mid(g: BvFunction, f: BvFunction, segs, ends, shares):
+def _value(seen: dict, e: ex.Expr, x: float) -> float:
+    """e(x), evaluated once per expression and point and kept in seen.
+    The key holds the sign of x, since 0.0 == -0.0."""
+    key = (id(e), x, math.copysign(1.0, x))
+    v = seen.get(key)
+    if v is None:
+        v = seen[key] = ex.eval_expr(e, x)
+    return v
+
+
+def _limit(seen: dict, fn: BvFunction, x: float, right: bool,
+           strict: bool = False) -> float:
+    """right_limit(fn, x, strict) if right, else left_limit(fn, x,
+    strict), with an evaluation of fn's piece at x kept in seen."""
+    p = None if fn.breakpoint_at(x) is not None else fn.piece_containing(x)
+    if p is not None:
+        return _value(seen, p.evaluator, x)
+    return right_limit(fn, x, strict) if right else left_limit(fn, x, strict)
+
+
+def _stieltjes_mid(g: BvFunction, f: BvFunction, segs, ends, shares, *, seen: dict):
     """Integrals of g (continuous on each cell (s, t)) against d(mu_f) on
     open cells where f runs on the non-constant piece fp of (fp, s, t),
     with g's ends (g(s+), g(t-)); tagged Riemann-Stieltjes sums with cell
     error bounded by osc(g) * |mu_f| per subcell.  Every pending segment
     refines one round at a time, from 16 cells, until its error fits its
-    share or it reaches the cell cap."""
+    share or it reaches the cell cap.  Scalar evaluations are kept in
+    seen (see _value)."""
     failed: dict = {}
     curves: tuple[list, list] = ([], [])
     f_ends = []
@@ -514,7 +530,7 @@ def _stieltjes_mid(g: BvFunction, f: BvFunction, segs, ends, shares):
             gp = g.piece_containing(0.5 * (s + t))
             if gp is None:
                 raise DomainError(f"no piece of the integrand covers ({s}, {t})")
-            f_ends.append((right_limit(f, s), left_limit(f, t)))
+            f_ends.append((_limit(seen, f, s, True), _limit(seen, f, t, False)))
         except (BvError, ex.EvalError) as exc:
             failed[i] = exc
             break
@@ -572,12 +588,17 @@ def stieltjes_midvalue(g: BvFunction, f: BvFunction, lo: float, hi: float,
     for fn in (f, g):
         if lo < fn.domain_lo or hi > fn.domain_hi:
             raise DomainError(f"[{lo}, {hi}[ outside a domain")
-    from .bv import mid_value_strict
-
+    # every scalar evaluation of the call, so that each expression is
+    # evaluated once at each point: the cell ends are shared by the atoms,
+    # the weights of both cells beside them and the refinement
+    seen: dict = {}
     atom_terms = []
     for bp in f.breakpoints:
         if lo <= bp.x < hi and bp.jump != 0.0:
-            atom_terms.append(mid_value_strict(g, bp.x) * bp.jump)
+            # as mid_value_strict(g, bp.x)
+            g_mid = 0.5 * (_limit(seen, g, bp.x, False, True)
+                           + _limit(seen, g, bp.x, True, True))
+            atom_terms.append(g_mid * bp.jump)
     atoms = math.fsum(atom_terms)
 
     grid = _refinement_grid(lo, hi, (f, g), with_integers=False)
@@ -588,9 +609,11 @@ def stieltjes_midvalue(g: BvFunction, f: BvFunction, lo: float, hi: float,
             fallback.append((fp, s, t))
 
     def weigh(fp: MonotonePiece, s: float, t: float):
-        v0, vn = _segment_endpoint_values(fp, s, t)
-        gs, gt = right_limit(g, s), left_limit(g, t)
+        # as _segment_endpoint_values(fp, s, t)
+        v0 = fp.left_boundary_limit if s == fp.lo else _value(seen, fp.evaluator, s)
+        vn = fp.right_boundary_limit if t == fp.hi else _value(seen, fp.evaluator, t)
+        gs, gt = _limit(seen, g, s, True), _limit(seen, g, t, False)
         return abs(vn - v0) * abs(gs - gt) + 1e-300, (gs, gt)
 
     return _certify(tol, [atoms], [], fallback, weigh,
-                    functools.partial(_stieltjes_mid, g, f))
+                    functools.partial(_stieltjes_mid, g, f, seen=seen))

@@ -1,5 +1,7 @@
+import json
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,15 +21,20 @@ from bvsum import (
     rho,
     validate,
 )
+from bvsum import bv
 from bvsum import expr as ex
 from bvsum.bv import (
+    ABS_TOL,
     EDGE_SAMPLES,
     FD_POINTS,
     FD_REL_TOL,
     MONO_SAMPLES,
-    _mono_sample_points,
+    REL_TOL,
+    _sample_points,
+    _stencils,
     check_antiderivative,
 )
+from bvsum.errors import Violation
 from oracles import grid_variation
 
 
@@ -169,12 +176,120 @@ def ref_check_antiderivative(fe, F, lo: float, hi: float) -> float:
     return worst
 
 
+# The piece checks as validate made them one piece at a time, kept as
+# bit-equality references for the batched checks in bvsum.bv.
+
+_MONO_I = np.arange(1, MONO_SAMPLES + 1, dtype=np.float64)
+_EDGE_POW2 = np.array([2.0**-j for j in range(1, EDGE_SAMPLES + 1)])
+_LADDER_POW2 = np.array([2.0**j for j in range(0, 41)])
+_FD_LADDER_POW2 = np.array([2.0**j for j in range(-2, 2 * FD_POINTS - 2, 2)])
+
+
+def piece_sample_points(lo: float, hi: float) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        if math.isinf(hi):
+            w = max(1.0, abs(lo))
+            pts = np.concatenate((lo + w * _MONO_I / (MONO_SAMPLES + 1),
+                                  lo + w * _LADDER_POW2,
+                                  lo + w * _EDGE_POW2))
+        else:
+            w = hi - lo
+            off = w * _EDGE_POW2
+            pts = np.concatenate((lo + w * _MONO_I / (MONO_SAMPLES + 1),
+                                  lo + off, hi - off))
+    return np.unique(pts[(lo < pts) & (pts < hi) & np.isfinite(pts)])
+
+
+def piece_check_sampling(p, where: str, out: list) -> None:
+    xs = piece_sample_points(p.lo, p.hi)
+    if not len(xs):
+        return  # nothing to sample
+    try:
+        vals = ex.eval_expr(p.evaluator, xs)
+    except ex.EvalError as e:
+        out.append(Violation("BadExpression", where, f"evaluator failed: {e}"))
+        return
+    lim_lo = min(p.left_boundary_limit, p.right_boundary_limit)
+    lim_hi = max(p.left_boundary_limit, p.right_boundary_limit)
+    scale = max(abs(lim_lo), abs(lim_hi), float(np.max(np.abs(vals))))
+    slack = ABS_TOL + REL_TOL * scale
+    with np.errstate(over="ignore"):
+        d = np.diff(vals)
+        spread = np.abs(vals - vals[0])
+    if p.direction == "inc" and not np.all(d >= -slack):
+        i = int(np.argmin(d))
+        out.append(Violation("NonMonotonePiece", where,
+                             f"declared increasing but decreases near x={xs[i]:.6g}"))
+    elif p.direction == "dec" and not np.all(d <= slack):
+        i = int(np.argmax(d))
+        out.append(Violation("NonMonotonePiece", where,
+                             f"declared decreasing but increases near x={xs[i]:.6g}"))
+    elif p.direction == "const" and not np.all(spread <= slack):
+        out.append(Violation("NonMonotonePiece", where, "declared constant but varies"))
+    if np.any(vals < lim_lo - slack) or np.any(vals > lim_hi + slack):
+        out.append(Violation("InconsistentLimits", where,
+                             "sampled values leave the declared boundary-limit range"))
+
+
+def piece_check_antiderivative(fe, F, lo: float, hi: float) -> float:
+    with np.errstate(all="ignore"):
+        if math.isfinite(hi):
+            xs = np.linspace(lo, hi, FD_POINTS + 2)[1:-1]
+            h = np.minimum(np.maximum(np.abs(xs), 1.0) * 1e-5, (hi - lo) * 1e-3)
+            skip = (xs - h <= lo) | (xs + h >= hi)
+        else:
+            xs = lo + max(1.0, abs(lo)) * _FD_LADDER_POW2
+            h = np.maximum(np.abs(xs), 1.0) * 1e-5
+            skip = xs - h <= lo
+        xs, h = xs[~skip], h[~skip]
+        if not len(xs):
+            return 0.0
+        est = (ex.eval_expr(F, xs + h) - ex.eval_expr(F, xs - h)) / (2.0 * h)
+        ref = ex.eval_expr(fe, xs)
+        score = np.abs(est - ref) / (FD_REL_TOL * (1.0 + np.abs(ref)))
+    return float(np.fmax.reduce(score, initial=0.0))
+
+
+def _piece_antiderivative(fe, F, lo, hi, where: str, out: list) -> None:
+    try:
+        worst = piece_check_antiderivative(fe, F, lo, hi)
+    except ex.EvalError as e:
+        out.append(Violation("BadAntiderivative", where, f"antiderivative failed: {e}"))
+        return
+    if worst > 1.0:
+        out.append(Violation("BadAntiderivative", where,
+                             "difference quotients of the antiderivative do not match"))
+
+
+def piece_check_pieces(pieces, tail, out: list) -> None:
+    for i, p in enumerate(pieces):
+        piece_check_sampling(p, f"pieces[{i}]", out)
+        if p.antiderivative is not None:
+            _piece_antiderivative(p.evaluator, p.antiderivative, p.lo, p.hi,
+                                  f"pieces[{i}]", out)
+    if tail is not None and tail.antiderivative is not None and pieces \
+            and math.isinf(pieces[-1].hi):
+        p = pieces[-1]
+        _piece_antiderivative(p.evaluator, tail.antiderivative, p.lo, p.hi, "tail", out)
+
+
+def batched_points(lo: float, hi: float) -> tuple[np.ndarray, bool]:
+    [row], [empty] = _sample_points(np.array([lo]), np.array([hi]))
+    return row, bool(empty)
+
+
 def assert_same_points(lo: float, hi: float) -> np.ndarray:
-    got = _mono_sample_points(lo, hi)
+    """The batched row of (lo, hi) is the reference's points, each
+    repeated at least once, in increasing order."""
     want = ref_mono_sample_points(lo, hi)
-    assert got.dtype == want.dtype == np.float64
-    assert got.tobytes() == want.tobytes(), (lo, hi)
-    return got
+    assert piece_sample_points(lo, hi).tobytes() == want.tobytes(), (lo, hi)
+    row, empty = batched_points(lo, hi)
+    assert empty == (len(want) == 0), (lo, hi)
+    if len(want):
+        assert row.dtype == np.float64
+        assert np.all(row[1:] >= row[:-1]), (lo, hi)
+        assert np.unique(row).tobytes() == want.tobytes(), (lo, hi)
+    return want
 
 
 def corpus_antiderivatives(corpus):
@@ -188,10 +303,18 @@ def corpus_antiderivatives(corpus):
             yield name + ":tail", p.evaluator, fn.tail.antiderivative, p.lo, p.hi
 
 
+def _ulps_above(x: float, n: int) -> float:
+    for _ in range(n):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+_LOS = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e300, 1e300))
+
+
 class TestVectorValidation:
     @settings(max_examples=200, deadline=None)
-    @given(st.one_of(st.floats(-1e3, 1e3), st.floats(-1e300, 1e300)),
-           st.one_of(st.floats(1e-9, 1e9), st.floats(5e-324, 1e300)))
+    @given(_LOS, st.one_of(st.floats(1e-9, 1e9), st.floats(5e-324, 1e300)))
     def test_sample_points_match_reference(self, lo, width):
         hi = lo + width
         if not (lo < hi and math.isfinite(hi)):
@@ -199,27 +322,57 @@ class TestVectorValidation:
         assert_same_points(lo, hi)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.one_of(st.floats(-1e3, 1e3), st.floats(-1e300, 1e300)),
-           st.integers(1, 3000))
+    @given(_LOS, st.integers(1, 3000))
     def test_sample_points_match_reference_on_tiny_widths(self, lo, ulps):
         # widths of a few ulps: lo + w*2^-j rounds back to lo and is dropped
-        hi = lo
-        for _ in range(ulps):
-            hi = math.nextafter(hi, math.inf)
-        assert_same_points(lo, hi)
+        assert_same_points(lo, _ulps_above(lo, ulps))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.one_of(st.floats(-1e3, 1e3), st.floats(-1e300, 1e300)))
+    @given(_LOS)
     def test_sample_points_match_reference_on_half_lines(self, lo):
         assert_same_points(lo, math.inf)
 
     def test_sample_points_edge_cases(self):
         tiny = assert_same_points(1.0, 1.0 + 4 * math.ulp(1.0))
         assert len(tiny) == 3
+        assert len(assert_same_points(1.0, math.nextafter(1.0, 2.0))) == 0
         assert len(assert_same_points(-1e300, 1e300)) > 0  # width overflows
         assert len(assert_same_points(1e300, math.inf)) > 0  # ladder overflows
         for lo, hi in [(-5.0, 5.0), (0.0, math.inf), (-1e6, math.inf)]:
             assert_same_points(lo, hi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(_LOS, st.one_of(st.floats(1e-6, 1e6), st.integers(1, 40))),
+                    min_size=1, max_size=12))
+    def test_rows_of_a_batch_are_the_lone_rows(self, intervals):
+        # a width given as an integer is that many ulps
+        los = np.array([lo for lo, _ in intervals])
+        his = np.array([_ulps_above(lo, w) if isinstance(w, int) else lo + w
+                        for lo, w in intervals])
+        xs, empty = _sample_points(los, his)
+        for row, e, lo, hi in zip(xs, empty, los, his):
+            want_row, want_empty = batched_points(lo, hi)
+            assert e == want_empty
+            if not e:
+                assert row.tobytes() == want_row.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.floats(-1e6, 1e6), st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300)),
+           st.one_of(st.floats(1e-12, 1e6), st.floats(5e-324, 1e-300), st.integers(1, 40)))
+    def test_stencil_points_are_linspace_row_by_row(self, lo, width):
+        hi = _ulps_above(lo, width) if isinstance(width, int) else lo + width
+        if not (lo < hi and math.isfinite(hi)):
+            return
+        step = np.linspace(lo, hi, FD_POINTS + 2)[1:-1]
+        other = (-1.0, 3.0)  # a second row that does not step by zero
+        xs, h, empty = _stencils(np.array([lo, other[0]]), np.array([hi, other[1]]))
+        kept = np.unique(xs[0])
+        with np.errstate(all="ignore"):
+            hs = np.minimum(np.maximum(np.abs(step), 1.0) * 1e-5, (hi - lo) * 1e-3)
+            keep = ~((step - hs <= lo) | (step + hs >= hi))
+        assert empty[0] == (not keep.any())
+        if keep.any():
+            assert kept.tobytes() == np.unique(step[keep]).tobytes()
 
     def test_corpus_antiderivative_scores_match_reference(self, corpus):
         # scores may differ by evaluator ulps amplified by the quotient's
@@ -230,6 +383,7 @@ class TestVectorValidation:
             assert (got > 1.0) == (want > 1.0), name
             assert got == pytest.approx(want, rel=1e-6, abs=1e-6), name
             assert got <= 1.0, name
+            assert got == piece_check_antiderivative(fe, F, lo, hi), name
 
     def test_corpus_wrong_antiderivatives_fail_both_checks(self, corpus):
         for name, fe, F, lo, hi in corpus_antiderivatives(corpus):
@@ -276,6 +430,144 @@ class TestVectorValidation:
         [v] = exc.value.violations
         assert (v.kind, v.where) == ("BadAntiderivative", "tail")
         assert "antiderivative failed" in v.message
+
+    def test_wrong_tail_antiderivative_is_bad_antiderivative(self):
+        spec = {
+            "domain": {"lo": 0, "hi": "inf"},
+            "pieces": [{"interval": [0, "inf"], "expr": "exp(-x)",
+                        "direction": "dec", "left_limit": 1, "right_limit": 0}],
+            "breakpoints": [],
+            "tail": {"limit": 0, "antiderivative": "-exp(-2*x)",
+                     "antiderivative_limit": 0},
+        }
+        with pytest.raises(ValidationError) as exc:
+            validate(spec)
+        [v] = exc.value.violations
+        assert (v.kind, v.where) == ("BadAntiderivative", "tail")
+        assert v.message == "difference quotients of the antiderivative do not match"
+        spec["tail"]["antiderivative"] = "-exp(-x)"
+        assert validate(spec).tail.antiderivative == ex.parse("-exp(-x)")
+
+    def test_piece_without_sample_points_is_not_sampled(self):
+        # the middle piece is one ulp wide: no point lies inside it
+        a = 1.0
+        b = math.nextafter(a, 2.0)
+        f = validate({
+            "domain": {"lo": 0, "hi": 2},
+            "pieces": [
+                {"interval": [0, a], "expr": "x", "direction": "inc",
+                 "left_limit": 0, "right_limit": a},
+                {"interval": [a, b], "expr": "x", "direction": "inc",
+                 "left_limit": a, "right_limit": b},
+                {"interval": [b, 2], "expr": "x", "direction": "inc",
+                 "left_limit": b, "right_limit": 2},
+            ],
+            "breakpoints": [{"x": a, "left": a, "value": a, "right": a},
+                            {"x": b, "left": b, "value": b, "right": b}],
+        })
+        assert len(f.pieces) == 3
+
+
+# Random specs for the differential test of the batched piece checks:
+# expressions of a few shapes, so that pieces share programs and batches,
+# with constants that make some pieces fail.
+_SHAPES = [
+    ("{a}*x+{b}", "{a}*x^2/2+{b}*x"),
+    ("{a}*exp({b}*x)", "{a}/{b}*exp({b}*x)"),
+    ("{a}+sin({b}*x)", "{a}*x-cos({b}*x)/{b}"),
+    ("{a}/(x-{b})", "{a}*log(x-{b})"),
+    ("sqrt(x-{b})*{a}", "{a}*2/3*(x-{b})^(3/2)"),
+    ("log(x+{b})", "(x+{b})*log(x+{b})-x"),
+    ("atan({a}*x)+{b}", "x*atan({a}*x)"),
+    ("floor({a}*x)", "{b}*x"),
+    ("{a}", "{a}*x"),
+    ("x^{a}", "x^({a}+1)/({a}+1)"),
+]
+
+
+def _limit_of(text: str, x: float, fallback: float) -> float:
+    try:
+        return ex.eval_expr(ex.parse(text), x)
+    except ex.EvalError:
+        return fallback
+
+
+@st.composite
+def piece_specs(draw):
+    """A spec whose pieces tile the domain, with breakpoints that match
+    their limits, but whose pieces may be non-monotone, leave their
+    limits, fail to evaluate, carry wrong antiderivatives, be a few ulps
+    wide or run to infinity."""
+    lo = draw(st.sampled_from([0.0, 1.0, -3.5, 1e6, 1e-300]))
+    cuts = [lo]
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.booleans()):
+            cuts.append(_ulps_above(cuts[-1], draw(st.integers(1, 30))))
+        else:
+            cuts.append(cuts[-1] + draw(st.sampled_from([1e-9, 0.5, 1.0, 3.0, 1e3])))
+    half_line = draw(st.booleans())
+    ends = cuts[1:] + ([math.inf] if half_line else [])
+    pieces, bps = [], []
+    for i, (p, q) in enumerate(zip(cuts, ends)):
+        shape, anti = draw(st.sampled_from(_SHAPES))
+        consts = {"a": draw(st.sampled_from([1.0, -2.0, 0.5, 3.0])),
+                  "b": draw(st.sampled_from([1.0, -1.0, 0.25, p + 0.1, 2.0]))}
+        text = shape.format(**consts)
+        # the limits the expression takes, perturbed at times
+        left = _limit_of(text, p, 0.0) + draw(st.sampled_from([0.0, 0.0, 1e-3, -5.0]))
+        right = (_limit_of(text, q, 1.0) if math.isfinite(q) else
+                 draw(st.sampled_from([0.0, 1.0, left])))
+        piece = {"interval": [p, "inf" if math.isinf(q) else q], "expr": text,
+                 "direction": draw(st.sampled_from(["inc", "dec", "const"])),
+                 "left_limit": left, "right_limit": right}
+        if draw(st.booleans()):
+            piece["antiderivative"] = draw(st.sampled_from([anti, "x^2", "exp(x)"])).format(
+                **consts)
+        pieces.append(piece)
+        if i:
+            prev = pieces[i - 1]["right_limit"]
+            bps.append({"x": p, "left": prev, "value": prev, "right": left})
+    spec = {"domain": {"lo": lo, "hi": "inf" if half_line else cuts[-1]},
+            "pieces": pieces, "breakpoints": bps}
+    if half_line:
+        spec["tail"] = {"limit": pieces[-1]["right_limit"],
+                        "antiderivative": draw(st.sampled_from(["-exp(-x)", "log(x-1)",
+                                                                "x", "-1/x"])),
+                        "antiderivative_limit": 0.0}
+    return spec
+
+
+def _validated(spec):
+    try:
+        return "ok", validate(spec)
+    except ValidationError as e:
+        return "violations", [(v.kind, v.where, v.message) for v in e.violations]
+
+
+class TestBatchedValidation:
+    @settings(max_examples=150, deadline=None)
+    @given(piece_specs(), st.sampled_from([1 << 15, 4000, 1]))
+    def test_validate_as_per_piece_checks(self, spec, batch):
+        # a smaller batch splits the pieces of one shape across batches
+        with mock.patch.object(bv, "_BATCH", batch):
+            got = _validated(spec)
+        with mock.patch.object(bv, "_check_pieces", piece_check_pieces):
+            want = _validated(spec)
+        assert got == want
+
+    def test_corpus_and_broken_corpus_as_per_piece_checks(self, corpus_dir):
+        for path in sorted(corpus_dir.glob("*.json")):
+            spec = json.loads(path.read_text())
+            broken = json.loads(path.read_text())
+            for p in broken["pieces"]:
+                p["direction"] = {"inc": "dec", "dec": "const", "const": "inc"}[p["direction"]]
+                p["left_limit"] = p["left_limit"] + 0.5
+                if p.get("antiderivative"):
+                    p["antiderivative"] = "x^3"
+            for s in (spec, broken):
+                got = _validated(s)
+                with mock.patch.object(bv, "_check_pieces", piece_check_pieces):
+                    assert got == _validated(s), path.name
 
 
 class TestEvalAndLimits:

@@ -189,22 +189,21 @@ class TestSeries:
             enc = series_sum(f, n)
             assert enc.contains(want), n
 
-    def test_one_antiderivative_check_per_series_sum(self, corpus, monkeypatch):
-        import bvsum.measure as measure
+    def test_no_antiderivative_check_in_series_sum(self, corpus, monkeypatch):
+        # validate checked the tail antiderivative once; the data is immutable
+        import bvsum.bv as bv
         calls = []
-        real = measure.check_antiderivative
+        real = bv._antiderivative_scores
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+        def counting(checks):
+            calls.append(checks)
+            return real(checks)
 
-        monkeypatch.setattr(measure, "check_antiderivative", counting)
-        series_sum(corpus["basel.json"], 10)
-        assert len(calls) == 1
-        calls.clear()
+        monkeypatch.setattr(bv, "_antiderivative_scores", counting)
+        assert series_sum(corpus["basel.json"], 10).contains(BASEL_SUM)
         with pytest.raises(SeriesDivergent):
             series_sum(corpus["harmonic.json"], 10)
-        assert len(calls) == 1
+        assert calls == []
 
     def test_enclosures_intersect_and_shrink(self, corpus):
         f = corpus["basel.json"]

@@ -388,7 +388,8 @@ def test_unchecked_run_passing_means_strict_run_passes(tree, xs):
 def test_program_built_once_per_node_and_outside_the_fields():
     import pickle
 
-    e = parse("exp(-x)*sin(x)")
+    # the parser leaves the program to the first array evaluation
+    e = ex._Parser("exp(-x)*sin(x)").parse()
     assert "program" not in vars(e)
     eval_expr(e, np.array([1.0, 2.0]))
     prog = vars(e)["program"]
@@ -786,3 +787,92 @@ def test_rows_run_once_per_shape(monkeypatch):
     assert exprs[0].shape == exprs[1].shape and parse("x^2").shape is None
     copy = pickle.loads(pickle.dumps(exprs[0]))
     assert copy == exprs[0] and "shape" not in vars(copy)
+
+
+# ---------------------------------------------------------------------------
+# parse builds a text's AST from the template of its key, the text with its
+# numbers blanked; the parser itself makes each template and every error.
+
+_LITERALS = st.sampled_from(["0", "1", "2.", ".5", "1.5", "2e3", "2E+3", "1e-3",
+                             "007", "1e400", "4.5e-310", "123456789012345678901"])
+_GAPS = st.sampled_from(["", "", " ", "  ", "\t", "\n"])
+_STRAY = st.sampled_from(["x", ".", "e", "E", "1", ".5", "(", ")", "+", "-", "*",
+                          "^", ",", "$", "pi", "pow", "exp", " ", "e5", "_"])
+
+
+@st.composite
+def _text_pairs(draw):
+    """Two texts of the grammar, spaced at random, that differ only in
+    their number literals, at times with one part inserted or removed."""
+    tree = draw(_ast)
+    parts = [draw(_GAPS)]
+    for kind, text, _ in ex._tokenize(render(tree))[:-1]:
+        parts += [None if kind == "num" else text, draw(_GAPS)]
+    if draw(st.booleans()):
+        parts.insert(draw(st.integers(0, len(parts))), draw(_STRAY))
+    if draw(st.booleans()):
+        del parts[draw(st.integers(0, len(parts) - 1))]
+    return tuple("".join(draw(_LITERALS) if p is None else p for p in parts)
+                 for _ in range(2))
+
+
+def _parse_outcome(parse_text, text):
+    try:
+        return parse_text(text)
+    except ParseError as e:
+        return ("error", e.offset, e.message, e.expected)
+
+
+def _assert_parses_as_the_parser(text):
+    want = _parse_outcome(lambda t: ex._Parser(t).parse(), text)
+    got = _parse_outcome(parse, text)
+    if isinstance(want, tuple):
+        assert got == want, text
+        return
+    assert got == want and repr(got) == repr(want) and hash(got) == hash(want), text
+    for x in (0.5, -1.5, 3.0, 0.0):
+        assert _scalar_outcome(lambda v: eval_expr(got, v), x) == \
+            _scalar_outcome(lambda v: eval_expr(want, v), x), text
+    xs = np.array([0.5, -1.5, 3.0, 0.0, 1e3])
+    assert _outcome(lambda: eval_expr(got, xs)) == _outcome(lambda: eval_expr(want, xs))
+    (init, code), (want_init, want_code) = got.program, ex._program(want)
+    assert code == want_code and got.shape == want.shape, text
+    assert [None if v is None else (type(v), _bits(v)) for v in init] == \
+        [None if v is None else (type(v), _bits(v)) for v in want_init], text
+
+
+@settings(max_examples=600, deadline=None)
+@given(_text_pairs())
+def test_template_parse_is_the_parser(texts):
+    # the first text may make its template, the second then uses it
+    for text in texts:
+        _assert_parses_as_the_parser(text)
+
+
+@pytest.mark.parametrize("text,offset", MALFORMED)
+def test_malformed_inputs_report_position_on_a_known_key(text, offset):
+    # the second parse finds the key that has no template
+    for _ in range(2):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.offset == offset
+
+
+def test_texts_of_one_template_share_their_ops():
+    a, b = parse("2*x + exp(-1.5*x)"), parse("3*x + exp(-.25*x)")
+    assert a.program[1] is b.program[1] and a.shape is b.shape
+    assert a.program[0] is not b.program[0]
+    c = parse("2*x+exp(-1.5*x)")  # other spacing, another template
+    assert c == a and c.program[1] == a.program[1]
+
+
+def test_template_cache_stays_at_its_bound():
+    # nested sin and cos calls, one template per bit pattern: twice as many
+    # templates as the cache keeps
+    n = 2 * ex._TEMPLATES
+    levels = (n - 1).bit_length()
+    for i in range(n):
+        text = ("".join("sin(" if i >> k & 1 else "cos(" for k in range(levels))
+                + f"{i}*x" + ")" * levels)
+        _assert_parses_as_the_parser(text)
+    assert ex._template.cache_info().currsize == ex._TEMPLATES

@@ -632,6 +632,40 @@ class TestBatchedEngine:
         assert_as_reference(lambda: stieltjes_midvalue(g, f, 0.0, hi, tol))
 
 
+def _scalar_evaluations(call):
+    """The (expression id, point) pairs of the scalar evaluations that
+    call makes, in order."""
+    pairs = []
+    real = ex.eval_expr
+
+    def counting(e, x):
+        if not isinstance(x, np.ndarray):
+            pairs.append((id(e), x, math.copysign(1.0, x)))
+        return real(e, x)
+
+    with mock.patch.object(ex, "eval_expr", counting):
+        call()
+    return pairs
+
+
+class TestMidvalueEvaluations:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), _tols)
+    def test_each_expression_evaluated_once_per_point(self, data, tol):
+        f, g = data.draw(monotone_specs(2)), data.draw(monotone_specs(2))
+        hi = data.draw(st.sampled_from([1.5, 2.0]))
+        pairs = _scalar_evaluations(lambda: _outcome(
+            lambda: stieltjes_midvalue(g, f, 0.0, hi, tol)))
+        assert len(pairs) == len(set(pairs))
+
+    def test_parts_check_pairs_on_the_corpus(self, corpus):
+        # both orders of a pair, as parts_check calls them
+        f, g = corpus["sin_arches.json"], corpus["vshape.json"]
+        for a, b in ((f, g), (g, f)):
+            pairs = _scalar_evaluations(lambda: stieltjes_midvalue(a, b, 0.0, 2.0, 1e-6))
+            assert pairs and len(pairs) == len(set(pairs))
+
+
 def direct(*pieces):
     """A BvFunction built without validation from increasing pieces (lo,
     hi, expr, left limit, right limit), with breakpoints at the inner
