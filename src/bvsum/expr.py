@@ -728,7 +728,10 @@ def eval_rows(exprs, x: np.ndarray):
                 values[i] = eval_expr(exprs[i], x[i])
             except EvalError as err:
                 values[i] = math.nan
-                errors[i] = err
+                # without its traceback, whose frames (this one among
+                # them) would keep the caller's arrays alive until the
+                # next garbage collection
+                errors[i] = err.with_traceback(None)
     return values, errors
 
 

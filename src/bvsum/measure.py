@@ -12,13 +12,15 @@ engine.  _certify splits what tol leaves after the closed-form radii over
 the segments to refine, refusing tol <= 0 or NaN before any work, and
 hands all of them to the route at once.  Each segment's cell count is
 fixed a priori (_cells) or, for mid-value sums, grown round by round from
-the measured error.  _walk evaluates the grids of all segments together:
-segments with the same cell count are rows of one 2-D grid, capped at
-_BATCH points, and eval_rows runs the rows of one expression shape as
-one program.  Every point, value and sum is the float operation a lone
-per-segment grid makes, so results are bit for bit those of refining one
-segment after the other, and so is the error: that of the first segment,
-in segment order, whose refinement fails.
+the measured error.  _walk evaluates the grids of all segments together,
+in chunks of _CHUNK cells: chunks of the same cell count are rows of one
+2-D grid of at most _BATCH points, and eval_rows runs the rows of one
+expression shape as one program.  A longer chunk is walked in blocks of
+at most _BATCH points, whose per-cell terms fill one chunk-long buffer
+per term that is summed once.  Every point, value and sum is the float
+operation a lone per-segment grid makes, so results are bit for bit
+those of refining one segment after the other, and so is the error:
+that of the first segment, in segment order, whose refinement fails.
 """
 
 from __future__ import annotations
@@ -176,22 +178,28 @@ def _cells(s: float, t: float, spread: float, budget: float, n: int,
     return n
 
 
-def _walk(jobs, bounds, curves, failed: dict, sums) -> dict:
+def _walk(jobs, bounds, curves, failed: dict, terms) -> dict:
     """Walk the uniform grids of the jobs (i, n), in segment order, and
     return per segment i the list of its chunks' sums.
 
     Segment i's grid is the n+1 points over bounds[i] = (s, t), cut into
-    chunks of _CHUNK cells that share their end points.  Chunks of the
-    same span and cell count are the rows of one batch of at most _BATCH
-    points, each with the float operations of a lone grid.  Per batch,
-    sums(rows, first, last, xs, *vals) gives arrays with one entry per
-    row: rows are the batch's segments, first and last tell whether it
-    holds the grids' ends, xs are its points and vals has one array per
-    curve, curves[c][i] being segment i's expression.  vals cover xs but
-    the grids' ends, so no expression is evaluated at s or t (_with_ends
-    puts the one-sided limits there).  A row that fails to evaluate
-    records its segment's first EvalError in failed; rows of segments at
-    or after the first failed one are skipped."""
+    chunks of _CHUNK cells that share their end points; a chunk's sums
+    fix how the grid's terms are associated.  Chunks of the same span
+    and cell count are the rows of one batch of at most _BATCH points,
+    each with the float operations of a lone grid.  A chunk of more
+    points is a batch of one row, walked in blocks of at most _BATCH
+    points that share their end points (see _blocks).
+
+    Per block, terms(rows, first, last, xs, errs, *vals) gives the
+    per-cell terms to sum, one 2-D array per term with a row per
+    segment: rows are the block's segments, first and last tell whether
+    it holds the grids' ends, xs are its points and vals has one array
+    per curve, curves[c][i] being segment i's expression.  vals cover xs
+    but the grids' ends, so no expression is evaluated at s or t (_diffs
+    puts the one-sided limits there).  terms evaluates any further curve
+    by _evaluate into errs.  A row that fails to evaluate records its
+    segment's first EvalError in failed; rows of segments at or after
+    the first failed one are skipped."""
     parts = {i: [] for i, _ in jobs}
     batches = {}
     for i, n in jobs:
@@ -199,7 +207,6 @@ def _walk(jobs, bounds, curves, failed: dict, sums) -> dict:
             batches.setdefault((n, start), []).append(i)
     for (n, start), segs in batches.items():
         stop = min(n, start + _CHUNK)
-        first, last = start == 0, stop == n
         size = max(1, _BATCH // (stop - start + 1))
         for k in range(0, len(segs), size):
             cut = min(failed, default=math.inf)
@@ -207,38 +214,80 @@ def _walk(jobs, bounds, curves, failed: dict, sums) -> dict:
             if not rows:
                 continue
             s = np.array([bounds[i][0] for i in rows])[:, None]
-            xs = (np.array([bounds[i][1] for i in rows])[:, None] - s) * (
-                np.arange(start, stop + 1, dtype=np.float64) / n)
-            xs += s  # s + (t - s) * (k / n), as for a lone grid
-            inner = xs[:, int(first):xs.shape[1] - int(last)]
-            vals = [_evaluate(curve, rows, inner, failed) for curve in curves]
-            for i, *sum_ in zip(rows, *sums(rows, first, last, xs, *vals)):
+            block = functools.partial(
+                _block, rows, n, s, np.array([bounds[i][1] for i in rows])[:, None] - s,
+                curves, terms)
+            if stop - start < _BATCH:
+                sums = [np.sum(a, axis=1) for a in block(start, stop, failed)]
+            else:
+                sums = _blocks(block, start, stop)
+                if sums is None:
+                    # the whole chunk as one block records the error
+                    # that the walk without blocks met
+                    block(start, stop, failed)
+                    continue
+            for i, *sum_ in zip(rows, *sums):
                 parts[i].append(sum_)
-            del xs, inner, vals  # free this batch before the next is built
     return parts
 
 
-def _evaluate(exprs, rows, xs, failed: dict):
+def _block(rows, n: int, s, width, curves, terms, c0: int, c1: int, errs: dict):
+    """The terms of the cells between the points c0 and c1 of the rows'
+    n-cell grids over [s, s + width], evaluating the curves in order;
+    errors go to errs."""
+    xs = width * (np.arange(c0, c1 + 1, dtype=np.float64) / n)
+    xs += s  # s + (t - s) * (k / n), as for a lone grid
+    first, last = c0 == 0, c1 == n
+    inner = xs[:, int(first):xs.shape[1] - int(last)]
+    vals = [_evaluate(curve, rows, inner, errs) for curve in curves]
+    return terms(rows, first, last, xs, errs, *vals)
+
+
+def _blocks(block, start: int, stop: int):
+    """The per-row sums of the cells start..stop, walked by
+    block(c0, c1, errs) (see _block) in blocks of at most _BATCH points:
+    each term is copied into a buffer as long as the chunk and summed
+    once, so the sums are those of the whole chunk.  None if a block
+    fails: its error may not be the chunk's, which is that of the first
+    failing curve, at the first bad point of its first failing op."""
+    blocks = -(-(stop - start) // (_BATCH - 1))  # cut into equal blocks
+    cuts = [start + (stop - start) * j // blocks for j in range(blocks + 1)]
+    bufs, pos = None, 0
+    for c0, c1 in zip(cuts, cuts[1:]):
+        errs = {}
+        terms = block(c0, c1, errs)
+        if errs:
+            return None
+        if bufs is None:
+            bufs = [np.empty((len(a), stop - start)) for a in terms]
+        for buf, a in zip(bufs, terms):
+            buf[:, pos:pos + a.shape[1]] = a
+        pos += terms[0].shape[1]
+    return [np.sum(buf[:, :pos], axis=1) for buf in bufs]
+
+
+def _evaluate(exprs, rows, xs, errs: dict):
     """exprs[i] over the points xs of each row, for the segments rows;
-    a failing row records its segment's error in failed, if it is the
+    a failing row records its segment's error in errs, if it is the
     first."""
     vals, errors = ex.eval_rows([exprs[i] for i in rows], xs)
     for r, err in errors.items():
-        failed.setdefault(rows[r], err)
+        errs.setdefault(rows[r], err)
     return vals
 
 
-def _with_ends(vals, rows, ends, first: bool, last: bool):
-    """A curve's values over whole grid rows: vals inside, and at a
-    grid's ends the one-sided limits ends[i] = (v0, vn) of segment i."""
+def _diffs(vals, rows, ends, first: bool, last: bool):
+    """Differences along each row of a curve's values over whole grid
+    rows: vals inside, and at a grid's ends the one-sided limits ends[i]
+    = (v0, vn) of segment i."""
     m, k = vals.shape
-    whole = np.empty((m, k + first + last))
-    whole[:, int(first):k + int(first)] = vals
+    d = np.empty((m, k - 1 + first + last))
+    np.subtract(vals[:, 1:], vals[:, :-1], out=d[:, int(first):d.shape[1] - int(last)])
     if first:
-        whole[:, 0] = [ends[i][0] for i in rows]
+        np.subtract(vals[:, 0], [ends[i][0] for i in rows], out=d[:, 0])
     if last:
-        whole[:, -1] = [ends[i][1] for i in rows]
-    return whole
+        np.subtract([ends[i][1] for i in rows], vals[:, -1], out=d[:, -1])
+    return d
 
 
 def _raise_first(failed: dict) -> None:
@@ -273,9 +322,9 @@ def _certify(tol: float, values: list[float], radii: list[float],
     return result
 
 
-def _a_priori(segs, ends, shares, n0: int, route: str, sums):
+def _a_priori(segs, ends, shares, n0: int, route: str, terms):
     """Walk monotone segments (p, s, t) with ends (v0, vn) on a-priori
-    grids (_cells from n0) and sum them by sums (see _walk): per segment
+    grids (_cells from n0) and sum their terms (see _walk): per segment
     its cell count and its chunks' sums.  A segment's refusal is raised
     only if the segments before it evaluate."""
     jobs, failed = [], {}
@@ -286,7 +335,7 @@ def _a_priori(segs, ends, shares, n0: int, route: str, sums):
             failed[i] = exc
             break
     parts = _walk(jobs, [seg[1:] for seg in segs],
-                  [[p.evaluator for p, _, _ in segs]], failed, sums)
+                  [[p.evaluator for p, _, _ in segs]], failed, terms)
     _raise_first(failed)
     return [(n, [sum_[0] for sum_ in parts[i]]) for i, n in jobs]
 
@@ -313,13 +362,13 @@ def _darboux(segs, ends, shares):
     bracketing Darboux sums; the bracket gap for a monotone function on
     an n-cell grid is (t-s)/n * |f(t)-f(s)|, so each segment's cell count
     is doubled until half the gap fits its share."""
-    def sums(rows, first, last, xs, vals):
-        # each chunk after the first leaves its first point to the one
+    def terms(rows, first, last, xs, errs, vals):
+        # each block after the first leaves its first point to the one
         # before it
-        return (np.sum(vals if first else vals[:, 1:], axis=1),)
+        return (vals if first else vals[:, 1:],)
 
     out = []
-    walked = _a_priori(segs, ends, shares, 64, "Darboux bracketing", sums)
+    walked = _a_priori(segs, ends, shares, 64, "Darboux bracketing", terms)
     for (_, s, t), (v0, vn), (n, parts) in zip(segs, ends, walked):
         h = (t - s) / n
         value = h * (math.fsum([v0, vn, *parts]) - 0.5 * (v0 + vn))
@@ -425,15 +474,17 @@ def _beta1_stieltjes(segs, ends, shares):
     """beta1 against d(mu_f) on open cells (s, t) by tagged
     Riemann-Stieltjes sums; beta1 is 1-Lipschitz on a cell so the
     midpoint-tag error per subcell is (h/2) * |mu_f|(subcell)."""
-    def sums(rows, first, last, xs, vals):
-        # beta1's affine branch on the cell (k, k+1) of each row
-        k = np.array([math.floor(segs[i][1]) + 0.5 for i in rows])[:, None]
-        mids = 0.5 * (xs[:, :-1] + xs[:, 1:])
-        dmu = np.diff(_with_ends(vals, rows, ends, first, last), axis=1)
-        return (np.sum((mids - k) * dmu, axis=1),)
+    def terms(rows, first, last, xs, errs, vals):
+        # (mid - k - 1/2) * dmu, beta1's affine branch on the cell (k,
+        # k+1) of each row at the subcells' midpoints
+        mids = np.add(xs[:, :-1], xs[:, 1:])
+        mids *= 0.5
+        mids -= np.array([math.floor(segs[i][1]) + 0.5 for i in rows])[:, None]
+        mids *= _diffs(vals, rows, ends, first, last)
+        return (mids,)
 
     out = []
-    walked = _a_priori(segs, ends, shares, 16, "Stieltjes refinement", sums)
+    walked = _a_priori(segs, ends, shares, 16, "Stieltjes refinement", terms)
     for (_, s, t), (v0, vn), (n, parts) in zip(segs, ends, walked):
         value = math.fsum(parts)
         out.append((value, 0.5 * ((t - s) / n) * abs(vn - v0) + _slack(value)))
@@ -537,18 +588,25 @@ def _stieltjes_mid(g: BvFunction, f: BvFunction, segs, ends, shares, *, seen: di
         curves[0].append(fp.evaluator)
         curves[1].append(gp.evaluator)
 
-    def sums(rows, first, last, xs, fv, gv):
-        gmid = _evaluate(curves[1], rows, 0.5 * (xs[:, :-1] + xs[:, 1:]), failed)
-        dmu = np.diff(_with_ends(fv, rows, f_ends, first, last), axis=1)
-        dg = np.diff(_with_ends(gv, rows, ends, first, last), axis=1)
-        return np.sum(gmid * dmu, axis=1), np.sum(np.abs(dg) * np.abs(dmu), axis=1)
+    def terms(rows, first, last, xs, errs, fv, gv):
+        # g(mid) * dmu and |dg| * |dmu|, built in the arrays of g(mid)
+        # and dg
+        mids = np.add(xs[:, :-1], xs[:, 1:])
+        mids *= 0.5
+        gmid = _evaluate(curves[1], rows, mids, errs)
+        dmu = _diffs(fv, rows, f_ends, first, last)
+        dg = _diffs(gv, rows, ends, first, last)
+        np.multiply(gmid, dmu, out=gmid)
+        np.abs(dg, out=dg)
+        dg *= np.abs(dmu, out=dmu)
+        return gmid, dg
 
     bounds = [seg[1:] for seg in segs]
     ns = [16] * len(f_ends)
     out: list = [None] * len(ns)
     pending = list(range(len(ns)))
     while pending:
-        parts = _walk([(i, ns[i]) for i in pending], bounds, curves, failed, sums)
+        parts = _walk([(i, ns[i]) for i in pending], bounds, curves, failed, terms)
         cut = min(failed, default=math.inf)
         grown = []
         for i in pending:

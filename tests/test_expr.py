@@ -1,6 +1,8 @@
+import gc
 import math
 import pickle
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -787,6 +789,20 @@ def test_rows_run_once_per_shape(monkeypatch):
     assert exprs[0].shape == exprs[1].shape and parse("x^2").shape is None
     copy = pickle.loads(pickle.dumps(exprs[0]))
     assert copy == exprs[0] and "shape" not in vars(copy)
+
+
+def test_row_errors_do_not_keep_the_points_alive():
+    # an error kept by the caller holds no frame of the evaluation, so the
+    # caller's arrays are freed without waiting for a garbage collection
+    gc.disable()
+    try:
+        xs = np.array([[-2.0, 1.0]])
+        alive = weakref.ref(xs)
+        _, errors = ex.eval_rows([parse("log(x)")], xs)
+        del xs
+        assert errors[0].kind == "log_domain" and alive() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -608,28 +608,52 @@ def monotone_specs(draw, length):
 _tols = st.floats(-8.0, -3.0).map(lambda lg: 10.0 ** lg)
 
 
+def integrate_as_reference(data, tol):
+    f = data.draw(monotone_specs(2))
+    a = data.draw(st.sampled_from([0.0, 0.25, 0.5]))
+    b = data.draw(st.sampled_from([1.0, 1.75, 2.0]))
+    assert_as_reference(lambda: integrate(f, a, b, tol))
+
+
+def beta1_as_reference(data, tol):
+    f = data.draw(monotone_specs(3))
+    lo = data.draw(st.integers(0, 1))
+    assert_as_reference(lambda: stieltjes_beta1(f, lo, 3, tol))
+
+
+def midvalue_as_reference(data, tol):
+    f, g = data.draw(monotone_specs(2)), data.draw(monotone_specs(2))
+    hi = data.draw(st.sampled_from([1.5, 2.0]))
+    assert_as_reference(lambda: stieltjes_midvalue(g, f, 0.0, hi, tol))
+
+
 class TestBatchedEngine:
     @settings(max_examples=40, deadline=None)
     @given(st.data(), _tols)
     def test_integrate_bit_equal_to_per_segment_refinement(self, data, tol):
-        f = data.draw(monotone_specs(2))
-        a = data.draw(st.sampled_from([0.0, 0.25, 0.5]))
-        b = data.draw(st.sampled_from([1.0, 1.75, 2.0]))
-        assert_as_reference(lambda: integrate(f, a, b, tol))
+        integrate_as_reference(data, tol)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data(), _tols)
     def test_stieltjes_beta1_bit_equal_to_per_segment_refinement(self, data, tol):
-        f = data.draw(monotone_specs(3))
-        lo = data.draw(st.integers(0, 1))
-        assert_as_reference(lambda: stieltjes_beta1(f, lo, 3, tol))
+        beta1_as_reference(data, tol)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data(), _tols)
     def test_stieltjes_midvalue_bit_equal_to_per_segment_refinement(self, data, tol):
-        f, g = data.draw(monotone_specs(2)), data.draw(monotone_specs(2))
-        hi = data.draw(st.sampled_from([1.5, 2.0]))
-        assert_as_reference(lambda: stieltjes_midvalue(g, f, 0.0, hi, tol))
+        midvalue_as_reference(data, tol)
+
+    # With small blocks most chunks are walked in many blocks, whose sums
+    # must still be those of the whole chunk.
+    @pytest.mark.parametrize("batch", [64, 257])
+    @pytest.mark.parametrize("case", [integrate_as_reference, beta1_as_reference,
+                                      midvalue_as_reference],
+                             ids=["integrate", "beta1", "midvalue"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), tol=_tols)
+    def test_blocks_bit_equal_to_per_segment_refinement(self, case, batch, data, tol):
+        with mock.patch.object(measure, "_BATCH", batch):
+            case(data, tol)
 
 
 def _scalar_evaluations(call):
@@ -754,6 +778,38 @@ class TestEngineErrorOrder:
             stieltjes_midvalue(g, f, 0.0, 2.0, 1e-12)
         assert_as_reference(lambda: stieltjes_midvalue(g, f, 0.0, 2.0, 1e-12))
 
+    # In blocks of 64 points: an error is still that of a whole chunk,
+    # whose first failing op may fail at a later point than another op.
+    @pytest.mark.parametrize("e,kind", [
+        # the only bad points lie in a later block
+        ("log(0.75-x)+1", "log_domain"),
+        # sqrt fails after x = 0.75, and before log in the program; log
+        # fails in the first block
+        ("sqrt(0.75-x)+log(x-0.25)", "sqrt_domain"),
+    ])
+    @pytest.mark.parametrize("route", ["integrate", "beta1"])
+    def test_first_bad_point_in_a_later_block(self, monkeypatch, route, e, kind):
+        monkeypatch.setattr(measure, "_BATCH", 64)
+        monkeypatch.setattr(measure, "_cells", lambda *args: 1024)
+        f = direct((0, 1, e, 0, 1))
+        call = {"integrate": lambda: integrate(f, 0, 1, 1.0),
+                "beta1": lambda: stieltjes_beta1(f, 0, 1, 1.0)}[route]
+        with pytest.raises(ex.EvalError) as err:
+            call()
+        assert err.value.kind == kind and err.value.x >= 0.75
+        assert_as_reference(call)
+
+    def test_midvalue_f_fails_in_a_later_block_than_g(self, monkeypatch):
+        # both miss the 16-cell grid; on the next one g fails near 0.2,
+        # and f, whose row is evaluated first, near 0.765
+        monkeypatch.setattr(measure, "_BATCH", 64)
+        f = direct((0, 1, "log(abs(x-0.765)-0.004)", -0.3, -1.5))
+        g = direct((0, 1, "sqrt(abs(x-0.2)-0.004)", 0.4, 0.9))
+        with pytest.raises(ex.EvalError) as err:
+            stieltjes_midvalue(g, f, 0.0, 1.0, 1e-4)
+        assert err.value.kind == "log_domain" and 0.761 < err.value.x < 0.769
+        assert_as_reference(lambda: stieltjes_midvalue(g, f, 0.0, 1.0, 1e-4))
+
     def test_memory_of_a_48_piece_call_is_bounded_by_a_batch(self):
         f, g = sawtooth(48, 12, 0.01, 0.0), sawtooth(48, 12, 0.02, 1.0)
         tracemalloc.start()
@@ -765,3 +821,26 @@ class TestEngineErrorOrder:
         # the call walks about 1.7 million points; a batch of at most
         # _BATCH points lives in about a dozen arrays at a time
         assert peak < 16 * 8 * measure._BATCH
+
+    @pytest.mark.parametrize("route,terms", [("integrate", 1), ("beta1", 1),
+                                             ("midvalue", 2)])
+    def test_memory_of_a_whole_chunk_is_a_buffer_per_term(self, monkeypatch, route,
+                                                          terms):
+        f = direct((0, 1, "2*x", 0, 2))
+        if route == "midvalue":
+            # 16 cells, then int(1.2 * (4/16) / (tol/16)) + 1 = 1,000,001
+            call = lambda: stieltjes_midvalue(f, f, 0.0, 1.0, 4.8e-6)  # noqa: E731
+        else:
+            monkeypatch.setattr(measure, "_cells", lambda *args: measure._CHUNK)
+            call = {"integrate": lambda: integrate(f, 0, 1, 1.0),
+                    "beta1": lambda: stieltjes_beta1(f, 0, 1, 1.0)}[route]
+        call()  # compile the programs before tracing
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # each term of the chunk's up to 2^20 cells fills one buffer; the
+        # blocks of at most _BATCH points live in about a dozen arrays
+        assert peak < terms * 8 * measure._CHUNK + 16 * 8 * measure._BATCH
