@@ -16,7 +16,6 @@ from .bv import (
     jordan_decompose,
     left_limit,
     limits,
-    linear_combination,
     mid_value,
     pointwise_variation,
     rho,
@@ -43,7 +42,6 @@ from .euler_maclaurin import (
     GammaReport,
     approx_from_partial,
     asymptotic_sum,
-    asymptotic_unbounded_bound,
     classify_convergence,
     em_finite_sum,
     em_midvalue_check,
@@ -73,14 +71,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BvFunction", "Breakpoint", "Certified", "MonotonePiece", "TailSpec",
     "evaluate", "jordan_decompose", "left_limit", "limits",
-    "linear_combination", "mid_value", "pointwise_variation", "rho",
+    "mid_value", "pointwise_variation", "rho",
     "right_limit", "validate",
     "BvError", "DomainError", "ExteriorLimitRequired", "ValidationError",
     "Violation", "ToleranceUnreachable", "SeriesDivergent",
     "MissingAntiderivative", "BadAntiderivative", "NotMonotone",
     "NonIntegerBounds",
     "CheckReport", "Convergence", "EmReport", "GammaReport",
-    "approx_from_partial", "asymptotic_sum", "asymptotic_unbounded_bound",
+    "approx_from_partial", "asymptotic_sum",
     "classify_convergence", "em_finite_sum", "em_midvalue_check",
     "euler_constant", "gamma_partial", "parts_check", "series_sum",
     "EvalError", "Expr", "ParseError", "eval_expr", "parse", "render",

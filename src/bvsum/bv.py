@@ -391,77 +391,6 @@ def jordan_decompose(f: BvFunction) -> tuple[BvFunction, BvFunction]:
 
 
 # ---------------------------------------------------------------------------
-# Linear combination (used for linearity checks and by callers that
-# compose step functions with smooth parts)
-
-
-def _sample_direction(e: ex.Expr, lo: float, hi: float, n: int = 257) -> str:
-    xs = np.linspace(lo, hi, n + 2)[1:-1]
-    vals = ex.eval_expr(e, xs)
-    scale = float(np.max(np.abs(vals))) if len(vals) else 1.0
-    slack = ABS_TOL + REL_TOL * scale
-    d = np.diff(vals)
-    if np.all(np.abs(vals - vals[0]) <= slack):
-        return CONST
-    if np.all(d >= -slack):
-        return INC
-    if np.all(d <= slack):
-        return DEC
-    raise ValidationError(
-        [Violation("NonMonotonePiece", f"({lo}, {hi})", "combination is not monotone")]
-    )
-
-
-def linear_combination(alpha: float, f: BvFunction, beta: float, g: BvFunction) -> BvFunction:
-    """alpha*f + beta*g on a common refinement of the two breakpoint sets.
-
-    Requires identical domains and that every combined piece stays
-    monotone (checked by sampling); raises ValidationError otherwise.
-    """
-    if (f.domain_lo, f.domain_hi) != (g.domain_lo, g.domain_hi):
-        raise ValueError("linear_combination requires identical domains")
-    cut = sorted({bp.x for bp in f.breakpoints} | {bp.x for bp in g.breakpoints})
-
-    def comb(u: float, v: float) -> float:
-        return alpha * u + beta * v
-
-    bps = []
-    for x in cut:
-        bps.append(
-            Breakpoint(
-                x,
-                comb(left_limit(f, x), left_limit(g, x)),
-                comb(evaluate(f, x), evaluate(g, x)),
-                comb(right_limit(f, x), right_limit(g, x)),
-            )
-        )
-
-    interior = [x for x in cut if f.domain_lo < x < f.domain_hi]
-    bounds = [f.domain_lo] + interior + [f.domain_hi]
-    pieces = []
-    for s, t in zip(bounds[:-1], bounds[1:]):
-        if s >= t:
-            continue
-        probe = 0.5 * (s + t) if math.isfinite(t) else s + max(1.0, abs(s))
-        ef = f.piece_containing(probe).evaluator
-        eg = g.piece_containing(probe).evaluator
-        e = ex.Bin("+", ex.Bin("*", ex.Num(alpha), ef), ex.Bin("*", ex.Num(beta), eg))
-        ll = comb(right_limit(f, s), right_limit(g, s))
-        if math.isinf(t):
-            rl = comb(f.tail.limit_at_infinity, g.tail.limit_at_infinity)
-        else:
-            rl = comb(left_limit(f, t), left_limit(g, t))
-        probe_hi = t if math.isfinite(t) else s + max(1.0, abs(s)) * 64.0
-        direction = _sample_direction(e, s, probe_hi)
-        pieces.append(MonotonePiece(s, t, e, direction, ll, rl))
-
-    tail = None
-    if f.is_half_line:
-        tail = TailSpec(comb(f.tail.limit_at_infinity, g.tail.limit_at_infinity))
-    return BvFunction(f.domain_lo, f.domain_hi, tuple(bps), tuple(pieces), tail)
-
-
-# ---------------------------------------------------------------------------
 # Validation
 
 

@@ -24,7 +24,6 @@ from .bv import (
 )
 from .errors import (
     DomainError,
-    NotMonotone,
     SeriesDivergent,
 )
 from .measure import (
@@ -215,36 +214,6 @@ def asymptotic_sum(f: BvFunction, n: int, tol: float = DEFAULT_TOL,
     remainder = pointwise_variation(f, float(n), math.inf)
     return Certified(gamma.value + integral.value,
                      gamma.radius + integral.radius + remainder)
-
-
-def asymptotic_unbounded_bound(f: BvFunction, n: int,
-                               tol: float = DEFAULT_TOL) -> tuple[Certified, float]:
-    """For f monotone on [0, n]: sum_{0<=k<n} f(k) = integral_0^n f up to
-    |f(n)-f(0)|; returns the certified integral and that explicit bound."""
-    n = _require_int(n)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    _check_integers_in_domain(f, 0, n)
-    directions = set()
-    for p in f.pieces:
-        if p.lo < n and p.hi > 0 and p.direction != "const":
-            directions.add(p.direction)
-    for bp in f.breakpoints:
-        if 0 <= bp.x <= n:
-            if bp.left_value == bp.value == bp.right_value:
-                continue
-            if bp.left_value <= bp.value <= bp.right_value:
-                directions.add("inc")
-            elif bp.left_value >= bp.value >= bp.right_value:
-                directions.add("dec")
-            else:
-                directions.add("inc")
-                directions.add("dec")
-    if len(directions) > 1:
-        raise NotMonotone("representation is not monotone on [0, n]")
-    value = integrate(f, 0.0, float(n), tol)
-    bound = abs(evaluate(f, float(n)) - evaluate(f, 0.0))
-    return value, bound
 
 
 def em_midvalue_check(f: BvFunction, a: int, b: int,

@@ -317,14 +317,23 @@ def parse(text: str) -> Expr:
 
     Texts whose tokens differ only in the values of their numbers share a
     template, keyed by the text cut at its names and numbers with the
-    numbers blanked.  The template's builder, made once per key, builds
-    the AST from the numbers in text order.  A key without a builder, or
-    a number that is not finite, takes the parser, whose errors hold the
-    offsets in the text."""
+    numbers blanked.  The template's builder, made once per key when the
+    key is met a second time, builds the AST from the numbers in text
+    order.  A key met once or without a builder, or a number that is not
+    finite, takes the parser, whose errors hold the offsets in the
+    text."""
     parts = _WORD_RE.split(text)
     numbers = parts[2::3]
     del parts[2::3]
-    build = _template(tuple(parts))
+    key = tuple(parts)
+    if key not in _MET:
+        # a builder costs about ten parses: make it only for a key that
+        # comes back
+        _MET[key] = None
+        if len(_MET) > 4 * _TEMPLATES:
+            del _MET[next(iter(_MET))]
+        return _Parser(text).parse()
+    build = _template(key)
     if build is not None:
         values = [float(n) for n in numbers if n is not None]
         if math.isfinite(sum(values)):
@@ -335,6 +344,8 @@ def parse(text: str) -> Expr:
 # The templates kept, one per key.  A CLI request parses its spec again:
 # the cache, not the request, makes each template once.
 _TEMPLATES = 256
+# The keys met, oldest first, at most 4 * _TEMPLATES.
+_MET: dict = {}
 
 
 @functools.lru_cache(maxsize=_TEMPLATES)

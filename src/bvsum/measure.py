@@ -2,25 +2,28 @@
 against d(mu_f), and the periodic first Bernoulli kernel.
 
 Every approximate routine returns a Certified(value, radius) enclosure.
-On monotone pieces the Lebesgue integral is bracketed by Darboux sums
-(no smoothness assumed); when a piece carries an antiderivative the
-closed form is used instead, with an ulp-scale radius, after the
-antiderivative has passed the sampled difference-quotient check.
+A piece with a validated antiderivative contributes its closed form with
+an ulp-scale radius.  Other monotone pieces are integrated by midpoint-
+trapezoid brackets: each cell of an n-cell grid is classed by the second
+differences at its ends and midpoint.  Convex: by Hermite-Hadamard its
+integral lies between the midpoint sum M and the trapezoid sum T;
+concave: between T and M; flat within rounding: between both, widened by
+h * delta; neither: between the Darboux sums of its halves.  Convexity is
+sampled on the grid, as monotonicity is in validate, not proved.  beta1
+against d(mu_f) is reduced to such integrals by parts; mid-value
+integrals are tagged Riemann-Stieltjes sums.
 
 integrate, stieltjes_beta1 and stieltjes_midvalue share one refinement
-engine.  _certify splits what tol leaves after the closed-form radii over
-the segments to refine, refusing tol <= 0 or NaN before any work, and
-hands all of them to the route at once.  Each segment's cell count is
-fixed a priori (_cells) or, for mid-value sums, grown round by round from
-the measured error.  _walk evaluates the grids of all segments together,
-in chunks of _CHUNK cells: chunks of the same cell count are rows of one
-2-D grid of at most _BATCH points, and eval_rows runs the rows of one
-expression shape as one program.  A longer chunk is walked in blocks of
-at most _BATCH points, whose per-cell terms fill one chunk-long buffer
-per term that is summed once.  Every point, value and sum is the float
-operation a lone per-segment grid makes, so results are bit for bit
-those of refining one segment after the other, and so is the error:
-that of the first segment, in segment order, whose refinement fails.
+engine.  _certify reserves each segment's rounding floor, refusing a tol
+that does not cover the floors, and splits the rest over the segments;
+_refine grows their grids round by round from the measured error.  _walk
+evaluates the grids of all segments together, in chunks of _CHUNK cells:
+chunks of one cell count are rows of one 2-D grid of at most _BATCH
+points, and eval_rows runs the rows of one expression shape as one
+program; longer chunks are walked in blocks of at most _BATCH points.
+Every point, value and sum is the float operation of a lone segment's
+grid, so results and errors are those of refining one segment after the
+other: the error raised is the first failing segment's.
 """
 
 from __future__ import annotations
@@ -164,42 +167,18 @@ def total_variation_measure(f: BvFunction, iv: IntervalSpec) -> float:
 # Refinement engine shared by integrate, stieltjes_beta1 and stieltjes_midvalue
 
 
-def _cells(s: float, t: float, spread: float, budget: float, n: int,
-           route: str) -> int:
-    """A-priori cell count on [s, t]: n is doubled until the error bound
-    (t-s) * spread / (2n) fits the budget."""
-    width = t - s
-    while width * spread / (2 * n) > budget:
-        n *= 2
-        if n > MAX_CELLS:
-            raise ToleranceUnreachable(
-                f"{route} needs more than {MAX_CELLS} cells on "
-                f"[{s}, {t}]; supply an antiderivative or relax tol")
-    return n
-
-
-def _walk(jobs, bounds, curves, failed: dict, terms) -> dict:
-    """Walk the uniform grids of the jobs (i, n), in segment order, and
-    return per segment i the list of its chunks' sums.
-
-    Segment i's grid is the n+1 points over bounds[i] = (s, t), cut into
-    chunks of _CHUNK cells that share their end points; a chunk's sums
-    fix how the grid's terms are associated.  Chunks of the same span
-    and cell count are the rows of one batch of at most _BATCH points,
-    each with the float operations of a lone grid.  A chunk of more
-    points is a batch of one row, walked in blocks of at most _BATCH
-    points that share their end points (see _blocks).
-
-    Per block, terms(rows, first, last, xs, errs, *vals) gives the
-    per-cell terms to sum, one 2-D array per term with a row per
-    segment: rows are the block's segments, first and last tell whether
-    it holds the grids' ends, xs are its points and vals has one array
-    per curve, curves[c][i] being segment i's expression.  vals cover xs
-    but the grids' ends, so no expression is evaluated at s or t (_diffs
-    puts the one-sided limits there).  terms evaluates any further curve
-    by _evaluate into errs.  A row that fails to evaluate records its
-    segment's first EvalError in failed; rows of segments at or after
-    the first failed one are skipped."""
+def _walk(jobs, bounds, curves, failed: dict, terms, pad: bool = False) -> dict:
+    """Walk the uniform grids of the jobs (i, n), in segment order: per
+    segment i the list of its chunks' sums.  Segment i's grid is the n+1
+    points over bounds[i] = (s, t), cut into chunks of _CHUNK cells that
+    share their end points; with pad, a chunk or block also takes the
+    point beyond each end that is not a grid's.
+    terms(rows, first, last, xs, errs, *vals) gives a block's terms, a
+    2-D array per term with a row per segment of rows; first and last
+    tell whether it holds the grids' ends, and vals has an array per
+    curve (curves[c][i] is segment i's expression) over the points xs but
+    the grids' ends.  A row that fails to evaluate records its segment's
+    first EvalError in failed; later segments' rows are then skipped."""
     parts = {i: [] for i, _ in jobs}
     batches = {}
     for i, n in jobs:
@@ -216,7 +195,7 @@ def _walk(jobs, bounds, curves, failed: dict, terms) -> dict:
             s = np.array([bounds[i][0] for i in rows])[:, None]
             block = functools.partial(
                 _block, rows, n, s, np.array([bounds[i][1] for i in rows])[:, None] - s,
-                curves, terms)
+                curves, terms, pad)
             if stop - start < _BATCH:
                 sums = [np.sum(a, axis=1) for a in block(start, stop, failed)]
             else:
@@ -231,87 +210,81 @@ def _walk(jobs, bounds, curves, failed: dict, terms) -> dict:
     return parts
 
 
-def _block(rows, n: int, s, width, curves, terms, c0: int, c1: int, errs: dict):
+def _block(rows, n: int, s, width, curves, terms, pad: bool, c0: int, c1: int,
+           errs: dict):
     """The terms of the cells between the points c0 and c1 of the rows'
     n-cell grids over [s, s + width], evaluating the curves in order;
     errors go to errs."""
-    xs = width * (np.arange(c0, c1 + 1, dtype=np.float64) / n)
-    xs += s  # s + (t - s) * (k / n), as for a lone grid
     first, last = c0 == 0, c1 == n
+    p0, p1 = (c0 - (not first), c1 + (not last)) if pad else (c0, c1)
+    xs = width * (np.arange(p0, p1 + 1, dtype=np.float64) / n)
+    xs += s  # s + (t - s) * (k / n), as for a lone grid
     inner = xs[:, int(first):xs.shape[1] - int(last)]
     vals = [_evaluate(curve, rows, inner, errs) for curve in curves]
     return terms(rows, first, last, xs, errs, *vals)
 
 
 def _blocks(block, start: int, stop: int):
-    """The per-row sums of the cells start..stop, walked by
-    block(c0, c1, errs) (see _block) in blocks of at most _BATCH points:
-    each term is copied into a buffer as long as the chunk and summed
-    once, so the sums are those of the whole chunk.  None if a block
-    fails: its error may not be the chunk's, which is that of the first
-    failing curve, at the first bad point of its first failing op."""
-    blocks = -(-(stop - start) // (_BATCH - 1))  # cut into equal blocks
-    cuts = [start + (stop - start) * j // blocks for j in range(blocks + 1)]
-    bufs, pos = None, 0
-    for c0, c1 in zip(cuts, cuts[1:]):
+    """The per-row sums of the cells start..stop, walked by block(c0, c1,
+    errs) in blocks of at most _BATCH points, pads included, cut at even
+    points: each term fills one buffer, summed once as the whole chunk's.
+    None if a block fails, since its error may not be the chunk's."""
+    blocks = -(-(stop - start) // (_BATCH - 4))  # cut into equal blocks
+    cuts = [start + (stop - start) * j // blocks // 2 * 2 for j in range(blocks)]
+    bufs, pos = None, None
+    for c0, c1 in zip(cuts, cuts[1:] + [stop]):
         errs = {}
         terms = block(c0, c1, errs)
         if errs:
             return None
-        if bufs is None:
-            bufs = [np.empty((len(a), stop - start)) for a in terms]
-        for buf, a in zip(bufs, terms):
-            buf[:, pos:pos + a.shape[1]] = a
-        pos += terms[0].shape[1]
-    return [np.sum(buf[:, :pos], axis=1) for buf in bufs]
+        if bufs is None:  # a term has an entry per cell or per two cells
+            bufs = [np.empty((len(a), (stop - start) * a.shape[1] // (c1 - c0)))
+                    for a in terms]
+            pos = [0] * len(bufs)
+        for k, (buf, a) in enumerate(zip(bufs, terms)):
+            buf[:, pos[k]:pos[k] + a.shape[1]] = a
+            pos[k] += a.shape[1]
+    return [np.sum(buf[:, :p], axis=1) for buf, p in zip(bufs, pos)]
 
 
 def _evaluate(exprs, rows, xs, errs: dict):
-    """exprs[i] over the points xs of each row, for the segments rows;
-    a failing row records its segment's error in errs, if it is the
-    first."""
+    """exprs[i] over the points xs of each row, for the segments rows; a
+    failing row records its segment's error in errs, if it is the first."""
     vals, errors = ex.eval_rows([exprs[i] for i in rows], xs)
     for r, err in errors.items():
         errs.setdefault(rows[r], err)
     return vals
 
 
-def _diffs(vals, rows, ends, first: bool, last: bool):
-    """Differences along each row of a curve's values over whole grid
-    rows: vals inside, and at a grid's ends the one-sided limits ends[i]
-    = (v0, vn) of segment i."""
-    m, k = vals.shape
-    d = np.empty((m, k - 1 + first + last))
-    np.subtract(vals[:, 1:], vals[:, :-1], out=d[:, int(first):d.shape[1] - int(last)])
+def _with_ends(vals, rows, ends, first: bool, last: bool):
+    """A curve's values over whole grid rows: vals inside, and at a
+    grid's ends the one-sided limits ends[i][:2] of segment i."""
+    if not (first or last):
+        return vals
+    y = np.empty((vals.shape[0], vals.shape[1] + first + last))
+    y[:, int(first):y.shape[1] - int(last)] = vals
     if first:
-        np.subtract(vals[:, 0], [ends[i][0] for i in rows], out=d[:, 0])
+        y[:, 0] = [ends[i][0] for i in rows]
     if last:
-        np.subtract([ends[i][1] for i in rows], vals[:, -1], out=d[:, -1])
-    return d
-
-
-def _raise_first(failed: dict) -> None:
-    # the error of the first segment that fails, as one walk in segment
-    # order would meet it
-    if failed:
-        raise failed[min(failed)]
+        y[:, -1] = [ends[i][1] for i in rows]
+    return y
 
 
 def _certify(tol: float, values: list[float], radii: list[float],
              fallback: list, weigh, refine) -> Certified:
     """One enclosure of radius at most tol from closed-form parts and the
-    fallback segments.  weigh(*seg) -> (weight, ends) gives a segment a
-    share of the budget proportional to weight, and the one-sided limits
-    ends that its refinement reuses; refine(fallback, ends, shares) ->
-    [(value, radius)] refines all segments together.  A budget that is
-    not positive (tol <= 0 or NaN) is refused up front."""
+    fallback segments.  weigh(*seg) -> (weight, floor, ends) gives a
+    segment its floor plus a share of the rest in proportion to weight,
+    and ends for refine(fallback, ends, shares) -> [(value, radius)]."""
     if fallback:
         budget = tol - math.fsum(radii)
+        if budget > 0.0:
+            weights, floors, ends = zip(*[weigh(*seg) for seg in fallback])
+            budget -= math.fsum(floors)
         if not budget > 0.0:
             raise ToleranceUnreachable(f"tolerance {tol} below rounding floor")
-        weights, ends = zip(*[weigh(*seg) for seg in fallback])
         wsum = math.fsum(weights)
-        shares = [budget * w / wsum for w in weights]
+        shares = [floor + budget * w / wsum for w, floor in zip(weights, floors)]
         for v, r in refine(fallback, ends, shares):
             values.append(v)
             radii.append(r)
@@ -322,58 +295,119 @@ def _certify(tol: float, values: list[float], radii: list[float],
     return result
 
 
-def _a_priori(segs, ends, shares, n0: int, route: str, terms):
-    """Walk monotone segments (p, s, t) with ends (v0, vn) on a-priori
-    grids (_cells from n0) and sum their terms (see _walk): per segment
-    its cell count and its chunks' sums.  A segment's refusal is raised
-    only if the segments before it evaluate."""
-    jobs, failed = [], {}
-    for i, ((_, s, t), (v0, vn), share) in enumerate(zip(segs, ends, shares)):
-        try:
-            jobs.append((i, _cells(s, t, abs(vn - v0), share, n0, route)))
-        except ToleranceUnreachable as exc:
-            failed[i] = exc
-            break
-    parts = _walk(jobs, [seg[1:] for seg in segs],
-                  [[p.evaluator for p, _, _ in segs]], failed, terms)
-    _raise_first(failed)
-    return [(n, [sum_[0] for sum_ in parts[i]]) for i, n in jobs]
-
-
-def _spread_weight(p: MonotonePiece, s: float, t: float):
-    # the a-priori error bound of a monotone segment scales with this
-    v0, vn = _segment_endpoint_values(p, s, t)
-    return (t - s) * abs(vn - v0) + 1e-300, (v0, vn)
+def _refine(route: str, bounds, curves, terms, budgets, settle, failed: dict, *,
+            n0: int, order: int, pad: bool = False):
+    """Refine the segments over bounds[i] = (s, t) together, round by
+    round from n0 cells: each pending segment i walks a grid of n cells,
+    and settle(i, n, parts) -> (value, err, rounding) reads its sums.  It
+    is done, with radius err + rounding, when err fits budgets[i]; else n
+    grows at least twofold, aiming just under the budget at the route's
+    convergence order, up to the cap of MAX_CELLS cells.  The first
+    failing segment's error is raised."""
+    ns = [n0] * len(bounds)
+    out: list = [None] * len(bounds)
+    pending = [i for i in range(len(bounds)) if i < min(failed, default=math.inf)]
+    while pending:
+        parts = _walk([(i, ns[i]) for i in pending], bounds, curves, failed, terms, pad)
+        cut = min(failed, default=math.inf)
+        grown = []
+        for i in pending:
+            if i >= cut:
+                break
+            value, err, rounding = settle(i, ns[i], parts[i])
+            n, budget = ns[i], budgets[i]
+            if err <= budget:
+                out[i] = (value, err + rounding)
+                continue
+            if n >= MAX_CELLS:
+                failed[i] = ToleranceUnreachable(
+                    f"{route} hit the {MAX_CELLS}-cell cap on {list(bounds[i])}")
+                break
+            # brackets keep n a power of two, so that segments share batches
+            ratio = 1.2 * err / max(budget, 1e-300)
+            ns[i] = min(MAX_CELLS, int(n * max(2.0, ratio)) + 1 if order == 1
+                        else n << max(1, math.ceil(0.5 * math.log2(ratio))))
+            grown.append(i)
+        pending = grown
+    if failed:
+        raise failed[min(failed)]
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Lebesgue quadrature
+# Lebesgue quadrature by midpoint-trapezoid brackets
+
+# The rounding model of the brackets: a sample of f is within _ULPS ulps of
+# max|f| on its segment (f is monotone: the larger end) of f at its float
+# point, which is within an ulp of max(|s|, |t|) of its grid point; numpy's
+# pairwise sums are within _SUM_ULPS ulps of the sum of |terms|.
+_ULPS = 4
+_SUM_ULPS = 32
 
 
-def _overlapping_segments(f: BvFunction, a: float, b: float):
-    for p in f.pieces:
-        s, t = max(a, p.lo), min(b, p.hi)
-        if s < t:
-            yield p, s, t
+def _rounding(s: float, t: float, v0: float, vn: float) -> tuple[float, float]:
+    """(delta, term) of a segment [s, t] with ends v0, vn.  delta bounds
+    the error of a second difference: 4 sample and 4 point errors (at f's
+    mean slope), twice over.  term bounds what rounding adds to a bracket:
+    (t - s) * delta for sample and point errors in M and T and for cells
+    classed by a difference off by delta, and 8 * _SUM_ULPS ulps of
+    (t - s) * max|f| for the sums."""
+    big = max(abs(v0), abs(vn))
+    delta = 8.0 * _EPS * (_ULPS * big + max(abs(s), abs(t)) * abs(vn - v0) / (t - s))
+    return delta, (t - s) * (delta + 8 * _SUM_ULPS * _EPS * big)
 
 
-def _darboux(segs, ends, shares):
-    """Certified integrals of monotone pieces over their segments by
-    bracketing Darboux sums; the bracket gap for a monotone function on
-    an n-cell grid is (t-s)/n * |f(t)-f(s)|, so each segment's cell count
-    is doubled until half the gap fits its share."""
-    def terms(rows, first, last, xs, errs, vals):
-        # each block after the first leaves its first point to the one
-        # before it
-        return (vals if first else vals[:, 1:],)
+def _bracket_weight(p: MonotonePiece, s: float, t: float):
+    # floor: term and the widening of flat cells, at most (t - s) * delta
+    v0, vn = _segment_endpoint_values(p, s, t)
+    delta, term = _rounding(s, t, v0, vn)
+    return (t - s) * abs(vn - v0) + 1e-300, term + (t - s) * delta, (v0, vn, delta, term)
 
-    out = []
-    walked = _a_priori(segs, ends, shares, 64, "Darboux bracketing", terms)
-    for (_, s, t), (v0, vn), (n, parts) in zip(segs, ends, walked):
+
+def _bracket_terms(ends, rows, first, last, xs, errs, vals):
+    """The terms of a grid of an even number of cells, walked with pad:
+    its values, but the grid's ends and each block's first point; and per
+    bracket cell, two grid cells, its half-gap in units of half a step."""
+    y = _with_ends(vals, rows, ends, first, last)
+    core = y[:, 1 - first:y.shape[1] - 1 + last]  # the block's points
+    # second differences there, 0 (which every class admits) at grid ends
+    d = np.zeros(core.shape)
+    dd = d[:, int(first):d.shape[1] - int(last)]
+    np.multiply(y[:, 1:-1], -2.0, out=dd)
+    dd += y[:, :-2]
+    dd += y[:, 2:]
+    mid = d[:, 1::2]
+    lo, hi = np.minimum(d[:, :-1:2], mid), np.maximum(d[:, :-1:2], mid)
+    np.minimum(lo, d[:, 2::2], out=lo)
+    np.maximum(hi, d[:, 2::2], out=hi)
+    delta = np.array([ends[i][2] for i in rows])[:, None]
+    convex, concave = lo >= -delta, hi <= delta
+    # neither: the Darboux bracket of the two halves; convex: [M, T];
+    # concave: [T, M]; flat: between them, widened by h * delta
+    gap = np.abs(np.subtract(core[:, 2::2], core[:, :-2:2]))
+    np.copyto(gap, np.maximum(mid, 0.0), where=convex)
+    np.copyto(gap, np.maximum(-mid, 0.0), where=concave)
+    np.copyto(gap, np.abs(mid) + 4.0 * delta, where=convex & concave)
+    return core[:, 1:core.shape[1] - int(last)], gap
+
+
+def _bracket(segs, ends, shares):
+    """Certified integrals of pieces p over segments (p, s, t) with ends
+    (p(s+), p(t-), delta, term): the sum of the brackets' midpoints, which
+    is the trapezoid sum of the whole grid, and of their half-gaps,
+    which must fit the share less term, plus term."""
+    bounds = [seg[1:] for seg in segs]
+
+    def settle(i, n, parts):
+        (s, t), (v0, vn, _, term, *_) = bounds[i], ends[i]
         h = (t - s) / n
-        value = h * (math.fsum([v0, vn, *parts]) - 0.5 * (v0 + vn))
-        out.append((value, 0.5 * h * abs(vn - v0) + _slack(value)))
-    return out
+        value = h * (math.fsum([v0, vn, *[v for v, _ in parts]]) - 0.5 * (v0 + vn))
+        return value, 0.5 * h * math.fsum([g for _, g in parts]), term
+
+    return _refine("Bracket refinement", bounds, [[p.evaluator for p, _, _ in segs]],
+                   functools.partial(_bracket_terms, ends),
+                   [share - e[3] for share, e in zip(shares, ends)],
+                   settle, {}, n0=64, order=2, pad=True)
 
 
 def integrate(f: BvFunction, a: float, b: float, tol: float = DEFAULT_TOL) -> Certified:
@@ -381,8 +415,8 @@ def integrate(f: BvFunction, a: float, b: float, tol: float = DEFAULT_TOL) -> Ce
 
     Constant pieces are exact; pieces with a validated antiderivative F
     contribute F(t)-F(s) with an ulp-scale radius; remaining monotone
-    pieces are bracketed by Darboux sums refined until the total radius
-    is at most tol (ToleranceUnreachable past the subdivision cap).
+    pieces are bracketed (_bracket) until the total radius is at most tol
+    (ToleranceUnreachable under the rounding floor or past the cell cap).
     """
     if math.isnan(a) or math.isnan(b) or a > b:
         raise DomainError(f"need a <= b, got [{a}, {b}]")
@@ -390,10 +424,11 @@ def integrate(f: BvFunction, a: float, b: float, tol: float = DEFAULT_TOL) -> Ce
         raise DomainError(f"[{a}, {b}] outside domain")
     if a == b:
         return Certified(0.0, 0.0)
-    values: list[float] = []
-    radii: list[float] = []
-    fallback: list[tuple[MonotonePiece, float, float]] = []
-    for p, s, t in _overlapping_segments(f, a, b):
+    values, radii, fallback = [], [], []  # fallback: (piece, s, t)
+    for p in f.pieces:
+        s, t = max(a, p.lo), min(b, p.hi)
+        if s >= t:
+            continue
         if p.direction == "const":
             values.append(p.left_boundary_limit * (t - s))
             radii.append(0.0)
@@ -404,7 +439,7 @@ def integrate(f: BvFunction, a: float, b: float, tol: float = DEFAULT_TOL) -> Ce
             radii.append(_slack(fs, ft, ft - fs))
         else:
             fallback.append((p, s, t))
-    return _certify(tol, values, radii, fallback, _spread_weight, _darboux)
+    return _certify(tol, values, radii, fallback, _bracket_weight, _bracket)
 
 
 def tail_integral(f: BvFunction, n: float, tol: float = DEFAULT_TOL):
@@ -451,9 +486,27 @@ def beta1(x: float) -> float:
     return fr - 0.5
 
 
-def _beta1_branch(x: float, k: float) -> float:
-    # affine branch of beta1 on the open cell (k, k+1)
-    return x - k - 0.5
+def _parts(s: float, t: float, v0: float, vn: float, integral: float) -> float:
+    """beta1 against d(mu_f) on a cell (s, t) of the unit cell (k, k+1),
+    where beta1 = x - k - 1/2 has slope 1: by parts, [beta1 * f] at the
+    ends, with f(s+) = v0 and f(t-) = vn, less the integral of f."""
+    k = math.floor(s)
+    return (t - k - 0.5) * vn - (s - k - 0.5) * v0 - integral
+
+
+def _parts_weight(p: MonotonePiece, s: float, t: float):
+    # a cell also keeps, last in its ends, the rounding of _parts, where
+    # |beta1| <= 1/2 and |integral| <= (t - s) * max|f|
+    weight, floor, (v0, vn, delta, term) = _bracket_weight(p, s, t)
+    slack = _slack(v0, vn, (t - s) * max(abs(v0), abs(vn)))
+    return weight, floor + slack, (v0, vn, delta, term, slack)
+
+
+def _by_parts(segs, ends, shares):
+    # _parts over the segments (p, s, t), their integrals bracketed
+    integrals = _bracket(segs, ends, [share - e[4] for share, e in zip(shares, ends)])
+    return [(_parts(s, t, e[0], e[1], v), r + e[4])
+            for (_, s, t), e, (v, r) in zip(segs, ends, integrals)]
 
 
 # ---------------------------------------------------------------------------
@@ -468,27 +521,6 @@ def _refinement_grid(lo: float, hi: float, fns: tuple[BvFunction, ...],
     if with_integers:
         pts.update(float(k) for k in range(math.floor(lo) + 1, math.ceil(hi)))
     return sorted(pts)
-
-
-def _beta1_stieltjes(segs, ends, shares):
-    """beta1 against d(mu_f) on open cells (s, t) by tagged
-    Riemann-Stieltjes sums; beta1 is 1-Lipschitz on a cell so the
-    midpoint-tag error per subcell is (h/2) * |mu_f|(subcell)."""
-    def terms(rows, first, last, xs, errs, vals):
-        # (mid - k - 1/2) * dmu, beta1's affine branch on the cell (k,
-        # k+1) of each row at the subcells' midpoints
-        mids = np.add(xs[:, :-1], xs[:, 1:])
-        mids *= 0.5
-        mids -= np.array([math.floor(segs[i][1]) + 0.5 for i in rows])[:, None]
-        mids *= _diffs(vals, rows, ends, first, last)
-        return (mids,)
-
-    out = []
-    walked = _a_priori(segs, ends, shares, 16, "Stieltjes refinement", terms)
-    for (_, s, t), (v0, vn), (n, parts) in zip(segs, ends, walked):
-        value = math.fsum(parts)
-        out.append((value, 0.5 * ((t - s) / n) * abs(vn - v0) + _slack(value)))
-    return out
 
 
 def stieltjes_beta1(f: BvFunction, lo: int, hi: int,
@@ -509,36 +541,28 @@ def stieltjes_beta1(f: BvFunction, lo: int, hi: int,
     atoms = math.fsum(
         beta1(bp.x) * bp.jump for bp in f.breakpoints if lo < bp.x < hi)
     grid = _refinement_grid(float(lo), float(hi), (f,), with_integers=True)
-    values: list[float] = []
-    radii: list[float] = []
-    fallback: list[tuple[MonotonePiece, float, float]] = []
+    values, radii, fallback = [], [], []  # fallback: (piece, s, t)
     for s, t in zip(grid[:-1], grid[1:]):
         p = f.piece_containing(0.5 * (s + t))
         if p is None:
             raise DomainError(f"no piece covers ({s}, {t})")
         if p.direction == "const":
-            values.append(0.0)
-            radii.append(0.0)
-        elif p.antiderivative is not None:
-            # beta1 has slope 1 on the cell, so Stieltjes parts gives
-            # [branch * f] at the ends minus the plain integral of f.
-            k = math.floor(s)
+            continue
+        if p.antiderivative is not None:
             v0, vn = _segment_endpoint_values(p, s, t)
             fs = ex.eval_expr(p.antiderivative, s)
             ft = ex.eval_expr(p.antiderivative, t)
-            v = _beta1_branch(t, k) * vn - _beta1_branch(s, k) * v0 - (ft - fs)
+            v = _parts(s, t, v0, vn, ft - fs)
             values.append(v)
             radii.append(_slack(fs, ft, v0, vn, v))
         else:
             fallback.append((p, s, t))
-    cont = _certify(tol, values, radii, fallback, _spread_weight, _beta1_stieltjes)
+    cont = _certify(tol, values, radii, fallback, _parts_weight, _by_parts)
     return StieltjesResult(Certified(atoms + cont.value, cont.radius), atoms, cont)
 
 
 def _require_int(v) -> int:
-    if isinstance(v, bool):
-        raise NonIntegerBounds(f"bounds must be integers, got {v!r}")
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return v
     if isinstance(v, float) and v.is_integer():
         return int(v)
@@ -569,10 +593,8 @@ def _stieltjes_mid(g: BvFunction, f: BvFunction, segs, ends, shares, *, seen: di
     """Integrals of g (continuous on each cell (s, t)) against d(mu_f) on
     open cells where f runs on the non-constant piece fp of (fp, s, t),
     with g's ends (g(s+), g(t-)); tagged Riemann-Stieltjes sums with cell
-    error bounded by osc(g) * |mu_f| per subcell.  Every pending segment
-    refines one round at a time, from 16 cells, until its error fits its
-    share or it reaches the cell cap.  Scalar evaluations are kept in
-    seen (see _value)."""
+    error bounded by osc(g) * |mu_f| per subcell, refined at order 1.
+    Scalar evaluations are kept in seen (see _value)."""
     failed: dict = {}
     curves: tuple[list, list] = ([], [])
     f_ends = []
@@ -589,46 +611,23 @@ def _stieltjes_mid(g: BvFunction, f: BvFunction, segs, ends, shares, *, seen: di
         curves[1].append(gp.evaluator)
 
     def terms(rows, first, last, xs, errs, fv, gv):
-        # g(mid) * dmu and |dg| * |dmu|, built in the arrays of g(mid)
-        # and dg
+        # g(mid) * dmu and |dg| * |dmu|, in the arrays of g(mid) and dg
         mids = np.add(xs[:, :-1], xs[:, 1:])
         mids *= 0.5
         gmid = _evaluate(curves[1], rows, mids, errs)
-        dmu = _diffs(fv, rows, f_ends, first, last)
-        dg = _diffs(gv, rows, ends, first, last)
+        dmu = np.diff(_with_ends(fv, rows, f_ends, first, last))
+        dg = np.diff(_with_ends(gv, rows, ends, first, last))
         np.multiply(gmid, dmu, out=gmid)
         np.abs(dg, out=dg)
         dg *= np.abs(dmu, out=dmu)
         return gmid, dg
 
-    bounds = [seg[1:] for seg in segs]
-    ns = [16] * len(f_ends)
-    out: list = [None] * len(ns)
-    pending = list(range(len(ns)))
-    while pending:
-        parts = _walk([(i, ns[i]) for i in pending], bounds, curves, failed, terms)
-        cut = min(failed, default=math.inf)
-        grown = []
-        for i in pending:
-            if i >= cut:
-                break
-            value = math.fsum(v for v, _ in parts[i])
-            err = math.fsum(e for _, e in parts[i])
-            n, budget = ns[i], shares[i]
-            if err <= budget:
-                out[i] = (value, err + _slack(value))
-            elif n >= MAX_CELLS:
-                _, s, t = segs[i]
-                failed[i] = ToleranceUnreachable(
-                    f"Stieltjes refinement hit the {MAX_CELLS}-cell cap on [{s}, {t}]")
-                break
-            else:
-                growth = max(2.0, 1.2 * err / max(budget, 1e-300))
-                ns[i] = min(MAX_CELLS, int(n * growth) + 1)
-                grown.append(i)
-        pending = grown
-    _raise_first(failed)
-    return out
+    def settle(i, n, parts):
+        value = math.fsum(v for v, _ in parts)
+        return value, math.fsum(e for _, e in parts), _slack(value)
+
+    return _refine("Stieltjes refinement", [seg[1:] for seg in segs], curves, terms,
+                   shares, settle, failed, n0=16, order=1)
 
 
 def stieltjes_midvalue(g: BvFunction, f: BvFunction, lo: float, hi: float,
@@ -671,7 +670,7 @@ def stieltjes_midvalue(g: BvFunction, f: BvFunction, lo: float, hi: float,
         v0 = fp.left_boundary_limit if s == fp.lo else _value(seen, fp.evaluator, s)
         vn = fp.right_boundary_limit if t == fp.hi else _value(seen, fp.evaluator, t)
         gs, gt = _limit(seen, g, s, True), _limit(seen, g, t, False)
-        return abs(vn - v0) * abs(gs - gt) + 1e-300, (gs, gt)
+        return abs(vn - v0) * abs(gs - gt) + 1e-300, 0.0, (gs, gt)
 
     return _certify(tol, [atoms], [], fallback, weigh,
                     functools.partial(_stieltjes_mid, g, f, seen=seen))

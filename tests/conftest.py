@@ -2,8 +2,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+# Example counts of the tests that leave theirs to the profile: "default"
+# for Tier-1, "ci" (pytest --hypothesis-profile=ci) five times as many,
+# with the examples derived from each test, the same on every run.
+DEFAULT_EXAMPLES = 30
+settings.register_profile("default", max_examples=DEFAULT_EXAMPLES)
+settings.register_profile("ci", max_examples=5 * DEFAULT_EXAMPLES, derandomize=True)
 
 from bvsum import BvFunction, load_function  # noqa: E402
 

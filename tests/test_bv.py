@@ -15,7 +15,6 @@ from bvsum import (
     evaluate,
     jordan_decompose,
     limits,
-    linear_combination,
     mid_value,
     pointwise_variation,
     rho,
@@ -717,35 +716,6 @@ class TestJordan:
             pv = pointwise_variation(f, lo, hi)
             pv12 = pointwise_variation(f1, lo, hi) + pointwise_variation(f2, lo, hi)
             assert pv == pytest.approx(pv12, abs=1e-10), name
-
-
-class TestLinearCombination:
-    def test_combination_matches_pointwise(self, corpus):
-        f = corpus["step_half.json"]
-        g = corpus["step_quarter.json"]
-        h = linear_combination(2.0, f, 3.0, g)
-        for x in [-0.5, 0.1, 0.25, 0.4, 0.5, 0.9, 30.0]:
-            assert evaluate(h, x) == pytest.approx(
-                2.0 * evaluate(f, x) + 3.0 * evaluate(g, x), abs=1e-12)
-        assert {bp.x for bp in h.breakpoints} == {0.25, 0.5}
-
-    def test_non_monotone_combination_rejected(self):
-        # x^2 - 3x turns around inside the single piece (0, 3)
-        curved = validate({
-            "domain": {"lo": 0, "hi": 3},
-            "pieces": [{"interval": [0, 3], "expr": "x^2", "direction": "inc",
-                        "left_limit": 0, "right_limit": 9}],
-            "breakpoints": [],
-        })
-        lin = validate({
-            "domain": {"lo": 0, "hi": 3},
-            "pieces": [{"interval": [0, 3], "expr": "x", "direction": "inc",
-                        "left_limit": 0, "right_limit": 3}],
-            "breakpoints": [],
-        })
-        with pytest.raises(ValidationError) as exc:
-            linear_combination(1.0, curved, -3.0, lin)
-        assert "NonMonotonePiece" in exc.value.kinds
 
 
 def test_breakpoint_jump_matches_measure_atom():

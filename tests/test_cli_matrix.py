@@ -2,9 +2,12 @@
 
 Every subcommand runs in-process through ``bvsum.cli.main(argv)`` on all
 corpus specs, plus copies of a few specs with their piece antiderivatives
-removed (so the Darboux and Riemann-Stieltjes refinement routes run), at two
-tolerances.  Exit code, stdout and stderr must match
-``golden_cli_matrix.json`` byte for byte.
+removed, at two tolerances.  On those copies ``sum``, ``gamma`` and
+``verify --check midvalue`` integrate by midpoint-trapezoid brackets
+(cells classed convex, concave, flat or neither by sampled second
+differences; beta1 reduced to such integrals by parts), and ``verify
+--check parts`` by tagged Riemann-Stieltjes sums.  Exit code, stdout and
+stderr must match ``golden_cli_matrix.json`` byte for byte.
 
 The golden file records the output of the code as it stands; re-record it
 only when a change of output is intended, and say so in CHANGES.md:
@@ -85,7 +88,7 @@ def matrix(tmp: Path) -> dict[str, list[str]]:
             bare = tmp / f"{name}_bare.json"
             bare.write_text(json.dumps(_bare(spec)))
             specs.append((str(bare), _bare(spec)))
-        if name == "sin_arches":  # Darboux over several chunks (2^23 cells)
+        if name == "sin_arches":  # a tighter tol on six bracketed arches
             reqs[f"sum {TMP}/{name}_bare.json --a 0 --b 6 --tol 1e-6 --json"] = [
                 "sum", str(bare), "--a", "0", "--b", "6", "--tol", "1e-6", "--json"]
         for path, s in specs:

@@ -11,11 +11,9 @@ from bvsum import (
     DomainError,
     EvalError,
     MonotonePiece,
-    NotMonotone,
     SeriesDivergent,
     approx_from_partial,
     asymptotic_sum,
-    asymptotic_unbounded_bound,
     classify_convergence,
     em_finite_sum,
     em_midvalue_check,
@@ -235,29 +233,6 @@ class TestAsymptotics:
         gamma_rad = euler_constant(f, 10_000, 1e-9).gamma_estimate.radius
         assert enc.contains(harmonic_number(100))
         assert enc.radius <= 1.0 / 101.0 + gamma_rad + 1e-9
-
-    def test_unbounded_linear(self, corpus):
-        value, bound = asymptotic_unbounded_bound(corpus["linear.json"], 10)
-        assert value.value == pytest.approx(50.0, abs=1e-9)
-        assert bound == 10.0
-        assert abs(45.0 - value.value) <= bound + value.radius
-
-    def test_unbounded_sqrt(self, corpus):
-        f = corpus["sqrt.json"]
-        value, bound = asymptotic_unbounded_bound(f, 100)
-        assert value.value == pytest.approx(2000.0 / 3.0, abs=1e-8)
-        assert bound == 10.0
-        direct = direct_sum(f, 0, 100)
-        assert abs(direct - value.value) <= bound + value.radius
-
-    def test_constant_bound_zero(self, corpus):
-        value, bound = asymptotic_unbounded_bound(corpus["constant.json"], 10)
-        assert bound == 0.0
-        assert value.value == pytest.approx(30.0, abs=1e-12)
-
-    def test_not_monotone(self, corpus):
-        with pytest.raises(NotMonotone):
-            asymptotic_unbounded_bound(corpus["vshape.json"], 2)
 
 
 class TestMidvalueIdentity:

@@ -860,7 +860,8 @@ def _assert_parses_as_the_parser(text):
 @settings(max_examples=600, deadline=None)
 @given(_text_pairs())
 def test_template_parse_is_the_parser(texts):
-    # the first text may make its template, the second then uses it
+    # the first text may meet its key, the second then makes and uses its
+    # template
     for text in texts:
         _assert_parses_as_the_parser(text)
 
@@ -875,6 +876,7 @@ def test_malformed_inputs_report_position_on_a_known_key(text, offset):
 
 
 def test_texts_of_one_template_share_their_ops():
+    parse("1*x + exp(-1*x)")  # the key is met: the texts below take its template
     a, b = parse("2*x + exp(-1.5*x)"), parse("3*x + exp(-.25*x)")
     assert a.program[1] is b.program[1] and a.shape is b.shape
     assert a.program[0] is not b.program[0]
@@ -890,5 +892,27 @@ def test_template_cache_stays_at_its_bound():
     for i in range(n):
         text = ("".join("sin(" if i >> k & 1 else "cos(" for k in range(levels))
                 + f"{i}*x" + ")" * levels)
-        _assert_parses_as_the_parser(text)
+        for _ in range(2):  # the second parse makes the template
+            _assert_parses_as_the_parser(text)
     assert ex._template.cache_info().currsize == ex._TEMPLATES
+
+
+def test_template_made_when_a_key_is_met_again(monkeypatch):
+    monkeypatch.setattr(ex, "_MET", {})
+    ex._template.cache_clear()
+    made = []
+    real = ex._builder
+    monkeypatch.setattr(ex, "_builder", lambda e: made.append(e) or real(e))
+    _assert_parses_as_the_parser("atan(2.5*x)+sqrt(x+0.75)")
+    assert made == []  # the parser's AST, no builder compiled
+    _assert_parses_as_the_parser("atan(3*x)+sqrt(x+1e-3)")
+    assert len(made) == 1
+    _assert_parses_as_the_parser("atan(4*x)+sqrt(x+2)")
+    assert len(made) == 1
+
+
+def test_met_keys_stay_at_their_bound(monkeypatch):
+    monkeypatch.setattr(ex, "_MET", {})
+    for i in range(4 * ex._TEMPLATES + 10):
+        parse("x" + " " * i)  # a key per run of spaces
+    assert len(ex._MET) == 4 * ex._TEMPLATES
