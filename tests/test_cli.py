@@ -175,7 +175,7 @@ class TestExitCodes:
                         "right_limit": 1.0 / 11.0}],
             "breakpoints": [],
         }))
-        # under the rounding floor of the brackets, about 6.6e-13 here
+        # far under the rounding floor of the brackets, about 7.4e-13 here
         r = run_in(capsys, "sum", bare, "--a", 0, "--b", 10, "--tol", 1e-15)
         assert r.returncode == 4
 

@@ -198,7 +198,7 @@ class TestIntegrate:
                         "right_limit": 1.0 / 11.0}],
             "breakpoints": [],
         })
-        # under the rounding floor of the bracket, about 6.6e-13 here
+        # far under the rounding floor of the bracket, about 7.4e-13 here
         with pytest.raises(ToleranceUnreachable):
             integrate(f, 0, 10, 1e-15)
 
