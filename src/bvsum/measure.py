@@ -8,10 +8,16 @@ trapezoid brackets: each cell of an n-cell grid is classed by the second
 differences at its ends and midpoint.  Convex: by Hermite-Hadamard its
 integral lies between the midpoint sum M and the trapezoid sum T;
 concave: between T and M; flat within rounding: between both, widened by
-h * delta; neither: between the Darboux sums of its halves.  Convexity is
-sampled on the grid, as monotonicity is in validate, not proved.  beta1
-against d(mu_f) is reduced to such integrals by parts; mid-value
-integrals are tagged Riemann-Stieltjes sums.
+h * delta; neither: between the Darboux sums of its halves.  beta1
+against d(mu_f) is reduced to such integrals by parts.  A mid-value
+integral of g against d(mu_f) on a cell is the integral of the monotone
+phi = g o f^-1 over f's range, with nodes (f(x_k), g(x_k)) at the grid
+points: each pair of cells is classed by the cross differences at its
+ends and middle, and bracketed between the trapezoid sum and the
+secants extended from its other cell, both ways if flat within
+rounding; every pair is capped by its Darboux bracket |dg| * |df|.
+Convexity is sampled on the grid, as monotonicity is in validate, not
+proved.
 
 integrate, stieltjes_beta1 and stieltjes_midvalue share one refinement
 engine.  _certify reserves each segment's rounding floor, refusing a tol
@@ -32,6 +38,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -167,17 +174,17 @@ def total_variation_measure(f: BvFunction, iv: IntervalSpec) -> float:
 # Refinement engine shared by integrate, stieltjes_beta1 and stieltjes_midvalue
 
 
-def _walk(jobs, bounds, curves, failed: dict, terms, pad: bool = False) -> dict:
+def _walk(jobs, bounds, curves, failed: dict, terms) -> dict:
     """Walk the uniform grids of the jobs (i, n), in segment order: per
     segment i the list of its chunks' sums.  Segment i's grid is the n+1
     points over bounds[i] = (s, t), cut into chunks of _CHUNK cells that
-    share their end points; with pad, a chunk or block also takes the
-    point beyond each end that is not a grid's.
-    terms(rows, first, last, xs, errs, *vals) gives a block's terms, a
+    share their end points; a chunk or block also takes the point beyond
+    each end that is not a grid's (its pads).
+    terms(rows, first, last, xs, errs, vals) gives a block's terms, a
     2-D array per term with a row per segment of rows; first and last
-    tell whether it holds the grids' ends, and vals has an array per
-    curve (curves[c][i] is segment i's expression) over the points xs but
-    the grids' ends.  A row that fails to evaluate records its segment's
+    tell whether it holds the grids' ends, and vals has the curves'
+    values (curves[c][i] is segment i's expression) over the points xs
+    but the grids' ends, curve c in the rows from c * len(rows) on.  A row that fails to evaluate records its segment's
     first EvalError in failed; later segments' rows are then skipped."""
     parts = {i: [] for i, _ in jobs}
     batches = {}
@@ -195,7 +202,7 @@ def _walk(jobs, bounds, curves, failed: dict, terms, pad: bool = False) -> dict:
             s = np.array([bounds[i][0] for i in rows])[:, None]
             block = functools.partial(
                 _block, rows, n, s, np.array([bounds[i][1] for i in rows])[:, None] - s,
-                curves, terms, pad)
+                curves, terms)
             if stop - start < _BATCH:
                 sums = [np.sum(a, axis=1) for a in block(start, stop, failed)]
             else:
@@ -210,18 +217,16 @@ def _walk(jobs, bounds, curves, failed: dict, terms, pad: bool = False) -> dict:
     return parts
 
 
-def _block(rows, n: int, s, width, curves, terms, pad: bool, c0: int, c1: int,
-           errs: dict):
+def _block(rows, n: int, s, width, curves, terms, c0: int, c1: int, errs: dict):
     """The terms of the cells between the points c0 and c1 of the rows'
-    n-cell grids over [s, s + width], evaluating the curves in order;
-    errors go to errs."""
+    n-cell grids over [s, s + width], pads included, evaluating the
+    curves in order; errors go to errs."""
     first, last = c0 == 0, c1 == n
-    p0, p1 = (c0 - (not first), c1 + (not last)) if pad else (c0, c1)
+    p0, p1 = c0 - (not first), c1 + (not last)
     xs = width * (np.arange(p0, p1 + 1, dtype=np.float64) / n)
     xs += s  # s + (t - s) * (k / n), as for a lone grid
     inner = xs[:, int(first):xs.shape[1] - int(last)]
-    vals = [_evaluate(curve, rows, inner, errs) for curve in curves]
-    return terms(rows, first, last, xs, errs, *vals)
+    return terms(rows, first, last, xs, errs, _evaluate(curves, rows, inner, errs))
 
 
 def _blocks(block, start: int, stop: int):
@@ -247,12 +252,15 @@ def _blocks(block, start: int, stop: int):
     return [np.sum(buf[:, :p], axis=1) for buf, p in zip(bufs, pos)]
 
 
-def _evaluate(exprs, rows, xs, errs: dict):
-    """exprs[i] over the points xs of each row, for the segments rows; a
-    failing row records its segment's error in errs, if it is the first."""
-    vals, errors = ex.eval_rows([exprs[i] for i in rows], xs)
-    for r, err in errors.items():
-        errs.setdefault(rows[r], err)
+def _evaluate(curves, rows, xs, errs: dict):
+    """Each curve's expressions for the segments rows over the points xs
+    of each row, in one eval_rows call, the curves' rows stacked; a
+    failing row records its segment's error in errs, if it is the first
+    (an earlier curve's first)."""
+    vals, errors = ex.eval_rows([c[i] for c in curves for i in rows],
+                                np.concatenate([xs] * len(curves)) if len(curves) > 1 else xs)
+    for r in sorted(errors):
+        errs.setdefault(rows[r % len(rows)], errors[r])
     return vals
 
 
@@ -296,19 +304,19 @@ def _certify(tol: float, values: list[float], radii: list[float],
 
 
 def _refine(route: str, bounds, curves, terms, budgets, settle, failed: dict, *,
-            n0: int, order: int, pad: bool = False):
+            n0: int):
     """Refine the segments over bounds[i] = (s, t) together, round by
     round from n0 cells: each pending segment i walks a grid of n cells,
-    and settle(i, n, parts) -> (value, err, rounding) reads its sums.  It
-    is done, with radius err + rounding, when err fits budgets[i]; else n
-    grows at least twofold, aiming just under the budget at the route's
-    convergence order, up to the cap of MAX_CELLS cells.  The first
-    failing segment's error is raised."""
+    with pads (see _walk), and settle(i, n, parts) -> (value, err,
+    rounding) reads its sums.  It is done, with radius err + rounding,
+    when err fits budgets[i]; else n grows by a power of two, at least
+    twofold, aiming just under the budget at order 2, up to the cap of
+    MAX_CELLS cells.  The first failing segment's error is raised."""
     ns = [n0] * len(bounds)
     out: list = [None] * len(bounds)
     pending = [i for i in range(len(bounds)) if i < min(failed, default=math.inf)]
     while pending:
-        parts = _walk([(i, ns[i]) for i in pending], bounds, curves, failed, terms, pad)
+        parts = _walk([(i, ns[i]) for i in pending], bounds, curves, failed, terms)
         cut = min(failed, default=math.inf)
         grown = []
         for i in pending:
@@ -323,10 +331,9 @@ def _refine(route: str, bounds, curves, terms, budgets, settle, failed: dict, *,
                 failed[i] = ToleranceUnreachable(
                     f"{route} hit the {MAX_CELLS}-cell cap on {list(bounds[i])}")
                 break
-            # brackets keep n a power of two, so that segments share batches
+            # n stays a power of two, so that segments share batches
             ratio = 1.2 * err / max(budget, 1e-300)
-            ns[i] = min(MAX_CELLS, int(n * max(2.0, ratio)) + 1 if order == 1
-                        else n << max(1, math.ceil(0.5 * math.log2(ratio))))
+            ns[i] = min(MAX_CELLS, n << max(1, math.ceil(0.5 * math.log2(ratio))))
             grown.append(i)
         pending = grown
     if failed:
@@ -340,7 +347,9 @@ def _refine(route: str, bounds, curves, terms, budgets, settle, failed: dict, *,
 # The rounding model of the brackets: a sample of f is within _ULPS ulps of
 # max|f| on its segment (f is monotone: the larger end) of f at its float
 # point, which is within an ulp of max(|s|, |t|) of its grid point; numpy's
-# pairwise sums are within _SUM_ULPS ulps of the sum of |terms|.
+# pairwise sums are within _SUM_ULPS ulps of the sum of |terms|.  The
+# mid-value brackets sample f and g at the same float points, so a node
+# (f(x), g(x)) is off the curve by the sample errors alone.
 _ULPS = 4
 _SUM_ULPS = 32
 
@@ -357,6 +366,27 @@ def _rounding(s: float, t: float, v0: float, vn: float) -> tuple[float, float]:
     return delta, (t - s) * (delta + 8 * _SUM_ULPS * _EPS * big)
 
 
+def _mid_rounding(u0: float, un: float, g0: float, gn: float):
+    """(eu, eg, term, widening) of a mid-value segment on which f runs
+    from u0 to un and g from g0 to gn.  For cells d_k of f and e_k of g,
+    the cross difference e_k d_(k-1) - e_(k-1) d_k at node k is within
+    delta_k = eg * (|d_(k-1)| + |d_k|) + eu * (|e_(k-1)| + |e_k|) of its
+    value at the exact samples: eu and eg are 8 sample errors of f and g,
+    for the differences, the products and their rounding.  widening, the
+    sum of delta at the pairs' middles, is what flat pairs add to the
+    half-gaps.  term bounds what rounding adds to the brackets: sample
+    errors move the trapezoid sum and the Darboux half-widths by at most
+    (eg * du + eu * (dg + max|g|)) / 4 (du = |un - u0|, dg = |gn - g0|),
+    twice over, and the sums of the pairs' terms, each at most
+    2 * max|g| * |d|, by 8 * _SUM_ULPS ulps of max|g| * du."""
+    big = max(abs(g0), abs(gn))
+    eu = 8 * _ULPS * _EPS * max(abs(u0), abs(un))
+    eg = 8 * _ULPS * _EPS * big
+    du, dg = abs(un - u0), abs(gn - g0)
+    widening = eg * du + eu * dg
+    return eu, eg, 0.5 * (widening + eu * big) + 8 * _SUM_ULPS * _EPS * big * du, widening
+
+
 def _bracket_weight(p: MonotonePiece, s: float, t: float):
     # floor: term and the widening of flat cells, at most (t - s) * delta
     v0, vn = _segment_endpoint_values(p, s, t)
@@ -365,7 +395,7 @@ def _bracket_weight(p: MonotonePiece, s: float, t: float):
 
 
 def _bracket_terms(ends, rows, first, last, xs, errs, vals):
-    """The terms of a grid of an even number of cells, walked with pad:
+    """The terms of a grid of an even number of cells, with pads:
     its values, but the grid's ends and each block's first point; and per
     bracket cell, two grid cells, its half-gap in units of half a step."""
     y = _with_ends(vals, rows, ends, first, last)
@@ -407,15 +437,16 @@ def _bracket(segs, ends, shares):
     return _refine("Bracket refinement", bounds, [[p.evaluator for p, _, _ in segs]],
                    functools.partial(_bracket_terms, ends),
                    [share - e[3] for share, e in zip(shares, ends)],
-                   settle, {}, n0=64, order=2, pad=True)
+                   settle, {}, n0=64)
 
 
 def integrate(f: BvFunction, a: float, b: float, tol: float = DEFAULT_TOL) -> Certified:
     """Certified enclosure of the Lebesgue integral of f over [a, b].
 
-    Constant pieces are exact; pieces with a validated antiderivative F
-    contribute F(t)-F(s) with an ulp-scale radius; remaining monotone
-    pieces are bracketed (_bracket) until the total radius is at most tol
+    Constant pieces contribute value * (t - s) and pieces with a
+    validated antiderivative F contribute F(t)-F(s), with ulp-scale radii
+    (0 for an exact product); remaining monotone pieces are bracketed
+    (_bracket) until the total radius is at most tol
     (ToleranceUnreachable under the rounding floor or past the cell cap).
     """
     if math.isnan(a) or math.isnan(b) or a > b:
@@ -430,8 +461,11 @@ def integrate(f: BvFunction, a: float, b: float, tol: float = DEFAULT_TOL) -> Ce
         if s >= t:
             continue
         if p.direction == "const":
-            values.append(p.left_boundary_limit * (t - s))
-            radii.append(0.0)
+            c = p.left_boundary_limit
+            values.append(c * (t - s))
+            # an ulp-scale radius unless the difference and product are exact
+            exact = Fraction(values[-1]) == Fraction(c) * (Fraction(t) - Fraction(s))
+            radii.append(0.0 if exact else _slack(values[-1]))
         elif p.antiderivative is not None:
             fs = ex.eval_expr(p.antiderivative, s)
             ft = ex.eval_expr(p.antiderivative, t)
@@ -589,45 +623,94 @@ def _limit(seen: dict, fn: BvFunction, x: float, right: bool,
     return right_limit(fn, x, strict) if right else left_limit(fn, x, strict)
 
 
-def _stieltjes_mid(g: BvFunction, f: BvFunction, segs, ends, shares, *, seen: dict):
-    """Integrals of g (continuous on each cell (s, t)) against d(mu_f) on
-    open cells where f runs on the non-constant piece fp of (fp, s, t),
-    with g's ends (g(s+), g(t-)); tagged Riemann-Stieltjes sums with cell
-    error bounded by osc(g) * |mu_f| per subcell, refined at order 1.
-    Scalar evaluations are kept in seen (see _value)."""
-    failed: dict = {}
-    curves: tuple[list, list] = ([], [])
-    f_ends = []
-    for i, (fp, s, t) in enumerate(segs):
-        try:
-            gp = g.piece_containing(0.5 * (s + t))
-            if gp is None:
-                raise DomainError(f"no piece of the integrand covers ({s}, {t})")
-            f_ends.append((_limit(seen, f, s, True), _limit(seen, f, t, False)))
-        except (BvError, ex.EvalError) as exc:
-            failed[i] = exc
-            break
-        curves[0].append(fp.evaluator)
-        curves[1].append(gp.evaluator)
+def _end(seen: dict, fn: BvFunction, p: MonotonePiece, x: float, right: bool) -> float:
+    """_limit(seen, fn, x, right) where p is fn's piece on that side of
+    x: breakpoint data, p's limit at a domain end, or p at x."""
+    bp = fn.breakpoint_at(x)
+    if bp is not None:
+        return bp.right_value if right else bp.left_value
+    if x == (p.lo if right else p.hi):
+        return p.left_boundary_limit if right else p.right_boundary_limit
+    return _value(seen, p.evaluator, x)
 
-    def terms(rows, first, last, xs, errs, fv, gv):
-        # g(mid) * dmu and |dg| * |dmu|, in the arrays of g(mid) and dg
-        mids = np.add(xs[:, :-1], xs[:, 1:])
-        mids *= 0.5
-        gmid = _evaluate(curves[1], rows, mids, errs)
-        dmu = np.diff(_with_ends(fv, rows, f_ends, first, last))
-        dg = np.diff(_with_ends(gv, rows, ends, first, last))
-        np.multiply(gmid, dmu, out=gmid)
-        np.abs(dg, out=dg)
-        dg *= np.abs(dmu, out=dmu)
-        return gmid, dg
 
+def _mid_terms(ends, lims, rows, first, last, xs, errs, vals):
+    """The terms of a mid-value grid of an even number of cells, with
+    pads: per pair of cells, twice its bracket's midpoint and twice its
+    width.  vals stacks the rows of g under those of f; ends[i] is
+    (f(s+), f(t-), g(s+), g(t-), eu, eg, term) of segment i, and lims[i]
+    and lims[len(ends) + i] are its limits of f and of g."""
+    n = len(rows)
+    uy = _with_ends(vals, rows + [len(ends) + i for i in rows], lims, first, last)
+    steps = uy[:, 1:] - uy[:, :-1]
+    d, e = steps[:n], steps[n:]
+    # cross differences and their rounding bounds at the block's points,
+    # 0 (which every class admits) at grid ends
+    cross, delta = np.zeros((2, n, uy.shape[1] - 2 + first + last))
+    inner = slice(int(first), cross.shape[1] - int(last))
+    np.multiply(e[:, 1:], d[:, :-1], out=cross[:, inner])
+    cross[:, inner] -= e[:, :-1] * d[:, 1:]
+    # the block's cells, without pads, and twice their trapezoid sums
+    k, m = 1 - first, cross.shape[1] - 1
+    y = uy[n:, k:k + m + 1]
+    trapezoid = y[:, :-1] + y[:, 1:]
+    trapezoid *= d[:, k:k + m]
+    size = np.abs(steps, out=steps)
+    eu, eg = np.array([ends[i][4:6] for i in rows]).T[:, :, None]
+    np.add(size[n:, :-1], size[n:, 1:], out=delta[:, inner])
+    delta[:, inner] *= eu
+    delta[:, inner] += eg * (size[:n, :-1] + size[:n, 1:])
+    # neither convex nor concave: the crosses at a pair's ends and middle
+    # leave [-delta, delta] on both sides
+    up, down = cross > delta, cross < -delta
+    neither = (up[:, :-1:2] | up[:, 1::2] | up[:, 2::2]) & \
+        (down[:, :-1:2] | down[:, 1::2] | down[:, 2::2])
+    ad, ae = size[:n, k:k + m], size[n:, k:k + m]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # convex or concave, the integral is between the trapezoid sum T
+        # and T - cross * rho, rho = (d1^2 + d2^2) / (2 d1 d2); off by at
+        # most delta * rho.  Twice rho is r + 1/r, r = d1 / d2 > 0.
+        rho = ad[:, ::2] / ad[:, 1::2]
+        rho += 1.0 / rho
+        c = cross[:, 1::2] * rho
+        rho *= delta[:, 1::2]
+        lo, hi = np.maximum(c, 0.0), np.maximum(-c, 0.0)
+        lo += rho
+        hi += rho
+        # the Darboux bracket, its width twice, caps every pair (and
+        # replaces a NaN or infinite rho's)
+        darboux = ae * ad
+        dd = darboux[:, ::2] + darboux[:, 1::2]
+        np.copyto(lo, dd, where=neither)
+        np.copyto(hi, dd, where=neither)
+        np.fmin(lo, dd, out=lo)
+        np.fmin(hi, dd, out=hi)
+    value = trapezoid[:, ::2] + trapezoid[:, 1::2]
+    value += 0.5 * (hi - lo)
+    lo += hi
+    return value, lo
+
+
+def _stieltjes_mid(segs, ends, shares):
+    """Integrals of g against d(mu_f) on open cells (s, t) where f runs
+    on its non-constant piece fp and g on its piece gp, (fp, gp, s, t) in
+    segs, with ends (f(s+), f(t-), g(s+), g(t-), eu, eg, term).  There it
+    is the integral of phi = g o f^-1, which is monotone, over [f(s+),
+    f(t-)], and the grid points x_k give its nodes (f(x_k), g(x_k)).  Each
+    pair of grid cells is classed by the cross differences at its ends
+    and middle (_mid_rounding): convex or concave, phi lies between the
+    trapezoid sum and the secants extended from the pair's other cell;
+    flat within rounding, both ways; neither, the Darboux bracket
+    |dg| * |df| of its cells, which also caps every pair."""
     def settle(i, n, parts):
-        value = math.fsum(v for v, _ in parts)
-        return value, math.fsum(e for _, e in parts), _slack(value)
+        return (0.5 * math.fsum(v for v, _ in parts),
+                0.25 * math.fsum(r for _, r in parts), ends[i][6])
 
-    return _refine("Stieltjes refinement", [seg[1:] for seg in segs], curves, terms,
-                   shares, settle, failed, n0=16, order=1)
+    return _refine("Stieltjes refinement", [seg[2:] for seg in segs],
+                   [[seg[0].evaluator for seg in segs], [seg[1].evaluator for seg in segs]],
+                   functools.partial(_mid_terms, ends,
+                                     [e[:2] for e in ends] + [e[2:4] for e in ends]),
+                   [share - e[6] for share, e in zip(shares, ends)], settle, {}, n0=16)
 
 
 def stieltjes_midvalue(g: BvFunction, f: BvFunction, lo: float, hi: float,
@@ -659,18 +742,21 @@ def stieltjes_midvalue(g: BvFunction, f: BvFunction, lo: float, hi: float,
     atoms = math.fsum(atom_terms)
 
     grid = _refinement_grid(lo, hi, (f, g), with_integers=False)
-    fallback: list[tuple[MonotonePiece, float, float]] = []
+    fallback = []  # (fp, gp, s, t)
     for s, t in zip(grid[:-1], grid[1:]):
         fp = f.piece_containing(0.5 * (s + t))
         if fp is not None and fp.direction != "const":
-            fallback.append((fp, s, t))
+            gp = g.piece_containing(0.5 * (s + t))
+            if gp is None:
+                raise DomainError(f"no piece of the integrand covers ({s}, {t})")
+            fallback.append((fp, gp, s, t))
 
-    def weigh(fp: MonotonePiece, s: float, t: float):
-        # as _segment_endpoint_values(fp, s, t)
-        v0 = fp.left_boundary_limit if s == fp.lo else _value(seen, fp.evaluator, s)
-        vn = fp.right_boundary_limit if t == fp.hi else _value(seen, fp.evaluator, t)
-        gs, gt = _limit(seen, g, s, True), _limit(seen, g, t, False)
-        return abs(vn - v0) * abs(gs - gt) + 1e-300, 0.0, (gs, gt)
+    def weigh(fp: MonotonePiece, gp: MonotonePiece, s: float, t: float):
+        # floor: the rounding term and the widening of flat pairs, twice
+        u0, un = _end(seen, f, fp, s, True), _end(seen, f, fp, t, False)
+        gs, gt = _end(seen, g, gp, s, True), _end(seen, g, gp, t, False)
+        eu, eg, term, widening = _mid_rounding(u0, un, gs, gt)
+        return (abs(un - u0) * abs(gs - gt) + 1e-300, term + 2.0 * widening,
+                (u0, un, gs, gt, eu, eg, term))
 
-    return _certify(tol, [atoms], [], fallback, weigh,
-                    functools.partial(_stieltjes_mid, g, f, seen=seen))
+    return _certify(tol, [atoms], [_slack(*atom_terms)], fallback, weigh, _stieltjes_mid)

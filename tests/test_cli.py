@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from bvsum import expr as ex
+from bvsum import measure
 from bvsum.cli import main
 from conftest import CORPUS_DIR, DEEP
 
@@ -178,6 +179,22 @@ class TestExitCodes:
         # far under the rounding floor of the brackets, about 7.4e-13 here
         r = run_in(capsys, "sum", bare, "--a", 0, "--b", 10, "--tol", 1e-15)
         assert r.returncode == 4
+
+    def test_parts_check_of_a_spec_with_itself_answers_a_tight_tol(self, capsys, monkeypatch):
+        # g = f makes g o f^-1 linear, so the mid-value brackets close at
+        # the first grid; tagged sums ran into the 2^24-cell cap here
+        cells = []
+        real = measure._walk
+
+        def walk(jobs, *args):
+            cells.append(sum(n for _, n in jobs))
+            return real(jobs, *args)
+
+        monkeypatch.setattr(measure, "_walk", walk)
+        r = run_in(capsys, "verify", cpath("sin_arches.json"), "--check", "parts",
+                   "--a", 0, "--b", 2, "--tol", 1e-12)
+        assert r.returncode == 0 and "PASS" in r.stdout
+        assert 0 < sum(cells) <= 1024
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
     def test_series_refuses_non_positive_tol_exit_4(self, capsys, tol):

@@ -6,7 +6,8 @@ removed, at two tolerances.  On those copies ``sum``, ``gamma`` and
 ``verify --check midvalue`` integrate by midpoint-trapezoid brackets
 (cells classed convex, concave, flat or neither by sampled second
 differences; beta1 reduced to such integrals by parts), and ``verify
---check parts`` by tagged Riemann-Stieltjes sums.  Exit code, stdout and
+--check parts`` by brackets of g o f^-1 on pairs of cells (classed by
+cross differences, capped by Darboux brackets).  Exit code, stdout and
 stderr must match ``golden_cli_matrix.json`` byte for byte.
 
 The golden file records the output of the code as it stands; re-record it

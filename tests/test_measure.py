@@ -22,6 +22,7 @@ from bvsum import (
     integrate,
     load_function,
     measure_interval,
+    parts_check,
     pointwise_variation,
     rho,
     stieltjes_beta1,
@@ -41,6 +42,7 @@ from bvsum.bv import (
     right_limit,
 )
 from bvsum.errors import BvError
+from bvsum.euler_maclaurin import IDENTITY_SLACK
 from conftest import corpus_path
 from oracles import grid_variation
 
@@ -352,9 +354,9 @@ class TestStieltjesMidvalue:
 
     def test_x_dx(self, corpus):
         lin = corpus["linear.json"]
-        got = stieltjes_midvalue(lin, lin, 0, 1, 1e-5)
+        got = stieltjes_midvalue(lin, lin, 0, 1, 1e-12)
         assert got.contains(0.5)
-        assert got.radius <= 1e-5
+        assert got.radius <= 1e-12
 
     def test_atom_at_left_end_included(self, corpus):
         f = corpus["floor_steps.json"]   # unit jump at every integer
@@ -452,7 +454,7 @@ class TestGridWalker:
         v0, vn = ex.eval_expr(p.evaluator, s), p.right_boundary_limit
         delta = ref_rounding(s, t, v0, vn)[0]
         terms = functools.partial(measure._bracket_terms, [(v0, vn, delta)])
-        parts = measure._walk([(0, n)], [(s, t)], [[p.evaluator]], {}, terms, pad=True)
+        parts = measure._walk([(0, n)], [(s, t)], [[p.evaluator]], {}, terms)
         assert [tuple(map(float, sum_)) for sum_ in parts[0]] == \
             list(ref_bracket_sums(p.evaluator, s, t, n, v0, vn, delta))
 
@@ -473,25 +475,6 @@ class TestGridWalker:
 # The engine refines all segments of a call together.  Per-segment
 # routines are kept here as references: every value, radius, error kind
 # and refusal must be theirs, bit for bit.
-
-
-def ref_chunks(s, t, n, *curves):
-    width = t - s
-    for start in range(0, n, measure._CHUNK):
-        stop = min(n, start + measure._CHUNK)
-        first, last = start == 0, stop == n
-        xs = s + width * (np.arange(start, stop + 1, dtype=np.float64) / n)
-        i, j = int(first), len(xs) - int(last)
-        rows = []
-        for e, v0, vn in curves:
-            vals = np.empty(len(xs))
-            vals[i:j] = ex.eval_expr(e, xs[i:j])
-            if first:
-                vals[0] = v0
-            if last:
-                vals[-1] = vn
-            rows.append(vals)
-        yield last, xs, *rows
 
 
 def ref_rounding(s, t, v0, vn):
@@ -533,39 +516,82 @@ def ref_parts_segment(p, s, t, share):
     return (t - k - 0.5) * vn - (s - k - 0.5) * v0 - value, radius + slack
 
 
-def ref_stieltjes_mid_segment(g, f, fp, s, t, budget):
-    gp = g.piece_containing(0.5 * (s + t))
-    if gp is None:
-        raise DomainError(f"no piece of the integrand covers ({s}, {t})")
-    f_ends = (fp.evaluator, right_limit(f, s), left_limit(f, t))
-    g_ends = (gp.evaluator, right_limit(g, s), left_limit(g, t))
+def ref_mid_rounding(u0, un, g0, gn):
+    """(eu, eg, term, widening) of the mid-value route, written out again:
+    eu, eg are 8 sample errors (4 ulps of max|f|, max|g|) each; widening
+    is eg * |un - u0| + eu * |gn - g0|; term is half of widening plus
+    eu * max|g|, and 256 ulps of max|g| * |un - u0| for the sums."""
+    big = max(abs(g0), abs(gn))
+    eu, eg = 32 * EPS * max(abs(u0), abs(un)), 32 * EPS * big
+    widening = eg * abs(un - u0) + eu * abs(gn - g0)
+    return eu, eg, 0.5 * (widening + eu * big) + 256 * EPS * big * abs(un - u0), widening
+
+
+def ref_mid_sums(fe, ge, s, t, N, u0, un, g0, gn, eu, eg):
+    """Per chunk of the N-cell grid of the mid-value route: the sums of
+    twice the midpoints and twice the widths of its pairs' brackets.  A
+    chunk takes the point beyond each end that is not the grid's; the
+    walker's sums must equal these bit for bit."""
+    for start in range(0, N, measure._CHUNK):
+        stop = min(N, start + measure._CHUNK)
+        lo, hi = max(start - 1, 0), min(stop + 1, N)
+        xs = s + (t - s) * (np.arange(lo, hi + 1, dtype=np.float64) / N)
+        i, j = int(lo == 0), len(xs) - int(hi == N)
+        u, y = np.empty(len(xs)), np.empty(len(xs))
+        u[i:j], y[i:j] = ex.eval_expr(fe, xs[i:j]), ex.eval_expr(ge, xs[i:j])
+        if lo == 0:
+            u[0], y[0] = u0, g0
+        if hi == N:
+            u[-1], y[-1] = un, gn
+        d, e = np.diff(u), np.diff(y)
+        cross, delta = np.zeros(len(xs)), np.zeros(len(xs))
+        cross[1:-1] = e[1:] * d[:-1] - e[:-1] * d[1:]
+        delta[1:-1] = eg * (abs(d[:-1]) + abs(d[1:])) + eu * (abs(e[:-1]) + abs(e[1:]))
+        k = start - lo
+        cross, delta = cross[k:k + stop - start + 1], delta[k:k + stop - start + 1]
+        y, d, e = y[k:k + stop - start + 1], d[k:k + stop - start], e[k:k + stop - start]
+        up, down = cross > delta, cross < -delta
+        neither = ((up[:-1:2] | up[1::2] | up[2::2])
+                   & (down[:-1:2] | down[1::2] | down[2::2]))
+        d1, d2, e1, e2 = d[::2], d[1::2], e[::2], e[1::2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = abs(d1) / abs(d2)
+            rho = r + 1.0 / r
+            c, w = cross[1::2] * rho, delta[1::2] * rho
+        dd = abs(e1) * abs(d1) + abs(e2) * abs(d2)
+        below = np.fmin(np.where(neither, dd, np.maximum(c, 0.0) + w), dd)
+        above = np.fmin(np.where(neither, dd, np.maximum(-c, 0.0) + w), dd)
+        value = ((y[:-1:2] + y[1::2]) * d1 + (y[1::2] + y[2::2]) * d2
+                 + 0.5 * (above - below))
+        yield float(np.sum(value)), float(np.sum(below + above))
+
+
+def ref_stieltjes_mid_segment(g, f, fp, gp, s, t, share):
+    ends = (right_limit(f, s), left_limit(f, t), right_limit(g, s), left_limit(g, t))
+    eu, eg, term, _ = ref_mid_rounding(*ends)
+    budget = share - term
     n = 16
     while True:
-        value_parts, err_parts = [], []
-        for _, xs, fv, gv in ref_chunks(s, t, n, f_ends, g_ends):
-            gmid = ex.eval_expr(gp.evaluator, 0.5 * (xs[:-1] + xs[1:]))
-            dmu = np.diff(fv)
-            value_parts.append(float(np.sum(gmid * dmu)))
-            err_parts.append(float(np.sum(np.abs(np.diff(gv)) * np.abs(dmu))))
-        value, err = math.fsum(value_parts), math.fsum(err_parts)
-        if err <= budget or n >= measure.MAX_CELLS:
-            break
-        growth = max(2.0, 1.2 * err / max(budget, 1e-300))
-        n = min(measure.MAX_CELLS, int(n * growth) + 1)
-    if err > budget:
-        raise ToleranceUnreachable(
-            f"Stieltjes refinement hit the {measure.MAX_CELLS}-cell cap on [{s}, {t}]")
-    return value, err + measure._slack(value)
+        sums = list(ref_mid_sums(fp.evaluator, gp.evaluator, s, t, n, *ends, eu, eg))
+        value = 0.5 * math.fsum(v for v, _ in sums)
+        gap = 0.25 * math.fsum(w for _, w in sums)
+        if gap <= budget:
+            return value, gap + term
+        if n >= measure.MAX_CELLS:
+            raise ToleranceUnreachable(
+                f"Stieltjes refinement hit the {measure.MAX_CELLS}-cell cap on [{s}, {t}]")
+        shift = max(1, math.ceil(0.5 * math.log2(1.2 * gap / max(budget, 1e-300))))
+        n = min(measure.MAX_CELLS, n << shift)
 
 
-def ref_certify(tol, values, radii, fallback, weigh, refine):
+def ref_certify(tol, values, radii, fallback, weigh, refine, mid=None):
     """_certify as it was: each fallback segment refined on its own, in
-    order, by the reference of the route."""
-    if isinstance(refine, functools.partial):
-        one = functools.partial(ref_stieltjes_mid_segment, *refine.args)
-    else:
-        one = {measure._bracket: ref_bracket_segment,
-               measure._by_parts: ref_parts_segment}[refine]
+    order, by the reference of the route; mid is (g, f) of a mid-value
+    call."""
+    one = {measure._bracket: ref_bracket_segment,
+           measure._by_parts: ref_parts_segment,
+           measure._stieltjes_mid: functools.partial(ref_stieltjes_mid_segment, *mid or ())
+           }[refine]
     if fallback:
         budget = tol - math.fsum(radii)
         if budget > 0.0:
@@ -592,9 +618,11 @@ def _outcome(call):
         return "error", type(e).__name__, str(e)
 
 
-def assert_as_reference(call):
+def assert_as_reference(call, *mid):
+    """call's outcome is that of ref_certify; mid is (g, f) of a
+    mid-value call."""
     got = _outcome(call)
-    with mock.patch.object(measure, "_certify", ref_certify):
+    with mock.patch.object(measure, "_certify", functools.partial(ref_certify, mid=mid)):
         want = _outcome(call)
     assert got == want
 
@@ -671,7 +699,7 @@ def beta1_as_reference(data, tol):
 def midvalue_as_reference(data, tol):
     f, g = data.draw(monotone_specs(2)), data.draw(monotone_specs(2))
     hi = data.draw(st.sampled_from([1.5, 2.0]))
-    assert_as_reference(lambda: stieltjes_midvalue(g, f, 0.0, hi, tol))
+    assert_as_reference(lambda: stieltjes_midvalue(g, f, 0.0, hi, tol), g, f)
 
 
 class TestBatchedEngine:
@@ -727,10 +755,19 @@ def mp_cells(f, lo, hi, with_integers):
             for s, t in zip(pts, pts[1:])]
 
 
+def mp_quad(F, s, t, G=None, **kw):
+    """The integral of F over [s, t] (of F * G if G is given).  quad stops
+    at an absolute error, so it integrates at the scale 1 of the
+    monotone F (or G) at the cell's ends."""
+    scale = G or F
+    scale = max(abs(scale(mpmath.mpf(s))), abs(scale(mpmath.mpf(t)))) or 1
+    h = (lambda x: F(x) / scale) if G is None else (lambda x: F(x) * (G(x) / scale))
+    return scale * mpmath.quad(h, [s, 0.5 * (s + t), t], **kw)
+
+
 def mp_integral(f, a, b):
     with mpmath.workdps(40):
-        return mpmath.fsum(mpmath.quad(F, [s, 0.5 * (s + t), t])
-                           for s, t, F in mp_cells(f, a, b, False))
+        return mpmath.fsum(mp_quad(F, s, t) for s, t, F in mp_cells(f, a, b, False))
 
 
 def mp_beta1_continuous(f, lo, hi):
@@ -739,13 +776,35 @@ def mp_beta1_continuous(f, lo, hi):
         return mpmath.fsum(
             (t - math.floor(s) - 0.5) * F(mpmath.mpf(t))
             - (s - math.floor(s) - 0.5) * F(mpmath.mpf(s))
-            - mpmath.quad(F, [s, 0.5 * (s + t), t])
+            - mp_quad(F, s, t)
             for s, t, F in mp_cells(f, float(lo), float(hi), True))
 
 
-# convex, concave, inflected, linear and nearly linear pieces of larger
-# spreads, with jumps and misplaced values
-_containment_specs = functools.partial(monotone_specs, kinds=KINDS, spread=(1e-4, 1.0))
+def mp_midvalue(g, f, lo, hi):
+    """The mid-value integral of g against d(mu_f) over [lo, hi[: atoms
+    from the breakpoint data, and on each cell where f is not constant
+    the integral of G * F', G and F the pieces' expressions."""
+    with mpmath.workdps(40):
+        atoms = mpmath.fsum(
+            (mpmath.mpf(left_limit(g, bp.x, True)) + right_limit(g, bp.x, True)) / 2
+            * (mpmath.mpf(bp.right_value) - bp.left_value)
+            for bp in f.breakpoints if lo <= bp.x < hi)
+        pts = {lo, hi, *(bp.x for fn in (f, g) for bp in fn.breakpoints if lo < bp.x < hi)}
+        pts = sorted(pts)
+        cells = []
+        for s, t in zip(pts, pts[1:]):
+            fp = f.piece_containing(0.5 * (s + t))
+            if fp.direction != "const":
+                F = mp_piece(fp)
+                cells.append(mp_quad(lambda x: mpmath.diff(F, x), s, t,
+                                     mp_piece(g.piece_containing(0.5 * (s + t))),
+                                     method="gauss-legendre"))
+        return atoms + mpmath.fsum(cells)
+
+
+# convex, concave, inflected, linear, nearly linear and constant pieces of
+# larger spreads, increasing and decreasing, with jumps and misplaced values
+_containment_specs = functools.partial(monotone_specs, spread=(1e-4, 1.0))
 _containment_tols = st.floats(-10.0, -4.0).map(lambda lg: 10.0 ** lg)
 
 
@@ -769,6 +828,26 @@ class TestContainment:
         cont = stieltjes_beta1(f, lo, 3, tol).continuous_contribution
         assert cont.radius <= tol
         assert abs(mpmath.mpf(cont.value) - mp_beta1_continuous(f, lo, 3)) <= cont.radius
+
+    @settings(deadline=None)
+    @given(st.data(), _containment_tols)
+    def test_stieltjes_midvalue_contains_the_integral(self, data, tol):
+        f, g = data.draw(_containment_specs(2)), data.draw(_containment_specs(2))
+        hi = data.draw(st.sampled_from([1.5, 2.0]))
+        enc = stieltjes_midvalue(g, f, 0.0, hi, tol)
+        assert enc.radius <= tol
+        assert abs(mpmath.mpf(enc.value) - mp_midvalue(g, f, 0.0, hi)) <= enc.radius
+
+    @settings(deadline=None)
+    @given(st.data(), _containment_tols)
+    def test_parts_check_contains_both_integrals(self, data, tol):
+        f, g = data.draw(_containment_specs(2)), data.draw(_containment_specs(2))
+        rep = parts_check(f, g, 0.0, 2.0, tol)
+        assert rep.passed
+        # the radii of both integrals, and the rounding of their sum
+        radius = rep.budget - IDENTITY_SLACK + EPS * abs(rep.lhs)
+        want = mp_midvalue(g, f, 0.0, 2.0) + mp_midvalue(f, g, 0.0, 2.0)
+        assert abs(mpmath.mpf(rep.lhs) - want) <= radius
 
 
 def _scalar_evaluations(call):
@@ -872,21 +951,22 @@ class TestEngineErrorOrder:
         assert 1 / 3 < err.value.x < 2 / 3
         assert_as_reference(lambda: stieltjes_beta1(f, 0, 2, 1e-4))
 
+    # against f = x a linear g is bracketed exactly; x^3 is convex
     @pytest.mark.parametrize("g,want", [
         # the cap in the first cell, an error in the second
-        (direct((0, 1, "x", 0, 1), (1, 2, "log(x-1.5)", -5, -0.7)),
+        (direct((0, 1, "x^3", 0, 1), (1, 2, "log(x-1.5)", -5, -0.7)),
          r"cap on \[0.0, 1.0\]"),
         # an error in the first cell, the cap in the second
-        (direct((0, 1, "log(x-0.5)", -5, -0.7), (1, 2, "x", 1, 2)), "log_domain"),
+        (direct((0, 1, "log(x-0.5)", -5, -0.7), (1, 2, "x^3", 1, 8)), "log_domain"),
         # the first cell converges at once, the second reaches the cap
-        (direct((0, 1, "2", 2, 2), (1, 2, "x", 1, 2)), r"cap on \[1.0, 2.0\]"),
+        (direct((0, 1, "2", 2, 2), (1, 2, "x^3", 1, 8)), r"cap on \[1.0, 2.0\]"),
     ])
     def test_midvalue_cell_cap(self, monkeypatch, g, want):
         monkeypatch.setattr(measure, "MAX_CELLS", 256)
         f = direct((0, 1, "x", 0, 1), (1, 2, "x", 1, 2))
         with pytest.raises((ToleranceUnreachable, ex.EvalError), match=want):
-            stieltjes_midvalue(g, f, 0.0, 2.0, 1e-12)
-        assert_as_reference(lambda: stieltjes_midvalue(g, f, 0.0, 2.0, 1e-12))
+            stieltjes_midvalue(g, f, 0.0, 2.0, 1e-10)
+        assert_as_reference(lambda: stieltjes_midvalue(g, f, 0.0, 2.0, 1e-10), g, f)
 
     # In blocks of 64 points: an error is still that of a whole chunk,
     # whose first failing op may fail at a later point than another op.
@@ -917,7 +997,7 @@ class TestEngineErrorOrder:
         with pytest.raises(ex.EvalError) as err:
             stieltjes_midvalue(g, f, 0.0, 1.0, 1e-4)
         assert err.value.kind == "log_domain" and 0.761 < err.value.x < 0.769
-        assert_as_reference(lambda: stieltjes_midvalue(g, f, 0.0, 1.0, 1e-4))
+        assert_as_reference(lambda: stieltjes_midvalue(g, f, 0.0, 1.0, 1e-4), g, f)
 
     def test_memory_of_a_48_piece_call_is_bounded_by_a_batch(self):
         f, g = sawtooth(48, 12, 0.01, 0.0), sawtooth(48, 12, 0.02, 1.0)
@@ -931,17 +1011,23 @@ class TestEngineErrorOrder:
         # _BATCH points lives in about a dozen arrays at a time
         assert peak < 16 * 8 * measure._BATCH
 
-    @pytest.mark.parametrize("route,terms", [("bracket", 1.5), ("midvalue", 2)])
+    @pytest.mark.parametrize("route,terms", [("bracket", 1.5), ("midvalue", 1)])
     def test_memory_of_a_whole_chunk_is_a_buffer_per_term(self, route, terms):
         f = direct((0, 1, "2*x", 0, 2))
         if route == "midvalue":
-            # 16 cells, then int(1.2 * (4/16) / (tol/16)) + 1 = 1,000,001
-            call = lambda: stieltjes_midvalue(f, f, 0.0, 1.0, 4.8e-6)  # noqa: E731
+            # one chunk of mid-value brackets: a midpoint and a width per
+            # two cells
+            g = direct((0, 1, "x^2", 0, 1))
+            call = lambda: measure._walk(  # noqa: E731
+                [(0, measure._CHUNK)], [(0.0, 1.0)],
+                [[f.pieces[0].evaluator], [g.pieces[0].evaluator]], {},
+                functools.partial(measure._mid_terms, [(0.0, 2.0, 0.0, 1.0, 1e-15, 1e-15, 0.0)],
+                                  [(0.0, 2.0), (0.0, 1.0)]))
         else:
             # one chunk of brackets: a value per point, a gap per two
             call = lambda: measure._walk(  # noqa: E731
                 [(0, measure._CHUNK)], [(0.0, 1.0)], [[f.pieces[0].evaluator]], {},
-                functools.partial(measure._bracket_terms, [(0.0, 2.0, 1e-15)]), pad=True)
+                functools.partial(measure._bracket_terms, [(0.0, 2.0, 1e-15)]))
         call()  # compile the programs before tracing
         tracemalloc.start()
         try:
