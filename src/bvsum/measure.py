@@ -53,7 +53,6 @@ from .bv import (
     _segment_endpoint_values,
 )
 from .errors import (
-    BvError,
     DomainError,
     MissingAntiderivative,
     NonIntegerBounds,
@@ -184,8 +183,9 @@ def _walk(jobs, bounds, curves, failed: dict, terms) -> dict:
     2-D array per term with a row per segment of rows; first and last
     tell whether it holds the grids' ends, and vals has the curves'
     values (curves[c][i] is segment i's expression) over the points xs
-    but the grids' ends, curve c in the rows from c * len(rows) on.  A row that fails to evaluate records its segment's
-    first EvalError in failed; later segments' rows are then skipped."""
+    but the grids' ends, curve c in the rows from c * len(rows) on.  A
+    row that fails to evaluate records its segment's first EvalError in
+    failed; later segments' rows are then skipped."""
     parts = {i: [] for i, _ in jobs}
     batches = {}
     for i, n in jobs:
@@ -669,7 +669,7 @@ def _mid_terms(ends, lims, rows, first, last, xs, errs, vals):
     with np.errstate(divide="ignore", invalid="ignore"):
         # convex or concave, the integral is between the trapezoid sum T
         # and T - cross * rho, rho = (d1^2 + d2^2) / (2 d1 d2); off by at
-        # most delta * rho.  Twice rho is r + 1/r, r = d1 / d2 > 0.
+        # most delta * rho.  Twice rho is r + 1/r, r = |d1 / d2|.
         rho = ad[:, ::2] / ad[:, 1::2]
         rho += 1.0 / rho
         c = cross[:, 1::2] * rho
@@ -729,8 +729,8 @@ def stieltjes_midvalue(g: BvFunction, f: BvFunction, lo: float, hi: float,
         if lo < fn.domain_lo or hi > fn.domain_hi:
             raise DomainError(f"[{lo}, {hi}[ outside a domain")
     # every scalar evaluation of the call, so that each expression is
-    # evaluated once at each point: the cell ends are shared by the atoms,
-    # the weights of both cells beside them and the refinement
+    # evaluated once at each point: the cell ends are shared by the atoms
+    # and the ends of both cells beside them
     seen: dict = {}
     atom_terms = []
     for bp in f.breakpoints:
