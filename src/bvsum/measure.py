@@ -464,7 +464,9 @@ def integrate(f: BvFunction, a: float, b: float, tol: float = DEFAULT_TOL) -> Ce
             c = p.left_boundary_limit
             values.append(c * (t - s))
             # an ulp-scale radius unless the difference and product are exact
-            exact = Fraction(values[-1]) == Fraction(c) * (Fraction(t) - Fraction(s))
+            # (a non-finite product goes on to Certified, which refuses it)
+            exact = (math.isfinite(values[-1])
+                     and Fraction(values[-1]) == Fraction(c) * (Fraction(t) - Fraction(s)))
             radii.append(0.0 if exact else _slack(values[-1]))
         elif p.antiderivative is not None:
             fs = ex.eval_expr(p.antiderivative, s)
@@ -623,17 +625,6 @@ def _limit(seen: dict, fn: BvFunction, x: float, right: bool,
     return right_limit(fn, x, strict) if right else left_limit(fn, x, strict)
 
 
-def _end(seen: dict, fn: BvFunction, p: MonotonePiece, x: float, right: bool) -> float:
-    """_limit(seen, fn, x, right) where p is fn's piece on that side of
-    x: breakpoint data, p's limit at a domain end, or p at x."""
-    bp = fn.breakpoint_at(x)
-    if bp is not None:
-        return bp.right_value if right else bp.left_value
-    if x == (p.lo if right else p.hi):
-        return p.left_boundary_limit if right else p.right_boundary_limit
-    return _value(seen, p.evaluator, x)
-
-
 def _mid_terms(ends, lims, rows, first, last, xs, errs, vals):
     """The terms of a mid-value grid of an even number of cells, with
     pads: per pair of cells, twice its bracket's midpoint and twice its
@@ -753,8 +744,8 @@ def stieltjes_midvalue(g: BvFunction, f: BvFunction, lo: float, hi: float,
 
     def weigh(fp: MonotonePiece, gp: MonotonePiece, s: float, t: float):
         # floor: the rounding term and the widening of flat pairs, twice
-        u0, un = _end(seen, f, fp, s, True), _end(seen, f, fp, t, False)
-        gs, gt = _end(seen, g, gp, s, True), _end(seen, g, gp, t, False)
+        u0, un = _limit(seen, f, s, True), _limit(seen, f, t, False)
+        gs, gt = _limit(seen, g, s, True), _limit(seen, g, t, False)
         eu, eg, term, widening = _mid_rounding(u0, un, gs, gt)
         return (abs(un - u0) * abs(gs - gt) + 1e-300, term + 2.0 * widening,
                 (u0, un, gs, gt, eu, eg, term))

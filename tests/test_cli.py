@@ -196,6 +196,21 @@ class TestExitCodes:
         assert r.returncode == 0 and "PASS" in r.stdout
         assert 0 < sum(cells) <= 1024
 
+    def test_overflowing_constant_integral_is_a_usage_error_exit_1(
+            self, tmp_path, capsys):
+        spec = tmp_path / "big.json"
+        spec.write_text(json.dumps({
+            "format": 1, "name": "big-constant",
+            "domain": {"lo": 0, "hi": 2},
+            "pieces": [{"interval": [0, 2], "expr": "1e308",
+                        "direction": "const", "left_limit": 1e308,
+                        "right_limit": 1e308}],
+            "breakpoints": [],
+        }))
+        code, out, err = run_main(capsys, "sum", spec, "--a", 0, "--b", 2)
+        assert code == 1
+        assert "non-finite" in err and out == ""
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
     def test_series_refuses_non_positive_tol_exit_4(self, capsys, tol):
         code, out, err = run_main(capsys, "series", cpath("basel.json"),

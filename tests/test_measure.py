@@ -2,6 +2,7 @@ import functools
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import mpmath
@@ -162,6 +163,28 @@ class TestIntegrate:
         enc = integrate(corpus["floor_steps.json"], 0, 7)
         assert enc.value == 21.0
         assert enc.radius == 0.0
+
+    @staticmethod
+    def _constant(c, lo, hi):
+        return validate({
+            "domain": {"lo": lo, "hi": hi},
+            "pieces": [{"interval": [lo, hi], "expr": repr(c),
+                        "direction": "const", "left_limit": c,
+                        "right_limit": c}],
+            "breakpoints": [],
+        })
+
+    def test_constant_piece_rounded_product_has_a_radius(self):
+        # 0.1 * 0.3 is rounded: the exact product lies 1.7e-18 away
+        enc = integrate(self._constant(0.1, 0, 0.3), 0, 0.3)
+        exact = Fraction(0.1) * Fraction(0.3)
+        assert 0.0 < enc.radius <= 1e-16
+        assert abs(Fraction(enc.value) - exact) <= Fraction(enc.radius)
+
+    def test_constant_piece_overflowing_product_is_refused(self):
+        # 1e308 * 2 overflows; Certified refuses the infinite value
+        with pytest.raises(ValueError, match="non-finite"):
+            integrate(self._constant(1e308, 0, 2), 0, 2)
 
     def test_empty_range(self, corpus):
         enc = integrate(corpus["linear.json"], 3, 3)
