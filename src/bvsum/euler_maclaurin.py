@@ -29,10 +29,13 @@ from .errors import (
 from .measure import (
     DIVERGENT,
     DEFAULT_TOL,
+    _beta1_claim,
+    _certify,
+    _integral_claim,
+    _limit,
+    _midvalue_claim,
     _require_int,
     integrate,
-    stieltjes_beta1,
-    stieltjes_midvalue,
     tail_integral,
 )
 
@@ -223,16 +226,24 @@ def em_midvalue_check(f: BvFunction, a: int, b: int,
                             + integral_{]a,b[} beta1 d(mu_f),
     both sides computed by this library's own certified routines.
     Exterior left limits at a and b must exist (breakpoint data or a
-    domain that reaches past them)."""
+    domain that reaches past them).  The bracketed segments of both
+    integrals are refined in one walk; the results and errors are those
+    of integrate and stieltjes_beta1 called in turn, with the limits
+    between them."""
     a, b = _require_int(a), _require_int(b)
     if a >= b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
     _check_integers_in_domain(f, a, b)
     lhs = math.fsum(mid_value_strict(f, float(k)) for k in range(a, b))
-    integral = integrate(f, float(a), float(b), tol)
-    boundary = -0.5 * (left_limit(f, float(b), strict=True)
-                       - left_limit(f, float(a), strict=True))
-    stieltjes = stieltjes_beta1(f, a, b, tol)
+    first = _integral_claim(f, float(a), float(b), tol)
+    try:
+        boundary = -0.5 * (left_limit(f, float(b), strict=True)
+                           - left_limit(f, float(a), strict=True))
+        second = _beta1_claim(f, a, b, tol)
+    except Exception:
+        _certify(first)  # the integral's errors come first
+        raise
+    integral, stieltjes = _certify(first, second)
     rhs = integral.value + boundary + stieltjes.value
     budget = integral.radius + stieltjes.radius + IDENTITY_SLACK
     return CheckReport(lhs, rhs, abs(lhs - rhs), budget)
@@ -242,13 +253,27 @@ def parts_check(f: BvFunction, g: BvFunction, a: float, b: float,
                 tol: float = DEFAULT_TOL) -> CheckReport:
     """Residual of the integration-by-parts identity over [a, b[:
     integral g_m d(mu_f) + integral f_m d(mu_g)
-        = g(b-) f(b-) - g(a-) f(a-)."""
+        = g(b-) f(b-) - g(a-) f(a-).
+    Both integrals are refined in one walk, evaluating each expression
+    once at each point; the results and errors are those of
+    stieltjes_midvalue called for each in turn.  For g = f the one
+    integral is computed once and counted twice."""
     if not (a < b):
         raise ValueError(f"need a < b, got a={a}, b={b}")
-    i1 = stieltjes_midvalue(g, f, a, b, tol)
-    i2 = stieltjes_midvalue(f, g, a, b, tol)
+    seen: dict = {}  # the scalar evaluations of both halves and the limits
+    first = _midvalue_claim(g, f, a, b, tol, seen)
+    if g is f:
+        i1 = i2 = _certify(first)[0]
+    else:
+        try:
+            second = _midvalue_claim(f, g, a, b, tol, seen)
+        except Exception:
+            _certify(first)  # the first integral's errors come first
+            raise
+        i1, i2 = _certify(first, second)
     lhs = i1.value + i2.value
-    rhs = (left_limit(g, b, strict=True) * left_limit(f, b, strict=True)
-           - left_limit(g, a, strict=True) * left_limit(f, a, strict=True))
+    # as left_limit(., ., strict=True)
+    rhs = (_limit(seen, g, b, False, True) * _limit(seen, f, b, False, True)
+           - _limit(seen, g, a, False, True) * _limit(seen, f, a, False, True))
     budget = i1.radius + i2.radius + IDENTITY_SLACK
     return CheckReport(lhs, rhs, abs(lhs - rhs), budget)

@@ -20,16 +20,22 @@ Convexity is sampled on the grid, as monotonicity is in validate, not
 proved.
 
 integrate, stieltjes_beta1 and stieltjes_midvalue share one refinement
-engine.  _certify reserves each segment's rounding floor, refusing a tol
-that does not cover the floors, and splits the rest over the segments;
-_refine grows their grids round by round from the measured error.  _walk
+engine, in two phases.  A routine's prepare phase (_prepare) reserves
+each segment's rounding floor, refusing a tol that does not cover the
+floors, and splits the rest over the segments.  _certify then refines
+the segments of one or more routines on one route in one _refine call,
+which grows their grids round by round from the measured error, and
+finishes each routine in turn: it sums the values and checks the radius
+against tol.  So em_midvalue_check and parts_check refine both halves
+of their identities in one walk.  _walk
 evaluates the grids of all segments together, in chunks of _CHUNK cells:
 chunks of one cell count are rows of one 2-D grid of at most _BATCH
 points, and eval_rows runs the rows of one expression shape as one
 program; longer chunks are walked in blocks of at most _BATCH points.
 Every point, value and sum is the float operation of a lone segment's
 grid, so results and errors are those of refining one segment after the
-other: the error raised is the first failing segment's.
+other, and one routine after the other: the error raised is the first
+failing segment's.
 """
 
 from __future__ import annotations
@@ -37,8 +43,10 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -278,12 +286,41 @@ def _with_ends(vals, rows, ends, first: bool, last: bool):
     return y
 
 
-def _certify(tol: float, values: list[float], radii: list[float],
-             fallback: list, weigh, refine) -> Certified:
-    """One enclosure of radius at most tol from closed-form parts and the
-    fallback segments.  weigh(*seg) -> (weight, floor, ends) gives a
-    segment its floor plus a share of the rest in proportion to weight,
-    and ends for refine(fallback, ends, shares) -> [(value, radius)]."""
+class _Route(NamedTuple):
+    """How fallback segments are refined: refine(segs, ends, budgets) ->
+    (results, failed) refines them together (see _refine); budget(share,
+    ends) is the part of a segment's share of tol that its refined error
+    may take; post(seg, ends, result), if given, makes a segment's
+    (value, radius) of the route's."""
+
+    refine: Callable
+    budget: Callable
+    post: Callable | None = None
+
+
+class _Claim(NamedTuple):
+    """A routine's part of a refinement walk, as its prepare phase
+    leaves it: tol, the closed-form values and radii, the fallback
+    segments with their ends and budgets, and wrap, which makes the
+    routine's result of its enclosure."""
+
+    route: _Route
+    tol: float
+    values: list
+    radii: list
+    segs: list
+    ends: list
+    budgets: list
+    wrap: Callable | None
+
+
+def _prepare(route: _Route, tol: float, values: list[float], radii: list[float],
+             fallback: list, weigh, wrap=None) -> _Claim:
+    """The prepare phase of a routine: weigh(*seg) -> (weight, floor,
+    ends) gives each fallback segment its floor plus a share of the rest
+    of tol, after the closed-form radii and all floors, in proportion to
+    weight; a tol that does not cover them is refused."""
+    ends, budgets = [], []
     if fallback:
         budget = tol - math.fsum(radii)
         if budget > 0.0:
@@ -292,29 +329,56 @@ def _certify(tol: float, values: list[float], radii: list[float],
         if not budget > 0.0:
             raise ToleranceUnreachable(f"tolerance {tol} below rounding floor")
         wsum = math.fsum(weights)
-        shares = [floor + budget * w / wsum for w, floor in zip(weights, floors)]
-        for v, r in refine(fallback, ends, shares):
-            values.append(v)
-            radii.append(r)
-    result = Certified(math.fsum(values), math.fsum(radii))
-    if not result.radius <= tol:
-        raise ToleranceUnreachable(
-            f"achieved radius {result.radius:.3g} exceeds tol {tol:.3g}")
-    return result
+        budgets = [route.budget(floor + budget * w / wsum, e)
+                   for w, floor, e in zip(weights, floors, ends)]
+    return _Claim(route, tol, values, radii, fallback, ends, budgets, wrap)
 
 
-def _refine(route: str, bounds, curves, terms, budgets, settle, failed: dict, *,
-            n0: int):
+def _certify(*claims: _Claim) -> list:
+    """The results of the claims of routines on one route: the fallback
+    segments of all of them go to one refine call, and then each claim
+    is finished in turn: its first failing segment's error is raised, or
+    its values sum to one enclosure, refused if its radius exceeds tol.
+    A segment's grid, sums and radius depend on it alone, so results
+    and errors are those of the routines called one after the other,
+    provided the caller raises an error of a later routine's prepare
+    phase only after certifying the claims before it."""
+    segs = [seg for c in claims for seg in c.segs]
+    ends = [e for c in claims for e in c.ends]
+    budgets = [b for c in claims for b in c.budgets]
+    out, failed = claims[0].route.refine(segs, ends, budgets)
+    results, j = [], 0
+    for c in claims:
+        i, j = j, j + len(c.segs)
+        if min(failed, default=j) < j:
+            raise failed[min(failed)]
+        done = out[i:j]
+        if c.route.post is not None:
+            done = [c.route.post(*args) for args in zip(c.segs, c.ends, done)]
+        result = Certified(math.fsum([*c.values, *(v for v, _ in done)]),
+                           math.fsum([*c.radii, *(r for _, r in done)]))
+        if not result.radius <= c.tol:
+            raise ToleranceUnreachable(
+                f"achieved radius {result.radius:.3g} exceeds tol {c.tol:.3g}")
+        results.append(result if c.wrap is None else c.wrap(result))
+    return results
+
+
+def _refine(route: str, bounds, curves, terms, budgets, settle, *, n0: int):
     """Refine the segments over bounds[i] = (s, t) together, round by
     round from n0 cells: each pending segment i walks a grid of n cells,
     with pads (see _walk), and settle(i, n, parts) -> (value, err,
     rounding) reads its sums.  It is done, with radius err + rounding,
     when err fits budgets[i]; else n grows by a power of two, at least
     twofold, aiming just under the budget at order 2, up to the cap of
-    MAX_CELLS cells.  The first failing segment's error is raised."""
+    MAX_CELLS cells.  -> (results, failed): failed maps failing segments
+    to their errors, the first of which is sure to be there, and
+    results[i] is segment i's (value, radius) if no segment up to i
+    failed (the rows of later ones are skipped)."""
     ns = [n0] * len(bounds)
     out: list = [None] * len(bounds)
-    pending = [i for i in range(len(bounds)) if i < min(failed, default=math.inf)]
+    failed: dict = {}
+    pending = list(range(len(bounds)))
     while pending:
         parts = _walk([(i, ns[i]) for i in pending], bounds, curves, failed, terms)
         cut = min(failed, default=math.inf)
@@ -336,9 +400,7 @@ def _refine(route: str, bounds, curves, terms, budgets, settle, failed: dict, *,
             ns[i] = min(MAX_CELLS, n << max(1, math.ceil(0.5 * math.log2(ratio))))
             grown.append(i)
         pending = grown
-    if failed:
-        raise failed[min(failed)]
-    return out
+    return out, failed
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +483,11 @@ def _bracket_terms(ends, rows, first, last, xs, errs, vals):
     return core[:, 1:core.shape[1] - int(last)], gap
 
 
-def _bracket(segs, ends, shares):
-    """Certified integrals of pieces p over segments (p, s, t) with ends
-    (p(s+), p(t-), delta, term): the sum of the brackets' midpoints, which
+def _bracket(segs, ends, budgets):
+    """Integrals of pieces p over segments (p, s, t) with ends (p(s+),
+    p(t-), delta, term, ...): the sum of the brackets' midpoints, which
     is the trapezoid sum of the whole grid, and of their half-gaps,
-    which must fit the share less term, plus term."""
+    which must fit the budget, plus term."""
     bounds = [seg[1:] for seg in segs]
 
     def settle(i, n, parts):
@@ -435,9 +497,11 @@ def _bracket(segs, ends, shares):
         return value, 0.5 * h * math.fsum([g for _, g in parts]), term
 
     return _refine("Bracket refinement", bounds, [[p.evaluator for p, _, _ in segs]],
-                   functools.partial(_bracket_terms, ends),
-                   [share - e[3] for share, e in zip(shares, ends)],
-                   settle, {}, n0=64)
+                   functools.partial(_bracket_terms, ends), budgets, settle, n0=64)
+
+
+# the half-gaps of a bracketed segment may take its share less term
+_BRACKET = _Route(_bracket, lambda share, e: share - e[3])
 
 
 def integrate(f: BvFunction, a: float, b: float, tol: float = DEFAULT_TOL) -> Certified:
@@ -449,12 +513,17 @@ def integrate(f: BvFunction, a: float, b: float, tol: float = DEFAULT_TOL) -> Ce
     (_bracket) until the total radius is at most tol
     (ToleranceUnreachable under the rounding floor or past the cell cap).
     """
+    return _certify(_integral_claim(f, a, b, tol))[0]
+
+
+def _integral_claim(f: BvFunction, a: float, b: float, tol: float) -> _Claim:
+    """The prepare phase of integrate."""
     if math.isnan(a) or math.isnan(b) or a > b:
         raise DomainError(f"need a <= b, got [{a}, {b}]")
     if a < f.domain_lo or b > f.domain_hi or math.isinf(b):
         raise DomainError(f"[{a}, {b}] outside domain")
-    if a == b:
-        return Certified(0.0, 0.0)
+    if a == b:  # exact, whatever tol
+        return _prepare(_BRACKET, math.inf, [], [], [], None)
     values, radii, fallback = [], [], []  # fallback: (piece, s, t)
     for p in f.pieces:
         s, t = max(a, p.lo), min(b, p.hi)
@@ -475,7 +544,7 @@ def integrate(f: BvFunction, a: float, b: float, tol: float = DEFAULT_TOL) -> Ce
             radii.append(_slack(fs, ft, ft - fs))
         else:
             fallback.append((p, s, t))
-    return _certify(tol, values, radii, fallback, _bracket_weight, _bracket)
+    return _prepare(_BRACKET, tol, values, radii, fallback, _bracket_weight)
 
 
 def tail_integral(f: BvFunction, n: float, tol: float = DEFAULT_TOL):
@@ -538,11 +607,14 @@ def _parts_weight(p: MonotonePiece, s: float, t: float):
     return weight, floor + slack, (v0, vn, delta, term, slack)
 
 
-def _by_parts(segs, ends, shares):
-    # _parts over the segments (p, s, t), their integrals bracketed
-    integrals = _bracket(segs, ends, [share - e[4] for share, e in zip(shares, ends)])
-    return [(_parts(s, t, e[0], e[1], v), r + e[4])
-            for (_, s, t), e, (v, r) in zip(segs, ends, integrals)]
+def _by_parts(seg, ends, result):
+    # _parts on the segment (p, s, t), whose integral is bracketed
+    (_, s, t), (v, r) = seg, result
+    return _parts(s, t, ends[0], ends[1], v), r + ends[4]
+
+
+# the half-gaps may take the share less the slack of _parts and term
+_BY_PARTS = _Route(_bracket, lambda share, e: share - e[4] - e[3], _by_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +641,11 @@ def stieltjes_beta1(f: BvFunction, lo: int, hi: int,
     integers and all breakpoints, so beta1 is affine on every cell and
     f is continuous inside it.
     """
+    return _certify(_beta1_claim(f, lo, hi, tol))[0]
+
+
+def _beta1_claim(f: BvFunction, lo: int, hi: int, tol: float) -> _Claim:
+    """The prepare phase of stieltjes_beta1."""
     lo, hi = _require_int(lo), _require_int(hi)
     if lo >= hi:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
@@ -593,8 +670,11 @@ def stieltjes_beta1(f: BvFunction, lo: int, hi: int,
             radii.append(_slack(fs, ft, v0, vn, v))
         else:
             fallback.append((p, s, t))
-    cont = _certify(tol, values, radii, fallback, _parts_weight, _by_parts)
-    return StieltjesResult(Certified(atoms + cont.value, cont.radius), atoms, cont)
+
+    def wrap(cont: Certified) -> StieltjesResult:
+        return StieltjesResult(Certified(atoms + cont.value, cont.radius), atoms, cont)
+
+    return _prepare(_BY_PARTS, tol, values, radii, fallback, _parts_weight, wrap)
 
 
 def _require_int(v) -> int:
@@ -682,7 +762,7 @@ def _mid_terms(ends, lims, rows, first, last, xs, errs, vals):
     return value, lo
 
 
-def _stieltjes_mid(segs, ends, shares):
+def _stieltjes_mid(segs, ends, budgets):
     """Integrals of g against d(mu_f) on open cells (s, t) where f runs
     on its non-constant piece fp and g on its piece gp, (fp, gp, s, t) in
     segs, with ends (f(s+), f(t-), g(s+), g(t-), eu, eg, term).  There it
@@ -701,7 +781,19 @@ def _stieltjes_mid(segs, ends, shares):
                    [[seg[0].evaluator for seg in segs], [seg[1].evaluator for seg in segs]],
                    functools.partial(_mid_terms, ends,
                                      [e[:2] for e in ends] + [e[2:4] for e in ends]),
-                   [share - e[6] for share, e in zip(shares, ends)], settle, {}, n0=16)
+                   budgets, settle, n0=16)
+
+
+# the brackets' half-gaps may take the share less term
+_MIDVALUE = _Route(_stieltjes_mid, lambda share, e: share - e[6])
+
+
+def _piece_ends(seen: dict, fn: BvFunction, p: MonotonePiece, s: float,
+                t: float) -> tuple[float, float]:
+    """fn(s+) and fn(t-) on a cell (s, t) of fn's piece p: p's values at
+    ends inside it, which are no breakpoints, the limits at its own."""
+    return (_value(seen, p.evaluator, s) if s > p.lo else right_limit(fn, s),
+            _value(seen, p.evaluator, t) if t < p.hi else left_limit(fn, t))
 
 
 def stieltjes_midvalue(g: BvFunction, f: BvFunction, lo: float, hi: float,
@@ -714,15 +806,20 @@ def stieltjes_midvalue(g: BvFunction, f: BvFunction, lo: float, hi: float,
     common refinement of both breakpoint sets, so g is continuous and
     equal to g_m inside every cell; cells where f is constant add 0.
     """
+    return _certify(_midvalue_claim(g, f, lo, hi, tol, {}))[0]
+
+
+def _midvalue_claim(g: BvFunction, f: BvFunction, lo: float, hi: float, tol: float,
+                    seen: dict) -> _Claim:
+    """The prepare phase of stieltjes_midvalue.  seen holds the scalar
+    evaluations made, so that each expression is evaluated once at each
+    point, here and in the routines that share it: the cell ends are
+    shared by the atoms and the ends of both cells beside them."""
     if math.isnan(lo) or math.isnan(hi) or lo >= hi:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     for fn in (f, g):
         if lo < fn.domain_lo or hi > fn.domain_hi:
             raise DomainError(f"[{lo}, {hi}[ outside a domain")
-    # every scalar evaluation of the call, so that each expression is
-    # evaluated once at each point: the cell ends are shared by the atoms
-    # and the ends of both cells beside them
-    seen: dict = {}
     atom_terms = []
     for bp in f.breakpoints:
         if lo <= bp.x < hi and bp.jump != 0.0:
@@ -744,10 +841,9 @@ def stieltjes_midvalue(g: BvFunction, f: BvFunction, lo: float, hi: float,
 
     def weigh(fp: MonotonePiece, gp: MonotonePiece, s: float, t: float):
         # floor: the rounding term and the widening of flat pairs, twice
-        u0, un = _limit(seen, f, s, True), _limit(seen, f, t, False)
-        gs, gt = _limit(seen, g, s, True), _limit(seen, g, t, False)
+        (u0, un), (gs, gt) = _piece_ends(seen, f, fp, s, t), _piece_ends(seen, g, gp, s, t)
         eu, eg, term, widening = _mid_rounding(u0, un, gs, gt)
         return (abs(un - u0) * abs(gs - gt) + 1e-300, term + 2.0 * widening,
                 (u0, un, gs, gt, eu, eg, term))
 
-    return _certify(tol, [atoms], [_slack(*atom_terms)], fallback, weigh, _stieltjes_mid)
+    return _prepare(_MIDVALUE, tol, [atoms], [_slack(*atom_terms)], fallback, weigh)

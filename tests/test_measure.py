@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 from bvsum import (
     DIVERGENT,
     Certified,
+    CheckReport,
     DomainError,
     ExteriorLimitRequired,
     IntervalSpec,
     MissingAntiderivative,
     ToleranceUnreachable,
     beta1,
+    em_midvalue_check,
     integrate,
     load_function,
     measure_interval,
@@ -40,6 +42,7 @@ from bvsum.bv import (
     MonotonePiece,
     _segment_endpoint_values,
     left_limit,
+    mid_value_strict,
     right_limit,
 )
 from bvsum.errors import BvError
@@ -607,31 +610,42 @@ def ref_stieltjes_mid_segment(g, f, fp, gp, s, t, share):
         n = min(measure.MAX_CELLS, n << shift)
 
 
-def ref_certify(tol, values, radii, fallback, weigh, refine, mid=None):
-    """_certify as it was: each fallback segment refined on its own, in
-    order, by the reference of the route; mid is (g, f) of a mid-value
-    call."""
-    one = {measure._bracket: ref_bracket_segment,
-           measure._by_parts: ref_parts_segment,
-           measure._stieltjes_mid: functools.partial(ref_stieltjes_mid_segment, *mid or ())
-           }[refine]
-    if fallback:
-        budget = tol - math.fsum(radii)
-        if budget > 0.0:
-            weights, floors, _ = zip(*[weigh(*seg) for seg in fallback])
-            budget -= math.fsum(floors)
-        if not budget > 0.0:
-            raise ToleranceUnreachable(f"tolerance {tol} below rounding floor")
-        wsum = math.fsum(weights)
-        for seg, w, floor in zip(fallback, weights, floors):
-            v, r = one(*seg, floor + budget * w / wsum)
-            values.append(v)
-            radii.append(r)
-    result = Certified(math.fsum(values), math.fsum(radii))
-    if not result.radius <= tol:
-        raise ToleranceUnreachable(
-            f"achieved radius {result.radius:.3g} exceeds tol {tol:.3g}")
-    return result
+def ref_prepare(route, tol, values, radii, fallback, weigh, wrap=None):
+    """The prepare phase deferred: a routine's claim is the arguments of
+    _prepare, which ref_certify splits and refines."""
+    return route, tol, values, radii, fallback, weigh, wrap
+
+
+def ref_certify(*claims, mid=None):
+    """_certify as it was: one routine after the other, its tol split
+    and each fallback segment refined on its own, in order, by the
+    reference of the route; claims come from ref_prepare, and mid is
+    (g, f) of a mid-value call."""
+    results = []
+    for route, tol, values, radii, fallback, weigh, wrap in claims:
+        one = {measure._BRACKET: ref_bracket_segment,
+               measure._BY_PARTS: ref_parts_segment,
+               measure._MIDVALUE: functools.partial(ref_stieltjes_mid_segment, *mid or ())
+               }[route]
+        values, radii = list(values), list(radii)
+        if fallback:
+            budget = tol - math.fsum(radii)
+            if budget > 0.0:
+                weights, floors, _ = zip(*[weigh(*seg) for seg in fallback])
+                budget -= math.fsum(floors)
+            if not budget > 0.0:
+                raise ToleranceUnreachable(f"tolerance {tol} below rounding floor")
+            wsum = math.fsum(weights)
+            for seg, w, floor in zip(fallback, weights, floors):
+                v, r = one(*seg, floor + budget * w / wsum)
+                values.append(v)
+                radii.append(r)
+        result = Certified(math.fsum(values), math.fsum(radii))
+        if not result.radius <= tol:
+            raise ToleranceUnreachable(
+                f"achieved radius {result.radius:.3g} exceeds tol {tol:.3g}")
+        results.append(result if wrap is None else wrap(result))
+    return results
 
 
 def _outcome(call):
@@ -645,7 +659,8 @@ def assert_as_reference(call, *mid):
     """call's outcome is that of ref_certify; mid is (g, f) of a
     mid-value call."""
     got = _outcome(call)
-    with mock.patch.object(measure, "_certify", functools.partial(ref_certify, mid=mid)):
+    with mock.patch.object(measure, "_prepare", ref_prepare), \
+            mock.patch.object(measure, "_certify", functools.partial(ref_certify, mid=mid)):
         want = _outcome(call)
     assert got == want
 
@@ -895,9 +910,11 @@ class TestMidvalueEvaluations:
     def test_each_expression_evaluated_once_per_point(self, data, tol):
         f, g = data.draw(monotone_specs(2)), data.draw(monotone_specs(2))
         hi = data.draw(st.sampled_from([1.5, 2.0]))
-        pairs = _scalar_evaluations(lambda: _outcome(
-            lambda: stieltjes_midvalue(g, f, 0.0, hi, tol)))
-        assert len(pairs) == len(set(pairs))
+        # one integral, and both integrals and the limits of parts_check
+        for call in (lambda: stieltjes_midvalue(g, f, 0.0, hi, tol),
+                     lambda: parts_check(f, g, 0.0, hi, tol)):
+            pairs = _scalar_evaluations(lambda: _outcome(call))
+            assert len(pairs) == len(set(pairs))
 
     def test_parts_check_pairs_on_the_corpus(self, corpus):
         # both orders of a pair, as parts_check calls them
@@ -908,11 +925,11 @@ class TestMidvalueEvaluations:
 
 
 def direct(*pieces):
-    """A BvFunction built without validation from increasing pieces (lo,
-    hi, expr, left limit, right limit), with breakpoints at the inner
-    cuts that join the limits."""
-    ps = tuple(MonotonePiece(float(lo), float(hi), ex.parse(e), "inc", vl, vr)
-               for lo, hi, e, vl, vr in pieces)
+    """A BvFunction built without validation from pieces (lo, hi, expr,
+    left limit, right limit[, direction]), increasing unless a direction
+    is given, with breakpoints at the inner cuts that join the limits."""
+    ps = tuple(MonotonePiece(float(lo), float(hi), ex.parse(e), (*d, "inc")[0], vl, vr)
+               for lo, hi, e, vl, vr, *d in pieces)
     bps = tuple(Breakpoint(a.hi, a.right_boundary_limit, a.right_boundary_limit,
                            b.left_boundary_limit) for a, b in zip(ps, ps[1:]))
     return BvFunction(ps[0].lo, ps[-1].hi, bps, ps)
@@ -1061,3 +1078,153 @@ class TestEngineErrorOrder:
         # each term of the chunk's up to 2^20 cells fills one buffer; the
         # blocks of at most _BATCH points live in about a dozen arrays
         assert peak < terms * 8 * measure._CHUNK + 16 * 8 * measure._BATCH
+
+
+# ---------------------------------------------------------------------------
+# em_midvalue_check and parts_check refine both halves of their identity in
+# one walk.  Their halves called in turn by the public routines are kept
+# here as references: every report, error kind and message must be theirs.
+
+
+def ref_em_midvalue_check(f, a, b, tol):
+    """em_midvalue_check as integrate and stieltjes_beta1 called in turn."""
+    lhs = math.fsum(mid_value_strict(f, float(k)) for k in range(a, b))
+    integral = integrate(f, float(a), float(b), tol)
+    boundary = -0.5 * (left_limit(f, float(b), strict=True)
+                       - left_limit(f, float(a), strict=True))
+    stieltjes = stieltjes_beta1(f, a, b, tol)
+    rhs = integral.value + boundary + stieltjes.value
+    budget = integral.radius + stieltjes.radius + IDENTITY_SLACK
+    return CheckReport(lhs, rhs, abs(lhs - rhs), budget)
+
+
+def ref_parts_check(f, g, a, b, tol):
+    """parts_check as stieltjes_midvalue called for each integral in turn."""
+    i1 = stieltjes_midvalue(g, f, a, b, tol)
+    i2 = stieltjes_midvalue(f, g, a, b, tol)
+    lhs = i1.value + i2.value
+    rhs = (left_limit(g, b, strict=True) * left_limit(f, b, strict=True)
+           - left_limit(g, a, strict=True) * left_limit(f, a, strict=True))
+    budget = i1.radius + i2.radius + IDENTITY_SLACK
+    return CheckReport(lhs, rhs, abs(lhs - rhs), budget)
+
+
+def assert_as_sequential(check, *args):
+    """check(*args) reports or raises what its reference does."""
+    ref = {em_midvalue_check: ref_em_midvalue_check, parts_check: ref_parts_check}[check]
+    assert _outcome(lambda: check(*args)) == _outcome(lambda: ref(*args))
+
+
+class TestJointChecks:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), _tols)
+    def test_em_midvalue_check_as_sequential_calls(self, data, tol):
+        f = data.draw(monotone_specs(3))
+        a = data.draw(st.integers(0, 1))
+        b = data.draw(st.integers(a + 1, 3))
+        assert_as_sequential(em_midvalue_check, f, a, b, tol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), _tols)
+    def test_parts_check_as_sequential_calls(self, data, tol):
+        f = data.draw(monotone_specs(2))
+        g = f if data.draw(st.booleans()) else data.draw(monotone_specs(2))
+        hi = data.draw(st.sampled_from([1.5, 2.0]))
+        assert_as_sequential(parts_check, f, g, 0.0, hi, tol)
+
+    def test_first_half_cap_before_second_half_floor(self, monkeypatch):
+        # the floor of integrate is 1.43e-10, that of stieltjes_beta1
+        # 1.53e-10; x^3 does not fit the rest in 64 cells
+        monkeypatch.setattr(measure, "MAX_CELLS", 64)
+        f = direct((-1, 0, "1000+x", 999, 1000), (0, 2, "1000+x^3", 1000, 1008))
+        with pytest.raises(ToleranceUnreachable, match=r"cap on \[0.0, 2.0\]"):
+            em_midvalue_check(f, 0, 2, 1.5e-10)
+        with pytest.raises(ToleranceUnreachable, match="below rounding floor"):
+            stieltjes_beta1(f, 0, 2, 1.5e-10)
+        assert_as_sequential(em_midvalue_check, f, 0, 2, 1.5e-10)
+
+    def test_first_integral_cap_before_second_integral_floor(self, monkeypatch):
+        # against g = 1000 + x, x^3 does not fit 16 cells; against f,
+        # g has the larger floor
+        monkeypatch.setattr(measure, "MAX_CELLS", 16)
+        f = direct((-1, 0, "x", -1, 0), (0, 2, "x^3", 0, 8))
+        g = direct((-1, 0, "1000+x", 999, 1000), (0, 2, "1000+x", 1000, 1002))
+        with pytest.raises(ToleranceUnreachable, match=r"cap on \[0.0, 2.0\]"):
+            parts_check(g, f, 0.0, 2.0, 2e-10)
+        with pytest.raises(ToleranceUnreachable, match="below rounding floor"):
+            stieltjes_midvalue(g, f, 0.0, 2.0, 2e-10)
+        assert_as_sequential(parts_check, g, f, 0.0, 2.0, 2e-10)
+
+    def test_eval_error_of_the_second_half_only(self):
+        # log(0) at 1/64, a point of stieltjes_beta1's 64-cell grid on
+        # [0, 1] but not of integrate's on [0, 2]
+        f = direct((-1, 0, "x", -1, 0), (0, 2, "x+0*log(abs(x-0.015625))", 0, 2))
+        assert integrate(f, 0, 2, 1e-6).radius <= 1e-6
+        with pytest.raises(ex.EvalError) as err:
+            em_midvalue_check(f, 0, 2, 1e-6)
+        assert err.value.x == 0.015625
+        assert_as_sequential(em_midvalue_check, f, 0, 2, 1e-6)
+
+    def test_eval_error_of_the_second_integral_only(self):
+        # f is constant where g fails, at 5/16: only the integral of f
+        # against d(mu_g) walks that cell
+        f = direct((-1, 0, "x", -1, 0), (0, 1, "0", 0, 0, "const"), (1, 2, "x-1", 0, 1))
+        g = direct((-1, 0, "x", -1, 0), (0, 1, "x+0*log(abs(x-0.3125))", 0, 1),
+                   (1, 2, "x", 1, 2))
+        assert stieltjes_midvalue(g, f, 0.0, 2.0, 1e-6).radius <= 1e-6
+        with pytest.raises(ex.EvalError) as err:
+            parts_check(f, g, 0.0, 2.0, 1e-6)
+        assert err.value.x == 0.3125
+        assert_as_sequential(parts_check, f, g, 0.0, 2.0, 1e-6)
+
+    def test_first_half_floor(self, monkeypatch):
+        # the floor of integrate is 1.19e-12, that of stieltjes_beta1
+        # 7.3e-13, whose walk would then reach the cap
+        monkeypatch.setattr(measure, "MAX_CELLS", 64)
+        f = direct((-1, 0, "x", -1, 0), (0, 2, "x^3", 0, 8))
+        with pytest.raises(ToleranceUnreachable, match="below rounding floor"):
+            em_midvalue_check(f, 0, 2, 1e-12)
+        with pytest.raises(ToleranceUnreachable, match="cap"):
+            stieltjes_beta1(f, 0, 2, 1e-12)
+        assert_as_sequential(em_midvalue_check, f, 0, 2, 1e-12)
+
+    def test_first_integral_floor(self):
+        # against f = x, g = 1000 + x has the larger floor; against g, f
+        # fits the tol
+        f = direct((-1, 0, "x", -1, 0), (0, 2, "x", 0, 2))
+        g = direct((-1, 0, "1000+x", 999, 1000), (0, 2, "1000+x", 1000, 1002))
+        with pytest.raises(ToleranceUnreachable, match="below rounding floor"):
+            parts_check(f, g, 0.0, 2.0, 1e-10)
+        assert stieltjes_midvalue(f, g, 0.0, 2.0, 1e-10).radius <= 1e-10
+        assert_as_sequential(parts_check, f, g, 0.0, 2.0, 1e-10)
+
+    def test_first_integral_finishes_before_the_second_walk_fails(self):
+        # against the step f the atom at 1 overflows, which Certified
+        # refuses when the first integral finishes; g fails at 5/16 in the
+        # walk of the second, on [0, 0.5], where f is 0
+        f = direct((0, 1, "0", 0, 0, "const"), (1, 2, "1e308", 1e308, 1e308, "const"))
+        g = direct((0, 0.5, "x+10+0*log(abs(x-0.3125))", 10, 10.5),
+                   (0.5, 2, "11", 11, 11, "const"))
+        with pytest.raises(ValueError, match="non-finite"):
+            parts_check(f, g, 0.0, 2.0, 1e-6)
+        with pytest.raises(ValueError, match="non-finite"):
+            ref_parts_check(f, g, 0.0, 2.0, 1e-6)
+        with pytest.raises(ex.EvalError):
+            stieltjes_midvalue(f, g, 0.0, 2.0, 1e-6)
+
+    def test_parts_check_of_f_and_f_computes_one_integral(self, corpus):
+        f = corpus["sin_arches.json"]
+        points, real = [], ex.eval_rows
+
+        def counting(exprs, x):
+            points.append(x.size)
+            return real(exprs, x)
+
+        with mock.patch.object(ex, "eval_rows", counting):
+            joint = _scalar_evaluations(lambda: parts_check(f, f, 0.5, 6.0, 1e-6))
+            walked = sum(points)
+            points.clear()
+            ref = _scalar_evaluations(lambda: ref_parts_check(f, f, 0.5, 6.0, 1e-6))
+        assert walked and 2 * walked == sum(points)
+        assert joint and 2 * len(joint) <= len(ref)
+        assert_as_sequential(parts_check, f, f, 0.5, 6.0, 1e-6)
