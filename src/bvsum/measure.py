@@ -290,8 +290,8 @@ class _Route(NamedTuple):
     """How fallback segments are refined: refine(segs, ends, budgets) ->
     (results, failed) refines them together (see _refine); budget(share,
     ends) is the part of a segment's share of tol that its refined error
-    may take; post(seg, ends, result), if given, makes a segment's
-    (value, radius) of the route's."""
+    may take; post(seg, ends, result), if given, turns the route's
+    (value, radius) of a segment into the routine's."""
 
     refine: Callable
     budget: Callable

@@ -1082,8 +1082,9 @@ class TestEngineErrorOrder:
 
 # ---------------------------------------------------------------------------
 # em_midvalue_check and parts_check refine both halves of their identity in
-# one walk.  Their halves called in turn by the public routines are kept
-# here as references: every report, error kind and message must be theirs.
+# one walk.  The checks as they were, the public routines called one after
+# the other, are kept here as references: every report, error kind and
+# message must be theirs.
 
 
 def ref_em_midvalue_check(f, a, b, tol):
