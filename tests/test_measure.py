@@ -756,6 +756,13 @@ class TestBatchedEngine:
     def test_stieltjes_midvalue_bit_equal_to_per_segment_refinement(self, data, tol):
         midvalue_as_reference(data, tol)
 
+    # tols so tight that the slack of _parts, which the budget of each
+    # cell's bracket leaves out, decides a cell's grid
+    @pytest.mark.parametrize("tol", [1.2e-13, 1.3e-13])
+    def test_by_parts_budget_leaves_out_the_slack(self, tol):
+        f = direct((0, 2, "1/(1+x)", 1.0, 1 / 3, "dec"))
+        assert_as_reference(lambda: stieltjes_beta1(f, 0, 2, tol))
+
     # With small blocks most chunks are walked in many blocks, whose sums
     # must still be those of the whole chunk.
     @pytest.mark.parametrize("batch", [64, 257])
