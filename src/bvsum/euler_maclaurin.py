@@ -256,21 +256,17 @@ def parts_check(f: BvFunction, g: BvFunction, a: float, b: float,
         = g(b-) f(b-) - g(a-) f(a-).
     Both integrals are refined in one walk, evaluating each expression
     once at each point; the results and errors are those of
-    stieltjes_midvalue called for each in turn.  For g = f the one
-    integral is computed once and counted twice."""
+    stieltjes_midvalue called for each in turn."""
     if not (a < b):
         raise ValueError(f"need a < b, got a={a}, b={b}")
     seen: dict = {}  # the scalar evaluations of both halves and the limits
     first = _midvalue_claim(g, f, a, b, tol, seen)
-    if g is f:
-        i1 = i2 = _certify(first)[0]
-    else:
-        try:
-            second = _midvalue_claim(f, g, a, b, tol, seen)
-        except Exception:
-            _certify(first)  # the first integral's errors come first
-            raise
-        i1, i2 = _certify(first, second)
+    try:
+        second = _midvalue_claim(f, g, a, b, tol, seen)
+    except Exception:
+        _certify(first)  # the first integral's errors come first
+        raise
+    i1, i2 = _certify(first, second)
     lhs = i1.value + i2.value
     # as left_limit(., ., strict=True)
     rhs = (_limit(seen, g, b, False, True) * _limit(seen, f, b, False, True)

@@ -788,14 +788,6 @@ def _stieltjes_mid(segs, ends, budgets):
 _MIDVALUE = _Route(_stieltjes_mid, lambda share, e: share - e[6])
 
 
-def _piece_ends(seen: dict, fn: BvFunction, p: MonotonePiece, s: float,
-                t: float) -> tuple[float, float]:
-    """fn(s+) and fn(t-) on a cell (s, t) of fn's piece p: p's values at
-    ends inside it, which are no breakpoints, the limits at its own."""
-    return (_value(seen, p.evaluator, s) if s > p.lo else right_limit(fn, s),
-            _value(seen, p.evaluator, t) if t < p.hi else left_limit(fn, t))
-
-
 def stieltjes_midvalue(g: BvFunction, f: BvFunction, lo: float, hi: float,
                        tol: float = DEFAULT_TOL) -> Certified:
     """Certified integral of the mid-value modification of g over
@@ -841,7 +833,8 @@ def _midvalue_claim(g: BvFunction, f: BvFunction, lo: float, hi: float, tol: flo
 
     def weigh(fp: MonotonePiece, gp: MonotonePiece, s: float, t: float):
         # floor: the rounding term and the widening of flat pairs, twice
-        (u0, un), (gs, gt) = _piece_ends(seen, f, fp, s, t), _piece_ends(seen, g, gp, s, t)
+        u0, un = _limit(seen, f, s, True), _limit(seen, f, t, False)
+        gs, gt = _limit(seen, g, s, True), _limit(seen, g, t, False)
         eu, eg, term, widening = _mid_rounding(u0, un, gs, gt)
         return (abs(un - u0) * abs(gs - gt) + 1e-300, term + 2.0 * widening,
                 (u0, un, gs, gt, eu, eg, term))

