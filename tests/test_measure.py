@@ -1219,7 +1219,3 @@ class TestJointChecks:
             ref_parts_check(f, g, 0.0, 2.0, 1e-6)
         with pytest.raises(ex.EvalError):
             stieltjes_midvalue(f, g, 0.0, 2.0, 1e-6)
-
-    def test_parts_check_of_f_and_f_as_sequential_calls(self, corpus):
-        f = corpus["sin_arches.json"]
-        assert_as_sequential(parts_check, f, f, 0.5, 6.0, 1e-6)
