@@ -168,23 +168,45 @@ def values_at_integers(f: BvFunction, a: int, b: int):
     """An iterator of evaluate(f, k) for the integers a <= k < b, in
     increasing k, so the first failing k raises.  The pieces tile the
     domain between breakpoints, so an integer strictly inside a piece
-    takes that piece's compiled evaluator, and evaluate() gives the
-    others, which are breakpoints or domain_lo.  Only the pieces that
-    overlap [a, b) are visited, and no list of values is built."""
+    takes that piece's evaluator, and evaluate() gives the others, which
+    are breakpoints or domain_lo.  Each run of integers inside a piece
+    goes to the evaluator's block kernel (Expr.block) in lists of
+    _BLOCK floats, made lazily, one at a time, so memory does not grow
+    with b - a.  Only the integers k with |k| <= 2^53 take the runs: their
+    floats are k itself, so strictly inside the piece, while the float of
+    a larger k may round onto a breakpoint; evaluate() gives those too.
+    Only the pieces that overlap [a, b) are visited."""
     runs = []
     k = a
     i = max(bisect.bisect_right(f._piece_los, a) - 1, 0)
     for p in f.pieces[i:]:
         if p.lo >= b:
             break
-        s = max(k, math.floor(p.lo) + 1)
-        t = b if math.isinf(p.hi) else min(b, math.ceil(p.hi))
+        s = max(k, math.floor(p.lo) + 1, -_EXACT)
+        t = min(b, _EXACT + 1)
+        if not math.isinf(p.hi):
+            t = min(t, math.ceil(p.hi))
         if s < t:
             runs.append(_evaluated(f, k, s))
-            runs.append(map(p.evaluator.compiled, map(float, range(s, t))))
+            runs.append(_blocks(p.evaluator.block, s, t))
             k = t
     runs.append(_evaluated(f, k, b))
     return itertools.chain.from_iterable(runs)
+
+
+# The integers a direct sum's block kernel takes at once: a list of their
+# floats and one of their values stay far below a megabyte.
+_BLOCK = 1 << 12
+# Every integer k with |k| <= _EXACT is a float.
+_EXACT = 1 << 53
+
+
+def _blocks(kernel, s: int, t: int):
+    # np.arange makes the floats of the integers s..t-1 exactly, as
+    # |s|, |t - 1| <= 2^53, and faster than float() one at a time
+    return itertools.chain.from_iterable(
+        kernel(np.arange(j, min(j + _BLOCK, t), dtype=np.float64).tolist())
+        for j in range(s, t, _BLOCK))
 
 
 def _evaluated(f: BvFunction, a: int, b: int):

@@ -102,7 +102,18 @@ class Expr:
     @functools.cached_property
     def compiled(self):
         """The function x -> e(x) for a float x (see _compile)."""
-        return _compile(self)
+        fn, vars(self)["block"] = _compile(self)
+        return fn
+
+    @functools.cached_property
+    def block(self):
+        """The kernel xs -> the values e(x) for x in xs, over a list of
+        floats, from the same call of the shape's factory as compiled (see
+        _source): a list, or when a test of the unchecked run trips,
+        map(compiled, xs), which raises compiled's EvalError at the first
+        failing x when it gets there."""
+        self.compiled  # sets block too
+        return vars(self)["block"]
 
     @functools.cached_property
     def program(self):
@@ -118,7 +129,7 @@ class Expr:
     def __getstate__(self):
         # functions do not pickle; the copy compiles again on first use
         return {k: v for k, v in vars(self).items()
-                if k not in ("compiled", "program", "shape")}
+                if k not in ("compiled", "block", "program", "shape")}
 
 
 @dataclass(frozen=True)
@@ -422,48 +433,87 @@ def _op(e: Expr) -> tuple[str, tuple[Expr, ...]]:
 
 
 def _compile(e: Expr):
-    """The function mapping a float x to e(x), with the checks of the
-    scalar evaluation, in its order: a Var or constant root's lambda, else
-    the function generated for e's shape, over e's constants."""
+    """(the function mapping a float x to e(x), with the checks of the
+    scalar evaluation, in its order; e's block kernel): a Var or constant
+    root's lambdas, else the functions generated for e's shape, over e's
+    constants."""
     t = type(e)
     if t is Var:
-        return lambda x: x
+        return (lambda x: x), list
     if t is Num or t is Const:
         v = e.value if t is Num else CONSTANTS[e.name]
-        return lambda x: v
+        return (lambda x: v), (lambda xs: [v] * len(xs))
     source, consts = _source(e)
     return _factory(source)(*consts)
 
 
 def _source(e: Expr) -> tuple[str, list]:
-    """(the source of a factory that takes e's constants and returns the
-    float function of e, the constants).  The function runs one group of
-    statements per op, in postorder, each from the op's template in _OPS.
-    Registers are x, c<i> for the i-th constant and t<i> for the i-th op
-    result, so the source depends only on e's shape."""
-    consts, steps = [], []
+    """(the source of a factory that takes e's constants and returns e's
+    float function and block kernel, the constants).  Registers are x,
+    c<i> for the i-th constant and t<i> for the i-th op result, so the
+    source depends only on e's shape.
 
-    def emit(e: Expr) -> str:
+    The float function runs one group of statements per op, in postorder,
+    each the op's statements in _OPS.  The kernel is one list
+    comprehension over a list of floats.  Its element is the expression
+    nested from the ops' bare expressions in _OPS, but that each operand
+    of a masking op other than a constant is bound to its register and
+    tested by a clause before it (the operand the unchecked array run
+    tests), as is a subexpression nested more than _NESTING brackets
+    deep, untested, so that the source stays within the parser's limit.
+    Each op thus runs on the same operands as in the float function."""
+    consts, steps, clauses = [], [], []
+
+    def emit(e: Expr, test: bool) -> tuple[str, str, int]:
+        """(e's register, its value in the kernel's element, the brackets
+        that value nests)."""
         t = type(e)
-        if t is Var:
-            return "x"
         if t is Num or t is Const:
             consts.append(e.value if t is Num else CONSTANTS[e.name])
-            return f"c{len(consts) - 1}"
-        op, args = _op(e)
-        template = _OPS[op][0]
-        a = emit(args[0])
-        b = emit(args[1]) if len(args) > 1 else None
-        steps.append((template, a, b))
-        return f"t{len(steps) - 1}"
+            c = f"c{len(consts) - 1}"
+            return c, c, 0  # the float function does not test a constant
+        if t is Var:
+            r, value, depth = "x", "x", 0
+        else:
+            op, args = _op(e)
+            bare, _, _, masking, statements = _OPS[op]
+            a = emit(args[0], masking)
+            b = emit(args[1], masking) if len(args) > 1 else (None, None, 0)
+            r = f"t{len(steps)}"
+            steps.append(statements.format(r=r, a=a[0], b=b[0]))
+            value = bare.format(a=a[1], b=b[1])
+            depth = bare.count("(") + max(a[2], b[2])
+        if test:
+            clause = f"if isfinite({r if r == 'x' else f'{r} := {value}'}) or recheck()"
+            if clause not in clauses:  # x may be tested more than once
+                clauses.append(clause)
+        elif depth > _NESTING:
+            clauses.append(f"for {r} in [{value}]")
+        else:
+            return r, value, depth
+        return r, r, 0
 
-    emit(e)
+    root = emit(e, False)
     del emit  # it refers to itself: a cycle would wait for the collector
     params = ", ".join(f"c{i}" for i in range(len(consts)))
-    body = "".join(template.format(r=f"t{i}", a=a, b=b)
-                   for i, (template, a, b) in enumerate(steps))
-    return (f"def factory({params}):\n    def f(x):{body}\n"
-            f"        return t{len(steps) - 1}\n    return f\n"), consts
+    loop = " ".join(["for x in xs", *clauses])
+    return (f"def factory({params}):\n"
+            f"    def f(x):{''.join(steps)}\n"
+            f"        return {root[0]}\n"
+            f"    def block(xs):\n"
+            f"        try:\n"
+            f"            v = [{root[1]} {loop}]\n"
+            f"            if isfinite(sum(v)):\n"
+            f"                return v\n"
+            f"        except (Recheck, ArithmeticError, ValueError):\n"
+            f"            pass\n"
+            f"        return map(f, xs)\n"
+            f"    return f, block\n"), consts
+
+
+# The most brackets an expression in a block kernel's element nests; the
+# parser refuses 200.
+_NESTING = 64
 
 
 # The factories kept, one per shape.  A CLI request parses its spec again
@@ -471,8 +521,17 @@ def _source(e: Expr) -> tuple[str, list]:
 # once per shape.
 _FACTORIES = 256
 
+
+class _Recheck(Exception):
+    """A non-finite value appeared in an unchecked run."""
+
+
+def _recheck():
+    raise _Recheck
+
+
 # The names the generated source may use besides its registers.
-_NAMES = {"EvalError": EvalError,
+_NAMES = {"EvalError": EvalError, "Recheck": _Recheck, "recheck": _recheck,
           **{name: getattr(math, name) for name in
              ("isfinite", "pow", "exp", "log", "sqrt", "sin", "cos", "atan",
               "floor")}}
@@ -486,66 +545,77 @@ def _factory(source: str):
     return scope["factory"]
 
 
-# The statements of each op in the generated function: {r} is the result's
-# register, {a} and {b} the operands'.  Each op but neg tests its result.
+# The statements of each op in the float function, built around its bare
+# expression: {r} is the result's register, {a} and {b} the operands'.
+# Each op but neg tests its result.
 def _checked(statements: str, kind: str = "overflow") -> str:
     return statements + f"""
         if not isfinite({{r}}):
             raise EvalError("{kind}", x)"""
 
 
-def _arith(sign: str) -> str:
-    return _checked(f"\n        {{r}} = {{a}} {sign} {{b}}")
+def _assign(bare: str, kind: str | None) -> str:
+    return "\n        {r} = " + bare
 
 
-_DIV = _checked("""
-        if {b} == 0.0:
-            raise EvalError("division_by_zero", x)
-        {r} = {a} / {b}""")
+def _arith(bare: str, kind: str) -> str:
+    return _checked(_assign(bare, kind))
 
-_POW = _checked("""
+
+def _div(bare: str, kind: str) -> str:
+    return _checked(f"""
+        if {{b}} == 0.0:
+            raise EvalError("{kind}", x)""" + _assign(bare, kind))
+
+
+def _pow(bare: str, kind: str) -> str:
+    return _checked("""
         try:
-            {r} = pow({a}, {b})
+            {r} = """ + bare + f"""
         except OverflowError:
             raise EvalError("overflow", x) from None
         except (ValueError, ZeroDivisionError):
-            raise EvalError("pow_domain", x) from None""")
+            raise EvalError("{kind}", x) from None""")
 
 
-def _call(call: str, kind: str) -> str:
+def _call(bare: str, kind: str) -> str:
     # a libm error or a non-finite result is the EvalError of the op: log
     # or sqrt outside its domain, exp's overflow, sin or cos of inf, floor
     # of inf, any of them of an inf or nan operand
-    return _checked(f"""
+    return _checked("""
         try:
-            {{r}} = {call}
+            {r} = """ + bare + f"""
         except (ValueError, OverflowError):
             raise EvalError("{kind}", x) from None""", kind)
 
 
-# op -> (source template of the float function, ufunc, kind of a non-finite
-# result (None: the strict run does not test it), masking).  The masking
-# ops can map a non-finite operand to a finite value: x/inf = 0, 1^nan = 1,
-# exp(-inf) = 0, atan(inf) = pi/2.  Every other op keeps a non-finite value
-# non-finite at the same point, so it reaches the root unless a masking
-# op's operand test sees it first.
+def _entry(bare: str, ufunc, kind, masking: bool, statements) -> tuple:
+    return bare, ufunc, kind, masking, statements(bare, kind)
+
+
+# op -> (the op's value as a bracketed expression of its operands {a} and
+# {b}, ufunc, kind of a non-finite result (None: the strict run does not
+# test it), masking, the float function's statements for it).  The
+# masking ops can map a non-finite operand to a finite value: x/inf = 0,
+# 1^nan = 1, exp(-inf) = 0, atan(inf) = pi/2.  Every other op keeps a
+# non-finite value non-finite at the same point, or raises, so it reaches
+# the root unless a masking op's operand test sees it first.
 _OPS = {
-    "neg": ("\n        {r} = -{a}", np.negative, None, False),
-    "+": (_arith("+"), np.add, "overflow", False),
-    "-": (_arith("-"), np.subtract, "overflow", False),
-    "*": (_arith("*"), np.multiply, "overflow", False),
-    "/": (_DIV, np.true_divide, "division_by_zero", True),
-    "^": (_POW, np.power, "pow_domain", True),
-    "pow": (_POW, np.power, "pow_domain", True),
-    "exp": (_call("exp({a})", "overflow"), np.exp, "overflow", True),
-    "log": (_call("log({a})", "log_domain"), np.log, "log_domain", False),
-    "sqrt": (_call("sqrt({a})", "sqrt_domain"), np.sqrt, "sqrt_domain", False),
-    "abs": (_call("abs({a})", "overflow"), np.abs, "overflow", False),
-    "sin": (_call("sin({a})", "overflow"), np.sin, "overflow", False),
-    "cos": (_call("cos({a})", "overflow"), np.cos, "overflow", False),
-    "atan": (_call("atan({a})", "overflow"), np.arctan, "overflow", True),
-    "floor": (_call("float(floor({a}))", "overflow"), np.floor, "overflow",
-              False),
+    "neg": _entry("(-{a})", np.negative, None, False, _assign),
+    "+": _entry("({a} + {b})", np.add, "overflow", False, _arith),
+    "-": _entry("({a} - {b})", np.subtract, "overflow", False, _arith),
+    "*": _entry("({a} * {b})", np.multiply, "overflow", False, _arith),
+    "/": _entry("({a} / {b})", np.true_divide, "division_by_zero", True, _div),
+    "^": _entry("pow({a}, {b})", np.power, "pow_domain", True, _pow),
+    "pow": _entry("pow({a}, {b})", np.power, "pow_domain", True, _pow),
+    "exp": _entry("exp({a})", np.exp, "overflow", True, _call),
+    "log": _entry("log({a})", np.log, "log_domain", False, _call),
+    "sqrt": _entry("sqrt({a})", np.sqrt, "sqrt_domain", False, _call),
+    "abs": _entry("abs({a})", np.abs, "overflow", False, _call),
+    "sin": _entry("sin({a})", np.sin, "overflow", False, _call),
+    "cos": _entry("cos({a})", np.cos, "overflow", False, _call),
+    "atan": _entry("atan({a})", np.arctan, "overflow", True, _call),
+    "floor": _entry("float(floor({a}))", np.floor, "overflow", False, _call),
 }
 
 
@@ -571,7 +641,7 @@ def _program(e: Expr):
             sort.append(1 if math.isfinite(v) else 2)
             return len(init)
         op, args = _op(e)
-        _, fn, kind, masking = _OPS[op]
+        _, fn, kind, masking, _ = _OPS[op]
         a = emit(args[0])
         b = emit(args[1]) if len(args) > 1 else None
         ab = (a,) if b is None else (a, b)
@@ -585,10 +655,6 @@ def _program(e: Expr):
     emit(e)
     del emit  # it refers to itself: a cycle would wait for the collector
     return tuple(init), tuple(code)
-
-
-class _Recheck(Exception):
-    """A non-finite value appeared in an unchecked run."""
 
 
 def _finite(v) -> bool:
@@ -605,7 +671,7 @@ def _fail(kind: str, x: np.ndarray, r, vals) -> EvalError:
         # the kind the float path gives this power at that point
         a, b = (float(v if np.ndim(v) == 0 else v.flat[i]) for v in vals)
         try:
-            _compile(Bin("^", Num(a), Num(b)))(xi)
+            Bin("^", Num(a), Num(b)).compiled(xi)
         except EvalError as err:
             kind = err.kind
     return EvalError(kind, xi)

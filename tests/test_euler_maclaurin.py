@@ -316,6 +316,8 @@ def _sum_outcome(fn, *args):
         return ("error", e.kind, e.x)
     except DomainError as e:
         return ("domain", str(e))
+    except (OverflowError, ValueError) as e:  # math.fsum's own
+        return ("fsum", type(e).__name__, str(e))
 
 
 def _ranges(f):
@@ -393,3 +395,49 @@ def test_direct_sum_compiles_only_the_pieces_it_overlaps():
     assert _direct_sum(f, 100, 102) == ref_direct_sum(f, 100, 102) == 99.0 + 100.0
     compiled = [i for i, p in enumerate(f.pieces) if "compiled" in vars(p.evaluator)]
     assert compiled == [99, 100]
+    assert [i for i, p in enumerate(f.pieces) if "block" in vars(p.evaluator)] == compiled
+
+
+def _one_piece(text, lo=0.0, hi=20_000.0):
+    # a spec validate might refuse, built directly
+    return BvFunction(lo, hi, (), (MonotonePiece(lo, hi, parse(text), "inc", 0.0, 0.0),))
+
+
+_BLOCK = 4096  # bv._BLOCK: integers 1, 4097, 8193, ... start the blocks of (0, 20000)
+
+
+@pytest.mark.parametrize("text", [
+    # masking ops hide an overflow from the block's total
+    "atan(x*1e308)", "1/(x*1e308)", "exp(-x*1e308)", "pow(1, x*1e308)",
+    # math.fsum overflows, before or after a failing integer
+    "1e308+0*x", "1e308+1/(x-5)", "1e308+1/(x-1)",
+    # the first failing integer first, second or last in a block, in the
+    # first or a later block, or in every block
+    "1/(x-1)", "1/(x-2)", "1/(x-4096)", "1/(x-4097)", "1/(x-8192)",
+    "1/(x-8193)", "log(x-4096)", "sqrt(4097-x)", "log(-x)",
+    # no failure: ranges straddle the blocks
+    "x", "x*x-3", "exp(-x/1000)*sin(x)"])
+def test_direct_sum_blocks_match_evaluate_term_by_term(text):
+    f = _one_piece(text)
+    for a, b in ((1, 20), (0, 4097), (0, 4098), (1, 4097), (1, 4098), (4090, 4100),
+                 (4096, 8193), (4097, 8194), (0, 12_300), (8192, 8194)):
+        assert _sum_outcome(_direct_sum, f, a, b) == \
+            _sum_outcome(ref_direct_sum, f, a, b), (text, a, b)
+
+
+def test_direct_sum_past_2_53_matches_evaluate_term_by_term():
+    # above 2^53 the float of an integer inside a piece can round onto the
+    # breakpoint at the piece's end, whose stored value evaluate() gives
+    big = 2.0 ** 53
+    f = BvFunction(0.0, 2.0 ** 60, (Breakpoint(big, 1.0, 5.0, 2.0),),
+                   (MonotonePiece(0.0, big, parse("1+0*x"), "const", 1.0, 1.0),
+                    MonotonePiece(big, 2.0 ** 60, parse("2+0*x"), "const", 2.0, 2.0)))
+    n = 2 ** 53
+    assert _direct_sum(f, n - 1, n + 2) == ref_direct_sum(f, n - 1, n + 2) == 11.0
+    # the exact floats up to 2^53, on both sides, across blocks
+    up = _one_piece("x-9007199254740000", 0.0, 2.0 ** 60)
+    down = _one_piece("x+9007199254740000", -(2.0 ** 60), 0.0)
+    for g, a, b in ((up, n - 5000, n + 3), (up, n - 2, n + 9),
+                    (down, -n - 9, -n + 5000), (down, -n - 3, -n + 2)):
+        assert _sum_outcome(_direct_sum, g, a, b) == \
+            _sum_outcome(ref_direct_sum, g, a, b), (a, b)

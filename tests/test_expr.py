@@ -569,16 +569,20 @@ def test_compiled_matches_tree_walk_at_poison_points(text):
 
 def test_compiled_once_per_node_and_outside_the_fields():
     e = parse("1/(1+x)")
-    assert "compiled" not in vars(e)
+    assert "compiled" not in vars(e) and "block" not in vars(e)
     eval_expr(e, 1.0)
-    fn = vars(e)["compiled"]
+    # one call of the shape's factory makes both functions
+    fn, block = vars(e)["compiled"], vars(e)["block"]
     eval_expr(e, 2.0)
     assert e.compiled is fn and fn.__code__.co_filename == "<bvsum.expr>"
+    assert e.block is block and block.__code__.co_filename == "<bvsum.expr>"
     assert e == parse("1/(1+x)") and hash(e) == hash(parse("1/(1+x)"))
     assert repr(e) == repr(parse("1/(1+x)"))
     copy = pickle.loads(pickle.dumps(e))
-    assert "compiled" not in vars(copy)
+    assert "compiled" not in vars(copy) and "block" not in vars(copy)
     assert eval_expr(copy, 3.0) == 0.25
+    # the kernel asked for first makes both as well
+    assert copy.block([3.0]) == [0.25] and vars(copy)["compiled"] is copy.compiled
 
 
 # The float function is generated from fixed text alone, the op templates
@@ -631,6 +635,71 @@ def test_pickled_node_compiles_again_to_the_same_bits(tree, xs):
     for x in xs:
         assert _scalar_outcome(copy.compiled, x) == \
             _scalar_outcome(tree.compiled, x), x
+
+
+# The block kernel maps a list of floats in one unchecked comprehension and
+# falls back to the float function: its values and first error must be
+# those of the float function called at each point in turn.
+
+def _block_outcome(e, xs):
+    # the bits of the values, or the first EvalError's kind and x
+    try:
+        return ("values", [_bits(v) for v in e.block(list(xs))])
+    except EvalError as err:
+        return ("error", err.kind, repr(err.x))
+
+
+def _pointwise_outcome(e, xs):
+    try:
+        return ("values", [_bits(e.compiled(x)) for x in xs])
+    except EvalError as err:
+        return ("error", err.kind, repr(err.x))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_poison_ast, _scalar_points)
+def test_block_matches_the_float_function(tree, xs):
+    assert _block_outcome(tree, xs) == _pointwise_outcome(tree, xs)
+
+
+@pytest.mark.parametrize("text", [
+    # a masking op hides an overflow from the total
+    "atan(x*1e308)", "1/(x*1e308)", "exp(-x*1e308)", "pow(1, x*1e308)",
+    "2^(x*1e308-x*1e308)", "x/exp(x*1e3)",
+    # a domain error, and finite values whose total overflows
+    "1/(x-2)", "log(x-0.5)", "sqrt(1-x)", "1e308+0*x", "-1e400",
+    # the roots and ops without a test
+    "x", "-x", "pi", "floor(x)*x", "abs(x)-sin(x)*cos(x)"])
+def test_block_matches_the_float_function_on_fixed_cases(text):
+    e = parse(text)
+    for xs in ([0.25, 0.5, 1.0, 2.0, 3.0], [3.0, 2.0], [1.0], [],
+               [math.inf, 1.0], [1.0, math.nan], [-math.inf]):
+        assert _block_outcome(e, xs) == _pointwise_outcome(e, xs), (text, xs)
+
+
+def test_block_returns_the_list_unless_a_test_trips():
+    e = parse("1/(1+x)")
+    assert type(e.block([0.0, 1.0])) is list
+    # an operand test trips: the float function raises, lazily
+    e = parse("1/(x*1e308)")
+    values = e.block([0.5, 1.0, 2.0])
+    assert type(values) is not list and next(values) == 1 / 0.5e308
+    with pytest.raises(EvalError):
+        list(values)
+    # the total overflows: the float function gives the same values
+    assert list(parse("1e308+0*x").block([1.0, 2.0])) == [1e308, 1e308]
+
+
+@pytest.mark.parametrize("text", [
+    *(DEEP[kind](ex._MAX_DEPTH) for kind in sorted(DEEP)),
+    "floor(" * ex._MAX_DEPTH + "x" + ")" * ex._MAX_DEPTH,
+    "atan(" * ex._MAX_DEPTH + "x" + ")" * ex._MAX_DEPTH,
+    "1/(" * (ex._MAX_DEPTH - 1) + "x" + ")" * (ex._MAX_DEPTH - 1)])
+def test_block_of_the_deepest_expressions(text):
+    # nested brackets are cut into clauses below the parser's limit
+    e = parse(text)
+    xs = [0.5, 0.25, 3.0]
+    assert _block_outcome(e, xs) == _pointwise_outcome(e, xs)
 
 
 # a constant power fails at every point, so the first one is reported
