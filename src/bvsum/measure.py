@@ -79,6 +79,15 @@ def _slack(*vals: float) -> float:
     return 8.0 * _EPS * math.fsum(abs(v) for v in vals)
 
 
+def _underflow(product: float, factor: float) -> float:
+    """A bound on the error of product, a factor times a nonzero float,
+    if it rounded below the normal range, else 0: the least subnormal,
+    twice what rounding to nearest loses there."""
+    if factor != 0.0 and abs(product) < sys.float_info.min:
+        return 5e-324
+    return 0.0
+
+
 @dataclass(frozen=True)
 class Divergent:
     """Marker result: the improper integral has no finite value."""
@@ -355,13 +364,21 @@ def _certify(*claims: _Claim) -> list:
         done = out[i:j]
         if c.route.post is not None:
             done = [c.route.post(*args) for args in zip(c.segs, c.ends, done)]
-        result = Certified(math.fsum([*c.values, *(v for v, _ in done)]),
-                           math.fsum([*c.radii, *(r for _, r in done)]))
+        result = _total([*c.values, *(v for v, _ in done)], [*c.radii, *(r for _, r in done)])
         if not result.radius <= c.tol:
             raise ToleranceUnreachable(
                 f"achieved radius {result.radius:.3g} exceeds tol {c.tol:.3g}")
         results.append(result if c.wrap is None else c.wrap(result))
     return results
+
+
+def _total(values: list, radii: list) -> Certified:
+    """The enclosure of the sum of values with radii: a radius of 0 says
+    the values are exact, and then it covers the rounding of their sum."""
+    result = Certified(math.fsum(values), math.fsum(radii))
+    if result.radius == 0.0 and Fraction(result.value) != sum(map(Fraction, values)):
+        return Certified(result.value, _slack(result.value))
+    return result
 
 
 def _refine(route: str, bounds, curves, terms, budgets, settle, *, n0: int):
@@ -812,13 +829,17 @@ def _midvalue_claim(g: BvFunction, f: BvFunction, lo: float, hi: float, tol: flo
     for fn in (f, g):
         if lo < fn.domain_lo or hi > fn.domain_hi:
             raise DomainError(f"[{lo}, {hi}[ outside a domain")
-    atom_terms = []
+    atom_terms, underflows = [], []
     for bp in f.breakpoints:
         if lo <= bp.x < hi and bp.jump != 0.0:
             # as mid_value_strict(g, bp.x)
-            g_mid = 0.5 * (_limit(seen, g, bp.x, False, True)
-                           + _limit(seen, g, bp.x, True, True))
+            total = _limit(seen, g, bp.x, False, True) + _limit(seen, g, bp.x, True, True)
+            g_mid = 0.5 * total
             atom_terms.append(g_mid * bp.jump)
+            # _slack is relative: a mid-value or product that rounds
+            # below the normal range adds an absolute error
+            underflows.append(_underflow(g_mid, total) * max(1.0, abs(bp.jump))
+                              + _underflow(atom_terms[-1], g_mid))
     atoms = math.fsum(atom_terms)
 
     grid = _refinement_grid(lo, hi, (f, g), with_integers=False)
@@ -839,4 +860,5 @@ def _midvalue_claim(g: BvFunction, f: BvFunction, lo: float, hi: float, tol: flo
         return (abs(un - u0) * abs(gs - gt) + 1e-300, term + 2.0 * widening,
                 (u0, un, gs, gt, eu, eg, term))
 
-    return _prepare(_MIDVALUE, tol, [atoms], [_slack(*atom_terms)], fallback, weigh)
+    return _prepare(_MIDVALUE, tol, [atoms], [_slack(*atom_terms) + math.fsum(underflows)],
+                    fallback, weigh)

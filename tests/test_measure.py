@@ -640,7 +640,7 @@ def ref_certify(*claims, mid=None):
                 v, r = one(*seg, floor + budget * w / wsum)
                 values.append(v)
                 radii.append(r)
-        result = Certified(math.fsum(values), math.fsum(radii))
+        result = measure._total(values, radii)
         if not result.radius <= tol:
             raise ToleranceUnreachable(
                 f"achieved radius {result.radius:.3g} exceeds tol {tol:.3g}")
@@ -889,10 +889,60 @@ class TestContainment:
         f, g = data.draw(_containment_specs(2)), data.draw(_containment_specs(2))
         rep = parts_check(f, g, 0.0, 2.0, tol)
         assert rep.passed
-        # the radii of both integrals, and the rounding of their sum
-        radius = rep.budget - IDENTITY_SLACK + EPS * abs(rep.lhs)
+        # the radii of both integrals, which are those of the routine
+        # called for each (a radius below an ulp of IDENTITY_SLACK does not
+        # show in the budget), and the rounding of their sum
+        first = stieltjes_midvalue(g, f, 0.0, 2.0, tol)
+        second = stieltjes_midvalue(f, g, 0.0, 2.0, tol)
+        assert rep.lhs == first.value + second.value
+        radius = first.radius + second.radius + EPS * abs(rep.lhs)
         want = mp_midvalue(g, f, 0.0, 2.0) + mp_midvalue(f, g, 0.0, 2.0)
         assert abs(mpmath.mpf(rep.lhs) - want) <= radius
+
+
+def _steps(lo_value, hi_value, cut=1.0, x0_left=None):
+    """lo_value on (0, cut) and hi_value on (cut, 2), with breakpoints at 0
+    (left value x0_left, exterior) and at cut; built directly."""
+    left = lo_value if x0_left is None else x0_left
+    return BvFunction(0.0, 2.0, (Breakpoint(0.0, left, lo_value, lo_value),
+                                 Breakpoint(cut, lo_value, lo_value, hi_value)),
+                      (MonotonePiece(0.0, cut, ex.Num(lo_value), "const", lo_value, lo_value),
+                       MonotonePiece(cut, 2.0, ex.Num(hi_value), "const", hi_value, hi_value)))
+
+
+class TestRoundingBelowTheRadius:
+    def test_midvalue_atom_that_underflows(self):
+        # the atom 1.48e-290 * -2.96e-290 rounds to -0.0, in both integrals
+        # of the by-parts identity
+        f = _steps(0.0, 0.0, x0_left=2.96e-290)
+        want = mp_midvalue(f, f, 0.0, 2.0)
+        assert want < 0.0
+        enc = stieltjes_midvalue(f, f, 0.0, 2.0, 1e-6)
+        assert abs(mpmath.mpf(enc.value) - want) <= enc.radius
+        rep = parts_check(f, f, 0.0, 2.0, 1e-6)
+        assert rep.passed and rep.lhs == 2 * enc.value
+        assert abs(mpmath.mpf(rep.lhs) - 2 * want) <= 2 * enc.radius + EPS * abs(rep.lhs)
+
+    def test_midvalue_that_underflows_times_a_large_jump(self):
+        # g's mid-value at 1, 1.5 * 2^-1074, rounds to 2^-1073, an error
+        # f's jump of 1e300 scales to 2.5e-24
+        tiny = 3 * 2.0 ** -1074
+        g, f = _steps(tiny, 0.0), _steps(0.0, 1e300)
+        want = mp_midvalue(g, f, 0.0, 2.0)
+        enc = stieltjes_midvalue(g, f, 0.0, 2.0, 1e-6)
+        assert abs(mpmath.mpf(enc.value) - want) > 1e-24
+        assert abs(mpmath.mpf(enc.value) - want) <= enc.radius <= 1e-23
+
+    def test_exact_values_whose_sum_rounds(self):
+        # c/8 and 7/8 are exact, their sum is not: a radius of 0 would
+        # claim it is
+        c = 0.3343826978565485
+        f = _steps(c, 1.0, cut=0.125)
+        enc = integrate(f, 0.0, 1.0, 1e-4)
+        assert 0.0 < enc.radius <= 1e-14
+        assert abs(mpmath.mpf(enc.value) - mp_integral(f, 0.0, 1.0)) <= enc.radius
+        # a sum that is exact keeps the radius 0
+        assert integrate(_steps(0.5, 1.0, cut=0.125), 0.0, 1.0, 1e-4).radius == 0.0
 
 
 def _scalar_evaluations(call):
