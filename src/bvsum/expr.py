@@ -36,12 +36,20 @@ function (Expr.compiled) with one group of statements per op, in
 postorder, that evaluates operands left to right and checks each result:
 a zero divisor before "/", finiteness after every binary op, pow and
 function, and the libm errors of the functions, each with the kind the
-array path gives it.  Its source is made only of the op templates in
-_OPS and register names: x, c<i> for the constants and t<i> for the op
-results, never text from the node.  So it depends only on the
-expression's shape: the constants are the arguments of a generated
-factory, compiled once per shape and kept in a bounded cache that a CLI
-request, which parses its spec again, reuses.
+array path gives it.  A list of floats is evaluated by a block kernel
+(Expr.block), one list comprehension in the unchecked mode of the array
+interpreter below: the ops run bare, a clause tests each operand of a
+masking op that is not a constant, and the values are tested once,
+through their total.  If a test trips, or an op raises, the list goes
+through the float function instead, lazily, so the values and the first
+failing point's EvalError are those of the float function at each point
+in turn.  Both sources are made only of the ops' bare expressions in
+_OPS, the statements _OPS builds around them, and register names: x,
+c<i> for the constants and t<i> for the op results, never text from the
+node.  So they depend only on the expression's shape: the constants are
+the arguments of a generated factory that returns both functions,
+compiled once per shape and kept in a bounded cache that a CLI request,
+which parses its spec again, reuses.
 
 An array is evaluated by a flat postorder program of ufunc calls
 (Expr.program), run by one interpreter in two modes.  The unchecked run
