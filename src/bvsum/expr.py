@@ -469,7 +469,9 @@ def _source(e: Expr) -> tuple[str, list]:
     tested by a clause before it (the operand the unchecked array run
     tests), as is a subexpression nested more than _NESTING brackets
     deep, untested, so that the source stays within the parser's limit.
-    Each op thus runs on the same operands as in the float function."""
+    Each op thus runs on the same operands as in the float function, so
+    it gives the same bits, though ops that do not depend on one another
+    may run in another order."""
     consts, steps, clauses = [], [], []
 
     def emit(e: Expr, test: bool) -> tuple[str, str, int]:
@@ -508,15 +510,15 @@ def _source(e: Expr) -> tuple[str, list]:
     return (f"def factory({params}):\n"
             f"    def f(x):{''.join(steps)}\n"
             f"        return {root[0]}\n"
-            f"    def block(xs):\n"
-            f"        try:\n"
+            "    def block(xs):\n"
+            "        try:\n"
             f"            v = [{root[1]} {loop}]\n"
-            f"            if isfinite(sum(v)):\n"
-            f"                return v\n"
-            f"        except (Recheck, ArithmeticError, ValueError):\n"
-            f"            pass\n"
-            f"        return map(f, xs)\n"
-            f"    return f, block\n"), consts
+            "            if isfinite(sum(v)):\n"
+            "                return v\n"
+            "        except (Recheck, ArithmeticError, ValueError):\n"
+            "            pass\n"
+            "        return map(f, xs)\n"
+            "    return f, block\n"), consts
 
 
 # The most brackets an expression in a block kernel's element nests; the

@@ -104,8 +104,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--out", help="file for the JSON summary (default: stdout)")
     args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2, for quartiles")
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         dirs = {side: os.path.join(tmp, side) for side in ("parent", "change")}
