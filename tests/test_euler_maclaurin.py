@@ -26,6 +26,7 @@ from bvsum import (
     series_sum,
     validate,
 )
+from bvsum.bv import _BLOCK
 from bvsum.euler_maclaurin import _direct_sum
 from conftest import CORPUS_NAMES
 from oracles import BASEL_SUM, EULER_GAMMA, direct_sum, harmonic_number
@@ -403,9 +404,6 @@ def _one_piece(text, lo=0.0, hi=20_000.0):
     return BvFunction(lo, hi, (), (MonotonePiece(lo, hi, parse(text), "inc", 0.0, 0.0),))
 
 
-_BLOCK = 4096  # bv._BLOCK: integers 1, 4097, 8193, ... start the blocks of (0, 20000)
-
-
 @pytest.mark.parametrize("text", [
     # masking ops hide an overflow from the block's total
     "atan(x*1e308)", "1/(x*1e308)", "exp(-x*1e308)", "pow(1, x*1e308)",
@@ -418,6 +416,8 @@ _BLOCK = 4096  # bv._BLOCK: integers 1, 4097, 8193, ... start the blocks of (0, 
     # no failure: ranges straddle the blocks
     "x", "x*x-3", "exp(-x/1000)*sin(x)"])
 def test_direct_sum_blocks_match_evaluate_term_by_term(text):
+    # the blocks of (0, 20000) start at 1, 4097, 8193, ...
+    assert _BLOCK == 4096
     f = _one_piece(text)
     for a, b in ((1, 20), (0, 4097), (0, 4098), (1, 4097), (1, 4098), (4090, 4100),
                  (4096, 8193), (4097, 8194), (0, 12_300), (8192, 8194)):
