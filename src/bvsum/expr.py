@@ -77,6 +77,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,14 +131,14 @@ class Expr:
 
     @functools.cached_property
     def shape(self):
-        """The ops of the program if eval_rows may run it together with
-        programs of the same ops (see _stackable), else None."""
-        return self.program[1] if _stackable(self.program) else None
+        """The key of the programs eval_rows may run together with this
+        one: the ops and the bits of the pinned constants (see _shape)."""
+        return _shape(self.program)
 
     def __getstate__(self):
         # functions do not pickle; the copy compiles again on first use
         return {k: v for k, v in vars(self).items()
-                if k not in ("compiled", "block", "program", "shape")}
+                if k not in ("compiled", "block", "program", "shape", "source")}
 
 
 @dataclass(frozen=True)
@@ -385,48 +386,60 @@ def _template(key: tuple):
 
 def _builder(e: Expr):
     """A function of e's numbers, in text order, that builds e's AST with
-    them as one straight-line function and sets its array program: e's
-    ops, over those numbers and e's named constants."""
+    them as one straight-line function.  It makes each node without its
+    __init__, setting the fields in the node's __dict__ as that would, and
+    sets on the root its array program (e's ops, over those numbers and
+    e's named constants), its shape (the same for every text of the
+    template but for the bits of its pinned constants) and the source of
+    its factory (see _compile)."""
     init, code = _program(e)
-    lines, registers = [], []  # per program register after x: its source
+    pinned = _pinned((init, code))
+    lines = []
+    registers = []  # per program register after x: (its source, its float's)
     count = 0  # numbers
 
     def emit(e: Expr) -> str:
         nonlocal count
         t = type(e)
-        if t is Var:
-            return "Var()"
         if t is Num:
-            registers.append(f"F(n{count})")
-            node = f"Num(n{count})"
+            registers.append((f"F(n{count})", f"n{count}"))
+            fields = {"value": f"n{count}"}
             count += 1
         elif t is Const:
-            registers.append(f"I[{len(registers)}]")
-            node = f"Const({e.name!r})"
-        else:
+            registers.append((f"I[{len(registers)}]",) * 2)
+            fields = {"name": repr(e.name)}
+        elif t is not Var:
             op, args = _op(e)
-            a = ", ".join([emit(arg) for arg in args])
-            registers.append("None")
+            a = [emit(arg) for arg in args]
+            registers.append(("None", None))
             if t is Neg:
-                node = f"Neg({a})"
+                fields = {"arg": a[0]}
             elif t is Bin:
-                node = f"Bin({op!r}, {a})"
+                fields = {"op": repr(op), "left": a[0], "right": a[1]}
             else:
-                node = f"Call({op!r}, ({a},))"
-        lines.append(f"    t{len(lines)} = {node}\n")
-        return f"t{len(lines) - 1}"
+                fields = {"fn": repr(op), "args": f"({', '.join(a)},)"}
+        r = f"t{len(lines)}"
+        lines.append(f"    {r} = new({t.__name__})\n" if t is Var else
+                     f"    {r} = new({t.__name__})\n    d = {r}.__dict__\n"
+                     + "".join(f"    d[{k!r}] = {v}\n" for k, v in fields.items()))
+        return r
 
     root = emit(e)
     del emit  # it refers to itself: a cycle would wait for the collector
-    init_source = "".join(r + ", " for r in registers)
+    init_source = "".join(f"{r}, " for r, _ in registers)
+    bits = "".join(f"B({registers[k - 1][1]}), " for k in pinned)
     source = (f"def build({', '.join(f'n{i}' for i in range(count))}):\n"
-              f"{''.join(lines)}    e = {root}\n"
-              f"    e.__dict__.update(program=(({init_source}), CODE), shape=SHAPE)\n"
-              f"    return e\n")
+              + "".join(lines)
+              + f"    d = {root}.__dict__\n"
+              f"    d['program'] = (({init_source}), CODE)\n"
+              f"    d['shape'] = {f'(CODE, LEN, PINNED, ({bits}))' if pinned else 'SHAPE'}\n"
+              + ("    d['source'] = SOURCE\n" if code else "")
+              + f"    return {root}\n")
     scope = {}
     names = {"Num": Num, "Var": Var, "Const": Const, "Neg": Neg, "Bin": Bin,
-             "Call": Call, "F": np.float64, "I": init, "CODE": code,
-             "SHAPE": code if _stackable((init, code)) else None}
+             "Call": Call, "new": object.__new__, "F": np.float64, "B": _BITS,
+             "I": init, "CODE": code, "LEN": len(init), "PINNED": pinned,
+             "SHAPE": _shape((init, code)), "SOURCE": _source(e)[0] if code else None}
     exec(compile(source, "<bvsum.expr template>", "exec"), names, scope)
     return scope["build"]
 
@@ -451,7 +464,11 @@ def _compile(e: Expr):
     if t is Num or t is Const:
         v = e.value if t is Num else CONSTANTS[e.name]
         return (lambda x: v), (lambda xs: [v] * len(xs))
-    source, consts = _source(e)
+    source = vars(e).get("source")  # set by a template's builder
+    if source is None:
+        source, consts = _source(e)
+    else:  # the program holds the constants in the same order
+        consts = [float(v) for v in e.program[0] if v is not None]
     return _factory(source)(*consts)
 
 
@@ -744,20 +761,32 @@ _EXACT = frozenset((np.negative, np.add, np.subtract, np.multiply,
                     np.true_divide, np.sqrt, np.abs, np.floor))
 
 
-def _stackable(prog) -> bool:
-    """Whether a program may run together with others of its ops, over
-    constants stacked into columns: no inexact op reads a constant."""
-    code = prog[1]
-    if not code:
-        return False  # the root is x or a constant: the ops do not tell
+def _pinned(prog) -> tuple[int, ...]:
+    """The pinned constants of a program, in register order: the
+    constants that an inexact op reads, directly or through ops on
+    constants alone."""
+    init, code = prog
     from_x = {0}
-    for fn, a, b, dst, _, _, _ in code:
-        ab = (a,) if b is None else (a, b)
-        if fn not in _EXACT and not from_x.issuperset(ab):
-            return False
-        if not from_x.isdisjoint(ab):
+    for _, a, b, dst, _, _, _ in code:
+        if a in from_x or b in from_x:
             from_x.add(dst)
-    return True
+    pinned = set()
+    for fn, a, b, dst, _, _, _ in reversed(code):  # each reader before its operands
+        if fn not in _EXACT or dst in pinned:
+            pinned.update(r for r in (a, b) if r is not None and r not in from_x)
+    return tuple(sorted(r for r in pinned if init[r - 1] is not None))
+
+
+# A float's bytes: its bits, so that 0.0 and -0.0 differ.
+_BITS = struct.Struct("d").pack
+
+
+def _shape(prog) -> tuple:
+    """(ops, registers, pinned constants, their bits): the programs that
+    may run together in eval_rows are those of one shape."""
+    init, code = prog
+    pinned = _pinned(prog)
+    return code, len(init), pinned, tuple(_BITS(init[r - 1]) for r in pinned)
 
 
 @np.errstate(all="ignore")
@@ -775,25 +804,23 @@ def eval_rows(exprs, x: np.ndarray):
     if not exprs:
         return np.empty(x.shape), {}
     progs = [e.program for e in exprs]
-    shapes = {}  # shape number -> its rows, in order
+    shapes = {}  # shape -> its rows, in order
     if all(p is progs[0] for p in progs):
-        shapes[0] = range(len(progs))
+        shapes[exprs[0].shape] = range(len(progs))
     else:
-        numbers = {}  # op tuple (or program id, if it cannot stack) -> number
-        shape_of = {}  # program id -> shape number
+        shape_of = {}  # program id -> shape
         for i, (e, p) in enumerate(zip(exprs, progs)):
-            k = shape_of.get(id(p))
-            if k is None:
-                key = id(p) if e.shape is None else e.shape
-                k = shape_of[id(p)] = numbers.setdefault(key, len(numbers))
-            shapes.setdefault(k, []).append(i)
+            key = shape_of.get(id(p))
+            if key is None:
+                key = shape_of[id(p)] = e.shape
+            shapes.setdefault(key, []).append(i)
     values, errors = None, {}
-    for rows in shapes.values():
+    for (_, _, pinned, _), rows in shapes.items():
         init, code = progs[rows[0]]
         if any(progs[i][0] is not init for i in rows):
-            init = tuple(None if v is None else
-                         np.array([progs[i][0][k] for i in rows])[:, None]
-                         for k, v in enumerate(init))
+            init = tuple(v if v is None or k in pinned else
+                         np.array([progs[i][0][k - 1] for i in rows])[:, None]
+                         for k, v in enumerate(init, 1))
         whole = len(rows) == len(x)
         r = None
         if x.size:

@@ -850,12 +850,31 @@ def test_rows_run_once_per_shape(monkeypatch):
     real = ex._run
     monkeypatch.setattr(ex, "_run", lambda prog, x, strict: runs.append(x.shape)
                         or real(prog, x, strict))
+
+    def runs_of(exprs):
+        runs.clear()
+        xs = np.linspace(0.0, 1.0, len(exprs) * 16).reshape(len(exprs), 16)
+        values, errors = ex.eval_rows(exprs, xs)
+        shapes = sorted(runs)
+        assert not errors
+        for e, x, v in zip(exprs, xs, values):
+            assert eval_expr(e, x).tobytes() == v.tobytes(), e
+        return shapes
+
     exprs = [parse(f"{c}+{2 * c}*exp(-{c}*(x-0.25))") for c in (0.5, 1.5, 2.5)]
-    exprs += [parse("sin(x)")] * 2
-    values, errors = ex.eval_rows(exprs, np.linspace(0.0, 1.0, 5 * 16).reshape(5, 16))
-    assert not errors and sorted(runs) == [(2, 16), (3, 16)]
+    assert runs_of(exprs + [parse("sin(x)")] * 2) == [(2, 16), (3, 16)]
+    # a constant that an inexact op reads, here through "/", is pinned: it
+    # stays a scalar, and rows share a run only when its bits are equal
+    assert runs_of([parse("(x-0.1)^2/2"), parse("(x-0.7)^2/2")]) == [(2, 16)]
+    assert runs_of([parse("x^(3/2)"), parse("x^(3/4)")]) == [(1, 16), (1, 16)]
+    assert runs_of([parse("19^0.5*x"), parse("51^0.5*x")]) == [(1, 16), (1, 16)]
+    assert runs_of([Bin("*", Var(), Call("atan", (Num(z),))) for z in (0.0, -0.0)]) \
+        == [(1, 16), (1, 16)]
+    # roots that are x, or a constant, stack too
+    assert runs_of([parse("0.5"), parse("pi"), parse("x"), parse("-3"), parse("x")]) \
+        == [(1, 16), (2, 16), (2, 16)]
     # the shape is cached beside the program, outside the fields
-    assert exprs[0].shape == exprs[1].shape and parse("x^2").shape is None
+    assert exprs[0].shape == exprs[1].shape != parse("sin(x)").shape
     copy = pickle.loads(pickle.dumps(exprs[0]))
     assert copy == exprs[0] and "shape" not in vars(copy)
 
@@ -951,6 +970,30 @@ def test_texts_of_one_template_share_their_ops():
     assert a.program[0] is not b.program[0]
     c = parse("2*x+exp(-1.5*x)")  # other spacing, another template
     assert c == a and c.program[1] == a.program[1]
+
+
+def test_template_nodes_reach_their_factory_without_its_source(monkeypatch):
+    parse("0.5+2*exp(-1.5*(x-0.25))^2")  # the key is met
+    want = parse("0.75+2*exp(-1.5*(x-0.5))^2")  # and its template made
+    want.compiled
+    made = []
+    real = ex._source
+    monkeypatch.setattr(ex, "_source", lambda e: made.append(e) or real(e))
+    e = parse("0.25+3*exp(-2.5*(x-0.75))^2")
+    fn = e.compiled
+    assert made == [] and fn.__code__ is want.compiled.__code__
+    monkeypatch.undo()
+    assert vars(e)["source"] == ex._source(e)[0] == ex._source(want)[0]
+    ref = ex._compile(ex._Parser("0.25+3*exp(-2.5*(x-0.75))^2").parse())[0]
+    for x in (0.0, 0.5, 1e3, -1e3):
+        assert _scalar_outcome(fn, x) == _scalar_outcome(ref, x)
+    # the template made each node without __init__, with the fields and
+    # the entries beside them that the parser's node has
+    assert vars(e).keys() - {"compiled", "block"} == {"op", "left", "right", "program",
+                                                      "shape", "source"}
+    assert [vars(n) for n in (e.left, e.right.left)] == [{"value": 0.25}, {"value": 3.0}]
+    copy = pickle.loads(pickle.dumps(e))
+    assert copy == e and "source" not in vars(copy)
 
 
 def test_template_cache_stays_at_its_bound():
