@@ -13,8 +13,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -420,26 +420,55 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= ABS_TOL + REL_TOL * max(abs(a), abs(b))
 
 
-def _to_float(raw, where: str, out: list[Violation]) -> float:
+# validate names the place of a violation by a format of the index of the
+# piece or breakpoint, formatted only when it reports one.
+
+def _to_float(raw, out: list[Violation], where: str, i: int | None = None) -> float:
     try:
-        v = float(raw)
+        return float(raw)
     except (TypeError, ValueError):
-        out.append(Violation("BadSpec", where, f"expected a number, got {raw!r}"))
+        out.append(Violation("BadSpec", where.format(i), f"expected a number, got {raw!r}"))
         return math.nan
-    return v
 
 
-def _parse_expr(raw, where: str, out: list[Violation]) -> ex.Expr | None:
+def _parse_expr(raw, out: list[Violation], where: str, i: int | None = None) -> ex.Expr | None:
     if isinstance(raw, ex.Expr):
         return raw
     if not isinstance(raw, str):
-        out.append(Violation("BadSpec", where, f"expected expression text, got {raw!r}"))
+        out.append(Violation("BadSpec", where.format(i),
+                             f"expected expression text, got {raw!r}"))
         return None
     try:
         return ex.parse(raw)
     except ex.ParseError as e:
-        out.append(Violation("BadExpression", where, str(e)))
+        out.append(Violation("BadExpression", where.format(i), str(e)))
         return None
+
+
+# validate makes its pieces and breakpoints without their __init__, which
+# sets each field of a frozen dataclass through object.__setattr__.
+
+def _piece(lo, hi, evaluator, direction, left, right, antiderivative) -> MonotonePiece:
+    p = object.__new__(MonotonePiece)
+    d = p.__dict__
+    d["lo"] = lo
+    d["hi"] = hi
+    d["evaluator"] = evaluator
+    d["direction"] = direction
+    d["left_boundary_limit"] = left
+    d["right_boundary_limit"] = right
+    d["antiderivative"] = antiderivative
+    return p
+
+
+def _breakpoint(x, left, value, right) -> Breakpoint:
+    bp = object.__new__(Breakpoint)
+    d = bp.__dict__
+    d["x"] = x
+    d["left_value"] = left
+    d["value"] = value
+    d["right_value"] = right
+    return bp
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +481,7 @@ def _parse_expr(raw, where: str, out: list[Violation]) -> ex.Expr | None:
 
 _BATCH = 1 << 15  # points per batch, so that a batch stays in cache
 
-# factors of the sample points lo + w*i/(MONO_SAMPLES+1) and lo + w*2^j;
-# the powers of two are exact, so each point is rounded as if computed alone
-_MONO_I = np.arange(1, MONO_SAMPLES + 1, dtype=np.float64)
-_EDGE_POW2 = np.array([2.0**-j for j in range(1, EDGE_SAMPLES + 1)])
-_LADDER_POW2 = np.array([2.0**j for j in range(0, 41)])
+_LADDER = 41  # the points lo + w*2^j, j < _LADDER, of a half-line
 _FD_I = np.arange(1, FD_POINTS + 1, dtype=np.float64)
 _FD_LADDER_POW2 = np.array([2.0**j for j in range(-2, 2 * FD_POINTS - 2, 2)])
 
@@ -470,13 +495,31 @@ def _fraction_order(half_line: bool) -> np.ndarray:
     edge = [unit >> j for j in range(1, EDGE_SAMPLES + 1)]
     keys = [i << EDGE_SAMPLES for i in range(1, MONO_SAMPLES + 1)]
     if half_line:
-        keys += [unit << j for j in range(len(_LADDER_POW2))] + edge
+        keys += [unit << j for j in range(_LADDER)] + edge
     else:
         keys += edge + [unit - k for k in edge]
     return np.array(sorted(range(len(keys)), key=keys.__getitem__))
 
 
 _ORDER = {half_line: _fraction_order(half_line) for half_line in (False, True)}
+
+
+def _sample_columns(half_line: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(factor m, divisor d, the upper-edge columns) of the columns of
+    _sample_points's rows, in _ORDER.  A column's point is lo + (w*m)/d,
+    or hi - w*m in an upper-edge column: the float operations of that
+    point computed alone, as dividing by 1 is exact."""
+    mono = [(float(i), float(MONO_SAMPLES + 1), False) for i in range(1, MONO_SAMPLES + 1)]
+    edge = [(2.0**-j, 1.0, False) for j in range(1, EDGE_SAMPLES + 1)]
+    if half_line:
+        columns = mono + [(2.0**j, 1.0, False) for j in range(_LADDER)] + edge
+    else:
+        columns = mono + edge + [(m, d, True) for m, d, _ in edge]
+    factor, divisor, upper = (np.array(c)[_ORDER[half_line]] for c in zip(*columns))
+    return factor, divisor, np.flatnonzero(upper)
+
+
+_COLUMNS = {half_line: _sample_columns(half_line) for half_line in (False, True)}
 
 
 def _sample_points(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -490,21 +533,21 @@ def _sample_points(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     empty[i] tells that row i keeps none."""
     lo, hi = lo[:, None], hi[:, None]
     half_line = math.isinf(hi[0, 0])
+    factor, divisor, upper = _COLUMNS[half_line]
     with np.errstate(over="ignore"):
-        if half_line:
-            w = np.maximum(1.0, np.abs(lo))
-            parts = (lo + w * _MONO_I / (MONO_SAMPLES + 1),
-                     lo + w * _LADDER_POW2, lo + w * _EDGE_POW2)
-        else:
-            w = hi - lo
-            off = w * _EDGE_POW2
-            parts = (lo + w * _MONO_I / (MONO_SAMPLES + 1), lo + off, hi - off)
-    pts = np.take(np.concatenate(parts, axis=1), _ORDER[half_line], axis=1)
+        w = np.maximum(1.0, np.abs(lo)) if half_line else hi - lo
+        pts = np.multiply(w, factor)
+        np.divide(pts, divisor, out=pts)
+        top = hi - pts[:, upper]
+        np.add(lo, pts, out=pts)
+        pts[:, upper] = top
     # rounding may swap close points on a piece a few ulps wide
     swapped = pts[:, 1:] < pts[:, :-1]
     if swapped.any():
         unsorted = swapped.any(axis=1)
         pts[unsorted] = np.sort(pts[unsorted], axis=1)
+    if (pts[:, 0] > lo[:, 0]).all() and (pts[:, -1] < hi[:, 0]).all():
+        return pts, np.zeros(len(pts), dtype=bool)  # every point is inside
     # A point equal to the one before it already holds a kept neighbour.
     # The points at or below lo (or -inf) come first and take the first
     # point inside; those at or above hi (or inf) come last and take the
@@ -561,16 +604,20 @@ def _check_sampling(pieces: list[MonotonePiece], found: list[list[Violation]]) -
             lim_lo, lim_hi = np.array([sorted((p.left_boundary_limit, p.right_boundary_limit))
                                        for p in ps]).T
             vmin, vmax, v0 = vals.min(axis=1), vals.max(axis=1), vals[:, 0]
-            d = vals[:, 1:] - vals[:, :-1]
             # max(|v|) is max(vmax, -vmin)
             scale = np.maximum(np.maximum(vmax, -vmin), np.maximum(-lim_lo, lim_hi))
             slack = ABS_TOL + REL_TOL * scale
             # per direction, the step or spread that must stay within the
-            # slack; v - v0 rounds monotonically in v, so the largest
-            # |v - v0| is at vmin or vmax
-            worst = np.choose([_DIRECTION_INDEX[p.direction] for p in ps],
-                              (-d.min(axis=1), d.max(axis=1),
-                               np.maximum(vmax - v0, v0 - vmin)))
+            # slack, made only if a row has that direction; v - v0 rounds
+            # monotonically in v, so the largest |v - v0| is at vmin or vmax
+            directions = [_DIRECTION_INDEX[p.direction] for p in ps]
+            has = set(directions)
+            if has != {2}:
+                d = vals[:, 1:] - vals[:, :-1]
+            worst = np.choose(directions,
+                              (-d.min(axis=1) if 0 in has else 0.0,
+                               d.max(axis=1) if 1 in has else 0.0,
+                               np.maximum(vmax - v0, v0 - vmin) if 2 in has else 0.0))
             varies = worst > slack
             leaves = (vmin < lim_lo - slack) | (vmax > lim_hi + slack)
         for r in sorted({*np.flatnonzero(varies | leaves).tolist(), *errors}):
@@ -712,9 +759,9 @@ def validate(spec: Mapping) -> BvFunction:
     dom = spec.get("domain")
     if not isinstance(dom, Mapping) or "lo" not in dom or "hi" not in dom:
         raise ValidationError([Violation("BadSpec", "domain", "need domain.lo and domain.hi")])
-    lo = _to_float(dom["lo"], "domain.lo", out)
+    lo = _to_float(dom["lo"], out, "domain.lo")
     hi_raw = dom["hi"]
-    hi = math.inf if hi_raw == "inf" else _to_float(hi_raw, "domain.hi", out)
+    hi = math.inf if hi_raw == "inf" else _to_float(hi_raw, out, "domain.hi")
     if out:
         raise ValidationError(out)
     if not math.isfinite(lo) or math.isnan(hi) or lo >= hi:
@@ -722,21 +769,23 @@ def validate(spec: Mapping) -> BvFunction:
     half_line = math.isinf(hi)
 
     bps: list[Breakpoint] = []
+    isfinite = math.isfinite
     for i, braw in enumerate(spec.get("breakpoints", ())):
-        where = f"breakpoints[{i}]"
-        x = _to_float(braw.get("x"), where + ".x", out)
-        l = _to_float(braw.get("left"), where + ".left", out)
-        v = _to_float(braw.get("value"), where + ".value", out)
-        r = _to_float(braw.get("right"), where + ".right", out)
-        if not all(map(math.isfinite, (l, v, r))):
-            out.append(Violation("InconsistentLimits", where, "breakpoint values must be finite"))
+        x = _to_float(braw.get("x"), out, "breakpoints[{}].x", i)
+        l = _to_float(braw.get("left"), out, "breakpoints[{}].left", i)
+        v = _to_float(braw.get("value"), out, "breakpoints[{}].value", i)
+        r = _to_float(braw.get("right"), out, "breakpoints[{}].right", i)
+        if not (isfinite(l) and isfinite(v) and isfinite(r)):
+            out.append(Violation("InconsistentLimits", f"breakpoints[{i}]",
+                                 "breakpoint values must be finite"))
             continue
-        if math.isnan(x):
+        if x != x:  # NaN
             continue
         if not (lo <= x <= hi):
-            out.append(Violation("BadPartition", where, f"breakpoint x={x} outside domain"))
+            out.append(Violation("BadPartition", f"breakpoints[{i}]",
+                                 f"breakpoint x={x} outside domain"))
             continue
-        bps.append(Breakpoint(x, l, v, r))
+        bps.append(_breakpoint(x, l, v, r))
     for a, b in zip(bps, bps[1:]):
         if not (a.x < b.x):
             out.append(Violation("BadPartition", "breakpoints",
@@ -744,38 +793,39 @@ def validate(spec: Mapping) -> BvFunction:
 
     pieces: list[MonotonePiece] = []
     for i, praw in enumerate(spec.get("pieces", ())):
-        where = f"pieces[{i}]"
         iv = praw.get("interval")
         if not isinstance(iv, Sequence) or len(iv) != 2:
-            out.append(Violation("BadSpec", where, "interval must be [lo, hi]"))
+            out.append(Violation("BadSpec", f"pieces[{i}]", "interval must be [lo, hi]"))
             continue
-        plo = _to_float(iv[0], where + ".interval", out)
-        phi = math.inf if iv[1] == "inf" else _to_float(iv[1], where + ".interval", out)
-        e = _parse_expr(praw.get("expr"), where + ".expr", out)
+        plo = _to_float(iv[0], out, "pieces[{}].interval", i)
+        phi = math.inf if iv[1] == "inf" else _to_float(iv[1], out, "pieces[{}].interval", i)
+        e = _parse_expr(praw.get("expr"), out, "pieces[{}].expr", i)
         direction = praw.get("direction")
         if direction not in DIRECTIONS:
-            out.append(Violation("BadSpec", where, f"direction must be one of {DIRECTIONS}"))
+            out.append(Violation("BadSpec", f"pieces[{i}]",
+                                 f"direction must be one of {DIRECTIONS}"))
             continue
-        ll = _to_float(praw.get("left_limit"), where + ".left_limit", out)
-        rl = _to_float(praw.get("right_limit"), where + ".right_limit", out)
+        ll = _to_float(praw.get("left_limit"), out, "pieces[{}].left_limit", i)
+        rl = _to_float(praw.get("right_limit"), out, "pieces[{}].right_limit", i)
         anti = None
         if praw.get("antiderivative") is not None:
-            anti = _parse_expr(praw["antiderivative"], where + ".antiderivative", out)
-        if e is None or math.isnan(plo) or math.isnan(phi) or math.isnan(ll) or math.isnan(rl):
+            anti = _parse_expr(praw["antiderivative"], out, "pieces[{}].antiderivative", i)
+        if e is None or plo != plo or phi != phi or ll != ll or rl != rl:  # NaN
             continue
-        if not (math.isfinite(ll) and math.isfinite(rl)):
-            out.append(Violation("InconsistentLimits", where, "boundary limits must be finite"))
+        if not (isfinite(ll) and isfinite(rl)):
+            out.append(Violation("InconsistentLimits", f"pieces[{i}]",
+                                 "boundary limits must be finite"))
             continue
         if direction == INC and ll > rl and not _close(ll, rl):
-            out.append(Violation("InconsistentLimits", where,
+            out.append(Violation("InconsistentLimits", f"pieces[{i}]",
                                  "increasing piece needs left_limit <= right_limit"))
         if direction == DEC and ll < rl and not _close(ll, rl):
-            out.append(Violation("InconsistentLimits", where,
+            out.append(Violation("InconsistentLimits", f"pieces[{i}]",
                                  "decreasing piece needs left_limit >= right_limit"))
-        if direction == CONST and not _close(ll, rl):
-            out.append(Violation("InconsistentLimits", where,
+        if direction == CONST and ll != rl and not _close(ll, rl):
+            out.append(Violation("InconsistentLimits", f"pieces[{i}]",
                                  "constant piece needs equal boundary limits"))
-        pieces.append(MonotonePiece(plo, phi, e, direction, ll, rl, anti))
+        pieces.append(_piece(plo, phi, e, direction, ll, rl, anti))
 
     # partition: pieces must tile [lo, first bp] ... [last bp, hi/inf]
     cuts = [lo] + [bp.x for bp in bps if lo < bp.x < hi]
@@ -809,11 +859,11 @@ def validate(spec: Mapping) -> BvFunction:
         if traw is None:
             out.append(Violation("MissingTail", "tail", "half-line domain requires tail data"))
         else:
-            tl = _to_float(traw.get("limit"), "tail.limit", out)
+            tl = _to_float(traw.get("limit"), out, "tail.limit")
             anti = None
             alim = None
             if traw.get("antiderivative") is not None:
-                anti = _parse_expr(traw["antiderivative"], "tail.antiderivative", out)
+                anti = _parse_expr(traw["antiderivative"], out, "tail.antiderivative")
                 araw = traw.get("antiderivative_limit")
                 if araw == "inf":
                     alim = math.inf
@@ -823,7 +873,7 @@ def validate(spec: Mapping) -> BvFunction:
                     out.append(Violation("MissingTail", "tail",
                                          "antiderivative given without antiderivative_limit"))
                 else:
-                    alim = _to_float(araw, "tail.antiderivative_limit", out)
+                    alim = _to_float(araw, out, "tail.antiderivative_limit")
             if not math.isfinite(tl):
                 out.append(Violation("MissingTail", "tail", "limit at infinity must be finite"))
             else:

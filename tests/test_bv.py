@@ -272,6 +272,36 @@ def piece_check_pieces(pieces, tail, out: list) -> None:
         _piece_antiderivative(p.evaluator, tail.antiderivative, p.lo, p.hi, "tail", out)
 
 
+def ref_batch_sample_points(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """bv._sample_points as it built its rows before they were made in
+    order: three parts, joined, then put in order by np.take."""
+    lo, hi = lo[:, None], hi[:, None]
+    half_line = math.isinf(hi[0, 0])
+    with np.errstate(over="ignore"):
+        if half_line:
+            w = np.maximum(1.0, np.abs(lo))
+            parts = (lo + w * _MONO_I / (MONO_SAMPLES + 1),
+                     lo + w * _LADDER_POW2, lo + w * _EDGE_POW2)
+        else:
+            w = hi - lo
+            off = w * _EDGE_POW2
+            parts = (lo + w * _MONO_I / (MONO_SAMPLES + 1), lo + off, hi - off)
+    pts = np.take(np.concatenate(parts, axis=1), bv._ORDER[half_line], axis=1)
+    swapped = pts[:, 1:] < pts[:, :-1]
+    if swapped.any():
+        unsorted = swapped.any(axis=1)
+        pts[unsorted] = np.sort(pts[unsorted], axis=1)
+    n = pts.shape[1]
+    first = (pts > lo).argmax(axis=1)
+    last = n - 1 - (pts < hi)[:, ::-1].argmax(axis=1)
+    at = np.arange(0, pts.size, n)
+    flat = pts.reshape(-1)
+    inside_lo, inside_hi = flat[at + first], flat[at + last]
+    np.maximum(pts, inside_lo[:, None], out=pts)
+    np.minimum(pts, inside_hi[:, None], out=pts)
+    return pts, ~((lo[:, 0] < inside_lo) & (inside_lo < hi[:, 0]))
+
+
 def batched_points(lo: float, hi: float) -> tuple[np.ndarray, bool]:
     [row], [empty] = _sample_points(np.array([lo]), np.array([hi]))
     return row, bool(empty)
@@ -354,6 +384,31 @@ class TestVectorValidation:
             assert e == want_empty
             if not e:
                 assert row.tobytes() == want_row.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.booleans(), st.lists(st.one_of(
+        # (lo, width): a width of a share of max(1, |lo|) down to 1e-18,
+        # of a few ulps, or subnormal
+        st.tuples(_LOS, st.floats(1e-18, 1e6).map(lambda r: ("share", r))),
+        st.tuples(_LOS, st.integers(1, 3000).map(lambda n: ("ulps", n))),
+        st.tuples(st.floats(-1e-300, 1e-300), st.integers(1, 1 << 20).map(lambda n: ("sub", n)))),
+        min_size=1, max_size=40))
+    def test_sample_points_are_the_reference_batch(self, half_line, rows):
+        los, his = [], []
+        for lo, (kind, k) in rows:
+            hi = (lo + k * max(1.0, abs(lo)) if kind == "share" else
+                  lo + k * math.ulp(lo) if kind == "ulps" else lo + k * 5e-324)
+            if half_line:
+                hi = math.inf
+            elif not (lo < hi < math.inf):
+                hi = math.nextafter(lo, math.inf)
+            los.append(lo)
+            his.append(hi)
+        los, his = np.array(los), np.array(his)
+        xs, empty = _sample_points(los, his)
+        want_xs, want_empty = ref_batch_sample_points(los, his)
+        assert xs.tobytes() == want_xs.tobytes()
+        assert empty.tobytes() == want_empty.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.floats(-1e6, 1e6), st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300)),
@@ -567,6 +622,20 @@ class TestBatchedValidation:
                 got = _validated(s)
                 with mock.patch.object(bv, "_check_pieces", piece_check_pieces):
                     assert got == _validated(s), path.name
+
+
+def test_validated_pieces_and_breakpoints_are_those_of_their_init():
+    f = make_step()
+    f2 = make_linear()
+    for p in f.pieces + f2.pieces:
+        q = bv.MonotonePiece(p.lo, p.hi, p.evaluator, p.direction, p.left_boundary_limit,
+                             p.right_boundary_limit, p.antiderivative)
+        assert p == q and hash(p) == hash(q) and repr(p) == repr(q) and vars(p) == vars(q)
+    for bp in f.breakpoints:
+        q = Breakpoint(bp.x, bp.left_value, bp.value, bp.right_value)
+        assert bp == q and hash(bp) == hash(q) and repr(bp) == repr(q) and vars(bp) == vars(q)
+    with pytest.raises(AttributeError):
+        f.pieces[0].lo = 1.0  # still frozen
 
 
 class TestEvalAndLimits:
