@@ -8,7 +8,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bvsum import (
@@ -816,11 +816,12 @@ def mp_integral(f, a, b):
 
 
 def mp_beta1_continuous(f, lo, hi):
-    # by parts on each cell (s, t) of the unit cell (k, k+1)
+    # by parts on each cell (s, t) of the unit cell (k, k+1); every factor
+    # is an mpf, as a constant piece's F gives a float
     with mpmath.workdps(40):
         return mpmath.fsum(
-            (t - math.floor(s) - 0.5) * F(mpmath.mpf(t))
-            - (s - math.floor(s) - 0.5) * F(mpmath.mpf(s))
+            (mpmath.mpf(t) - math.floor(s) - 0.5) * F(mpmath.mpf(t))
+            - (mpmath.mpf(s) - math.floor(s) - 0.5) * F(mpmath.mpf(s))
             - mp_quad(F, s, t)
             for s, t, F in mp_cells(f, float(lo), float(hi), True))
 
@@ -866,10 +867,18 @@ class TestContainment:
         assert abs(mpmath.mpf(enc.value) - mp_integral(f, a, b)) <= enc.radius
 
     @settings(deadline=None)
-    @given(st.data(), _containment_tols)
-    def test_stieltjes_beta1_contains_the_integral(self, data, tol):
-        f = data.draw(_containment_specs(3))
-        lo = data.draw(st.integers(0, 1))
+    @given(_containment_specs(3), st.integers(0, 1), _containment_tols)
+    # constant on every cell, so exactly 0, which the oracle once missed by
+    # rounding (s - k - 1/2) * F(s) in double precision
+    @example(f=validate({"domain": {"lo": 0, "hi": 3}, "breakpoints": [
+        {"x": 0, "left": 0.0, "value": 0.0, "right": 0.0},
+        {"x": 1.125, "left": 0.0, "value": 0.58075287378524, "right": 0.58075287378524}],
+        "pieces": [{"interval": [0, 1.125], "expr": "0.0", "direction": "const",
+                    "left_limit": 0.0, "right_limit": 0.0},
+                   {"interval": [1.125, 3], "expr": "0.58075287378524", "direction": "const",
+                    "left_limit": 0.58075287378524, "right_limit": 0.58075287378524}]}),
+             lo=1, tol=1e-4)
+    def test_stieltjes_beta1_contains_the_integral(self, f, lo, tol):
         cont = stieltjes_beta1(f, lo, 3, tol).continuous_contribution
         assert cont.radius <= tol
         assert abs(mpmath.mpf(cont.value) - mp_beta1_continuous(f, lo, 3)) <= cont.radius
