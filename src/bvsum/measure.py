@@ -324,14 +324,15 @@ class _Claim(NamedTuple):
 
 
 def _prepare(route: _Route, tol: float, values: list[float], radii: list[float],
-             fallback: list, weigh, wrap=None) -> _Claim:
+             fallback: list, weigh, wrap=None, reserved: float = 0.0) -> _Claim:
     """The prepare phase of a routine: weigh(*seg) -> (weight, floor,
     ends) gives each fallback segment its floor plus a share of the rest
-    of tol, after the closed-form radii and all floors, in proportion to
-    weight; a tol that does not cover them is refused."""
+    of tol, after the closed-form radii, the radius reserved for wrap to
+    add and all floors, in proportion to weight; a tol that does not
+    cover them is refused."""
     ends, budgets = [], []
     if fallback:
-        budget = tol - math.fsum(radii)
+        budget = tol - math.fsum(radii) - reserved
         if budget > 0.0:
             weights, floors, ends = zip(*[weigh(*seg) for seg in fallback])
             budget -= math.fsum(floors)
@@ -608,6 +609,14 @@ def beta1(x: float) -> float:
     return fr - 0.5
 
 
+def _beta1_error(x: float) -> float:
+    """A bound on the rounding error of beta1(x).  fr = x - floor(x) is
+    exact for x >= 0, and then so is fr - 1/2, for fr >= 1/4 (Sterbenz)
+    or x >= 1 (fr is then a multiple of 2^-52).  Otherwise fr < 1 and
+    fr - 1/2 round once each, and lose at most 2^-54 + 2^-55."""
+    return 0.0 if x >= 0.25 else 0.5 * _EPS
+
+
 def _parts(s: float, t: float, v0: float, vn: float, integral: float) -> float:
     """beta1 against d(mu_f) on a cell (s, t) of the unit cell (k, k+1),
     where beta1 = x - k - 1/2 has slope 1: by parts, [beta1 * f] at the
@@ -668,8 +677,17 @@ def _beta1_claim(f: BvFunction, lo: int, hi: int, tol: float) -> _Claim:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     if lo < f.domain_lo or hi > f.domain_hi:
         raise DomainError(f"]{lo}, {hi}[ outside domain")
-    atoms = math.fsum(
-        beta1(bp.x) * bp.jump for bp in f.breakpoints if lo < bp.x < hi)
+    terms, errors = [], []
+    for bp in f.breakpoints:
+        if lo < bp.x < hi:
+            b, jump = beta1(bp.x), bp.jump
+            terms.append(b * jump)
+            if jump != 0.0:
+                # _slack is relative to the products: beta1's rounding
+                # and a product below the normal range add absolute errors
+                errors.append(_beta1_error(bp.x) * abs(jump) + _underflow(terms[-1], b))
+    atoms = math.fsum(terms)
+    atoms_radius = _slack(*terms) + math.fsum(errors)
     grid = _refinement_grid(float(lo), float(hi), (f,), with_integers=True)
     values, radii, fallback = [], [], []  # fallback: (piece, s, t)
     for s, t in zip(grid[:-1], grid[1:]):
@@ -689,9 +707,16 @@ def _beta1_claim(f: BvFunction, lo: int, hi: int, tol: float) -> _Claim:
             fallback.append((p, s, t))
 
     def wrap(cont: Certified) -> StieltjesResult:
-        return StieltjesResult(Certified(atoms + cont.value, cont.radius), atoms, cont)
+        value = atoms + cont.value
+        radius = cont.radius + atoms_radius
+        if Fraction(value) != Fraction(atoms) + Fraction(cont.value):
+            radius += _slack(value)  # the rounding of the sum
+        if not radius <= tol:
+            raise ToleranceUnreachable(f"achieved radius {radius:.3g} exceeds tol {tol:.3g}")
+        return StieltjesResult(Certified(value, radius), atoms, cont)
 
-    return _prepare(_BY_PARTS, tol, values, radii, fallback, _parts_weight, wrap)
+    return _prepare(_BY_PARTS, tol, values, radii, fallback, _parts_weight, wrap,
+                    atoms_radius)
 
 
 def _require_int(v) -> int:

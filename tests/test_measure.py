@@ -327,7 +327,8 @@ class TestStieltjesBeta1:
     def test_pure_atom(self, corpus):
         res = stieltjes_beta1(corpus["step_quarter.json"], 0, 1)
         assert res.value == -0.25
-        assert res.radius == 0.0
+        # the atom's product keeps the ulp-scale radius of _slack
+        assert 0.0 < res.radius <= 1e-15
         assert res.atom_contribution == -0.25
 
     def test_floor_vanishes(self, corpus):
@@ -339,6 +340,54 @@ class TestStieltjesBeta1:
         res = stieltjes_beta1(corpus["mixed_jumps.json"], 0, 6, 1e-8)
         assert res.value == res.atom_contribution + res.continuous_contribution.value
         assert res.radius == res.continuous_contribution.radius
+
+    @staticmethod
+    def steps(xs, levels):
+        """Constant pieces on [-2, 2] with a breakpoint at each x of xs,
+        levels[i] the value after the i-th."""
+        cuts = [-2.0, *xs, 2.0]
+        return validate({
+            "domain": {"lo": -2, "hi": 2},
+            "pieces": [{"interval": [s, t], "expr": repr(v), "direction": "const",
+                        "left_limit": v, "right_limit": v}
+                       for s, t, v in zip(cuts, cuts[1:], levels)],
+            "breakpoints": [{"x": x, "left": l, "value": r, "right": r}
+                            for x, l, r in zip(xs, levels, levels[1:])]})
+
+    @staticmethod
+    def exact_atoms(f, lo, hi):
+        """The sum of beta1(x) * jump over the stored floats, exactly."""
+        total = Fraction(0)
+        for bp in f.breakpoints:
+            if lo < bp.x < hi:
+                fr = Fraction(bp.x) - math.floor(bp.x)
+                total += (fr - Fraction(1, 2) if fr else 0) * \
+                    (Fraction(bp.right_value) - Fraction(bp.left_value))
+        return total
+
+    def test_atoms_cover_their_rounding(self):
+        # (0.3 - 1/2) * (1/3) rounds: the radius was 0 and missed by 9.3e-19
+        f = self.steps([0.3], [0.0, 1 / 3])
+        res = stieltjes_beta1(f, -1, 2, 1e-8)
+        assert res.value == -0.06666666666666667 and res.radius > 0.0
+        assert abs(Fraction(res.value) - self.exact_atoms(f, -1, 2)) <= res.radius
+        # beta1 itself rounds below 1/4: here to 0 at the float next to -1/2
+        f = self.steps([math.nextafter(-0.5, 0.0)], [0.0, 1.0])
+        res = stieltjes_beta1(f, -1, 2, 1e-8)
+        assert res.value == 0.0 and 0.0 < res.radius <= 1e-8
+        assert abs(Fraction(res.value) - self.exact_atoms(f, -1, 2)) <= res.radius
+
+    @settings(deadline=None)
+    @given(st.lists(st.floats(-1.99, 1.99).filter(lambda x: x != 0.0), min_size=1, max_size=6,
+                    unique=True).map(sorted),
+           st.lists(st.one_of(st.floats(-1e3, 1e3), st.floats(-1e-300, 1e-300)),
+                    min_size=7, max_size=7),
+           st.integers(-2, 0))
+    def test_atoms_contain_the_exact_sum(self, xs, levels, lo):
+        f = self.steps(xs, levels[:len(xs) + 1])
+        res = stieltjes_beta1(f, lo, 2, 1e-6)
+        assert res.radius <= 1e-6 and res.continuous_contribution == Certified(0.0, 0.0)
+        assert abs(Fraction(res.value) - self.exact_atoms(f, lo, 2)) <= Fraction(res.radius)
 
     def test_parts_route_matches_riemann_stieltjes_fallback(self, corpus):
         smooth = corpus["harmonic.json"]
@@ -610,10 +659,10 @@ def ref_stieltjes_mid_segment(g, f, fp, gp, s, t, share):
         n = min(measure.MAX_CELLS, n << shift)
 
 
-def ref_prepare(route, tol, values, radii, fallback, weigh, wrap=None):
+def ref_prepare(route, tol, values, radii, fallback, weigh, wrap=None, reserved=0.0):
     """The prepare phase deferred: a routine's claim is the arguments of
     _prepare, which ref_certify splits and refines."""
-    return route, tol, values, radii, fallback, weigh, wrap
+    return route, tol, values, radii, fallback, weigh, wrap, reserved
 
 
 def ref_certify(*claims, mid=None):
@@ -622,14 +671,14 @@ def ref_certify(*claims, mid=None):
     reference of the route; claims come from ref_prepare, and mid is
     (g, f) of a mid-value call."""
     results = []
-    for route, tol, values, radii, fallback, weigh, wrap in claims:
+    for route, tol, values, radii, fallback, weigh, wrap, reserved in claims:
         one = {measure._BRACKET: ref_bracket_segment,
                measure._BY_PARTS: ref_parts_segment,
                measure._MIDVALUE: functools.partial(ref_stieltjes_mid_segment, *mid or ())
                }[route]
         values, radii = list(values), list(radii)
         if fallback:
-            budget = tol - math.fsum(radii)
+            budget = tol - math.fsum(radii) - reserved
             if budget > 0.0:
                 weights, floors, _ = zip(*[weigh(*seg) for seg in fallback])
                 budget -= math.fsum(floors)
