@@ -473,11 +473,15 @@ def _breakpoint(x, left, value, right) -> Breakpoint:
 
 # ---------------------------------------------------------------------------
 # Piece checks.  validate checks all pieces of a spec together: pieces of
-# one expression shape are the rows of 2-D arrays of at most _BATCH points,
+# one expression shape (expr.Expr.shape: the ops and the bits of the
+# pinned constants) are the rows of 2-D arrays of at most _BATCH points,
 # expr.eval_rows evaluates the rows of one shape as one program, and each
-# check is a reduction over the rows.  Every point, value, verdict, message
-# and error is the one a check of the piece alone gives (tests/test_bv.py
-# keeps those checks as references); only the failing rows reach Python.
+# check is a reduction over the rows.  The sample points of a row are
+# made in their sorted order, each by the float operations of the point
+# made alone.  Every point, value, verdict, message and error is the one
+# a check of the piece alone gives (tests/test_bv.py keeps those checks
+# and the previous batched sample points as references); only the
+# failing rows reach Python.
 
 _BATCH = 1 << 15  # points per batch, so that a batch stays in cache
 

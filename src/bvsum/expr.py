@@ -25,9 +25,13 @@ parse works per template: texts whose tokens differ only in the values
 of their numbers share one, keyed by the text with its numbers blanked.
 The parser makes each template once, from a text of 0s in the place of
 the numbers, and a generated builder then makes each text's tree from
-its numbers, with the array program set on the root.  The templates are
-kept in a bounded cache.  A text that does not parse, or has a number
-that is not finite, goes to the parser, which raises its errors.
+its numbers.  The builder sets each node's fields in its __dict__, as
+the frozen dataclasses' __init__ would without its object.__setattr__
+per field, and sets on the root its array program, its shape and the
+source of its float functions' factory, all made once per template but
+for the bits of the shape's pinned constants.  The templates are kept in
+a bounded cache.  A text that does not parse, or has a number that is
+not finite, goes to the parser, which raises its errors.
 
 Each node compiles itself once, on first use (parse sets the root's
 array program), and keeps the result outside its fields, so eq, hash,
@@ -49,7 +53,8 @@ c<i> for the constants and t<i> for the op results, never text from the
 node.  So they depend only on the expression's shape: the constants are
 the arguments of a generated factory that returns both functions,
 compiled once per shape and kept in a bounded cache that a CLI request,
-which parses its spec again, reuses.
+which parses its spec again, reuses; a root built by a template finds
+its factory by the source the template made.
 
 An array is evaluated by a flat postorder program of ufunc calls
 (Expr.program), run by one interpreter in two modes.  The unchecked run
@@ -64,12 +69,15 @@ the strict run, which returns them.  Both modes run the same ufuncs in
 the same order, so their values are bit-identical.
 
 Many small arrays are evaluated at once by eval_rows, one expression per
-row of a 2-D array.  Rows whose programs have the same ops (Expr.shape)
-share one unchecked run, each constant stacked into a column; a program
-whose inexact op reads a constant runs only with rows of its own, since
-numpy may round such an op differently over a column than over a
-scalar.  If a test of the shared run trips, each of its rows falls back
-to eval_expr, so every row's values and error are those of eval_expr.
+row of a 2-D array.  Rows of one shape (Expr.shape) share one unchecked
+run.  A shape is a program's ops and the bits of its pinned constants,
+those that an inexact op reads, directly or through ops on constants
+alone: numpy may round such an op differently over a column than over a
+scalar, so a pinned constant stays the scalar it is in a run of its own,
+and every other constant is stacked into a column.  A root that is x or
+a constant has a shape too.  If a test of the shared run trips, each of
+its rows falls back to eval_expr, so every row's values and error are
+those of eval_expr.
 """
 
 from __future__ import annotations
@@ -797,7 +805,8 @@ def eval_rows(exprs, x: np.ndarray):
     EvalError; a failing row's values are NaN.
 
     Rows whose programs have the same Expr.shape run as one unchecked
-    run, each constant register stacked into a column with one entry per
+    run: each pinned constant stays the scalar the rows share, and each
+    other constant register is stacked into a column with one entry per
     row.  If any test of that run trips, each of its rows falls back to
     eval_expr, in row order, so error kinds and points are those of
     eval_expr."""
