@@ -844,16 +844,18 @@ def validate(spec: Mapping) -> BvFunction:
     # breakpoint values vs adjacent piece limits
     piece_by_lo = {p.lo: p for p in pieces}
     piece_by_hi = {p.hi: p for p in pieces}
+    # (all finite here, so equal values are close)
     for i, bp in enumerate(bps):
-        where = f"breakpoints[{i}]"
         pl = piece_by_hi.get(bp.x)
         pr = piece_by_lo.get(bp.x)
-        if pl is not None and not _close(bp.left_value, pl.right_boundary_limit):
-            out.append(Violation("InconsistentLimits", where,
+        if pl is not None and bp.left_value != pl.right_boundary_limit \
+                and not _close(bp.left_value, pl.right_boundary_limit):
+            out.append(Violation("InconsistentLimits", f"breakpoints[{i}]",
                                  f"left value {bp.left_value} != piece limit "
                                  f"{pl.right_boundary_limit}"))
-        if pr is not None and not _close(bp.right_value, pr.left_boundary_limit):
-            out.append(Violation("InconsistentLimits", where,
+        if pr is not None and bp.right_value != pr.left_boundary_limit \
+                and not _close(bp.right_value, pr.left_boundary_limit):
+            out.append(Violation("InconsistentLimits", f"breakpoints[{i}]",
                                  f"right value {bp.right_value} != piece limit "
                                  f"{pr.left_boundary_limit}"))
 

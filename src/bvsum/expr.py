@@ -191,9 +191,9 @@ _TOKEN_RE = re.compile(
       | (?P<ws>\s+)""",
     re.VERBOSE,
 )
-# A text's names and numbers; the text between them holds its op and space
-# tokens, or a character that starts no token.
-_WORD_RE = re.compile(f"({_NAME})|({_NUMBER})")
+# A text's numbers.  A valid text's digits are all in its number tokens, as
+# no name it may hold has one.
+_NUMBER_RE = re.compile(f"({_NUMBER})")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -344,16 +344,13 @@ def parse(text: str) -> Expr:
     """Parse expression text into an AST, raising ParseError on bad input.
 
     Texts whose tokens differ only in the values of their numbers share a
-    template, keyed by the text cut at its names and numbers with the
-    numbers blanked.  The template's builder, made once per key when the
-    key is met a second time, builds the AST from the numbers in text
-    order.  A key met once or without a builder, or a number that is not
-    finite, takes the parser, whose errors hold the offsets in the
-    text."""
-    parts = _WORD_RE.split(text)
-    numbers = parts[2::3]
-    del parts[2::3]
-    key = tuple(parts)
+    template, keyed by the text cut at its numbers with the numbers
+    blanked.  The template's builder, made once per key when the key is
+    met a second time, builds the AST from the numbers in text order.  A
+    key met once or without a builder, or a number that is not finite,
+    takes the parser, whose errors hold the offsets in the text."""
+    parts = _NUMBER_RE.split(text)
+    key = tuple(parts[::2])
     if key not in _MET:
         # a builder costs about ten parses: make it only for a key that
         # comes back
@@ -363,7 +360,7 @@ def parse(text: str) -> Expr:
         return _Parser(text).parse()
     build = _template(key)
     if build is not None:
-        values = [float(n) for n in numbers if n is not None]
+        values = list(map(float, parts[1::2]))
         if math.isfinite(sum(values)):
             return build(*values)
     return _Parser(text).parse()
@@ -378,14 +375,15 @@ _MET: dict = {}
 
 @functools.lru_cache(maxsize=_TEMPLATES)
 def _template(key: tuple):
-    """The builder of the texts cut into key, which alternates the text
-    between words with a name or None for a number (see parse), or None
-    if such a text does not parse.  The text parsed has 0 for each number,
-    set apart by spaces so that it runs into no word beside it.  So it has
-    the tokens of every text cut into key but for the numbers; a character
-    between words that starts no token ("." not before a digit, "$") fails
-    there as in those texts."""
-    text = "".join(" 0 " if word is None else word for word in key)
+    """The builder of the texts cut into key, the text between their
+    numbers (see parse), or None if such a text does not parse.  The text
+    parsed has 0 for each number, set apart by spaces so that it runs into
+    no token beside it.  So it has the tokens of every text cut into key
+    but for the numbers, unless a number there runs on from a name, as
+    "2" in "x2": then the name is followed by a number, which no text of
+    the grammar has, and it fails.  A character that starts no token ("."
+    not before a digit, "$") fails there as in those texts."""
+    text = " 0 ".join(key)
     try:
         return _builder(_Parser(text).parse())
     except ParseError:
