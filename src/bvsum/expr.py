@@ -445,7 +445,8 @@ def _builder(e: Expr):
     names = {"Num": Num, "Var": Var, "Const": Const, "Neg": Neg, "Bin": Bin,
              "Call": Call, "new": object.__new__, "F": np.float64, "B": _BITS,
              "I": init, "CODE": code, "LEN": len(init), "PINNED": pinned,
-             "SHAPE": _shape((init, code)), "SOURCE": _source(e)[0] if code else None}
+             "SHAPE": None if pinned else _shape((init, code)),
+             "SOURCE": _source(e)[0] if code else None}
     exec(compile(source, "<bvsum.expr template>", "exec"), names, scope)
     return scope["build"]
 
@@ -815,12 +816,8 @@ def eval_rows(exprs, x: np.ndarray):
     if all(p is progs[0] for p in progs):
         shapes[exprs[0].shape] = range(len(progs))
     else:
-        shape_of = {}  # program id -> shape
-        for i, (e, p) in enumerate(zip(exprs, progs)):
-            key = shape_of.get(id(p))
-            if key is None:
-                key = shape_of[id(p)] = e.shape
-            shapes.setdefault(key, []).append(i)
+        for i, e in enumerate(exprs):
+            shapes.setdefault(e.shape, []).append(i)
     values, errors = None, {}
     for (_, _, pinned, _), rows in shapes.items():
         init, code = progs[rows[0]]
