@@ -773,17 +773,16 @@ def validate(spec: Mapping) -> BvFunction:
     half_line = math.isinf(hi)
 
     bps: list[Breakpoint] = []
-    isfinite = math.isfinite
     for i, braw in enumerate(spec.get("breakpoints", ())):
         x = _to_float(braw.get("x"), out, "breakpoints[{}].x", i)
         l = _to_float(braw.get("left"), out, "breakpoints[{}].left", i)
         v = _to_float(braw.get("value"), out, "breakpoints[{}].value", i)
         r = _to_float(braw.get("right"), out, "breakpoints[{}].right", i)
-        if not (isfinite(l) and isfinite(v) and isfinite(r)):
+        if not (math.isfinite(l) and math.isfinite(v) and math.isfinite(r)):
             out.append(Violation("InconsistentLimits", f"breakpoints[{i}]",
                                  "breakpoint values must be finite"))
             continue
-        if x != x:  # NaN
+        if math.isnan(x):
             continue
         if not (lo <= x <= hi):
             out.append(Violation("BadPartition", f"breakpoints[{i}]",
@@ -814,9 +813,9 @@ def validate(spec: Mapping) -> BvFunction:
         anti = None
         if praw.get("antiderivative") is not None:
             anti = _parse_expr(praw["antiderivative"], out, "pieces[{}].antiderivative", i)
-        if e is None or plo != plo or phi != phi or ll != ll or rl != rl:  # NaN
+        if e is None or math.isnan(plo) or math.isnan(phi) or math.isnan(ll) or math.isnan(rl):
             continue
-        if not (isfinite(ll) and isfinite(rl)):
+        if not (math.isfinite(ll) and math.isfinite(rl)):
             out.append(Violation("InconsistentLimits", f"pieces[{i}]",
                                  "boundary limits must be finite"))
             continue
@@ -826,7 +825,7 @@ def validate(spec: Mapping) -> BvFunction:
         if direction == DEC and ll < rl and not _close(ll, rl):
             out.append(Violation("InconsistentLimits", f"pieces[{i}]",
                                  "decreasing piece needs left_limit >= right_limit"))
-        if direction == CONST and ll != rl and not _close(ll, rl):
+        if direction == CONST and not _close(ll, rl):
             out.append(Violation("InconsistentLimits", f"pieces[{i}]",
                                  "constant piece needs equal boundary limits"))
         pieces.append(_piece(plo, phi, e, direction, ll, rl, anti))
@@ -844,8 +843,7 @@ def validate(spec: Mapping) -> BvFunction:
     # breakpoint values vs adjacent piece limits
     piece_by_lo = {p.lo: p for p in pieces}
     piece_by_hi = {p.hi: p for p in pieces}
-    # (all finite here, so equal values are close)
-    for i, bp in enumerate(bps):
+    for i, bp in enumerate(bps):  # finite values, so equal ones are close
         pl = piece_by_hi.get(bp.x)
         pr = piece_by_lo.get(bp.x)
         if pl is not None and bp.left_value != pl.right_boundary_limit \
