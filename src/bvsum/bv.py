@@ -550,20 +550,24 @@ def _sample_points(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     if swapped.any():
         unsorted = swapped.any(axis=1)
         pts[unsorted] = np.sort(pts[unsorted], axis=1)
-    if (pts[:, 0] > lo[:, 0]).all() and (pts[:, -1] < hi[:, 0]).all():
-        return pts, np.zeros(len(pts), dtype=bool)  # every point is inside
     # A point equal to the one before it already holds a kept neighbour.
     # The points at or below lo (or -inf) come first and take the first
     # point inside; those at or above hi (or inf) come last and take the
-    # last point inside.
+    # last point inside.  They are found, and replaced, among the first
+    # and the last k points of a row, at most EDGE_SAMPLES of them on each
+    # side but on a piece a few ulps wide: the points between are inside.
     n = pts.shape[1]
-    first = (pts > lo).argmax(axis=1)
-    last = n - 1 - (pts < hi)[:, ::-1].argmax(axis=1)
+    k = EDGE_SAMPLES + 1
+    if not ((pts[:, k - 1] > lo[:, 0]).all() and (pts[:, n - k] < hi[:, 0]).all()):
+        k = n
+    head, tail = pts[:, :k], pts[:, n - k:]
+    first = (head > lo).argmax(axis=1)
+    last = n - 1 - (tail < hi)[:, ::-1].argmax(axis=1)
     at = np.arange(0, pts.size, n)
     flat = pts.reshape(-1)
     inside_lo, inside_hi = flat[at + first], flat[at + last]
-    np.maximum(pts, inside_lo[:, None], out=pts)
-    np.minimum(pts, inside_hi[:, None], out=pts)
+    np.maximum(head, inside_lo[:, None], out=head)
+    np.minimum(tail, inside_hi[:, None], out=tail)
     # a row keeps a point if its first point above lo is below hi
     return pts, ~((lo[:, 0] < inside_lo) & (inside_lo < hi[:, 0]))
 
