@@ -445,32 +445,6 @@ def _parse_expr(raw, out: list[Violation], where: str, i: int | None = None) -> 
         return None
 
 
-# validate makes its pieces and breakpoints without their __init__, which
-# sets each field of a frozen dataclass through object.__setattr__.
-
-def _piece(lo, hi, evaluator, direction, left, right, antiderivative) -> MonotonePiece:
-    p = object.__new__(MonotonePiece)
-    d = p.__dict__
-    d["lo"] = lo
-    d["hi"] = hi
-    d["evaluator"] = evaluator
-    d["direction"] = direction
-    d["left_boundary_limit"] = left
-    d["right_boundary_limit"] = right
-    d["antiderivative"] = antiderivative
-    return p
-
-
-def _breakpoint(x, left, value, right) -> Breakpoint:
-    bp = object.__new__(Breakpoint)
-    d = bp.__dict__
-    d["x"] = x
-    d["left_value"] = left
-    d["value"] = value
-    d["right_value"] = right
-    return bp
-
-
 # ---------------------------------------------------------------------------
 # Piece checks.  validate checks all pieces of a spec together: pieces of
 # one expression shape (expr.Expr.shape: the ops and the bits of the
@@ -792,7 +766,7 @@ def validate(spec: Mapping) -> BvFunction:
             out.append(Violation("BadPartition", f"breakpoints[{i}]",
                                  f"breakpoint x={x} outside domain"))
             continue
-        bps.append(_breakpoint(x, l, v, r))
+        bps.append(Breakpoint(x, l, v, r))
     for a, b in zip(bps, bps[1:]):
         if not (a.x < b.x):
             out.append(Violation("BadPartition", "breakpoints",
@@ -832,7 +806,7 @@ def validate(spec: Mapping) -> BvFunction:
         if direction == CONST and not _close(ll, rl):
             out.append(Violation("InconsistentLimits", f"pieces[{i}]",
                                  "constant piece needs equal boundary limits"))
-        pieces.append(_piece(plo, phi, e, direction, ll, rl, anti))
+        pieces.append(MonotonePiece(plo, phi, e, direction, ll, rl, anti))
 
     # partition: pieces must tile [lo, first bp] ... [last bp, hi/inf]
     cuts = [lo] + [bp.x for bp in bps if lo < bp.x < hi]

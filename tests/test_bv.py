@@ -624,20 +624,6 @@ class TestBatchedValidation:
                     assert got == _validated(s), path.name
 
 
-def test_validated_pieces_and_breakpoints_are_those_of_their_init():
-    f = make_step()
-    f2 = make_linear()
-    for p in f.pieces + f2.pieces:
-        q = bv.MonotonePiece(p.lo, p.hi, p.evaluator, p.direction, p.left_boundary_limit,
-                             p.right_boundary_limit, p.antiderivative)
-        assert p == q and hash(p) == hash(q) and repr(p) == repr(q) and vars(p) == vars(q)
-    for bp in f.breakpoints:
-        q = Breakpoint(bp.x, bp.left_value, bp.value, bp.right_value)
-        assert bp == q and hash(bp) == hash(q) and repr(bp) == repr(q) and vars(bp) == vars(q)
-    with pytest.raises(AttributeError):
-        f.pieces[0].lo = 1.0  # still frozen
-
-
 class TestEvalAndLimits:
     def test_breakpoint_value_is_authoritative(self):
         f = make_step()
