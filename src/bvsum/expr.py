@@ -812,14 +812,20 @@ def eval_rows(exprs, x: np.ndarray):
     if not exprs:
         return np.empty(x.shape), {}
     progs = [e.program for e in exprs]
-    shapes = {}  # shape -> its rows, in order
     if all(p is progs[0] for p in progs):
-        shapes[exprs[0].shape] = range(len(progs))
+        groups = {0: (exprs[0].shape[2], range(len(progs)))}
     else:
-        for i, e in enumerate(exprs):
-            shapes.setdefault(e.shape, []).append(i)
+        # shape number -> (its pinned constants, its rows in order); a
+        # shape is hashed once per program, not once per row
+        groups, numbers, number_of = {}, {}, {}
+        for i, (e, p) in enumerate(zip(exprs, progs)):
+            k = number_of.get(id(p))
+            if k is None:
+                k = number_of[id(p)] = numbers.setdefault(e.shape, len(numbers))
+                groups.setdefault(k, (e.shape[2], []))
+            groups[k][1].append(i)
     values, errors = None, {}
-    for (_, _, pinned, _), rows in shapes.items():
+    for pinned, rows in groups.values():
         init, code = progs[rows[0]]
         if any(progs[i][0] is not init for i in rows):
             init = tuple(v if v is None or k in pinned else
