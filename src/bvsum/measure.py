@@ -708,12 +708,16 @@ def _beta1_claim(f: BvFunction, lo: int, hi: int, tol: float) -> _Claim:
 
     def wrap(cont: Certified) -> StieltjesResult:
         value = atoms + cont.value
-        radius = cont.radius + atoms_radius
-        if Fraction(value) != Fraction(atoms) + Fraction(cont.value):
-            radius += _slack(value)  # the rounding of the sum
-        if not radius <= tol:
-            raise ToleranceUnreachable(f"achieved radius {radius:.3g} exceeds tol {tol:.3g}")
-        return StieltjesResult(Certified(value, radius), atoms, cont)
+        # the sum's rounding error, exactly (Knuth's TwoSum), covered if
+        # the sum rounds; a sum that overflows is refused by Certified
+        back = value - atoms
+        rounded = (atoms - (value - back)) + (cont.value - back) != 0.0
+        certified = Certified(value, cont.radius + atoms_radius
+                              + (_slack(value) if rounded else 0.0))
+        if not certified.radius <= tol:
+            raise ToleranceUnreachable(
+                f"achieved radius {certified.radius:.3g} exceeds tol {tol:.3g}")
+        return StieltjesResult(certified, atoms, cont)
 
     return _prepare(_BY_PARTS, tol, values, radii, fallback, _parts_weight, wrap,
                     atoms_radius)

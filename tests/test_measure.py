@@ -928,9 +928,16 @@ class TestContainment:
                     "left_limit": 0.58075287378524, "right_limit": 0.58075287378524}]}),
              lo=1, tol=1e-4)
     def test_stieltjes_beta1_contains_the_integral(self, f, lo, tol):
-        cont = stieltjes_beta1(f, lo, 3, tol).continuous_contribution
-        assert cont.radius <= tol
-        assert abs(mpmath.mpf(cont.value) - mp_beta1_continuous(f, lo, 3)) <= cont.radius
+        res = stieltjes_beta1(f, lo, 3, tol)
+        cont = res.continuous_contribution
+        assert cont.radius <= res.radius <= tol
+        continuous = mp_beta1_continuous(f, lo, 3)
+        assert abs(mpmath.mpf(cont.value) - continuous) <= cont.radius
+        # and with the atoms, whose sum is exact as a Fraction
+        atoms = TestStieltjesBeta1.exact_atoms(f, lo, 3)
+        with mpmath.workdps(40):
+            total = continuous + mpmath.mpf(atoms.numerator) / atoms.denominator
+            assert abs(mpmath.mpf(res.value) - total) <= res.radius
 
     @settings(deadline=None)
     @given(st.data(), _containment_tols)
