@@ -40,7 +40,7 @@ FD_POINTS = 32
 FD_REL_TOL = 1e-4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certified:
     """A value together with a radius enclosing the true quantity."""
 
@@ -170,12 +170,13 @@ def values_at_integers(f: BvFunction, a: int, b: int):
     domain between breakpoints, so an integer strictly inside a piece
     takes that piece's evaluator, and evaluate() gives the others, which
     are breakpoints or domain_lo.  Each run of integers inside a piece
-    goes to the evaluator's block kernel (Expr.block) in lists of
-    _BLOCK floats, made lazily, one at a time, so memory does not grow
-    with b - a.  Only the integers k with |k| <= 2^53 take the runs: their
-    floats are k itself, so strictly inside the piece, while the float of
-    a larger k may round onto a breakpoint; evaluate() gives those too.
-    Only the pieces that overlap [a, b) are visited."""
+    goes to the evaluator's block kernel (Expr.block) in runs of at most
+    _BLOCK integers, evaluated lazily, one at a time, so memory does not
+    grow with b - a.  The kernel gives the values of the evaluator's float
+    function bit for bit.  Only the integers k with |k| <= 2^53 take the
+    runs: their floats are k itself, so strictly inside the piece, while
+    the float of a larger k may round onto a breakpoint; evaluate() gives
+    those too.  Only the pieces that overlap [a, b) are visited."""
     runs = []
     k = a
     i = max(bisect.bisect_right(f._piece_los, a) - 1, 0)
@@ -194,19 +195,18 @@ def values_at_integers(f: BvFunction, a: int, b: int):
     return itertools.chain.from_iterable(runs)
 
 
-# The integers a direct sum's block kernel takes at once: a list of their
-# floats and one of their values stay far below a megabyte.
+# The integers a direct sum's block kernel takes at once: its arrays and
+# lists of as many floats stay far below a megabyte.
 _BLOCK = 1 << 12
 # Every integer k with |k| <= _EXACT is a float.
 _EXACT = 1 << 53
 
 
 def _blocks(kernel, s: int, t: int):
-    # np.arange makes the floats of the integers s..t-1 exactly, as
-    # |s|, |t - 1| <= 2^53, and faster than float() one at a time
+    """The values of kernel (an Expr.block) over the integers s..t-1, one
+    run of at most _BLOCK integers at a time."""
     return itertools.chain.from_iterable(
-        kernel(np.arange(j, min(j + _BLOCK, t), dtype=np.float64).tolist())
-        for j in range(s, t, _BLOCK))
+        kernel(j, min(j + _BLOCK, t)) for j in range(s, t, _BLOCK))
 
 
 def _evaluated(f: BvFunction, a: int, b: int):

@@ -182,60 +182,56 @@ def _csv_sweep(args, f, enclose) -> int:
     return EXIT_OK
 
 
-def cmd_series(args) -> int:
+def _tail_command(args, enclose, describe) -> int:
+    """series and gamma: enclose(f, n, tol) gives (a report, its
+    Certified estimate).  With --csv the n values are swept over the
+    estimate; else the one n value gives a result that holds the estimate
+    and describe(report, remainder) -> (the result's further fields, the
+    text lines), where remainder = pV(f, [n, inf))/2."""
     f = load_function(args.spec)
     if args.csv:
-        return _csv_sweep(args, f, em.series_sum)
+        return _csv_sweep(args, f, lambda f, n, tol: enclose(f, n, tol)[1])
     if len(args.n) != 1:
         print("error: a list of n values needs --csv", file=sys.stderr)
         return EXIT_USAGE
     n = args.n[0]
-    enc = em.series_sum(f, n, args.tol)
-    tail_pv = pointwise_variation(f, float(n), math.inf)
-    result = {
-        "command": "series",
-        "inputs": _inputs(args, n=n, tol=args.tol),
-        "value": enc.value,
-        "radius": enc.radius,
-        "bounds": {"remainder": 0.5 * tail_pv,
-                   "quadrature": enc.radius - 0.5 * tail_pv},
-    }
-    _emit(args, result, [
-        f"series enclosure = {_fmt(enc.value)} (radius {_fmt(enc.radius)})",
-        f"remainder bound  = {_fmt(0.5 * tail_pv)}  (pV(f,[n,inf))/2)",
-        f"quadrature part  = {_fmt(enc.radius - 0.5 * tail_pv)}",
-    ])
+    report, estimate = enclose(f, n, args.tol)
+    remainder = 0.5 * pointwise_variation(f, float(n), math.inf)
+    fields, lines = describe(report, remainder)
+    _emit(args, {"command": args.command, "inputs": _inputs(args, n=n, tol=args.tol),
+                 "value": estimate.value, "radius": estimate.radius, **fields}, lines)
     return EXIT_OK
+
+
+def cmd_series(args) -> int:
+    def describe(enc, remainder):
+        return {"bounds": {"remainder": remainder,
+                           "quadrature": enc.radius - remainder}}, [
+            f"series enclosure = {_fmt(enc.value)} (radius {_fmt(enc.radius)})",
+            f"remainder bound  = {_fmt(remainder)}  (pV(f,[n,inf))/2)",
+            f"quadrature part  = {_fmt(enc.radius - remainder)}",
+        ]
+
+    return _tail_command(args, lambda f, n, tol: (em.series_sum(f, n, tol),) * 2,
+                         describe)
 
 
 def cmd_gamma(args) -> int:
-    f = load_function(args.spec)
-    if args.csv:
-        return _csv_sweep(args, f, lambda f, n, tol:
-                          em.euler_constant(f, n, tol).gamma_estimate)
-    if len(args.n) != 1:
-        print("error: a list of n values needs --csv", file=sys.stderr)
-        return EXIT_USAGE
-    n = args.n[0]
-    rep = em.euler_constant(f, n, args.tol)
-    tail_pv = pointwise_variation(f, float(n), math.inf)
-    result = {
-        "command": "gamma",
-        "inputs": _inputs(args, n=n, tol=args.tol),
-        "value": rep.gamma_estimate.value,
-        "radius": rep.gamma_estimate.radius,
-        "bounds": {"remainder": 0.5 * tail_pv,
-                   "quadrature": rep.gamma_n.radius},
-        "gamma_n": rep.gamma_n.value,
-    }
-    _emit(args, result, [
-        f"gamma_n          = {_fmt(rep.gamma_n.value)} "
-        f"(radius {_fmt(rep.gamma_n.radius)})",
-        f"gamma enclosure  = {_fmt(rep.gamma_estimate.value)} "
-        f"(radius {_fmt(rep.gamma_estimate.radius)})",
-        f"remainder bound  = {_fmt(0.5 * tail_pv)}  (pV(f,[n,inf))/2)",
-    ])
-    return EXIT_OK
+    def enclose(f, n, tol):
+        rep = em.euler_constant(f, n, tol)
+        return rep, rep.gamma_estimate
+
+    def describe(rep, remainder):
+        return {"bounds": {"remainder": remainder, "quadrature": rep.gamma_n.radius},
+                "gamma_n": rep.gamma_n.value}, [
+            f"gamma_n          = {_fmt(rep.gamma_n.value)} "
+            f"(radius {_fmt(rep.gamma_n.radius)})",
+            f"gamma enclosure  = {_fmt(rep.gamma_estimate.value)} "
+            f"(radius {_fmt(rep.gamma_estimate.radius)})",
+            f"remainder bound  = {_fmt(remainder)}  (pV(f,[n,inf))/2)",
+        ]
+
+    return _tail_command(args, enclose, describe)
 
 
 def cmd_convergence(args) -> int:

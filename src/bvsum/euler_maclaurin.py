@@ -44,7 +44,7 @@ IDENTITY_SLACK = 1e-9  # absolute allowance on top of certified radii
 GAMMA_REFERENCE_INDEX = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EmReport:
     """Full decomposition of a finite sum: sum_{a<=k<b} f(k) equals
     integral + boundary + R with |R| <= remainder_bound."""
@@ -56,7 +56,7 @@ class EmReport:
     approx: Certified
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GammaReport:
     """gamma_n = sum_{0<=k<n} f(k) - integral_0^n f, and the certified
     estimate of the Euler constant gamma = lim gamma_n built from it."""
@@ -66,7 +66,7 @@ class GammaReport:
     gamma_estimate: Certified
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckReport:
     """Two independently computed sides of an identity plus the allowed
     residual budget (combined certified radii + fixed slack)."""
@@ -88,7 +88,9 @@ class Convergence(Enum):
 
 def _direct_sum(f: BvFunction, a: int, b: int) -> float:
     # math.fsum is exactly rounded, stronger than compensated summation;
-    # the values stream, so memory does not grow with b - a
+    # the values stream from the pieces' block kernels, run by run, in
+    # increasing k and bit for bit as evaluate gives them, so the sum is
+    # the term-by-term one and memory does not grow with b - a
     return math.fsum(values_at_integers(f, a, b))
 
 

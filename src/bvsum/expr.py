@@ -40,21 +40,27 @@ function (Expr.compiled) with one group of statements per op, in
 postorder, that evaluates operands left to right and checks each result:
 a zero divisor before "/", finiteness after every binary op, pow and
 function, and the libm errors of the functions, each with the kind the
-array path gives it.  A list of floats is evaluated by a block kernel
-(Expr.block), one list comprehension in the unchecked mode of the array
-interpreter below: the ops run bare, a clause tests each operand of a
-masking op that is not a constant, and the values are tested once,
-through their total.  If a test trips, or an op raises, the list goes
-through the float function instead, lazily, so the values and the first
-failing point's EvalError are those of the float function at each point
-in turn.  Both sources are made only of the ops' bare expressions in
-_OPS, the statements _OPS builds around them, and register names: x,
-c<i> for the constants and t<i> for the op results, never text from the
-node.  So they depend only on the expression's shape: the constants are
-the arguments of a generated factory that returns both functions,
-compiled once per shape and kept in a bounded cache that a CLI request,
-which parses its spec again, reuses; a root built by a template finds
-its factory by the source the template made.
+array path gives it.  A run of integers s <= k < t is evaluated by a
+block kernel (Expr.block) in two stages, made from the array program's
+ops.  The ops in _EXACT that read x, constants and one another run as
+ufuncs over np.arange(s, t), and round as the float ops do; the others
+(powers, the libm calls and what reads them) run bare in one list
+comprehension over the .tolist() of those arrays, each with the float
+function's math call.  As in the unchecked run below, the values are
+tested once, through their total, and so is each operand of a masking
+op that is not a literal: an array by its sum, a comprehension value
+term by term, or at the run's two ends if it is monotone in x.  If a test
+trips, or an op raises, the run goes through the float function
+instead, lazily, so the values and the first failing point's EvalError
+are those of the float function at each integer in turn.  Both sources
+are made only of the ops' bare expressions in _OPS, the statements _OPS
+builds around them, ufunc names and register names: x, c<i> for the
+constants and t<i> for the op results, never text from the node.  So
+they depend only on the expression's shape and on which constants are
+finite: the constants are the arguments of a generated factory that
+returns both functions, compiled once per shape and kept in a bounded
+cache that a CLI request, which parses its spec again, reuses; a root
+built by a template finds its factory by the source the template made.
 
 An array is evaluated by a flat postorder program of ufunc calls
 (Expr.program), run by one interpreter in two modes.  The unchecked run
@@ -124,11 +130,11 @@ class Expr:
 
     @functools.cached_property
     def block(self):
-        """The kernel xs -> the values e(x) for x in xs, over a list of
-        floats, from the same call of the shape's factory as compiled (see
-        _source): a list, or when a test of the unchecked run trips,
-        map(compiled, xs), which raises compiled's EvalError at the first
-        failing x when it gets there."""
+        """The kernel (s, t) -> the values e(k) for the integers s <= k < t,
+        which must have |k| <= 2^53, from the same call of the shape's
+        factory as compiled (see _kernel): a list, or when a test trips,
+        map(compiled, the floats of the run), which raises compiled's
+        EvalError at the first failing k when it gets there."""
         self.compiled  # sets block too
         return vars(self)["block"]
 
@@ -467,10 +473,10 @@ def _compile(e: Expr):
     constants."""
     t = type(e)
     if t is Var:
-        return (lambda x: x), list
+        return (lambda x: x), (lambda s, t: np.arange(s, t, dtype=np.float64).tolist())
     if t is Num or t is Const:
         v = e.value if t is Num else CONSTANTS[e.name]
-        return (lambda x: v), (lambda xs: [v] * len(xs))
+        return (lambda x: v), (lambda s, t: [v] * (t - s))
     source = vars(e).get("source")  # set by a template's builder
     if source is None:
         source, consts = _source(e)
@@ -483,66 +489,193 @@ def _source(e: Expr) -> tuple[str, list]:
     """(the source of a factory that takes e's constants and returns e's
     float function and block kernel, the constants).  Registers are x,
     c<i> for the i-th constant and t<i> for the i-th op result, so the
-    source depends only on e's shape.
+    source depends only on e's shape and on which constants are finite.
 
     The float function runs one group of statements per op, in postorder,
-    each the op's statements in _OPS.  The kernel is one list
-    comprehension over a list of floats.  Its element is the expression
-    nested from the ops' bare expressions in _OPS, but that each operand
-    of a masking op other than a constant is bound to its register and
-    tested by a clause before it (the operand the unchecked array run
-    tests), as is a subexpression nested more than _NESTING brackets
-    deep, untested, so that the source stays within the parser's limit.
-    Each op thus runs on the same operands as in the float function, so
-    it gives the same bits, though ops that do not depend on one another
-    may run in another order."""
-    consts, steps, clauses = [], [], []
+    each the op's statements in _OPS.  The kernel comes from e's program
+    (see _kernel), whose registers are numbered in the same postorder."""
+    consts, steps = [], []
 
-    def emit(e: Expr, test: bool) -> tuple[str, str, int]:
-        """(e's register, its value in the kernel's element, the brackets
-        that value nests)."""
+    def emit(e: Expr) -> str:
         t = type(e)
         if t is Num or t is Const:
             consts.append(e.value if t is Num else CONSTANTS[e.name])
-            c = f"c{len(consts) - 1}"
-            return c, c, 0  # the float function does not test a constant
+            return f"c{len(consts) - 1}"
         if t is Var:
-            r, value, depth = "x", "x", 0
-        else:
-            op, args = _op(e)
-            bare, _, _, masking, statements = _OPS[op]
-            a = emit(args[0], masking)
-            b = emit(args[1], masking) if len(args) > 1 else (None, None, 0)
-            r = f"t{len(steps)}"
-            steps.append(statements.format(r=r, a=a[0], b=b[0]))
-            value = bare.format(a=a[1], b=b[1])
-            depth = bare.count("(") + max(a[2], b[2])
-        if test:
-            clause = f"if isfinite({r if r == 'x' else f'{r} := {value}'}) or recheck()"
-            if clause not in clauses:  # x may be tested more than once
-                clauses.append(clause)
-        elif depth > _NESTING:
-            clauses.append(f"for {r} in [{value}]")
-        else:
-            return r, value, depth
-        return r, r, 0
+            return "x"
+        op, args = _op(e)
+        a = [emit(arg) for arg in args]
+        r = f"t{len(steps)}"
+        steps.append(_OPS[op][4].format(r=r, a=a[0], b=a[-1]))
+        return r
 
-    root = emit(e, False)
+    root = emit(e)
     del emit  # it refers to itself: a cycle would wait for the collector
     params = ", ".join(f"c{i}" for i in range(len(consts)))
-    loop = " ".join(["for x in xs", *clauses])
     return (f"def factory({params}):\n"
             f"    def f(x):{''.join(steps)}\n"
-            f"        return {root[0]}\n"
-            "    def block(xs):\n"
+            f"        return {root}\n"
+            + _kernel(e.program)
+            + "    return f, block\n"), consts
+
+
+def _kernel(prog) -> str:
+    """The source of the block kernel of the program prog: block(s, t),
+    the values of the float function f at the integers s <= k < t, which
+    must have |k| <= 2^53.  Its registers are named as in _source.
+
+    An op on constants alone runs once per run, as f runs it.  Every
+    other op in _EXACT whose operands are x, constants or other such ops
+    runs as one ufunc over np.arange(s, t), which holds the run's floats
+    exactly; these ufuncs round as f's float ops do.  Every other op runs
+    in one list comprehension over the .tolist() of the arrays it reads,
+    as its bare expression in _OPS.  So each op runs on the operands it
+    has in f and gives the same bits.
+
+    Each op result that a masking op reads is tested: once if it is made
+    of constants alone, by a finite sum if it is an array (as the
+    unchecked array run tests it), and in the comprehension term by term,
+    by a clause before its reader, unless it is monotone in x (see
+    _monotone): then at the run's two ends, between which it lies.  So is
+    the root, by a finite sum.  A non-finite op result reaches the root
+    or such an operand, so if no test trips and no op raises, f raises at
+    no k and the list is returned.  Otherwise the kernel returns map(f,
+    floats of the run), which raises f's EvalError at the first failing
+    k when it gets there.  A subexpression of the comprehension's element
+    nested more than _NESTING brackets deep is bound to its register by a
+    clause, so that the source stays within the parser's limit."""
+    init, code = prog
+    name, count = ["x"], {"c": 0, "t": 0}  # per register
+    for v in init:
+        k = "t" if v is None else "c"
+        name.append(f"{k}{count[k]}")
+        count[k] += 1
+    # per register: "const", "numpy" (an array over the run) or "python"
+    stage = ["numpy"] + ["const" if v is not None else None for v in init]
+    mono, signs = _monotone(prog)
+    value, depth = list(name), [0] * len(name)  # in the comprehension
+    const, arrays, clauses = [], [], []  # statements, clauses
+    loop, ends = [], []  # the arrays the comprehension reads; end tests
+    for fn, a, b, dst, tmp, guards, _ in code:
+        ab = (a,) if b is None else (a, b)
+        stage[dst] = ("const" if all(stage[r] == "const" for r in ab) else
+                      "python" if fn not in _EXACT or any(stage[r] == "python" for r in ab)
+                      else "numpy")
+        for g in guards:
+            if g == 0 or init[g - 1] is not None:
+                continue  # x and the literals, which f does not test
+            if stage[g] == "const":
+                const.append(f"if not isfinite({name[g]}):\n    raise Recheck")
+            elif stage[g] == "numpy":
+                arrays.append(f"if not finite({name[g]}):\n    raise Recheck")
+            elif mono[g]:
+                ends.append(g)
+            else:
+                clauses.append(f"if isfinite({name[g]} := {value[g]}) or recheck()")
+                value[g], depth[g] = name[g], 0
+        r = name[dst]
+        if stage[dst] == "const":
+            const.append(f"{r} = {_BARE[fn].format(a=name[a], b=name[ab[-1]])}")
+        elif stage[dst] == "numpy":
+            out = "" if tmp is None else f", out={name[tmp]}"
+            arrays.append(f"{r} = np.{fn.__name__}({', '.join(name[k] for k in ab)}{out})")
+            if fn is np.floor:
+                arrays.append(f"{r} += 0.0")  # float(floor(-0.0)) is 0.0
+        else:
+            for k in ab:
+                if stage[k] == "numpy" and k not in loop:
+                    loop.append(k)
+            value[dst] = _BARE[fn].format(a=value[a], b=value[ab[-1]])
+            depth[dst] = _BARE[fn].count("(") + max(depth[k] for k in ab)
+            if depth[dst] > _NESTING:
+                clauses.append(f"for {r} in [{value[dst]}]")
+                value[dst], depth[dst] = r, 0
+    root = code[-1][3]
+    body = list(const)
+    if ends:
+        body += _end_tests(code, name, stage, ends, signs)
+    if stage[root] == "numpy":
+        arrays.append(f"if finite({name[root]}):\n    return {name[root]}.tolist()")
+    if arrays:
+        body.append('with errstate(all="ignore"):')
+        body += ["    " + line for st in arrays for line in st.split("\n")]
+    if stage[root] == "python":
+        lists = [f"{name[k]}.tolist()" for k in loop]
+        over = lists[0] if len(lists) == 1 else f"zip({', '.join(lists)})"
+        loop_clause = f"for {', '.join(name[k] for k in loop)} in {over}"
+        body += [f"v = [{value[root]} {' '.join([loop_clause, *clauses])}]",
+                 "if isfinite(sum(v)):\n    return v"]
+    elif stage[root] == "const":
+        body.append(f"if isfinite({name[root]}):\n    return [{name[root]}] * (t - s)")
+    return ("    def block(s, t):\n"
+            "        if s >= t:\n"
+            "            return []\n"
+            "        x = np.arange(s, t, dtype=np.float64)\n"
             "        try:\n"
-            f"            v = [{root[1]} {loop}]\n"
-            "            if isfinite(sum(v)):\n"
-            "                return v\n"
-            "        except (Recheck, ArithmeticError, ValueError):\n"
+            + "".join(f"            {line}\n" for st in body for line in st.split("\n"))
+            + "        except (Recheck, ArithmeticError, ValueError):\n"
             "            pass\n"
-            "        return map(f, xs)\n"
-            "    return f, block\n"), consts
+            "        return map(f, x.tolist())\n")
+
+
+# Ufuncs monotone in their operand; add, subtract and multiply are
+# monotone in one operand when the other is a finite constant, and so are
+# divide and power under the conditions of _monotone.
+_MONOTONE = frozenset((np.negative, np.sqrt, np.floor, np.exp, np.log, np.arctan))
+
+
+def _monotone(prog) -> tuple[list, list]:
+    """(per register, whether it is monotone in x; per register, the
+    registers whose two end values must share one strict sign for it to
+    be).  A monotone register is x, or built from x by ops of _MONOTONE
+    and +, -, * or / with a finite constant, or ^ or pow with a finite
+    constant exponent.  A power is monotone only on a base of one strict
+    sign, and so is c/v on a divisor v of one: a monotone base of that
+    sign at the run's ends keeps it in between.  The float ops round
+    monotonically, and the libm calls are taken to, so over an integer run
+    a monotone register lies between its values at the two ends.  A libm
+    call that did not could matter only within an ulp of overflow."""
+    init, code = prog
+    finite = [False] + [v is not None and math.isfinite(v) for v in init]
+    mono, signs = [True] + [False] * len(init), [()] * (len(init) + 1)
+    for fn, a, b, dst, _, _, _ in code:
+        if b is None:
+            mono[dst], signs[dst] = fn in _MONOTONE and mono[a], signs[a]
+        elif fn in (np.add, np.subtract, np.multiply, np.true_divide, np.power):
+            if mono[a] and finite[b]:
+                mono[dst] = True
+                signs[dst] = signs[a] + ((a,) if fn is np.power else ())
+            elif finite[a] and mono[b] and fn is not np.power:
+                mono[dst] = True
+                signs[dst] = signs[b] + ((b,) if fn is np.true_divide else ())
+    return mono, signs
+
+
+def _end_tests(code, name, stage, ends, signs) -> list[str]:
+    """The statements of a kernel that test the monotone registers ends
+    at the run's two ends: each is finite there, and each register of
+    their signs has one strict sign there.  The ops they read run as f's
+    bare expressions on the floats of s and t - 1, as x_0 and x_1, with
+    the registers named <name>_0 and <name>_1."""
+    need = set(ends)
+    for _, a, b, dst, _, _, _ in reversed(code):  # each reader before its operands
+        if dst in need:
+            need.update(r for r in (a, b) if r is not None and stage[r] != "const")
+
+    def at(r: int, end: str) -> str:
+        return f"{name[r]}_{end}" if r in need else name[r]
+
+    lines = ["x_0, x_1 = float(s), float(t - 1)"]
+    for fn, a, b, dst, _, _, _ in code:
+        if dst in need:
+            bare = _BARE[fn]
+            lines += [f"{at(dst, end)} = "
+                      + bare.format(a=at(a, end), b=at(a if b is None else b, end))
+                      for end in "01"]
+    sign = dict.fromkeys(r for g in ends for r in signs[g])
+    tests = ([f"isfinite({at(g, end)})" for g in ends for end in "01"]
+             + [f"{at(r, '0')} * {at(r, '1')} > 0" for r in sign])
+    return [*lines, f"if not ({' and '.join(tests)}):\n    raise Recheck"]
 
 
 # The most brackets an expression in a block kernel's element nests; the
@@ -564,8 +697,14 @@ def _recheck():
     raise _Recheck
 
 
+def _finite(v) -> bool:
+    # a finite sum means every term is finite
+    return math.isfinite(np.add.reduce(v, axis=None))
+
+
 # The names the generated source may use besides its registers.
 _NAMES = {"EvalError": EvalError, "Recheck": _Recheck, "recheck": _recheck,
+          "np": np, "errstate": np.errstate, "finite": _finite,
           **{name: getattr(math, name) for name in
              ("isfinite", "pow", "exp", "log", "sqrt", "sin", "cos", "atan",
               "floor")}}
@@ -651,6 +790,8 @@ _OPS = {
     "atan": _entry("atan({a})", np.arctan, "overflow", True, _call),
     "floor": _entry("float(floor({a}))", np.floor, "overflow", False, _call),
 }
+# ufunc -> the bare expression of its ops ("^" and "pow" share both)
+_BARE = {spec[1]: spec[0] for spec in _OPS.values()}
 
 
 def _program(e: Expr):
@@ -689,11 +830,6 @@ def _program(e: Expr):
     emit(e)
     del emit  # it refers to itself: a cycle would wait for the collector
     return tuple(init), tuple(code)
-
-
-def _finite(v) -> bool:
-    # a finite sum means every term is finite
-    return math.isfinite(np.add.reduce(v, axis=None))
 
 
 def _fail(kind: str, x: np.ndarray, r, vals) -> EvalError:

@@ -130,7 +130,7 @@ class IntervalSpec:
         return self.lo == self.hi and self.closed_lo and self.closed_hi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StieltjesResult:
     """Certified Stieltjes integral split into jump and continuous parts."""
 
@@ -609,14 +609,6 @@ def beta1(x: float) -> float:
     return fr - 0.5
 
 
-def _beta1_error(x: float) -> float:
-    """A bound on the rounding error of beta1(x).  fr = x - floor(x) is
-    exact for x >= 0, and then so is fr - 1/2, for fr >= 1/4 (Sterbenz)
-    or x >= 1 (fr is then a multiple of 2^-52).  Otherwise fr < 1 and
-    fr - 1/2 round once each, and lose at most 2^-54 + 2^-55."""
-    return 0.0 if x >= 0.25 else 0.5 * _EPS
-
-
 def _parts(s: float, t: float, v0: float, vn: float, integral: float) -> float:
     """beta1 against d(mu_f) on a cell (s, t) of the unit cell (k, k+1),
     where beta1 = x - k - 1/2 has slope 1: by parts, [beta1 * f] at the
@@ -677,17 +669,27 @@ def _beta1_claim(f: BvFunction, lo: int, hi: int, tol: float) -> _Claim:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     if lo < f.domain_lo or hi > f.domain_hi:
         raise DomainError(f"]{lo}, {hi}[ outside domain")
-    terms, errors = [], []
+    # one pass over the atoms: their terms, the terms' sizes, which _slack
+    # sums, and the absolute errors that _slack, relative to the terms,
+    # leaves out
+    terms, sizes, errors = [], [], []
     for bp in f.breakpoints:
         if lo < bp.x < hi:
             b, jump = beta1(bp.x), bp.jump
-            terms.append(b * jump)
+            term = b * jump
+            size = abs(term)
+            terms.append(term)
+            sizes.append(size)
             if jump != 0.0:
-                # _slack is relative to the products: beta1's rounding
-                # and a product below the normal range add absolute errors
-                errors.append(_beta1_error(bp.x) * abs(jump) + _underflow(terms[-1], b))
+                # beta1's rounding: x - floor(x) is exact for x >= 0, and
+                # then so is fr - 1/2, for fr >= 1/4 (Sterbenz) or x >= 1
+                # (fr is then a multiple of 2^-52); otherwise fr < 1 and
+                # fr - 1/2 round once each, and lose at most 2^-54 + 2^-55.
+                # Then a product below the normal range, as _underflow
+                errors.append((0.0 if bp.x >= 0.25 else 0.5 * _EPS) * abs(jump)
+                              + (5e-324 if b != 0.0 and size < sys.float_info.min else 0.0))
     atoms = math.fsum(terms)
-    atoms_radius = _slack(*terms) + math.fsum(errors)
+    atoms_radius = 8.0 * _EPS * math.fsum(sizes) + math.fsum(errors)  # _slack(*terms)
     grid = _refinement_grid(float(lo), float(hi), (f,), with_integers=True)
     values, radii, fallback = [], [], []  # fallback: (piece, s, t)
     for s, t in zip(grid[:-1], grid[1:]):

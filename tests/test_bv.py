@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import random
 from unittest import mock
 
@@ -29,11 +32,14 @@ from bvsum.bv import (
     FD_REL_TOL,
     MONO_SAMPLES,
     REL_TOL,
+    Certified,
     _sample_points,
     _stencils,
     check_antiderivative,
 )
 from bvsum.errors import Violation
+from bvsum.euler_maclaurin import CheckReport, EmReport, GammaReport
+from bvsum.measure import StieltjesResult
 from oracles import grid_variation
 
 
@@ -777,3 +783,32 @@ def test_breakpoint_jump_matches_measure_atom():
     bp = Breakpoint(1.0, 0.0, 2.0, 1.0)
     assert bp.jump == 1.0
     assert bp.excursion == 3.0
+
+
+# The result records have slots and no __dict__; they must pickle, copy,
+# hash and compare as the frozen dataclasses they were, and refuse
+# assignment.
+def _records():
+    c, d = Certified(1.5, 0.25), Certified(-2.0, 1e-12)
+    return [c, EmReport(3.0, c, -0.5, 0.125, d), EmReport(None, c, 0.0, 0.0, c),
+            GammaReport(10, c, d), CheckReport(1.0, 1.0 + 1e-12, 1e-12, 1e-9),
+            StieltjesResult(c, 0.25, d)]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_result_records_keep_their_value_semantics(record):
+    assert not hasattr(record, "__dict__")
+    values = tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+    assert hash(record) == hash(values)  # the frozen dataclass's hash
+    for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                 copy.deepcopy(record), type(record)(*values)):
+        assert twin == record and hash(twin) == hash(record)
+        assert repr(twin) == repr(record) and type(twin) is type(record)
+    other = dataclasses.replace(record, **{dataclasses.fields(record)[-1].name: values[0]})
+    assert other != record and record != values
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, dataclasses.fields(record)[0].name, 0.0)
+    # a name that is no field: FrozenInstanceError, or before Python 3.12
+    # the TypeError of the frozen __setattr__ on a class remade with slots
+    with pytest.raises((AttributeError, TypeError)):
+        record.extra = 0.0

@@ -582,7 +582,7 @@ def test_compiled_once_per_node_and_outside_the_fields():
     assert "compiled" not in vars(copy) and "block" not in vars(copy)
     assert eval_expr(copy, 3.0) == 0.25
     # the kernel asked for first makes both as well
-    assert copy.block([3.0]) == [0.25] and vars(copy)["compiled"] is copy.compiled
+    assert copy.block(3, 4) == [0.25] and vars(copy)["compiled"] is copy.compiled
 
 
 # The float function is generated from fixed text alone, the op templates
@@ -637,29 +637,48 @@ def test_pickled_node_compiles_again_to_the_same_bits(tree, xs):
             _scalar_outcome(tree.compiled, x), x
 
 
-# The block kernel maps a list of floats in one unchecked comprehension and
-# falls back to the float function: its values and first error must be
-# those of the float function called at each point in turn.
+# The block kernel maps an integer run s <= k < t: ops on constants alone
+# once, the exact ops as ufuncs over the run, the others in one
+# comprehension, falling back to the float function.  Its values and first
+# error must be those of the float function called at each k in turn.
 
-def _block_outcome(e, xs):
+def _block_outcome(e, s, t):
     # the bits of the values, or the first EvalError's kind and x
     try:
-        return ("values", [_bits(v) for v in e.block(list(xs))])
+        return ("values", [_bits(v) for v in e.block(s, t)])
     except EvalError as err:
         return ("error", err.kind, repr(err.x))
 
 
-def _pointwise_outcome(e, xs):
+def _pointwise_outcome(e, s, t):
     try:
-        return ("values", [_bits(e.compiled(x)) for x in xs])
+        return ("values", [_bits(e.compiled(float(k))) for k in range(s, t)])
     except EvalError as err:
         return ("error", err.kind, repr(err.x))
+
+
+# starts next to the integers where the poison trees fail: 0, exp's
+# overflow past 709, and the floats' integer limit 2^53
+_starts = st.one_of(st.sampled_from([-3, -1, 0, 1, 700, 706, 2**53 - 8]),
+                    st.integers(-1000, 1000))
 
 
 @settings(max_examples=600, deadline=None)
-@given(_poison_ast, _scalar_points)
-def test_block_matches_the_float_function(tree, xs):
-    assert _block_outcome(tree, xs) == _pointwise_outcome(tree, xs)
+@given(_poison_ast, _starts, st.integers(0, 9))
+def test_block_matches_the_float_function(tree, s, n):
+    assert _block_outcome(tree, s, s + n) == _pointwise_outcome(tree, s, s + n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_ast, _poison_ast), st.integers(-10**6, 10**6), st.integers(0, 300))
+def test_block_matches_the_float_function_over_long_runs(tree, s, n):
+    assert _block_outcome(tree, s, s + n) == _pointwise_outcome(tree, s, s + n)
+
+
+# runs around the failing integers of the cases below, and the empty runs
+_RUNS = [(0, 5), (-3, 3), (2, 3), (1, 2), (0, 0), (5, 3), (-712, -700),
+         (705, 712), (0, 100), (30, 70), (45, 56), (49, 52), (50, 51), (51, 100),
+         (2**53 - 3, 2**53 + 1), (-2**53, -2**53 + 2)]
 
 
 @pytest.mark.parametrize("text", [
@@ -669,25 +688,45 @@ def test_block_matches_the_float_function(tree, xs):
     # a domain error, and finite values whose total overflows
     "1/(x-2)", "log(x-0.5)", "sqrt(1-x)", "1e308+0*x", "-1e400",
     # the roots and ops without a test
-    "x", "-x", "pi", "floor(x)*x", "abs(x)-sin(x)*cos(x)"])
+    "x", "-x", "pi", "floor(x)*x", "abs(x)-sin(x)*cos(x)",
+    # a masked operand non-finite, or a power's base changing sign, only
+    # strictly inside a run: a monotone claim that does not hold shows here
+    "atan(1/(x-50))", "exp(1/(x-50))", "1/(x-50)^2", "1/(x-50.5)^(-1)",
+    "atan((x-40)*(x-60)*1e306)", "atan(1e308/(x-50.5)^2)",
+    "atan(1e308/atan(x-50.5))", "exp(-1e308/atan(x-50.5)^2)",
+    # a monotone operand, or the root, overflows at one end of a run only
+    "atan(exp(x)*1e307)", "atan(exp(-x)*1e307)", "exp(x)*1e307",
+    # monotone operands tested at the ends; floor's zero has no sign
+    "1/(1+x)^2", "2*exp(-0.5*x)", "3*atan(0.25*x)", "atan(floor(-x))",
+    "exp(log(x+1)*2)/(x+1)^0.5"])
 def test_block_matches_the_float_function_on_fixed_cases(text):
     e = parse(text)
-    for xs in ([0.25, 0.5, 1.0, 2.0, 3.0], [3.0, 2.0], [1.0], [],
-               [math.inf, 1.0], [1.0, math.nan], [-math.inf]):
-        assert _block_outcome(e, xs) == _pointwise_outcome(e, xs), (text, xs)
+    for s, t in _RUNS:
+        assert _block_outcome(e, s, t) == _pointwise_outcome(e, s, t), (text, s, t)
+
+
+def test_block_tests_monotone_operands_at_the_ends():
+    # a power of a base of one sign is tested at the run's ends, and a
+    # power whose exponent is not a finite literal term by term
+    ends, terms = (ex._kernel(parse(t).program) for t in ("1/(1+x)^2", "1/(1+x)^(-2)"))
+    assert "x_0" in ends and "recheck()" not in ends
+    assert "x_0" not in terms and "recheck()" in terms
+    # an exact expression runs as ufuncs alone
+    assert "for " not in ex._kernel(parse("3/(1+0.5*x)").program)
 
 
 def test_block_returns_the_list_unless_a_test_trips():
     e = parse("1/(1+x)")
-    assert type(e.block([0.0, 1.0])) is list
+    assert type(e.block(0, 2)) is list
+    assert type(parse("1/(1+x)^2").block(0, 2)) is list
     # an operand test trips: the float function raises, lazily
     e = parse("1/(x*1e308)")
-    values = e.block([0.5, 1.0, 2.0])
-    assert type(values) is not list and next(values) == 1 / 0.5e308
+    values = e.block(1, 3)
+    assert type(values) is not list and next(values) == 1 / 1e308
     with pytest.raises(EvalError):
         list(values)
     # the total overflows: the float function gives the same values
-    assert list(parse("1e308+0*x").block([1.0, 2.0])) == [1e308, 1e308]
+    assert list(parse("1e308+0*x").block(1, 3)) == [1e308, 1e308]
 
 
 @pytest.mark.parametrize("text", [
@@ -698,8 +737,8 @@ def test_block_returns_the_list_unless_a_test_trips():
 def test_block_of_the_deepest_expressions(text):
     # nested brackets are cut into clauses below the parser's limit
     e = parse(text)
-    xs = [0.5, 0.25, 3.0]
-    assert _block_outcome(e, xs) == _pointwise_outcome(e, xs)
+    for s, t in ((0, 4), (1, 4)):
+        assert _block_outcome(e, s, t) == _pointwise_outcome(e, s, t)
 
 
 # a constant power fails at every point, so the first one is reported
