@@ -169,14 +169,16 @@ def values_at_integers(f: BvFunction, a: int, b: int):
     increasing k, so the first failing k raises.  The pieces tile the
     domain between breakpoints, so an integer strictly inside a piece
     takes that piece's evaluator, and evaluate() gives the others, which
-    are breakpoints or domain_lo.  Each run of integers inside a piece
-    goes to the evaluator's block kernel (Expr.block) in runs of at most
-    _BLOCK integers, evaluated lazily, one at a time, so memory does not
-    grow with b - a.  The kernel gives the values of the evaluator's float
-    function bit for bit.  Only the integers k with |k| <= 2^53 take the
-    runs: their floats are k itself, so strictly inside the piece, while
-    the float of a larger k may round onto a breakpoint; evaluate() gives
-    those too.  Only the pieces that overlap [a, b) are visited."""
+    are breakpoints or domain_lo.  Each run of two or more integers inside
+    a piece goes to the evaluator's block kernel (Expr.block) in runs of
+    at most _BLOCK integers, evaluated lazily, one at a time, so memory
+    does not grow with b - a; a lone integer, for which the kernel's fixed
+    cost is many times evaluate()'s, goes to evaluate().  The kernel gives
+    the values of the evaluator's float function bit for bit.  Only the
+    integers k with |k| <= 2^53 take the runs: their floats are k itself,
+    so strictly inside the piece, while the float of a larger k may round
+    onto a breakpoint; evaluate() gives those too.  Only the pieces that
+    overlap [a, b) are visited."""
     runs = []
     k = a
     i = max(bisect.bisect_right(f._piece_los, a) - 1, 0)
@@ -187,7 +189,7 @@ def values_at_integers(f: BvFunction, a: int, b: int):
         t = min(b, _EXACT + 1)
         if not math.isinf(p.hi):
             t = min(t, math.ceil(p.hi))
-        if s < t:
+        if t - s > 1:
             runs.append(_evaluated(f, k, s))
             runs.append(_blocks(p.evaluator.block, s, t))
             k = t

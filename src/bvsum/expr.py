@@ -932,7 +932,102 @@ def _shape(prog) -> tuple:
     return code, len(init), pinned, tuple(_BITS(init[r - 1]) for r in pinned)
 
 
-@np.errstate(all="ignore")
+class Rows:
+    """The plan of eval_rows for a list of expressions, made once and run
+    on any rows of it.  Its rows are grouped by Expr.shape, an expression
+    met again found by its identity.  A group keeps its ops and its
+    registers: each pinned constant the scalar its rows share.  If the
+    group's expressions differ, each other constant is a column of a
+    matrix with a row per expression, which a run picks for its rows by
+    their rank in the group."""
+
+    __slots__ = ("exprs", "groups", "group", "rank")
+
+    def __init__(self, exprs):
+        self.exprs = exprs
+        self.groups, self.group, self.rank = [], None, None
+        numbers: dict = {}  # a shape is hashed once per expression
+        members: list = []  # per group, its expressions
+        where = {}  # id(expression) -> its number, group * len(exprs) + rank
+        for i, e in {id(e): e for e in exprs}.items():
+            k = numbers.setdefault(e.shape, len(numbers))
+            if k == len(members):
+                members.append([])
+            where[i] = k * len(exprs) + len(members[k])
+            members[k].append(e)
+        for es in members:
+            init, code = es[0].program
+            columns = None
+            if len(es) > 1:
+                pinned = es[0].shape[2]
+                regs = [r for r, v in enumerate(init) if v is not None and r + 1 not in pinned]
+                if regs:
+                    columns = regs, np.array([[e.program[0][r] for r in regs] for e in es])
+            self.groups.append((init, code, columns))
+        if len(where) > 1:
+            self.group, self.rank = np.divmod(np.array([where[id(e)] for e in exprs]), len(exprs))
+            if len(members) == 1:
+                self.group = None
+
+    def _plan(self, rows):
+        """(registers, ops, positions in rows or None for all of them)
+        per group that rows, or all rows if None, hold."""
+        parts = [(0, None, rows)]
+        if self.group is not None:
+            at: dict = {}  # group -> its positions in rows
+            for j, k in enumerate((self.group if rows is None else self.group[rows]).tolist()):
+                at.setdefault(k, []).append(j)
+            parts = [(k, pos if len(at) > 1 else None,
+                      rows if len(at) == 1 else pos if rows is None else rows[pos])
+                     for k, pos in at.items()]
+        plan = []
+        for k, pos, which in parts:
+            init, code, columns = self.groups[k]
+            if columns is not None:
+                regs, matrix = columns
+                picked = matrix[self.rank if which is None else self.rank[which]]
+                init = list(init)
+                for j, r in enumerate(regs):
+                    init[r] = picked[:, j:j + 1]
+            plan.append((init, code, pos, which))
+        return plan
+
+    @np.errstate(all="ignore")
+    def __call__(self, x: np.ndarray, rows=None):
+        """Evaluate exprs[rows[i]] over the points x[i] of a 2-D float64
+        array, or exprs[i] if rows is None: as eval_rows."""
+        values, errors = None, {}
+        if not self.exprs or rows is not None and not len(rows):
+            return np.empty(x.shape), errors
+        for init, code, pos, which in self._plan(rows):
+            r = None
+            if x.size:
+                try:
+                    r = _run((init, code), x if pos is None else x[pos], False)
+                    if not _finite(r):
+                        r = None
+                except _Recheck:
+                    pass
+            if r is not None and pos is None and r is not x and r.shape == x.shape:
+                return r, errors
+            if values is None:
+                values = np.empty(x.shape)
+            if r is not None:
+                values[slice(None) if pos is None else pos] = r
+                continue
+            for j, i in zip(range(len(x)) if pos is None else pos,
+                            range(len(x)) if which is None else which):
+                try:
+                    values[j] = eval_expr(self.exprs[i], x[j])
+                except EvalError as err:
+                    values[j] = math.nan
+                    # without its traceback, whose frames (this one among
+                    # them) would keep the caller's arrays alive until the
+                    # next garbage collection
+                    errors[j] = err.with_traceback(None)
+        return values, errors
+
+
 def eval_rows(exprs, x: np.ndarray):
     """Evaluate exprs[i] over the points x[i] of a 2-D float64 array:
     (values, errors), where values[i] is eval_expr(exprs[i], x[i]) bit for
@@ -944,55 +1039,9 @@ def eval_rows(exprs, x: np.ndarray):
     other constant register is stacked into a column with one entry per
     row.  If any test of that run trips, each of its rows falls back to
     eval_expr, in row order, so error kinds and points are those of
-    eval_expr."""
-    if not exprs:
-        return np.empty(x.shape), {}
-    progs = [e.program for e in exprs]
-    if all(p is progs[0] for p in progs):
-        groups = {0: (exprs[0].shape[2], range(len(progs)))}
-    else:
-        # shape number -> (its pinned constants, its rows in order); a
-        # shape is hashed once per program, not once per row
-        groups, numbers, number_of = {}, {}, {}
-        for i, (e, p) in enumerate(zip(exprs, progs)):
-            k = number_of.get(id(p))
-            if k is None:
-                k = number_of[id(p)] = numbers.setdefault(e.shape, len(numbers))
-                groups.setdefault(k, (e.shape[2], []))
-            groups[k][1].append(i)
-    values, errors = None, {}
-    for pinned, rows in groups.values():
-        init, code = progs[rows[0]]
-        if any(progs[i][0] is not init for i in rows):
-            init = tuple(v if v is None or k in pinned else
-                         np.array([progs[i][0][k - 1] for i in rows])[:, None]
-                         for k, v in enumerate(init, 1))
-        whole = len(rows) == len(x)
-        r = None
-        if x.size:
-            try:
-                r = _run((init, code), x if whole else x[rows], False)
-                if not _finite(r):
-                    r = None
-            except _Recheck:
-                pass
-        if r is not None and whole and r is not x and r.shape == x.shape:
-            return r, errors
-        if values is None:
-            values = np.empty(x.shape)
-        if r is not None:
-            values[rows] = r
-            continue
-        for i in rows:
-            try:
-                values[i] = eval_expr(exprs[i], x[i])
-            except EvalError as err:
-                values[i] = math.nan
-                # without its traceback, whose frames (this one among
-                # them) would keep the caller's arrays alive until the
-                # next garbage collection
-                errors[i] = err.with_traceback(None)
-    return values, errors
+    eval_expr.  Rows(exprs) is this plan, made once for rows that a
+    caller evaluates again and again."""
+    return Rows(exprs)(x)
 
 
 _PREC_ATOM = 5

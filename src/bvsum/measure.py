@@ -20,22 +20,28 @@ Convexity is sampled on the grid, as monotonicity is in validate, not
 proved.
 
 integrate, stieltjes_beta1 and stieltjes_midvalue share one refinement
-engine, in two phases.  A routine's prepare phase (_prepare) reserves
-each segment's rounding floor, refusing a tol that does not cover the
-floors, and splits the rest over the segments.  _certify then refines
-the segments of one or more routines on one route in one _refine call,
-which grows their grids round by round from the measured error, and
-finishes each routine in turn: it sums the values and checks the radius
-against tol.  So em_midvalue_check and parts_check refine both halves
-of their identities in one walk.  _walk
-evaluates the grids of all segments together, in chunks of _CHUNK cells:
-chunks of one cell count are rows of one 2-D grid of at most _BATCH
-points, and eval_rows runs the rows of one expression shape as one
-program; longer chunks are walked in blocks of at most _BATCH points.
-Every point, value and sum is the float operation of a lone segment's
-grid, so results and errors are those of refining one segment after the
-other, and one routine after the other: the error raised is the first
-failing segment's.
+engine, in two phases.  A routine's prepare phase (_prepare) finds its
+fallback segments in one sweep over the cells, the pieces that contain
+them in one search per function, and keeps the segments as columns:
+arrays of one entry per segment (s, t, the one-sided limits, the
+rounding terms, weights, floors and budgets) and per curve the list of
+its expressions.  It reserves each segment's rounding floor, refusing a
+tol that does not cover the floors, and splits the rest over the
+segments.  _certify then refines the segments of one or more routines on
+one route in one _refine call, which grows their grids round by round
+from the measured error, settling each round's segments column by
+column, and finishes each routine in turn: it sums the values and
+checks the radius against tol.  So em_midvalue_check and parts_check
+refine both halves of their identities in one walk.  _walk evaluates the
+grids of all segments together, in chunks of _CHUNK cells: chunks of one
+cell count are the rows of one 2-D grid of at most _BATCH points, which
+one expr.Rows plan, made once per refinement, evaluates by expression
+shape, and whose terms are computed with the rows walked as one array;
+longer chunks are walked in blocks of at most _BATCH points.  Every
+point, value and sum is the float operation of a lone segment's grid,
+and every math.fsum is kept, so results and errors are those of refining
+one segment after the other, and one routine after the other: the error
+raised is the first failing segment's.
 """
 
 from __future__ import annotations
@@ -54,7 +60,6 @@ from . import expr as ex
 from .bv import (
     BvFunction,
     Certified,
-    MonotonePiece,
     left_limit,
     right_limit,
     _BATCH,
@@ -77,15 +82,6 @@ DEFAULT_TOL = 1e-10
 def _slack(*vals: float) -> float:
     """Ulp-scale radius covering the rounding of a short computation."""
     return 8.0 * _EPS * math.fsum(abs(v) for v in vals)
-
-
-def _underflow(product: float, factor: float) -> float:
-    """A bound on the error of product, a factor times a nonzero float,
-    if it rounded below the normal range, else 0: the least subnormal,
-    twice what rounding to nearest loses there."""
-    if factor != 0.0 and abs(product) < sys.float_info.min:
-        return 5e-324
-    return 0.0
 
 
 @dataclass(frozen=True)
@@ -190,60 +186,75 @@ def total_variation_measure(f: BvFunction, iv: IntervalSpec) -> float:
 # Refinement engine shared by integrate, stieltjes_beta1 and stieltjes_midvalue
 
 
-def _walk(jobs, bounds, curves, failed: dict, terms) -> dict:
-    """Walk the uniform grids of the jobs (i, n), in segment order: per
-    segment i the list of its chunks' sums.  Segment i's grid is the n+1
-    points over bounds[i] = (s, t), cut into chunks of _CHUNK cells that
-    share their end points; a chunk or block also takes the point beyond
-    each end that is not a grid's (its pads).
-    terms(rows, first, last, xs, errs, vals) gives a block's terms, a
-    2-D array per term with a row per segment of rows; first and last
-    tell whether it holds the grids' ends, and vals has the curves'
-    values (curves[c][i] is segment i's expression) over the points xs
-    but the grids' ends, curve c in the rows from c * len(rows) on.  A
-    row that fails to evaluate records its segment's first EvalError in
-    failed; later segments' rows are then skipped."""
-    parts = {i: [] for i, _ in jobs}
-    batches = {}
-    for i, n in jobs:
-        for start in range(0, n, _CHUNK):
-            batches.setdefault((n, start), []).append(i)
-    for (n, start), segs in batches.items():
-        stop = min(n, start + _CHUNK)
-        size = max(1, _BATCH // (stop - start + 1))
-        for k in range(0, len(segs), size):
-            cut = min(failed, default=math.inf)
-            rows = [i for i in segs[k:k + size] if i < cut]
-            if not rows:
-                continue
-            s = np.array([bounds[i][0] for i in rows])[:, None]
-            block = functools.partial(
-                _block, rows, n, s, np.array([bounds[i][1] for i in rows])[:, None] - s,
-                curves, terms)
-            if stop - start < _BATCH:
-                sums = [np.sum(a, axis=1) for a in block(start, stop, failed)]
-            else:
-                sums = _blocks(block, start, stop)
-                if sums is None:
-                    # the whole chunk as one block records the error
-                    # that the walk without blocks met
-                    block(start, stop, failed)
-                    continue
-            for i, *sum_ in zip(rows, *sums):
-                parts[i].append(sum_)
-    return parts
+def _walk(rows, ns, s, width, plan, terms, failed: dict):
+    """Walk the uniform grids of the segments rows, in segment order,
+    ns[j] cells for segment rows[j]: per term (a route has two), a
+    (len(rows), chunks) array of the sums of each segment's chunks, -0.0
+    past its last chunk.  Segment i's grid is the n+1 points over
+    [s[i], s[i] + width[i]], cut into chunks of _CHUNK cells that share
+    their end points; a chunk or block also takes the point beyond each
+    end that is not a grid's (its pads).  plan is the Rows of the curves'
+    expressions, curve c of segment i in row c * len(s) + i.  The
+    segments of one cell count and chunk are walked together, in blocks
+    of at most _BATCH points.  terms(seg, first, last, size, y) gives a
+    block's terms, a 2-D array per term with a row per segment of seg;
+    first and last tell whether it holds the grids' ends, and y has the
+    curves' values over the block's size points (see _block), curve c in
+    the rows from c * len(seg) on.  A row that fails to evaluate records
+    its segment's first EvalError in failed; later segments' rows are
+    then skipped."""
+    nl = ns.tolist()
+    out = np.full((2, len(nl), -(-max(nl) // _CHUNK)), -0.0)
+    if nl.count(nl[0]) == len(nl):
+        batches = [(nl[0], np.arange(len(nl)))]
+    else:
+        batches = [(n, (ns == n).nonzero()[0]) for n in np.unique(ns).tolist()]
+    for n, pos in batches:
+        for c, start in enumerate(range(0, n, _CHUNK)):
+            stop = min(n, start + _CHUNK)
+            size = max(1, _BATCH // (stop - start + 1))
+            for k in range(0, len(pos), size):
+                p = pos[k:k + size]
+                if failed:
+                    p = p[rows[p] < min(failed)]
+                    if not p.size:
+                        continue
+                seg = rows[p]
+                block = functools.partial(_block, seg, n, s[seg][:, None], width[seg][:, None],
+                                          len(s), plan, terms)
+                if stop - start < _BATCH:
+                    sums = [np.add.reduce(a, axis=1) for a in block(start, stop, failed)]
+                else:
+                    sums = _blocks(block, start, stop)
+                    if sums is None:
+                        # the whole chunk as one block records the error
+                        # that the walk without blocks met
+                        block(start, stop, failed)
+                        continue
+                out[0, p, c], out[1, p, c] = sums
+    return out
 
 
-def _block(rows, n: int, s, width, curves, terms, c0: int, c1: int, errs: dict):
-    """The terms of the cells between the points c0 and c1 of the rows'
-    n-cell grids over [s, s + width], pads included, evaluating the
-    curves in order; errors go to errs."""
+def _block(seg, n: int, s, width, m: int, plan, terms, c0: int, c1: int, errs: dict):
+    """The terms of the cells between the points c0 and c1 of the n-cell
+    grids over [s, s + width] of the segments seg, of m, pads included,
+    evaluating the curves in order; errors go to errs.  A row holds the
+    block's points and, if their count is odd, a copy of one, so that
+    its rows can be walked as one array by twos; a grid's end, which is
+    never evaluated, is evaluated at the point beside it, and terms
+    replaces its value by the end's limit."""
     first, last = c0 == 0, c1 == n
-    p0, p1 = c0 - (not first), c1 + (not last)
-    xs = width * (np.arange(p0, p1 + 1, dtype=np.float64) / n)
+    p0 = c0 - (not first)
+    size = c1 + (not last) - p0 + 1
+    xs = width * (np.arange(p0, p0 + size + (size & 1), dtype=np.float64) / n)
     xs += s  # s + (t - s) * (k / n), as for a lone grid
-    inner = xs[:, int(first):xs.shape[1] - int(last)]
-    return terms(rows, first, last, xs, errs, _evaluate(curves, rows, inner, errs))
+    if first:
+        xs[:, 0] = xs[:, 1]
+    if last:
+        xs[:, size - 1] = xs[:, size - 2]
+    if size & 1:
+        xs[:, size] = xs[:, size - 1]
+    return terms(seg, first, last, size, _evaluate(plan, seg, m, xs, errs))
 
 
 def _blocks(block, start: int, stop: int):
@@ -266,41 +277,34 @@ def _blocks(block, start: int, stop: int):
         for k, (buf, a) in enumerate(zip(bufs, terms)):
             buf[:, pos[k]:pos[k] + a.shape[1]] = a
             pos[k] += a.shape[1]
-    return [np.sum(buf[:, :p], axis=1) for buf, p in zip(bufs, pos)]
+    return [np.add.reduce(buf[:, :p], axis=1) for buf, p in zip(bufs, pos)]
 
 
-def _evaluate(curves, rows, xs, errs: dict):
-    """Each curve's expressions for the segments rows over the points xs
-    of each row, in one eval_rows call, the curves' rows stacked; a
-    failing row records its segment's error in errs, if it is the first
-    (an earlier curve's first)."""
-    vals, errors = ex.eval_rows([c[i] for c in curves for i in rows],
-                                np.concatenate([xs] * len(curves)) if len(curves) > 1 else xs)
+def _evaluate(plan, seg, m: int, xs, errs: dict):
+    """Each curve's expressions for the segments seg, of m, over the
+    points xs of each row, in one run of plan, the curves' rows stacked;
+    a failing row records its segment's error in errs, if it is the
+    first (an earlier curve's first)."""
+    curves = len(plan.exprs) // m
+    rows = None if len(seg) == m else np.concatenate([seg + c * m for c in range(curves)])
+    vals, errors = plan(np.concatenate([xs] * curves) if curves > 1 else xs, rows)
     for r in sorted(errors):
-        errs.setdefault(rows[r % len(rows)], errors[r])
+        errs.setdefault(int(seg[r % len(seg)]), errors[r])
     return vals
 
 
-def _with_ends(vals, rows, ends, first: bool, last: bool):
-    """A curve's values over whole grid rows: vals inside, and at a
-    grid's ends the one-sided limits ends[i][:2] of segment i."""
-    if not (first or last):
-        return vals
-    y = np.empty((vals.shape[0], vals.shape[1] + first + last))
-    y[:, int(first):y.shape[1] - int(last)] = vals
-    if first:
-        y[:, 0] = [ends[i][0] for i in rows]
-    if last:
-        y[:, -1] = [ends[i][1] for i in rows]
-    return y
+def _fsums(*columns) -> np.ndarray:
+    """math.fsum of each row of the columns."""
+    return np.array([math.fsum(row) for row in zip(*[c.tolist() for c in columns])])
 
 
 class _Route(NamedTuple):
-    """How fallback segments are refined: refine(segs, ends, budgets) ->
-    (results, failed) refines them together (see _refine); budget(share,
-    ends) is the part of a segment's share of tol that its refined error
-    may take; post(seg, ends, result), if given, turns the route's
-    (value, radius) of a segment into the routine's."""
+    """How fallback segments are refined: refine(segs) -> (values,
+    radii, failed) refines the segments of the columns segs together
+    (see _refine); budget(share, segs) is the part of the segments'
+    shares of tol that their refined errors may take; post(segs, values,
+    radii), if given, turns the route's values and radii into the
+    routine's."""
 
     refine: Callable
     budget: Callable
@@ -309,39 +313,57 @@ class _Route(NamedTuple):
 
 class _Claim(NamedTuple):
     """A routine's part of a refinement walk, as its prepare phase
-    leaves it: tol, the closed-form values and radii, the fallback
-    segments with their ends and budgets, and wrap, which makes the
-    routine's result of its enclosure."""
+    leaves it: tol, the closed-form values and radii, the columns of the
+    fallback segments (see _prepare), and wrap, which makes the routine's
+    result of its enclosure."""
 
     route: _Route
     tol: float
     values: list
     radii: list
-    segs: list
-    ends: list
-    budgets: list
+    segs: dict
     wrap: Callable | None
 
 
+# The columns' arithmetic stands for float arithmetic, which rounds an
+# overflow to inf and an invalid operation to nan without a word: so does
+# numpy under np.errstate(all="ignore").
+@np.errstate(all="ignore")
 def _prepare(route: _Route, tol: float, values: list[float], radii: list[float],
-             fallback: list, weigh, wrap=None, reserved: float = 0.0) -> _Claim:
-    """The prepare phase of a routine: weigh(*seg) -> (weight, floor,
-    ends) gives each fallback segment its floor plus a share of the rest
-    of tol, after the closed-form radii, the radius reserved for wrap to
-    add and all floors, in proportion to weight; a tol that does not
-    cover them is refused."""
-    ends, budgets = [], []
-    if fallback:
+             fallback: tuple, weigh, wrap=None, reserved: float = 0.0) -> _Claim:
+    """The prepare phase of a routine.  fallback holds the columns of the
+    fallback segments, lists of one entry per segment (their pieces, s
+    and t), and weigh(*fallback) their columns for the route: arrays of
+    one entry per segment, exprs (per curve, the segments' expressions),
+    and weight and floor.  Each segment gets its floor plus a share of
+    the rest of tol, after the closed-form radii, the radius reserved for
+    wrap to add and all floors, in proportion to weight: its budget.  A
+    tol that does not cover them is refused."""
+    segs: dict = {}
+    if fallback[0]:
         budget = tol - math.fsum(radii) - reserved
         if budget > 0.0:
-            weights, floors, ends = zip(*[weigh(*seg) for seg in fallback])
-            budget -= math.fsum(floors)
+            segs = weigh(*fallback)
+            budget -= math.fsum(segs["floor"].tolist())
         if not budget > 0.0:
             raise ToleranceUnreachable(f"tolerance {tol} below rounding floor")
-        wsum = math.fsum(weights)
-        budgets = [route.budget(floor + budget * w / wsum, e)
-                   for w, floor, e in zip(weights, floors, ends)]
-    return _Claim(route, tol, values, radii, fallback, ends, budgets, wrap)
+        weight = segs.pop("weight")
+        share = segs.pop("floor") + budget * weight / math.fsum(weight.tolist())
+        segs["budget"] = route.budget(share, segs)
+    return _Claim(route, tol, values, radii, segs, wrap)
+
+
+def _joined(parts: list) -> dict:
+    """The columns that all of the claims' segment columns parts have, in
+    turn."""
+    parts = [p for p in parts if p]
+    if len(parts) < 2:
+        return parts[0] if parts else {}
+    joined = {k: np.concatenate([p[k] for p in parts])
+              for k in set.intersection(*map(set, parts)) if k != "exprs"}
+    joined["exprs"] = tuple([e for p in parts for e in p["exprs"][c]]
+                            for c in range(len(parts[0]["exprs"])))
+    return joined
 
 
 def _certify(*claims: _Claim) -> list:
@@ -353,19 +375,18 @@ def _certify(*claims: _Claim) -> list:
     and errors are those of the routines called one after the other,
     provided the caller raises an error of a later routine's prepare
     phase only after certifying the claims before it."""
-    segs = [seg for c in claims for seg in c.segs]
-    ends = [e for c in claims for e in c.ends]
-    budgets = [b for c in claims for b in c.budgets]
-    out, failed = claims[0].route.refine(segs, ends, budgets)
+    segs = _joined([c.segs for c in claims])
+    values, radii, failed = (claims[0].route.refine(segs) if segs
+                             else (np.empty(0), np.empty(0), {}))
     results, j = [], 0
     for c in claims:
-        i, j = j, j + len(c.segs)
+        i, j = j, j + (len(c.segs["s"]) if c.segs else 0)
         if min(failed, default=j) < j:
             raise failed[min(failed)]
-        done = out[i:j]
-        if c.route.post is not None:
-            done = [c.route.post(*args) for args in zip(c.segs, c.ends, done)]
-        result = _total([*c.values, *(v for v, _ in done)], [*c.radii, *(r for _, r in done)])
+        value, radius = values[i:j], radii[i:j]
+        if c.route.post is not None and c.segs:
+            value, radius = c.route.post(c.segs, value, radius)
+        result = _total(c.values + value.tolist(), c.radii + radius.tolist())
         if not result.radius <= c.tol:
             raise ToleranceUnreachable(
                 f"achieved radius {result.radius:.3g} exceeds tol {c.tol:.3g}")
@@ -382,43 +403,53 @@ def _total(values: list, radii: list) -> Certified:
     return result
 
 
-def _refine(route: str, bounds, curves, terms, budgets, settle, *, n0: int):
-    """Refine the segments over bounds[i] = (s, t) together, round by
-    round from n0 cells: each pending segment i walks a grid of n cells,
-    with pads (see _walk), and settle(i, n, parts) -> (value, err,
-    rounding) reads its sums.  It is done, with radius err + rounding,
-    when err fits budgets[i]; else n grows by a power of two, at least
-    twofold, aiming just under the budget at order 2, up to the cap of
-    MAX_CELLS cells.  -> (results, failed): failed maps failing segments
-    to their errors, the first of which is sure to be there, and
-    results[i] is segment i's (value, radius) if no segment up to i
-    failed (the rows of later ones are skipped)."""
-    ns = [n0] * len(bounds)
-    out: list = [None] * len(bounds)
+@np.errstate(all="ignore")  # as _prepare
+def _refine(route: str, segs: dict, terms, settle, *, n0: int):
+    """Refine the segments of the columns segs (s, t, budget and the
+    curves' exprs) together, round by round from n0 cells: each pending
+    segment walks a grid of n cells, with pads (see _walk), and
+    settle(rows, ns, sums) -> (values, errs, roundings) reads the sums of
+    the segments rows, ns[j] cells for rows[j].  Segment i is done, with
+    radius err + rounding, when err fits budget[i]; else n grows by a
+    power of two, at least twofold, aiming just under the budget at order
+    2, up to the cap of MAX_CELLS cells.  -> (values, radii, failed):
+    failed maps failing segments to their errors, the first of which is
+    sure to be there, and values[i] and radii[i] are segment i's if no
+    segment up to i failed (the rows of later ones are skipped)."""
+    s, t, budget = segs["s"], segs["t"], segs["budget"]
+    width = t - s
+    plan = ex.Rows([e for curve in segs["exprs"] for e in curve])
+    ns = np.full(len(s), n0)
+    values, radii = np.empty(len(s)), np.empty(len(s))
     failed: dict = {}
-    pending = list(range(len(bounds)))
-    while pending:
-        parts = _walk([(i, ns[i]) for i in pending], bounds, curves, failed, terms)
-        cut = min(failed, default=math.inf)
-        grown = []
-        for i in pending:
-            if i >= cut:
-                break
-            value, err, rounding = settle(i, ns[i], parts[i])
-            n, budget = ns[i], budgets[i]
-            if err <= budget:
-                out[i] = (value, err + rounding)
-                continue
-            if n >= MAX_CELLS:
-                failed[i] = ToleranceUnreachable(
-                    f"{route} hit the {MAX_CELLS}-cell cap on {list(bounds[i])}")
-                break
-            # n stays a power of two, so that segments share batches
-            ratio = 1.2 * err / max(budget, 1e-300)
-            ns[i] = min(MAX_CELLS, n << max(1, math.ceil(0.5 * math.log2(ratio))))
-            grown.append(i)
-        pending = grown
-    return out, failed
+    rows = np.arange(len(s))
+    while rows.size:
+        n = ns[rows]
+        value, err, rounding = settle(rows, n, _walk(rows, n, s, width, plan, terms, failed))
+        stop = int(np.searchsorted(rows, min(failed))) if failed else len(rows)
+        fits = err[:stop] <= budget[rows[:stop]]
+        if stop == len(rows) and fits.all():  # the last round
+            values[rows] = value
+            radii[rows] = err + rounding
+            break
+        grow = (~fits).nonzero()[0]
+        capped = grow[n[grow] >= MAX_CELLS]
+        if capped.size:
+            stop = int(capped[0])
+            i = int(rows[stop])
+            failed[i] = ToleranceUnreachable(
+                f"{route} hit the {MAX_CELLS}-cell cap on {[float(s[i]), float(t[i])]}")
+            fits, grow = fits[:stop], grow[grow < stop]
+        done = fits.nonzero()[0]
+        values[rows[done]] = value[done]
+        radii[rows[done]] = err[done] + rounding[done]
+        # n stays a power of two, so that segments share batches
+        ns[rows[grow]] = [
+            min(MAX_CELLS, k << max(1, math.ceil(0.5 * math.log2(1.2 * e / max(b, 1e-300)))))
+            for k, e, b in zip(n[grow].tolist(), err[grow].tolist(),
+                               budget[rows[grow]].tolist())]
+        rows = rows[grow]
+    return values, radii, failed
 
 
 # ---------------------------------------------------------------------------
@@ -434,20 +465,21 @@ _ULPS = 4
 _SUM_ULPS = 32
 
 
-def _rounding(s: float, t: float, v0: float, vn: float) -> tuple[float, float]:
-    """(delta, term) of a segment [s, t] with ends v0, vn.  delta bounds
+def _rounding(s, t, v0, vn):
+    """(delta, term) of segments [s, t] with ends v0, vn.  delta bounds
     the error of a second difference: 4 sample and 4 point errors (at f's
     mean slope), twice over.  term bounds what rounding adds to a bracket:
     (t - s) * delta for sample and point errors in M and T and for cells
     classed by a difference off by delta, and 8 * _SUM_ULPS ulps of
     (t - s) * max|f| for the sums."""
-    big = max(abs(v0), abs(vn))
-    delta = 8.0 * _EPS * (_ULPS * big + max(abs(s), abs(t)) * abs(vn - v0) / (t - s))
+    big = np.maximum(np.abs(v0), np.abs(vn))
+    delta = 8.0 * _EPS * (_ULPS * big + np.maximum(np.abs(s), np.abs(t)) * np.abs(vn - v0)
+                          / (t - s))
     return delta, (t - s) * (delta + 8 * _SUM_ULPS * _EPS * big)
 
 
-def _mid_rounding(u0: float, un: float, g0: float, gn: float):
-    """(eu, eg, term, widening) of a mid-value segment on which f runs
+def _mid_rounding(u0, un, g0, gn):
+    """(eu, eg, term, widening) of mid-value segments on which f runs
     from u0 to un and g from g0 to gn.  For cells d_k of f and e_k of g,
     the cross difference e_k d_(k-1) - e_(k-1) d_k at node k is within
     delta_k = eg * (|d_(k-1)| + |d_k|) + eu * (|e_(k-1)| + |e_k|) of its
@@ -459,67 +491,105 @@ def _mid_rounding(u0: float, un: float, g0: float, gn: float):
     (eg * du + eu * (dg + max|g|)) / 4 (du = |un - u0|, dg = |gn - g0|),
     twice over, and the sums of the pairs' terms, each at most
     2 * max|g| * |d|, by 8 * _SUM_ULPS ulps of max|g| * du."""
-    big = max(abs(g0), abs(gn))
-    eu = 8 * _ULPS * _EPS * max(abs(u0), abs(un))
+    big = np.maximum(np.abs(g0), np.abs(gn))
+    eu = 8 * _ULPS * _EPS * np.maximum(np.abs(u0), np.abs(un))
     eg = 8 * _ULPS * _EPS * big
-    du, dg = abs(un - u0), abs(gn - g0)
+    du, dg = np.abs(un - u0), np.abs(gn - g0)
     widening = eg * du + eu * dg
     return eu, eg, 0.5 * (widening + eu * big) + 8 * _SUM_ULPS * _EPS * big * du, widening
 
 
-def _bracket_weight(p: MonotonePiece, s: float, t: float):
-    # floor: term and the widening of flat cells, at most (t - s) * delta
-    v0, vn = _segment_endpoint_values(p, s, t)
+def _bracket_columns(ps: list, ss: list, ts: list) -> dict:
+    """The columns of the bracketed segments (ps[i], ss[i], ts[i]): their
+    expressions, s, t, ends v0 = p(s+) and vn = p(t-), delta and term
+    (see _rounding), weight, and floor: term and the widening of flat
+    cells, at most (t - s) * delta.  The ends are evaluated segment by
+    segment, once per piece and point."""
+    seen: dict = {}
+    v0, vn = np.array([
+        (p.left_boundary_limit if s == p.lo else _value(seen, p.evaluator, s),
+         p.right_boundary_limit if t == p.hi else _value(seen, p.evaluator, t))
+        for p, s, t in zip(ps, ss, ts)]).T
+    s, t = np.array(ss), np.array(ts)
     delta, term = _rounding(s, t, v0, vn)
-    return (t - s) * abs(vn - v0) + 1e-300, term + (t - s) * delta, (v0, vn, delta, term)
+    return {"exprs": ([p.evaluator for p in ps],), "s": s, "t": t, "v0": v0, "vn": vn,
+            "delta": delta, "term": term, "weight": (t - s) * np.abs(vn - v0) + 1e-300,
+            "floor": term + (t - s) * delta}
 
 
-def _bracket_terms(ends, rows, first, last, xs, errs, vals):
-    """The terms of a grid of an even number of cells, with pads:
-    its values, but the grid's ends and each block's first point; and per
-    bracket cell, two grid cells, its half-gap in units of half a step."""
-    y = _with_ends(vals, rows, ends, first, last)
-    core = y[:, 1 - first:y.shape[1] - 1 + last]  # the block's points
-    # second differences there, 0 (which every class admits) at grid ends
-    d = np.zeros(core.shape)
-    dd = d[:, int(first):d.shape[1] - int(last)]
-    np.multiply(y[:, 1:-1], -2.0, out=dd)
-    dd += y[:, :-2]
-    dd += y[:, 2:]
-    mid = d[:, 1::2]
-    lo, hi = np.minimum(d[:, :-1:2], mid), np.maximum(d[:, :-1:2], mid)
-    np.minimum(lo, d[:, 2::2], out=lo)
-    np.maximum(hi, d[:, 2::2], out=hi)
-    delta = np.array([ends[i][2] for i in rows])[:, None]
-    convex, concave = lo >= -delta, hi <= delta
+def _bracket_terms(v0, vn, delta, seg, first, last, size, y):
+    """The terms of a block of a grid of an even number of cells, for the
+    segments seg of the columns v0, vn and delta; y holds the rows of
+    values of _block, size points each, pads included.  The terms are
+    the block's values, but the grid's ends and the block's first point;
+    and per bracket cell, two grid cells, its half-gap in units of half a
+    step.  The rows are walked as one array: a second difference or cell
+    that straddles two rows is computed, and left out."""
+    k, width = y.shape
+    if first:
+        y[:, 0] = v0[seg]
+    if last:
+        y[:, size - 1] = vn[seg]
+    a = int(not first)  # the block's first point, after a pad
+    cells = size - 1 - a - (not last)
+    f = y.reshape(-1)
+    # second differences, 0 (which every class admits) at grid ends
+    d = np.empty(f.shape)
+    d[0] = d[-1] = 0.0
+    np.multiply(f[1:-1], -2.0, out=d[1:-1])
+    d[1:-1] += f[:-2]
+    d[1:-1] += f[2:]
+    if first:
+        d[::width] = 0.0
+    if last:
+        d[size - 1::width] = 0.0
+    # per bracket cell q, row by row, its ends and its middle
+    ends, mid = d[a::2], d[a + 1::2]
+    q = len(ends) - 1
+    lo, hi = np.zeros((2, len(ends)))
+    np.minimum(ends[:-1], mid[:q], out=lo[:q])
+    np.maximum(ends[:-1], mid[:q], out=hi[:q])
+    np.minimum(lo[:q], ends[1:], out=lo[:q])
+    np.maximum(hi[:q], ends[1:], out=hi[:q])
+    rows = k, width // 2  # the cells' arrays, row by row
+    delta = delta[seg][:, None]
+    convex = np.greater_equal(lo.reshape(rows), -delta).reshape(-1)
+    concave = np.less_equal(hi.reshape(rows), delta).reshape(-1)
     # neither: the Darboux bracket of the two halves; convex: [M, T];
     # concave: [T, M]; flat: between them, widened by h * delta
-    gap = np.abs(np.subtract(core[:, 2::2], core[:, :-2:2]))
-    np.copyto(gap, np.maximum(mid, 0.0), where=convex)
-    np.copyto(gap, np.maximum(-mid, 0.0), where=concave)
-    np.copyto(gap, np.abs(mid) + 4.0 * delta, where=convex & concave)
-    return core[:, 1:core.shape[1] - int(last)], gap
+    gap = lo
+    at = f[a::2]
+    np.subtract(at[1:], at[:-1], out=gap[:q])
+    np.abs(gap, out=gap)
+    np.maximum(mid[:q], 0.0, out=gap[:q], where=convex[:q])
+    np.negative(mid[:q], out=hi[:q], where=concave[:q])
+    np.maximum(hi, 0.0, out=gap, where=concave)
+    both = np.logical_and(convex, concave, out=convex)
+    np.abs(mid[:q], out=gap[:q], where=both[:q])
+    gap = gap.reshape(rows)
+    np.add(gap, 4.0 * delta, out=gap, where=both.reshape(rows))
+    return y[:, a + 1:a + cells + 1 - last], gap[:, :cells // 2]
 
 
-def _bracket(segs, ends, budgets):
-    """Integrals of pieces p over segments (p, s, t) with ends (p(s+),
-    p(t-), delta, term, ...): the sum of the brackets' midpoints, which
-    is the trapezoid sum of the whole grid, and of their half-gaps,
-    which must fit the budget, plus term."""
-    bounds = [seg[1:] for seg in segs]
+def _bracket(segs: dict):
+    """Integrals of pieces over the segments of the columns segs (see
+    _bracket_columns): the sum of the brackets' midpoints, which is the
+    trapezoid sum of the whole grid, and of their half-gaps, which must
+    fit the budget, plus term."""
+    v0, vn, term, width = segs["v0"], segs["vn"], segs["term"], segs["t"] - segs["s"]
 
-    def settle(i, n, parts):
-        (s, t), (v0, vn, _, term, *_) = bounds[i], ends[i]
-        h = (t - s) / n
-        value = h * (math.fsum([v0, vn, *[v for v, _ in parts]]) - 0.5 * (v0 + vn))
-        return value, 0.5 * h * math.fsum([g for _, g in parts]), term
+    def settle(rows, n, sums):
+        a, b = v0[rows], vn[rows]
+        h = width[rows] / n
+        value = h * (_fsums(a, b, *sums[0].T) - 0.5 * (a + b))
+        return value, 0.5 * h * _fsums(*sums[1].T), term[rows]
 
-    return _refine("Bracket refinement", bounds, [[p.evaluator for p, _, _ in segs]],
-                   functools.partial(_bracket_terms, ends), budgets, settle, n0=64)
+    return _refine("Bracket refinement", segs,
+                   functools.partial(_bracket_terms, v0, vn, segs["delta"]), settle, n0=64)
 
 
 # the half-gaps of a bracketed segment may take its share less term
-_BRACKET = _Route(_bracket, lambda share, e: share - e[3])
+_BRACKET = _Route(_bracket, lambda share, segs: share - segs["term"])
 
 
 def integrate(f: BvFunction, a: float, b: float, tol: float = DEFAULT_TOL) -> Certified:
@@ -540,9 +610,9 @@ def _integral_claim(f: BvFunction, a: float, b: float, tol: float) -> _Claim:
         raise DomainError(f"need a <= b, got [{a}, {b}]")
     if a < f.domain_lo or b > f.domain_hi or math.isinf(b):
         raise DomainError(f"[{a}, {b}] outside domain")
+    values, radii, ps, ss, ts = [], [], [], [], []  # fallback: pieces, s, t
     if a == b:  # exact, whatever tol
-        return _prepare(_BRACKET, math.inf, [], [], [], None)
-    values, radii, fallback = [], [], []  # fallback: (piece, s, t)
+        return _prepare(_BRACKET, math.inf, values, radii, (ps, ss, ts), None)
     for p in f.pieces:
         s, t = max(a, p.lo), min(b, p.hi)
         if s >= t:
@@ -561,10 +631,10 @@ def _integral_claim(f: BvFunction, a: float, b: float, tol: float) -> _Claim:
             values.append(ft - fs)
             radii.append(_slack(fs, ft, ft - fs))
         else:
-            fallback.append((p, s, t))
-    return _prepare(_BRACKET, tol, values, radii, fallback, _bracket_weight)
-
-
+            ps.append(p)
+            ss.append(s)
+            ts.append(t)
+    return _prepare(_BRACKET, tol, values, radii, (ps, ss, ts), _bracket_columns)
 def tail_integral(f: BvFunction, n: float, tol: float = DEFAULT_TOL):
     """Certified integral of f from n to +inf, or DIVERGENT.
 
@@ -609,30 +679,38 @@ def beta1(x: float) -> float:
     return fr - 0.5
 
 
-def _parts(s: float, t: float, v0: float, vn: float, integral: float) -> float:
-    """beta1 against d(mu_f) on a cell (s, t) of the unit cell (k, k+1),
+
+def _parts(s, t, v0, vn, integral):
+    """beta1 against d(mu_f) on cells (s, t) of the unit cells (k, k+1),
     where beta1 = x - k - 1/2 has slope 1: by parts, [beta1 * f] at the
-    ends, with f(s+) = v0 and f(t-) = vn, less the integral of f."""
-    k = math.floor(s)
+    ends, with f(s+) = v0 and f(t-) = vn, less the integral of f.  Floats
+    or arrays."""
+    k = s // 1.0  # floor(s), exactly
     return (t - k - 0.5) * vn - (s - k - 0.5) * v0 - integral
 
 
-def _parts_weight(p: MonotonePiece, s: float, t: float):
-    # a cell also keeps, last in its ends, the rounding of _parts, where
-    # |beta1| <= 1/2 and |integral| <= (t - s) * max|f|
-    weight, floor, (v0, vn, delta, term) = _bracket_weight(p, s, t)
-    slack = _slack(v0, vn, (t - s) * max(abs(v0), abs(vn)))
-    return weight, floor + slack, (v0, vn, delta, term, slack)
+def _parts_columns(ps: list, ss: list, ts: list) -> dict:
+    """The columns of _bracket_columns, and the rounding of _parts in
+    slack, which the floor takes too: |beta1| <= 1/2 and |integral| <=
+    (t - s) * max|f|."""
+    segs = _bracket_columns(ps, ss, ts)
+    a, b = np.abs(segs["v0"]), np.abs(segs["vn"])
+    segs["slack"] = 8.0 * _EPS * _fsums(  # _slack(v0, vn, (t - s) * max|f|)
+        a, b, np.abs((segs["t"] - segs["s"]) * np.maximum(a, b)))
+    segs["floor"] = segs["floor"] + segs["slack"]
+    return segs
 
 
-def _by_parts(seg, ends, result):
-    # _parts on the segment (p, s, t), whose integral is bracketed
-    (_, s, t), (v, r) = seg, result
-    return _parts(s, t, ends[0], ends[1], v), r + ends[4]
+@np.errstate(all="ignore")  # as _prepare
+def _by_parts(segs: dict, values, radii):
+    # _parts on the segments, whose integrals are bracketed
+    return (_parts(segs["s"], segs["t"], segs["v0"], segs["vn"], values),
+            radii + segs["slack"])
 
 
 # the half-gaps may take the share less the slack of _parts and term
-_BY_PARTS = _Route(_bracket, lambda share, e: share - e[4] - e[3], _by_parts)
+_BY_PARTS = _Route(_bracket, lambda share, segs: share - segs["slack"] - segs["term"],
+                   _by_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +725,27 @@ def _refinement_grid(lo: float, hi: float, fns: tuple[BvFunction, ...],
     if with_integers:
         pts.update(float(k) for k in range(math.floor(lo) + 1, math.ceil(hi)))
     return sorted(pts)
+
+
+def _containing(fn: BvFunction, xs) -> list:
+    """fn.piece_containing(x) for each x of the float array xs, in one
+    search."""
+    los = np.array([p.lo for p in fn.pieces])
+    his = np.array([p.hi for p in fn.pieces])
+    i = np.searchsorted(los, xs, side="right") - 1  # bisect_right
+    inside = (i >= 0) & (los[i] < xs) & (xs < his[i])
+    return [fn.pieces[k] if ok else None for k, ok in zip(i.tolist(), inside.tolist())]
+
+
+def _grid_pieces(grid: list[float], fns) -> list:
+    """Per function of fns, the pieces that contain the points of grid
+    and the middles of its cells, interleaved: fn.piece_containing at
+    grid[k] is at 2k, at the middle of (grid[k], grid[k+1]) at 2k + 1."""
+    x = np.array(grid)
+    xs = np.empty(2 * len(grid) - 1)
+    xs[::2] = x
+    xs[1::2] = 0.5 * (x[:-1] + x[1:])
+    return [_containing(fn, xs) for fn in fns]
 
 
 def stieltjes_beta1(f: BvFunction, lo: int, hi: int,
@@ -685,15 +784,16 @@ def _beta1_claim(f: BvFunction, lo: int, hi: int, tol: float) -> _Claim:
                 # then so is fr - 1/2, for fr >= 1/4 (Sterbenz) or x >= 1
                 # (fr is then a multiple of 2^-52); otherwise fr < 1 and
                 # fr - 1/2 round once each, and lose at most 2^-54 + 2^-55.
-                # Then a product below the normal range, as _underflow
+                # Then a product below the normal range, as in the atoms
+                # of stieltjes_midvalue
                 errors.append((0.0 if bp.x >= 0.25 else 0.5 * _EPS) * abs(jump)
                               + (5e-324 if b != 0.0 and size < sys.float_info.min else 0.0))
     atoms = math.fsum(terms)
     atoms_radius = 8.0 * _EPS * math.fsum(sizes) + math.fsum(errors)  # _slack(*terms)
     grid = _refinement_grid(float(lo), float(hi), (f,), with_integers=True)
-    values, radii, fallback = [], [], []  # fallback: (piece, s, t)
-    for s, t in zip(grid[:-1], grid[1:]):
-        p = f.piece_containing(0.5 * (s + t))
+    [pieces] = _grid_pieces(grid, (f,))
+    values, radii, ps, ss, ts = [], [], [], [], []  # fallback: pieces, s, t
+    for s, t, p in zip(grid[:-1], grid[1:], pieces[1::2]):
         if p is None:
             raise DomainError(f"no piece covers ({s}, {t})")
         if p.direction == "const":
@@ -706,7 +806,9 @@ def _beta1_claim(f: BvFunction, lo: int, hi: int, tol: float) -> _Claim:
             values.append(v)
             radii.append(_slack(fs, ft, v0, vn, v))
         else:
-            fallback.append((p, s, t))
+            ps.append(p)
+            ss.append(s)
+            ts.append(t)
 
     def wrap(cont: Certified) -> StieltjesResult:
         value = atoms + cont.value
@@ -721,7 +823,7 @@ def _beta1_claim(f: BvFunction, lo: int, hi: int, tol: float) -> _Claim:
                 f"achieved radius {certified.radius:.3g} exceeds tol {tol:.3g}")
         return StieltjesResult(certified, atoms, cont)
 
-    return _prepare(_BY_PARTS, tol, values, radii, fallback, _parts_weight, wrap,
+    return _prepare(_BY_PARTS, tol, values, radii, (ps, ss, ts), _parts_columns, wrap,
                     atoms_radius)
 
 
@@ -743,97 +845,124 @@ def _value(seen: dict, e: ex.Expr, x: float) -> float:
     return v
 
 
+def _sides(seen: dict, fn: BvFunction, xs: list, pieces: list):
+    """limit(k, right, strict=False): _limit(seen, fn, xs[k], right,
+    strict), where pieces[k] is fn.piece_containing(xs[k]); a piece's
+    value at xs[k] is also kept by k."""
+    bps = list(map(fn.breakpoint_at, xs))
+    values = [None] * len(xs)
+
+    def limit(k: int, right: bool, strict: bool = False) -> float:
+        bp = bps[k]
+        if bp is not None:  # a breakpoint lies in the domain
+            return bp.right_value if right else bp.left_value
+        v = values[k]
+        if v is None:
+            if pieces[k] is None:
+                return right_limit(fn, xs[k], strict) if right else left_limit(fn, xs[k], strict)
+            v = values[k] = _value(seen, pieces[k].evaluator, xs[k])
+        return v
+
+    return limit
+
+
 def _limit(seen: dict, fn: BvFunction, x: float, right: bool,
            strict: bool = False) -> float:
     """right_limit(fn, x, strict) if right, else left_limit(fn, x,
     strict), with an evaluation of fn's piece at x kept in seen."""
-    p = None if fn.breakpoint_at(x) is not None else fn.piece_containing(x)
-    if p is not None:
-        return _value(seen, p.evaluator, x)
-    return right_limit(fn, x, strict) if right else left_limit(fn, x, strict)
+    return _sides(seen, fn, [x], [fn.piece_containing(x)])(0, right, strict)
 
 
-def _mid_terms(ends, lims, rows, first, last, xs, errs, vals):
-    """The terms of a mid-value grid of an even number of cells, with
-    pads: per pair of cells, twice its bracket's midpoint and twice its
-    width.  vals stacks the rows of g under those of f; ends[i] is
-    (f(s+), f(t-), g(s+), g(t-), eu, eg, term) of segment i, and lims[i]
-    and lims[len(ends) + i] are its limits of f and of g."""
-    n = len(rows)
-    uy = _with_ends(vals, rows + [len(ends) + i for i in rows], lims, first, last)
-    steps = uy[:, 1:] - uy[:, :-1]
-    d, e = steps[:n], steps[n:]
-    # cross differences and their rounding bounds at the block's points,
-    # 0 (which every class admits) at grid ends
-    cross, delta = np.zeros((2, n, uy.shape[1] - 2 + first + last))
-    inner = slice(int(first), cross.shape[1] - int(last))
-    np.multiply(e[:, 1:], d[:, :-1], out=cross[:, inner])
-    cross[:, inner] -= e[:, :-1] * d[:, 1:]
-    # the block's cells, without pads, and twice their trapezoid sums
-    k, m = 1 - first, cross.shape[1] - 1
-    y = uy[n:, k:k + m + 1]
-    trapezoid = y[:, :-1] + y[:, 1:]
-    trapezoid *= d[:, k:k + m]
-    size = np.abs(steps, out=steps)
-    eu, eg = np.array([ends[i][4:6] for i in rows]).T[:, :, None]
-    np.add(size[n:, :-1], size[n:, 1:], out=delta[:, inner])
-    delta[:, inner] *= eu
-    delta[:, inner] += eg * (size[:n, :-1] + size[:n, 1:])
+def _mid_terms(u0, un, g0, gn, eu, eg, seg, first, last, size, y):
+    """The terms of a block of a mid-value grid of an even number of
+    cells: per pair of cells, twice its bracket's midpoint and twice its
+    width.  y holds the rows of values of _block, size points each, pads
+    included, those of g under those of f; u0, un, g0 and gn are the
+    limits of f and g at the segments' ends, and eu and eg their sample
+    errors.  The rows are walked as one array, as in _bracket_terms."""
+    n, width = len(seg), y.shape[1]
+    if first:
+        y[:n, 0], y[n:, 0] = u0[seg], g0[seg]
+    if last:
+        y[:n, size - 1], y[n:, size - 1] = un[seg], gn[seg]
+    a = int(not first)  # the block's first point, after a pad
+    cells = size - 1 - a - (not last)
+    f, g = y[:n].reshape(-1), y[n:].reshape(-1)
+    d, e = f[1:] - f[:-1], g[1:] - g[:-1]
+    # cross differences and their rounding bounds at the points, 0 (which
+    # every class admits) at grid ends
+    cross, delta = np.zeros((2, len(f)))
+    np.multiply(e[1:], d[:-1], out=cross[1:-1])
+    cross[1:-1] -= e[:-1] * d[1:]
+    # twice the trapezoid sums of the cells
+    trapezoid = g[:-1] + g[1:]
+    trapezoid *= d
+    ad, ae = np.abs(d, out=d), np.abs(e, out=e)
+    np.add(ae[:-1], ae[1:], out=delta[1:-1])
+    delta[1:-1] *= np.repeat(eu[seg], width)[1:-1]
+    delta[1:-1] += np.repeat(eg[seg], width)[1:-1] * (ad[:-1] + ad[1:])
+    if first:
+        cross[::width] = delta[::width] = 0.0
+    if last:
+        cross[size - 1::width] = delta[size - 1::width] = 0.0
     # neither convex nor concave: the crosses at a pair's ends and middle
-    # leave [-delta, delta] on both sides
+    # leave [-delta, delta] on both sides; pair q, row by row, has its
+    # ends at the points a + 2q and a + 2q + 2
     up, down = cross > delta, cross < -delta
-    neither = (up[:, :-1:2] | up[:, 1::2] | up[:, 2::2]) & \
-        (down[:, :-1:2] | down[:, 1::2] | down[:, 2::2])
-    ad, ae = size[:n, k:k + m], size[n:, k:k + m]
+    half = len(f) // 2
+    q = half - 1
+    neither = (up[a::2][:q] | up[a + 1::2][:q] | up[a + 2::2][:q]) & \
+        (down[a::2][:q] | down[a + 1::2][:q] | down[a + 2::2][:q])
+    value, lo, hi = np.zeros((3, half))
     with np.errstate(divide="ignore", invalid="ignore"):
         # convex or concave, the integral is between the trapezoid sum T
         # and T - cross * rho, rho = (d1^2 + d2^2) / (2 d1 d2); off by at
         # most delta * rho.  Twice rho is r + 1/r, r = |d1 / d2|.
-        rho = ad[:, ::2] / ad[:, 1::2]
+        rho = ad[a::2][:q] / ad[a + 1::2][:q]
         rho += 1.0 / rho
-        c = cross[:, 1::2] * rho
-        rho *= delta[:, 1::2]
-        lo, hi = np.maximum(c, 0.0), np.maximum(-c, 0.0)
-        lo += rho
-        hi += rho
+        c = cross[a + 1::2][:q] * rho
+        rho *= delta[a + 1::2][:q]
+        np.maximum(c, 0.0, out=lo[:q])
+        np.maximum(np.negative(c, out=c), 0.0, out=hi[:q])
+        lo[:q] += rho
+        hi[:q] += rho
         # the Darboux bracket, its width twice, caps every pair (and
         # replaces a NaN or infinite rho's)
         darboux = ae * ad
-        dd = darboux[:, ::2] + darboux[:, 1::2]
-        np.copyto(lo, dd, where=neither)
-        np.copyto(hi, dd, where=neither)
-        np.fmin(lo, dd, out=lo)
-        np.fmin(hi, dd, out=hi)
-    value = trapezoid[:, ::2] + trapezoid[:, 1::2]
+        dd = darboux[a::2][:q] + darboux[a + 1::2][:q]
+        np.copyto(lo[:q], dd, where=neither)
+        np.copyto(hi[:q], dd, where=neither)
+        np.fmin(lo[:q], dd, out=lo[:q])
+        np.fmin(hi[:q], dd, out=hi[:q])
+    np.add(trapezoid[a::2][:q], trapezoid[a + 1::2][:q], out=value[:q])
     value += 0.5 * (hi - lo)
     lo += hi
-    return value, lo
+    return (value.reshape(n, width // 2)[:, :cells // 2],
+            lo.reshape(n, width // 2)[:, :cells // 2])
 
 
-def _stieltjes_mid(segs, ends, budgets):
-    """Integrals of g against d(mu_f) on open cells (s, t) where f runs
-    on its non-constant piece fp and g on its piece gp, (fp, gp, s, t) in
-    segs, with ends (f(s+), f(t-), g(s+), g(t-), eu, eg, term).  There it
-    is the integral of phi = g o f^-1, which is monotone, over [f(s+),
-    f(t-)], and the grid points x_k give its nodes (f(x_k), g(x_k)).  Each
-    pair of grid cells is classed by the cross differences at its ends
-    and middle (_mid_rounding): convex or concave, phi lies between the
-    trapezoid sum and the secants extended from the pair's other cell;
-    flat within rounding, both ways; neither, the Darboux bracket
-    |dg| * |df| of its cells, which also caps every pair."""
-    def settle(i, n, parts):
-        return (0.5 * math.fsum(v for v, _ in parts),
-                0.25 * math.fsum(r for _, r in parts), ends[i][6])
+def _stieltjes_mid(segs: dict):
+    """Integrals of g against d(mu_f) on the open cells (s, t) of the
+    columns segs, where f runs on its non-constant piece and g on its
+    piece, with ends u0 = f(s+), un = f(t-), g0 = g(s+), gn = g(t-).
+    There it is the integral of phi = g o f^-1, which is monotone, over
+    [f(s+), f(t-)], and the grid points x_k give its nodes (f(x_k),
+    g(x_k)).  Each pair of grid cells is classed by the cross differences
+    at its ends and middle (_mid_rounding): convex or concave, phi lies
+    between the trapezoid sum and the secants extended from the pair's
+    other cell; flat within rounding, both ways; neither, the Darboux
+    bracket |dg| * |df| of its cells, which also caps every pair."""
+    def settle(rows, n, sums):
+        return 0.5 * _fsums(*sums[0].T), 0.25 * _fsums(*sums[1].T), segs["term"][rows]
 
-    return _refine("Stieltjes refinement", [seg[2:] for seg in segs],
-                   [[seg[0].evaluator for seg in segs], [seg[1].evaluator for seg in segs]],
-                   functools.partial(_mid_terms, ends,
-                                     [e[:2] for e in ends] + [e[2:4] for e in ends]),
-                   budgets, settle, n0=16)
+    return _refine("Stieltjes refinement", segs,
+                   functools.partial(_mid_terms, *(segs[k] for k in (
+                       "u0", "un", "g0", "gn", "eu", "eg"))),
+                   settle, n0=16)
 
 
 # the brackets' half-gaps may take the share less term
-_MIDVALUE = _Route(_stieltjes_mid, lambda share, e: share - e[6])
+_MIDVALUE = _Route(_stieltjes_mid, lambda share, segs: share - segs["term"])
 
 
 def stieltjes_midvalue(g: BvFunction, f: BvFunction, lo: float, hi: float,
@@ -854,42 +983,59 @@ def _midvalue_claim(g: BvFunction, f: BvFunction, lo: float, hi: float, tol: flo
     """The prepare phase of stieltjes_midvalue.  seen holds the scalar
     evaluations made, so that each expression is evaluated once at each
     point, here and in the routines that share it: the cell ends are
-    shared by the atoms and the ends of both cells beside them."""
+    shared by the atoms and the ends of both cells beside them.  The
+    pieces of f and g at the cell ends and middles are found in one
+    search per function."""
     if math.isnan(lo) or math.isnan(hi) or lo >= hi:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     for fn in (f, g):
         if lo < fn.domain_lo or hi > fn.domain_hi:
             raise DomainError(f"[{lo}, {hi}[ outside a domain")
-    atom_terms, underflows = [], []
-    for bp in f.breakpoints:
-        if lo <= bp.x < hi and bp.jump != 0.0:
-            # as mid_value_strict(g, bp.x)
-            total = _limit(seen, g, bp.x, False, True) + _limit(seen, g, bp.x, True, True)
-            g_mid = 0.5 * total
-            atom_terms.append(g_mid * bp.jump)
-            # _slack is relative: a mid-value or product that rounds
-            # below the normal range adds an absolute error
-            underflows.append(_underflow(g_mid, total) * max(1.0, abs(bp.jump))
-                              + _underflow(atom_terms[-1], g_mid))
+    grid = _refinement_grid(lo, hi, (f, g), with_integers=False)
+    f_at, g_at = _grid_pieces(grid, (f, g))
+    f_lim, g_lim = _sides(seen, f, grid, f_at[::2]), _sides(seen, g, grid, g_at[::2])
+    # the atoms g_m(x) * jump: g's limits at each jump of f, as
+    # mid_value_strict(g, x) takes them, then the terms in one pass
+    index = {x: k for k, x in enumerate(grid)}
+    left, right, jump = np.array([
+        (g_lim(index[bp.x], False, True), g_lim(index[bp.x], True, True), bp.jump)
+        for bp in f.breakpoints if lo <= bp.x < hi and bp.jump != 0.0]).reshape(-1, 3).T
+    with np.errstate(all="ignore"):  # as _prepare
+        total = left + right
+        g_mid = 0.5 * total
+        atom_terms = g_mid * jump
+        # _slack is relative: a mid-value or product of a nonzero factor
+        # that rounds below the normal range adds an absolute error, the
+        # least subnormal, twice what rounding to nearest loses there
+        tiny = sys.float_info.min
+        underflows = (np.where((total != 0.0) & (np.abs(g_mid) < tiny), 5e-324, 0.0)
+                      * np.maximum(1.0, np.abs(jump))
+                      + np.where((g_mid != 0.0) & (np.abs(atom_terms) < tiny), 5e-324, 0.0))
+    atom_terms = atom_terms.tolist()
     atoms = math.fsum(atom_terms)
 
-    grid = _refinement_grid(lo, hi, (f, g), with_integers=False)
-    fallback = []  # (fp, gp, s, t)
-    for s, t in zip(grid[:-1], grid[1:]):
-        fp = f.piece_containing(0.5 * (s + t))
-        if fp is not None and fp.direction != "const":
-            gp = g.piece_containing(0.5 * (s + t))
-            if gp is None:
-                raise DomainError(f"no piece of the integrand covers ({s}, {t})")
-            fallback.append((fp, gp, s, t))
+    # the fallback cells, where f is not constant: pieces of f and g, s, t
+    cells = [k for k, fp in enumerate(f_at[1::2]) if fp is not None and fp.direction != "const"]
+    gps = [g_at[2 * k + 1] for k in cells]
+    if None in gps:
+        k = cells[gps.index(None)]
+        raise DomainError(f"no piece of the integrand covers ({grid[k]}, {grid[k + 1]})")
+    fps = [f_at[2 * k + 1] for k in cells]
+    ss, ts = [grid[k] for k in cells], [grid[k + 1] for k in cells]
 
-    def weigh(fp: MonotonePiece, gp: MonotonePiece, s: float, t: float):
+    def weigh(fps: list, gps: list, ss: list, ts: list) -> dict:
+        # the limits of f and g at both ends, cell by cell
+        u0, un, g0, gn = np.array([(f_lim(k, True), f_lim(k + 1, False),
+                                    g_lim(k, True), g_lim(k + 1, False))
+                                   for k in cells]).T
+        eu, eg, term, widening = _mid_rounding(u0, un, g0, gn)
         # floor: the rounding term and the widening of flat pairs, twice
-        u0, un = _limit(seen, f, s, True), _limit(seen, f, t, False)
-        gs, gt = _limit(seen, g, s, True), _limit(seen, g, t, False)
-        eu, eg, term, widening = _mid_rounding(u0, un, gs, gt)
-        return (abs(un - u0) * abs(gs - gt) + 1e-300, term + 2.0 * widening,
-                (u0, un, gs, gt, eu, eg, term))
+        return {"exprs": ([p.evaluator for p in fps], [p.evaluator for p in gps]),
+                "s": np.array(ss), "t": np.array(ts), "u0": u0, "un": un, "g0": g0,
+                "gn": gn, "eu": eu, "eg": eg, "term": term,
+                "weight": np.abs(un - u0) * np.abs(g0 - gn) + 1e-300,
+                "floor": term + 2.0 * widening}
 
-    return _prepare(_MIDVALUE, tol, [atoms], [_slack(*atom_terms) + math.fsum(underflows)],
-                    fallback, weigh)
+    return _prepare(_MIDVALUE, tol, [atoms],
+                    [_slack(*atom_terms) + math.fsum(underflows.tolist())],
+                    (fps, gps, ss, ts), weigh)

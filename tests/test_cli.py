@@ -186,9 +186,9 @@ class TestExitCodes:
         cells = []
         real = measure._walk
 
-        def walk(jobs, *args):
-            cells.append(sum(n for _, n in jobs))
-            return real(jobs, *args)
+        def walk(rows, ns, *args):
+            cells.append(int(ns.sum()))
+            return real(rows, ns, *args)
 
         monkeypatch.setattr(measure, "_walk", walk)
         r = run_in(capsys, "verify", cpath("sin_arches.json"), "--check", "parts",

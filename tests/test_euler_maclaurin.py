@@ -399,6 +399,31 @@ def test_direct_sum_compiles_only_the_pieces_it_overlaps():
     assert [i for i, p in enumerate(f.pieces) if "block" in vars(p.evaluator)] == compiled
 
 
+def test_direct_sum_of_lone_integers_skips_the_block_kernel():
+    # pieces (i + 0.5, i + 1.5) each hold the one integer i + 1, and the
+    # piece around 7 fails there; pieces (2i + 0.5, 2i + 2.5) hold two
+    lone = BvFunction(0.5, 12.5, tuple(Breakpoint(i + 0.5, 0.0, 0.0, 0.0) for i in range(1, 12)),
+                      tuple(MonotonePiece(i + 0.5, i + 1.5,
+                                          parse(f"1/(x-{7 if i == 6 else 0.25 * i})"), "inc",
+                                          0.0, 0.0) for i in range(12)))
+    pairs = BvFunction(0.5, 12.5, tuple(Breakpoint(2 * i + 0.5, 0.0, 0.0, 0.0) for i in range(1, 6)),
+                       tuple(MonotonePiece(2 * i + 0.5, 2 * i + 2.5, parse(f"{i}+exp(-x)"), "dec",
+                                           0.0, 0.0) for i in range(6)))
+    kernels = []
+    for f in (lone, pairs):
+        for p in f.pieces:
+            p.evaluator.compiled  # which would set block again
+            vars(p.evaluator)["block"] = lambda s, t, p=p: kernels.append((s, t)) or \
+                [p.evaluator.compiled(float(k)) for k in range(s, t)]
+    for a, b in ((1, 7), (1, 8), (3, 13), (1, 13)):
+        assert _sum_outcome(_direct_sum, lone, a, b) == _sum_outcome(ref_direct_sum, lone, a, b)
+        assert _sum_outcome(_direct_sum, pairs, a, b) == \
+            _sum_outcome(ref_direct_sum, pairs, a, b)
+    assert _sum_outcome(_direct_sum, lone, 1, 8)[0] == "error"
+    # runs of two or more integers only, each within a piece of pairs
+    assert kernels and all(t - s > 1 and (s - 1) // 2 == (t - 2) // 2 for s, t in kernels)
+
+
 def _one_piece(text, lo=0.0, hi=20_000.0):
     # a spec validate might refuse, built directly
     return BvFunction(lo, hi, (), (MonotonePiece(lo, hi, parse(text), "inc", 0.0, 0.0),))

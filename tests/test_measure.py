@@ -528,9 +528,10 @@ class TestGridWalker:
         s, t = p.lo + 0.125, p.hi  # one end evaluated, one from the limit
         v0, vn = ex.eval_expr(p.evaluator, s), p.right_boundary_limit
         delta = ref_rounding(s, t, v0, vn)[0]
-        terms = functools.partial(measure._bracket_terms, [(v0, vn, delta)])
-        parts = measure._walk([(0, n)], [(s, t)], [[p.evaluator]], {}, terms)
-        assert [tuple(map(float, sum_)) for sum_ in parts[0]] == \
+        terms = functools.partial(measure._bracket_terms, *np.array([[v0], [vn], [delta]]))
+        sums = measure._walk(np.array([0]), np.array([n]), np.array([s]), np.array([t - s]),
+                             ex.Rows([p.evaluator]), terms, {})
+        assert list(zip(*sums[:, 0].tolist())) == \
             list(ref_bracket_sums(p.evaluator, s, t, n, v0, vn, delta))
 
     def test_expression_never_evaluated_at_segment_ends(self):
@@ -659,28 +660,55 @@ def ref_stieltjes_mid_segment(g, f, fp, gp, s, t, share):
         n = min(measure.MAX_CELLS, n << shift)
 
 
+def ref_bracket_weight(p, s, t):
+    """(weight, floor) of a bracketed segment: |increment| times width,
+    and term plus the widening of flat cells, (t - s) * delta."""
+    v0, vn = _segment_endpoint_values(p, s, t)
+    delta, term = ref_rounding(s, t, v0, vn)
+    return (t - s) * abs(vn - v0) + 1e-300, term + (t - s) * delta
+
+
+def ref_parts_weight(p, s, t):
+    """(weight, floor) of a cell of stieltjes_beta1: the bracket's, and the
+    rounding of its parts formula in the floor."""
+    v0, vn = _segment_endpoint_values(p, s, t)
+    weight, floor = ref_bracket_weight(p, s, t)
+    return weight, floor + measure._slack(v0, vn, (t - s) * max(abs(v0), abs(vn)))
+
+
+def ref_mid_weight(g, f, fp, gp, s, t):
+    """(weight, floor) of a mid-value cell: |df| times |dg|, and the
+    rounding term plus twice the widening of flat pairs."""
+    u0, un, g0, gn = right_limit(f, s), left_limit(f, t), right_limit(g, s), left_limit(g, t)
+    _, _, term, widening = ref_mid_rounding(u0, un, g0, gn)
+    return abs(un - u0) * abs(g0 - gn) + 1e-300, term + 2.0 * widening
+
+
 def ref_prepare(route, tol, values, radii, fallback, weigh, wrap=None, reserved=0.0):
     """The prepare phase deferred: a routine's claim is the arguments of
-    _prepare, which ref_certify splits and refines."""
-    return route, tol, values, radii, fallback, weigh, wrap, reserved
+    _prepare, which ref_certify splits and refines.  fallback holds the
+    columns of the fallback segments; weigh is left to ref_certify."""
+    return route, tol, values, radii, list(zip(*fallback)), wrap, reserved
 
 
 def ref_certify(*claims, mid=None):
     """_certify as it was: one routine after the other, its tol split
-    and each fallback segment refined on its own, in order, by the
-    reference of the route; claims come from ref_prepare, and mid is
-    (g, f) of a mid-value call."""
+    and each fallback segment weighed and refined on its own, in order,
+    by the references of the route; claims come from ref_prepare, and
+    mid is (g, f) of a mid-value call."""
     results = []
-    for route, tol, values, radii, fallback, weigh, wrap, reserved in claims:
-        one = {measure._BRACKET: ref_bracket_segment,
-               measure._BY_PARTS: ref_parts_segment,
-               measure._MIDVALUE: functools.partial(ref_stieltjes_mid_segment, *mid or ())
-               }[route]
+    for route, tol, values, radii, fallback, wrap, reserved in claims:
+        one, weigh = {
+            measure._BRACKET: (ref_bracket_segment, ref_bracket_weight),
+            measure._BY_PARTS: (ref_parts_segment, ref_parts_weight),
+            measure._MIDVALUE: (functools.partial(ref_stieltjes_mid_segment, *mid or ()),
+                                functools.partial(ref_mid_weight, *mid or ())),
+        }[route]
         values, radii = list(values), list(radii)
         if fallback:
             budget = tol - math.fsum(radii) - reserved
             if budget > 0.0:
-                weights, floors, _ = zip(*[weigh(*seg) for seg in fallback])
+                weights, floors = zip(*[weigh(*seg) for seg in fallback])
                 budget -= math.fsum(floors)
             if not budget > 0.0:
                 raise ToleranceUnreachable(f"tolerance {tol} below rounding floor")
@@ -740,10 +768,13 @@ KINDS = ["lin", "near", "exp", "recip", "sqrt", "log", "atan", "sin"]
 
 
 @st.composite
-def monotone_specs(draw, length, kinds=(*KINDS, "const"), spread=(1e-4, 3e-3)):
-    """A validated spec on [0, length] of up to 5 monotone pieces of the
-    kinds without antiderivatives, with jumps and misplaced values."""
-    cuts = draw(st.lists(st.integers(1, 8 * length - 1), unique=True, max_size=4))
+def monotone_specs(draw, length, kinds=(*KINDS, "const"), spread=(1e-4, 3e-3),
+                   pieces=(1, 5)):
+    """A validated spec on [0, length] of pieces[0] to pieces[1] (by
+    default up to 5) monotone pieces of the kinds without
+    antiderivatives, with jumps and misplaced values."""
+    cuts = draw(st.lists(st.integers(1, 8 * length - 1), unique=True,
+                         min_size=pieces[0] - 1, max_size=pieces[1] - 1))
     cuts = [0.0, *sorted(c / 8 for c in cuts), float(length)]
     pieces, bps = [], []
     for p, q in zip(cuts, cuts[1:]):
@@ -823,6 +854,70 @@ class TestBatchedEngine:
     def test_blocks_bit_equal_to_per_segment_refinement(self, case, batch, data, tol):
         with mock.patch.object(measure, "_BATCH", batch):
             case(data, tol)
+
+
+# The specs above make at most 5 pieces, so the engine's blocks have few
+# rows.  Specs of 8 to 16 pieces on [0, 6], all linear (one expression
+# shape) or of interleaved shapes, each with breakpoints inside the other's
+# pieces, make blocks of many rows and many shapes.
+
+_many_pieces = functools.partial(monotone_specs, 6, pieces=(8, 16))
+
+
+def by_segments(call, *mid):
+    """call's outcome with the engine replaced by the per-segment
+    reference; mid is (g, f) of a mid-value call."""
+    with mock.patch.object(measure, "_prepare", ref_prepare), \
+            mock.patch.object(measure, "_certify", functools.partial(ref_certify, mid=mid)):
+        return _outcome(call)
+
+
+def ref_parts_check_by_segments(f, g, a, b, tol):
+    """ref_parts_check with each integral refined by the reference."""
+    i1 = by_segments(lambda: stieltjes_midvalue(g, f, a, b, tol), g, f)
+    i2 = by_segments(lambda: stieltjes_midvalue(f, g, a, b, tol), f, g)
+    if i1[0] == "error":
+        return i1
+    if i2[0] == "error":
+        return i2
+    return _outcome(lambda: ref_parts_check(f, g, a, b, tol))
+
+
+def assert_many_rows_as_reference(f, g, tol):
+    assert_as_reference(lambda: integrate(f, 0.0, 6.0, tol))
+    assert_as_reference(lambda: stieltjes_beta1(f, 0, 6, tol))
+    assert_as_reference(lambda: stieltjes_midvalue(g, f, 0.0, 6.0, tol), g, f)
+    assert _outcome(lambda: em_midvalue_check(f, 0, 6, tol)) == \
+        by_segments(lambda: ref_em_midvalue_check(f, 0, 6, tol))
+    assert _outcome(lambda: parts_check(f, g, 0.0, 6.0, tol)) == \
+        ref_parts_check_by_segments(f, g, 0.0, 6.0, tol)
+
+
+class TestManyRowBlocks:
+    @pytest.mark.parametrize("kinds", [("lin",), KINDS], ids=["lin", "shapes"])
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data(), lg=st.floats(-7.0, -3.0))
+    def test_routines_bit_equal_to_per_segment_refinement(self, kinds, data, lg):
+        f, g = data.draw(_many_pieces(kinds)), data.draw(_many_pieces(kinds))
+        assert_many_rows_as_reference(f, g, 10.0 ** lg)
+
+    @pytest.mark.parametrize("bad", [3, 9])
+    def test_a_failing_row_among_many(self, bad):
+        # twelve linear pieces of half a unit; piece bad fails past its
+        # middle, so one row of a block of many fails
+        pieces = [(i / 2, i / 2 + 0.5, f"{i}+0.1*x", i + i / 20, i + i / 20 + 0.05)
+                  for i in range(12)]
+        mid = bad / 2 + 0.25
+        pieces[bad] = (bad / 2, bad / 2 + 0.5, f"{bad}+0.1*x-0*sqrt({mid!r}-x)",
+                       *pieces[bad][3:])
+        f = direct(*pieces)
+        g = direct(*[(lo, hi, f"{lo}*x*x+x", lo ** 3 + lo, hi * hi * lo + hi)
+                     for lo, hi in zip(np.arange(0, 6, 0.75), np.arange(0.75, 6.5, 0.75))])
+        with pytest.raises(ex.EvalError) as err:
+            integrate(f, 0.0, 6.0, 1e-6)
+        assert err.value.kind == "sqrt_domain" and err.value.x > mid
+        assert_many_rows_as_reference(f, g, 1e-6)
+        assert_many_rows_as_reference(g, f, 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -1173,23 +1268,64 @@ class TestEngineErrorOrder:
         # _BATCH points lives in about a dozen arrays at a time
         assert peak < 16 * 8 * measure._BATCH
 
+    @staticmethod
+    def arrays_reached(tb) -> list:
+        """The numpy arrays, and the arrays they view, that the locals of
+        the frames of the traceback tb reach through containers."""
+        seen, found, todo = set(), [], []
+        while tb is not None:
+            todo.extend(tb.tb_frame.f_locals.values())
+            tb = tb.tb_next
+        while todo:
+            v = todo.pop()
+            if id(v) in seen:
+                continue
+            seen.add(id(v))
+            if isinstance(v, np.ndarray):
+                found.append(v)
+                if v.base is not None:
+                    todo.append(v.base)
+            elif isinstance(v, (dict, list, tuple, set, frozenset)):
+                todo.extend(v.values() if isinstance(v, dict) else v)
+            elif isinstance(v, (ex.Rows, measure._Claim)):
+                todo.extend(getattr(v, k) for k in (v.__slots__ if isinstance(v, ex.Rows)
+                                                    else v._fields))
+        return found
+
+    def test_a_refusal_at_the_cap_keeps_no_arrays_alive(self, monkeypatch):
+        # a run keeps each refused query's error, and its traceback keeps
+        # the frames' locals: they must hold the segments' columns at
+        # most, not the arrays of a block
+        monkeypatch.setattr(measure, "MAX_CELLS", 64)
+        f = direct(*[(k / 4, k / 4 + 0.25, "100*x^3" if k == 6 else f"x+{k}",
+                      k / 4 + k, k / 4 + k + 0.25) for k in range(48)])
+        g = sawtooth(48, 12, 0.02, 1.0)
+        for call in (lambda: integrate(f, 0.0, 12.0, 1e-9),
+                     lambda: stieltjes_beta1(f, 0, 12, 1e-9),
+                     lambda: em_midvalue_check(f, 1, 12, 1e-9),
+                     lambda: stieltjes_midvalue(f, g, 0.0, 12.0, 1e-9)):
+            with pytest.raises(ToleranceUnreachable, match="cap") as err:
+                call()
+            sizes = [a.nbytes for a in self.arrays_reached(err.value.__traceback__)]
+            assert sizes and max(sizes) < 4096
+
     @pytest.mark.parametrize("route,terms", [("bracket", 1.5), ("midvalue", 1)])
     def test_memory_of_a_whole_chunk_is_a_buffer_per_term(self, route, terms):
         f = direct((0, 1, "2*x", 0, 2))
+        one = np.array([0]), np.array([measure._CHUNK]), np.array([0.0]), np.array([1.0])
         if route == "midvalue":
             # one chunk of mid-value brackets: a midpoint and a width per
             # two cells
             g = direct((0, 1, "x^2", 0, 1))
             call = lambda: measure._walk(  # noqa: E731
-                [(0, measure._CHUNK)], [(0.0, 1.0)],
-                [[f.pieces[0].evaluator], [g.pieces[0].evaluator]], {},
-                functools.partial(measure._mid_terms, [(0.0, 2.0, 0.0, 1.0, 1e-15, 1e-15, 0.0)],
-                                  [(0.0, 2.0), (0.0, 1.0)]))
+                *one, ex.Rows([f.pieces[0].evaluator, g.pieces[0].evaluator]),
+                functools.partial(measure._mid_terms,
+                                  *np.array([[0.0], [2.0], [0.0], [1.0], [1e-15], [1e-15]])), {})
         else:
             # one chunk of brackets: a value per point, a gap per two
             call = lambda: measure._walk(  # noqa: E731
-                [(0, measure._CHUNK)], [(0.0, 1.0)], [[f.pieces[0].evaluator]], {},
-                functools.partial(measure._bracket_terms, [(0.0, 2.0, 1e-15)]))
+                *one, ex.Rows([f.pieces[0].evaluator]),
+                functools.partial(measure._bracket_terms, *np.array([[0.0], [2.0], [1e-15]])), {})
         call()  # compile the programs before tracing
         tracemalloc.start()
         try:

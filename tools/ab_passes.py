@@ -19,8 +19,13 @@ parent.  Naming one revision twice gives an A/A control.
 
 Separate runs of the benchmark drift with the load of a shared machine;
 passes that alternate within one process see the same load, so a small
-difference shows in fewer passes.  Results are not checked against the
-oracles: perfbench/run.py does that.
+difference shows in fewer passes.  Read the best-latency ratio: it is
+the one perfbench/run.py's queries_per_s follows, and the steadier.  A
+pass's time takes every stall of the machine, so the median pass ratio
+spreads more: on a shared 2-vCPU machine an A/A run of one revision over
+30 rounds of quadrature read x1.005 best-latency but x0.949 median pass,
+and over 20 rounds of cli_batch x0.968 and x0.909.  Results are not
+checked against the oracles: perfbench/run.py does that.
 """
 
 from __future__ import annotations
