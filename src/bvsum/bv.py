@@ -678,16 +678,19 @@ def _antiderivative_scores(checks) -> list:
             xs, h = xs[~empty], h[~empty]
             if not rows:
                 continue
+        # one plan and one run per shape, both sides of the stencil in one:
+        # F(x + h) in rows [0, n), F(x - h) in [n, 2n), f(x) in [2n, 3n)
+        n = len(rows)
         Fs = [checks[k][1] for k in rows]
-        up, up_errors = ex.eval_rows(Fs, xs + h)
-        down, down_errors = ex.eval_rows(Fs, xs - h)
-        ref, ref_errors = ex.eval_rows([checks[k][0] for k in rows], xs)
+        vals, errors = ex.eval_rows([*Fs, *Fs, *(checks[k][0] for k in rows)],
+                                    np.concatenate((xs + h, xs - h, xs)))
+        up, down, ref = vals[:n], vals[n:2 * n], vals[2 * n:]
         with np.errstate(all="ignore"):
             score = np.abs((up - down) / (2.0 * h) - ref) / (FD_REL_TOL * (1.0 + np.abs(ref)))
         # fmax ignores NaN scores, from stencils at points that overflowed to inf
         worst = np.fmax.reduce(score, axis=1, initial=0.0).tolist()
         for r, k in enumerate(rows):
-            err = up_errors.get(r) or down_errors.get(r) or ref_errors.get(r)
+            err = errors.get(r) or errors.get(n + r) or errors.get(2 * n + r)
             results[k] = worst[r] if err is None else err
     return results
 

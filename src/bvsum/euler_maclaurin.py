@@ -33,6 +33,7 @@ from .measure import (
     _certify,
     _integral_claim,
     _limit,
+    _mid_grid,
     _midvalue_claim,
     _require_int,
     integrate,
@@ -262,9 +263,10 @@ def parts_check(f: BvFunction, g: BvFunction, a: float, b: float,
     if not (a < b):
         raise ValueError(f"need a < b, got a={a}, b={b}")
     seen: dict = {}  # the scalar evaluations of both halves and the limits
-    first = _midvalue_claim(g, f, a, b, tol, seen)
+    mid = _mid_grid(f, g, a, b, seen)  # one grid, search and limit table
+    first = _midvalue_claim(g, f, a, b, tol, mid)
     try:
-        second = _midvalue_claim(f, g, a, b, tol, seen)
+        second = _midvalue_claim(f, g, a, b, tol, mid)
     except Exception:
         _certify(first)  # the first integral's errors come first
         raise

@@ -89,7 +89,9 @@ those of eval_expr.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 import re
 import struct
 from dataclasses import dataclass
@@ -847,14 +849,16 @@ def _fail(kind: str, x: np.ndarray, r, vals) -> EvalError:
     return EvalError(kind, xi)
 
 
-def _run(prog, x: np.ndarray, strict: bool):
+def _run(prog, x: np.ndarray, strict: bool, out=None):
     """The root's value over the points x.  Strict, every op but neg is
     tested and the first non-finite result raises its EvalError.
     Unchecked, only each op's guards are tested, a failed test raises
-    _Recheck, and each op writes into the operand it may overwrite; x
-    must then be a non-empty float64 array of at least one dimension."""
+    _Recheck, and each op writes into the operand it may overwrite, the
+    root's op into out if given; x must then be a non-empty float64 array
+    of at least one dimension."""
     init, code = prog
     regs = [x, *init]
+    root = len(init) if out is not None else -1  # the root op's register
     for fn, a, b, dst, tmp, guards, kind in code:
         va = regs[a]
         vb = None if b is None else regs[b]
@@ -866,8 +870,8 @@ def _run(prog, x: np.ndarray, strict: bool):
             for g in guards:
                 if not _finite(regs[g]):
                     raise _Recheck
-            out = None if tmp is None else regs[tmp]
-            r = fn(va, out=out) if b is None else fn(va, vb, out=out)
+            o = out if dst == root else None if tmp is None else regs[tmp]
+            r = fn(va, out=o) if b is None else fn(va, vb, out=o)
         regs[dst] = r
     return regs[-1]
 
@@ -935,96 +939,128 @@ def _shape(prog) -> tuple:
 class Rows:
     """The plan of eval_rows for a list of expressions, made once and run
     on any rows of it.  Its rows are grouped by Expr.shape, an expression
-    met again found by its identity.  A group keeps its ops and its
-    registers: each pinned constant the scalar its rows share.  If the
-    group's expressions differ, each other constant is a column of a
-    matrix with a row per expression, which a run picks for its rows by
-    their rank in the group."""
+    met again found by its identity, and the groups numbered in the order
+    they are met: group[i] is row i's number.  A run lays its rows out in
+    group order, so that each group it holds is a contiguous slice of
+    them, which the group's program evaluates in one run, writing the
+    values in place: rows given in group order are their own layout, and
+    others are sorted into it once per run.  A group keeps its ops and
+    its registers, each pinned constant the scalar its rows share; if the
+    group's expressions differ, each other constant is a column of
+    consts, which has a row per row of exprs and is picked for a run's
+    rows at once."""
 
-    __slots__ = ("exprs", "groups", "group", "rank")
+    __slots__ = ("exprs", "group", "groups", "consts", "numbers")
 
     def __init__(self, exprs):
         self.exprs = exprs
-        self.groups, self.group, self.rank = [], None, None
-        numbers: dict = {}  # a shape is hashed once per expression
-        members: list = []  # per group, its expressions
-        where = {}  # id(expression) -> its number, group * len(exprs) + rank
-        for i, e in {id(e): e for e in exprs}.items():
-            k = numbers.setdefault(e.shape, len(numbers))
-            if k == len(members):
-                members.append([])
-            where[i] = k * len(exprs) + len(members[k])
+        ids = list(map(id, exprs))
+        distinct = dict(zip(ids, exprs))  # by id, in the order met
+        numbers: dict = {}  # shape -> group; a shape object is hashed once
+        known: dict = {}  # id(shape) -> group
+        members: list = []  # per group, its distinct expressions
+        number = []  # per distinct expression, its group
+        for e in distinct.values():
+            shape = e.shape
+            k = known.get(id(shape))
+            if k is None:
+                k = known[id(shape)] = numbers.setdefault(shape, len(numbers))
+                if k == len(members):
+                    members.append([])
             members[k].append(e)
+            number.append(k)
+        self.groups, width = [], 0
         for es in members:
             init, code = es[0].program
-            columns = None
+            regs = ()
             if len(es) > 1:
                 pinned = es[0].shape[2]
-                regs = [r for r, v in enumerate(init) if v is not None and r + 1 not in pinned]
-                if regs:
-                    columns = regs, np.array([[e.program[0][r] for r in regs] for e in es])
-            self.groups.append((init, code, columns))
-        if len(where) > 1:
-            self.group, self.rank = np.divmod(np.array([where[id(e)] for e in exprs]), len(exprs))
-            if len(members) == 1:
-                self.group = None
-
-    def _plan(self, rows):
-        """(registers, ops, positions in rows or None for all of them)
-        per group that rows, or all rows if None, hold."""
-        parts = [(0, None, rows)]
-        if self.group is not None:
-            at: dict = {}  # group -> its positions in rows
-            for j, k in enumerate((self.group if rows is None else self.group[rows]).tolist()):
-                at.setdefault(k, []).append(j)
-            parts = [(k, pos if len(at) > 1 else None,
-                      rows if len(at) == 1 else pos if rows is None else rows[pos])
-                     for k, pos in at.items()]
-        plan = []
-        for k, pos, which in parts:
-            init, code, columns = self.groups[k]
-            if columns is not None:
-                regs, matrix = columns
-                picked = matrix[self.rank if which is None else self.rank[which]]
-                init = list(init)
-                for j, r in enumerate(regs):
-                    init[r] = picked[:, j:j + 1]
-            plan.append((init, code, pos, which))
-        return plan
+                regs = tuple(r for r, v in enumerate(init)
+                             if v is not None and r + 1 not in pinned)
+            self.groups.append((init, code, regs))
+            width = max(width, len(regs))
+        self.numbers = self.consts = None
+        if len(members) == 1 and not width:  # one program, its constants scalars
+            self.group = np.zeros(len(ids), np.intp)
+            return
+        # per row, its number among the distinct expressions
+        which = np.fromiter(map(dict(zip(distinct, itertools.count())).__getitem__, ids),
+                            np.intp, len(ids))
+        self.group = np.array(number)[which]
+        if len(members) > 1:
+            # searched for in a run's sorted group numbers, these give the
+            # first row of each group and the end
+            self.numbers = np.arange(len(members) + 1)
+        if width:  # per distinct expression its columns' constants, padded
+            # per group, the getter of the constants from a program's
+            # registers (of a slice for one register, to give a tuple too)
+            # and the padding
+            picks = [(operator.itemgetter(*regs) if len(regs) > 1
+                      else operator.itemgetter(slice(regs[0], regs[0] + 1)) if regs
+                      else lambda init: (), (0.0,) * (width - len(regs)))
+                     for _, _, regs in self.groups]
+            flat: list = []
+            for e, k in zip(distinct.values(), number):
+                pick, pad = picks[k]
+                flat.extend(pick(e.program[0]))
+                flat.extend(pad)
+            self.consts = np.fromiter(flat, np.float64, len(flat)).reshape(-1, width)[which]
 
     @np.errstate(all="ignore")
     def __call__(self, x: np.ndarray, rows=None):
         """Evaluate exprs[rows[i]] over the points x[i] of a 2-D float64
         array, or exprs[i] if rows is None: as eval_rows."""
-        values, errors = None, {}
+        errors: dict = {}
         if not self.exprs or rows is not None and not len(rows):
             return np.empty(x.shape), errors
-        for init, code, pos, which in self._plan(rows):
-            r = None
-            if x.size:
-                try:
-                    r = _run((init, code), x if pos is None else x[pos], False)
-                    if not _finite(r):
-                        r = None
-                except _Recheck:
-                    pass
-            if r is not None and pos is None and r is not x and r.shape == x.shape:
-                return r, errors
-            if values is None:
-                values = np.empty(x.shape)
-            if r is not None:
-                values[slice(None) if pos is None else pos] = r
+        order = None
+        if len(self.groups) == 1:
+            cuts = [0, len(x)]
+        else:
+            group = self.group if rows is None else self.group[rows]
+            if (group[1:] < group[:-1]).any():
+                order = np.argsort(group, kind="stable")
+                group, x = group[order], x[order]
+                rows = order if rows is None else rows[order]
+            cuts = np.searchsorted(group, self.numbers).tolist()
+        consts = self.consts if rows is None or self.consts is None else self.consts[rows]
+        values = np.empty(x.shape)
+        ran, failed = [], []  # the groups' slices whose runs passed their tests, or not
+        for (init, code, regs), a, b in zip(self.groups, cuts, cuts[1:]):
+            if a == b:
                 continue
-            for j, i in zip(range(len(x)) if pos is None else pos,
-                            range(len(x)) if which is None else which):
+            if regs:
+                init = list(init)
+                for j, r in enumerate(regs):
+                    init[r] = consts[a:b, j:j + 1]
+            out = values[a:b]
+            if not x.size:
+                failed.append((a, b))
+                continue
+            try:
+                r = _run((init, code), x[a:b], False, out)
+            except _Recheck:
+                failed.append((a, b))
+                continue
+            if r is not out:  # x itself, or a constant
+                out[...] = r
+            ran.append((a, b))
+        # one test of all values, and of each group's only if it fails
+        if failed or not _finite(values):
+            failed += [(a, b) for a, b in ran if not _finite(values[a:b])]
+        for a, b in sorted(failed):
+            for j in range(a, b):
                 try:
-                    values[j] = eval_expr(self.exprs[i], x[j])
+                    values[j] = eval_expr(self.exprs[j if rows is None else rows[j]], x[j])
                 except EvalError as err:
                     values[j] = math.nan
                     # without its traceback, whose frames (this one among
                     # them) would keep the caller's arrays alive until the
                     # next garbage collection
                     errors[j] = err.with_traceback(None)
+        if order is not None:  # back to the caller's order
+            values[order] = values.copy()
+            errors = {int(order[j]): err for j, err in errors.items()}
         return values, errors
 
 

@@ -32,12 +32,18 @@ one route in one _refine call, which grows their grids round by round
 from the measured error, settling each round's segments column by
 column, and finishes each routine in turn: it sums the values and
 checks the radius against tol.  So em_midvalue_check and parts_check
-refine both halves of their identities in one walk.  _walk evaluates the
-grids of all segments together, in chunks of _CHUNK cells: chunks of one
-cell count are the rows of one 2-D grid of at most _BATCH points, which
-one expr.Rows plan, made once per refinement, evaluates by expression
-shape, and whose terms are computed with the rows walked as one array;
-longer chunks are walked in blocks of at most _BATCH points.  Every
+refine both halves of their identities in one walk, and parts_check
+prepares both on one grid, with one search and one table of one-sided
+limits per function (_mid_grid).  _walk evaluates the grids of all
+segments together, in chunks of _CHUNK cells: chunks of one cell count
+are the rows of one 2-D grid of at most _BATCH points, whose terms are
+computed with the rows walked as one array; longer chunks are walked in
+blocks of at most _BATCH points.  A refinement fixes its evaluation
+layout once: one expr.Rows plan of the curves' expressions, which
+groups them by shape, and its segments walked in the order of their
+first curve's groups, so that a block runs each group once, on a
+contiguous slice of its rows, and reads each segment's columns from one
+matrix (s, width, term and the route's columns).  Every
 point, value and sum is the float operation of a lone segment's grid,
 and every math.fsum is kept, so results and errors are those of refining
 one segment after the other, and one routine after the other: the error
@@ -186,29 +192,31 @@ def total_variation_measure(f: BvFunction, iv: IntervalSpec) -> float:
 # Refinement engine shared by integrate, stieltjes_beta1 and stieltjes_midvalue
 
 
-def _walk(rows, ns, s, width, plan, terms, failed: dict):
-    """Walk the uniform grids of the segments rows, in segment order,
-    ns[j] cells for segment rows[j]: per term (a route has two), a
-    (len(rows), chunks) array of the sums of each segment's chunks, -0.0
-    past its last chunk.  Segment i's grid is the n+1 points over
-    [s[i], s[i] + width[i]], cut into chunks of _CHUNK cells that share
-    their end points; a chunk or block also takes the point beyond each
-    end that is not a grid's (its pads).  plan is the Rows of the curves'
-    expressions, curve c of segment i in row c * len(s) + i.  The
-    segments of one cell count and chunk are walked together, in blocks
-    of at most _BATCH points.  terms(seg, first, last, size, y) gives a
-    block's terms, a 2-D array per term with a row per segment of seg;
-    first and last tell whether it holds the grids' ends, and y has the
-    curves' values over the block's size points (see _block), curve c in
-    the rows from c * len(seg) on.  A row that fails to evaluate records
-    its segment's first EvalError in failed; later segments' rows are
-    then skipped."""
+def _walk(rows, ns, m: int, col, plan, terms, failed: dict):
+    """Walk the uniform grids of the segments rows, of m, ns[j] cells for
+    segment rows[j]: per term (a route has two), a (len(rows), chunks)
+    array of the sums of each segment's chunks, -0.0 past its last chunk.
+    col[:, j] holds the columns of segment rows[j] (see _refine), s and
+    width first: its grid is the n+1 points over [s, s + width], cut into
+    chunks of _CHUNK cells that share their end points; a chunk or block
+    also takes the point beyond each end that is not a grid's (its pads).
+    plan is the Rows of the curves' expressions, curve c of segment i in
+    row c * m + i.  The segments of one cell count and chunk are walked
+    together, in the order of rows, in blocks of at most _BATCH points.
+    terms(col, first, last, size, y) gives a block's terms, a 2-D array
+    per term with a row per segment; col holds the block's columns, first
+    and last tell whether it holds the grids' ends, and y has the curves'
+    values over the block's size points (see _block), curve c in the rows
+    from c * len(seg) on.  A row that fails to evaluate records its
+    segment's first EvalError in failed; later segments' rows are then
+    skipped."""
     nl = ns.tolist()
-    out = np.full((2, len(nl), -(-max(nl) // _CHUNK)), -0.0)
+    out = np.empty((2, len(nl), -(-max(nl) // _CHUNK)))
+    out.fill(-0.0)
     if nl.count(nl[0]) == len(nl):
         batches = [(nl[0], np.arange(len(nl)))]
     else:
-        batches = [(n, (ns == n).nonzero()[0]) for n in np.unique(ns).tolist()]
+        batches = [(n, (ns == n).nonzero()[0]) for n in sorted(set(nl))]
     for n, pos in batches:
         for c, start in enumerate(range(0, n, _CHUNK)):
             stop = min(n, start + _CHUNK)
@@ -219,9 +227,11 @@ def _walk(rows, ns, s, width, plan, terms, failed: dict):
                     p = p[rows[p] < min(failed)]
                     if not p.size:
                         continue
-                seg = rows[p]
-                block = functools.partial(_block, seg, n, s[seg][:, None], width[seg][:, None],
-                                          len(s), plan, terms)
+                if len(p) == len(nl):  # all of them, in order
+                    p, seg, block_col = slice(None), rows, col
+                else:
+                    seg, block_col = rows[p], col[:, p]
+                block = functools.partial(_block, seg, block_col, n, m, plan, terms)
                 if stop - start < _BATCH:
                     sums = [np.add.reduce(a, axis=1) for a in block(start, stop, failed)]
                 else:
@@ -235,26 +245,27 @@ def _walk(rows, ns, s, width, plan, terms, failed: dict):
     return out
 
 
-def _block(seg, n: int, s, width, m: int, plan, terms, c0: int, c1: int, errs: dict):
+def _block(seg, col, n: int, m: int, plan, terms, c0: int, c1: int, errs: dict):
     """The terms of the cells between the points c0 and c1 of the n-cell
-    grids over [s, s + width] of the segments seg, of m, pads included,
-    evaluating the curves in order; errors go to errs.  A row holds the
-    block's points and, if their count is odd, a copy of one, so that
-    its rows can be walked as one array by twos; a grid's end, which is
-    never evaluated, is evaluated at the point beside it, and terms
-    replaces its value by the end's limit."""
+    grids of the segments seg, of m, whose columns col holds, pads
+    included, evaluating the curves in order; errors go to errs.  A row
+    holds the block's points and, if their count is odd, a copy of one,
+    so that its rows can be walked as one array by twos; a grid's end,
+    which is never evaluated, is evaluated at the point beside it, and
+    terms replaces its value by the end's limit."""
     first, last = c0 == 0, c1 == n
     p0 = c0 - (not first)
     size = c1 + (not last) - p0 + 1
-    xs = width * (np.arange(p0, p0 + size + (size & 1), dtype=np.float64) / n)
-    xs += s  # s + (t - s) * (k / n), as for a lone grid
+    xs = np.arange(p0, p0 + size + (size & 1), dtype=np.float64) / n  # k / n
     if first:
-        xs[:, 0] = xs[:, 1]
+        xs[0] = xs[1]
     if last:
-        xs[:, size - 1] = xs[:, size - 2]
+        xs[size - 1] = xs[size - 2]
     if size & 1:
-        xs[:, size] = xs[:, size - 1]
-    return terms(seg, first, last, size, _evaluate(plan, seg, m, xs, errs))
+        xs[size] = xs[size - 1]
+    xs = col[1, :, None] * xs
+    xs += col[0, :, None]  # s + (t - s) * (k / n), as for a lone grid
+    return terms(col, first, last, size, _evaluate(plan, seg, m, xs, errs))
 
 
 def _blocks(block, start: int, stop: int):
@@ -286,8 +297,8 @@ def _evaluate(plan, seg, m: int, xs, errs: dict):
     a failing row records its segment's error in errs, if it is the
     first (an earlier curve's first)."""
     curves = len(plan.exprs) // m
-    rows = None if len(seg) == m else np.concatenate([seg + c * m for c in range(curves)])
-    vals, errors = plan(np.concatenate([xs] * curves) if curves > 1 else xs, rows)
+    rows = seg if curves == 1 else np.concatenate([seg + c * m for c in range(curves)])
+    vals, errors = plan(xs if curves == 1 else np.concatenate([xs] * curves), rows)
     for r in sorted(errors):
         errs.setdefault(int(seg[r % len(seg)]), errors[r])
     return vals
@@ -295,7 +306,8 @@ def _evaluate(plan, seg, m: int, xs, errs: dict):
 
 def _fsums(*columns) -> np.ndarray:
     """math.fsum of each row of the columns."""
-    return np.array([math.fsum(row) for row in zip(*[c.tolist() for c in columns])])
+    return np.fromiter(map(math.fsum, zip(*[c.tolist() for c in columns])), np.float64,
+                       len(columns[0]))
 
 
 class _Route(NamedTuple):
@@ -404,45 +416,55 @@ def _total(values: list, radii: list) -> Certified:
 
 
 @np.errstate(all="ignore")  # as _prepare
-def _refine(route: str, segs: dict, terms, settle, *, n0: int):
-    """Refine the segments of the columns segs (s, t, budget and the
-    curves' exprs) together, round by round from n0 cells: each pending
-    segment walks a grid of n cells, with pads (see _walk), and
-    settle(rows, ns, sums) -> (values, errs, roundings) reads the sums of
-    the segments rows, ns[j] cells for rows[j].  Segment i is done, with
-    radius err + rounding, when err fits budget[i]; else n grows by a
-    power of two, at least twofold, aiming just under the budget at order
-    2, up to the cap of MAX_CELLS cells.  -> (values, radii, failed):
-    failed maps failing segments to their errors, the first of which is
-    sure to be there, and values[i] and radii[i] are segment i's if no
-    segment up to i failed (the rows of later ones are skipped)."""
+def _refine(route: str, segs: dict, columns: list, terms, settle, *, n0: int):
+    """Refine the segments of the columns segs (s, t, budget, term and
+    the curves' exprs) together, round by round from n0 cells: each
+    pending segment walks a grid of n cells, with pads (see _walk).  The
+    walk and settle see the segments' columns as the rows of one matrix,
+    s, width (t - s) and term, then the route's columns: terms (see
+    _walk) reads them, and settle(col, n, sums) -> (values, errs,
+    roundings) reads the sums of the segments whose columns col holds,
+    n[j] cells for col[:, j].  Segment i is done, with radius err +
+    rounding, when err fits budget[i]; else n grows by a power of two, at
+    least twofold, aiming just under the budget at order 2, up to the cap
+    of MAX_CELLS cells.  -> (values, radii, failed): failed maps failing
+    segments to their errors, the first of which is sure to be there, and
+    values[i] and radii[i] are segment i's if no segment up to i failed
+    (the rows of later ones are skipped).
+
+    The evaluation layout is fixed once: one expr.Rows plan of the
+    curves' expressions, and the segments walked in the order of their
+    first curve's groups, so that a block's rows of that curve come in
+    group order, each group a contiguous slice."""
     s, t, budget = segs["s"], segs["t"], segs["budget"]
-    width = t - s
     plan = ex.Rows([e for curve in segs["exprs"] for e in curve])
+    cols = np.array([s, t - s, segs["term"], *columns])
     ns = np.full(len(s), n0)
     values, radii = np.empty(len(s)), np.empty(len(s))
     failed: dict = {}
-    rows = np.arange(len(s))
+    rows = np.argsort(plan.group[:len(s)], kind="stable")
     while rows.size:
         n = ns[rows]
-        value, err, rounding = settle(rows, n, _walk(rows, n, s, width, plan, terms, failed))
-        stop = int(np.searchsorted(rows, min(failed))) if failed else len(rows)
-        fits = err[:stop] <= budget[rows[:stop]]
-        if stop == len(rows) and fits.all():  # the last round
+        col = cols[:, rows]
+        value, err, rounding = settle(col, n, _walk(rows, n, len(s), col, plan, terms, failed))
+        fits = err <= budget[rows]
+        if not failed and fits.all():  # the last round
             values[rows] = value
             radii[rows] = err + rounding
             break
-        grow = (~fits).nonzero()[0]
-        capped = grow[n[grow] >= MAX_CELLS]
-        if capped.size:
-            stop = int(capped[0])
-            i = int(rows[stop])
+        grow = ~fits
+        if failed:  # the segments after the first failing one are dropped
+            fits &= rows < min(failed)
+            grow &= rows < min(failed)
+        capped = grow & (n >= MAX_CELLS)
+        if capped.any():
+            i = int(rows[capped].min())
             failed[i] = ToleranceUnreachable(
                 f"{route} hit the {MAX_CELLS}-cell cap on {[float(s[i]), float(t[i])]}")
-            fits, grow = fits[:stop], grow[grow < stop]
-        done = fits.nonzero()[0]
-        values[rows[done]] = value[done]
-        radii[rows[done]] = err[done] + rounding[done]
+            fits &= rows < i
+            grow &= rows < i
+        values[rows[fits]] = value[fits]
+        radii[rows[fits]] = err[fits] + rounding[fits]
         # n stays a power of two, so that segments share batches
         ns[rows[grow]] = [
             min(MAX_CELLS, k << max(1, math.ceil(0.5 * math.log2(1.2 * e / max(b, 1e-300)))))
@@ -517,19 +539,20 @@ def _bracket_columns(ps: list, ss: list, ts: list) -> dict:
             "floor": term + (t - s) * delta}
 
 
-def _bracket_terms(v0, vn, delta, seg, first, last, size, y):
+def _bracket_terms(col, first, last, size, y):
     """The terms of a block of a grid of an even number of cells, for the
-    segments seg of the columns v0, vn and delta; y holds the rows of
+    segments whose columns col holds (see _bracket); y holds the rows of
     values of _block, size points each, pads included.  The terms are
     the block's values, but the grid's ends and the block's first point;
     and per bracket cell, two grid cells, its half-gap in units of half a
     step.  The rows are walked as one array: a second difference or cell
     that straddles two rows is computed, and left out."""
+    v0, vn, delta, below, widening = col[3:]
     k, width = y.shape
     if first:
-        y[:, 0] = v0[seg]
+        y[:, 0] = v0
     if last:
-        y[:, size - 1] = vn[seg]
+        y[:, size - 1] = vn
     a = int(not first)  # the block's first point, after a pad
     cells = size - 1 - a - (not last)
     f = y.reshape(-1)
@@ -552,9 +575,8 @@ def _bracket_terms(v0, vn, delta, seg, first, last, size, y):
     np.minimum(lo[:q], ends[1:], out=lo[:q])
     np.maximum(hi[:q], ends[1:], out=hi[:q])
     rows = k, width // 2  # the cells' arrays, row by row
-    delta = delta[seg][:, None]
-    convex = np.greater_equal(lo.reshape(rows), -delta).reshape(-1)
-    concave = np.less_equal(hi.reshape(rows), delta).reshape(-1)
+    convex = np.greater_equal(lo.reshape(rows), below[:, None]).reshape(-1)
+    concave = np.less_equal(hi.reshape(rows), delta[:, None]).reshape(-1)
     # neither: the Darboux bracket of the two halves; convex: [M, T];
     # concave: [T, M]; flat: between them, widened by h * delta
     gap = lo
@@ -567,7 +589,7 @@ def _bracket_terms(v0, vn, delta, seg, first, last, size, y):
     both = np.logical_and(convex, concave, out=convex)
     np.abs(mid[:q], out=gap[:q], where=both[:q])
     gap = gap.reshape(rows)
-    np.add(gap, 4.0 * delta, out=gap, where=both.reshape(rows))
+    np.add(gap, widening[:, None], out=gap, where=both.reshape(rows))
     return y[:, a + 1:a + cells + 1 - last], gap[:, :cells // 2]
 
 
@@ -575,17 +597,18 @@ def _bracket(segs: dict):
     """Integrals of pieces over the segments of the columns segs (see
     _bracket_columns): the sum of the brackets' midpoints, which is the
     trapezoid sum of the whole grid, and of their half-gaps, which must
-    fit the budget, plus term."""
-    v0, vn, term, width = segs["v0"], segs["vn"], segs["term"], segs["t"] - segs["s"]
-
-    def settle(rows, n, sums):
-        a, b = v0[rows], vn[rows]
-        h = width[rows] / n
+    fit the budget, plus term.  The walk's columns are v0, vn, delta,
+    -delta and 4 * delta, what a flat cell's half-gap is widened by."""
+    def settle(col, n, sums):
+        a, b = col[3], col[4]
+        h = col[1] / n
         value = h * (_fsums(a, b, *sums[0].T) - 0.5 * (a + b))
-        return value, 0.5 * h * _fsums(*sums[1].T), term[rows]
+        return value, 0.5 * h * _fsums(*sums[1].T), col[2]
 
-    return _refine("Bracket refinement", segs,
-                   functools.partial(_bracket_terms, v0, vn, segs["delta"]), settle, n0=64)
+    delta = segs["delta"]
+    return _refine("Bracket refinement", segs, [segs["v0"], segs["vn"], delta, -delta,
+                                                 4.0 * delta],
+                   _bracket_terms, settle, n0=64)
 
 
 # the half-gaps of a bracketed segment may take its share less term
@@ -845,62 +868,107 @@ def _value(seen: dict, e: ex.Expr, x: float) -> float:
     return v
 
 
-def _sides(seen: dict, fn: BvFunction, xs: list, pieces: list):
-    """limit(k, right, strict=False): _limit(seen, fn, xs[k], right,
-    strict), where pieces[k] is fn.piece_containing(xs[k]); a piece's
-    value at xs[k] is also kept by k."""
-    bps = list(map(fn.breakpoint_at, xs))
-    values = [None] * len(xs)
+class _Sides(NamedTuple):
+    """A function's data at the points of a refinement grid: at, its
+    pieces at the points and the middles of the cells (see _grid_pieces);
+    left and right, its one-sided limits at the points as left_limit and
+    right_limit take them, not strict (NaN where its piece fails to
+    evaluate); failed, which maps each such point to its EvalError; and
+    loose, the points with neither a breakpoint nor a piece, where a
+    strict limit may differ."""
 
-    def limit(k: int, right: bool, strict: bool = False) -> float:
-        bp = bps[k]
+    at: list
+    left: np.ndarray
+    right: np.ndarray
+    failed: dict
+    loose: set
+
+
+def _sides(seen: dict, fn: BvFunction, xs: list, at: list) -> _Sides:
+    """The _Sides of fn at the points xs, where at is as in _Sides; a
+    piece's value at a point is kept in seen."""
+    left, right, failed, loose = [], [], {}, set()
+    for k, (x, p) in enumerate(zip(xs, at[::2])):
+        bp = fn.breakpoint_at(x)
         if bp is not None:  # a breakpoint lies in the domain
-            return bp.right_value if right else bp.left_value
-        v = values[k]
-        if v is None:
-            if pieces[k] is None:
-                return right_limit(fn, xs[k], strict) if right else left_limit(fn, xs[k], strict)
-            v = values[k] = _value(seen, pieces[k].evaluator, xs[k])
-        return v
+            left.append(bp.left_value)
+            right.append(bp.right_value)
+            continue
+        if p is None:
+            loose.add(k)
+            left.append(left_limit(fn, x))
+            right.append(right_limit(fn, x))
+            continue
+        try:
+            v = _value(seen, p.evaluator, x)
+        except ex.EvalError as err:
+            v, failed[k] = math.nan, err.with_traceback(None)
+        left.append(v)
+        right.append(v)
+    return _Sides(at, np.array(left), np.array(right), failed, loose)
 
-    return limit
+
+def _mid_grid(f: BvFunction, g: BvFunction, lo: float, hi: float, seen: dict):
+    """(grid, sides): the common refinement grid of f and g over [lo, hi],
+    and by id the _Sides of each, made with one search per function: what
+    both integrals of parts_check share.  Each piece is evaluated once at
+    each point, kept in seen; an evaluation that fails is raised only
+    where the prepare phase that reads it meets it (_midvalue_claim)."""
+    if math.isnan(lo) or math.isnan(hi) or lo >= hi:
+        raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
+    for fn in (f, g):
+        if lo < fn.domain_lo or hi > fn.domain_hi:
+            raise DomainError(f"[{lo}, {hi}[ outside a domain")
+    grid = _refinement_grid(lo, hi, (f, g), with_integers=False)
+    fns = {id(f): f, id(g): g}
+    return grid, {i: _sides(seen, fn, grid, at)
+                  for (i, fn), at in zip(fns.items(), _grid_pieces(grid, fns.values()))}
 
 
 def _limit(seen: dict, fn: BvFunction, x: float, right: bool,
            strict: bool = False) -> float:
     """right_limit(fn, x, strict) if right, else left_limit(fn, x,
     strict), with an evaluation of fn's piece at x kept in seen."""
-    return _sides(seen, fn, [x], [fn.piece_containing(x)])(0, right, strict)
+    bp = fn.breakpoint_at(x)
+    if bp is not None:  # a breakpoint lies in the domain
+        return bp.right_value if right else bp.left_value
+    p = fn.piece_containing(x)
+    if p is None:
+        return right_limit(fn, x, strict) if right else left_limit(fn, x, strict)
+    return _value(seen, p.evaluator, x)
 
 
-def _mid_terms(u0, un, g0, gn, eu, eg, seg, first, last, size, y):
+def _mid_terms(col, first, last, size, y):
     """The terms of a block of a mid-value grid of an even number of
     cells: per pair of cells, twice its bracket's midpoint and twice its
     width.  y holds the rows of values of _block, size points each, pads
-    included, those of g under those of f; u0, un, g0 and gn are the
-    limits of f and g at the segments' ends, and eu and eg their sample
-    errors.  The rows are walked as one array, as in _bracket_terms."""
-    n, width = len(seg), y.shape[1]
+    included, those of g under those of f; col holds the segments'
+    columns (see _stieltjes_mid).  The rows are walked as one array, as
+    in _bracket_terms."""
+    eu, eg = col[7], col[8]
+    n, width = len(eu), y.shape[1]
     if first:
-        y[:n, 0], y[n:, 0] = u0[seg], g0[seg]
+        y[:, 0] = col[3:5].reshape(-1)  # u0 and g0
     if last:
-        y[:n, size - 1], y[n:, size - 1] = un[seg], gn[seg]
+        y[:, size - 1] = col[5:7].reshape(-1)  # un and gn
     a = int(not first)  # the block's first point, after a pad
     cells = size - 1 - a - (not last)
-    f, g = y[:n].reshape(-1), y[n:].reshape(-1)
-    d, e = f[1:] - f[:-1], g[1:] - g[:-1]
+    points = n * width
+    g = y[n:].reshape(-1)
+    # the steps of f and of g, and one across, left out
+    steps = y.reshape(-1)
+    steps = steps[1:] - steps[:-1]
+    d, e = steps[:points - 1], steps[points:]
     # cross differences and their rounding bounds at the points, 0 (which
     # every class admits) at grid ends
-    cross, delta = np.zeros((2, len(f)))
+    cross = np.zeros(points)
     np.multiply(e[1:], d[:-1], out=cross[1:-1])
     cross[1:-1] -= e[:-1] * d[1:]
     # twice the trapezoid sums of the cells
     trapezoid = g[:-1] + g[1:]
     trapezoid *= d
-    ad, ae = np.abs(d, out=d), np.abs(e, out=e)
-    np.add(ae[:-1], ae[1:], out=delta[1:-1])
-    delta[1:-1] *= np.repeat(eu[seg], width)[1:-1]
-    delta[1:-1] += np.repeat(eg[seg], width)[1:-1] * (ad[:-1] + ad[1:])
+    ad, ae = np.abs(steps, out=steps)[:points - 1], steps[points:]
+    delta = _cross_bounds(steps, eu, eg, width)
     if first:
         cross[::width] = delta[::width] = 0.0
     if last:
@@ -909,7 +977,7 @@ def _mid_terms(u0, un, g0, gn, eu, eg, seg, first, last, size, y):
     # leave [-delta, delta] on both sides; pair q, row by row, has its
     # ends at the points a + 2q and a + 2q + 2
     up, down = cross > delta, cross < -delta
-    half = len(f) // 2
+    half = points // 2
     q = half - 1
     neither = (up[a::2][:q] | up[a + 1::2][:q] | up[a + 2::2][:q]) & \
         (down[a::2][:q] | down[a + 1::2][:q] | down[a + 2::2][:q])
@@ -930,8 +998,8 @@ def _mid_terms(u0, un, g0, gn, eu, eg, seg, first, last, size, y):
         # replaces a NaN or infinite rho's)
         darboux = ae * ad
         dd = darboux[a::2][:q] + darboux[a + 1::2][:q]
-        np.copyto(lo[:q], dd, where=neither)
-        np.copyto(hi[:q], dd, where=neither)
+        np.putmask(lo[:q], neither, dd)
+        np.putmask(hi[:q], neither, dd)
         np.fmin(lo[:q], dd, out=lo[:q])
         np.fmin(hi[:q], dd, out=hi[:q])
     np.add(trapezoid[a::2][:q], trapezoid[a + 1::2][:q], out=value[:q])
@@ -939,6 +1007,20 @@ def _mid_terms(u0, un, g0, gn, eu, eg, seg, first, last, size, y):
     lo += hi
     return (value.reshape(n, width // 2)[:, :cells // 2],
             lo.reshape(n, width // 2)[:, :cells // 2])
+
+
+def _cross_bounds(steps, eu, eg, width: int):
+    """delta of _mid_rounding at the points of the rows of width points,
+    0 at the ends: eu * (|e_(k-1)| + |e_k|) + eg * (|d_(k-1)| + |d_k|),
+    where steps holds |d| then |e|, and one step across, left out."""
+    points = len(eu) * width
+    sums = np.empty((2, len(eu), width))  # beside each point, of |d|, of |e|
+    np.add(steps[:-1], steps[1:], out=sums.reshape(-1)[1:-1])
+    sums[0] *= eg[:, None]
+    sums[1] *= eu[:, None]
+    delta = np.add(sums[1], sums[0]).reshape(points)
+    delta[0] = delta[-1] = 0.0
+    return delta
 
 
 def _stieltjes_mid(segs: dict):
@@ -951,14 +1033,14 @@ def _stieltjes_mid(segs: dict):
     at its ends and middle (_mid_rounding): convex or concave, phi lies
     between the trapezoid sum and the secants extended from the pair's
     other cell; flat within rounding, both ways; neither, the Darboux
-    bracket |dg| * |df| of its cells, which also caps every pair."""
-    def settle(rows, n, sums):
-        return 0.5 * _fsums(*sums[0].T), 0.25 * _fsums(*sums[1].T), segs["term"][rows]
+    bracket |dg| * |df| of its cells, which also caps every pair.  The
+    walk's columns are u0, g0, un, gn, eu and eg."""
+    def settle(col, n, sums):
+        return 0.5 * _fsums(*sums[0].T), 0.25 * _fsums(*sums[1].T), col[2]
 
     return _refine("Stieltjes refinement", segs,
-                   functools.partial(_mid_terms, *(segs[k] for k in (
-                       "u0", "un", "g0", "gn", "eu", "eg"))),
-                   settle, n0=16)
+                   [segs[k] for k in ("u0", "g0", "un", "gn", "eu", "eg")],
+                   _mid_terms, settle, n0=16)
 
 
 # the brackets' half-gaps may take the share less term
@@ -975,31 +1057,35 @@ def stieltjes_midvalue(g: BvFunction, f: BvFunction, lo: float, hi: float,
     common refinement of both breakpoint sets, so g is continuous and
     equal to g_m inside every cell; cells where f is constant add 0.
     """
-    return _certify(_midvalue_claim(g, f, lo, hi, tol, {}))[0]
+    return _certify(_midvalue_claim(g, f, lo, hi, tol, _mid_grid(f, g, lo, hi, {})))[0]
 
 
 def _midvalue_claim(g: BvFunction, f: BvFunction, lo: float, hi: float, tol: float,
-                    seen: dict) -> _Claim:
-    """The prepare phase of stieltjes_midvalue.  seen holds the scalar
-    evaluations made, so that each expression is evaluated once at each
-    point, here and in the routines that share it: the cell ends are
-    shared by the atoms and the ends of both cells beside them.  The
-    pieces of f and g at the cell ends and middles are found in one
-    search per function."""
-    if math.isnan(lo) or math.isnan(hi) or lo >= hi:
-        raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
-    for fn in (f, g):
-        if lo < fn.domain_lo or hi > fn.domain_hi:
-            raise DomainError(f"[{lo}, {hi}[ outside a domain")
-    grid = _refinement_grid(lo, hi, (f, g), with_integers=False)
-    f_at, g_at = _grid_pieces(grid, (f, g))
-    f_lim, g_lim = _sides(seen, f, grid, f_at[::2]), _sides(seen, g, grid, g_at[::2])
+                    mid: tuple) -> _Claim:
+    """The prepare phase of stieltjes_midvalue, on the grid and the
+    _Sides of f and g that mid holds (see _mid_grid), which the routines
+    that share it share: the cell ends are shared by the atoms and the
+    ends of both cells beside them.  Errors are raised in the order of
+    the scalar evaluations: the atoms' in turn, then each cell's limits,
+    f's and then g's, cell by cell."""
+    grid, sides = mid
+    fs, gs = sides[id(f)], sides[id(g)]
+    f_at, g_at = fs.at, gs.at
     # the atoms g_m(x) * jump: g's limits at each jump of f, as
     # mid_value_strict(g, x) takes them, then the terms in one pass
     index = {x: k for k, x in enumerate(grid)}
-    left, right, jump = np.array([
-        (g_lim(index[bp.x], False, True), g_lim(index[bp.x], True, True), bp.jump)
-        for bp in f.breakpoints if lo <= bp.x < hi and bp.jump != 0.0]).reshape(-1, 3).T
+    ks, jump = [], []
+    for bp in f.breakpoints:
+        if lo <= bp.x < hi and bp.jump != 0.0:
+            ks.append(index[bp.x])
+            jump.append(bp.jump)
+    left, right = gs.left[ks], gs.right[ks]
+    for j, k in enumerate(ks):
+        if k in gs.failed:  # g's piece fails to evaluate there
+            raise gs.failed[k]
+        if k in gs.loose:  # neither a breakpoint nor a piece: strict limits
+            left[j], right[j] = left_limit(g, grid[k], True), right_limit(g, grid[k], True)
+    jump = np.array(jump)
     with np.errstate(all="ignore"):  # as _prepare
         total = left + right
         g_mid = 0.5 * total
@@ -1024,10 +1110,15 @@ def _midvalue_claim(g: BvFunction, f: BvFunction, lo: float, hi: float, tol: flo
     ss, ts = [grid[k] for k in cells], [grid[k + 1] for k in cells]
 
     def weigh(fps: list, gps: list, ss: list, ts: list) -> dict:
-        # the limits of f and g at both ends, cell by cell
-        u0, un, g0, gn = np.array([(f_lim(k, True), f_lim(k + 1, False),
-                                    g_lim(k, True), g_lim(k + 1, False))
-                                   for k in cells]).T
+        # the limits of f and g at both ends, cell by cell; the first
+        # that failed to evaluate is raised
+        if fs.failed or gs.failed:
+            for k in cells:
+                for side, at in ((fs, k), (fs, k + 1), (gs, k), (gs, k + 1)):
+                    if at in side.failed:
+                        raise side.failed[at]
+        k = np.array(cells)
+        u0, un, g0, gn = fs.right[k], fs.left[k + 1], gs.right[k], gs.left[k + 1]
         eu, eg, term, widening = _mid_rounding(u0, un, g0, gn)
         # floor: the rounding term and the widening of flat pairs, twice
         return {"exprs": ([p.evaluator for p in fps], [p.evaluator for p in gps]),

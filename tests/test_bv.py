@@ -459,6 +459,41 @@ class TestVectorValidation:
         assert check_antiderivative(x, ex.parse("x^2/2"), lo, hi) == 0.0
         assert ref_check_antiderivative(x, ex.parse("x^2/2"), lo, hi) == 0.0
 
+    def test_failing_rows_of_one_batch_keep_the_error_priority(self):
+        # one batch, one plan: F(x + h), F(x - h) and f(x) of every check
+        # run together, and a check's error is that of F(x + h), else of
+        # F(x - h), else of f, as each check alone raises it
+        lo, hi = 0.0, 10.0
+        xs = np.linspace(lo, hi, FD_POINTS + 2)[1:-1]
+        h = np.minimum(np.maximum(np.abs(xs), 1.0) * 1e-5, (hi - lo) * 1e-3).tolist()
+        xs = xs.tolist()
+        up_bad, down_bad = xs[2] + h[2] / 2, xs[0]  # F fails past or below these
+        checks = [
+            ("x", f"sqrt({up_bad!r}-x)"),  # F(x + h) fails at xs[2] first
+            (f"log(x-{xs[5]!r})", f"sqrt(x-{down_bad!r})"),  # F(x - h) and f fail
+            (f"log(x-{xs[3]!r})", "x^2/2"),  # f fails
+            ("log(x-100)", f"sqrt({xs[4]!r}-x)+sqrt(x-{down_bad!r})"),  # all three
+            ("x", "x^2/2"),  # none
+        ]
+        checks = [(ex.parse(fe), ex.parse(F), lo, hi) for fe, F in checks]
+        scores = bv._antiderivative_scores(checks)
+        for score, (fe, F, _, _) in zip(scores, checks):
+            try:
+                want = piece_check_antiderivative(fe, F, lo, hi)
+            except ex.EvalError as err:
+                want = err
+            if isinstance(want, ex.EvalError):
+                assert isinstance(score, ex.EvalError)
+                assert (score.kind, score.x) == (want.kind, want.x)
+            else:
+                assert score == want
+        up, down, f, both, fine = scores
+        assert (up.kind, up.x) == ("sqrt_domain", xs[2] + h[2])
+        assert (down.kind, down.x) == ("sqrt_domain", xs[0] - h[0])
+        assert f.kind == "log_domain" and f.x == xs[0]
+        assert (both.kind, both.x) == ("sqrt_domain", xs[4] + h[4])
+        assert fine <= 1.0
+
     def test_failing_antiderivative_evaluation_is_bad_antiderivative(self):
         fe, F = ex.Var(), ex.parse("log(x-5)")
         with pytest.raises(ex.EvalError):

@@ -887,8 +887,8 @@ def test_rows_match_eval_expr_on_fixed_cases(texts, rows):
 def test_rows_run_once_per_shape(monkeypatch):
     runs = []
     real = ex._run
-    monkeypatch.setattr(ex, "_run", lambda prog, x, strict: runs.append(x.shape)
-                        or real(prog, x, strict))
+    monkeypatch.setattr(ex, "_run", lambda prog, x, *rest: runs.append(x.shape)
+                        or real(prog, x, *rest))
 
     def runs_of(exprs):
         runs.clear()

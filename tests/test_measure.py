@@ -528,9 +528,10 @@ class TestGridWalker:
         s, t = p.lo + 0.125, p.hi  # one end evaluated, one from the limit
         v0, vn = ex.eval_expr(p.evaluator, s), p.right_boundary_limit
         delta = ref_rounding(s, t, v0, vn)[0]
-        terms = functools.partial(measure._bracket_terms, *np.array([[v0], [vn], [delta]]))
-        sums = measure._walk(np.array([0]), np.array([n]), np.array([s]), np.array([t - s]),
-                             ex.Rows([p.evaluator]), terms, {})
+        # s, width, term, then the route's v0, vn, delta, -delta, 4 * delta
+        cols = np.array([[s], [t - s], [0.0], [v0], [vn], [delta], [-delta], [4.0 * delta]])
+        sums = measure._walk(np.array([0]), np.array([n]), 1, cols, ex.Rows([p.evaluator]),
+                             measure._bracket_terms, {})
         assert list(zip(*sums[:, 0].tolist())) == \
             list(ref_bracket_sums(p.evaluator, s, t, n, v0, vn, delta))
 
@@ -918,6 +919,93 @@ class TestManyRowBlocks:
         assert err.value.kind == "sqrt_domain" and err.value.x > mid
         assert_many_rows_as_reference(f, g, 1e-6)
         assert_many_rows_as_reference(g, f, 1e-6)
+
+    # Consecutive segments cycle through four shapes, so a block runs its
+    # rows in the layout of their groups, which is not segment order.
+
+    def test_cycling_shapes_bit_equal_to_per_segment_refinement(self):
+        f, g = cycling(12, 6.0), cycling(8, 6.0, offset=0.5)
+        for tol in (1e-3, 1e-6, 1e-9):
+            assert_many_rows_as_reference(f, g, tol)
+            assert_many_rows_as_reference(g, f, tol)
+
+    def test_first_failing_segment_in_segment_order(self):
+        # pieces 3 (sqrt) and 6 (log) fail on the first halves of their
+        # cells; a block runs the log group before the sqrt group, so it
+        # meets piece 6's error first, but piece 3 comes first
+        bad, ok = cycling(12, 6.0, fail=(3, 6)), cycling(8, 6.0, offset=0.5)
+        for call in (lambda: integrate(bad, 0.0, 6.0, 1e-6),
+                     lambda: stieltjes_beta1(bad, 0, 6, 1e-6),
+                     lambda: stieltjes_midvalue(ok, bad, 0.0, 6.0, 1e-6),
+                     lambda: stieltjes_midvalue(bad, ok, 0.0, 6.0, 1e-6)):
+            with pytest.raises(ex.EvalError) as err:
+                call()
+            assert err.value.kind == "sqrt_domain" and 1.5 < err.value.x < 1.75
+        assert_many_rows_as_reference(bad, ok, 1e-6)
+        assert_many_rows_as_reference(ok, bad, 1e-6)
+
+    @pytest.mark.parametrize("route", ["bracket", "midvalue"])
+    @pytest.mark.parametrize("fail", [(), (3, 6)], ids=["pass", "fail"])
+    def test_a_block_runs_once_per_shape_group(self, monkeypatch, route, fail):
+        f, g = cycling(12, 6.0, fail=fail), cycling(8, 6.0, offset=0.5)
+        # the groups of failing rows, whose runs trip
+        tripped = {f.pieces[i].evaluator.shape for i in fail}
+        blocks = []  # per block: its shape groups, runs, rows evaluated alone
+        runs, alone, depth = [], [], [0]
+        real_run, real_eval, real_block = ex._run, ex.eval_expr, measure._block
+
+        def run(*args, **kwargs):
+            if not depth[0]:  # a run of a group, not of a lone row
+                runs.append(1)
+            return real_run(*args, **kwargs)
+
+        def eval_expr(e, x):
+            if isinstance(x, np.ndarray):
+                alone.append(1)
+            depth[0] += 1
+            try:
+                return real_eval(e, x)
+            finally:
+                depth[0] -= 1
+
+        def block(seg, col, n, m, plan, *rest):
+            r, a = len(runs), len(alone)
+            out = real_block(seg, col, n, m, plan, *rest)
+            curves = len(plan.exprs) // m
+            shapes = [plan.exprs[c * m + i].shape for c in range(curves) for i in seg.tolist()]
+            blocks.append((len(set(shapes)), len(runs) - r, len(alone) - a,
+                           sum(shape in tripped for shape in shapes)))
+            return out
+
+        monkeypatch.setattr(ex, "_run", run)
+        monkeypatch.setattr(ex, "eval_expr", eval_expr)
+        monkeypatch.setattr(measure, "_block", block)
+        call = {"bracket": lambda: integrate(f, 0.0, 6.0, 1e-6),
+                "midvalue": lambda: stieltjes_midvalue(g, f, 0.0, 6.0, 1e-6)}[route]
+        _outcome(call)
+        assert blocks and all(shapes == n_runs for shapes, n_runs, *_ in blocks)
+        # only the rows of the groups whose runs trip are evaluated alone;
+        # the first block holds every segment
+        assert blocks[0][2] == blocks[0][3] and bool(blocks[0][3]) == bool(fail)
+        assert all(n_alone <= rows for *_, n_alone, rows in blocks)
+
+
+def cycling(n: int, length: float, fail=(), offset: float = 0.0):
+    """n increasing pieces of width length / n whose expressions cycle
+    through four shapes (linear, exp, log, sqrt), each met again with
+    other constants; the log or sqrt piece of an index in fail has a
+    negative argument over the first half of its cell."""
+    w = length / n
+    pieces = []
+    for i in range(n):
+        lo, hi, v = i * w, (i + 1) * w, i + offset
+        c = lo + w / 2 if i in fail else lo - 1.0  # the argument is x - c
+        e = (f"{v!r}+{0.1 / w!r}*(x-{lo!r})", f"{v!r}+0.01*exp(x-{lo!r})",
+             f"{v!r}+0.1*log(x-{c!r})", f"{v!r}+0.1*sqrt(x-{c!r})")[i % 4]
+        tree = ex.parse(e)
+        ends = (v, v) if i in fail else (ex.eval_expr(tree, lo), ex.eval_expr(tree, hi))
+        pieces.append((lo, hi, e, *ends))
+    return direct(*pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -1312,20 +1400,21 @@ class TestEngineErrorOrder:
     @pytest.mark.parametrize("route,terms", [("bracket", 1.5), ("midvalue", 1)])
     def test_memory_of_a_whole_chunk_is_a_buffer_per_term(self, route, terms):
         f = direct((0, 1, "2*x", 0, 2))
-        one = np.array([0]), np.array([measure._CHUNK]), np.array([0.0]), np.array([1.0])
+        one = np.array([0]), np.array([measure._CHUNK]), 1
         if route == "midvalue":
             # one chunk of mid-value brackets: a midpoint and a width per
-            # two cells
+            # two cells; s, width, term, u0, g0, un, gn, eu, eg
             g = direct((0, 1, "x^2", 0, 1))
+            cols = np.array([[0.0], [1.0], [0.0], [0.0], [0.0], [2.0], [1.0], [1e-15], [1e-15]])
             call = lambda: measure._walk(  # noqa: E731
-                *one, ex.Rows([f.pieces[0].evaluator, g.pieces[0].evaluator]),
-                functools.partial(measure._mid_terms,
-                                  *np.array([[0.0], [2.0], [0.0], [1.0], [1e-15], [1e-15]])), {})
+                *one, cols, ex.Rows([f.pieces[0].evaluator, g.pieces[0].evaluator]),
+                measure._mid_terms, {})
         else:
-            # one chunk of brackets: a value per point, a gap per two
+            # one chunk of brackets: a value per point, a gap per two; s,
+            # width, term, v0, vn, delta, -delta, 4 * delta
+            cols = np.array([[0.0], [1.0], [0.0], [0.0], [2.0], [1e-15], [-1e-15], [4e-15]])
             call = lambda: measure._walk(  # noqa: E731
-                *one, ex.Rows([f.pieces[0].evaluator]),
-                functools.partial(measure._bracket_terms, *np.array([[0.0], [2.0], [1e-15]])), {})
+                *one, cols, ex.Rows([f.pieces[0].evaluator]), measure._bracket_terms, {})
         call()  # compile the programs before tracing
         tracemalloc.start()
         try:
