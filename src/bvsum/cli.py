@@ -8,7 +8,9 @@ Exit codes are a stable contract:
     7 identity violation
 
 Machine output (--json) prints every float with 17 significant digits
-and is byte-identical across runs for identical inputs.
+and is byte-identical across runs for identical inputs.  JSON has no
+token for a non-finite number, so it prints one as the string "inf",
+"-inf" or "nan", as the spec format writes domain.hi.
 """
 
 from __future__ import annotations
@@ -64,6 +66,8 @@ def _json(obj) -> str:
         return "[" + ",".join(_json(v) for v in obj) + "]"
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return f'"{float(obj)!r}"'
     return _fmt(obj)
 
 
@@ -378,7 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--budget", type=float, default=None,
+    def budget(text: str) -> float:
+        # argparse names this function in its message on a bad number
+        v = float(text)
+        if math.isnan(v):
+            raise argparse.ArgumentTypeError("the budget must be a number, not nan")
+        return v
+
+    p.add_argument("--budget", type=budget, default=None,
                    help="override the allowed residual")
     p.add_argument("--batch", default=None, help="run on every *.json in a directory")
     p.add_argument("--json", action="store_true")

@@ -24,26 +24,29 @@ compared, hashed and printed within the default recursion limit.
 parse works per template: texts whose tokens differ only in the values
 of their numbers share one, keyed by the text with its numbers blanked.
 The parser makes each template once, from a text of 0s in the place of
-the numbers, and a generated builder then makes each text's tree from
-its numbers.  The builder sets each node's fields in its __dict__, as
-the frozen dataclasses' __init__ would without its object.__setattr__
-per field, and sets on the root its array program, its shape and the
-source of its float functions' factory, all made once per template but
-for the bits of the shape's pinned constants.  The templates are kept in
-a bounded cache.  A text that does not parse, or has a number that is
-not finite, goes to the parser, which raises its errors.
+the numbers, and a builder read off that tree's program then makes each
+text's tree from its numbers.  The builder sets each node's fields in
+its __dict__, as the frozen dataclasses' __init__ would without its
+object.__setattr__ per field, and sets on the root its array program,
+its shape and the source of its float functions' factory, all made once
+per template but for the bits of the shape's pinned constants.  The
+templates are kept in a bounded cache.  A text that does not parse, or
+has a number that is not finite, goes to the parser, which raises its
+errors.
 
 Each node compiles itself once, on first use (parse sets the root's
 array program), and keeps the result outside its fields, so eq, hash,
-repr and pickle ignore it.  A float is evaluated by one straight-line
-function (Expr.compiled) with one group of statements per op, in
-postorder, that evaluates operands left to right and checks each result:
-a zero divisor before "/", finiteness after every binary op, pow and
-function, and the libm errors of the functions, each with the kind the
-array path gives it.  A run of integers s <= k < t is evaluated by a
-block kernel (Expr.block) in two stages, made from the array program's
-ops.  The ops in _EXACT that read x, constants and one another run as
-ufuncs over np.arange(s, t), and round as the float ops do; the others
+repr and pickle ignore it.  Only _program walks the tree: every other
+compiled form is a loop over its ops, each op's facts in its row of
+_OPS.  A float is evaluated by one straight-line
+function (Expr.compiled) with one group of statements per op of the
+program, in its order, that evaluates operands left to right and checks
+each result: a zero divisor before "/", finiteness after every binary
+op, pow and function, and the libm errors of the functions, each with
+the kind the array path gives it.  A run of integers s <= k < t is
+evaluated by a block kernel (Expr.block) in two stages, made from the
+same ops.  The ops in _EXACT that read x, constants and one another run
+as ufuncs over np.arange(s, t), and round as the float ops do; the others
 (powers, the libm calls and what reads them) run bare in one list
 comprehension over the .tolist() of those arrays, each with the float
 function's math call.  As in the unchecked run below, the values are
@@ -54,13 +57,13 @@ trips, or an op raises, the run goes through the float function
 instead, lazily, so the values and the first failing point's EvalError
 are those of the float function at each integer in turn.  Both sources
 are made only of the ops' bare expressions in _OPS, the statements _OPS
-builds around them, ufunc names and register names: x, c<i> for the
-constants and t<i> for the op results, never text from the node.  So
-they depend only on the expression's shape and on which constants are
-finite: the constants are the arguments of a generated factory that
-returns both functions, compiled once per shape and kept in a bounded
-cache that a CLI request, which parses its spec again, reuses; a root
-built by a template finds its factory by the source the template made.
+builds around them, ufunc names and register names (see _names), never
+text from the node.  So they depend only on the program's ops and on
+which constants are finite: the constants are the arguments of a
+generated factory that returns both functions, compiled once per shape
+and kept in a bounded cache that a CLI request, which parses its spec
+again, reuses; a root built by a template finds its factory by the
+source the template made.
 
 An array is evaluated by a flat postorder program of ufunc calls
 (Expr.program), run by one interpreter in two modes.  The unchecked run
@@ -76,7 +79,8 @@ the same order, so their values are bit-identical.
 
 Many small arrays are evaluated at once by eval_rows, one expression per
 row of a 2-D array.  Rows of one shape (Expr.shape) share one unchecked
-run.  A shape is a program's ops and the bits of its pinned constants,
+run.  A shape is a program's ops (so "x^2" and "pow(x,2)", whose ops
+have two names, have two) and the bits of its pinned constants,
 those that an inexact op reads, directly or through ops on constants
 alone: numpy may round such an op differently over a column than over a
 scalar, so a pinned constant stays the scalar it is in a run of its own,
@@ -400,63 +404,64 @@ def _template(key: tuple):
 
 def _builder(e: Expr):
     """A function of e's numbers, in text order, that builds e's AST with
-    them as one straight-line function.  It makes each node without its
-    __init__, setting the fields in the node's __dict__ as that would, and
-    sets on the root its array program (e's ops, over those numbers and
-    e's named constants), its shape (the same for every text of the
-    template but for the bits of its pinned constants) and the source of
-    its factory (see _compile)."""
-    init, code = _program(e)
-    pinned = _pinned((init, code))
+    them as one straight-line function, read off e's program, whose
+    registers hold the numbers in text order and each node after its
+    operands.  A template's numbers are 0 and its named constants are
+    not.  It makes each node without its __init__, setting the fields in
+    the node's __dict__ as that would, and sets on the root its array
+    program (e's ops, over those numbers and e's named constants), its
+    shape (the same for every text of the template but for the bits of its
+    pinned constants) and the source of its factory (see _compile)."""
+    prog = init, code = _program(e)
+    pinned = _pinned(prog)
+    ops = iter(code)
+    node = ["new(Var)"]  # per register, its node: x's is made per reader
     lines = []
-    registers = []  # per program register after x: (its source, its float's)
+    registers = []  # per register after x: (its source, its float's)
     count = 0  # numbers
-
-    def emit(e: Expr) -> str:
-        nonlocal count
-        t = type(e)
-        if t is Num:
-            registers.append((f"F(n{count})", f"n{count}"))
-            fields = {"value": f"n{count}"}
-            count += 1
-        elif t is Const:
-            registers.append((f"I[{len(registers)}]",) * 2)
-            fields = {"name": repr(e.name)}
-        elif t is not Var:
-            op, args = _op(e)
-            a = [emit(arg) for arg in args]
-            registers.append(("None", None))
-            if t is Neg:
-                fields = {"arg": a[0]}
-            elif t is Bin:
-                fields = {"op": repr(op), "left": a[0], "right": a[1]}
+    for r, v in enumerate(init, 1):
+        if v is None:
+            _, a, b, _, _, _, op = next(ops)
+            args = [node[k] for k in ((a,) if b is None else (a, b))]
+            if op == "neg":
+                t, fields = Neg, {"arg": args[0]}
+            elif op in FUNCTIONS or op == "pow":
+                t, fields = Call, {"fn": repr(op), "args": f"({', '.join(args)},)"}
             else:
-                fields = {"fn": repr(op), "args": f"({', '.join(a)},)"}
-        r = f"t{len(lines)}"
-        lines.append(f"    {r} = new({t.__name__})\n" if t is Var else
-                     f"    {r} = new({t.__name__})\n    d = {r}.__dict__\n"
+                t, fields = Bin, {"op": repr(op), "left": args[0], "right": args[1]}
+            registers.append(("None", None))
+        elif v:
+            t, fields = Const, {"name": repr(_NAMED[v])}
+            registers.append((f"I[{r - 1}]",) * 2)
+        else:
+            t, fields = Num, {"value": f"n{count}"}
+            registers.append((f"F(n{count})", f"n{count}"))
+            count += 1
+        node.append(f"t{r}")
+        lines.append(f"    t{r} = new({t.__name__})\n    d = t{r}.__dict__\n"
                      + "".join(f"    d[{k!r}] = {v}\n" for k, v in fields.items()))
-        return r
-
-    root = emit(e)
-    del emit  # it refers to itself: a cycle would wait for the collector
     init_source = "".join(f"{r}, " for r, _ in registers)
     bits = "".join(f"B({registers[k - 1][1]}), " for k in pinned)
     source = (f"def build({', '.join(f'n{i}' for i in range(count))}):\n"
               + "".join(lines)
-              + f"    d = {root}.__dict__\n"
+              + f"    root = {node[-1]}\n"
+              "    d = root.__dict__\n"
               f"    d['program'] = (({init_source}), CODE)\n"
               f"    d['shape'] = {f'(CODE, LEN, PINNED, ({bits}))' if pinned else 'SHAPE'}\n"
               + ("    d['source'] = SOURCE\n" if code else "")
-              + f"    return {root}\n")
+              + "    return root\n")
     scope = {}
     names = {"Num": Num, "Var": Var, "Const": Const, "Neg": Neg, "Bin": Bin,
              "Call": Call, "new": object.__new__, "F": np.float64, "B": _BITS,
              "I": init, "CODE": code, "LEN": len(init), "PINNED": pinned,
-             "SHAPE": None if pinned else _shape((init, code)),
-             "SOURCE": _source(e)[0] if code else None}
+             "SHAPE": None if pinned else _shape(prog),
+             "SOURCE": _source(prog) if code else None}
     exec(compile(source, "<bvsum.expr template>", "exec"), names, scope)
     return scope["build"]
+
+
+# A named constant by its value, which is not 0.
+_NAMED = {v: name for name, v in CONSTANTS.items()}
 
 
 def _op(e: Expr) -> tuple[str, tuple[Expr, ...]]:
@@ -471,60 +476,51 @@ def _op(e: Expr) -> tuple[str, tuple[Expr, ...]]:
 def _compile(e: Expr):
     """(the function mapping a float x to e(x), with the checks of the
     scalar evaluation, in its order; e's block kernel): a Var or constant
-    root's lambdas, else the functions generated for e's shape, over e's
-    constants."""
+    root's lambdas, else the functions generated for e's shape, over the
+    constants of e's program."""
     t = type(e)
     if t is Var:
         return (lambda x: x), (lambda s, t: np.arange(s, t, dtype=np.float64).tolist())
     if t is Num or t is Const:
         v = e.value if t is Num else CONSTANTS[e.name]
         return (lambda x: v), (lambda s, t: [v] * (t - s))
-    source = vars(e).get("source")  # set by a template's builder
-    if source is None:
-        source, consts = _source(e)
-    else:  # the program holds the constants in the same order
-        consts = [float(v) for v in e.program[0] if v is not None]
-    return _factory(source)(*consts)
+    prog = e.program
+    source = vars(e).get("source") or _source(prog)  # set by a template's builder
+    return _factory(source)(*[float(v) for v in prog[0] if v is not None])
 
 
-def _source(e: Expr) -> tuple[str, list]:
-    """(the source of a factory that takes e's constants and returns e's
-    float function and block kernel, the constants).  Registers are x,
-    c<i> for the i-th constant and t<i> for the i-th op result, so the
-    source depends only on e's shape and on which constants are finite.
+def _names(init) -> list[str]:
+    """The names of the registers of a program whose registers after x
+    are init, in the generated sources: x, c<i> for the i-th constant and
+    t<i> for the i-th op result."""
+    consts, ops = itertools.count(), itertools.count()
+    return ["x", *(f"t{next(ops)}" if v is None else f"c{next(consts)}" for v in init)]
 
-    The float function runs one group of statements per op, in postorder,
-    each the op's statements in _OPS.  The kernel comes from e's program
-    (see _kernel), whose registers are numbered in the same postorder."""
-    consts, steps = [], []
 
-    def emit(e: Expr) -> str:
-        t = type(e)
-        if t is Num or t is Const:
-            consts.append(e.value if t is Num else CONSTANTS[e.name])
-            return f"c{len(consts) - 1}"
-        if t is Var:
-            return "x"
-        op, args = _op(e)
-        a = [emit(arg) for arg in args]
-        r = f"t{len(steps)}"
-        steps.append(_OPS[op][4].format(r=r, a=a[0], b=a[-1]))
-        return r
+def _source(prog) -> str:
+    """The source of a factory that takes the constants of the program
+    prog and returns its float function and block kernel.  Its registers
+    are named by _names, so the source depends only on the program's ops
+    and on which constants are finite.
 
-    root = emit(e)
-    del emit  # it refers to itself: a cycle would wait for the collector
-    params = ", ".join(f"c{i}" for i in range(len(consts)))
+    The float function runs the statements in _OPS of each op, in the
+    program's order.  The kernel comes from the same ops (see _kernel)."""
+    init, code = prog
+    name = _names(init)
+    steps = [_OPS[op][4].format(r=name[dst], a=name[a], b=name[a if b is None else b])
+             for _, a, b, dst, _, _, op in code]
+    params = ", ".join(r for r, v in zip(name[1:], init) if v is not None)
     return (f"def factory({params}):\n"
             f"    def f(x):{''.join(steps)}\n"
-            f"        return {root}\n"
-            + _kernel(e.program)
-            + "    return f, block\n"), consts
+            f"        return {name[code[-1][3]]}\n"
+            + _kernel(prog)
+            + "    return f, block\n")
 
 
 def _kernel(prog) -> str:
     """The source of the block kernel of the program prog: block(s, t),
     the values of the float function f at the integers s <= k < t, which
-    must have |k| <= 2^53.  Its registers are named as in _source.
+    must have |k| <= 2^53.  Its registers are named by _names.
 
     An op on constants alone runs once per run, as f runs it.  Every
     other op in _EXACT whose operands are x, constants or other such ops
@@ -547,19 +543,16 @@ def _kernel(prog) -> str:
     nested more than _NESTING brackets deep is bound to its register by a
     clause, so that the source stays within the parser's limit."""
     init, code = prog
-    name, count = ["x"], {"c": 0, "t": 0}  # per register
-    for v in init:
-        k = "t" if v is None else "c"
-        name.append(f"{k}{count[k]}")
-        count[k] += 1
+    name = _names(init)
     # per register: "const", "numpy" (an array over the run) or "python"
     stage = ["numpy"] + ["const" if v is not None else None for v in init]
     mono, signs = _monotone(prog)
     value, depth = list(name), [0] * len(name)  # in the comprehension
     const, arrays, clauses = [], [], []  # statements, clauses
     loop, ends = [], []  # the arrays the comprehension reads; end tests
-    for fn, a, b, dst, tmp, guards, _ in code:
+    for fn, a, b, dst, tmp, guards, op in code:
         ab = (a,) if b is None else (a, b)
+        bare = _OPS[op][0]
         stage[dst] = ("const" if all(stage[r] == "const" for r in ab) else
                       "python" if fn not in _EXACT or any(stage[r] == "python" for r in ab)
                       else "numpy")
@@ -577,7 +570,7 @@ def _kernel(prog) -> str:
                 value[g], depth[g] = name[g], 0
         r = name[dst]
         if stage[dst] == "const":
-            const.append(f"{r} = {_BARE[fn].format(a=name[a], b=name[ab[-1]])}")
+            const.append(f"{r} = {bare.format(a=name[a], b=name[ab[-1]])}")
         elif stage[dst] == "numpy":
             out = "" if tmp is None else f", out={name[tmp]}"
             arrays.append(f"{r} = np.{fn.__name__}({', '.join(name[k] for k in ab)}{out})")
@@ -587,8 +580,8 @@ def _kernel(prog) -> str:
             for k in ab:
                 if stage[k] == "numpy" and k not in loop:
                     loop.append(k)
-            value[dst] = _BARE[fn].format(a=value[a], b=value[ab[-1]])
-            depth[dst] = _BARE[fn].count("(") + max(depth[k] for k in ab)
+            value[dst] = bare.format(a=value[a], b=value[ab[-1]])
+            depth[dst] = bare.count("(") + max(depth[k] for k in ab)
             if depth[dst] > _NESTING:
                 clauses.append(f"for {r} in [{value[dst]}]")
                 value[dst], depth[dst] = r, 0
@@ -668,9 +661,9 @@ def _end_tests(code, name, stage, ends, signs) -> list[str]:
         return f"{name[r]}_{end}" if r in need else name[r]
 
     lines = ["x_0, x_1 = float(s), float(t - 1)"]
-    for fn, a, b, dst, _, _, _ in code:
+    for _, a, b, dst, _, _, op in code:
         if dst in need:
-            bare = _BARE[fn]
+            bare = _OPS[op][0]
             lines += [f"{at(dst, end)} = "
                       + bare.format(a=at(a, end), b=at(a if b is None else b, end))
                       for end in "01"]
@@ -729,18 +722,18 @@ def _checked(statements: str, kind: str = "overflow") -> str:
             raise EvalError("{kind}", x)"""
 
 
-def _assign(bare: str, kind: str | None) -> str:
+def _assign(bare: str) -> str:
     return "\n        {r} = " + bare
 
 
 def _arith(bare: str, kind: str) -> str:
-    return _checked(_assign(bare, kind))
+    return _checked(_assign(bare), kind)
 
 
 def _div(bare: str, kind: str) -> str:
     return _checked(f"""
         if {{b}} == 0.0:
-            raise EvalError("{kind}", x)""" + _assign(bare, kind))
+            raise EvalError("{kind}", x)""" + _assign(bare))
 
 
 def _pow(bare: str, kind: str) -> str:
@@ -765,13 +758,16 @@ def _call(bare: str, kind: str) -> str:
 
 
 def _entry(bare: str, ufunc, kind, masking: bool, statements) -> tuple:
-    return bare, ufunc, kind, masking, statements(bare, kind)
+    # an op of no kind (neg) tests nothing, so its statements need none
+    return (bare, ufunc, kind, masking,
+            statements(bare) if kind is None else statements(bare, kind))
 
 
 # op -> (the op's value as a bracketed expression of its operands {a} and
 # {b}, ufunc, kind of a non-finite result (None: the strict run does not
-# test it), masking, the float function's statements for it).  The
-# masking ops can map a non-finite operand to a finite value: x/inf = 0,
+# test it), masking, the float function's statements for it): each
+# compiled form reads an op's facts here, by the name its program op
+# holds.  The masking ops can map a non-finite operand to a finite value: x/inf = 0,
 # 1^nan = 1, exp(-inf) = 0, atan(inf) = pi/2.  Every other op keeps a
 # non-finite value non-finite at the same point, or raises, so it reaches
 # the root unless a masking op's operand test sees it first.
@@ -792,8 +788,6 @@ _OPS = {
     "atan": _entry("atan({a})", np.arctan, "overflow", True, _call),
     "floor": _entry("float(floor({a}))", np.floor, "overflow", False, _call),
 }
-# ufunc -> the bare expression of its ops ("^" and "pow" share both)
-_BARE = {spec[1]: spec[0] for spec in _OPS.values()}
 
 
 def _program(e: Expr):
@@ -801,9 +795,10 @@ def _program(e: Expr):
     Register 0 holds x, the others each constant and op result in
     postorder.  An op is (ufunc, operand register a, b or None, result
     register, the operand it may overwrite or None, the operands the
-    unchecked run tests first, kind).  It may overwrite only an operand
-    computed from x in the same run: never x, never a constant-only value.
-    Only masking ops test operands, and never a finite literal."""
+    unchecked run tests first, its name in _OPS).  It may overwrite only
+    an operand computed from x in the same run: never x, never a
+    constant-only value.  Only masking ops test operands, and never a
+    finite literal."""
     init, code = [], []
     sort = [0]  # per register: 0 from x, 1 a finite literal, 2 other constant
 
@@ -818,7 +813,7 @@ def _program(e: Expr):
             sort.append(1 if math.isfinite(v) else 2)
             return len(init)
         op, args = _op(e)
-        _, fn, kind, masking, _ = _OPS[op]
+        _, fn, _, masking, _ = _OPS[op]
         a = emit(args[0])
         b = emit(args[1]) if len(args) > 1 else None
         ab = (a,) if b is None else (a, b)
@@ -826,7 +821,7 @@ def _program(e: Expr):
         guards = tuple(r for r in ab if sort[r] != 1) if masking else ()
         init.append(None)
         sort.append(0 if sort[a] == 0 or b is not None and sort[b] == 0 else 2)
-        code.append((fn, a, b, len(init), tmp, guards, kind))
+        code.append((fn, a, b, len(init), tmp, guards, op))
         return len(init)
 
     emit(e)
@@ -859,11 +854,12 @@ def _run(prog, x: np.ndarray, strict: bool, out=None):
     init, code = prog
     regs = [x, *init]
     root = len(init) if out is not None else -1  # the root op's register
-    for fn, a, b, dst, tmp, guards, kind in code:
+    for fn, a, b, dst, tmp, guards, op in code:
         va = regs[a]
         vb = None if b is None else regs[b]
         if strict:
             r = fn(va) if b is None else fn(va, vb)
+            kind = _OPS[op][2]
             if kind is not None and not np.isfinite(r).all():
                 raise _fail(kind, x, r, (va, vb))
         else:

@@ -643,11 +643,14 @@ def _integral_claim(f: BvFunction, a: float, b: float, tol: float) -> _Claim:
         if p.direction == "const":
             c = p.left_boundary_limit
             values.append(c * (t - s))
-            # an ulp-scale radius unless the difference and product are exact
-            # (a non-finite product goes on to Certified, which refuses it)
+            # an ulp-scale radius unless the difference and product are exact,
+            # and one subnormal ulp for a product below the normal range,
+            # whose relative slack underflows (a non-finite product goes on
+            # to Certified, which refuses it)
             exact = (math.isfinite(values[-1])
                      and Fraction(values[-1]) == Fraction(c) * (Fraction(t) - Fraction(s)))
-            radii.append(0.0 if exact else _slack(values[-1]))
+            radii.append(0.0 if exact else _slack(values[-1])
+                         + (5e-324 if abs(values[-1]) < sys.float_info.min else 0.0))
         elif p.antiderivative is not None:
             fs = ex.eval_expr(p.antiderivative, s)
             ft = ex.eval_expr(p.antiderivative, t)

@@ -1,11 +1,14 @@
 import json
+import math
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from bvsum import cli
 from bvsum import expr as ex
 from bvsum import measure
 from bvsum.cli import main
@@ -21,6 +24,15 @@ def run(*args):
 
 def cpath(name):
     return CORPUS_DIR / name
+
+
+def strict_json(text):
+    """text parsed as JSON, refusing the tokens NaN, Infinity and
+    -Infinity, which JSON does not have."""
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def run_main(capsys, *args):
@@ -238,6 +250,12 @@ class TestExitCodes:
         r = run_in(capsys, "convergence", f)
         assert r.returncode == 6
 
+    def test_nan_budget_is_a_usage_error_exit_1(self, capsys):
+        code, out, err = run_main(capsys, "verify", cpath("exp_decay.json"), "--check",
+                                  "pvv", "--a", 0, "--b", 5, "--budget", "nan", "--json")
+        assert code == 1
+        assert "--budget" in err and out == ""
+
     def test_identity_violation_exit_7(self, capsys):
         # a residual is never negative, so a negative budget always fails
         # (a zero budget passes wherever the residual rounds to exactly 0)
@@ -265,6 +283,26 @@ class TestJsonContract:
         for m in re.finditer(r"-?\d\.(\d+)e[+-]\d+", r.stdout):
             assert len(m.group(1)) == 16
         assert doc["value"] == pytest.approx(2.8524407273438253, abs=1e-15)
+
+    @pytest.mark.parametrize("argv,key", [
+        (("variation", "basel.json", "--lo", 0, "--hi", "inf"), "hi"),
+        (("verify", "exp_decay.json", "--check", "pvv", "--a", 0, "--b", "inf"), "b"),
+        (("sum", "harmonic.json", "--a", 0, "--b", 10, "--tol", "inf"), "tol"),
+        (("verify", "exp_decay.json", "--check", "pvv", "--a", 0, "--b", 5,
+          "--budget", "inf"), None),
+    ])
+    def test_nonfinite_numbers_print_as_strings(self, capsys, argv, key):
+        cmd, name, *rest = argv
+        r = run_in(capsys, cmd, cpath(name), *rest, "--json")
+        assert r.returncode == 0, r.stderr
+        doc = strict_json(r.stdout)
+        assert (doc["inputs"][key] if key else doc["radius"]) == "inf"
+
+    def test_json_spells_each_nonfinite_number_as_the_spec_format(self):
+        doc = {"a": math.inf, "b": -math.inf, "c": math.nan, "d": np.float64(-math.inf),
+               "e": [1.5, math.nan]}
+        assert cli._json(doc) == ('{"a":"inf","b":"-inf","c":"nan","d":"-inf",'
+                                  '"e":[1.5000000000000000e+00,"nan"]}')
 
     def test_verify_json_residual(self, capsys):
         r = run_in(capsys, "verify", cpath("floor_steps.json"), "--check", "midvalue",

@@ -128,6 +128,17 @@ def test_cli_matrix(key, requests, monkeypatch):
     assert run(reqs[key], tmp) == _GOLDEN[key]
 
 
+def test_golden_json_output_is_strict_json():
+    # JSON has no NaN or Infinity token: a non-finite number is a string
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    outs = [out for key, (_, out, _) in _GOLDEN.items() if key.endswith(" --json") and out]
+    assert outs
+    for out in outs:
+        json.loads(out, parse_constant=refuse)
+
+
 def record() -> None:
     import os
     import tempfile

@@ -607,7 +607,7 @@ def test_unknown_op_raises_key_error_and_compiles_nothing(node):
 
 def test_one_shape_shares_one_code_object_over_its_constants():
     a, b = parse("2/(1+3*x)^0.5"), parse("pi/(1e-3+7*x)^2")
-    assert ex._source(a)[0] == ex._source(b)[0]
+    assert ex._source(a.program) == ex._source(b.program)
     assert a.compiled.__code__ is b.compiled.__code__
     for x in (0.5, 2.0, 1e3):
         assert _bits(a.compiled(x)) == _bits(ref_eval_scalar(a, x))
@@ -993,6 +993,24 @@ def test_template_parse_is_the_parser(texts):
         _assert_parses_as_the_parser(text)
 
 
+# A text per op of _OPS, each op reading a number, x and a named constant
+# through its operands: the template's builder makes each op's node, and
+# tells each number from each named constant, off the program's registers.
+_OP_TEXTS = {"neg": "-(1.5*x)", "pow": "pow(1.5*x,e-x)",
+             **{op: f"(1.5*x){op}(e-x)" for op in "+-*/^"},
+             **{fn: f"{fn}(1.5*x+pi)" for fn in ex.FUNCTIONS}}
+
+
+@pytest.mark.parametrize("text", [*(pytest.param(_OP_TEXTS[op], id=op) for op in ex._OPS),
+                                  "x", "pi", "e", "2.5"])
+def test_template_builds_each_op_and_root_as_the_parser(text, monkeypatch):
+    monkeypatch.setattr(ex, "_MET", {})
+    ex._template.cache_clear()
+    _assert_parses_as_the_parser(text)  # meets the key
+    _assert_parses_as_the_parser(text)  # makes and uses the template
+    assert "program" in vars(parse(text))  # set by the template's builder
+
+
 @pytest.mark.parametrize("text,offset", MALFORMED)
 def test_malformed_inputs_report_position_on_a_known_key(text, offset):
     # the second parse finds the key that has no template
@@ -1022,7 +1040,7 @@ def test_template_nodes_reach_their_factory_without_its_source(monkeypatch):
     fn = e.compiled
     assert made == [] and fn.__code__ is want.compiled.__code__
     monkeypatch.undo()
-    assert vars(e)["source"] == ex._source(e)[0] == ex._source(want)[0]
+    assert vars(e)["source"] == ex._source(e.program) == ex._source(want.program)
     ref = ex._compile(ex._Parser("0.25+3*exp(-2.5*(x-0.75))^2").parse())[0]
     for x in (0.0, 0.5, 1e3, -1e3):
         assert _scalar_outcome(fn, x) == _scalar_outcome(ref, x)

@@ -184,6 +184,16 @@ class TestIntegrate:
         assert 0.0 < enc.radius <= 1e-16
         assert abs(Fraction(enc.value) - exact) <= Fraction(enc.radius)
 
+    @pytest.mark.parametrize("c,hi", [(5e-324, 1.75), (5e-324, 0.75), (3e-320, 1.1),
+                                      (-2.5e-310, 0.3)])
+    def test_constant_piece_subnormal_product_has_a_radius(self, c, hi):
+        # the product rounds below the normal range, where a relative
+        # slack underflows to 0
+        enc = integrate(self._constant(c, 0, 2), 0, hi)
+        exact = Fraction(c) * Fraction(hi)
+        assert Fraction(enc.value) != exact
+        assert abs(Fraction(enc.value) - exact) <= Fraction(enc.radius)
+
     def test_constant_piece_overflowing_product_is_refused(self):
         # 1e308 * 2 overflows; Certified refuses the infinite value
         with pytest.raises(ValueError, match="non-finite"):
