@@ -382,6 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+
     def budget(text: str) -> float:
         # argparse names this function in its message on a bad number
         v = float(text)
