@@ -11,6 +11,7 @@ limit consistency are tested by sampling, not proved.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from collections.abc import Mapping, Sequence
@@ -125,6 +126,19 @@ class BvFunction:
     def __post_init__(self):
         object.__setattr__(self, "_bp_map", {bp.x: bp for bp in self.breakpoints})
         object.__setattr__(self, "_piece_los", [p.lo for p in self.pieces])
+
+    @functools.cached_property
+    def layout(self):
+        """The columns and evaluation plan that refinements read (see
+        measure.Layout), made once, on first use; like Expr.compiled, it
+        is kept outside the fields, so eq, hash and pickle ignore it."""
+        from .measure import Layout  # measure builds on this module
+
+        return Layout(self)
+
+    def __getstate__(self):
+        # the copy makes its layout again on first use
+        return {k: v for k, v in vars(self).items() if k != "layout"}
 
     @property
     def is_half_line(self) -> bool:

@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -79,7 +80,19 @@ def _emit(args, result: dict, human_lines: list[str]) -> None:
             print(line)
 
 
+_NEGATIVE_NUMBER = re.compile(r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf|infinity|nan)$",
+                              re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative number in decimal or scientific notation, or -inf
+        # (or nan), is an option's value, not an option; argparse's own
+        # pattern, which reads only -1 and -0.5 as numbers, would take
+        # -1e-3 for an option and leave --lo -1e-3 without its value
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # the exit-code table reserves 1 for usage errors (argparse uses 2)
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -32,10 +32,10 @@ from .measure import (
     _beta1_claim,
     _certify,
     _integral_claim,
-    _limit,
     _mid_grid,
     _midvalue_claim,
     _require_int,
+    _strict_left,
     integrate,
     tail_integral,
 )
@@ -262,8 +262,7 @@ def parts_check(f: BvFunction, g: BvFunction, a: float, b: float,
     stieltjes_midvalue called for each in turn."""
     if not (a < b):
         raise ValueError(f"need a < b, got a={a}, b={b}")
-    seen: dict = {}  # the scalar evaluations of both halves and the limits
-    mid = _mid_grid(f, g, a, b, seen)  # one grid, search and limit table
+    mid = _mid_grid(f, g, a, b)  # one grid, search and limit table
     first = _midvalue_claim(g, f, a, b, tol, mid)
     try:
         second = _midvalue_claim(f, g, a, b, tol, mid)
@@ -272,8 +271,9 @@ def parts_check(f: BvFunction, g: BvFunction, a: float, b: float,
         raise
     i1, i2 = _certify(first, second)
     lhs = i1.value + i2.value
-    # as left_limit(., ., strict=True)
-    rhs = (_limit(seen, g, b, False, True) * _limit(seen, f, b, False, True)
-           - _limit(seen, g, a, False, True) * _limit(seen, f, a, False, True))
+    # left_limit(., ., strict=True) at b and a, the grid's ends
+    n = len(mid.grid) - 1
+    rhs = (_strict_left(mid, g, n) * _strict_left(mid, f, n)
+           - _strict_left(mid, g, 0) * _strict_left(mid, f, 0))
     budget = i1.radius + i2.radius + IDENTITY_SLACK
     return CheckReport(lhs, rhs, abs(lhs - rhs), budget)

@@ -20,41 +20,47 @@ Convexity is sampled on the grid, as monotonicity is in validate, not
 proved.
 
 integrate, stieltjes_beta1 and stieltjes_midvalue share one refinement
-engine, in two phases.  A routine's prepare phase (_prepare) finds its
-fallback segments in one sweep over the cells, the pieces that contain
-them in one search per function, and keeps the segments as columns:
-arrays of one entry per segment (s, t, the one-sided limits, the
-rounding terms, weights, floors and budgets) and per curve the list of
-its expressions.  It reserves each segment's rounding floor, refusing a
-tol that does not cover the floors, and splits the rest over the
-segments.  _certify then refines the segments of one or more routines on
-one route in one _refine call, which grows their grids round by round
-from the measured error, settling each round's segments column by
-column, and finishes each routine in turn: it sums the values and
-checks the radius against tol.  So em_midvalue_check and parts_check
-refine both halves of their identities in one walk, and parts_check
-prepares both on one grid, with one search and one table of one-sided
-limits per function (_mid_grid).  _walk evaluates the grids of all
-segments together, in chunks of _CHUNK cells: chunks of one cell count
-are the rows of one 2-D grid of at most _BATCH points, whose terms are
-computed with the rows walked as one array; longer chunks are walked in
-blocks of at most _BATCH points.  A refinement fixes its evaluation
-layout once: one expr.Rows plan of the curves' expressions, which
-groups them by shape, and its segments walked in the order of their
-first curve's groups, so that a block runs each group once, on a
-contiguous slice of its rows, and reads each segment's columns from one
-matrix (s, width, term and the route's columns).  Every
-point, value and sum is the float operation of a lone segment's grid,
-and every math.fsum is kept, so results and errors are those of refining
-one segment after the other, and one routine after the other: the error
-raised is the first failing segment's.
+engine, in two phases.  A function's data that its queries read are
+fixed once, on first use, in its Layout (BvFunction.layout): columns of
+its pieces and breakpoints, each piece's bracket columns taken whole,
+and one expr.Rows plan of its pieces' evaluators.  A routine's prepare
+phase (_prepare) finds its fallback segments in one sweep over the
+cells, the pieces that contain them in one search per function, and
+keeps the segments as columns: arrays of one entry per segment (s, t,
+the one-sided limits, the rounding terms, weights, floors and budgets),
+gathered from the layout for whole pieces and computed for the ends
+inside a piece, and per curve the rows of its pieces in the plan.  It
+reserves each segment's rounding floor, refusing a tol that does not
+cover the floors, and splits the rest over the segments.  _certify then
+refines the segments of one or more routines on one route in one _refine
+call, which grows their grids round by round from the measured error,
+settling each round's segments column by column, and finishes each
+routine in turn: it sums the values and checks the radius against tol.
+So em_midvalue_check and parts_check refine both halves of their
+identities in one walk, and parts_check prepares both on one grid, with
+one search and one table of one-sided limits per function and one plan,
+the two functions' plans joined by shape (_mid_grid).  _walk evaluates
+the grids of all segments together, in chunks of _CHUNK cells: chunks of
+one cell count are the rows of one 2-D grid of at most _BATCH points,
+whose terms are computed with the rows walked as one array; longer
+chunks are walked in blocks of at most _BATCH points.  A refinement runs
+the rows of its function's plan, which groups the pieces by shape, and
+walks its segments in the order of their first curve's groups, so that a
+block runs each group once, on a contiguous slice of its rows, and reads
+each segment's columns from one matrix (s, width, term and the route's
+columns).  Every point, value and sum is the float operation of a lone
+segment's grid, and every math.fsum is kept, so results and errors are
+those of refining one segment after the other, and one routine after the
+other: the error raised is the first failing segment's.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import sys
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -189,11 +195,106 @@ def total_variation_measure(f: BvFunction, iv: IntervalSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
+# The layout of a function, which its refinements read
+
+# how a piece's integral is taken: value * width, by its antiderivative,
+# or by brackets
+_CONST, _CLOSED, _BRACKETED = 0, 1, 2
+
+
+class Layout:
+    """The columns of a function that its queries read, made once per
+    function (BvFunction.layout), each on first use, so a query pays
+    only for what it reads.  Per piece: los and his, its lo and hi, and
+    closed, the pieces not bracketed, as lists for bisect; lo and hi as
+    arrays; route (_CONST for a constant piece, else _CLOSED with an
+    antiderivative, else _BRACKETED); and bracket, the rows v0, vn,
+    delta, term, weight and floor of _bracket_columns for the piece
+    taken whole.  Per breakpoint, in increasing x: xs as a list, x, and
+    left and right, its one-sided limits, each with a NaN after the
+    last, which the index -1 reads.  plan is the expr.Rows of the
+    pieces' evaluators, a row per piece, and joined the plan joined with
+    another layout's."""
+
+    def __init__(self, f: BvFunction):
+        self.pieces, self.breakpoints, self.los = f.pieces, f.breakpoints, f._piece_los
+        self.his = [p.hi for p in f.pieces]
+        self.closed = [k for k, p in enumerate(f.pieces)
+                       if p.direction == "const" or p.antiderivative is not None]
+        self.xs = [bp.x for bp in f.breakpoints]
+
+    @functools.cached_property
+    def lo(self) -> np.ndarray:
+        return np.array(self.los)
+
+    @functools.cached_property
+    def hi(self) -> np.ndarray:
+        return np.array(self.his)
+
+    @functools.cached_property
+    def route(self) -> np.ndarray:
+        return np.array([_CONST if p.direction == "const" else
+                         _BRACKETED if p.antiderivative is None else _CLOSED
+                         for p in self.pieces])
+
+    @functools.cached_property
+    def bracket(self) -> np.ndarray:
+        v0 = np.array([p.left_boundary_limit for p in self.pieces])
+        vn = np.array([p.right_boundary_limit for p in self.pieces])
+        with np.errstate(all="ignore"):  # as _prepare; a tail piece is never bracketed
+            delta, term = _rounding(self.lo, self.hi, v0, vn)
+            width = self.hi - self.lo
+            return np.array([v0, vn, delta, term, width * np.abs(vn - v0) + 1e-300,
+                             term + width * delta])
+
+    @functools.cached_property
+    def x(self) -> np.ndarray:
+        return np.array(self.xs)
+
+    @functools.cached_property
+    def left(self) -> np.ndarray:
+        return np.array([*(bp.left_value for bp in self.breakpoints), math.nan])
+
+    @functools.cached_property
+    def right(self) -> np.ndarray:
+        return np.array([*(bp.right_value for bp in self.breakpoints), math.nan])
+
+    @functools.cached_property
+    def plan(self) -> ex.Rows:
+        return ex.Rows([p.evaluator for p in self.pieces])
+
+    @functools.cached_property
+    def _joins(self) -> weakref.WeakKeyDictionary:
+        return weakref.WeakKeyDictionary()  # other layout -> joined plan
+
+    def joined(self, other: "Layout") -> ex.Rows:
+        """The plan of the rows of this function's pieces and then of
+        other's (expr.Rows.join), made once while other lives."""
+        plan = self._joins.get(other)
+        if plan is None:
+            plan = self._joins[other] = ex.Rows.join(self.plan, other.plan)
+        return plan
+
+    def containing(self, xs):
+        """The index of the piece whose open interval contains x, for each
+        x of xs, else -1 (as BvFunction.piece_containing)."""
+        i = self.lo.searchsorted(xs, "right") - 1  # bisect_right
+        return np.where((i >= 0) & (self.lo[i] < xs) & (xs < self.hi[i]), i, -1)
+
+    def breakpoints_at(self, xs):
+        """The index of the breakpoint at x, for each x of xs, else -1."""
+        if not len(self.x):
+            return np.full(len(xs), -1)
+        i = np.minimum(self.x.searchsorted(xs), len(self.x) - 1)
+        return np.where(self.x[i] == xs, i, -1)
+
+
+# ---------------------------------------------------------------------------
 # Refinement engine shared by integrate, stieltjes_beta1 and stieltjes_midvalue
 
 
-def _walk(rows, ns, m: int, col, plan, terms, failed: dict):
-    """Walk the uniform grids of the segments rows, of m, ns[j] cells for
+def _walk(rows, ns, prow, col, plan, terms, failed: dict):
+    """Walk the uniform grids of the segments rows, ns[j] cells for
     segment rows[j]: per term (a route has two), a (len(rows), chunks)
     array of the sums of each segment's chunks, -0.0 past its last chunk.
     col[:, j] holds the columns of segment rows[j] (see _refine), s and
@@ -201,7 +302,7 @@ def _walk(rows, ns, m: int, col, plan, terms, failed: dict):
     chunks of _CHUNK cells that share their end points; a chunk or block
     also takes the point beyond each end that is not a grid's (its pads).
     plan is the Rows of the curves' expressions, curve c of segment i in
-    row c * m + i.  The segments of one cell count and chunk are walked
+    its row prow[c, i].  The segments of one cell count and chunk are walked
     together, in the order of rows, in blocks of at most _BATCH points.
     terms(col, first, last, size, y) gives a block's terms, a 2-D array
     per term with a row per segment; col holds the block's columns, first
@@ -231,7 +332,7 @@ def _walk(rows, ns, m: int, col, plan, terms, failed: dict):
                     p, seg, block_col = slice(None), rows, col
                 else:
                     seg, block_col = rows[p], col[:, p]
-                block = functools.partial(_block, seg, block_col, n, m, plan, terms)
+                block = functools.partial(_block, seg, block_col, n, prow, plan, terms)
                 if stop - start < _BATCH:
                     sums = [np.add.reduce(a, axis=1) for a in block(start, stop, failed)]
                 else:
@@ -245,9 +346,9 @@ def _walk(rows, ns, m: int, col, plan, terms, failed: dict):
     return out
 
 
-def _block(seg, col, n: int, m: int, plan, terms, c0: int, c1: int, errs: dict):
+def _block(seg, col, n: int, prow, plan, terms, c0: int, c1: int, errs: dict):
     """The terms of the cells between the points c0 and c1 of the n-cell
-    grids of the segments seg, of m, whose columns col holds, pads
+    grids of the segments seg, whose columns col holds, pads
     included, evaluating the curves in order; errors go to errs.  A row
     holds the block's points and, if their count is odd, a copy of one,
     so that its rows can be walked as one array by twos; a grid's end,
@@ -265,7 +366,7 @@ def _block(seg, col, n: int, m: int, plan, terms, c0: int, c1: int, errs: dict):
         xs[size] = xs[size - 1]
     xs = col[1, :, None] * xs
     xs += col[0, :, None]  # s + (t - s) * (k / n), as for a lone grid
-    return terms(col, first, last, size, _evaluate(plan, seg, m, xs, errs))
+    return terms(col, first, last, size, _evaluate(plan, prow, seg, xs, errs))
 
 
 def _blocks(block, start: int, stop: int):
@@ -291,13 +392,13 @@ def _blocks(block, start: int, stop: int):
     return [np.add.reduce(buf[:, :p], axis=1) for buf, p in zip(bufs, pos)]
 
 
-def _evaluate(plan, seg, m: int, xs, errs: dict):
-    """Each curve's expressions for the segments seg, of m, over the
-    points xs of each row, in one run of plan, the curves' rows stacked;
-    a failing row records its segment's error in errs, if it is the
-    first (an earlier curve's first)."""
-    curves = len(plan.exprs) // m
-    rows = seg if curves == 1 else np.concatenate([seg + c * m for c in range(curves)])
+def _evaluate(plan, prow, seg, xs, errs: dict):
+    """Each curve's expressions for the segments seg, rows prow[:, seg] of
+    plan, over the points xs of each row, in one run of plan, the curves'
+    rows stacked; a failing row records its segment's error in errs, if
+    it is the first (an earlier curve's first)."""
+    curves = len(prow)
+    rows = prow[0, seg] if curves == 1 else prow[:, seg].reshape(-1)
     vals, errors = plan(xs if curves == 1 else np.concatenate([xs] * curves), rows)
     for r in sorted(errors):
         errs.setdefault(int(seg[r % len(seg)]), errors[r])
@@ -344,15 +445,16 @@ class _Claim(NamedTuple):
 def _prepare(route: _Route, tol: float, values: list[float], radii: list[float],
              fallback: tuple, weigh, wrap=None, reserved: float = 0.0) -> _Claim:
     """The prepare phase of a routine.  fallback holds the columns of the
-    fallback segments, lists of one entry per segment (their pieces, s
+    fallback segments, of one entry per segment (their pieces' indices, s
     and t), and weigh(*fallback) their columns for the route: arrays of
-    one entry per segment, exprs (per curve, the segments' expressions),
-    and weight and floor.  Each segment gets its floor plus a share of
-    the rest of tol, after the closed-form radii, the radius reserved for
-    wrap to add and all floors, in proportion to weight: its budget.  A
-    tol that does not cover them is refused."""
+    one entry per segment, plan, the expr.Rows of the curves, rows (per
+    curve, the segments' rows of plan), and weight and floor.  Each
+    segment gets its floor plus a share of the rest of tol, after the
+    closed-form radii, the radius reserved for wrap to add and all
+    floors, in proportion to weight: its budget.  A tol that does not
+    cover them is refused."""
     segs: dict = {}
-    if fallback[0]:
+    if len(fallback[0]):
         budget = tol - math.fsum(radii) - reserved
         if budget > 0.0:
             segs = weigh(*fallback)
@@ -372,9 +474,10 @@ def _joined(parts: list) -> dict:
     if len(parts) < 2:
         return parts[0] if parts else {}
     joined = {k: np.concatenate([p[k] for p in parts])
-              for k in set.intersection(*map(set, parts)) if k != "exprs"}
-    joined["exprs"] = tuple([e for p in parts for e in p["exprs"][c]]
-                            for c in range(len(parts[0]["exprs"])))
+              for k in set.intersection(*map(set, parts)) if k not in ("plan", "rows")}
+    joined["plan"] = parts[0]["plan"]  # the claims of one call share it
+    joined["rows"] = tuple(np.concatenate([p["rows"][c] for p in parts])
+                           for c in range(len(parts[0]["rows"])))
     return joined
 
 
@@ -417,36 +520,36 @@ def _total(values: list, radii: list) -> Certified:
 
 @np.errstate(all="ignore")  # as _prepare
 def _refine(route: str, segs: dict, columns: list, terms, settle, *, n0: int):
-    """Refine the segments of the columns segs (s, t, budget, term and
-    the curves' exprs) together, round by round from n0 cells: each
-    pending segment walks a grid of n cells, with pads (see _walk).  The
-    walk and settle see the segments' columns as the rows of one matrix,
-    s, width (t - s) and term, then the route's columns: terms (see
-    _walk) reads them, and settle(col, n, sums) -> (values, errs,
-    roundings) reads the sums of the segments whose columns col holds,
-    n[j] cells for col[:, j].  Segment i is done, with radius err +
-    rounding, when err fits budget[i]; else n grows by a power of two, at
-    least twofold, aiming just under the budget at order 2, up to the cap
-    of MAX_CELLS cells.  -> (values, radii, failed): failed maps failing
-    segments to their errors, the first of which is sure to be there, and
-    values[i] and radii[i] are segment i's if no segment up to i failed
-    (the rows of later ones are skipped).
+    """Refine the segments of the columns segs (s, t, budget, term, and
+    the plan and rows of the curves) together, round by round from n0
+    cells: each pending segment walks a grid of n cells, with pads (see
+    _walk).  The walk and settle see the segments' columns as the rows of
+    one matrix, s, width (t - s) and term, then the route's columns:
+    terms (see _walk) reads them, and settle(col, n, sums) -> (values,
+    errs, roundings) reads the sums of the segments whose columns col
+    holds, n[j] cells for col[:, j].  Segment i is done, with radius err
+    + rounding, when err fits budget[i]; else n grows by a power of two,
+    at least twofold, aiming just under the budget at order 2, up to the
+    cap of MAX_CELLS cells.  -> (values, radii, failed): failed maps
+    failing segments to their errors, the first of which is sure to be
+    there, and values[i] and radii[i] are segment i's if no segment up
+    to i failed (the rows of later ones are skipped).
 
-    The evaluation layout is fixed once: one expr.Rows plan of the
-    curves' expressions, and the segments walked in the order of their
-    first curve's groups, so that a block's rows of that curve come in
-    group order, each group a contiguous slice."""
+    The evaluation layout is the function's (see Layout): its expr.Rows
+    plan, whose rows the curves' pieces are, and the segments walked in
+    the order of their first curve's groups, so that a block's rows of
+    that curve come in group order, each group a contiguous slice."""
     s, t, budget = segs["s"], segs["t"], segs["budget"]
-    plan = ex.Rows([e for curve in segs["exprs"] for e in curve])
+    plan, prow = segs["plan"], np.array(segs["rows"])
     cols = np.array([s, t - s, segs["term"], *columns])
     ns = np.full(len(s), n0)
     values, radii = np.empty(len(s)), np.empty(len(s))
     failed: dict = {}
-    rows = np.argsort(plan.group[:len(s)], kind="stable")
+    rows = np.argsort(plan.group[prow[0]], kind="stable")
     while rows.size:
         n = ns[rows]
         col = cols[:, rows]
-        value, err, rounding = settle(col, n, _walk(rows, n, len(s), col, plan, terms, failed))
+        value, err, rounding = settle(col, n, _walk(rows, n, prow, col, plan, terms, failed))
         fits = err <= budget[rows]
         if not failed and fits.all():  # the last round
             values[rows] = value
@@ -521,22 +624,35 @@ def _mid_rounding(u0, un, g0, gn):
     return eu, eg, 0.5 * (widening + eu * big) + 8 * _SUM_ULPS * _EPS * big * du, widening
 
 
-def _bracket_columns(ps: list, ss: list, ts: list) -> dict:
-    """The columns of the bracketed segments (ps[i], ss[i], ts[i]): their
-    expressions, s, t, ends v0 = p(s+) and vn = p(t-), delta and term
-    (see _rounding), weight, and floor: term and the widening of flat
-    cells, at most (t - s) * delta.  The ends are evaluated segment by
-    segment, once per piece and point."""
-    seen: dict = {}
-    v0, vn = np.array([
-        (p.left_boundary_limit if s == p.lo else _value(seen, p.evaluator, s),
-         p.right_boundary_limit if t == p.hi else _value(seen, p.evaluator, t))
-        for p, s, t in zip(ps, ss, ts)]).T
-    s, t = np.array(ss), np.array(ts)
-    delta, term = _rounding(s, t, v0, vn)
-    return {"exprs": ([p.evaluator for p in ps],), "s": s, "t": t, "v0": v0, "vn": vn,
-            "delta": delta, "term": term, "weight": (t - s) * np.abs(vn - v0) + 1e-300,
-            "floor": term + (t - s) * delta}
+def _bracket_columns(f: BvFunction, ks, ss, ts) -> dict:
+    """The columns of the bracketed segments (f.pieces[ks[i]], ss[i],
+    ts[i]): their plan and rows, s, t, ends v0 = p(s+) and vn = p(t-),
+    delta and term (see _rounding), weight, and floor: term and the
+    widening of flat cells, at most (t - s) * delta.  A piece taken whole
+    has its columns in f's layout; the ends inside a piece are evaluated
+    segment by segment, once per piece and point, and their segments'
+    columns computed."""
+    lay = f.layout
+    v0, vn, delta, term, weight, floor = lay.bracket[:, ks]
+    at_s, at_t = ss != lay.lo[ks], ts != lay.hi[ks]
+    clipped = (at_s | at_t).nonzero()[0]
+    if clipped.size:
+        seen: dict = {}
+        for i, k, s, t, es, et in zip(clipped.tolist(), ks[clipped].tolist(),
+                                      ss[clipped].tolist(), ts[clipped].tolist(),
+                                      at_s[clipped].tolist(), at_t[clipped].tolist()):
+            e = f.pieces[k].evaluator
+            if es:
+                v0[i] = _value(seen, e, s)
+            if et:
+                vn[i] = _value(seen, e, t)
+        s, t, a, b = ss[clipped], ts[clipped], v0[clipped], vn[clipped]
+        d, m = _rounding(s, t, a, b)
+        delta[clipped], term[clipped] = d, m
+        weight[clipped] = (t - s) * np.abs(b - a) + 1e-300
+        floor[clipped] = m + (t - s) * d
+    return {"plan": lay.plan, "rows": (ks,), "s": ss, "t": ts, "v0": v0, "vn": vn,
+            "delta": delta, "term": term, "weight": weight, "floor": floor}
 
 
 def _bracket_terms(col, first, last, size, y):
@@ -633,13 +749,16 @@ def _integral_claim(f: BvFunction, a: float, b: float, tol: float) -> _Claim:
         raise DomainError(f"need a <= b, got [{a}, {b}]")
     if a < f.domain_lo or b > f.domain_hi or math.isinf(b):
         raise DomainError(f"[{a}, {b}] outside domain")
-    values, radii, ps, ss, ts = [], [], [], [], []  # fallback: pieces, s, t
+    values, radii = [], []
     if a == b:  # exact, whatever tol
-        return _prepare(_BRACKET, math.inf, values, radii, (ps, ss, ts), None)
-    for p in f.pieces:
+        return _prepare(_BRACKET, math.inf, values, radii, ((), (), ()), None)
+    lay = f.layout
+    # the pieces i..j-1 meet ]a, b[; closed[c0:c1] are those not bracketed
+    i, j = bisect.bisect_right(lay.his, a), bisect.bisect_left(lay.los, b)
+    c0, c1 = bisect.bisect_left(lay.closed, i), bisect.bisect_left(lay.closed, j)
+    for k in lay.closed[c0:c1]:
+        p = f.pieces[k]
         s, t = max(a, p.lo), min(b, p.hi)
-        if s >= t:
-            continue
         if p.direction == "const":
             c = p.left_boundary_limit
             values.append(c * (t - s))
@@ -651,16 +770,22 @@ def _integral_claim(f: BvFunction, a: float, b: float, tol: float) -> _Claim:
                      and Fraction(values[-1]) == Fraction(c) * (Fraction(t) - Fraction(s)))
             radii.append(0.0 if exact else _slack(values[-1])
                          + (5e-324 if abs(values[-1]) < sys.float_info.min else 0.0))
-        elif p.antiderivative is not None:
+        else:
             fs = ex.eval_expr(p.antiderivative, s)
             ft = ex.eval_expr(p.antiderivative, t)
             values.append(ft - fs)
             radii.append(_slack(fs, ft, ft - fs))
-        else:
-            ps.append(p)
-            ss.append(s)
-            ts.append(t)
-    return _prepare(_BRACKET, tol, values, radii, (ps, ss, ts), _bracket_columns)
+    if c1 - c0 == j - i:  # nothing to bracket
+        return _prepare(_BRACKET, tol, values, radii, ((), (), ()), None)
+    ks = np.arange(i, j)
+    if c1 > c0:
+        ks = ks[lay.route[i:j] == _BRACKETED]
+    lo, hi = lay.lo[ks], lay.hi[ks]
+    ss, ts = np.where(lo > a, lo, a), np.where(hi < b, hi, b)  # max(a, lo), min(b, hi)
+    return _prepare(_BRACKET, tol, values, radii, (ks, ss, ts),
+                    functools.partial(_bracket_columns, f))
+
+
 def tail_integral(f: BvFunction, n: float, tol: float = DEFAULT_TOL):
     """Certified integral of f from n to +inf, or DIVERGENT.
 
@@ -715,11 +840,11 @@ def _parts(s, t, v0, vn, integral):
     return (t - k - 0.5) * vn - (s - k - 0.5) * v0 - integral
 
 
-def _parts_columns(ps: list, ss: list, ts: list) -> dict:
+def _parts_columns(f: BvFunction, ks, ss, ts) -> dict:
     """The columns of _bracket_columns, and the rounding of _parts in
     slack, which the floor takes too: |beta1| <= 1/2 and |integral| <=
     (t - s) * max|f|."""
-    segs = _bracket_columns(ps, ss, ts)
+    segs = _bracket_columns(f, ks, ss, ts)
     a, b = np.abs(segs["v0"]), np.abs(segs["vn"])
     segs["slack"] = 8.0 * _EPS * _fsums(  # _slack(v0, vn, (t - s) * max|f|)
         a, b, np.abs((segs["t"] - segs["s"]) * np.maximum(a, b)))
@@ -747,31 +872,11 @@ def _refinement_grid(lo: float, hi: float, fns: tuple[BvFunction, ...],
                      with_integers: bool) -> list[float]:
     pts = {lo, hi}
     for fn in fns:
-        pts.update(bp.x for bp in fn.breakpoints if lo < bp.x < hi)
+        xs = fn.layout.xs
+        pts.update(xs[bisect.bisect_right(xs, lo):bisect.bisect_left(xs, hi)])
     if with_integers:
         pts.update(float(k) for k in range(math.floor(lo) + 1, math.ceil(hi)))
     return sorted(pts)
-
-
-def _containing(fn: BvFunction, xs) -> list:
-    """fn.piece_containing(x) for each x of the float array xs, in one
-    search."""
-    los = np.array([p.lo for p in fn.pieces])
-    his = np.array([p.hi for p in fn.pieces])
-    i = np.searchsorted(los, xs, side="right") - 1  # bisect_right
-    inside = (i >= 0) & (los[i] < xs) & (xs < his[i])
-    return [fn.pieces[k] if ok else None for k, ok in zip(i.tolist(), inside.tolist())]
-
-
-def _grid_pieces(grid: list[float], fns) -> list:
-    """Per function of fns, the pieces that contain the points of grid
-    and the middles of its cells, interleaved: fn.piece_containing at
-    grid[k] is at 2k, at the middle of (grid[k], grid[k+1]) at 2k + 1."""
-    x = np.array(grid)
-    xs = np.empty(2 * len(grid) - 1)
-    xs[::2] = x
-    xs[1::2] = 0.5 * (x[:-1] + x[1:])
-    return [_containing(fn, xs) for fn in fns]
 
 
 def stieltjes_beta1(f: BvFunction, lo: int, hi: int,
@@ -794,47 +899,49 @@ def _beta1_claim(f: BvFunction, lo: int, hi: int, tol: float) -> _Claim:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     if lo < f.domain_lo or hi > f.domain_hi:
         raise DomainError(f"]{lo}, {hi}[ outside domain")
-    # one pass over the atoms: their terms, the terms' sizes, which _slack
-    # sums, and the absolute errors that _slack, relative to the terms,
-    # leaves out
+    # one pass over the atoms, f's breakpoints in ]lo, hi[: their terms,
+    # the terms' sizes, which _slack sums, and the absolute errors that
+    # _slack, relative to the terms, leaves out
+    lay = f.layout
     terms, sizes, errors = [], [], []
-    for bp in f.breakpoints:
-        if lo < bp.x < hi:
-            b, jump = beta1(bp.x), bp.jump
-            term = b * jump
-            size = abs(term)
-            terms.append(term)
-            sizes.append(size)
-            if jump != 0.0:
-                # beta1's rounding: x - floor(x) is exact for x >= 0, and
-                # then so is fr - 1/2, for fr >= 1/4 (Sterbenz) or x >= 1
-                # (fr is then a multiple of 2^-52); otherwise fr < 1 and
-                # fr - 1/2 round once each, and lose at most 2^-54 + 2^-55.
-                # Then a product below the normal range, as in the atoms
-                # of stieltjes_midvalue
-                errors.append((0.0 if bp.x >= 0.25 else 0.5 * _EPS) * abs(jump)
-                              + (5e-324 if b != 0.0 and size < sys.float_info.min else 0.0))
+    for bp in f.breakpoints[bisect.bisect_right(lay.xs, lo):bisect.bisect_left(lay.xs, hi)]:
+        b, jump = beta1(bp.x), bp.jump
+        term = b * jump
+        size = abs(term)
+        terms.append(term)
+        sizes.append(size)
+        if jump != 0.0:
+            # beta1's rounding: x - floor(x) is exact for x >= 0, and then so
+            # is fr - 1/2, for fr >= 1/4 (Sterbenz) or x >= 1 (fr is then a
+            # multiple of 2^-52); otherwise fr < 1 and fr - 1/2 round once
+            # each, and lose at most 2^-54 + 2^-55.  Then a product below
+            # the normal range, as in the atoms of stieltjes_midvalue
+            errors.append((0.0 if bp.x >= 0.25 else 0.5 * _EPS) * abs(jump)
+                          + (5e-324 if b != 0.0 and size < sys.float_info.min else 0.0))
     atoms = math.fsum(terms)
     atoms_radius = 8.0 * _EPS * math.fsum(sizes) + math.fsum(errors)  # _slack(*terms)
     grid = _refinement_grid(float(lo), float(hi), (f,), with_integers=True)
-    [pieces] = _grid_pieces(grid, (f,))
-    values, radii, ps, ss, ts = [], [], [], [], []  # fallback: pieces, s, t
-    for s, t, p in zip(grid[:-1], grid[1:], pieces[1::2]):
-        if p is None:
-            raise DomainError(f"no piece covers ({s}, {t})")
-        if p.direction == "const":
-            continue
-        if p.antiderivative is not None:
-            v0, vn = _segment_endpoint_values(p, s, t)
-            fs = ex.eval_expr(p.antiderivative, s)
-            ft = ex.eval_expr(p.antiderivative, t)
-            v = _parts(s, t, v0, vn, ft - fs)
-            values.append(v)
-            radii.append(_slack(fs, ft, v0, vn, v))
-        else:
-            ps.append(p)
-            ss.append(s)
-            ts.append(t)
+    x = np.array(grid)
+    ks = lay.containing(0.5 * (x[:-1] + x[1:]))  # the pieces of the cells
+    ss, ts = x[:-1], x[1:]
+    uncovered = (ks < 0).nonzero()[0]
+    route = lay.route[ks]
+    values, radii = [], []
+    for k in (route == _CLOSED).nonzero()[0].tolist():
+        if uncovered.size and k >= uncovered[0]:  # raised before its closed form
+            break
+        s, t = grid[k], grid[k + 1]
+        p = f.pieces[ks[k]]
+        v0, vn = _segment_endpoint_values(p, s, t)
+        fs = ex.eval_expr(p.antiderivative, s)
+        ft = ex.eval_expr(p.antiderivative, t)
+        v = _parts(s, t, v0, vn, ft - fs)
+        values.append(v)
+        radii.append(_slack(fs, ft, v0, vn, v))
+    if uncovered.size:
+        k = int(uncovered[0])
+        raise DomainError(f"no piece covers ({grid[k]}, {grid[k + 1]})")
+    bracketed = route == _BRACKETED
 
     def wrap(cont: Certified) -> StieltjesResult:
         value = atoms + cont.value
@@ -849,8 +956,9 @@ def _beta1_claim(f: BvFunction, lo: int, hi: int, tol: float) -> _Claim:
                 f"achieved radius {certified.radius:.3g} exceeds tol {tol:.3g}")
         return StieltjesResult(certified, atoms, cont)
 
-    return _prepare(_BY_PARTS, tol, values, radii, (ps, ss, ts), _parts_columns, wrap,
-                    atoms_radius)
+    return _prepare(_BY_PARTS, tol, values, radii,
+                    (ks[bracketed], ss[bracketed], ts[bracketed]),
+                    functools.partial(_parts_columns, f), wrap, atoms_radius)
 
 
 def _require_int(v) -> int:
@@ -872,73 +980,89 @@ def _value(seen: dict, e: ex.Expr, x: float) -> float:
 
 
 class _Sides(NamedTuple):
-    """A function's data at the points of a refinement grid: at, its
-    pieces at the points and the middles of the cells (see _grid_pieces);
-    left and right, its one-sided limits at the points as left_limit and
+    """A function's data on a refinement grid: at, the indices of its
+    pieces at the middles of the cells, -1 where none contains one; left
+    and right, its one-sided limits at the points as left_limit and
     right_limit take them, not strict (NaN where its piece fails to
-    evaluate); failed, which maps each such point to its EvalError; and
+    evaluate); failed, which maps each such point to its EvalError;
     loose, the points with neither a breakpoint nor a piece, where a
-    strict limit may differ."""
+    strict limit may differ; and offset, the row of its first piece in
+    the grid's plan."""
 
-    at: list
+    at: np.ndarray
     left: np.ndarray
     right: np.ndarray
     failed: dict
     loose: set
+    offset: int
 
 
-def _sides(seen: dict, fn: BvFunction, xs: list, at: list) -> _Sides:
-    """The _Sides of fn at the points xs, where at is as in _Sides; a
-    piece's value at a point is kept in seen."""
-    left, right, failed, loose = [], [], {}, set()
-    for k, (x, p) in enumerate(zip(xs, at[::2])):
-        bp = fn.breakpoint_at(x)
-        if bp is not None:  # a breakpoint lies in the domain
-            left.append(bp.left_value)
-            right.append(bp.right_value)
-            continue
+def _sides(fn: BvFunction, grid: list, x, mids, offset: int) -> _Sides:
+    """The _Sides of fn on a refinement grid: its points grid, as the
+    array x, and the middles mids of its cells.  The limits at fn's
+    breakpoints are its layout's; at each other point (a breakpoint of
+    the other function, or a grid end) its piece is evaluated, once."""
+    lay = fn.layout
+    bp = lay.breakpoints_at(x)
+    left, right = lay.left[bp], lay.right[bp]
+    failed, loose = {}, set()
+    for k in (bp < 0).nonzero()[0].tolist():
+        p = fn.piece_containing(grid[k])
         if p is None:
             loose.add(k)
-            left.append(left_limit(fn, x))
-            right.append(right_limit(fn, x))
+            left[k], right[k] = left_limit(fn, grid[k]), right_limit(fn, grid[k])
             continue
         try:
-            v = _value(seen, p.evaluator, x)
+            left[k] = right[k] = ex.eval_expr(p.evaluator, grid[k])
         except ex.EvalError as err:
-            v, failed[k] = math.nan, err.with_traceback(None)
-        left.append(v)
-        right.append(v)
-    return _Sides(at, np.array(left), np.array(right), failed, loose)
+            left[k] = right[k] = math.nan
+            failed[k] = err.with_traceback(None)
+    return _Sides(lay.containing(mids), left, right, failed, loose, offset)
 
 
-def _mid_grid(f: BvFunction, g: BvFunction, lo: float, hi: float, seen: dict):
-    """(grid, sides): the common refinement grid of f and g over [lo, hi],
-    and by id the _Sides of each, made with one search per function: what
-    both integrals of parts_check share.  Each piece is evaluated once at
-    each point, kept in seen; an evaluation that fails is raised only
-    where the prepare phase that reads it meets it (_midvalue_claim)."""
+def _strict_left(mid, fn: BvFunction, k: int) -> float:
+    """left_limit(fn, x, strict=True) at the point x = mid.grid[k], read
+    from fn's _Sides."""
+    sides = mid.sides[id(fn)]
+    if k in sides.failed:
+        raise sides.failed[k]
+    if k in sides.loose:
+        return left_limit(fn, mid.grid[k], strict=True)
+    return float(sides.left[k])
+
+
+class _MidGrid(NamedTuple):
+    """What the mid-value integrals over one common refinement grid
+    share: the grid, its points as an array x, by id the _Sides of each
+    function, and plan, the expr.Rows of the rows of the first
+    function's pieces and then, unless it is the first, of the
+    second's."""
+
+    grid: list
+    x: np.ndarray
+    sides: dict
+    plan: ex.Rows
+
+
+def _mid_grid(f: BvFunction, g: BvFunction, lo: float, hi: float) -> _MidGrid:
+    """The _MidGrid of f and g over [lo, hi], what both integrals of
+    parts_check and its right-hand side share: one search per function
+    and one plan, joined from the functions' plans (Layout.joined).  Each
+    piece is evaluated once at each point; an evaluation that fails is
+    raised only where a phase that reads it meets it (_midvalue_claim)."""
     if math.isnan(lo) or math.isnan(hi) or lo >= hi:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     for fn in (f, g):
         if lo < fn.domain_lo or hi > fn.domain_hi:
             raise DomainError(f"[{lo}, {hi}[ outside a domain")
     grid = _refinement_grid(lo, hi, (f, g), with_integers=False)
-    fns = {id(f): f, id(g): g}
-    return grid, {i: _sides(seen, fn, grid, at)
-                  for (i, fn), at in zip(fns.items(), _grid_pieces(grid, fns.values()))}
-
-
-def _limit(seen: dict, fn: BvFunction, x: float, right: bool,
-           strict: bool = False) -> float:
-    """right_limit(fn, x, strict) if right, else left_limit(fn, x,
-    strict), with an evaluation of fn's piece at x kept in seen."""
-    bp = fn.breakpoint_at(x)
-    if bp is not None:  # a breakpoint lies in the domain
-        return bp.right_value if right else bp.left_value
-    p = fn.piece_containing(x)
-    if p is None:
-        return right_limit(fn, x, strict) if right else left_limit(fn, x, strict)
-    return _value(seen, p.evaluator, x)
+    x = np.array(grid)
+    mids = 0.5 * (x[:-1] + x[1:])
+    sides = {id(f): _sides(f, grid, x, mids, 0)}
+    if g is f:
+        return _MidGrid(grid, x, sides, f.layout.plan)
+    sides[id(g)] = _sides(g, grid, x, mids, len(f.pieces))
+    return _MidGrid(grid, x, sides, f.layout.joined(g.layout))
 
 
 def _mid_terms(col, first, last, size, y):
@@ -1060,76 +1184,75 @@ def stieltjes_midvalue(g: BvFunction, f: BvFunction, lo: float, hi: float,
     common refinement of both breakpoint sets, so g is continuous and
     equal to g_m inside every cell; cells where f is constant add 0.
     """
-    return _certify(_midvalue_claim(g, f, lo, hi, tol, _mid_grid(f, g, lo, hi, {})))[0]
+    return _certify(_midvalue_claim(g, f, lo, hi, tol, _mid_grid(f, g, lo, hi)))[0]
 
 
 def _midvalue_claim(g: BvFunction, f: BvFunction, lo: float, hi: float, tol: float,
-                    mid: tuple) -> _Claim:
-    """The prepare phase of stieltjes_midvalue, on the grid and the
-    _Sides of f and g that mid holds (see _mid_grid), which the routines
-    that share it share: the cell ends are shared by the atoms and the
-    ends of both cells beside them.  Errors are raised in the order of
-    the scalar evaluations: the atoms' in turn, then each cell's limits,
-    f's and then g's, cell by cell."""
-    grid, sides = mid
+                    mid: _MidGrid) -> _Claim:
+    """The prepare phase of stieltjes_midvalue, on the grid, the _Sides
+    of f and g and the plan that mid holds (see _mid_grid), which the
+    routines that share it share: the cell ends are shared by the atoms
+    and the ends of both cells beside them.  Errors are raised in the
+    order of the scalar evaluations: the atoms' in turn, then each cell's
+    limits, f's and then g's, cell by cell."""
+    grid, x, sides, plan = mid
     fs, gs = sides[id(f)], sides[id(g)]
-    f_at, g_at = fs.at, gs.at
-    # the atoms g_m(x) * jump: g's limits at each jump of f, as
-    # mid_value_strict(g, x) takes them, then the terms in one pass
-    index = {x: k for k, x in enumerate(grid)}
-    ks, jump = [], []
-    for bp in f.breakpoints:
-        if lo <= bp.x < hi and bp.jump != 0.0:
-            ks.append(index[bp.x])
-            jump.append(bp.jump)
+    lay = f.layout
+    # the atoms g_m(x) * jump: g's limits at each jump of f in [lo, hi[,
+    # as mid_value_strict(g, x) takes them, then the terms in one pass
+    i, j = bisect.bisect_left(lay.xs, lo), bisect.bisect_left(lay.xs, hi)
+    with np.errstate(all="ignore"):  # as _prepare
+        jump = lay.right[i:j] - lay.left[i:j]
+    at = jump != 0.0
+    jump = jump[at]
+    ks = x.searchsorted(lay.x[i:j][at])
     left, right = gs.left[ks], gs.right[ks]
-    for j, k in enumerate(ks):
-        if k in gs.failed:  # g's piece fails to evaluate there
-            raise gs.failed[k]
-        if k in gs.loose:  # neither a breakpoint nor a piece: strict limits
-            left[j], right[j] = left_limit(g, grid[k], True), right_limit(g, grid[k], True)
-    jump = np.array(jump)
+    if gs.failed or gs.loose:
+        for n, k in enumerate(ks.tolist()):
+            if k in gs.failed:  # g's piece fails to evaluate there
+                raise gs.failed[k]
+            if k in gs.loose:  # neither a breakpoint nor a piece: strict limits
+                left[n], right[n] = left_limit(g, grid[k], True), right_limit(g, grid[k], True)
     with np.errstate(all="ignore"):  # as _prepare
         total = left + right
         g_mid = 0.5 * total
         atom_terms = g_mid * jump
+        terms = atom_terms.tolist()
+        radius = _slack(*terms)
         # _slack is relative: a mid-value or product of a nonzero factor
         # that rounds below the normal range adds an absolute error, the
         # least subnormal, twice what rounding to nearest loses there
         tiny = sys.float_info.min
-        underflows = (np.where((total != 0.0) & (np.abs(g_mid) < tiny), 5e-324, 0.0)
-                      * np.maximum(1.0, np.abs(jump))
-                      + np.where((g_mid != 0.0) & (np.abs(atom_terms) < tiny), 5e-324, 0.0))
-    atom_terms = atom_terms.tolist()
-    atoms = math.fsum(atom_terms)
+        if (np.abs(g_mid) < tiny).any() or (np.abs(atom_terms) < tiny).any():
+            underflows = (np.where((total != 0.0) & (np.abs(g_mid) < tiny), 5e-324, 0.0)
+                          * np.maximum(1.0, np.abs(jump))
+                          + np.where((g_mid != 0.0) & (np.abs(atom_terms) < tiny), 5e-324, 0.0))
+            radius += math.fsum(underflows.tolist())
+    atoms = math.fsum(terms)
 
     # the fallback cells, where f is not constant: pieces of f and g, s, t
-    cells = [k for k, fp in enumerate(f_at[1::2]) if fp is not None and fp.direction != "const"]
-    gps = [g_at[2 * k + 1] for k in cells]
-    if None in gps:
-        k = cells[gps.index(None)]
+    fks, gks = fs.at, gs.at
+    cells = ((fks >= 0) & (lay.route[fks] != _CONST)).nonzero()[0]
+    fks, gks = fks[cells], gks[cells]
+    if (gks < 0).any():
+        k = int(cells[(gks < 0).argmax()])
         raise DomainError(f"no piece of the integrand covers ({grid[k]}, {grid[k + 1]})")
-    fps = [f_at[2 * k + 1] for k in cells]
-    ss, ts = [grid[k] for k in cells], [grid[k + 1] for k in cells]
 
-    def weigh(fps: list, gps: list, ss: list, ts: list) -> dict:
+    def weigh(fks, gks, ss, ts) -> dict:
         # the limits of f and g at both ends, cell by cell; the first
         # that failed to evaluate is raised
         if fs.failed or gs.failed:
-            for k in cells:
+            for k in cells.tolist():
                 for side, at in ((fs, k), (fs, k + 1), (gs, k), (gs, k + 1)):
                     if at in side.failed:
                         raise side.failed[at]
-        k = np.array(cells)
-        u0, un, g0, gn = fs.right[k], fs.left[k + 1], gs.right[k], gs.left[k + 1]
+        u0, un, g0, gn = fs.right[cells], fs.left[cells + 1], gs.right[cells], gs.left[cells + 1]
         eu, eg, term, widening = _mid_rounding(u0, un, g0, gn)
         # floor: the rounding term and the widening of flat pairs, twice
-        return {"exprs": ([p.evaluator for p in fps], [p.evaluator for p in gps]),
-                "s": np.array(ss), "t": np.array(ts), "u0": u0, "un": un, "g0": g0,
-                "gn": gn, "eu": eu, "eg": eg, "term": term,
+        return {"plan": plan, "rows": (fks + fs.offset, gks + gs.offset), "s": ss, "t": ts,
+                "u0": u0, "un": un, "g0": g0, "gn": gn, "eu": eu, "eg": eg, "term": term,
                 "weight": np.abs(un - u0) * np.abs(g0 - gn) + 1e-300,
                 "floor": term + 2.0 * widening}
 
-    return _prepare(_MIDVALUE, tol, [atoms],
-                    [_slack(*atom_terms) + math.fsum(underflows.tolist())],
-                    (fps, gps, ss, ts), weigh)
+    return _prepare(_MIDVALUE, tol, [atoms], [radius], (fks, gks, x[cells], x[cells + 1]),
+                    weigh)

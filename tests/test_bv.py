@@ -847,3 +847,24 @@ def test_result_records_keep_their_value_semantics(record):
     # the TypeError of the frozen __setattr__ on a class remade with slots
     with pytest.raises((AttributeError, TypeError)):
         record.extra = 0.0
+
+
+# A function's layout, which its refinements make on first use, is kept
+# outside its fields: it must change neither its equality, its hash nor
+# its pickle, and loading a function must not make it.
+def test_layout_leaves_eq_hash_and_pickle_alone(corpus_dir):
+    from bvsum import em_midvalue_check, load_function, parts_check
+
+    f = load_function(corpus_dir / "mixed_jumps.json")
+    twin = load_function(corpus_dir / "mixed_jumps.json")
+    assert "layout" not in vars(f)
+    before = hash(f), pickle.dumps(f)
+    report = em_midvalue_check(f, 1, 7, 1e-6)
+    parts = parts_check(f, f, 1.0, 7.0, 1e-6)
+    assert "layout" in vars(f) and "layout" not in vars(twin)
+    assert f == twin and twin == f and hash(f) == hash(twin) == before[0]
+    assert pickle.dumps(f) == before[1]
+    for copied in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+        assert copied == f and hash(copied) == hash(f) and "layout" not in vars(copied)
+        assert em_midvalue_check(copied, 1, 7, 1e-6) == report
+        assert parts_check(copied, copied, 1.0, 7.0, 1e-6) == parts

@@ -266,6 +266,43 @@ class TestExitCodes:
         assert "FAIL" in r.stdout
 
 
+class TestNegativeValues:
+    # argparse takes a negative number that its own pattern does not match,
+    # such as -1e-3 or -inf, for an option: each float option must read it
+    # as its value, as it reads --opt=value
+    CASES = [
+        (("variation", cpath("linear.json"), "--lo", "-1e-3", "--hi", 2), "--lo"),
+        (("variation", cpath("linear.json"), "--lo", 0, "--hi", "-inf"), "--hi"),
+        (("sum", cpath("harmonic.json"), "--a", "-1e3", "--b", 10), "--a"),
+        (("sum", cpath("harmonic.json"), "--a", 0, "--b", "-1e1"), "--b"),
+        (("sum", cpath("harmonic.json"), "--a", 0, "--b", 10, "--tol", "-1e-3"), "--tol"),
+        (("verify", cpath("linear.json"), "--check", "pvv", "--a", "-1e-3", "--b", 2), "--a"),
+        (("verify", cpath("linear.json"), "--check", "pvv", "--a", 0, "--b", "-inf"), "--b"),
+        (("verify", cpath("linear.json"), "--check", "pvv", "--a", 0, "--b", 2,
+          "--budget", "-inf", "--json"), "--budget"),
+        (("verify", cpath("linear.json"), "--check", "pvv", "--a", 0, "--b", 2,
+          "--tol", "-1E-3"), "--tol"),
+        (("series", cpath("basel.json"), "--n", 10, "--oracle", "-1.5e-3"), "--oracle"),
+        (("gamma", cpath("harmonic.json"), "--n", "10,100", "--csv", "--oracle", "-Inf"),
+         "--oracle"),
+    ]
+
+    @pytest.mark.parametrize("argv,option", CASES, ids=[
+        f"{argv[0]}{option}={argv[argv.index(option) + 1]}" for argv, option in CASES])
+    def test_negative_value_reads_as_with_equals(self, capsys, argv, option):
+        i = argv.index(option)
+        joined = (*argv[:i], f"{option}={argv[i + 1]}", *argv[i + 2:])
+        code, out, err = run_main(capsys, *argv)
+        assert "expected one argument" not in err
+        assert (code, out, err) == run_main(capsys, *joined)
+
+    def test_answers_with_a_negative_exponent(self, capsys):
+        code, out, _ = run_main(capsys, "variation", cpath("linear.json"),
+                                "--lo", "-1e-3", "--hi", 2, "--json")
+        assert code == 0
+        assert strict_json(out)["inputs"]["lo"] == -1e-3
+
+
 class TestJsonContract:
     def test_byte_identical_runs(self, capsys):
         a = run_in(capsys, "sum", cpath("harmonic.json"), "--a", 0, "--b", 10, "--json")

@@ -849,9 +849,9 @@ def _batches(draw):
     return exprs, np.array(rows, dtype=np.float64)
 
 
-def _assert_rows_as_eval_expr(exprs, xs):
+def _assert_rows_as_eval_expr(exprs, xs, run=ex.eval_rows):
     x_before = xs.tobytes()
-    values, errors = ex.eval_rows(exprs, xs)
+    values, errors = run(exprs, xs)
     assert values.shape == xs.shape
     for i, e in enumerate(exprs):
         want = _outcome(lambda: eval_expr(e, xs[i]))
@@ -867,6 +867,33 @@ def _assert_rows_as_eval_expr(exprs, xs):
 @given(_batches())
 def test_rows_match_eval_expr(batch):
     _assert_rows_as_eval_expr(*batch)
+
+
+# A plan joined from two plans (Rows.join) evaluates the rows of both as
+# one plan of all of them, in any order: a group of shapes met on both
+# sides takes constant columns when its expressions differ, also where a
+# side held one expression and kept its constants scalars.
+@settings(max_examples=200, deadline=None)
+@given(_batches(), st.data())
+def test_joined_rows_match_eval_expr(batch, data):
+    exprs, xs = batch
+    cut = data.draw(st.integers(0, len(exprs) - 1))
+    first = exprs[:cut] or exprs[:1]
+    second = exprs[cut:] + data.draw(st.lists(st.sampled_from(exprs), max_size=2))
+    joined = ex.Rows.join(ex.Rows(first), ex.Rows(second))
+    both = first + second
+    xs = xs[np.arange(len(both)) % len(xs)]
+    order = np.array(data.draw(st.permutations(range(len(both)))), dtype=np.intp)
+
+    def run(exprs, xs):
+        assert exprs == both
+        values, errors = joined(xs[order], order)
+        out = np.empty(xs.shape)
+        out[order] = values
+        return out, {int(order[j]): err for j, err in errors.items()}
+
+    _assert_rows_as_eval_expr(both, xs, lambda exprs, xs: joined(xs))
+    _assert_rows_as_eval_expr(both, xs, run)
 
 
 @pytest.mark.parametrize("texts,rows", [

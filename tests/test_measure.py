@@ -399,6 +399,37 @@ class TestStieltjesBeta1:
         assert res.radius <= 1e-6 and res.continuous_contribution == Certified(0.0, 0.0)
         assert abs(Fraction(res.value) - self.exact_atoms(f, lo, 2)) <= Fraction(res.radius)
 
+    @staticmethod
+    def scalar_atoms(f, lo, hi):
+        """(value, radius) of the atoms, one float operation at a time: the
+        terms' sum, and _slack of the terms plus each jump's rounding of
+        beta1 below x = 1/4 and one subnormal ulp for a product below the
+        normal range."""
+        terms, errors = [], []
+        for bp in f.breakpoints:
+            if lo < bp.x < hi:
+                b, jump = beta1(bp.x), bp.jump
+                terms.append(b * jump)
+                if jump != 0.0:
+                    errors.append((0.0 if bp.x >= 0.25 else 0.5 * EPS) * abs(jump)
+                                  + (5e-324 if b != 0.0 and abs(b * jump) < sys.float_info.min
+                                     else 0.0))
+        return math.fsum(terms), measure._slack(*terms) + math.fsum(errors)
+
+    @settings(deadline=None)
+    @given(st.lists(st.floats(-1.99, 1.99).filter(lambda x: x != 0.0), min_size=1, max_size=6,
+                    unique=True).map(sorted),
+           st.lists(st.one_of(st.floats(-1e3, 1e3), st.floats(-1e-300, 1e-300)),
+                    min_size=7, max_size=7),
+           st.integers(-2, 0))
+    def test_atoms_bit_equal_to_a_scalar_loop(self, xs, levels, lo):
+        # the atoms are computed as columns of the breakpoints; without a
+        # continuous part the result is theirs alone
+        f = self.steps(xs, levels[:len(xs) + 1])
+        res = stieltjes_beta1(f, lo, 2, 1.0)
+        value, radius = self.scalar_atoms(f, lo, 2)
+        assert (repr(res.atom_contribution), repr(res.radius)) == (repr(value), repr(radius))
+
     def test_parts_route_matches_riemann_stieltjes_fallback(self, corpus):
         smooth = corpus["harmonic.json"]
         bare = validate({
@@ -540,7 +571,8 @@ class TestGridWalker:
         delta = ref_rounding(s, t, v0, vn)[0]
         # s, width, term, then the route's v0, vn, delta, -delta, 4 * delta
         cols = np.array([[s], [t - s], [0.0], [v0], [vn], [delta], [-delta], [4.0 * delta]])
-        sums = measure._walk(np.array([0]), np.array([n]), 1, cols, ex.Rows([p.evaluator]),
+        sums = measure._walk(np.array([0]), np.array([n]), np.array([[0]]), cols,
+                             ex.Rows([p.evaluator]),
                              measure._bracket_terms, {})
         assert list(zip(*sums[:, 0].tolist())) == \
             list(ref_bracket_sums(p.evaluator, s, t, n, v0, vn, delta))
@@ -698,8 +730,16 @@ def ref_mid_weight(g, f, fp, gp, s, t):
 def ref_prepare(route, tol, values, radii, fallback, weigh, wrap=None, reserved=0.0):
     """The prepare phase deferred: a routine's claim is the arguments of
     _prepare, which ref_certify splits and refines.  fallback holds the
-    columns of the fallback segments; weigh is left to ref_certify."""
-    return route, tol, values, radii, list(zip(*fallback)), wrap, reserved
+    columns of the fallback segments, their pieces by index: a bracketed
+    segment's piece is one of the function that weigh, a partial of
+    _bracket_columns or _parts_columns, is bound to, and ref_certify
+    finds a mid-value segment's pieces in its mid; weigh is left to
+    ref_certify."""
+    segs = list(zip(*(np.asarray(c).tolist() for c in fallback)))
+    if isinstance(weigh, functools.partial):
+        pieces = weigh.args[0].pieces
+        segs = [(pieces[k], s, t) for k, s, t in segs]
+    return route, tol, values, radii, segs, wrap, reserved
 
 
 def ref_certify(*claims, mid=None):
@@ -716,6 +756,9 @@ def ref_certify(*claims, mid=None):
                                 functools.partial(ref_mid_weight, *mid or ())),
         }[route]
         values, radii = list(values), list(radii)
+        if route is measure._MIDVALUE:  # pieces of f and g by index
+            g, f = mid
+            fallback = [(f.pieces[fk], g.pieces[gk], s, t) for fk, gk, s, t in fallback]
         if fallback:
             budget = tol - math.fsum(radii) - reserved
             if budget > 0.0:
@@ -978,11 +1021,10 @@ class TestManyRowBlocks:
             finally:
                 depth[0] -= 1
 
-        def block(seg, col, n, m, plan, *rest):
+        def block(seg, col, n, prow, plan, *rest):
             r, a = len(runs), len(alone)
-            out = real_block(seg, col, n, m, plan, *rest)
-            curves = len(plan.exprs) // m
-            shapes = [plan.exprs[c * m + i].shape for c in range(curves) for i in seg.tolist()]
+            out = real_block(seg, col, n, prow, plan, *rest)
+            shapes = [plan.exprs[i].shape for i in prow[:, seg].reshape(-1).tolist()]
             blocks.append((len(set(shapes)), len(runs) - r, len(alone) - a,
                            sum(shape in tripped for shape in shapes)))
             return out
@@ -1016,6 +1058,82 @@ def cycling(n: int, length: float, fail=(), offset: float = 0.0):
         ends = (v, v) if i in fail else (ex.eval_expr(tree, lo), ex.eval_expr(tree, hi))
         pieces.append((lo, hi, e, *ends))
     return direct(*pieces)
+
+
+# A function's layout (BvFunction.layout) is made once, on first use: its
+# plan of the pieces' evaluators, the columns of its pieces and
+# breakpoints, and each piece's bracket columns taken whole.  Queries on
+# sub-intervals clip pieces, whose columns are computed; the reference
+# refines with a plan of the segments' own expressions, made for each
+# refinement.
+
+
+def fresh_plan_refine(real_refine, route, segs, *args, **kwargs):
+    """measure._refine with an expr.Rows plan of the segments' own
+    expressions, curve after curve, made for this refinement."""
+    m = len(segs["s"])
+    exprs = [segs["plan"].exprs[r] for rows in segs["rows"] for r in rows.tolist()]
+    segs = {**segs, "plan": ex.Rows(exprs),
+            "rows": tuple(np.arange(c * m, (c + 1) * m) for c in range(len(segs["rows"])))}
+    return real_refine(route, segs, *args, **kwargs)
+
+
+class TestFunctionLayout:
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), lg=st.floats(-6.0, -3.0))
+    def test_clipped_queries_bit_equal_to_references(self, data, lg):
+        f = data.draw(monotone_specs(4, pieces=(2, 8)))
+        g = data.draw(monotone_specs(4, pieces=(2, 8)))
+        a, b = sorted(data.draw(st.lists(st.floats(0.0, 4.0), min_size=2, max_size=2,
+                                         unique=True)))
+        lo = data.draw(st.integers(0, 2))
+        hi = data.draw(st.integers(lo + 1, 3))
+        tol = 10.0 ** lg
+        # each query, and its outcome with every segment refined and
+        # weighed on its own, without the layout's columns
+        queries = [
+            (lambda: integrate(f, a, b, tol),
+             lambda: by_segments(lambda: integrate(f, a, b, tol))),
+            (lambda: stieltjes_beta1(f, lo, hi, tol),
+             lambda: by_segments(lambda: stieltjes_beta1(f, lo, hi, tol))),
+            (lambda: stieltjes_midvalue(g, f, a, b, tol),
+             lambda: by_segments(lambda: stieltjes_midvalue(g, f, a, b, tol), g, f)),
+            (lambda: em_midvalue_check(f, lo, hi, tol),
+             lambda: by_segments(lambda: ref_em_midvalue_check(f, lo, hi, tol))),
+            (lambda: parts_check(f, g, a, b, tol),
+             lambda: ref_parts_check_by_segments(f, g, a, b, tol)),
+            (lambda: parts_check(f, f, a, b, tol),
+             lambda: ref_parts_check_by_segments(f, f, a, b, tol)),
+        ]
+        refine = functools.partial(fresh_plan_refine, measure._refine)
+        for call, by_segment in queries:
+            got = _outcome(call)
+            assert _outcome(call) == got  # on the layouts the first call made
+            with mock.patch.object(measure, "_refine", refine):
+                assert _outcome(call) == got
+            assert by_segment() == got
+
+    def test_repeated_queries_build_each_plan_once(self, monkeypatch):
+        f, g = cycling(12, 6.0), cycling(8, 6.0, offset=0.5)
+        assert "layout" not in vars(f) and "layout" not in vars(g)
+        plans = []
+        real_init = ex.Rows.__init__
+
+        def init(self, exprs):
+            plans.append(len(exprs))
+            real_init(self, exprs)
+
+        monkeypatch.setattr(ex.Rows, "__init__", init)
+        for _ in range(3):
+            integrate(f, 0.5, 5.5, 1e-6)
+            stieltjes_beta1(f, 1, 5, 1e-6)
+            stieltjes_midvalue(g, f, 0.25, 6.0, 1e-6)
+            em_midvalue_check(f, 1, 5, 1e-6)
+            parts_check(f, g, 0.5, 5.0, 1e-6)
+            parts_check(g, g, 0.5, 5.0, 1e-6)
+        # one plan of each function's pieces; the joined plans of f and g
+        # are made from them
+        assert sorted(plans) == [8, 12]
 
 
 # ---------------------------------------------------------------------------
@@ -1410,21 +1528,23 @@ class TestEngineErrorOrder:
     @pytest.mark.parametrize("route,terms", [("bracket", 1.5), ("midvalue", 1)])
     def test_memory_of_a_whole_chunk_is_a_buffer_per_term(self, route, terms):
         f = direct((0, 1, "2*x", 0, 2))
-        one = np.array([0]), np.array([measure._CHUNK]), 1
+        one = np.array([0]), np.array([measure._CHUNK])
         if route == "midvalue":
             # one chunk of mid-value brackets: a midpoint and a width per
             # two cells; s, width, term, u0, g0, un, gn, eu, eg
             g = direct((0, 1, "x^2", 0, 1))
             cols = np.array([[0.0], [1.0], [0.0], [0.0], [0.0], [2.0], [1.0], [1e-15], [1e-15]])
             call = lambda: measure._walk(  # noqa: E731
-                *one, cols, ex.Rows([f.pieces[0].evaluator, g.pieces[0].evaluator]),
+                *one, np.array([[0], [1]]), cols,
+                ex.Rows([f.pieces[0].evaluator, g.pieces[0].evaluator]),
                 measure._mid_terms, {})
         else:
             # one chunk of brackets: a value per point, a gap per two; s,
             # width, term, v0, vn, delta, -delta, 4 * delta
             cols = np.array([[0.0], [1.0], [0.0], [0.0], [2.0], [1e-15], [-1e-15], [4e-15]])
             call = lambda: measure._walk(  # noqa: E731
-                *one, cols, ex.Rows([f.pieces[0].evaluator]), measure._bracket_terms, {})
+                *one, np.array([[0]]), cols, ex.Rows([f.pieces[0].evaluator]),
+                measure._bracket_terms, {})
         call()  # compile the programs before tracing
         tracemalloc.start()
         try:
