@@ -202,6 +202,12 @@ def total_variation_measure(f: BvFunction, iv: IntervalSpec) -> float:
 _CONST, _CLOSED, _BRACKETED = 0, 1, 2
 
 
+def _route(p) -> int:
+    if p.direction == "const":
+        return _CONST
+    return _BRACKETED if p.antiderivative is None else _CLOSED
+
+
 class Layout:
     """The columns of a function that its queries read, made once per
     function (BvFunction.layout), each on first use, so a query pays
@@ -219,8 +225,7 @@ class Layout:
     def __init__(self, f: BvFunction):
         self.pieces, self.breakpoints, self.los = f.pieces, f.breakpoints, f._piece_los
         self.his = [p.hi for p in f.pieces]
-        self.closed = [k for k, p in enumerate(f.pieces)
-                       if p.direction == "const" or p.antiderivative is not None]
+        self.closed = [k for k, p in enumerate(f.pieces) if _route(p) != _BRACKETED]
         self.xs = [bp.x for bp in f.breakpoints]
 
     @functools.cached_property
@@ -233,9 +238,7 @@ class Layout:
 
     @functools.cached_property
     def route(self) -> np.ndarray:
-        return np.array([_CONST if p.direction == "const" else
-                         _BRACKETED if p.antiderivative is None else _CLOSED
-                         for p in self.pieces])
+        return np.array([_route(p) for p in self.pieces])
 
     @functools.cached_property
     def bracket(self) -> np.ndarray:
