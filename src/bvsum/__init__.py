@@ -29,7 +29,6 @@ from .errors import (
     ExteriorLimitRequired,
     MissingAntiderivative,
     NonIntegerBounds,
-    NotMonotone,
     SeriesDivergent,
     ToleranceUnreachable,
     ValidationError,
@@ -75,8 +74,7 @@ __all__ = [
     "right_limit", "validate",
     "BvError", "DomainError", "ExteriorLimitRequired", "ValidationError",
     "Violation", "ToleranceUnreachable", "SeriesDivergent",
-    "MissingAntiderivative", "BadAntiderivative", "NotMonotone",
-    "NonIntegerBounds",
+    "MissingAntiderivative", "BadAntiderivative", "NonIntegerBounds",
     "CheckReport", "Convergence", "EmReport", "GammaReport",
     "approx_from_partial", "asymptotic_sum",
     "classify_convergence", "em_finite_sum", "em_midvalue_check",

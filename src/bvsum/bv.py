@@ -57,12 +57,6 @@ class Certified:
     def contains(self, x: float, slack: float = 0.0) -> bool:
         return abs(x - self.value) <= self.radius + slack
 
-    def __add__(self, other: "Certified") -> "Certified":
-        return Certified(self.value + other.value, self.radius + other.radius)
-
-    def shift(self, c: float) -> "Certified":
-        return Certified(self.value + c, self.radius)
-
 
 @dataclass(frozen=True)
 class Breakpoint:
@@ -293,6 +287,17 @@ def _segment_endpoint_values(p: MonotonePiece, s: float, t: float) -> tuple[floa
     return vl, vr
 
 
+def _increments(f: BvFunction, lo: float, hi: float) -> list[float]:
+    """|piece increment| of each piece over its part of (lo, hi), in order."""
+    terms = []
+    for p in f.pieces:
+        s, t = max(lo, p.lo), min(hi, p.hi)
+        if s < t:
+            vl, vr = _segment_endpoint_values(p, s, t)
+            terms.append(abs(vr - vl))
+    return terms
+
+
 def _check_range(f: BvFunction, lo: float, hi: float) -> None:
     if math.isnan(lo) or math.isnan(hi):
         raise DomainError("NaN interval endpoint")
@@ -317,13 +322,7 @@ def pointwise_variation(
     then acts as the final value and closed_hi is ignored).
     """
     _check_range(f, lo, hi)
-    terms: list[float] = []
-    for p in f.pieces:
-        s, t = max(lo, p.lo), min(hi, p.hi)
-        if s >= t:
-            continue
-        vl, vr = _segment_endpoint_values(p, s, t)
-        terms.append(abs(vr - vl))
+    terms = _increments(f, lo, hi)
     for bp in f.breakpoints:
         if lo < bp.x < hi:
             terms.append(abs(bp.value - bp.left_value))

@@ -344,9 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "piecewise-monotone BV functions.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p, spec=True):
-        if spec:
-            p.add_argument("spec", help="function spec file (JSON)")
+    def add_common(p):
+        p.add_argument("spec", help="function spec file (JSON)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                        help="quadrature tolerance (default 1e-10)")

@@ -34,10 +34,6 @@ class BadAntiderivative(BvError):
     """A supplied antiderivative fails the sampled difference-quotient check."""
 
 
-class NotMonotone(BvError):
-    """An operation requiring a single monotone direction got a mixed one."""
-
-
 class NonIntegerBounds(BvError):
     """Summation bounds must be integers; rescaling is not supported."""
 

@@ -942,18 +942,18 @@ class Rows:
     """The plan of eval_rows for a list of expressions, made once and run
     on any rows of it.  Its rows are grouped by Expr.shape, an expression
     met again found by its identity, and the groups numbered in the order
-    they are met: group[i] is row i's number, shapes maps each shape to
-    its number.  A run lays its rows out in group order, so that each
-    group it holds is a contiguous slice of them, which the group's
-    program evaluates in one run, writing the values in place: rows given
-    in group order are their own layout, and others are sorted into it
-    once per run.  A group keeps its ops and its registers, each pinned
-    constant the scalar its rows share; if the group's expressions
-    differ, each other constant is a column of consts, which has a row
-    per row of exprs and is picked for a run's rows at once.  A plan of
-    one program without columns returns its run's values as they are."""
+    they are met: group[i] is row i's number.  A run lays its rows out in
+    group order, so that each group it holds is a contiguous slice of
+    them, which the group's program evaluates in one run, writing the
+    values in place: rows given in group order are their own layout, and
+    others are sorted into it once per run.  A group keeps its ops and
+    its registers, each pinned constant the scalar its rows share; if the
+    group's expressions differ, each other constant is a column of
+    consts, which has a row per row of exprs and is picked for a run's
+    rows at once.  A plan of one program without columns returns its
+    run's values as they are."""
 
-    __slots__ = ("exprs", "group", "groups", "shapes", "consts", "numbers")
+    __slots__ = ("exprs", "group", "groups", "consts", "numbers")
 
     def __init__(self, exprs):
         self.exprs = exprs
@@ -972,7 +972,6 @@ class Rows:
                     members.append([])
             members[k].append(e)
             number.append(k)
-        self.shapes = numbers
         self.groups, width = [], 0
         for es in members:
             init, code = es[0].program
@@ -1005,48 +1004,6 @@ class Rows:
                 flat.extend(pick(e.program[0]))
                 flat.extend(pad)
             self.consts = np.fromiter(flat, np.float64, len(flat)).reshape(-1, width)[which]
-
-    @classmethod
-    def join(cls, a: "Rows", b: "Rows") -> "Rows":
-        """The plan of the rows of a and then those of b, made from both
-        plans: a group of b takes the number of a's group of its shape,
-        else the next one, so only b's shapes are hashed.  A joined group
-        whose two sides hold different expressions gets its constant
-        columns; a side that had none takes its program's constants."""
-        self = cls.__new__(cls)
-        self.exprs = [*a.exprs, *b.exprs]
-        self.shapes = dict(a.shapes)
-        to = [self.shapes.setdefault(shape, len(self.shapes)) for shape in b.shapes]
-        self.group = np.concatenate([a.group, np.array(to, np.intp)[b.group]])
-        groups = [*a.groups, *[None] * (len(self.shapes) - len(a.groups))]
-        fills = []  # (side, group, init, columns): rows that take init's constants
-        for kb, (k, shape) in enumerate(zip(to, b.shapes)):
-            if groups[k] is None:
-                groups[k] = b.groups[kb]
-                continue
-            (init, code, regs), (init_b, _, regs_b) = groups[k], b.groups[kb]
-            columns = regs or regs_b or (() if init is init_b
-                                         else _column_registers(init, shape[2]))
-            if regs and regs_b or not columns:
-                continue
-            groups[k] = init, code, columns
-            if not regs:
-                fills.append((a, k, init, columns))
-            if not regs_b:
-                fills.append((b, kb, init_b, columns))
-        self.groups = groups
-        self.numbers = np.arange(len(groups) + 1) if len(groups) > 1 else None
-        width = max(len(regs) for _, _, regs in groups)
-        self.consts = None
-        if width:
-            self.consts = np.zeros((len(self.exprs), width))
-            for side, rows in ((a, slice(0, len(a.exprs))), (b, slice(len(a.exprs), None))):
-                if side.consts is not None:
-                    self.consts[rows, :side.consts.shape[1]] = side.consts
-            for side, k, init, columns in fills:
-                at = (side.group == k).nonzero()[0] + (len(a.exprs) if side is b else 0)
-                self.consts[at[:, None], np.arange(len(columns))] = [init[r] for r in columns]
-        return self
 
     @np.errstate(all="ignore")
     def __call__(self, x: np.ndarray, rows=None):

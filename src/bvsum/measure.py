@@ -39,7 +39,7 @@ routine in turn: it sums the values and checks the radius against tol.
 So em_midvalue_check and parts_check refine both halves of their
 identities in one walk, and parts_check prepares both on one grid, with
 one search and one table of one-sided limits per function and one plan,
-the two functions' plans joined by shape (_mid_grid).  _walk evaluates
+an expr.Rows of both functions' pieces made once per pair (_mid_grid).  _walk evaluates
 the grids of all segments together, in chunks of _CHUNK cells: chunks of
 one cell count are the rows of one 2-D grid of at most _BATCH points,
 whose terms are computed with the rows walked as one array; longer
@@ -75,6 +75,7 @@ from .bv import (
     left_limit,
     right_limit,
     _BATCH,
+    _increments,
     _segment_endpoint_values,
 )
 from .errors import (
@@ -181,13 +182,7 @@ def total_variation_measure(f: BvFunction, iv: IntervalSpec) -> float:
         return 0.0
     if iv.lo < f.domain_lo or iv.hi > f.domain_hi:
         raise DomainError(f"interval ]{iv.lo}, {iv.hi}[ outside domain")
-    terms: list[float] = []
-    for p in f.pieces:
-        s, t = max(iv.lo, p.lo), min(iv.hi, p.hi)
-        if s >= t:
-            continue
-        vl, vr = _segment_endpoint_values(p, s, t)
-        terms.append(abs(vr - vl))
+    terms = _increments(f, iv.lo, iv.hi)
     for bp in f.breakpoints:
         if iv.lo < bp.x < iv.hi:
             terms.append(abs(bp.jump))
@@ -219,8 +214,8 @@ class Layout:
     taken whole.  Per breakpoint, in increasing x: xs as a list, x, and
     left and right, its one-sided limits, each with a NaN after the
     last, which the index -1 reads.  plan is the expr.Rows of the
-    pieces' evaluators, a row per piece, and joined the plan joined with
-    another layout's."""
+    pieces' evaluators, a row per piece, and joined(other) the expr.Rows
+    of this function's pieces and then other's."""
 
     def __init__(self, f: BvFunction):
         self.pieces, self.breakpoints, self.los = f.pieces, f.breakpoints, f._piece_los
@@ -245,10 +240,7 @@ class Layout:
         v0 = np.array([p.left_boundary_limit for p in self.pieces])
         vn = np.array([p.right_boundary_limit for p in self.pieces])
         with np.errstate(all="ignore"):  # as _prepare; a tail piece is never bracketed
-            delta, term = _rounding(self.lo, self.hi, v0, vn)
-            width = self.hi - self.lo
-            return np.array([v0, vn, delta, term, width * np.abs(vn - v0) + 1e-300,
-                             term + width * delta])
+            return np.array([v0, vn, *_rounding(self.lo, self.hi, v0, vn)])
 
     @functools.cached_property
     def x(self) -> np.ndarray:
@@ -272,10 +264,10 @@ class Layout:
 
     def joined(self, other: "Layout") -> ex.Rows:
         """The plan of the rows of this function's pieces and then of
-        other's (expr.Rows.join), made once while other lives."""
+        other's, made once while other lives."""
         plan = self._joins.get(other)
         if plan is None:
-            plan = self._joins[other] = ex.Rows.join(self.plan, other.plan)
+            plan = self._joins[other] = ex.Rows([*self.plan.exprs, *other.plan.exprs])
         return plan
 
     def containing(self, xs):
@@ -594,16 +586,19 @@ _SUM_ULPS = 32
 
 
 def _rounding(s, t, v0, vn):
-    """(delta, term) of segments [s, t] with ends v0, vn.  delta bounds
-    the error of a second difference: 4 sample and 4 point errors (at f's
-    mean slope), twice over.  term bounds what rounding adds to a bracket:
-    (t - s) * delta for sample and point errors in M and T and for cells
-    classed by a difference off by delta, and 8 * _SUM_ULPS ulps of
-    (t - s) * max|f| for the sums."""
+    """(delta, term, weight, floor) of bracketed segments [s, t] with ends
+    v0, vn.  delta bounds the error of a second difference: 4 sample and 4
+    point errors (at f's mean slope), twice over.  term bounds what
+    rounding adds to a bracket: (t - s) * delta for sample and point
+    errors in M and T and for cells classed by a difference off by delta,
+    and 8 * _SUM_ULPS ulps of (t - s) * max|f| for the sums.  weight is
+    (t - s) * |vn - v0|, never 0, and floor is term and the widening of
+    flat cells, at most (t - s) * delta."""
+    width, rise = t - s, np.abs(vn - v0)
     big = np.maximum(np.abs(v0), np.abs(vn))
-    delta = 8.0 * _EPS * (_ULPS * big + np.maximum(np.abs(s), np.abs(t)) * np.abs(vn - v0)
-                          / (t - s))
-    return delta, (t - s) * (delta + 8 * _SUM_ULPS * _EPS * big)
+    delta = 8.0 * _EPS * (_ULPS * big + np.maximum(np.abs(s), np.abs(t)) * rise / width)
+    term = width * (delta + 8 * _SUM_ULPS * _EPS * big)
+    return delta, term, width * rise + 1e-300, term + width * delta
 
 
 def _mid_rounding(u0, un, g0, gn):
@@ -630,13 +625,13 @@ def _mid_rounding(u0, un, g0, gn):
 def _bracket_columns(f: BvFunction, ks, ss, ts) -> dict:
     """The columns of the bracketed segments (f.pieces[ks[i]], ss[i],
     ts[i]): their plan and rows, s, t, ends v0 = p(s+) and vn = p(t-),
-    delta and term (see _rounding), weight, and floor: term and the
-    widening of flat cells, at most (t - s) * delta.  A piece taken whole
-    has its columns in f's layout; the ends inside a piece are evaluated
-    segment by segment, once per piece and point, and their segments'
-    columns computed."""
+    and delta, term, weight and floor (see _rounding).  A piece taken
+    whole has its columns in f's layout; the ends inside a piece are
+    evaluated segment by segment, once per piece and point, and their
+    segments' columns computed."""
     lay = f.layout
-    v0, vn, delta, term, weight, floor = lay.bracket[:, ks]
+    bracket = lay.bracket[:, ks]
+    v0, vn, delta, term, weight, floor = bracket
     at_s, at_t = ss != lay.lo[ks], ts != lay.hi[ks]
     clipped = (at_s | at_t).nonzero()[0]
     if clipped.size:
@@ -649,11 +644,7 @@ def _bracket_columns(f: BvFunction, ks, ss, ts) -> dict:
                 v0[i] = _value(seen, e, s)
             if et:
                 vn[i] = _value(seen, e, t)
-        s, t, a, b = ss[clipped], ts[clipped], v0[clipped], vn[clipped]
-        d, m = _rounding(s, t, a, b)
-        delta[clipped], term[clipped] = d, m
-        weight[clipped] = (t - s) * np.abs(b - a) + 1e-300
-        floor[clipped] = m + (t - s) * d
+        bracket[2:, clipped] = _rounding(ss[clipped], ts[clipped], v0[clipped], vn[clipped])
     return {"plan": lay.plan, "rows": (ks,), "s": ss, "t": ts, "v0": v0, "vn": vn,
             "delta": delta, "term": term, "weight": weight, "floor": floor}
 
@@ -1050,9 +1041,10 @@ class _MidGrid(NamedTuple):
 def _mid_grid(f: BvFunction, g: BvFunction, lo: float, hi: float) -> _MidGrid:
     """The _MidGrid of f and g over [lo, hi], what both integrals of
     parts_check and its right-hand side share: one search per function
-    and one plan, joined from the functions' plans (Layout.joined).  Each
-    piece is evaluated once at each point; an evaluation that fails is
-    raised only where a phase that reads it meets it (_midvalue_claim)."""
+    and one plan, an expr.Rows of both functions' pieces made once per
+    pair (Layout.joined).  Each piece is evaluated once at each point;
+    an evaluation that fails is raised only where a phase that reads it
+    meets it (_midvalue_claim)."""
     if math.isnan(lo) or math.isnan(hi) or lo >= hi:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     for fn in (f, g):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvsum import expr as ex
+from bvsum.bv import BvFunction, MonotonePiece
 from bvsum.expr import (
     Bin,
     Call,
@@ -869,10 +870,17 @@ def test_rows_match_eval_expr(batch):
     _assert_rows_as_eval_expr(*batch)
 
 
-# A plan joined from two plans (Rows.join) evaluates the rows of both as
-# one plan of all of them, in any order: a group of shapes met on both
-# sides takes constant columns when its expressions differ, also where a
-# side held one expression and kept its constants scalars.
+def _pieces_of(exprs):
+    """A function whose pieces, on ]k, k + 1[, have the evaluators exprs;
+    not validated, since only its layout is read."""
+    return BvFunction(0.0, float(len(exprs)), (), tuple(
+        MonotonePiece(float(k), k + 1.0, e, "inc", 0.0, 0.0) for k, e in enumerate(exprs)))
+
+
+# The plan of two functions' pieces (measure.Layout.joined) evaluates the
+# rows of both, in any order: a group of shapes met in both functions
+# takes constant columns when its expressions differ, also where one
+# function held one expression of it.
 @settings(max_examples=200, deadline=None)
 @given(_batches(), st.data())
 def test_joined_rows_match_eval_expr(batch, data):
@@ -880,7 +888,9 @@ def test_joined_rows_match_eval_expr(batch, data):
     cut = data.draw(st.integers(0, len(exprs) - 1))
     first = exprs[:cut] or exprs[:1]
     second = exprs[cut:] + data.draw(st.lists(st.sampled_from(exprs), max_size=2))
-    joined = ex.Rows.join(ex.Rows(first), ex.Rows(second))
+    f, g = _pieces_of(first), _pieces_of(second)
+    joined = f.layout.joined(g.layout)
+    assert f.layout.joined(g.layout) is joined  # made once per pair
     both = first + second
     xs = xs[np.arange(len(both)) % len(xs)]
     order = np.array(data.draw(st.permutations(range(len(both)))), dtype=np.intp)
