@@ -39,19 +39,20 @@ routine in turn: it sums the values and checks the radius against tol.
 So em_midvalue_check and parts_check refine both halves of their
 identities in one walk, and parts_check prepares both on one grid, with
 one search and one table of one-sided limits per function and one plan,
-an expr.Rows of both functions' pieces made once per pair (_mid_grid).  _walk evaluates
-the grids of all segments together, in chunks of _CHUNK cells: chunks of
-one cell count are the rows of one 2-D grid of at most _BATCH points,
-whose terms are computed with the rows walked as one array; longer
-chunks are walked in blocks of at most _BATCH points.  A refinement runs
-the rows of its function's plan, which groups the pieces by shape, and
-walks its segments in the order of their first curve's groups, so that a
-block runs each group once, on a contiguous slice of its rows, and reads
-each segment's columns from one matrix (s, width, term and the route's
-columns).  Every point, value and sum is the float operation of a lone
-segment's grid, and every math.fsum is kept, so results and errors are
-those of refining one segment after the other, and one routine after the
-other: the error raised is the first failing segment's.
+an expr.Rows of both functions' pieces made once per pair (_mid_grid).
+_walk evaluates the grids of all segments together, in chunks of _CHUNK
+cells: chunks of one cell count are the rows of one 2-D grid of at most
+_BATCH points, whose terms are computed with the rows walked as one
+array; longer chunks are walked in blocks of at most _BATCH points.  A
+refinement runs the rows of its function's plan, which groups the pieces
+by shape, and walks its segments in the order of their first curve's
+groups, so that a block runs each group once, on a contiguous slice of
+its rows, and reads each segment's columns from one matrix (s, width,
+term and the route's columns).  Every point, value and sum is the float
+operation of a lone segment's grid, and every math.fsum is kept, so
+results and errors are those of refining one segment after the other,
+and one routine after the other: the error raised is the first failing
+segment's.
 """
 
 from __future__ import annotations
