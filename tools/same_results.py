@@ -43,7 +43,8 @@ def outcome(call, q) -> str:
 def describe(q: dict) -> str:
     if "argv" in q:
         return "bvsum " + " ".join(q["argv"])
-    return f"{q['kind']} {q['spec']} {q.get('g', '')} {q['args']} tol={q['tol']}"
+    g = f" {q['g']}" if "g" in q else ""
+    return f"{q['kind']} {q['spec']}{g} {q['args']} tol={q['tol']}"
 
 
 def main(argv=None) -> int:
