@@ -506,12 +506,14 @@ def _certify(*claims: _Claim) -> list:
 
 
 def _total(values: list, radii: list) -> Certified:
-    """The enclosure of the sum of values with radii: a radius of 0 says
-    the values are exact, and then it covers the rounding of their sum."""
-    result = Certified(math.fsum(values), math.fsum(radii))
-    if result.radius == 0.0 and Fraction(result.value) != sum(map(Fraction, values)):
-        return Certified(result.value, _slack(result.value))
-    return result
+    """The enclosure of the sum of values with radii, whose radius also
+    covers the rounding of the sum: what fsum leaves of the values less
+    their sum, an ulp up, or nothing for an exact sum."""
+    value, radius = math.fsum(values), math.fsum(radii)
+    lost = math.fsum([*values, -value]) if math.isfinite(value) else 0.0
+    if lost:
+        radius = math.nextafter(radius + abs(lost), math.inf)
+    return Certified(value, radius)
 
 
 @np.errstate(all="ignore")  # as _prepare
@@ -1159,7 +1161,11 @@ def _stieltjes_mid(segs: dict):
     bracket |dg| * |df| of its cells, which also caps every pair.  The
     walk's columns are u0, g0, un, gn, eu and eg."""
     def settle(col, n, sums):
-        return 0.5 * _fsums(*sums[0].T), 0.25 * _fsums(*sums[1].T), col[2]
+        # term is relative: unless g is 0, a cell's products that round
+        # below the normal range add an absolute error, at most 8 of the
+        # least subnormal (0 beside a normal radius)
+        under = np.where((col[4] != 0.0) | (col[6] != 0.0), 8 * 5e-324 * n, 0.0)
+        return 0.5 * _fsums(*sums[0].T), 0.25 * _fsums(*sums[1].T), col[2] + under
 
     return _refine("Stieltjes refinement", segs,
                    [segs[k] for k in ("u0", "g0", "un", "gn", "eu", "eg")],

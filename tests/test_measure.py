@@ -1308,6 +1308,20 @@ class TestRoundingBelowTheRadius:
         assert abs(mpmath.mpf(enc.value) - want) > 1e-24
         assert abs(mpmath.mpf(enc.value) - want) <= enc.radius <= 1e-23
 
+    def test_midvalue_cells_whose_products_underflow(self):
+        # g is the least normal float and f rises by 7.5e-5 on [0, 1.5]:
+        # the integral, 1.67e-312, and each cell's trapezoid product round
+        # below the normal range, where the relative rounding term is 0
+        tiny = sys.float_info.min
+        f = validate({"domain": {"lo": 0, "hi": 2}, "breakpoints": [],
+                      "pieces": [{"interval": [0, 2], "expr": "5e-05*x", "direction": "inc",
+                                  "left_limit": 0, "right_limit": 1e-4}]})
+        g = _steps(tiny, tiny)
+        want = mp_midvalue(g, f, 0.0, 1.5)
+        enc = stieltjes_midvalue(g, f, 0.0, 1.5, 1e-4)
+        assert abs(mpmath.mpf(enc.value) - want) > 0.0
+        assert abs(mpmath.mpf(enc.value) - want) <= enc.radius <= 1e-300
+
     def test_exact_values_whose_sum_rounds(self):
         # c/8 and 7/8 are exact, their sum is not: a radius of 0 would
         # claim it is
@@ -1319,8 +1333,6 @@ class TestRoundingBelowTheRadius:
         # a sum that is exact keeps the radius 0
         assert integrate(_steps(0.5, 1.0, cut=0.125), 0.0, 1.0, 1e-4).radius == 0.0
 
-    @pytest.mark.xfail(strict=True, reason="_total covers the rounding of the sum only "
-                                           "when every radius is 0 (ROADMAP item 8)")
     def test_exact_and_rounded_values_whose_sum_rounds(self):
         # 1/8 is exact, 1e-6 * 7/8 rounds with a radius of 1.6e-21, and
         # their sum rounds by 1.1e-17
