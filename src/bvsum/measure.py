@@ -300,13 +300,10 @@ def _walk(rows, ns, prow, col, plan, terms, failed: dict):
     plan is the Rows of the curves' expressions, curve c of segment i in
     its row prow[c, i].  The segments of one cell count and chunk are walked
     together, in the order of rows, in blocks of at most _BATCH points.
-    terms(col, first, last, size, y) gives a block's terms, a 2-D array
-    per term with a row per segment; col holds the block's columns, first
-    and last tell whether it holds the grids' ends, and y has the curves'
-    values over the block's size points (see _block), curve c in the rows
-    from c * len(seg) on.  A row that fails to evaluate records its
-    segment's first EvalError in failed; later segments' rows are then
-    skipped."""
+    terms(col, a, last, q, y) gives a block's terms, a 2-D array per term
+    with a row per segment, from the block's columns col and its values y
+    (see _block).  A row that fails to evaluate records its segment's
+    first EvalError in failed; later segments' rows are then skipped."""
     nl = ns.tolist()
     out = np.empty((2, len(nl), -(-max(nl) // _CHUNK)))
     out.fill(-0.0)
@@ -344,25 +341,42 @@ def _walk(rows, ns, prow, col, plan, terms, failed: dict):
 
 def _block(seg, col, n: int, prow, plan, terms, c0: int, c1: int, errs: dict):
     """The terms of the cells between the points c0 and c1 of the n-cell
-    grids of the segments seg, whose columns col holds, pads
-    included, evaluating the curves in order; errors go to errs.  A row
-    holds the block's points and, if their count is odd, a copy of one,
-    so that its rows can be walked as one array by twos; a grid's end,
-    which is never evaluated, is evaluated at the point beside it, and
-    terms replaces its value by the end's limit."""
+    grids of the segments seg, whose columns col holds, evaluating the
+    curves in order; errors go to errs.  The block is a 2-D array of
+    rows, a row per curve and segment (curve c in the rows from c *
+    len(seg) on), each holding the points c0..c1 and the pads beside
+    them, so nothing straddles two rows.  A grid's end, which is never
+    evaluated, is evaluated at the point beside it, and its value
+    replaced by the curve's limit there: col holds s, width and term,
+    then per curve the limit at s, then per curve the limit at t.
+    terms(col, a, last, q, y) reads the rows y, where a is the row's
+    index of the point c0, last tells whether the block holds the grids'
+    end and q is its number of pairs of cells (see _pairs)."""
     first, last = c0 == 0, c1 == n
-    p0 = c0 - (not first)
-    size = c1 + (not last) - p0 + 1
-    xs = np.arange(p0, p0 + size + (size & 1), dtype=np.float64) / n  # k / n
+    a = int(not first)
+    size = c1 + (not last) - c0 + a + 1
+    xs = np.arange(c0 - a, c0 - a + size, dtype=np.float64) / n  # k / n
     if first:
         xs[0] = xs[1]
     if last:
-        xs[size - 1] = xs[size - 2]
-    if size & 1:
-        xs[size] = xs[size - 1]
+        xs[-1] = xs[-2]
     xs = col[1, :, None] * xs
     xs += col[0, :, None]  # s + (t - s) * (k / n), as for a lone grid
-    return terms(col, first, last, size, _evaluate(plan, prow, seg, xs, errs))
+    y = _evaluate(plan, prow, seg, xs, errs)
+    curves = len(prow)
+    if first:
+        y[:, 0] = col[3:3 + curves].reshape(-1)
+    if last:
+        y[:, -1] = col[3 + curves:3 + 2 * curves].reshape(-1)
+    return terms(col, a, last, (c1 - c0) // 2, y)
+
+
+def _pairs(v, a: int, q: int):
+    """The first points, middles and last points of the q pairs of cells
+    of the rows v whose first pair starts at the point a; of rows with an
+    entry per cell, the pairs' first and second cells (and then the
+    cells after each pair)."""
+    return v[:, a:a + 2 * q:2], v[:, a + 1:a + 2 * q + 1:2], v[:, a + 2:a + 2 * q + 2:2]
 
 
 def _blocks(block, start: int, stop: int):
@@ -652,75 +666,54 @@ def _bracket_columns(f: BvFunction, ks, ss, ts) -> dict:
             "delta": delta, "term": term, "weight": weight, "floor": floor}
 
 
-def _bracket_terms(col, first, last, size, y):
+def _bracket_terms(col, a, last, q, y):
     """The terms of a block of a grid of an even number of cells, for the
     segments whose columns col holds (see _bracket); y holds the rows of
-    values of _block, size points each, pads included.  The terms are
-    the block's values, but the grid's ends and the block's first point;
-    and per bracket cell, two grid cells, its half-gap in units of half a
-    step.  The rows are walked as one array: a second difference or cell
-    that straddles two rows is computed, and left out."""
-    v0, vn, delta, below, widening = col[3:]
-    k, width = y.shape
-    if first:
-        y[:, 0] = v0
-    if last:
-        y[:, size - 1] = vn
-    a = int(not first)  # the block's first point, after a pad
-    cells = size - 1 - a - (not last)
-    f = y.reshape(-1)
-    # second differences, 0 (which every class admits) at grid ends
-    d = np.empty(f.shape)
-    d[0] = d[-1] = 0.0
-    np.multiply(f[1:-1], -2.0, out=d[1:-1])
-    d[1:-1] += f[:-2]
-    d[1:-1] += f[2:]
-    if first:
-        d[::width] = 0.0
-    if last:
-        d[size - 1::width] = 0.0
-    # per bracket cell q, row by row, its ends and its middle
-    ends, mid = d[a::2], d[a + 1::2]
-    q = len(ends) - 1
-    lo, hi = np.zeros((2, len(ends)))
-    np.minimum(ends[:-1], mid[:q], out=lo[:q])
-    np.maximum(ends[:-1], mid[:q], out=hi[:q])
-    np.minimum(lo[:q], ends[1:], out=lo[:q])
-    np.maximum(hi[:q], ends[1:], out=hi[:q])
-    rows = k, width // 2  # the cells' arrays, row by row
-    convex = np.greater_equal(lo.reshape(rows), below[:, None]).reshape(-1)
-    concave = np.less_equal(hi.reshape(rows), delta[:, None]).reshape(-1)
+    values of _block.  The terms are the block's values, but the grid's
+    ends and the block's first point; and per bracket cell, two grid
+    cells, its half-gap in units of half a step."""
+    delta = col[5][:, None]
+    # second differences, 0 (which every class admits) at the rows' ends,
+    # where they are read only at a grid's end
+    d = np.empty(y.shape)
+    d[:, 0] = d[:, -1] = 0.0
+    np.multiply(y[:, 1:-1], -2.0, out=d[:, 1:-1])
+    d[:, 1:-1] += y[:, :-2]
+    d[:, 1:-1] += y[:, 2:]
+    # per bracket cell, its ends and its middle
+    start, mid, end = _pairs(d, a, q)
+    lo = np.minimum(start, mid)
+    hi = np.maximum(start, mid)
+    np.minimum(lo, end, out=lo)
+    np.maximum(hi, end, out=hi)
+    convex = lo >= -delta
+    concave = hi <= delta
     # neither: the Darboux bracket of the two halves; convex: [M, T];
     # concave: [T, M]; flat: between them, widened by h * delta
-    gap = lo
-    at = f[a::2]
-    np.subtract(at[1:], at[:-1], out=gap[:q])
+    start, _, end = _pairs(y, a, q)
+    gap = np.subtract(end, start, out=lo)
     np.abs(gap, out=gap)
-    np.maximum(mid[:q], 0.0, out=gap[:q], where=convex[:q])
-    np.negative(mid[:q], out=hi[:q], where=concave[:q])
+    np.maximum(mid, 0.0, out=gap, where=convex)
+    np.negative(mid, out=hi, where=concave)
     np.maximum(hi, 0.0, out=gap, where=concave)
     both = np.logical_and(convex, concave, out=convex)
-    np.abs(mid[:q], out=gap[:q], where=both[:q])
-    gap = gap.reshape(rows)
-    np.add(gap, widening[:, None], out=gap, where=both.reshape(rows))
-    return y[:, a + 1:a + cells + 1 - last], gap[:, :cells // 2]
+    np.abs(mid, out=gap, where=both)
+    np.add(gap, 4.0 * delta, out=gap, where=both)
+    return y[:, a + 1:a + 2 * q + 1 - last], gap
 
 
 def _bracket(segs: dict):
     """Integrals of pieces over the segments of the columns segs (see
     _bracket_columns): the sum of the brackets' midpoints, which is the
     trapezoid sum of the whole grid, and of their half-gaps, which must
-    fit the budget, plus term.  The walk's columns are v0, vn, delta,
-    -delta and 4 * delta, what a flat cell's half-gap is widened by."""
+    fit the budget, plus term.  The walk's columns are v0, vn and delta."""
     def settle(col, n, sums):
         a, b = col[3], col[4]
         h = col[1] / n
         value = h * (_fsums(a, b, *sums[0].T) - 0.5 * (a + b))
         return value, 0.5 * h * _fsums(*sums[1].T), col[2]
 
-    delta = segs["delta"]
-    return _refine("Bracket refinement", segs, [segs["v0"], segs["vn"], delta, -delta,
-                                                 4.0 * delta],
+    return _refine("Bracket refinement", segs, [segs["v0"], segs["vn"], segs["delta"]],
                    _bracket_terms, settle, n0=64)
 
 
@@ -1063,89 +1056,62 @@ def _mid_grid(f: BvFunction, g: BvFunction, lo: float, hi: float) -> _MidGrid:
     return _MidGrid(grid, x, sides, f.layout.joined(g.layout))
 
 
-def _mid_terms(col, first, last, size, y):
+def _mid_terms(col, a, last, q, y):
     """The terms of a block of a mid-value grid of an even number of
     cells: per pair of cells, twice its bracket's midpoint and twice its
-    width.  y holds the rows of values of _block, size points each, pads
-    included, those of g under those of f; col holds the segments'
-    columns (see _stieltjes_mid).  The rows are walked as one array, as
-    in _bracket_terms."""
-    eu, eg = col[7], col[8]
-    n, width = len(eu), y.shape[1]
-    if first:
-        y[:, 0] = col[3:5].reshape(-1)  # u0 and g0
-    if last:
-        y[:, size - 1] = col[5:7].reshape(-1)  # un and gn
-    a = int(not first)  # the block's first point, after a pad
-    cells = size - 1 - a - (not last)
-    points = n * width
-    g = y[n:].reshape(-1)
-    # the steps of f and of g, and one across, left out
-    steps = y.reshape(-1)
-    steps = steps[1:] - steps[:-1]
-    d, e = steps[:points - 1], steps[points:]
-    # cross differences and their rounding bounds at the points, 0 (which
-    # every class admits) at grid ends
-    cross = np.zeros(points)
-    np.multiply(e[1:], d[:-1], out=cross[1:-1])
-    cross[1:-1] -= e[:-1] * d[1:]
+    width.  y holds the rows of values of _block, those of g under those
+    of f; col holds the segments' columns (see _stieltjes_mid)."""
+    eu, eg = col[7][:, None], col[8][:, None]
+    n = len(eu)
+    # the steps of f and of g
+    steps = y[:, 1:] - y[:, :-1]
+    d, e = steps[:n], steps[n:]
+    # cross differences and their rounding bounds (see _mid_rounding) at
+    # the points, 0 (which every class admits) at the rows' ends, where
+    # they are read only at a grid's end
+    cross, delta = np.empty((2, n, y.shape[1]))
+    cross[:, 0] = cross[:, -1] = delta[:, 0] = delta[:, -1] = 0.0
+    np.multiply(e[:, 1:], d[:, :-1], out=cross[:, 1:-1])
+    cross[:, 1:-1] -= e[:, :-1] * d[:, 1:]
     # twice the trapezoid sums of the cells
-    trapezoid = g[:-1] + g[1:]
+    trapezoid = y[n:, :-1] + y[n:, 1:]
     trapezoid *= d
-    ad, ae = np.abs(steps, out=steps)[:points - 1], steps[points:]
-    delta = _cross_bounds(steps, eu, eg, width)
-    if first:
-        cross[::width] = delta[::width] = 0.0
-    if last:
-        cross[size - 1::width] = delta[size - 1::width] = 0.0
+    ad, ae = np.abs(steps, out=steps)[:n], steps[n:]
+    beside = ad[:, :-1] + ad[:, 1:]
+    beside *= eg
+    np.add(ae[:, :-1], ae[:, 1:], out=delta[:, 1:-1])
+    delta[:, 1:-1] *= eu
+    delta[:, 1:-1] += beside
     # neither convex nor concave: the crosses at a pair's ends and middle
-    # leave [-delta, delta] on both sides; pair q, row by row, has its
-    # ends at the points a + 2q and a + 2q + 2
-    up, down = cross > delta, cross < -delta
-    half = points // 2
-    q = half - 1
-    neither = (up[a::2][:q] | up[a + 1::2][:q] | up[a + 2::2][:q]) & \
-        (down[a::2][:q] | down[a + 1::2][:q] | down[a + 2::2][:q])
-    value, lo, hi = np.zeros((3, half))
+    # leave [-delta, delta] on both sides
+    up, down = _pairs(cross > delta, a, q), _pairs(cross < -delta, a, q)
+    neither = (up[0] | up[1] | up[2]) & (down[0] | down[1] | down[2])
+    d1, d2, _ = _pairs(ad, a, q)
     with np.errstate(divide="ignore", invalid="ignore"):
         # convex or concave, the integral is between the trapezoid sum T
         # and T - cross * rho, rho = (d1^2 + d2^2) / (2 d1 d2); off by at
         # most delta * rho.  Twice rho is r + 1/r, r = |d1 / d2|.
-        rho = ad[a::2][:q] / ad[a + 1::2][:q]
+        rho = d1 / d2
         rho += 1.0 / rho
-        c = cross[a + 1::2][:q] * rho
-        rho *= delta[a + 1::2][:q]
-        np.maximum(c, 0.0, out=lo[:q])
-        np.maximum(np.negative(c, out=c), 0.0, out=hi[:q])
-        lo[:q] += rho
-        hi[:q] += rho
+        c = _pairs(cross, a, q)[1] * rho
+        rho *= _pairs(delta, a, q)[1]
+        lo = np.maximum(c, 0.0)
+        hi = np.maximum(np.negative(c, out=c), 0.0)
+        lo += rho
+        hi += rho
         # the Darboux bracket, its width twice, caps every pair (and
         # replaces a NaN or infinite rho's)
-        darboux = ae * ad
-        dd = darboux[a::2][:q] + darboux[a + 1::2][:q]
-        np.putmask(lo[:q], neither, dd)
-        np.putmask(hi[:q], neither, dd)
-        np.fmin(lo[:q], dd, out=lo[:q])
-        np.fmin(hi[:q], dd, out=hi[:q])
-    np.add(trapezoid[a::2][:q], trapezoid[a + 1::2][:q], out=value[:q])
+        x1, x2, _ = _pairs(ae * ad, a, q)
+        dd = x1 + x2
+        np.putmask(lo, neither, dd)
+        np.putmask(hi, neither, dd)
+        np.fmin(lo, dd, out=lo)
+        np.fmin(hi, dd, out=hi)
+    t1, t2, _ = _pairs(trapezoid, a, q)
+    value = t1 + t2
     value += 0.5 * (hi - lo)
     lo += hi
-    return (value.reshape(n, width // 2)[:, :cells // 2],
-            lo.reshape(n, width // 2)[:, :cells // 2])
-
-
-def _cross_bounds(steps, eu, eg, width: int):
-    """delta of _mid_rounding at the points of the rows of width points,
-    0 at the ends: eu * (|e_(k-1)| + |e_k|) + eg * (|d_(k-1)| + |d_k|),
-    where steps holds |d| then |e|, and one step across, left out."""
-    points = len(eu) * width
-    sums = np.empty((2, len(eu), width))  # beside each point, of |d|, of |e|
-    np.add(steps[:-1], steps[1:], out=sums.reshape(-1)[1:-1])
-    sums[0] *= eg[:, None]
-    sums[1] *= eu[:, None]
-    delta = np.add(sums[1], sums[0]).reshape(points)
-    delta[0] = delta[-1] = 0.0
-    return delta
+    return value, lo
 
 
 def _stieltjes_mid(segs: dict):

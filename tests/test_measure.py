@@ -569,8 +569,8 @@ class TestGridWalker:
         s, t = p.lo + 0.125, p.hi  # one end evaluated, one from the limit
         v0, vn = ex.eval_expr(p.evaluator, s), p.right_boundary_limit
         delta = ref_rounding(s, t, v0, vn)[0]
-        # s, width, term, then the route's v0, vn, delta, -delta, 4 * delta
-        cols = np.array([[s], [t - s], [0.0], [v0], [vn], [delta], [-delta], [4.0 * delta]])
+        # s, width, term, then the route's v0, vn, delta
+        cols = np.array([[s], [t - s], [0.0], [v0], [vn], [delta]])
         sums = measure._walk(np.array([0]), np.array([n]), np.array([[0]]), cols,
                              ex.Rows([p.evaluator]),
                              measure._bracket_terms, {})
@@ -1578,8 +1578,8 @@ class TestEngineErrorOrder:
                 measure._mid_terms, {})
         else:
             # one chunk of brackets: a value per point, a gap per two; s,
-            # width, term, v0, vn, delta, -delta, 4 * delta
-            cols = np.array([[0.0], [1.0], [0.0], [0.0], [2.0], [1e-15], [-1e-15], [4e-15]])
+            # width, term, v0, vn, delta
+            cols = np.array([[0.0], [1.0], [0.0], [0.0], [2.0], [1e-15]])
             call = lambda: measure._walk(  # noqa: E731
                 *one, np.array([[0]]), cols, ex.Rows([f.pieces[0].evaluator]),
                 measure._bracket_terms, {})
