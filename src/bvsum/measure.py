@@ -41,18 +41,18 @@ identities in one walk, and parts_check prepares both on one grid, with
 one search and one table of one-sided limits per function and one plan,
 an expr.Rows of both functions' pieces made once per pair (_mid_grid).
 _walk evaluates the grids of all segments together, in chunks of _CHUNK
-cells: chunks of one cell count are the rows of one 2-D grid of at most
-_BATCH points, whose terms are computed with the rows walked as one
-array; longer chunks are walked in blocks of at most _BATCH points.  A
-refinement runs the rows of its function's plan, which groups the pieces
-by shape, and walks its segments in the order of their first curve's
-groups, so that a block runs each group once, on a contiguous slice of
-its rows, and reads each segment's columns from one matrix (s, width,
-term and the route's columns).  Every point, value and sum is the float
-operation of a lone segment's grid, and every math.fsum is kept, so
-results and errors are those of refining one segment after the other,
-and one routine after the other: the error raised is the first failing
-segment's.
+cells, walked in blocks of at most _BATCH points: a block is a 2-D array
+of rows, segments by points, whose layout only _block knows, and its
+terms are computed row by row and pair by pair of cells (_pairs), with
+nothing that straddles two rows.  A refinement runs the rows of its
+function's plan, which groups the pieces by shape, and walks its
+segments in the order of their first curve's groups, so that a block
+runs each group once, on a contiguous slice of its rows, and reads each
+segment's columns from one matrix (s, width, term and the route's
+columns).  Every point, value and sum is the float operation of a lone
+segment's grid, and every math.fsum is kept, so results and errors are
+those of refining one segment after the other, and one routine after the
+other: the error raised is the first failing segment's.
 """
 
 from __future__ import annotations
@@ -803,8 +803,7 @@ def tail_integral(f: BvFunction, n: float, tol: float = DEFAULT_TOL):
     radius = _slack(f_inf, f_start, value)
     if n < tail_piece.lo:
         head = integrate(f, n, tail_piece.lo, tol)
-        value += head.value
-        radius += head.radius
+        return _total([value, head.value], [radius, head.radius])
     return Certified(value, radius)
 
 
@@ -1077,11 +1076,9 @@ def _mid_terms(col, a, last, q, y):
     trapezoid = y[n:, :-1] + y[n:, 1:]
     trapezoid *= d
     ad, ae = np.abs(steps, out=steps)[:n], steps[n:]
-    beside = ad[:, :-1] + ad[:, 1:]
-    beside *= eg
-    np.add(ae[:, :-1], ae[:, 1:], out=delta[:, 1:-1])
-    delta[:, 1:-1] *= eu
-    delta[:, 1:-1] += beside
+    np.add(ad[:, :-1], ad[:, 1:], out=delta[:, 1:-1])
+    delta[:, 1:-1] *= eg
+    delta[:, 1:-1] += (ae[:, :-1] + ae[:, 1:]) * eu
     # neither convex nor concave: the crosses at a pair's ends and middle
     # leave [-delta, delta] on both sides
     up, down = _pairs(cross > delta, a, q), _pairs(cross < -delta, a, q)
@@ -1101,8 +1098,7 @@ def _mid_terms(col, a, last, q, y):
         hi += rho
         # the Darboux bracket, its width twice, caps every pair (and
         # replaces a NaN or infinite rho's)
-        x1, x2, _ = _pairs(ae * ad, a, q)
-        dd = x1 + x2
+        dd = np.add(*_pairs(ae * ad, a, q)[:2])
         np.putmask(lo, neither, dd)
         np.putmask(hi, neither, dd)
         np.fmin(lo, dd, out=lo)
