@@ -34,6 +34,7 @@ from .errors import (
     ToleranceUnreachable,
     ValidationError,
 )
+from .expr import EvalError
 from .measure import DEFAULT_TOL, IntervalSpec, total_variation_measure
 from .specfile import load_function
 
@@ -430,6 +431,9 @@ def main(argv=None) -> int:
     except ValidationError as e:
         for v in e.violations:
             print(str(v), file=sys.stderr)
+        return EXIT_VALIDATION
+    except EvalError as e:  # as validate's "evaluator failed"
+        print(f"evaluation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except DomainError as e:
         print(f"domain error: {e}", file=sys.stderr)

@@ -90,6 +90,25 @@ class TestExitCodes:
             code, _, err = run_main(capsys, *args)
             assert code == 0, (args, err)
 
+    def test_evaluation_errors_exit_2(self, capsys, tmp_path):
+        # the antiderivative x^2/2*log(x) - x^2/4 passes validation but
+        # fails at the piece end 0, where the sum's integral evaluates it
+        e, F = 1 / math.e, "x^2/2*log(x) - x^2/4"
+        spec = tmp_path / "xlogx.json"
+        spec.write_text(json.dumps({
+            "format": 1, "name": "xlogx", "domain": {"lo": 0, "hi": 1},
+            "pieces": [{"interval": [0, e], "expr": "x*log(x)", "direction": "dec",
+                        "left_limit": 0, "right_limit": -e, "antiderivative": F},
+                       {"interval": [e, 1], "expr": "x*log(x)", "direction": "inc",
+                        "left_limit": -e, "right_limit": 0, "antiderivative": F}],
+            "breakpoints": [{"x": 0, "left": 0, "value": 0, "right": 0},
+                            {"x": e, "left": -e, "value": -e, "right": -e},
+                            {"x": 1, "left": 0, "value": 0, "right": 0}],
+        }))
+        r = run_in(capsys, "sum", spec, "--a", 0, "--b", 1)
+        assert r.returncode == 2
+        assert r.stderr == "evaluation error: log_domain at x=0.0\n"
+
     def test_usage_errors_exit_1(self, capsys):
         r = run_in(capsys, "sum", cpath("linear.json"), "--a", 10, "--b", 3)
         assert r.returncode == 1

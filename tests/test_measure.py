@@ -577,6 +577,45 @@ class TestGridWalker:
         assert list(zip(*sums[:, 0].tolist())) == \
             list(ref_bracket_sums(p.evaluator, s, t, n, v0, vn, delta))
 
+    # the first grid, one chunk in blocks, three chunks that share pads
+    @pytest.mark.parametrize("n", [64, 1 << 20, 3 << 20])
+    @pytest.mark.parametrize("route", ["bracket", "midvalue"])
+    def test_a_block_evaluates_its_points_and_pads_once(self, route, n):
+        # two segments; per block, each row's points are those of its grid
+        # from the point before the block's first to the point after its
+        # last, each once, a grid's end standing at the point beside it
+        s, t = np.array([0.0, 0.125]), np.array([0.5, 1.0])
+        e = bare("3*x+1", 0.0, 1.0, "inc", 1.0, 4.0).pieces[0].evaluator
+        if route == "bracket":
+            # s, width, term, v0, vn, delta
+            cols = np.array([s, t - s, [0.0] * 2, 3 * s + 1, 3 * t + 1, [1e-15] * 2])
+            prow, terms = np.array([[0, 1]]), measure._bracket_terms
+        else:
+            # s, width, term, u0, g0, un, gn, eu, eg
+            cols = np.array([s, t - s, [0.0] * 2, 3 * s + 1, 3 * s + 1, 3 * t + 1,
+                             3 * t + 1, [1e-15] * 2, [1e-15] * 2])
+            prow, terms = np.array([[0, 1], [0, 1]]), measure._mid_terms
+        plan, spans = ex.Rows([e, e]), {0: [], 1: []}  # row i of plan is segment i's
+
+        def run(xs, rows):
+            a, w = s[rows, None], (t - s)[rows, None]
+            k = np.rint((xs[0] - a[0]) / w[0] * n).astype(int)
+            p0, p1 = int(k[0]) - (k[0] == k[1]), int(k[-1]) + (k[-1] == k[-2])
+            want = np.arange(p0, p1 + 1, dtype=np.float64) / n
+            want[0], want[-1] = want[max(p0, 1) - p0], want[min(p1, n - 1) - p0]
+            assert np.array_equal(xs, a + w * want)
+            for i in set(rows.tolist()):
+                spans[i].append((p0, p1))
+            return plan(xs, rows)
+
+        measure._walk(np.array([0, 1]), np.array([n, n]), prow, cols, run, terms, {})
+        # per segment, the blocks tile the grid, the pads of one the points
+        # of the next
+        for blocks in spans.values():
+            assert blocks[0][0] == 0 and blocks[-1][1] == n
+            assert all(b[0] == a[1] - 2 for a, b in zip(blocks, blocks[1:]))
+            assert len(blocks) == {64: 1, 1 << 20: 33, 3 << 20: 99}[n]
+
     def test_expression_never_evaluated_at_segment_ends(self):
         # sin(x)/x is 0/0 at 0; the piece's left limit stands in for it
         f = bare("sin(x)/x", 0, 3, "dec", 1.0, math.sin(3.0) / 3.0)
@@ -695,7 +734,10 @@ def ref_stieltjes_mid_segment(g, f, fp, gp, s, t, share):
         value = 0.5 * math.fsum(v for v, _ in sums)
         gap = 0.25 * math.fsum(w for _, w in sums)
         if gap <= budget:
-            return value, gap + term
+            # 8 least subnormals a cell for products that round below the
+            # normal range, unless g is 0 at both ends
+            under = 8 * 5e-324 * n if ends[2] != 0.0 or ends[3] != 0.0 else 0.0
+            return value, gap + (term + under)
         if n >= measure.MAX_CELLS:
             raise ToleranceUnreachable(
                 f"Stieltjes refinement hit the {measure.MAX_CELLS}-cell cap on [{s}, {t}]")
@@ -1113,6 +1155,24 @@ class TestFunctionLayout:
                 assert _outcome(call) == got
             assert by_segment() == got
 
+    def test_midvalue_cells_that_underflow_as_reference(self):
+        # over [0, 6.2e-130] g is about 1e-132, so each cell's products
+        # round below the normal range, and the radius is that of 16 cells
+        # of 8 least subnormals each, in the reference too
+        def spec(text, right):
+            return validate({"domain": {"lo": 0, "hi": 0.125}, "breakpoints": [],
+                             "pieces": [{"interval": [0, 0.125], "expr": text,
+                                         "direction": "inc", "left_limit": 0.0,
+                                         "right_limit": right}]})
+
+        f = spec("0.001953125+0.001953125*sin(25.132741228718345*x-1.5707963267948966)",
+                 0.00390625)
+        g = spec("0.015625*x", 0.001953125)
+        call = lambda: stieltjes_midvalue(g, f, 0.0, 6.233773179921153e-130, 1e-3)  # noqa: E731
+        got = _outcome(call)
+        assert got == ("value", repr(Certified(0.0, 16 * 8 * 5e-324)))
+        assert by_segments(call, g, f) == got
+
     def test_repeated_queries_build_each_plan_once(self, monkeypatch):
         f, g = cycling(12, 6.0), cycling(8, 6.0, offset=0.5)
         assert "layout" not in vars(f) and "layout" not in vars(g)
@@ -1339,6 +1399,26 @@ class TestRoundingBelowTheRadius:
         f = _steps(1.0, 1e-6, cut=0.125)
         enc = integrate(f, 0.0, 1.0, 1e-4)
         assert abs(mpmath.mpf(enc.value) - mp_integral(f, 0.0, 1.0)) <= enc.radius
+
+    def test_tail_integral_whose_head_plus_tail_rounds(self):
+        # 1 on (0, 1) and 1e-20 * exp(1 - x) beyond: both parts are exact
+        # or nearly, and 1 + 1e-20 rounds to 1
+        f = validate({
+            "domain": {"lo": 0, "hi": "inf"},
+            "pieces": [
+                {"interval": [0, 1], "expr": "1", "direction": "const",
+                 "left_limit": 1, "right_limit": 1},
+                {"interval": [1, "inf"], "expr": "1e-20*exp(1-x)", "direction": "dec",
+                 "left_limit": 1e-20, "right_limit": 0},
+            ],
+            "breakpoints": [{"x": 1, "left": 1, "value": 1, "right": 1e-20}],
+            "tail": {"limit": 0, "antiderivative": "-1e-20*exp(1-x)",
+                     "antiderivative_limit": 0},
+        })
+        enc = tail_integral(f, 0.0)
+        assert enc.value == 1.0
+        with mpmath.workdps(40):
+            assert abs(mpmath.mpf(enc.value) - (1 + mpmath.mpf(1e-20))) <= enc.radius
 
     @pytest.mark.xfail(strict=True, reason="closed-form radius ignores the error of "
                                            "evaluating F near its zero (ROADMAP item 8)")
