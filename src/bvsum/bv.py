@@ -5,17 +5,22 @@ every one-sided limit stored explicitly.  That makes pointwise
 variation, jumps and the Jordan decomposition exact computations on the
 representation instead of estimates from samples.  Validation is a
 falsification check: evaluators are black boxes, so monotonicity and
-limit consistency are tested by sampling, not proved.
+limit consistency are tested by sampling, not proved.  It works by
+columns (see validate), and a validated function keeps them
+(BvFunction.columns); its pieces make their expression trees only when
+they are read.
 """
 
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import functools
 import itertools
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,7 +84,11 @@ class Breakpoint:
 
 @dataclass(frozen=True)
 class MonotonePiece:
-    """A continuous monotone segment on the open interval (lo, hi)."""
+    """A continuous monotone segment on the open interval (lo, hi).
+
+    A piece that validate makes holds its row of the spec's parsed texts
+    in place of its trees, and makes each tree on first read (_Tree):
+    eq, hash, repr and pickle read them, compiled and block do not."""
 
     lo: float
     hi: float  # math.inf on the tail piece of a half-line
@@ -95,6 +104,48 @@ class MonotonePiece:
     @property
     def delta(self) -> float:
         return self.right_boundary_limit - self.left_boundary_limit
+
+    @functools.cached_property
+    def compiled(self):
+        """The evaluator's function of a float (expr.Expr.compiled)."""
+        texts = vars(self).get("_texts")
+        if texts is None or "evaluator" in vars(self):
+            fn, vars(self)["block"] = self.evaluator.compiled, self.evaluator.block
+        else:
+            fn, vars(self)["block"] = texts[0].kernels(texts[1])
+        return fn
+
+    @functools.cached_property
+    def block(self):
+        """The evaluator's block kernel (expr.Expr.block)."""
+        self.compiled  # sets block too
+        return vars(self)["block"]
+
+    def __getstate__(self):
+        # the fields, each tree made; not the parsed texts nor the kernels
+        return {name: getattr(self, name) for name in _PIECE_FIELDS}
+
+
+class _Tree:
+    """A tree field of a piece that validate made: its row of the parsed
+    texts (vars(piece)["_texts"], after the evaluator's the
+    antiderivative's) makes it on first read, which it then keeps in the
+    piece's __dict__, where every later read finds it."""
+
+    def __init__(self, name: str, at: int):
+        self.name, self.at = name, at
+
+    def __get__(self, piece, owner=None):
+        if piece is None:
+            return self
+        texts = vars(piece)["_texts"]
+        e = vars(piece)[self.name] = texts[self.at].tree(texts[self.at + 1])
+        return e
+
+
+_PIECE_FIELDS = tuple(f.name for f in dataclasses.fields(MonotonePiece))
+MonotonePiece.evaluator = _Tree("evaluator", 0)
+MonotonePiece.antiderivative = _Tree("antiderivative", 2)
 
 
 @dataclass(frozen=True)
@@ -122,6 +173,13 @@ class BvFunction:
         object.__setattr__(self, "_piece_los", [p.lo for p in self.pieces])
 
     @functools.cached_property
+    def columns(self) -> "Columns":
+        """The fields of the pieces and breakpoints as arrays and the plan
+        of the evaluators (see Columns): validate sets them, and a function
+        made otherwise makes them from its pieces on first use."""
+        return _columns(self)
+
+    @functools.cached_property
     def layout(self):
         """The columns and evaluation plan that refinements read (see
         measure.Layout), made once, on first use; like Expr.compiled, it
@@ -131,8 +189,8 @@ class BvFunction:
         return Layout(self)
 
     def __getstate__(self):
-        # the copy makes its layout again on first use
-        return {k: v for k, v in vars(self).items() if k != "layout"}
+        # the copy makes its columns and layout again on first use
+        return {k: v for k, v in vars(self).items() if k not in ("columns", "layout")}
 
     @property
     def is_half_line(self) -> bool:
@@ -153,6 +211,40 @@ class BvFunction:
         return evaluate(self, x)
 
 
+class Columns(NamedTuple):
+    """A function's pieces and breakpoints as arrays, each a field of
+    every piece or breakpoint in order, and the expr.Rows plan of its
+    pieces' evaluators, a row per piece: what validate's sampled checks
+    and measure.Layout read."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    left: np.ndarray  # left_boundary_limit
+    right: np.ndarray  # right_boundary_limit
+    direction: np.ndarray  # its index in DIRECTIONS
+    closed: np.ndarray  # whether the piece has an antiderivative
+    plan: ex.Rows
+    x: np.ndarray  # the breakpoints'
+    bp_left: np.ndarray
+    bp_right: np.ndarray
+
+
+def _columns(f: BvFunction) -> Columns:
+    """The columns of a function that validate did not make."""
+    ps, bps = f.pieces, f.breakpoints
+
+    def column(values, dtype=np.float64):
+        return np.array(values, dtype)
+
+    return Columns(column([p.lo for p in ps]), column([p.hi for p in ps]),
+                   column([p.left_boundary_limit for p in ps]),
+                   column([p.right_boundary_limit for p in ps]),
+                   column([_DIRECTION_INDEX[p.direction] for p in ps], np.intp),
+                   column([p.antiderivative is not None for p in ps], bool),
+                   ex.rows_of([p.evaluator for p in ps]), column([bp.x for bp in bps]),
+                   column([bp.left_value for bp in bps]), column([bp.right_value for bp in bps]))
+
+
 def _check_point(f: BvFunction, x: float) -> None:
     if not math.isfinite(x) or x < f.domain_lo or x > f.domain_hi:
         raise DomainError(f"x={x!r} outside domain [{f.domain_lo}, {f.domain_hi}]")
@@ -166,7 +258,7 @@ def evaluate(f: BvFunction, x: float) -> float:
         return bp.value
     p = f.piece_containing(x)
     if p is not None:
-        return ex.eval_expr(p.evaluator, x)
+        return p.compiled(float(x))
     if x == f.domain_lo:
         return f.pieces[0].left_boundary_limit
     return f.pieces[-1].right_boundary_limit
@@ -199,7 +291,7 @@ def values_at_integers(f: BvFunction, a: int, b: int):
             t = min(t, math.ceil(p.hi))
         if t - s > 1:
             runs.append(_evaluated(f, k, s))
-            runs.append(_blocks(p.evaluator.block, s, t))
+            runs.append(_blocks(p.block, s, t))
             k = t
     runs.append(_evaluated(f, k, b))
     return itertools.chain.from_iterable(runs)
@@ -237,7 +329,7 @@ def right_limit(f: BvFunction, x: float, strict: bool = False) -> float:
         return f.pieces[-1].right_boundary_limit
     p = f.piece_containing(x)
     if p is not None:
-        return ex.eval_expr(p.evaluator, x)
+        return p.compiled(float(x))
     return f.pieces[0].left_boundary_limit  # x == domain_lo
 
 
@@ -253,7 +345,7 @@ def left_limit(f: BvFunction, x: float, strict: bool = False) -> float:
         return f.pieces[0].left_boundary_limit
     p = f.piece_containing(x)
     if p is not None:
-        return ex.eval_expr(p.evaluator, x)
+        return p.compiled(float(x))
     return f.pieces[-1].right_boundary_limit  # x == finite domain_hi
 
 
@@ -282,8 +374,8 @@ def rho(f: BvFunction, x: float) -> float:
 
 def _segment_endpoint_values(p: MonotonePiece, s: float, t: float) -> tuple[float, float]:
     """One-sided values of the piece at the ends of [s, t] within (lo, hi)."""
-    vl = p.left_boundary_limit if s == p.lo else ex.eval_expr(p.evaluator, s)
-    vr = p.right_boundary_limit if t == p.hi else ex.eval_expr(p.evaluator, t)
+    vl = p.left_boundary_limit if s == p.lo else p.compiled(float(s))
+    vr = p.right_boundary_limit if t == p.hi else p.compiled(float(t))
     return vl, vr
 
 
@@ -431,46 +523,252 @@ def jordan_decompose(f: BvFunction) -> tuple[BvFunction, BvFunction]:
 # Validation
 
 
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= ABS_TOL + REL_TOL * max(abs(a), abs(b))
+def _close(a, b):
+    """Whether a and b agree up to the limits' slack, for floats or
+    elementwise for arrays, with the same float operations."""
+    return abs(a - b) <= ABS_TOL + REL_TOL * np.maximum(abs(a), abs(b))
 
 
-# validate names the place of a violation by a format of the index of the
-# piece or breakpoint, formatted only when it reports one.
-
-def _to_float(raw, out: list[Violation], where: str, i: int | None = None) -> float:
+def _number(raw) -> float | None:
+    """float(raw) if raw is a number, else None: not a bool, nor a value
+    that float() refuses or that is too large for a float."""
+    if type(raw) is bool:
+        return None
     try:
         return float(raw)
-    except (TypeError, ValueError):
-        out.append(Violation("BadSpec", where.format(i), f"expected a number, got {raw!r}"))
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _not_a_number(raw) -> str:
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return "expected a number, got an integer too large for a float"
+    return f"expected a number, got {raw!r}"
+
+
+def _to_float(raw, out: list[Violation], where: str) -> float:
+    v = _number(raw)
+    if v is None:
+        out.append(Violation("BadSpec", where, _not_a_number(raw)))
         return math.nan
+    return v
 
 
-def _parse_expr(raw, out: list[Violation], where: str, i: int | None = None) -> ex.Expr | None:
-    if isinstance(raw, ex.Expr):
-        return raw
+def _floats(rows: list, k: int) -> tuple[np.ndarray, set]:
+    """The entries of rows, lists of k raw values each, as an (n, k)
+    array of float(v), and the places (i, j) of the entries that are not
+    numbers, NaN there: one array at once if every entry is a float, an
+    int that a float holds or "inf", else entry by entry by _number."""
+    types = set(map(type, itertools.chain.from_iterable(rows)))
+    if types <= {float, int} or types <= {float, int, str} and {
+            v for v in itertools.chain.from_iterable(rows) if type(v) is str} == {"inf"}:
+        try:
+            return np.array(rows, np.float64).reshape(len(rows), k), set()
+        except OverflowError:
+            pass
+    values = [list(map(_number, row)) for row in rows]
+    bad = {(i, j) for i, row in enumerate(values) for j, v in enumerate(row) if v is None}
+    for i, j in bad:
+        values[i][j] = math.nan
+    return np.array(values, np.float64).reshape(len(rows), k), bad
+
+
+def _expr_violation(texts: ex.Parsed, raw, i: int, where: str) -> Violation:
+    """The violation of entry i of parsed texts, which did not parse."""
     if not isinstance(raw, str):
-        out.append(Violation("BadSpec", where.format(i),
-                             f"expected expression text, got {raw!r}"))
-        return None
-    try:
-        return ex.parse(raw)
-    except ex.ParseError as e:
-        out.append(Violation("BadExpression", where.format(i), str(e)))
-        return None
+        return Violation("BadSpec", where, f"expected expression text, got {raw!r}")
+    return Violation("BadExpression", where, str(texts.errors[i]))
+
+
+def _entries(spec: Mapping, name: str, out: list[Violation]) -> Sequence:
+    raw = spec.get(name, ())
+    if isinstance(raw, (list, tuple)):
+        return raw
+    out.append(Violation("BadSpec", name, f"{name} must be a list"))
+    return ()
+
+
+def _fields(entries: Sequence, names: tuple) -> list:
+    """Per entry, the tuple of its fields of the names, None for a field
+    it lacks, or None for an entry that is not an object."""
+    return [tuple(map(e.get, names)) if type(e) is dict or isinstance(e, Mapping) else None
+            for e in entries]
+
+
+_BP_FIELDS = ("x", "left", "value", "right")
+_NO_BREAKPOINT = (None,) * len(_BP_FIELDS)
+_BP_NAMES = tuple(f.name for f in dataclasses.fields(Breakpoint))
+_NONE = np.empty(0)
+_NONE.flags.writeable = False
+_new = object.__new__
+
+
+def _breakpoints(entries: Sequence, lo: float, hi: float, out: list[Violation]):
+    """The breakpoints of the spec's entries, each with finite values at
+    an x in the domain: (the Breakpoints, their x, left and right values
+    as arrays); the violations go to out, in the order of the entries,
+    then those of x not increasing."""
+    if not entries:
+        return (), _NONE, _NONE, _NONE
+    fields = _fields(entries, _BP_FIELDS)
+    values, bad = _floats([f or _NO_BREAKPOINT for f in fields], 4)
+    x = values[:, 0]
+    # a finite sum means finite values: the common case needs one test
+    if bad or not (math.isfinite(np.add.reduce(values, axis=None))
+                   and lo <= min(x.tolist()) and max(x.tolist()) <= hi):
+        finite = np.isfinite(values[:, 1:]).all(axis=1)
+        inside = (lo <= x) & (x <= hi)  # False at a NaN x
+        keep = finite & inside
+        # an entry with finite values at a NaN x is left out silently
+        faults = ~finite | ~inside & (x == x)
+        faults[[i for i, _ in bad]] = True
+        for i in faults.nonzero()[0].tolist():
+            if fields[i] is None:
+                out.append(Violation("BadSpec", f"breakpoints[{i}]",
+                                     "breakpoint must be an object"))
+                continue
+            for j, name in enumerate(_BP_FIELDS):
+                if (i, j) in bad:
+                    out.append(Violation("BadSpec", f"breakpoints[{i}].{name}",
+                                         _not_a_number(fields[i][j])))
+            if not finite[i]:
+                out.append(Violation("InconsistentLimits", f"breakpoints[{i}]",
+                                     "breakpoint values must be finite"))
+            elif not inside[i] and x[i] == x[i]:
+                out.append(Violation("BadPartition", f"breakpoints[{i}]",
+                                     f"breakpoint x={x[i].item()} outside domain"))
+        values = values[keep]
+    x, left, _, right = values.T
+    if len(x) > 1:
+        for j in (x[1:] <= x[:-1]).nonzero()[0].tolist():
+            out.append(Violation("BadPartition", "breakpoints",
+                                 f"not strictly increasing at x={x[j + 1].item()}"))
+    bps = []
+    for row in values.tolist():
+        bp = _new(Breakpoint)
+        vars(bp).update(zip(_BP_NAMES, row))
+        bps.append(bp)
+    return tuple(bps), x, left, right
+
+
+class _Pieces(NamedTuple):
+    """The pieces that validate accepts, as columns (see _pieces)."""
+
+    rows: np.ndarray  # their entries
+    lo: np.ndarray
+    hi: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    direction: np.ndarray
+    closed: np.ndarray  # whether each has an antiderivative that parsed
+    exprs: ex.Parsed  # the texts of every entry's expr
+    antis: ex.Parsed  # of every entry's antiderivative
+
+
+_PIECE_KEYS = ("interval", "expr", "direction", "left_limit", "right_limit", "antiderivative")
+_NO_PIECE = (None,) * len(_PIECE_KEYS)
+
+
+def _pair(iv) -> bool:
+    return (type(iv) is list or isinstance(iv, Sequence)) and len(iv) == 2
+
+
+def _pieces(entries: Sequence, tail_text, out: list[Violation]) -> _Pieces:
+    """The pieces of the spec's entries that have an interval, an
+    expression that parses, a direction, and limits that are finite, as
+    columns; the violations go to out, each entry's in the order of its
+    fields, and then those of its limits against its direction.  The
+    tail's antiderivative tail_text, if not None, is parsed after the
+    pieces' antiderivatives, and its violation left to the caller."""
+    fields = _fields(entries, _PIECE_KEYS)
+    intervals, texts, directions, lefts, rights, anti_texts = (
+        zip(*(f or _NO_PIECE for f in fields)) if fields else ((),) * 6)
+    pair = list(map(_pair, intervals))
+    values, bad = _floats([(iv[0], iv[1], left, right) if ok else (0.0, 0.0, left, right)
+                           for iv, left, right, ok in zip(intervals, lefts, rights, pair)], 4)
+    lo, hi, left, right = values.T
+    directions = [_DIRECTION_INDEX.get(d, -1) if isinstance(d, str) else -1 for d in directions]
+    direction = np.array(directions, np.intp)
+    exprs, antis = ex.parse_texts(texts), ex.parse_texts([*anti_texts, tail_text])
+    bad_anti = [i for i, t in enumerate(anti_texts) if t is not None and antis.item[i] < 0]
+    # an entry left out: with a NaN (of a bad number, or "nan"), or
+    # without an interval, an expression or a direction; the common case,
+    # none left out, needs two tests
+    lo_sum, hi_sum, *limit_sums = np.add.reduce(values, axis=0).tolist()
+    if bad or exprs.missing or min(directions, default=0) < 0 or not all(pair) \
+            or lo_sum != lo_sum or hi_sum != hi_sum or not all(map(math.isfinite, limit_sums)):
+        out_ = (np.isnan(values).any(axis=1) | (exprs.item < 0) | (direction < 0)
+                | np.logical_not(pair))
+        accepted = np.isfinite(values[:, 2:]).all(axis=1) & ~out_
+    else:
+        out_ = accepted = None
+    # per direction, whether the order of the limits breaks it
+    order = (left > right).view(np.int8) - (left < right).view(np.int8)
+    wrong = _WRONG_ORDER[direction, order + 1]
+    if accepted is not None:
+        wrong &= accepted
+    if any(wrong.tolist()):
+        with np.errstate(invalid="ignore"):
+            wrong &= ~_close(left, right)
+    faults = wrong | (False if accepted is None else ~accepted)
+    if bad or bad_anti:
+        faults[[i for i, _ in bad] + bad_anti] = True
+    for i in faults.nonzero()[0].tolist():
+        where = f"pieces[{i}]"
+        if not pair[i]:
+            out.append(Violation("BadSpec", where, "interval must be [lo, hi]"
+                                 if fields[i] else "piece must be an object"))
+            continue
+        for j in (0, 1):
+            if (i, j) in bad:
+                out.append(Violation("BadSpec", f"{where}.interval",
+                                     _not_a_number(intervals[i][j])))
+        if exprs.item[i] < 0:
+            out.append(_expr_violation(exprs, texts[i], i, f"{where}.expr"))
+        if direction[i] < 0:
+            out.append(Violation("BadSpec", where, f"direction must be one of {DIRECTIONS}"))
+            continue
+        for j, name, raw in ((2, "left_limit", lefts[i]), (3, "right_limit", rights[i])):
+            if (i, j) in bad:
+                out.append(Violation("BadSpec", f"{where}.{name}", _not_a_number(raw)))
+        if i in bad_anti:
+            out.append(_expr_violation(antis, anti_texts[i], i, f"{where}.antiderivative"))
+        if out_ is not None and out_[i]:
+            continue
+        if accepted is not None and not accepted[i]:
+            out.append(Violation("InconsistentLimits", where, "boundary limits must be finite"))
+        elif wrong[i]:
+            out.append(Violation("InconsistentLimits", where, _DIRECTION_RULES[direction[i]]))
+    if accepted is None:  # every entry
+        rows = np.arange(len(pair))
+        return _Pieces(rows, lo, hi, left, right, direction, antis.item[:len(rows)] >= 0,
+                       exprs, antis)
+    rows = accepted.nonzero()[0]
+    return _Pieces(rows, lo[rows], hi[rows], left[rows], right[rows], direction[rows],
+                   antis.item[rows] >= 0, exprs, antis)
+
+
+# per direction (inc, dec, const), and per order of the left limit to the
+# right one (below, equal, above), whether they break it when not close
+# (equal limits are close)
+_WRONG_ORDER = np.array([[False, False, True], [True, False, False], [True, False, True]])
+_DIRECTION_RULES = ("increasing piece needs left_limit <= right_limit",
+                    "decreasing piece needs left_limit >= right_limit",
+                    "constant piece needs equal boundary limits")
 
 
 # ---------------------------------------------------------------------------
 # Piece checks.  validate checks all pieces of a spec together: pieces of
 # one expression shape (expr.Expr.shape: the ops and the bits of the
 # pinned constants) are the rows of 2-D arrays of at most _BATCH points,
-# expr.eval_rows evaluates the rows of one shape as one program, and each
-# check is a reduction over the rows.  The sample points of a row are
-# made in their sorted order, each by the float operations of the point
-# made alone.  Every point, value, verdict, message and error is the one
-# a check of the piece alone gives (tests/test_bv.py keeps those checks
-# and the previous batched sample points as references); only the
-# failing rows reach Python.
+# the plan of the spec's parsed texts (expr.Parsed.plan) evaluates the
+# rows of one shape as one program, and each check is a reduction over
+# the rows.  The sample points of a row are made in their sorted order,
+# each by the float operations of the point made alone.  Every point,
+# value, verdict, message and error is the one a check of the piece alone
+# gives (tests/ref_validate.py keeps those checks, tests/test_bv.py the
+# previous batched sample points, as references); only the failing rows
+# reach Python.
 
 _BATCH = 1 << 15  # points per batch, so that a batch stays in cache
 
@@ -535,7 +833,7 @@ def _sample_points(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
         np.add(lo, pts, out=pts)
         pts[:, upper] = top
     # rounding may swap close points on a piece a few ulps wide
-    swapped = pts[:, 1:] < pts[:, :-1]
+    swapped = _steps(np.less, pts, bool)
     if swapped.any():
         unsorted = swapped.any(axis=1)
         pts[unsorted] = np.sort(pts[unsorted], axis=1)
@@ -547,7 +845,7 @@ def _sample_points(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     # side but on a piece a few ulps wide: the points between are inside.
     n = pts.shape[1]
     k = EDGE_SAMPLES + 1
-    if not ((pts[:, k - 1] > lo[:, 0]).all() and (pts[:, n - k] < hi[:, 0]).all()):
+    if not ((pts[:, k - 1] > lo[:, 0]) & (pts[:, n - k] < hi[:, 0])).all():
         k = n
     head, tail = pts[:, :k], pts[:, n - k:]
     first = (head > lo).argmax(axis=1)
@@ -561,45 +859,49 @@ def _sample_points(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return pts, ~((lo[:, 0] < inside_lo) & (inside_lo < hi[:, 0]))
 
 
-def _batches(items, half_line, shape, width: int):
-    """items in lists of at most _BATCH // width, the bounded ones, then
-    the half-lines, each ordered by shape(item), so that a list holds one
-    kind of piece and few shapes."""
+def _steps(op, a: np.ndarray, dtype) -> np.ndarray:
+    """op(a[:, 1:], a[:, :-1]) of a C-contiguous 2-D array a, run as one
+    loop over a's flat data, which is much faster than over its strided
+    rows: the steps across rows are computed too, but not returned."""
+    out = np.empty(a.shape, dtype)
+    flat = a.reshape(-1)
+    op(flat[1:], flat[:-1], out=out.reshape(-1)[:-1])
+    return out[:, :-1]
+
+
+def _batches(rows: np.ndarray, half_line: np.ndarray, group: np.ndarray, width: int):
+    """rows in arrays of at most _BATCH // width, the bounded ones, then
+    the half-lines, each ordered by group (their shapes' numbers), so
+    that an array holds one kind of piece and few shapes."""
     size = max(1, _BATCH // width)
-    for side in (False, True):
-        groups: dict = {}
-        for item in items:
-            if half_line(item) == side:
-                groups.setdefault(shape(item), []).append(item)
-        run = [item for group in groups.values() for item in group]
-        for k in range(0, len(run), size):
-            yield run[k:k + size]
+    order = np.lexsort((group, half_line))
+    bounded = len(rows) - np.count_nonzero(half_line)
+    for part in (rows[order[:bounded]], rows[order[bounded:]]):
+        for k in range(0, len(part), size):
+            yield part[k:k + size]
 
 
 _SAMPLES = MONO_SAMPLES + 2 * EDGE_SAMPLES  # the most sample points of a piece
 _DIRECTION_INDEX = {INC: 0, DEC: 1, CONST: 2}
 
 
-def _check_sampling(pieces: list[MonotonePiece], found: list[list[Violation]]) -> None:
-    """Sample each piece at the points of _sample_points and append to
-    found[i] what piece i violates: its evaluator must give finite values
-    there, monotone in its direction and inside its boundary limits, up
-    to a slack.  A piece with no point inside it is not sampled."""
-    for rows in _batches(range(len(pieces)), lambda i: math.isinf(pieces[i].hi),
-                         lambda i: pieces[i].evaluator.shape, _SAMPLES):
-        xs, empty = _sample_points(np.array([pieces[i].lo for i in rows]),
-                                   np.array([pieces[i].hi for i in rows]))
+def _check_sampling(c: Columns, rows: np.ndarray, found: dict) -> None:
+    """Sample each piece i of rows, of the columns c, at the points of
+    _sample_points and add to found[i] what it violates: its evaluator
+    must give finite values there, monotone in its direction and inside
+    its boundary limits, up to a slack.  A piece with no point inside it
+    is not sampled."""
+    for rows in _batches(rows, np.isinf(c.hi[rows]), c.plan.group[rows], _SAMPLES):
+        xs, empty = _sample_points(c.lo[rows], c.hi[rows])
         if empty.any():
-            rows = [i for i, e in zip(rows, empty) if not e]
-            xs = xs[~empty]
-            if not rows:
+            rows, xs = rows[~empty], xs[~empty]
+            if not len(rows):
                 continue
-        ps = [pieces[i] for i in rows]
-        vals, errors = ex.eval_rows([p.evaluator for p in ps], xs)
+        vals, errors = c.plan(xs, rows)
         with np.errstate(all="ignore"):  # the rows that failed hold NaN
             # per row: the least and the greatest limit, value and step
-            lim_lo, lim_hi = np.array([sorted((p.left_boundary_limit, p.right_boundary_limit))
-                                       for p in ps]).T
+            left, right = c.left[rows], c.right[rows]
+            lim_lo, lim_hi = np.minimum(left, right), np.maximum(left, right)
             vmin, vmax, v0 = vals.min(axis=1), vals.max(axis=1), vals[:, 0]
             # max(|v|) is max(vmax, -vmin)
             scale = np.maximum(np.maximum(vmax, -vmin), np.maximum(-lim_lo, lim_hi))
@@ -607,26 +909,26 @@ def _check_sampling(pieces: list[MonotonePiece], found: list[list[Violation]]) -
             # per direction, the step or spread that must stay within the
             # slack, made only if a row has that direction; v - v0 rounds
             # monotonically in v, so the largest |v - v0| is at vmin or vmax
-            directions = [_DIRECTION_INDEX[p.direction] for p in ps]
-            has = set(directions)
+            directions = c.direction[rows]
+            has = set(directions.tolist())
             if has != {2}:
-                d = vals[:, 1:] - vals[:, :-1]
-            worst = np.choose(directions,
-                              (-d.min(axis=1) if 0 in has else 0.0,
-                               d.max(axis=1) if 1 in has else 0.0,
-                               np.maximum(vmax - v0, v0 - vmin) if 2 in has else 0.0))
+                d = _steps(np.subtract, vals, np.float64)
+            worst = [-d.min(axis=1) if 0 in has else 0.0, d.max(axis=1) if 1 in has else 0.0,
+                     np.maximum(vmax - v0, v0 - vmin) if 2 in has else 0.0]
+            worst = worst[has.pop()] if len(has) == 1 else np.choose(directions, worst)
             varies = worst > slack
             leaves = (vmin < lim_lo - slack) | (vmax > lim_hi + slack)
-        for r in sorted({*np.flatnonzero(varies | leaves).tolist(), *errors}):
-            where, p, out = f"pieces[{rows[r]}]", ps[r], found[rows[r]]
+        for r in sorted({*(varies | leaves).nonzero()[0].tolist(), *errors}):
+            i = int(rows[r])
+            where, out = f"pieces[{i}]", found.setdefault(i, [])
             if r in errors:
                 out.append(Violation("BadExpression", where, f"evaluator failed: {errors[r]}"))
                 continue
-            if varies[r] and p.direction == INC:
+            if varies[r] and directions[r] == 0:
                 out.append(Violation("NonMonotonePiece", where,
                                      "declared increasing but decreases near "
                                      f"x={xs[r, np.argmin(d[r])]:.6g}"))
-            elif varies[r] and p.direction == DEC:
+            elif varies[r] and directions[r] == 1:
                 out.append(Violation("NonMonotonePiece", where,
                                      "declared decreasing but increases near "
                                      f"x={xs[r, np.argmax(d[r])]:.6g}"))
@@ -635,7 +937,6 @@ def _check_sampling(pieces: list[MonotonePiece], found: list[list[Violation]]) -
             if leaves[r]:
                 out.append(Violation("InconsistentLimits", where,
                                      "sampled values leave the declared boundary-limit range"))
-
 
 
 def _kept_neighbours(keep: np.ndarray) -> np.ndarray:
@@ -677,32 +978,30 @@ def _stencils(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return xs, h, skip.all(axis=1)
 
 
-def _antiderivative_scores(checks) -> list:
-    """Per check (f, F, lo, hi), the score of check_antiderivative, or the
+def _antiderivative_scores(plan: ex.Rows, anti: np.ndarray, ev: np.ndarray,
+                           lo: np.ndarray, hi: np.ndarray) -> list:
+    """Per check k, of F, row anti[k] of plan, against f, row ev[k], on
+    the piece (lo[k], hi[k]): the score of check_antiderivative, or the
     EvalError it raises."""
-    results: list = [0.0] * len(checks)
-
-    for rows in _batches(range(len(checks)), lambda k: math.isinf(checks[k][3]),
-                         lambda k: checks[k][1].shape, FD_POINTS):
-        xs, h, empty = _stencils(np.array([checks[k][2] for k in rows]),
-                                 np.array([checks[k][3] for k in rows]))
+    results: list = [0.0] * len(anti)
+    for ks in _batches(np.arange(len(anti)), np.isinf(hi), plan.group[anti], FD_POINTS):
+        xs, h, empty = _stencils(lo[ks], hi[ks])
         if empty.any():  # these score 0.0, and nothing is evaluated
-            rows = [k for k, e in zip(rows, empty) if not e]
-            xs, h = xs[~empty], h[~empty]
-            if not rows:
+            ks, xs, h = ks[~empty], xs[~empty], h[~empty]
+            if not len(ks):
                 continue
-        # one plan and one run per shape, both sides of the stencil in one:
-        # F(x + h) in rows [0, n), F(x - h) in [n, 2n), f(x) in [2n, 3n)
-        n = len(rows)
-        Fs = [checks[k][1] for k in rows]
-        vals, errors = ex.eval_rows([*Fs, *Fs, *(checks[k][0] for k in rows)],
-                                    np.concatenate((xs + h, xs - h, xs)))
+        # one run of the plan, both sides of the stencil in one: F(x + h)
+        # in rows [0, n), F(x - h) in [n, 2n), f(x) in [2n, 3n)
+        n = len(ks)
+        with np.errstate(all="ignore"):  # a ladder's far points overflow
+            xs = np.concatenate((xs + h, xs - h, xs))
+        vals, errors = plan(xs, np.concatenate((anti[ks], anti[ks], ev[ks])))
         up, down, ref = vals[:n], vals[n:2 * n], vals[2 * n:]
         with np.errstate(all="ignore"):
             score = np.abs((up - down) / (2.0 * h) - ref) / (FD_REL_TOL * (1.0 + np.abs(ref)))
         # fmax ignores NaN scores, from stencils at points that overflowed to inf
         worst = np.fmax.reduce(score, axis=1, initial=0.0).tolist()
-        for r, k in enumerate(rows):
+        for r, k in enumerate(ks.tolist()):
             err = errors.get(r) or errors.get(n + r) or errors.get(2 * n + r)
             results[k] = worst[r] if err is None else err
     return results
@@ -713,36 +1012,48 @@ def check_antiderivative(fe: ex.Expr, F: ex.Expr, lo: float, hi: float) -> float
     scaled by the tolerance; values > 1 mean the check failed.  Points
     whose stencil reaches lo or hi are skipped; 0.0 when all are.  An
     EvalError of F or f is raised."""
-    [score] = _antiderivative_scores([(fe, F, lo, hi)])
+    [score] = _antiderivative_scores(ex.rows_of([F, fe]), np.array([0]), np.array([1]),
+                                     np.array([float(lo)]), np.array([float(hi)]))
     if isinstance(score, ex.EvalError):
         raise score
     return score
 
 
-def _check_pieces(pieces: list[MonotonePiece], tail: TailSpec | None,
+def _check_pieces(c: Columns, antis: ex.Parsed, entries: np.ndarray, tail: int | None,
                   out: list[Violation]) -> None:
-    """Append the sampled violations of all pieces, in piece order, each
-    piece's sampling ones before its antiderivative's, then the tail's."""
-    found: list[list[Violation]] = [[] for _ in range(len(pieces) + 1)]
-    _check_sampling(pieces, found)
-    checks = [(i, p.evaluator, p.antiderivative, p.lo, p.hi)
-              for i, p in enumerate(pieces) if p.antiderivative is not None]
-    if tail is not None and tail.antiderivative is not None and pieces \
-            and math.isinf(pieces[-1].hi):
-        p = pieces[-1]
-        checks.append((len(pieces), p.evaluator, tail.antiderivative, p.lo, p.hi))
-    scores = _antiderivative_scores([check[1:] for check in checks])
-    for (i, *_), score in zip(checks, scores):
-        where = "tail" if i == len(pieces) else f"pieces[{i}]"
-        if isinstance(score, ex.EvalError):
-            found[i].append(Violation("BadAntiderivative", where,
-                                      f"antiderivative failed: {score}"))
-        elif score > 1.0:
-            found[i].append(Violation("BadAntiderivative", where,
-                                      "difference quotients of the antiderivative "
-                                      "do not match"))
-    for violations in found:
-        out.extend(violations)
+    """Append the sampled violations of the pieces of the columns c, in
+    piece order, each piece's sampling ones before its antiderivative's,
+    then the tail's.  antis holds the antiderivatives' texts of the
+    spec's entries, entries[i] is piece i's, and tail is the tail's if it
+    has one, else None.  Only a piece whose lo is finite and below its hi
+    is sampled and checked; the tail's antiderivative is checked on the
+    last piece, if it is such a half-line."""
+    found: dict = {}
+    rows = (np.isfinite(c.lo) & (c.lo < c.hi)).nonzero()[0]
+    _check_sampling(c, rows, found)
+    checked = rows[c.closed[rows]]
+    texts = entries[checked]
+    where = [f"pieces[{i}]" for i in checked.tolist()]
+    m = len(c.lo)
+    if tail is not None and len(rows) and rows[-1] == m - 1 and math.isinf(c.hi[-1]):
+        texts = np.append(texts, tail)
+        checked = np.append(checked, m - 1)
+        where.append("tail")
+    if len(checked):
+        # F in the plan's first rows, a row per check, then f, a row per piece
+        scores = _antiderivative_scores(antis.plan(texts, then=c.plan), np.arange(len(texts)),
+                                        checked + len(texts), c.lo[checked], c.hi[checked])
+        for i, w, score in zip(checked.tolist(), where, scores):
+            violations = found.setdefault(m if w == "tail" else i, [])
+            if isinstance(score, ex.EvalError):
+                violations.append(Violation("BadAntiderivative", w,
+                                            f"antiderivative failed: {score}"))
+            elif score > 1.0:
+                violations.append(Violation("BadAntiderivative", w,
+                                            "difference quotients of the antiderivative "
+                                            "do not match"))
+    for i in sorted(found):
+        out.extend(found[i])
 
 
 def validate(spec: Mapping) -> BvFunction:
@@ -753,6 +1064,15 @@ def validate(spec: Mapping) -> BvFunction:
     lo/hi ("inf" allowed for hi), ``pieces`` with interval/expr/
     direction/left_limit/right_limit[/antiderivative], ``breakpoints``
     with x/left/value/right, and optional ``tail``.
+
+    The checks run on columns: each field of the pieces or breakpoints is
+    read as one array (_floats), the expressions are parsed per template
+    key (expr.parse_texts), each structural check is an array comparison,
+    and a violation is made only for an entry that fails, in the order of
+    the entries and of their fields.  The sampled checks evaluate the
+    pieces through one expr.Rows plan of their texts, which the function
+    keeps in its columns (BvFunction.columns); each piece makes its trees
+    only when they are read (MonotonePiece).
     """
     out: list[Violation] = []
 
@@ -768,102 +1088,64 @@ def validate(spec: Mapping) -> BvFunction:
         raise ValidationError([Violation("BadSpec", "domain", f"bad domain [{lo}, {hi}]")])
     half_line = math.isinf(hi)
 
-    bps: list[Breakpoint] = []
-    for i, braw in enumerate(spec.get("breakpoints", ())):
-        x = _to_float(braw.get("x"), out, "breakpoints[{}].x", i)
-        l = _to_float(braw.get("left"), out, "breakpoints[{}].left", i)
-        v = _to_float(braw.get("value"), out, "breakpoints[{}].value", i)
-        r = _to_float(braw.get("right"), out, "breakpoints[{}].right", i)
-        if not (math.isfinite(l) and math.isfinite(v) and math.isfinite(r)):
-            out.append(Violation("InconsistentLimits", f"breakpoints[{i}]",
-                                 "breakpoint values must be finite"))
-            continue
-        if math.isnan(x):
-            continue
-        if not (lo <= x <= hi):
-            out.append(Violation("BadPartition", f"breakpoints[{i}]",
-                                 f"breakpoint x={x} outside domain"))
-            continue
-        bps.append(Breakpoint(x, l, v, r))
-    for a, b in zip(bps, bps[1:]):
-        if not (a.x < b.x):
-            out.append(Violation("BadPartition", "breakpoints",
-                                 f"not strictly increasing at x={b.x}"))
-
-    pieces: list[MonotonePiece] = []
-    for i, praw in enumerate(spec.get("pieces", ())):
-        iv = praw.get("interval")
-        if not isinstance(iv, Sequence) or len(iv) != 2:
-            out.append(Violation("BadSpec", f"pieces[{i}]", "interval must be [lo, hi]"))
-            continue
-        plo = _to_float(iv[0], out, "pieces[{}].interval", i)
-        phi = math.inf if iv[1] == "inf" else _to_float(iv[1], out, "pieces[{}].interval", i)
-        e = _parse_expr(praw.get("expr"), out, "pieces[{}].expr", i)
-        direction = praw.get("direction")
-        if direction not in DIRECTIONS:
-            out.append(Violation("BadSpec", f"pieces[{i}]",
-                                 f"direction must be one of {DIRECTIONS}"))
-            continue
-        ll = _to_float(praw.get("left_limit"), out, "pieces[{}].left_limit", i)
-        rl = _to_float(praw.get("right_limit"), out, "pieces[{}].right_limit", i)
-        anti = None
-        if praw.get("antiderivative") is not None:
-            anti = _parse_expr(praw["antiderivative"], out, "pieces[{}].antiderivative", i)
-        if e is None or math.isnan(plo) or math.isnan(phi) or math.isnan(ll) or math.isnan(rl):
-            continue
-        if not (math.isfinite(ll) and math.isfinite(rl)):
-            out.append(Violation("InconsistentLimits", f"pieces[{i}]",
-                                 "boundary limits must be finite"))
-            continue
-        if direction == INC and ll > rl and not _close(ll, rl):
-            out.append(Violation("InconsistentLimits", f"pieces[{i}]",
-                                 "increasing piece needs left_limit <= right_limit"))
-        if direction == DEC and ll < rl and not _close(ll, rl):
-            out.append(Violation("InconsistentLimits", f"pieces[{i}]",
-                                 "decreasing piece needs left_limit >= right_limit"))
-        if direction == CONST and not _close(ll, rl):
-            out.append(Violation("InconsistentLimits", f"pieces[{i}]",
-                                 "constant piece needs equal boundary limits"))
-        pieces.append(MonotonePiece(plo, phi, e, direction, ll, rl, anti))
+    bps, x, bp_left, bp_right = _breakpoints(_entries(spec, "breakpoints", out), lo, hi, out)
+    entries = _entries(spec, "pieces", out)
+    traw = spec.get("tail")
+    tail_text = traw.get("antiderivative") if half_line and isinstance(traw, Mapping) else None
+    ps = _pieces(entries, tail_text, out)
 
     # partition: pieces must tile [lo, first bp] ... [last bp, hi/inf]
-    cuts = [lo] + [bp.x for bp in bps if lo < bp.x < hi]
-    cuts.append(math.inf if half_line else hi)
-    expected = [(s, t) for s, t in zip(cuts[:-1], cuts[1:]) if s < t]
-    got = [(p.lo, p.hi) for p in pieces]
-    if got != expected:
+    cuts = np.concatenate(([lo], x[(lo < x) & (x < hi)] if len(x) else x, [hi]))
+    ends = cuts[:-1] < cuts[1:]
+    s, t = cuts[:-1][ends], cuts[1:][ends]
+    if len(s) != len(ps.lo) or not ((ps.lo == s) & (ps.hi == t)).all():
         out.append(Violation(
             "BadPartition", "pieces",
-            f"piece intervals {got} do not tile the domain as {expected}"))
+            f"piece intervals {list(zip(ps.lo.tolist(), ps.hi.tolist()))} do not tile the "
+            f"domain as {list(zip(s.tolist(), t.tolist()))}"))
 
-    # breakpoint values vs adjacent piece limits
-    piece_by_lo = {p.lo: p for p in pieces}
-    piece_by_hi = {p.hi: p for p in pieces}
-    for i, bp in enumerate(bps):  # finite values, so equal ones are close
-        pl = piece_by_hi.get(bp.x)
-        pr = piece_by_lo.get(bp.x)
-        if pl is not None and bp.left_value != pl.right_boundary_limit \
-                and not _close(bp.left_value, pl.right_boundary_limit):
-            out.append(Violation("InconsistentLimits", f"breakpoints[{i}]",
-                                 f"left value {bp.left_value} != piece limit "
-                                 f"{pl.right_boundary_limit}"))
-        if pr is not None and bp.right_value != pr.left_boundary_limit \
-                and not _close(bp.right_value, pr.left_boundary_limit):
-            out.append(Violation("InconsistentLimits", f"breakpoints[{i}]",
-                                 f"right value {bp.right_value} != piece limit "
-                                 f"{pr.left_boundary_limit}"))
+    # breakpoint values vs adjacent piece limits, those of the last piece
+    # that ends or starts there; finite values, so equal ones are close
+    if len(ps.lo) and len(x):
+        his = dict(zip(ps.hi.tolist(), itertools.count()))
+        los = dict(zip(ps.lo.tolist(), itertools.count()))
+        xs = x.tolist()
+        jl = np.array([his.get(v, -1) for v in xs])
+        jr = np.array([los.get(v, -1) for v in xs])
+        pl, pr = ps.right[jl], ps.left[jr]
+        left_off = (jl >= 0) & (bp_left != pl)
+        right_off = (jr >= 0) & (bp_right != pr)
+        off = left_off | right_off
+        if off.any():
+            left_off &= ~_close(bp_left, pl)
+            right_off &= ~_close(bp_right, pr)
+            off = left_off | right_off
+        for i in off.nonzero()[0].tolist():
+            if left_off[i]:
+                out.append(Violation("InconsistentLimits", f"breakpoints[{i}]",
+                                     f"left value {bp_left[i].item()} != piece limit "
+                                     f"{pl[i].item()}"))
+            if right_off[i]:
+                out.append(Violation("InconsistentLimits", f"breakpoints[{i}]",
+                                     f"right value {bp_right[i].item()} != piece limit "
+                                     f"{pr[i].item()}"))
 
     tail = None
-    traw = spec.get("tail")
     if half_line:
         if traw is None:
             out.append(Violation("MissingTail", "tail", "half-line domain requires tail data"))
+        elif not isinstance(traw, Mapping):
+            out.append(Violation("BadSpec", "tail", "tail must be an object"))
         else:
             tl = _to_float(traw.get("limit"), out, "tail.limit")
             anti = None
             alim = None
-            if traw.get("antiderivative") is not None:
-                anti = _parse_expr(traw["antiderivative"], out, "tail.antiderivative")
+            if tail_text is not None:
+                n = len(entries)  # the tail's text follows the pieces'
+                if ps.antis.item[n] < 0:
+                    out.append(_expr_violation(ps.antis, tail_text, n, "tail.antiderivative"))
+                else:
+                    anti = ps.antis.tree(n)
                 araw = traw.get("antiderivative_limit")
                 if araw == "inf":
                     alim = math.inf
@@ -878,14 +1160,29 @@ def validate(spec: Mapping) -> BvFunction:
                 out.append(Violation("MissingTail", "tail", "limit at infinity must be finite"))
             else:
                 tail = TailSpec(tl, anti, alim)
-                if pieces and math.isinf(pieces[-1].hi) and not _close(
-                        pieces[-1].right_boundary_limit, tl):
+                if len(ps.lo) and math.isinf(ps.hi[-1]) and not _close(ps.right[-1], tl):
                     out.append(Violation("InconsistentLimits", "tail",
                                          "tail limit != last piece right limit"))
     elif traw is not None:
         out.append(Violation("BadPartition", "tail", "tail given for a compact domain"))
 
-    _check_pieces(pieces, tail, out)
+    columns = Columns(ps.lo, ps.hi, ps.left, ps.right, ps.direction, ps.closed,
+                      ps.exprs.plan(ps.rows), x, bp_left, bp_right)
+    has_tail = tail is not None and tail.antiderivative is not None
+    _check_pieces(columns, ps.antis, ps.rows, len(entries) if has_tail else None, out)
     if out:
         raise ValidationError(out)
-    return BvFunction(lo, hi, tuple(bps), tuple(pieces), tail)
+    pieces = []
+    for i, *fields, closed in zip(ps.rows.tolist(), ps.lo.tolist(), ps.hi.tolist(),
+                                  ps.left.tolist(), ps.right.tolist(), ps.closed.tolist()):
+        p = _new(MonotonePiece)
+        d = vars(p)
+        d["lo"], d["hi"], d["left_boundary_limit"], d["right_boundary_limit"] = fields
+        d["direction"] = entries[i]["direction"]  # the spec's string
+        d["_texts"] = (ps.exprs, i, ps.antis, i)
+        if not closed:
+            d["antiderivative"] = None
+        pieces.append(p)
+    f = BvFunction(lo, hi, bps, tuple(pieces), tail)
+    vars(f)["columns"] = columns
+    return f

@@ -32,7 +32,11 @@ its shape and the source of its float functions' factory, all made once
 per template but for the bits of the shape's pinned constants.  The
 templates are kept in a bounded cache.  A text that does not parse, or
 has a number that is not finite, goes to the parser, which raises its
-errors.
+errors.  parse_texts parses a spec's texts by columns, without trees:
+the texts of one key become the template's program and one matrix of
+their numbers, a row per text (Parsed), from which the sampled checks
+and the refinements evaluate them, and a text's tree is made only when
+something reads it (Parsed.tree, as parse makes it).
 
 Each node compiles itself once, on first use (parse sets the root's
 array program), and keeps the result outside its fields, so eq, hash,
@@ -77,17 +81,20 @@ gives it.  A test is a sum, so finite values whose sum overflows reach
 the strict run, which returns them.  Both modes run the same ufuncs in
 the same order, so their values are bit-identical.
 
-Many small arrays are evaluated at once by eval_rows, one expression per
-row of a 2-D array.  Rows of one shape (Expr.shape) share one unchecked
-run.  A shape is a program's ops (so "x^2" and "pow(x,2)", whose ops
-have two names, have two) and the bits of its pinned constants,
-those that an inexact op reads, directly or through ops on constants
-alone: numpy may round such an op differently over a column than over a
-scalar, so a pinned constant stays the scalar it is in a run of its own,
-and every other constant is stacked into a column.  A root that is x or
-a constant has a shape too.  If a test of the shared run trips, each of
-its rows falls back to eval_expr, so every row's values and error are
-those of eval_expr.
+Many small arrays are evaluated at once by an expr.Rows plan, one
+expression per row of a 2-D array.  Rows of one shape (Expr.shape) share
+one unchecked run.  A shape is a program's ops (so "x^2" and "pow(x,2)",
+whose ops have two names, have two) and the bits of its pinned
+constants, those that an inexact op reads, directly or through ops on
+constants alone: numpy may round such an op differently over a column
+than over a scalar, so a pinned constant stays the scalar it is in a run
+of its own, and every other constant is stacked into a column.  A root
+that is x or a constant has a shape too.  A plan is made of its shapes'
+programs and constant columns alone (Rows), from a list of trees
+(rows_of, eval_rows) or from parsed texts (Parsed.plan).  If a test of
+the shared run trips, each of its rows falls back to the evaluation of
+its own program, so every row's values and error are those of
+eval_expr.
 """
 
 from __future__ import annotations
@@ -95,10 +102,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import re
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,7 +138,8 @@ class Expr:
     @functools.cached_property
     def compiled(self):
         """The function x -> e(x) for a float x (see _compile)."""
-        fn, vars(self)["block"] = _compile(self)
+        # a template's builder sets the source of the root's factory
+        fn, vars(self)["block"] = _compile(self.program, vars(self).get("source"))
         return fn
 
     @functools.cached_property
@@ -363,18 +371,12 @@ def parse(text: str) -> Expr:
     takes the parser, whose errors hold the offsets in the text."""
     parts = _NUMBER_RE.split(text)
     key = tuple(parts[::2])
-    if key not in _MET:
-        # a builder costs about ten parses: make it only for a key that
-        # comes back
-        _MET[key] = None
-        if len(_MET) > 4 * _TEMPLATES:
-            del _MET[next(iter(_MET))]
-        return _Parser(text).parse()
-    build = _template(key)
-    if build is not None:
-        values = list(map(float, parts[1::2]))
-        if math.isfinite(sum(values)):
-            return build(*values)
+    if _meet(key):
+        template = _template(key)
+        if template is not None:
+            values = list(map(float, parts[1::2]))
+            if math.isfinite(sum(values)):
+                return template.build(*values)
     return _Parser(text).parse()
 
 
@@ -385,9 +387,35 @@ _TEMPLATES = 256
 _MET: dict = {}
 
 
+def _meet(key: tuple) -> bool:
+    """Whether key was met before; it is met now.  A builder costs about
+    ten parses: it is made only for a key that comes back."""
+    if key in _MET:
+        return True
+    _MET[key] = None
+    if len(_MET) > 4 * _TEMPLATES:
+        del _MET[next(iter(_MET))]
+    return False
+
+
+class _Template(NamedTuple):
+    """What the texts cut into one key share (see _builder)."""
+
+    build: object  # the builder of a text's AST from its numbers
+    init: tuple  # the program's registers after x, 0.0 for each number
+    code: tuple  # the program's ops
+    numbers: tuple  # the indices in init of the numbers, in text order
+    pinned: tuple  # the program's pinned constants (see _pinned)
+    shape: tuple | None  # the shape of every text, if none is pinned
+    source: str | None  # the source of the factory, if there are ops
+    regs: tuple  # the registers of the constants that are not pinned
+    take: list | None  # the numbers in regs, if regs are all the numbers in order
+    pins: list  # the pinned numbers
+
+
 @functools.lru_cache(maxsize=_TEMPLATES)
-def _template(key: tuple):
-    """The builder of the texts cut into key, the text between their
+def _template(key: tuple) -> _Template | None:
+    """The template of the texts cut into key, the text between their
     numbers (see parse), or None if such a text does not parse.  The text
     parsed has 0 for each number, set apart by spaces so that it runs into
     no token beside it.  So it has the tokens of every text cut into key
@@ -402,23 +430,24 @@ def _template(key: tuple):
         return None
 
 
-def _builder(e: Expr):
-    """A function of e's numbers, in text order, that builds e's AST with
-    them as one straight-line function, read off e's program, whose
-    registers hold the numbers in text order and each node after its
-    operands.  A template's numbers are 0 and its named constants are
-    not.  It makes each node without its __init__, setting the fields in
-    the node's __dict__ as that would, and sets on the root its array
-    program (e's ops, over those numbers and e's named constants), its
-    shape (the same for every text of the template but for the bits of its
-    pinned constants) and the source of its factory (see _compile)."""
+def _builder(e: Expr) -> _Template:
+    """The template of e, whose numbers are 0 and whose named constants
+    are not.  Its builder is a function of the numbers, in text order,
+    that builds e's AST with them as one straight-line function, read off
+    e's program, whose registers hold the numbers in text order and each
+    node after its operands.  It makes each node without its __init__,
+    setting the fields in the node's __dict__ as that would, and sets on
+    the root its array program (e's ops, over those numbers and e's named
+    constants), its shape (the same for every text of the template but for
+    the bits of its pinned constants) and the source of its factory (see
+    _compile)."""
     prog = init, code = _program(e)
     pinned = _pinned(prog)
     ops = iter(code)
     node = ["new(Var)"]  # per register, its node: x's is made per reader
     lines = []
     registers = []  # per register after x: (its source, its float's)
-    count = 0  # numbers
+    numbers = []  # the registers of the numbers
     for r, v in enumerate(init, 1):
         if v is None:
             _, a, b, _, _, _, op = next(ops)
@@ -434,15 +463,16 @@ def _builder(e: Expr):
             t, fields = Const, {"name": repr(_NAMED[v])}
             registers.append((f"I[{r - 1}]",) * 2)
         else:
+            count = len(numbers)
             t, fields = Num, {"value": f"n{count}"}
             registers.append((f"F(n{count})", f"n{count}"))
-            count += 1
+            numbers.append(r - 1)
         node.append(f"t{r}")
         lines.append(f"    t{r} = new({t.__name__})\n    d = t{r}.__dict__\n"
                      + "".join(f"    d[{k!r}] = {v}\n" for k, v in fields.items()))
     init_source = "".join(f"{r}, " for r, _ in registers)
     bits = "".join(f"B({registers[k - 1][1]}), " for k in pinned)
-    source = (f"def build({', '.join(f'n{i}' for i in range(count))}):\n"
+    source = (f"def build({', '.join(f'n{i}' for i in range(len(numbers)))}):\n"
               + "".join(lines)
               + f"    root = {node[-1]}\n"
               "    d = root.__dict__\n"
@@ -451,13 +481,20 @@ def _builder(e: Expr):
               + ("    d['source'] = SOURCE\n" if code else "")
               + "    return root\n")
     scope = {}
+    shape = None if pinned else _shape(prog)
+    factory = _source(prog) if code else None
     names = {"Num": Num, "Var": Var, "Const": Const, "Neg": Neg, "Bin": Bin,
              "Call": Call, "new": object.__new__, "F": np.float64, "B": _BITS,
              "I": init, "CODE": code, "LEN": len(init), "PINNED": pinned,
-             "SHAPE": None if pinned else _shape(prog),
-             "SOURCE": _source(prog) if code else None}
+             "SHAPE": shape, "SOURCE": factory}
     exec(compile(source, "<bvsum.expr template>", "exec"), names, scope)
-    return scope["build"]
+    regs = _column_registers(init, pinned)
+    take = [numbers.index(r) if r in numbers else -1 for r in regs]
+    pins = [numbers.index(r - 1) for r in pinned if r - 1 in numbers]
+    if take == list(range(len(numbers))):
+        take = None
+    return _Template(scope["build"], init, code, tuple(numbers), pinned, shape, factory,
+                     regs, take, pins)
 
 
 # A named constant by its value, which is not 0.
@@ -473,20 +510,19 @@ def _op(e: Expr) -> tuple[str, tuple[Expr, ...]]:
     return e.fn, e.args
 
 
-def _compile(e: Expr):
-    """(the function mapping a float x to e(x), with the checks of the
-    scalar evaluation, in its order; e's block kernel): a Var or constant
-    root's lambdas, else the functions generated for e's shape, over the
-    constants of e's program."""
-    t = type(e)
-    if t is Var:
-        return (lambda x: x), (lambda s, t: np.arange(s, t, dtype=np.float64).tolist())
-    if t is Num or t is Const:
-        v = e.value if t is Num else CONSTANTS[e.name]
+def _compile(prog, source: str | None = None):
+    """(the function mapping a float x to the value of the program prog,
+    with the checks of the scalar evaluation, in its order; its block
+    kernel): the lambdas of a root that is x or a constant, else the
+    functions generated for the program's shape, over its constants.
+    source is the factory's source if known (a template's)."""
+    init, code = prog
+    if not code:
+        if not init:
+            return (lambda x: x), (lambda s, t: np.arange(s, t, dtype=np.float64).tolist())
+        v = float(init[0])
         return (lambda x: v), (lambda s, t: [v] * (t - s))
-    prog = e.program
-    source = vars(e).get("source") or _source(prog)  # set by a template's builder
-    return _factory(source)(*[float(v) for v in prog[0] if v is not None])
+    return _factory(source or _source(prog))(*[float(v) for v in init if v is not None])
 
 
 def _names(init) -> list[str]:
@@ -888,11 +924,16 @@ def eval_expr(e: Expr, x):
     """Evaluate at a float or a numpy array; raises EvalError when any
     point produces a domain violation or a non-finite value."""
     if isinstance(x, np.ndarray):
-        r = _eval_points(e.program, x)
-        if r.ndim == 0:
-            return np.full_like(x, float(r), dtype=np.float64)
-        return np.asarray(r, dtype=np.float64)
+        return _eval_array(e.program, x)
     return e.compiled(float(x))
+
+
+def _eval_array(prog, x: np.ndarray) -> np.ndarray:
+    """The values of the program prog over the array x, as eval_expr."""
+    r = _eval_points(prog, x)
+    if r.ndim == 0:
+        return np.full_like(x, float(r), dtype=np.float64)
+    return np.asarray(r, dtype=np.float64)
 
 
 # Ufuncs whose result is exact or correctly rounded on every loop numpy
@@ -939,78 +980,96 @@ def _column_registers(init, pinned) -> tuple[int, ...]:
 
 
 class Rows:
-    """The plan of eval_rows for a list of expressions, made once and run
-    on any rows of it.  Its rows are grouped by Expr.shape, an expression
-    met again found by its identity, and the groups numbered in the order
-    they are met: group[i] is row i's number.  A run lays its rows out in
-    group order, so that each group it holds is a contiguous slice of
-    them, which the group's program evaluates in one run, writing the
-    values in place: rows given in group order are their own layout, and
-    others are sorted into it once per run.  A group keeps its ops and
-    its registers, each pinned constant the scalar its rows share; if the
-    group's expressions differ, each other constant is a column of
-    consts, which has a row per row of exprs and is picked for a run's
-    rows at once.  A plan of one program without columns returns its
-    run's values as they are."""
+    """The plan of eval_rows for rows of expressions, made once and run
+    on any rows of it, from the expressions' programs alone.
 
-    __slots__ = ("exprs", "group", "groups", "consts", "numbers")
+    It is made of blocks, each the expressions of one shape (Expr.shape)
+    as one program and a column per constant: (shape, init, code, regs,
+    consts), where init and code are a program of that shape, regs the
+    registers of its constants that are not pinned (see
+    _column_registers), and consts a 2-D array with a row per expression,
+    the values of those registers.  The expressions are numbered in block
+    order, and row i of the plan is expression which[i] (all of them in
+    order if which is None).  rows_of makes the blocks of a list of ASTs,
+    Parsed.plan those of parsed texts without their ASTs.
 
-    def __init__(self, exprs):
-        self.exprs = exprs
-        ids = list(map(id, exprs))
-        distinct = dict(zip(ids, exprs))  # by id, in the order met
+    The blocks of one shape make a group, numbered in the order met:
+    group[i] is row i's number.  A run lays its rows out in group order,
+    so that each group it holds is a contiguous slice of them, which the
+    group's program evaluates in one run, writing the values in place:
+    rows given in group order are their own layout, and others are sorted
+    into it once per run.  A group keeps its ops and its registers, each
+    pinned constant the scalar its rows share; if it holds more than one
+    expression, each other constant is a column of consts, which has a
+    row per row and is picked for a run's rows at once.  A plan of one
+    program without columns returns its run's values as they are."""
+
+    __slots__ = ("blocks", "which", "group", "groups", "consts", "numbers")
+
+    def __init__(self, blocks: list, which=None):
+        self.blocks = blocks
         numbers: dict = {}  # shape -> group; a shape object is hashed once
         known: dict = {}  # id(shape) -> group
-        members: list = []  # per group, its distinct expressions
-        number = []  # per distinct expression, its group
-        for e in distinct.values():
-            shape = e.shape
+        members: list = []  # per group, its blocks
+        number = []  # per block, its group
+        for block in blocks:
+            shape = block[0]
             k = known.get(id(shape))
             if k is None:
                 k = known[id(shape)] = numbers.setdefault(shape, len(numbers))
                 if k == len(members):
                     members.append([])
-            members[k].append(e)
+            members[k].append(block)
             number.append(k)
+        sizes = [len(block[4]) for block in blocks]
+        self.which = np.arange(sum(sizes)) if which is None else which
         self.groups, width = [], 0
-        for es in members:
-            init, code = es[0].program
-            regs = _column_registers(init, es[0].shape[2]) if len(es) > 1 else ()
+        for bs in members:
+            _, init, code, regs, consts = bs[0]
+            if len(bs) == 1 and len(consts) == 1:  # one expression, its constants scalars
+                init = list(init)
+                for j, r in enumerate(regs):
+                    init[r] = consts[0, j]
+                regs = ()
             self.groups.append((init, code, regs))
             width = max(width, len(regs))
         self.numbers = self.consts = None
-        if len(members) == 1 and not width:  # one program, its constants scalars
-            self.group = np.zeros(len(ids), np.intp)
+        if len(members) <= 1 and not width:  # one program, its constants scalars
+            self.group = np.zeros(len(self.which), np.intp)
             return
-        # per row, its number among the distinct expressions
-        which = np.fromiter(map(dict(zip(distinct, itertools.count())).__getitem__, ids),
-                            np.intp, len(ids))
-        self.group = np.array(number)[which]
+        self.group = np.repeat(np.array(number, np.intp), sizes)[self.which]
         if len(members) > 1:
             # searched for in a run's sorted group numbers, these give the
             # first row of each group and the end
             self.numbers = np.arange(len(members) + 1)
-        if width:  # per distinct expression its columns' constants, padded
-            # per group, the getter of the constants from a program's
-            # registers (of a slice for one register, to give a tuple too)
-            # and the padding
-            picks = [(operator.itemgetter(*regs) if len(regs) > 1
-                      else operator.itemgetter(slice(regs[0], regs[0] + 1)) if regs
-                      else lambda init: (), (0.0,) * (width - len(regs)))
-                     for _, _, regs in self.groups]
-            flat: list = []
-            for e, k in zip(distinct.values(), number):
-                pick, pad = picks[k]
-                flat.extend(pick(e.program[0]))
-                flat.extend(pad)
-            self.consts = np.fromiter(flat, np.float64, len(flat)).reshape(-1, width)[which]
+        if width:  # per expression its columns' constants, padded
+            consts = np.zeros((sum(sizes), width))
+            start = 0
+            for block, k, size in zip(blocks, number, sizes):
+                if self.groups[k][2]:
+                    consts[start:start + size, :len(block[3])] = block[4]
+                start += size
+            self.consts = consts[self.which]
+
+    def join(self, other: "Rows") -> "Rows":
+        """The plan of this plan's rows and then other's."""
+        return _joined(self.blocks, self.which, other)
+
+    def program(self, row: int):
+        """The program of a row (the program of its expression)."""
+        init, code, regs = self.groups[self.group[row]]
+        if regs:
+            init = list(init)
+            for j, r in enumerate(regs):
+                init[r] = self.consts[row, j]
+        return init, code
 
     @np.errstate(all="ignore")
     def __call__(self, x: np.ndarray, rows=None):
-        """Evaluate exprs[rows[i]] over the points x[i] of a 2-D float64
-        array, or exprs[i] if rows is None: as eval_rows."""
+        """Evaluate row rows[i] over the points x[i] of a 2-D float64
+        array, or row i if rows is None: as eval_rows."""
         errors: dict = {}
-        if not self.exprs or rows is not None and not len(rows):
+        if not len(self.group) or rows is not None and not len(rows):
             return np.empty(x.shape), errors
         order = None
         if len(self.groups) == 1:
@@ -1057,7 +1116,7 @@ class Rows:
         for a, b in sorted(failed):
             for j in range(a, b):
                 try:
-                    values[j] = eval_expr(self.exprs[j if rows is None else rows[j]], x[j])
+                    values[j] = _eval_array(self.program(j if rows is None else rows[j]), x[j])
                 except EvalError as err:
                     values[j] = math.nan
                     # without its traceback, whose frames (this one among
@@ -1068,6 +1127,38 @@ class Rows:
             values[order] = values.copy()
             errors = {int(order[j]): err for j, err in errors.items()}
         return values, errors
+
+
+def _joined(blocks: list, which, then: Rows) -> Rows:
+    """The Rows of the rows which of blocks and then of then's rows."""
+    count = sum(len(block[4]) for block in blocks)
+    return Rows([*blocks, *then.blocks], np.concatenate((which, then.which + count)))
+
+
+def rows_of(exprs) -> Rows:
+    """The plan of eval_rows for the expressions exprs, a row each: a
+    block per shape of their programs, an expression met again found by
+    its identity."""
+    ids = list(map(id, exprs))
+    distinct = dict(zip(ids, exprs))  # by id, in the order met
+    blocks: dict = {}  # id(shape) -> block, its constants a list of rows
+    items = []  # per distinct expression, its block and its place there
+    for e in distinct.values():
+        shape, (init, code) = e.shape, e.program
+        block = blocks.get(id(shape))
+        if block is None:
+            block = blocks[id(shape)] = [shape, init, code,
+                                         _column_registers(init, shape[2]), []]
+        items.append((block, len(block[4])))
+        block[4].append([init[r] for r in block[3]])
+    start = 0
+    for block in blocks.values():
+        block.append(start)
+        start += len(block[4])
+    first = [block[5] + k for block, k in items]
+    which = np.fromiter(map(dict(zip(distinct, first)).__getitem__, ids), np.intp, len(ids))
+    return Rows([(shape, init, code, regs, np.array(consts, np.float64).reshape(len(consts), len(regs)))
+                 for shape, init, code, regs, consts, _ in blocks.values()], which)
 
 
 def eval_rows(exprs, x: np.ndarray):
@@ -1081,9 +1172,135 @@ def eval_rows(exprs, x: np.ndarray):
     other constant register is stacked into a column with one entry per
     row.  If any test of that run trips, each of its rows falls back to
     eval_expr, in row order, so error kinds and points are those of
-    eval_expr.  Rows(exprs) is this plan, made once for rows that a
+    eval_expr.  rows_of(exprs) is this plan, made once for rows that a
     caller evaluates again and again."""
-    return Rows(exprs)(x)
+    return rows_of(exprs)(x)
+
+
+class Parsed:
+    """Texts parsed per template key (parse_texts), without their ASTs.
+
+    The texts of a key with a template are the rows of a matrix of their
+    numbers, in text order; a text that takes the parser (its key met
+    once, without a template, or a number that is not finite) has its
+    AST, or its ParseError in errors.  key[i] is text i's key, or -1 if
+    it took the parser, and row[i] its row there or its place in trees.
+    tree(i) makes text i's AST as parse(text) makes it, and kernels(i) its
+    compiled functions without it.  blocks are the Rows blocks of all the
+    texts that parse, a key's program and matrix or an AST's program;
+    item[i] is text i's number there (-1 for a text that did not parse,
+    of which there are missing), and plan(indices) the Rows of texts."""
+
+    __slots__ = ("templates", "numbers", "key", "row", "trees", "errors", "blocks", "item",
+                 "missing")
+
+    def tree(self, i: int) -> Expr:
+        k = self.key[i]
+        if k < 0:
+            return self.trees[self.row[i]]
+        return self.templates[k].build(*self.numbers[k][self.row[i]].tolist())
+
+    def kernels(self, i: int):
+        """(Expr.compiled, Expr.block) of text i's AST."""
+        k = self.key[i]
+        if k < 0:
+            e = self.trees[self.row[i]]
+            return e.compiled, e.block
+        t = self.templates[k]
+        init = list(t.init)
+        for r, v in zip(t.numbers, self.numbers[k][self.row[i]]):
+            init[r] = v
+        return _compile((init, t.code), t.source)
+
+    def plan(self, indices, then: Rows | None = None) -> Rows:
+        """The Rows of the texts indices, a row each, which must parse,
+        and then of the rows of the plan then, if given."""
+        if then is None:
+            return Rows(self.blocks, self.item[indices])
+        return _joined(self.blocks, self.item[indices], then)
+
+
+def parse_texts(texts) -> Parsed:
+    """The texts parsed per template key as parse parses each, without
+    their ASTs (see Parsed).  An Expr among them is its own AST; any
+    other entry that is not a str is left out (key and item -1)."""
+    p = Parsed()
+    n = len(texts)
+    p.templates, p.numbers, p.trees, p.errors, p.blocks = [], [], [], {}, []
+    p.key, p.row, item = [-1] * n, [-1] * n, [-1] * n
+    split = _NUMBER_RE.split
+    keys: dict = {}  # key -> [(text index, its numbers' texts)]
+    for i, text in enumerate(texts):
+        if type(text) is str:
+            parts = split(text)
+            keys.setdefault(tuple(parts[::2]), []).append((i, parts[1::2]))
+        elif isinstance(text, Expr):
+            p.row[i] = len(p.trees)
+            p.trees.append(text)
+    count = 0  # the texts in blocks
+    for key, members in keys.items():
+        t = _template(key) if _meet(key) or len(members) > 1 else None
+        rows = []  # the numbers of the texts the template builds
+        for i, numbers in members:
+            values = list(map(float, numbers))
+            if t is not None and math.isfinite(sum(values)):
+                p.key[i], p.row[i] = len(p.templates), len(rows)
+                rows.append(values)
+                continue
+            try:
+                p.row[i] = len(p.trees)
+                p.trees.append(_Parser(texts[i]).parse())
+            except ParseError as err:
+                p.row[i] = -1
+                p.errors[i] = err
+        if rows:
+            p.templates.append(t)
+            p.numbers.append(np.array(rows, np.float64).reshape(len(rows), len(t.numbers)))
+            made, place = _template_blocks(t, rows, p.numbers[-1])
+            for i, _ in members:
+                if p.key[i] >= 0:
+                    item[i] = count + place[p.row[i]]
+            count += len(rows)
+            p.blocks += made
+    if p.trees:
+        trees = rows_of(p.trees)
+        which = trees.which.tolist()
+        for i, j in enumerate(p.row):
+            if p.key[i] < 0 and j >= 0:
+                item[i] = count + which[j]
+        p.blocks += trees.blocks
+    p.item, p.missing = np.array(item, np.intp), item.count(-1)
+    return p
+
+
+def _template_blocks(t: _Template, rows: list, numbers: np.ndarray):
+    """(the blocks of the texts of the template t whose numbers are rows,
+    and as an array numbers, a block per bits of their pinned numbers;
+    per text, its place in them)."""
+    consts = numbers
+    if t.take is not None:  # regs hold some numbers, or named constants
+        consts = np.empty((len(rows), len(t.regs)))
+        for j, (r, m) in enumerate(zip(t.regs, t.take)):
+            consts[:, j] = numbers[:, m] if m >= 0 else t.init[r]
+    if not t.pins:
+        return [(t.shape, t.init, t.code, t.regs, consts)], range(len(rows))
+    bits: dict = {}  # the bits of a text's pinned numbers -> its texts
+    for i, row in enumerate(rows):
+        bits.setdefault(tuple(_BITS(row[m]) for m in t.pins), []).append(i)
+    blocks = []
+    for members in bits.values():
+        init = list(t.init)
+        for m in t.pins:
+            init[t.numbers[m]] = numbers[members[0], m]
+        blocks.append(((t.code, len(init), t.pinned, tuple(_BITS(init[r - 1]) for r in t.pinned)),
+                       tuple(init), t.code, t.regs,
+                       consts if len(bits) == 1 else consts[members]))
+    if len(bits) == 1:
+        return blocks, range(len(rows))
+    place = [0] * len(rows)
+    for j, i in enumerate(i for members in bits.values() for i in members):
+        place[i] = j
+    return blocks, place
 
 
 _PREC_ATOM = 5

@@ -21,15 +21,17 @@ proved.
 
 integrate, stieltjes_beta1 and stieltjes_midvalue share one refinement
 engine, in two phases.  A function's data that its queries read are
-fixed once, on first use, in its Layout (BvFunction.layout): columns of
-its pieces and breakpoints, each piece's bracket columns taken whole,
-and one expr.Rows plan of its pieces' evaluators.  A routine's prepare
-phase (_prepare) finds its fallback segments in one sweep over the
-cells, the pieces that contain them in one search per function, and
-keeps the segments as columns: arrays of one entry per segment (s, t,
-the one-sided limits, the rounding terms, weights, floors and budgets),
-gathered from the layout for whole pieces and computed for the ends
-inside a piece, and per curve the rows of its pieces in the plan.  It
+fixed once, on first use, in its Layout (BvFunction.layout), made from
+the columns of its pieces and breakpoints (BvFunction.columns, which
+validate makes): each piece's bracket columns taken whole, and the
+expr.Rows plan of its pieces' evaluators that validate's sampled checks
+ran.  A routine's prepare phase (_prepare) finds its fallback segments
+in one sweep over the cells, the pieces that contain them in one search
+per function, and keeps the segments as columns: arrays of one entry
+per segment (s, t, the one-sided limits, the rounding terms, weights,
+floors and budgets), gathered from the layout for whole pieces and
+computed for the ends inside a piece, and per curve the rows of its
+pieces in the plan.  It
 reserves each segment's rounding floor, refusing a tol that does not
 cover the floors, and splits the rest over the segments.  _certify then
 refines the segments of one or more routines on one route in one _refine
@@ -71,6 +73,8 @@ import numpy as np
 
 from . import expr as ex
 from .bv import (
+    CONST,
+    DIRECTIONS,
     BvFunction,
     Certified,
     left_limit,
@@ -198,66 +202,42 @@ def total_variation_measure(f: BvFunction, iv: IntervalSpec) -> float:
 _CONST, _CLOSED, _BRACKETED = 0, 1, 2
 
 
-def _route(p) -> int:
-    if p.direction == "const":
-        return _CONST
-    return _BRACKETED if p.antiderivative is None else _CLOSED
-
-
 class Layout:
     """The columns of a function that its queries read, made once per
-    function (BvFunction.layout), each on first use, so a query pays
-    only for what it reads.  Per piece: los and his, its lo and hi, and
-    closed, the pieces not bracketed, as lists for bisect; lo and hi as
-    arrays; route (_CONST for a constant piece, else _CLOSED with an
-    antiderivative, else _BRACKETED); and bracket, the rows v0, vn,
-    delta, term, weight and floor of _bracket_columns for the piece
-    taken whole.  Per breakpoint, in increasing x: xs as a list, x, and
-    left and right, its one-sided limits, each with a NaN after the
-    last, which the index -1 reads.  plan is the expr.Rows of the
-    pieces' evaluators, a row per piece, and joined(other) the expr.Rows
-    of this function's pieces and then other's."""
+    function (BvFunction.layout) from its columns (BvFunction.columns),
+    each on first use, so a query pays only for what it reads.  Per
+    piece: lo and hi, its lo and hi, as arrays and as the lists los and
+    his for bisect; route (_CONST for a constant piece, else _CLOSED with
+    an antiderivative, else _BRACKETED), and closed, the pieces not
+    bracketed, as a list; and bracket, the rows v0, vn, delta, term,
+    weight and floor of _bracket_columns for the piece taken whole.  Per
+    breakpoint, in increasing x: xs as a list, x, and left and right, its
+    one-sided limits, each with a NaN after the last, which the index -1
+    reads.  plan is the expr.Rows of the pieces' evaluators, a row per
+    piece, and joined(other) the expr.Rows of this function's pieces and
+    then other's."""
 
     def __init__(self, f: BvFunction):
-        self.pieces, self.breakpoints, self.los = f.pieces, f.breakpoints, f._piece_los
-        self.his = [p.hi for p in f.pieces]
-        self.closed = [k for k, p in enumerate(f.pieces) if _route(p) != _BRACKETED]
-        self.xs = [bp.x for bp in f.breakpoints]
-
-    @functools.cached_property
-    def lo(self) -> np.ndarray:
-        return np.array(self.los)
-
-    @functools.cached_property
-    def hi(self) -> np.ndarray:
-        return np.array(self.his)
-
-    @functools.cached_property
-    def route(self) -> np.ndarray:
-        return np.array([_route(p) for p in self.pieces])
+        c = self.columns = f.columns
+        self.lo, self.hi, self.x, self.plan = c.lo, c.hi, c.x, c.plan
+        self.los, self.his, self.xs = f._piece_los, c.hi.tolist(), c.x.tolist()
+        self.route = np.where(c.direction == DIRECTIONS.index(CONST), _CONST,
+                              np.where(c.closed, _CLOSED, _BRACKETED))
+        self.closed = np.flatnonzero(self.route != _BRACKETED).tolist()
 
     @functools.cached_property
     def bracket(self) -> np.ndarray:
-        v0 = np.array([p.left_boundary_limit for p in self.pieces])
-        vn = np.array([p.right_boundary_limit for p in self.pieces])
+        c = self.columns
         with np.errstate(all="ignore"):  # as _prepare; a tail piece is never bracketed
-            return np.array([v0, vn, *_rounding(self.lo, self.hi, v0, vn)])
-
-    @functools.cached_property
-    def x(self) -> np.ndarray:
-        return np.array(self.xs)
+            return np.array([c.left, c.right, *_rounding(self.lo, self.hi, c.left, c.right)])
 
     @functools.cached_property
     def left(self) -> np.ndarray:
-        return np.array([*(bp.left_value for bp in self.breakpoints), math.nan])
+        return np.append(self.columns.bp_left, math.nan)
 
     @functools.cached_property
     def right(self) -> np.ndarray:
-        return np.array([*(bp.right_value for bp in self.breakpoints), math.nan])
-
-    @functools.cached_property
-    def plan(self) -> ex.Rows:
-        return ex.Rows([p.evaluator for p in self.pieces])
+        return np.append(self.columns.bp_right, math.nan)
 
     @functools.cached_property
     def _joins(self) -> weakref.WeakKeyDictionary:
@@ -268,7 +248,7 @@ class Layout:
         other's, made once while other lives."""
         plan = self._joins.get(other)
         if plan is None:
-            plan = self._joins[other] = ex.Rows([*self.plan.exprs, *other.plan.exprs])
+            plan = self._joins[other] = self.plan.join(other.plan)
         return plan
 
     def containing(self, xs):

@@ -29,6 +29,8 @@ def load_spec(path: str | Path) -> dict:
     except json.JSONDecodeError as e:
         raise ValidationError(
             [Violation("BadSpec", f"{path}:{e.lineno}:{e.colno}", e.msg)]) from None
+    except ValueError as e:  # an integer literal past int's digit limit
+        raise ValidationError([Violation("BadSpec", str(path), str(e))]) from None
     if not isinstance(raw, dict):
         raise ValidationError([Violation("BadSpec", str(path), "top level must be an object")])
     if raw.get("format") != FORMAT_VERSION:

@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import random
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -26,21 +27,27 @@ from bvsum import (
 from bvsum import bv
 from bvsum import expr as ex
 from bvsum.bv import (
-    ABS_TOL,
     EDGE_SAMPLES,
     FD_POINTS,
     FD_REL_TOL,
     MONO_SAMPLES,
-    REL_TOL,
     Certified,
     _sample_points,
     _stencils,
     check_antiderivative,
 )
-from bvsum.errors import Violation
 from bvsum.euler_maclaurin import CheckReport, EmReport, GammaReport
 from bvsum.measure import StieltjesResult
+from conftest import CORPUS_DIR
 from oracles import grid_variation
+from ref_validate import (
+    _EDGE_POW2,
+    _LADDER_POW2,
+    _MONO_I,
+    piece_check_antiderivative,
+    piece_sample_points,
+    ref_validate,
+)
 
 
 def make_linear(lo=0.0, hi=10.0):
@@ -179,103 +186,6 @@ def ref_check_antiderivative(fe, F, lo: float, hi: float) -> float:
         ref = ex.eval_expr(fe, x)
         worst = max(worst, abs(est - ref) / (FD_REL_TOL * (1.0 + abs(ref))))
     return worst
-
-
-# The piece checks as validate made them one piece at a time, kept as
-# bit-equality references for the batched checks in bvsum.bv.
-
-_MONO_I = np.arange(1, MONO_SAMPLES + 1, dtype=np.float64)
-_EDGE_POW2 = np.array([2.0**-j for j in range(1, EDGE_SAMPLES + 1)])
-_LADDER_POW2 = np.array([2.0**j for j in range(0, 41)])
-_FD_LADDER_POW2 = np.array([2.0**j for j in range(-2, 2 * FD_POINTS - 2, 2)])
-
-
-def piece_sample_points(lo: float, hi: float) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        if math.isinf(hi):
-            w = max(1.0, abs(lo))
-            pts = np.concatenate((lo + w * _MONO_I / (MONO_SAMPLES + 1),
-                                  lo + w * _LADDER_POW2,
-                                  lo + w * _EDGE_POW2))
-        else:
-            w = hi - lo
-            off = w * _EDGE_POW2
-            pts = np.concatenate((lo + w * _MONO_I / (MONO_SAMPLES + 1),
-                                  lo + off, hi - off))
-    return np.unique(pts[(lo < pts) & (pts < hi) & np.isfinite(pts)])
-
-
-def piece_check_sampling(p, where: str, out: list) -> None:
-    xs = piece_sample_points(p.lo, p.hi)
-    if not len(xs):
-        return  # nothing to sample
-    try:
-        vals = ex.eval_expr(p.evaluator, xs)
-    except ex.EvalError as e:
-        out.append(Violation("BadExpression", where, f"evaluator failed: {e}"))
-        return
-    lim_lo = min(p.left_boundary_limit, p.right_boundary_limit)
-    lim_hi = max(p.left_boundary_limit, p.right_boundary_limit)
-    scale = max(abs(lim_lo), abs(lim_hi), float(np.max(np.abs(vals))))
-    slack = ABS_TOL + REL_TOL * scale
-    with np.errstate(over="ignore"):
-        d = np.diff(vals)
-        spread = np.abs(vals - vals[0])
-    if p.direction == "inc" and not np.all(d >= -slack):
-        i = int(np.argmin(d))
-        out.append(Violation("NonMonotonePiece", where,
-                             f"declared increasing but decreases near x={xs[i]:.6g}"))
-    elif p.direction == "dec" and not np.all(d <= slack):
-        i = int(np.argmax(d))
-        out.append(Violation("NonMonotonePiece", where,
-                             f"declared decreasing but increases near x={xs[i]:.6g}"))
-    elif p.direction == "const" and not np.all(spread <= slack):
-        out.append(Violation("NonMonotonePiece", where, "declared constant but varies"))
-    if np.any(vals < lim_lo - slack) or np.any(vals > lim_hi + slack):
-        out.append(Violation("InconsistentLimits", where,
-                             "sampled values leave the declared boundary-limit range"))
-
-
-def piece_check_antiderivative(fe, F, lo: float, hi: float) -> float:
-    with np.errstate(all="ignore"):
-        if math.isfinite(hi):
-            xs = np.linspace(lo, hi, FD_POINTS + 2)[1:-1]
-            h = np.minimum(np.maximum(np.abs(xs), 1.0) * 1e-5, (hi - lo) * 1e-3)
-            skip = (xs - h <= lo) | (xs + h >= hi)
-        else:
-            xs = lo + max(1.0, abs(lo)) * _FD_LADDER_POW2
-            h = np.maximum(np.abs(xs), 1.0) * 1e-5
-            skip = xs - h <= lo
-        xs, h = xs[~skip], h[~skip]
-        if not len(xs):
-            return 0.0
-        est = (ex.eval_expr(F, xs + h) - ex.eval_expr(F, xs - h)) / (2.0 * h)
-        ref = ex.eval_expr(fe, xs)
-        score = np.abs(est - ref) / (FD_REL_TOL * (1.0 + np.abs(ref)))
-    return float(np.fmax.reduce(score, initial=0.0))
-
-
-def _piece_antiderivative(fe, F, lo, hi, where: str, out: list) -> None:
-    try:
-        worst = piece_check_antiderivative(fe, F, lo, hi)
-    except ex.EvalError as e:
-        out.append(Violation("BadAntiderivative", where, f"antiderivative failed: {e}"))
-        return
-    if worst > 1.0:
-        out.append(Violation("BadAntiderivative", where,
-                             "difference quotients of the antiderivative do not match"))
-
-
-def piece_check_pieces(pieces, tail, out: list) -> None:
-    for i, p in enumerate(pieces):
-        piece_check_sampling(p, f"pieces[{i}]", out)
-        if p.antiderivative is not None:
-            _piece_antiderivative(p.evaluator, p.antiderivative, p.lo, p.hi,
-                                  f"pieces[{i}]", out)
-    if tail is not None and tail.antiderivative is not None and pieces \
-            and math.isinf(pieces[-1].hi):
-        p = pieces[-1]
-        _piece_antiderivative(p.evaluator, tail.antiderivative, p.lo, p.hi, "tail", out)
 
 
 def ref_batch_sample_points(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -476,7 +386,10 @@ class TestVectorValidation:
             ("x", "x^2/2"),  # none
         ]
         checks = [(ex.parse(fe), ex.parse(F), lo, hi) for fe, F in checks]
-        scores = bv._antiderivative_scores(checks)
+        n = len(checks)
+        plan = ex.rows_of([F for _, F, _, _ in checks] + [fe for fe, _, _, _ in checks])
+        scores = bv._antiderivative_scores(plan, np.arange(n), np.arange(n, 2 * n),
+                                           np.array([lo] * n), np.array([hi] * n))
         for score, (fe, F, _, _) in zip(scores, checks):
             try:
                 want = piece_check_antiderivative(fe, F, lo, hi)
@@ -632,9 +545,9 @@ def piece_specs(draw):
     return spec
 
 
-def _validated(spec):
+def _validated(spec, check=validate):
     try:
-        return "ok", validate(spec)
+        return "ok", check(spec)
     except ValidationError as e:
         return "violations", [(v.kind, v.where, v.message) for v in e.violations]
 
@@ -646,9 +559,7 @@ class TestBatchedValidation:
         # a smaller batch splits the pieces of one shape across batches
         with mock.patch.object(bv, "_BATCH", batch):
             got = _validated(spec)
-        with mock.patch.object(bv, "_check_pieces", piece_check_pieces):
-            want = _validated(spec)
-        assert got == want
+        assert got == _validated(spec, ref_validate)
 
     def test_corpus_and_broken_corpus_as_per_piece_checks(self, corpus_dir):
         for path in sorted(corpus_dir.glob("*.json")):
@@ -660,9 +571,305 @@ class TestBatchedValidation:
                 if p.get("antiderivative"):
                     p["antiderivative"] = "x^3"
             for s in (spec, broken):
-                got = _validated(s)
-                with mock.patch.object(bv, "_check_pieces", piece_check_pieces):
-                    assert got == _validated(s), path.name
+                assert _validated(s) == _validated(s, ref_validate), path.name
+
+
+# A malformed spec is a list of violations, never a traceback: a piece,
+# breakpoint or tail that is not an object, pieces or breakpoints that are
+# not a list, and a number that is a bool or too large for a float are each
+# a BadSpec.
+def _two_pieces(**tail):
+    spec = {"domain": {"lo": 0, "hi": 2},
+            "pieces": [{"interval": [0, 1], "expr": "x", "direction": "inc",
+                        "left_limit": 0, "right_limit": 1, "antiderivative": "x^2/2"},
+                       {"interval": [1, 2], "expr": "2", "direction": "const",
+                        "left_limit": 2, "right_limit": 2}],
+            "breakpoints": [{"x": 1, "left": 1, "value": 1.5, "right": 2}]}
+    if tail:
+        spec["domain"]["hi"] = "inf"
+        spec["pieces"][1]["interval"][1] = "inf"
+        spec["tail"] = tail["tail"]
+    return spec
+
+
+def _violations(spec) -> list:
+    with pytest.raises(ValidationError) as exc:
+        validate(spec)
+    return [(v.kind, v.where, v.message) for v in exc.value.violations]
+
+
+class TestMalformedSpecs:
+    @pytest.mark.parametrize("entry", [5, None, "piece", [0, 1]])
+    def test_piece_that_is_not_an_object(self, entry):
+        spec = _two_pieces()
+        spec["pieces"][1] = entry
+        assert ("BadSpec", "pieces[1]", "piece must be an object") in _violations(spec)
+
+    @pytest.mark.parametrize("entry", [5, None, "bp", [1, 1, 1, 1]])
+    def test_breakpoint_that_is_not_an_object(self, entry):
+        spec = _two_pieces()
+        spec["breakpoints"].append(entry)
+        assert _violations(spec) == [("BadSpec", "breakpoints[1]",
+                                      "breakpoint must be an object")]
+
+    @pytest.mark.parametrize("name", ["pieces", "breakpoints"])
+    @pytest.mark.parametrize("value", [None, 5, "x", {"x": 1}])
+    def test_entries_that_are_not_a_list(self, name, value):
+        spec = _two_pieces()
+        spec[name] = value
+        assert ("BadSpec", name, f"{name} must be a list") in _violations(spec)
+
+    @pytest.mark.parametrize("tail", [3, "tail", [0.0]])
+    def test_tail_that_is_not_an_object(self, tail):
+        assert _violations(_two_pieces(tail=tail)) == [("BadSpec", "tail",
+                                                        "tail must be an object")]
+
+    @pytest.mark.parametrize("field,where", [
+        (("pieces", 0, "left_limit"), "pieces[0].left_limit"),
+        (("pieces", 1, "interval", 0), "pieces[1].interval"),
+        (("breakpoints", 0, "value"), "breakpoints[0].value"),
+        (("domain", "hi"), "domain.hi")])
+    @pytest.mark.parametrize("value,message", [
+        (True, "expected a number, got True"),
+        (False, "expected a number, got False"),
+        (10 ** 400, "expected a number, got an integer too large for a float")])
+    def test_number_that_is_a_bool_or_too_large(self, field, where, value, message):
+        spec = _two_pieces()
+        place = spec
+        for key in field[:-1]:
+            place = place[key]
+        place[field[-1]] = value
+        assert ("BadSpec", where, message) in _violations(spec)
+
+
+# A piece whose lo is not finite, or not below its hi, fails the partition
+# and is neither sampled nor checked against its antiderivative: no
+# floating-point warning, no violation but the partition's.
+class TestUnusableIntervals:
+    @pytest.mark.parametrize("interval", [["inf", 1], ["-inf", 1], [1, 0], [1, 1],
+                                          [1, "-inf"], ["inf", "inf"]])
+    def test_reported_by_the_partition_alone(self, interval):
+        spec = _two_pieces()
+        spec["pieces"][0]["interval"] = interval
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _violations(spec)
+        assert [kind for kind, *_ in got] == ["BadPartition"]
+        assert got == _validated(spec, ref_validate)[1]
+
+    def test_stencil_ladder_past_overflow_warns_nothing(self):
+        # the ladder lo + lo*4^j of a half-line from 1e300 reaches inf, and
+        # its steps inf - inf are NaN: the check fails on F's overflow
+        const = {"expr": "2", "direction": "const", "left_limit": 2, "right_limit": 2}
+        spec = {"domain": {"lo": 0, "hi": "inf"},
+                "pieces": [{"interval": [0, 1e300], **const},
+                           {"interval": [1e300, "inf"], **const, "antiderivative": "2*x"}],
+                "breakpoints": [{"x": 1e300, "left": 2, "value": 2, "right": 2}],
+                "tail": {"limit": 2, "antiderivative": "2*x", "antiderivative_limit": "inf"}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _violations(spec)
+        assert [(kind, where) for kind, where, _ in got] == [
+            ("BadAntiderivative", "pieces[1]"), ("BadAntiderivative", "tail")]
+        assert all("overflow" in message for *_, message in got)
+
+    def test_half_line_tail_not_checked_on_an_unusable_piece(self):
+        spec = _two_pieces(tail={"limit": 2, "antiderivative": "2*x",
+                                 "antiderivative_limit": "inf"})
+        spec["pieces"][1]["interval"] = ["inf", "inf"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _violations(spec)
+        assert [kind for kind, *_ in got] == ["BadPartition"]
+
+
+# The column loader against the per-piece one (ref_validate): a valid spec
+# with one field corrupted at random gives the same violations, in the
+# same order; a valid spec gives a function that compares, hashes and
+# pickles as the reference's, whose trees are made only when read.
+
+_SHAPE_PIECES = [  # (expr, antiderivative or None), in a, b, c, p
+    ("{a}+{b}*(x-{p})", "{a}*x+{b}*(x-{p})^2/2"),
+    ("{a}+{b}*exp({c}*(x-{p}))", "{a}*x+{b}/{c}*exp({c}*(x-{p}))"),
+    ("{a}+{b}*sqrt((x-{p})+{c})", None),
+    ("{a}+{b}*atan({c}*(x-{p}))", None),
+    ("{a}+{b}/(1+{c}*(x-{p}))", "{a}*x+{b}/{c}*log(1+{c}*(x-{p}))"),
+]
+
+
+@st.composite
+def pool_like_specs(draw):
+    """A valid spec of 2 to 40 monotone pieces of a few shapes, each met
+    again with other constants, some with antiderivatives, joined by
+    breakpoints at their limits."""
+    n = draw(st.integers(2, 40))
+    rng = random.Random(draw(st.integers(0, 1 << 30)))
+    cuts = [k / 8 for k in range(n + 1)]
+    pieces, bps = [], []
+    for p, q in zip(cuts, cuts[1:]):
+        text, anti = rng.choice(_SHAPE_PIECES)
+        sign = rng.choice((1, -1))
+        c = {"a": round(rng.uniform(-1, 1), 3), "b": sign * round(rng.uniform(0.01, 0.1), 4),
+             "c": round(rng.uniform(0.5, 3), 3), "p": p}
+        e = text.format(**c)
+        left, right = (ex.eval_expr(ex.parse(e), v) for v in (p, q))
+        piece = {"interval": [p, q], "expr": e, "direction": "inc" if sign > 0 else "dec",
+                 "left_limit": left, "right_limit": right}
+        if anti and rng.random() < 0.6:
+            piece["antiderivative"] = anti.format(**c)
+        if pieces:
+            prev = pieces[-1]["right_limit"]
+            bps.append({"x": p, "left": prev, "value": rng.choice((prev, left)), "right": left})
+        pieces.append(piece)
+    return {"domain": {"lo": 0, "hi": cuts[-1]}, "pieces": pieces, "breakpoints": bps}
+
+
+def _corpus_specs():
+    return [json.loads(path.read_text()) for path in sorted(CORPUS_DIR.glob("*.json"))]
+
+
+_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 0.5, 1e300, -7.25,
+                            "1.5", "nan", "inf", "-inf", " 2 ", "x", True, False, None,
+                            10 ** 400, [1.0], {"v": 1}])
+_TEXTS = st.sampled_from(["log(", "x+", "y*x", "1e999*x", "x^2", "exp(x)", "", 5, None,
+                          "sqrt(x-1e9)", "(" * 120 + "x" + ")" * 120])
+
+
+@st.composite
+def corrupted(draw, spec):
+    """spec with one field replaced: a number, an expression, a
+    direction, a limit, an interval, a breakpoint or the tail."""
+    spec = copy.deepcopy(spec)
+    pieces, bps = spec["pieces"], spec["breakpoints"]
+    part = draw(st.sampled_from(["number", "text", "direction", "limit", "interval",
+                                 "breakpoint", "tail", "structure"]))
+    i = draw(st.integers(0, len(pieces) - 1))
+    piece = pieces[i]
+    if part == "number":
+        fields = [(piece, "left_limit"), (piece, "right_limit"), (piece["interval"], 0),
+                  (piece["interval"], 1), *((bp, k) for bp in bps[:3] for k in _BP_KEYS)]
+        place, key = draw(st.sampled_from(fields))
+        place[key] = draw(_NUMBERS)
+    elif part == "text":
+        piece[draw(st.sampled_from(["expr", "antiderivative"]))] = draw(_TEXTS)
+    elif part == "direction":
+        piece["direction"] = draw(st.sampled_from(["inc", "dec", "const", "up", None, 3]))
+    elif part == "limit":
+        key = draw(st.sampled_from(["left_limit", "right_limit"]))
+        value = piece[key] if isinstance(piece[key], float) else 0.0
+        piece[key] = value + draw(st.sampled_from([1e-12, 1e-3, -0.5, 2.0]))
+    elif part == "interval":
+        piece["interval"] = draw(st.sampled_from(
+            [piece["interval"][::-1], [piece["interval"][0]], "ab", None, 3,
+             [piece["interval"][0], piece["interval"][0]], ["inf", 1], ["-inf", "inf"],
+             [piece["interval"][0], "inf"]]))
+    elif part == "breakpoint" and bps:
+        j = draw(st.integers(0, len(bps) - 1))
+        change = draw(st.sampled_from(["move", "drop", "copy", "object"]))
+        if change == "move":
+            bps[j]["x"] = draw(st.sampled_from([-1.0, 1e9, bps[0]["x"], 0.0625]))
+        elif change == "drop":
+            del bps[j]
+        elif change == "copy":
+            bps.insert(j, dict(bps[j]))
+        else:
+            bps[j] = draw(st.sampled_from([None, 5, "bp"]))
+    elif part == "tail":
+        spec["domain"]["hi"] = "inf"
+        pieces[-1]["interval"][1] = "inf"
+        spec["tail"] = draw(st.sampled_from([
+            None, 3, {}, {"limit": "x"}, {"limit": pieces[-1]["right_limit"]},
+            {"limit": pieces[-1]["right_limit"], "antiderivative": "x"},
+            {"limit": pieces[-1]["right_limit"], "antiderivative": "log(",
+             "antiderivative_limit": 0.0},
+            {"limit": 0.0, "antiderivative": "-exp(-x)", "antiderivative_limit": 0.0}]))
+        if spec["tail"] is None:
+            del spec["tail"]
+    elif part == "structure":
+        where = draw(st.sampled_from(["pieces", "breakpoints", "piece"]))
+        if where == "piece":
+            pieces[i] = draw(st.sampled_from([None, 5, "piece", []]))
+        else:
+            spec[where] = draw(st.sampled_from([None, 5, "x", {}]))
+    return spec
+
+
+_BP_KEYS = ("x", "left", "value", "right")
+
+
+def assert_as_reference(spec):
+    got = _validated(spec)
+    want = _validated(spec, ref_validate)
+    if got[0] != "ok" or want[0] != "ok":
+        assert got == want
+        return
+    # the keys of every text are met now: both make their trees with the
+    # texts' templates, so their pickles share the same strings
+    f, ref = _validated(spec)[1], _validated(spec, ref_validate)[1]
+    assert all("evaluator" not in vars(p) for p in f.pieces)  # no tree yet
+    assert f == ref and ref == f and hash(f) == hash(ref)
+    assert pickle.dumps(f) == pickle.dumps(ref)
+    for p, raw in zip(f.pieces, spec["pieces"]):
+        assert p.evaluator == ex.parse(raw["expr"])
+        if raw.get("antiderivative") is not None:
+            assert p.antiderivative == ex.parse(raw["antiderivative"])
+
+
+class TestColumnLoader:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_corrupted_corpus_spec_as_reference(self, data):
+        spec = data.draw(st.sampled_from(_corpus_specs()))
+        assert_as_reference(data.draw(corrupted(spec)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_corrupted_pool_spec_as_reference(self, data):
+        spec = data.draw(pool_like_specs())
+        assert_as_reference(data.draw(corrupted(spec)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(pool_like_specs())
+    def test_valid_pool_spec_as_reference(self, spec):
+        assert_as_reference(spec)
+
+    def test_corpus_as_reference(self):
+        for spec in _corpus_specs():
+            assert_as_reference(spec)
+
+    def test_piece_pickles_its_fields_as_the_dataclass(self):
+        # a piece made by its constructor pickles its __dict__, as the
+        # frozen dataclass without __getstate__ did
+        p = bv.MonotonePiece(0.0, 1.0, ex.parse("x"), "inc", 0.0, 1.0)
+        assert bv.MonotonePiece.__getstate__(p) == vars(p)
+        assert list(bv.MonotonePiece.__getstate__(p)) == list(vars(p))
+        copied = pickle.loads(pickle.dumps(p))
+        assert copied == p and vars(copied) == vars(p)
+
+    def test_trees_made_on_first_read(self):
+        f = make_linear()
+        p = f.pieces[0]
+        assert "evaluator" not in vars(p) and "antiderivative" not in vars(p)
+        assert p.compiled(2.5) == 2.5 and list(p.block(0, 3)) == [0.0, 1.0, 2.0]
+        assert "evaluator" not in vars(p)  # the kernels came from its texts
+        e = p.evaluator
+        assert e == ex.parse("x") and vars(p)["evaluator"] is e and p.evaluator is e
+        assert p.antiderivative == ex.parse("x^2/2")
+
+    def test_variation_request_makes_no_tree(self, capsys, monkeypatch):
+        from bvsum import cli
+
+        made = []
+        real = ex.Parsed.tree
+        monkeypatch.setattr(ex.Parsed, "tree", lambda self, i: made.append(i) or real(self, i))
+        for name, lo, hi in (("mixed_jumps.json", 0.3, 7.7), ("sin_arches.json", 0.1, 5.2),
+                             ("harmonic.json", 0.5, 12.25)):
+            code = cli.main(["variation", str(CORPUS_DIR / name), "--lo", str(lo),
+                             "--hi", str(hi), "--json"])
+            assert code == 0
+        capsys.readouterr()
+        # harmonic's tail antiderivative is the one tree a load makes
+        assert len(made) == 1
 
 
 class TestEvalAndLimits:

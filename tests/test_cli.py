@@ -109,6 +109,30 @@ class TestExitCodes:
         assert r.returncode == 2
         assert r.stderr == "evaluation error: log_domain at x=0.0\n"
 
+    @pytest.mark.parametrize("case", ["piece", "breakpoint", "pieces", "breakpoints",
+                                      "tail", "integer", "digits", "bool"])
+    def test_malformed_structure_exits_2_without_traceback(self, capsys, tmp_path, case):
+        spec = json.loads(cpath("harmonic.json").read_text())
+        text = None
+        if case == "piece":
+            spec["pieces"].append(5)
+        elif case == "breakpoint":
+            spec["breakpoints"] = [None]
+        elif case in ("pieces", "breakpoints"):
+            spec[case] = None if case == "pieces" else "x"
+        elif case == "tail":
+            spec["tail"] = 3
+        elif case == "bool":
+            spec["pieces"][0]["left_limit"] = True
+        else:  # a number too large for a float, or past int's digit limit
+            digits = 400 if case == "integer" else 5000
+            text = json.dumps(spec).replace('"left_limit": 1.0', '"left_limit": 1' + "0" * digits)
+        path = tmp_path / "bad.json"
+        path.write_text(text or json.dumps(spec))
+        r = run_in(capsys, "variation", path, "--lo", 0, "--hi", 1)
+        assert r.returncode == 2, r.stderr
+        assert "BadSpec" in r.stderr and "Traceback" not in r.stderr
+
     def test_usage_errors_exit_1(self, capsys):
         r = run_in(capsys, "sum", cpath("linear.json"), "--a", 10, "--b", 3)
         assert r.returncode == 1
@@ -161,16 +185,19 @@ class TestExitCodes:
         # every accepted expression survives eq, hash, repr and render where
         # main(argv) parses it, at the default recursion limit, and is then
         # evaluated on both paths
-        parse, parsed = ex.parse, []
+        parse_texts, parsed = ex.parse_texts, []
 
-        def parse_and_check(text):
-            e, same = parse(text), parse(text)
-            assert e == same and hash(e) == hash(same) and repr(e) == repr(same)
-            assert parse(ex.render(e)) == e
-            parsed.append(text)
-            return e
+        def parse_and_check(texts):
+            p = parse_texts(texts)
+            for i, text in enumerate(texts):
+                if p.item[i] >= 0:
+                    e, same = p.tree(i), ex.parse(text)
+                    assert e == same and hash(e) == hash(same) and repr(e) == repr(same)
+                    assert ex.parse(ex.render(e)) == e
+                    parsed.append(text)
+            return p
 
-        monkeypatch.setattr(ex, "parse", parse_and_check)
+        monkeypatch.setattr(ex, "parse_texts", parse_and_check)
         assert sys.getrecursionlimit() == 1000
         for depth, want in ((ex._MAX_DEPTH, 0), (ex._MAX_DEPTH + 1, 2)):
             text = DEEP[kind](depth)  # c*x

@@ -1078,7 +1078,7 @@ def test_template_nodes_reach_their_factory_without_its_source(monkeypatch):
     assert made == [] and fn.__code__ is want.compiled.__code__
     monkeypatch.undo()
     assert vars(e)["source"] == ex._source(e.program) == ex._source(want.program)
-    ref = ex._compile(ex._Parser("0.25+3*exp(-2.5*(x-0.75))^2").parse())[0]
+    ref = ex._compile(ex._Parser("0.25+3*exp(-2.5*(x-0.75))^2").parse().program)[0]
     for x in (0.0, 0.5, 1e3, -1e3):
         assert _scalar_outcome(fn, x) == _scalar_outcome(ref, x)
     # the template made each node without __init__, with the fields and

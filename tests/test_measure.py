@@ -572,7 +572,7 @@ class TestGridWalker:
         # s, width, term, then the route's v0, vn, delta
         cols = np.array([[s], [t - s], [0.0], [v0], [vn], [delta]])
         sums = measure._walk(np.array([0]), np.array([n]), np.array([[0]]), cols,
-                             ex.Rows([p.evaluator]),
+                             ex.rows_of([p.evaluator]),
                              measure._bracket_terms, {})
         assert list(zip(*sums[:, 0].tolist())) == \
             list(ref_bracket_sums(p.evaluator, s, t, n, v0, vn, delta))
@@ -595,7 +595,7 @@ class TestGridWalker:
             cols = np.array([s, t - s, [0.0] * 2, 3 * s + 1, 3 * s + 1, 3 * t + 1,
                              3 * t + 1, [1e-15] * 2, [1e-15] * 2])
             prow, terms = np.array([[0, 1], [0, 1]]), measure._mid_terms
-        plan, spans = ex.Rows([e, e]), {0: [], 1: []}  # row i of plan is segment i's
+        plan, spans = ex.rows_of([e, e]), {0: [], 1: []}  # row i of plan is segment i's
 
         def run(xs, rows):
             a, w = s[rows, None], (t - s)[rows, None]
@@ -1043,36 +1043,36 @@ class TestManyRowBlocks:
     @pytest.mark.parametrize("fail", [(), (3, 6)], ids=["pass", "fail"])
     def test_a_block_runs_once_per_shape_group(self, monkeypatch, route, fail):
         f, g = cycling(12, 6.0, fail=fail), cycling(8, 6.0, offset=0.5)
-        # the groups of failing rows, whose runs trip
-        tripped = {f.pieces[i].evaluator.shape for i in fail}
         blocks = []  # per block: its shape groups, runs, rows evaluated alone
         runs, alone, depth = [], [], [0]
-        real_run, real_eval, real_block = ex._run, ex.eval_expr, measure._block
+        real_run, real_eval, real_block = ex._run, ex._eval_array, measure._block
 
         def run(*args, **kwargs):
             if not depth[0]:  # a run of a group, not of a lone row
                 runs.append(1)
             return real_run(*args, **kwargs)
 
-        def eval_expr(e, x):
-            if isinstance(x, np.ndarray):
-                alone.append(1)
+        def eval_array(prog, x):
+            alone.append(1)
             depth[0] += 1
             try:
-                return real_eval(e, x)
+                return real_eval(prog, x)
             finally:
                 depth[0] -= 1
 
         def block(seg, col, n, prow, plan, *rest):
             r, a = len(runs), len(alone)
             out = real_block(seg, col, n, prow, plan, *rest)
-            shapes = [plan.exprs[i].shape for i in prow[:, seg].reshape(-1).tolist()]
-            blocks.append((len(set(shapes)), len(runs) - r, len(alone) - a,
-                           sum(shape in tripped for shape in shapes)))
+            # a shape group per group number; f's pieces are the plan's
+            # first rows, and the groups of its failing rows' runs trip
+            groups = plan.group[prow[:, seg].reshape(-1)].tolist()
+            tripped = set(plan.group[list(fail)].tolist())
+            blocks.append((len(set(groups)), len(runs) - r, len(alone) - a,
+                           sum(k in tripped for k in groups)))
             return out
 
         monkeypatch.setattr(ex, "_run", run)
-        monkeypatch.setattr(ex, "eval_expr", eval_expr)
+        monkeypatch.setattr(ex, "_eval_array", eval_array)
         monkeypatch.setattr(measure, "_block", block)
         call = {"bracket": lambda: integrate(f, 0.0, 6.0, 1e-6),
                 "midvalue": lambda: stieltjes_midvalue(g, f, 0.0, 6.0, 1e-6)}[route]
@@ -1110,12 +1110,26 @@ def cycling(n: int, length: float, fail=(), offset: float = 0.0):
 # refinement.
 
 
-def fresh_plan_refine(real_refine, route, segs, *args, **kwargs):
+def plan_exprs(plan, fns) -> list:
+    """The expressions of the rows of plan, the layout plan of one of the
+    functions fns or the joined plan of two."""
+    for f in fns:
+        if plan is f.layout.plan:
+            return [p.evaluator for p in f.pieces]
+        for g in fns:
+            if plan is f.layout._joins.get(g.layout):
+                return [p.evaluator for p in (*f.pieces, *g.pieces)]
+    raise AssertionError("not a plan of these functions")
+
+
+def fresh_plan_refine(real_refine, fns, route, segs, *args, **kwargs):
     """measure._refine with an expr.Rows plan of the segments' own
-    expressions, curve after curve, made for this refinement."""
+    expressions, curve after curve, made for this refinement from the
+    pieces of the functions fns."""
     m = len(segs["s"])
-    exprs = [segs["plan"].exprs[r] for rows in segs["rows"] for r in rows.tolist()]
-    segs = {**segs, "plan": ex.Rows(exprs),
+    exprs = plan_exprs(segs["plan"], fns)
+    exprs = [exprs[r] for rows in segs["rows"] for r in rows.tolist()]
+    segs = {**segs, "plan": ex.rows_of(exprs),
             "rows": tuple(np.arange(c * m, (c + 1) * m) for c in range(len(segs["rows"])))}
     return real_refine(route, segs, *args, **kwargs)
 
@@ -1147,7 +1161,7 @@ class TestFunctionLayout:
             (lambda: parts_check(f, f, a, b, tol),
              lambda: ref_parts_check_by_segments(f, f, a, b, tol)),
         ]
-        refine = functools.partial(fresh_plan_refine, measure._refine)
+        refine = functools.partial(fresh_plan_refine, measure._refine, (f, g))
         for call, by_segment in queries:
             got = _outcome(call)
             assert _outcome(call) == got  # on the layouts the first call made
@@ -1174,15 +1188,15 @@ class TestFunctionLayout:
         assert by_segments(call, g, f) == got
 
     def test_repeated_queries_build_each_plan_once(self, monkeypatch):
-        f, g = cycling(12, 6.0), cycling(8, 6.0, offset=0.5)
-        assert "layout" not in vars(f) and "layout" not in vars(g)
         plans = []
         real_init = ex.Rows.__init__
 
-        def init(self, exprs):
-            plans.append(len(exprs))
-            real_init(self, exprs)
+        def init(self, blocks, which=None):
+            real_init(self, blocks, which)
+            plans.append(len(self.group))
 
+        f, g = cycling(12, 6.0), cycling(8, 6.0, offset=0.5)
+        assert "layout" not in vars(f) and "layout" not in vars(g)
         monkeypatch.setattr(ex.Rows, "__init__", init)
         for _ in range(3):
             integrate(f, 0.5, 5.5, 1e-6)
@@ -1654,14 +1668,14 @@ class TestEngineErrorOrder:
             cols = np.array([[0.0], [1.0], [0.0], [0.0], [0.0], [2.0], [1.0], [1e-15], [1e-15]])
             call = lambda: measure._walk(  # noqa: E731
                 *one, np.array([[0], [1]]), cols,
-                ex.Rows([f.pieces[0].evaluator, g.pieces[0].evaluator]),
+                ex.rows_of([f.pieces[0].evaluator, g.pieces[0].evaluator]),
                 measure._mid_terms, {})
         else:
             # one chunk of brackets: a value per point, a gap per two; s,
             # width, term, v0, vn, delta
             cols = np.array([[0.0], [1.0], [0.0], [0.0], [2.0], [1e-15]])
             call = lambda: measure._walk(  # noqa: E731
-                *one, np.array([[0]]), cols, ex.Rows([f.pieces[0].evaluator]),
+                *one, np.array([[0]]), cols, ex.rows_of([f.pieces[0].evaluator]),
                 measure._bracket_terms, {})
         call()  # compile the programs before tracing
         tracemalloc.start()
