@@ -7,8 +7,8 @@ representation instead of estimates from samples.  Validation is a
 falsification check: evaluators are black boxes, so monotonicity and
 limit consistency are tested by sampling, not proved.  It works by
 columns (see validate), and a validated function keeps them
-(BvFunction.columns); its pieces make their expression trees only when
-they are read.
+(BvFunction.columns); its pieces and tail make their expression trees
+only when they are read.
 """
 
 from __future__ import annotations
@@ -127,19 +127,20 @@ class MonotonePiece:
 
 
 class _Tree:
-    """A tree field of a piece that validate made: its row of the parsed
-    texts (vars(piece)["_texts"], after the evaluator's the
-    antiderivative's) makes it on first read, which it then keeps in the
-    piece's __dict__, where every later read finds it."""
+    """A tree field of a piece or tail that validate made: its row of the
+    parsed texts (vars(obj)["_texts"]: the evaluator's, then the
+    antiderivative's, each a Parsed and an index) makes it on first read,
+    which it then keeps in the object's __dict__, where every later read
+    finds it."""
 
     def __init__(self, name: str, at: int):
         self.name, self.at = name, at
 
-    def __get__(self, piece, owner=None):
-        if piece is None:
+    def __get__(self, obj, owner=None):
+        if obj is None:
             return self
-        texts = vars(piece)["_texts"]
-        e = vars(piece)[self.name] = texts[self.at].tree(texts[self.at + 1])
+        texts = vars(obj)["_texts"]
+        e = vars(obj)[self.name] = texts[self.at].tree(texts[self.at + 1])
         return e
 
 
@@ -151,11 +152,19 @@ MonotonePiece.antiderivative = _Tree("antiderivative", 2)
 @dataclass(frozen=True)
 class TailSpec:
     """Behaviour at +inf: the finite limit f(inf) and optional
-    antiderivative data for tail integrals."""
+    antiderivative data for tail integrals.  Like a piece, a tail that
+    validate makes builds its antiderivative's tree on first read."""
 
     limit_at_infinity: float
     antiderivative: ex.Expr | None = None
     antiderivative_limit: float | None = None
+
+    def __getstate__(self):
+        return {name: getattr(self, name) for name in _TAIL_FIELDS}
+
+
+_TAIL_FIELDS = tuple(f.name for f in dataclasses.fields(TailSpec))
+TailSpec.antiderivative = _Tree("antiderivative", 2)
 
 
 @dataclass(frozen=True)
@@ -1071,8 +1080,8 @@ def validate(spec: Mapping) -> BvFunction:
     and a violation is made only for an entry that fails, in the order of
     the entries and of their fields.  The sampled checks evaluate the
     pieces through one expr.Rows plan of their texts, which the function
-    keeps in its columns (BvFunction.columns); each piece makes its trees
-    only when they are read (MonotonePiece).
+    keeps in its columns (BvFunction.columns); each piece, and the tail,
+    makes its trees only when they are read (_Tree).
     """
     out: list[Violation] = []
 
@@ -1130,7 +1139,7 @@ def validate(spec: Mapping) -> BvFunction:
                                      f"right value {bp_right[i].item()} != piece limit "
                                      f"{pr[i].item()}"))
 
-    tail = None
+    tail = anti = None  # anti: the tail's _texts, if its antiderivative parses
     if half_line:
         if traw is None:
             out.append(Violation("MissingTail", "tail", "half-line domain requires tail data"))
@@ -1138,14 +1147,13 @@ def validate(spec: Mapping) -> BvFunction:
             out.append(Violation("BadSpec", "tail", "tail must be an object"))
         else:
             tl = _to_float(traw.get("limit"), out, "tail.limit")
-            anti = None
             alim = None
             if tail_text is not None:
                 n = len(entries)  # the tail's text follows the pieces'
                 if ps.antis.item[n] < 0:
                     out.append(_expr_violation(ps.antis, tail_text, n, "tail.antiderivative"))
                 else:
-                    anti = ps.antis.tree(n)
+                    anti = (None, None, ps.antis, n)
                 araw = traw.get("antiderivative_limit")
                 if araw == "inf":
                     alim = math.inf
@@ -1159,7 +1167,13 @@ def validate(spec: Mapping) -> BvFunction:
             if not math.isfinite(tl):
                 out.append(Violation("MissingTail", "tail", "limit at infinity must be finite"))
             else:
-                tail = TailSpec(tl, anti, alim)
+                tail = _new(TailSpec)
+                d = vars(tail)
+                d["limit_at_infinity"], d["antiderivative_limit"] = tl, alim
+                if anti is None:
+                    d["antiderivative"] = None
+                else:
+                    d["_texts"] = anti
                 if len(ps.lo) and math.isinf(ps.hi[-1]) and not _close(ps.right[-1], tl):
                     out.append(Violation("InconsistentLimits", "tail",
                                          "tail limit != last piece right limit"))
@@ -1168,7 +1182,7 @@ def validate(spec: Mapping) -> BvFunction:
 
     columns = Columns(ps.lo, ps.hi, ps.left, ps.right, ps.direction, ps.closed,
                       ps.exprs.plan(ps.rows), x, bp_left, bp_right)
-    has_tail = tail is not None and tail.antiderivative is not None
+    has_tail = tail is not None and anti is not None
     _check_pieces(columns, ps.antis, ps.rows, len(entries) if has_tail else None, out)
     if out:
         raise ValidationError(out)

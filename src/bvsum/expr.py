@@ -368,7 +368,9 @@ def parse(text: str) -> Expr:
     blanked.  The template's builder, made once per key when the key is
     met a second time, builds the AST from the numbers in text order.  A
     key met once or without a builder, or a number that is not finite,
-    takes the parser, whose errors hold the offsets in the text."""
+    takes the parser, whose errors hold the offsets in the text.
+    parse_texts parses many texts the same way, one program and one
+    matrix of numbers per key, without building their ASTs."""
     parts = _NUMBER_RE.split(text)
     key = tuple(parts[::2])
     if _meet(key):
@@ -409,7 +411,7 @@ class _Template(NamedTuple):
     shape: tuple | None  # the shape of every text, if none is pinned
     source: str | None  # the source of the factory, if there are ops
     regs: tuple  # the registers of the constants that are not pinned
-    take: list | None  # the numbers in regs, if regs are all the numbers in order
+    take: list | None  # per register of regs its number, -1 if named; None if regs are the numbers
     pins: list  # the pinned numbers
 
 
@@ -1157,7 +1159,8 @@ def rows_of(exprs) -> Rows:
         start += len(block[4])
     first = [block[5] + k for block, k in items]
     which = np.fromiter(map(dict(zip(distinct, first)).__getitem__, ids), np.intp, len(ids))
-    return Rows([(shape, init, code, regs, np.array(consts, np.float64).reshape(len(consts), len(regs)))
+    return Rows([(shape, init, code, regs,
+                  np.array(consts, np.float64).reshape(len(consts), len(regs)))
                  for shape, init, code, regs, consts, _ in blocks.values()], which)
 
 

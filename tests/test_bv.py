@@ -578,17 +578,18 @@ class TestBatchedValidation:
 # breakpoint or tail that is not an object, pieces or breakpoints that are
 # not a list, and a number that is a bool or too large for a float are each
 # a BadSpec.
-def _two_pieces(**tail):
+def _two_pieces(tail=None):
+    """Two valid pieces on [0, 2], or on a half-line with tail if given."""
     spec = {"domain": {"lo": 0, "hi": 2},
             "pieces": [{"interval": [0, 1], "expr": "x", "direction": "inc",
                         "left_limit": 0, "right_limit": 1, "antiderivative": "x^2/2"},
                        {"interval": [1, 2], "expr": "2", "direction": "const",
                         "left_limit": 2, "right_limit": 2}],
             "breakpoints": [{"x": 1, "left": 1, "value": 1.5, "right": 2}]}
-    if tail:
+    if tail is not None:
         spec["domain"]["hi"] = "inf"
         spec["pieces"][1]["interval"][1] = "inf"
-        spec["tail"] = tail["tail"]
+        spec["tail"] = tail
     return spec
 
 
@@ -807,6 +808,7 @@ def assert_as_reference(spec):
     # texts' templates, so their pickles share the same strings
     f, ref = _validated(spec)[1], _validated(spec, ref_validate)[1]
     assert all("evaluator" not in vars(p) for p in f.pieces)  # no tree yet
+    assert f.tail is None or vars(f.tail).get("antiderivative") is None
     assert f == ref and ref == f and hash(f) == hash(ref)
     assert pickle.dumps(f) == pickle.dumps(ref)
     for p, raw in zip(f.pieces, spec["pieces"]):
@@ -856,6 +858,16 @@ class TestColumnLoader:
         assert e == ex.parse("x") and vars(p)["evaluator"] is e and p.evaluator is e
         assert p.antiderivative == ex.parse("x^2/2")
 
+    def test_tail_tree_made_on_first_read(self):
+        tail = validate(json.loads((CORPUS_DIR / "harmonic.json").read_text())).tail
+        assert "antiderivative" not in vars(tail)
+        e = tail.antiderivative
+        assert e == ex.parse("log(1+x)") and vars(tail)["antiderivative"] is e
+        state = bv.TailSpec.__getstate__(tail)
+        assert list(state) == ["limit_at_infinity", "antiderivative", "antiderivative_limit"]
+        made = bv.TailSpec(*state.values())
+        assert made == tail and pickle.dumps(made) == pickle.dumps(tail)
+
     def test_variation_request_makes_no_tree(self, capsys, monkeypatch):
         from bvsum import cli
 
@@ -868,8 +880,7 @@ class TestColumnLoader:
                              "--hi", str(hi), "--json"])
             assert code == 0
         capsys.readouterr()
-        # harmonic's tail antiderivative is the one tree a load makes
-        assert len(made) == 1
+        assert made == []  # harmonic's tail antiderivative too is made on first read
 
 
 class TestEvalAndLimits:
