@@ -273,17 +273,19 @@ def evaluate(f: BvFunction, x: float) -> float:
     return f.pieces[-1].right_boundary_limit
 
 
-def values_at_integers(f: BvFunction, a: int, b: int):
-    """An iterator of evaluate(f, k) for the integers a <= k < b, in
-    increasing k, so the first failing k raises.  The pieces tile the
-    domain between breakpoints, so an integer strictly inside a piece
-    takes that piece's evaluator, and evaluate() gives the others, which
-    are breakpoints or domain_lo.  Each run of two or more integers inside
-    a piece goes to the evaluator's block kernel (Expr.block) in runs of
-    at most _BLOCK integers, evaluated lazily, one at a time, so memory
-    does not grow with b - a; a lone integer, for which the kernel's fixed
-    cost is many times evaluate()'s, goes to evaluate().  The kernel gives
-    the values of the evaluator's float function bit for bit.  Only the
+def summands_at_integers(f: BvFunction, a: int, b: int):
+    """An iterator of summands of evaluate(f, k) for the integers a <= k <
+    b, in increasing k, whose math.fsum, inside any larger fsum, gives the
+    bits of the term-by-term sum; the first failing k raises.  The pieces
+    tile the domain between breakpoints, so an integer strictly inside a
+    piece takes that piece's evaluator, and evaluate() gives the others,
+    which are breakpoints or domain_lo.  Each run of two or more integers
+    inside a piece goes to the evaluator's block kernel (Expr.block) in
+    runs of at most _BLOCK integers, evaluated lazily, one at a time, so
+    memory does not grow with b - a; a lone integer, for which the
+    kernel's fixed cost is many times evaluate()'s, goes to evaluate().
+    The kernel gives the values of the evaluator's float function bit for
+    bit, or one zero for a run on which it is that zero.  Only the
     integers k with |k| <= 2^53 take the runs: their floats are k itself,
     so strictly inside the piece, while the float of a larger k may round
     onto a breakpoint; evaluate() gives those too.  Only the pieces that
@@ -314,8 +316,8 @@ _EXACT = 1 << 53
 
 
 def _blocks(kernel, s: int, t: int):
-    """The values of kernel (an Expr.block) over the integers s..t-1, one
-    run of at most _BLOCK integers at a time."""
+    """The summands of kernel (an Expr.block) over the integers s..t-1,
+    one run of at most _BLOCK integers at a time."""
     return itertools.chain.from_iterable(
         kernel(j, min(j + _BLOCK, t)) for j in range(s, t, _BLOCK))
 
@@ -615,10 +617,12 @@ _new = object.__new__
 def _breakpoints(entries: Sequence, lo: float, hi: float, out: list[Violation]):
     """The breakpoints of the spec's entries, each with finite values at
     an x in the domain: (the Breakpoints, their x, left and right values
-    as arrays); the violations go to out, in the order of the entries,
-    then those of x not increasing."""
+    as arrays, the index of each in entries, or None if all are kept);
+    the violations go to out, in the order of the entries, then those of
+    x not increasing."""
     if not entries:
-        return (), _NONE, _NONE, _NONE
+        return (), _NONE, _NONE, _NONE, None
+    kept = None
     fields = _fields(entries, _BP_FIELDS)
     values, bad = _floats([f or _NO_BREAKPOINT for f in fields], 4)
     x = values[:, 0]
@@ -647,6 +651,7 @@ def _breakpoints(entries: Sequence, lo: float, hi: float, out: list[Violation]):
                 out.append(Violation("BadPartition", f"breakpoints[{i}]",
                                      f"breakpoint x={x[i].item()} outside domain"))
         values = values[keep]
+        kept = keep.nonzero()[0]
     x, left, _, right = values.T
     if len(x) > 1:
         for j in (x[1:] <= x[:-1]).nonzero()[0].tolist():
@@ -657,7 +662,7 @@ def _breakpoints(entries: Sequence, lo: float, hi: float, out: list[Violation]):
         bp = _new(Breakpoint)
         vars(bp).update(zip(_BP_NAMES, row))
         bps.append(bp)
-    return tuple(bps), x, left, right
+    return tuple(bps), x, left, right, kept
 
 
 class _Pieces(NamedTuple):
@@ -1097,7 +1102,8 @@ def validate(spec: Mapping) -> BvFunction:
         raise ValidationError([Violation("BadSpec", "domain", f"bad domain [{lo}, {hi}]")])
     half_line = math.isinf(hi)
 
-    bps, x, bp_left, bp_right = _breakpoints(_entries(spec, "breakpoints", out), lo, hi, out)
+    bps, x, bp_left, bp_right, kept = _breakpoints(_entries(spec, "breakpoints", out), lo, hi,
+                                                   out)
     entries = _entries(spec, "pieces", out)
     traw = spec.get("tail")
     tail_text = traw.get("antiderivative") if half_line and isinstance(traw, Mapping) else None
@@ -1130,12 +1136,13 @@ def validate(spec: Mapping) -> BvFunction:
             right_off &= ~_close(bp_right, pr)
             off = left_off | right_off
         for i in off.nonzero()[0].tolist():
+            at = f"breakpoints[{i if kept is None else kept[i]}]"  # the spec's entry
             if left_off[i]:
-                out.append(Violation("InconsistentLimits", f"breakpoints[{i}]",
+                out.append(Violation("InconsistentLimits", at,
                                      f"left value {bp_left[i].item()} != piece limit "
                                      f"{pl[i].item()}"))
             if right_off[i]:
-                out.append(Violation("InconsistentLimits", f"breakpoints[{i}]",
+                out.append(Violation("InconsistentLimits", at,
                                      f"right value {bp_right[i].item()} != piece limit "
                                      f"{pr[i].item()}"))
 

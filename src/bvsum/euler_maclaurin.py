@@ -20,7 +20,7 @@ from .bv import (
     left_limit,
     mid_value_strict,
     pointwise_variation,
-    values_at_integers,
+    summands_at_integers,
 )
 from .errors import (
     DomainError,
@@ -89,10 +89,12 @@ class Convergence(Enum):
 
 def _direct_sum(f: BvFunction, a: int, b: int) -> float:
     # math.fsum is exactly rounded, stronger than compensated summation;
-    # the values stream from the pieces' block kernels, run by run, in
-    # increasing k and bit for bit as evaluate gives them, so the sum is
-    # the term-by-term one and memory does not grow with b - a
-    return math.fsum(values_at_integers(f, a, b))
+    # the summands stream from the pieces' block kernels, run by run, in
+    # increasing k: the values bit for bit as evaluate gives them, or one
+    # zero for a run that is that zero, which fsum takes as the run's
+    # zeros.  So the sum is the term-by-term one and memory does not grow
+    # with b - a
+    return math.fsum(summands_at_integers(f, a, b))
 
 
 def _check_integers_in_domain(f: BvFunction, a: int, b: int) -> None:

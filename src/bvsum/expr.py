@@ -48,8 +48,14 @@ program, in its order, that evaluates operands left to right and checks
 each result: a zero divisor before "/", finiteness after every binary
 op, pow and function, and the libm errors of the functions, each with
 the kind the array path gives it.  A run of integers s <= k < t is
-evaluated by a block kernel (Expr.block) in two stages, made from the
-same ops.  The ops in _EXACT that read x, constants and one another run
+summed through a block kernel (Expr.block), made from the same ops,
+which gives summands whose math.fsum, inside any larger fsum, is the
+term-by-term sum.  The ops on constants alone run once.  A root that is
+monotone in x and one zero at both ends of the run, with the operands
+that the stages below would test finite there, is that zero throughout,
+and the kernel gives it once (the zero stage); so does a root on
+constants alone that is zero.  Otherwise the values are evaluated in two
+stages.  The ops in _EXACT that read x, constants and one another run
 as ufuncs over np.arange(s, t), and round as the float ops do; the others
 (powers, the libm calls and what reads them) run bare in one list
 comprehension over the .tolist() of those arrays, each with the float
@@ -144,11 +150,13 @@ class Expr:
 
     @functools.cached_property
     def block(self):
-        """The kernel (s, t) -> the values e(k) for the integers s <= k < t,
-        which must have |k| <= 2^53, from the same call of the shape's
-        factory as compiled (see _kernel): a list, or when a test trips,
-        map(compiled, the floats of the run), which raises compiled's
-        EvalError at the first failing k when it gets there."""
+        """The kernel (s, t) -> summands of e(k) for the integers s <= k <
+        t, which must have |k| <= 2^53, whose math.fsum, inside any larger
+        fsum, gives the bits of the term-by-term sum, from the same call of
+        the shape's factory as compiled (see _kernel): a list, the values
+        or one zero for a run on which e is that zero, or when a test
+        trips, map(compiled, the floats of the run), which raises
+        compiled's EvalError at the first failing k when it gets there."""
         self.compiled  # sets block too
         return vars(self)["block"]
 
@@ -515,7 +523,8 @@ def _op(e: Expr) -> tuple[str, tuple[Expr, ...]]:
 def _compile(prog, source: str | None = None):
     """(the function mapping a float x to the value of the program prog,
     with the checks of the scalar evaluation, in its order; its block
-    kernel): the lambdas of a root that is x or a constant, else the
+    kernel): the lambdas of a root that is x or a constant, a zero
+    constant adding itself once to a run (see _kernel), else the
     functions generated for the program's shape, over its constants.
     source is the factory's source if known (a template's)."""
     init, code = prog
@@ -523,7 +532,7 @@ def _compile(prog, source: str | None = None):
         if not init:
             return (lambda x: x), (lambda s, t: np.arange(s, t, dtype=np.float64).tolist())
         v = float(init[0])
-        return (lambda x: v), (lambda s, t: [v] * (t - s))
+        return (lambda x: v), (lambda s, t: [v] * (t - s if v else min(t - s, 1)))
     return _factory(source or _source(prog))(*[float(v) for v in init if v is not None])
 
 
@@ -557,8 +566,10 @@ def _source(prog) -> str:
 
 def _kernel(prog) -> str:
     """The source of the block kernel of the program prog: block(s, t),
-    the values of the float function f at the integers s <= k < t, which
-    must have |k| <= 2^53.  Its registers are named by _names.
+    summands of the float function f at the integers s <= k < t, which
+    must have |k| <= 2^53, whose math.fsum, inside any larger fsum, gives
+    the bits of the term-by-term sum of f(k).  Its registers are named by
+    _names.
 
     An op on constants alone runs once per run, as f runs it.  Every
     other op in _EXACT whose operands are x, constants or other such ops
@@ -566,7 +577,7 @@ def _kernel(prog) -> str:
     exactly; these ufuncs round as f's float ops do.  Every other op runs
     in one list comprehension over the .tolist() of the arrays it reads,
     as its bare expression in _OPS.  So each op runs on the operands it
-    has in f and gives the same bits.
+    has in f and gives the same bits, and the summands are the values.
 
     Each op result that a masking op reads is tested: once if it is made
     of constants alone, by a finite sum if it is an array (as the
@@ -579,15 +590,22 @@ def _kernel(prog) -> str:
     floats of the run), which raises f's EvalError at the first failing
     k when it gets there.  A subexpression of the comprehension's element
     nested more than _NESTING brackets deep is bound to its register by a
-    clause, so that the source stays within the parser's limit."""
+    clause, so that the source stays within the parser's limit.
+
+    A run on which f is one zero adds that zero once, not t - s times,
+    as fsum ignores zeros but for the sign of an all-zero sum: a root on
+    constants alone that is zero, and a monotone root that is one zero at
+    both ends of the run, with the operands the ufuncs would test finite
+    there, so that f is that zero throughout (the zero stage, see
+    _end_tests).  A run where it is not goes on as above."""
     init, code = prog
     name = _names(init)
     # per register: "const", "numpy" (an array over the run) or "python"
     stage = ["numpy"] + ["const" if v is not None else None for v in init]
-    mono, signs = _monotone(prog)
+    mono, tests = _monotone(prog)
     value, depth = list(name), [0] * len(name)  # in the comprehension
     const, arrays, clauses = [], [], []  # statements, clauses
-    loop, ends = [], []  # the arrays the comprehension reads; end tests
+    loop, ends, summed = [], [], []  # the arrays the comprehension reads; end tests; sum tests
     for fn, a, b, dst, tmp, guards, op in code:
         ab = (a,) if b is None else (a, b)
         bare = _OPS[op][0]
@@ -601,6 +619,7 @@ def _kernel(prog) -> str:
                 const.append(f"if not isfinite({name[g]}):\n    raise Recheck")
             elif stage[g] == "numpy":
                 arrays.append(f"if not finite({name[g]}):\n    raise Recheck")
+                summed.append(g)
             elif mono[g]:
                 ends.append(g)
             else:
@@ -624,9 +643,10 @@ def _kernel(prog) -> str:
                 clauses.append(f"for {r} in [{value[dst]}]")
                 value[dst], depth[dst] = r, 0
     root = code[-1][3]
+    zero = mono[root] and stage[root] != "const"
     body = list(const)
-    if ends:
-        body += _end_tests(code, name, stage, ends, signs)
+    if ends or zero:
+        body += _end_tests(code, name, stage, ends, tests, (root, summed) if zero else None)
     if stage[root] == "numpy":
         arrays.append(f"if finite({name[root]}):\n    return {name[root]}.tolist()")
     if arrays:
@@ -639,7 +659,8 @@ def _kernel(prog) -> str:
         body += [f"v = [{value[root]} {' '.join([loop_clause, *clauses])}]",
                  "if isfinite(sum(v)):\n    return v"]
     elif stage[root] == "const":
-        body.append(f"if isfinite({name[root]}):\n    return [{name[root]}] * (t - s)")
+        body.append(f"if isfinite({name[root]}):\n"
+                    f"    return [{name[root]}] * (t - s if {name[root]} else 1)")
     return ("    def block(s, t):\n"
             "        if s >= t:\n"
             "            return []\n"
@@ -659,56 +680,91 @@ _MONOTONE = frozenset((np.negative, np.sqrt, np.floor, np.exp, np.log, np.arctan
 
 def _monotone(prog) -> tuple[list, list]:
     """(per register, whether it is monotone in x; per register, the
-    registers whose two end values must share one strict sign for it to
-    be).  A monotone register is x, or built from x by ops of _MONOTONE
-    and +, -, * or / with a finite constant, or ^ or pow with a finite
-    constant exponent.  A power is monotone only on a base of one strict
-    sign, and so is c/v on a divisor v of one: a monotone base of that
-    sign at the run's ends keeps it in between.  The float ops round
-    monotonically, and the libm calls are taken to, so over an integer run
-    a monotone register lies between its values at the two ends.  A libm
-    call that did not could matter only within an ulp of overflow."""
+    registers to test for it to be: an op result on constants alone must
+    be finite, and a register read from x must have one strict sign at
+    the run's two ends).  A monotone register is x, or built from x by
+    ops of _MONOTONE and +, -, * or / with a finite constant, or ^ or pow
+    with a finite constant exponent, where a constant is a literal or an
+    op result on constants alone, as the -c1 of c0*exp(-c1*x).  A power
+    is monotone only on a base of one strict sign, and so is c/v on a
+    divisor v of one: a monotone base of that sign at the run's ends
+    keeps it in between.  The float ops round monotonically, and the libm
+    calls are taken to, so over an integer run a monotone register lies
+    between its values at the two ends.  A libm call that did not could
+    matter only within an ulp of overflow or underflow."""
     init, code = prog
-    finite = [False] + [v is not None and math.isfinite(v) for v in init]
-    mono, signs = [True] + [False] * len(init), [()] * (len(init) + 1)
+    const = [False] + [v is not None and math.isfinite(v) for v in init]
+    mono, tests = [True] + [False] * len(init), [()] * (len(init) + 1)
     for fn, a, b, dst, _, _, _ in code:
         if b is None:
-            mono[dst], signs[dst] = fn in _MONOTONE and mono[a], signs[a]
+            mono[dst], tests[dst] = fn in _MONOTONE and mono[a], tests[a]
+            const[dst] = const[a]
+        elif const[a] and const[b]:
+            const[dst] = True
         elif fn in (np.add, np.subtract, np.multiply, np.true_divide, np.power):
-            if mono[a] and finite[b]:
+            if mono[a] and const[b]:
                 mono[dst] = True
-                signs[dst] = signs[a] + ((a,) if fn is np.power else ())
-            elif finite[a] and mono[b] and fn is not np.power:
+                tests[dst] = tests[a] + tests[b] + ((a,) if fn is np.power else ())
+            elif const[a] and mono[b] and fn is not np.power:
                 mono[dst] = True
-                signs[dst] = signs[b] + ((b,) if fn is np.true_divide else ())
-    return mono, signs
+                tests[dst] = tests[a] + tests[b] + ((b,) if fn is np.true_divide else ())
+        if const[dst]:
+            tests[dst] = (dst,)
+    return mono, tests
 
 
-def _end_tests(code, name, stage, ends, signs) -> list[str]:
-    """The statements of a kernel that test the monotone registers ends
-    at the run's two ends: each is finite there, and each register of
-    their signs has one strict sign there.  The ops they read run as f's
-    bare expressions on the floats of s and t - 1, as x_0 and x_1, with
-    the registers named <name>_0 and <name>_1."""
-    need = set(ends)
-    for _, a, b, dst, _, _, _ in reversed(code):  # each reader before its operands
-        if dst in need:
-            need.update(r for r in (a, b) if r is not None and stage[r] != "const")
+def _end_tests(code, name, stage, ends, tests, zero) -> list[str]:
+    """The statements of a kernel that test registers at the run's two
+    ends.  The ops they read run as f's bare expressions on the floats of
+    s and t - 1, as x_0 and x_1, with the registers named <name>_0 and
+    <name>_1.  First, each monotone register of ends must be finite there
+    and pass its tests (see _monotone), or Recheck is raised.  Then, if
+    zero is (the root, the registers the ufunc stage tests by their sums),
+    the zero stage: if the root is one zero at both ends (the same bits),
+    those registers are finite there and the root passes its tests, f is
+    that zero at every integer of the run, and the kernel returns it
+    alone.  It evaluates the root at t - 1 first, where a decay reaches
+    zero, and at s only if the root is zero there."""
+
+    def reads(regs) -> set:
+        need = set(regs)
+        for _, a, b, dst, _, _, _ in reversed(code):  # each reader before its operands
+            if dst in need:
+                need.update(r for r in (a, b) if r is not None and stage[r] != "const")
+        return need
+
+    need = reads(ends)
+    more = reads([zero[0]]) - need if zero else set()
 
     def at(r: int, end: str) -> str:
-        return f"{name[r]}_{end}" if r in need else name[r]
+        return f"{name[r]}_{end}" if r in need or r in more else name[r]
 
-    lines = ["x_0, x_1 = float(s), float(t - 1)"]
-    for _, a, b, dst, _, _, op in code:
-        if dst in need:
-            bare = _OPS[op][0]
-            lines += [f"{at(dst, end)} = "
-                      + bare.format(a=at(a, end), b=at(a if b is None else b, end))
-                      for end in "01"]
-    sign = dict.fromkeys(r for g in ends for r in signs[g])
-    tests = ([f"isfinite({at(g, end)})" for g in ends for end in "01"]
-             + [f"{at(r, '0')} * {at(r, '1')} > 0" for r in sign])
-    return [*lines, f"if not ({' and '.join(tests)}):\n    raise Recheck"]
+    def evaluate(regs, end: str) -> list[str]:
+        return [f"{at(dst, end)} = "
+                + _OPS[op][0].format(a=at(a, end), b=at(a if b is None else b, end))
+                for _, a, b, dst, _, _, op in code if dst in regs]
+
+    def passes(regs) -> list[str]:
+        return [f"isfinite({name[r]})" if stage[r] == "const" else
+                f"{at(r, '0')} * {at(r, '1')} > 0" for r in dict.fromkeys(regs)]
+
+    lines = []
+    tested = [r for g in ends for r in tests[g]]
+    if ends:
+        checks = [f"isfinite({at(g, end)})" for g in ends for end in "01"] + passes(tested)
+        lines += ["x_0, x_1 = float(s), float(t - 1)", *evaluate(need, "0"), *evaluate(need, "1"),
+                  f"if not ({' and '.join(checks)}):\n    raise Recheck"]
+    if zero:
+        root, summed = zero
+        r0, r1 = at(root, "0"), at(root, "1")
+        checks = ([f"{r0} == 0.0", f"copysign(1.0, {r0}) == copysign(1.0, {r1})"]
+                  + [f"isfinite({at(g, end)})" for g in summed for end in "01"]
+                  + passes(r for r in tests[root] if r not in tested))
+        inner = [*([] if ends else ["x_0 = float(s)"]), *evaluate(more, "0"),
+                 f"if {' and '.join(checks)}:\n    return [{r1}]"]
+        lines += [*([] if ends else ["x_1 = float(t - 1)"]), *evaluate(more, "1"),
+                  f"if {r1} == 0.0:", *("    " + line for st in inner for line in st.split("\n"))]
+    return lines
 
 
 # The most brackets an expression in a block kernel's element nests; the
@@ -739,8 +795,8 @@ def _finite(v) -> bool:
 _NAMES = {"EvalError": EvalError, "Recheck": _Recheck, "recheck": _recheck,
           "np": np, "errstate": np.errstate, "finite": _finite,
           **{name: getattr(math, name) for name in
-             ("isfinite", "pow", "exp", "log", "sqrt", "sin", "cos", "atan",
-              "floor")}}
+             ("isfinite", "copysign", "pow", "exp", "log", "sqrt", "sin", "cos",
+              "atan", "floor")}}
 
 
 @functools.lru_cache(maxsize=_FACTORIES)

@@ -251,11 +251,13 @@ class Layout:
             plan = self._joins[other] = self.plan.join(other.plan)
         return plan
 
-    def containing(self, xs):
-        """The index of the piece whose open interval contains x, for each
-        x of xs, else -1 (as BvFunction.piece_containing)."""
-        i = self.lo.searchsorted(xs, "right") - 1  # bisect_right
-        return np.where((i >= 0) & (self.lo[i] < xs) & (xs < self.hi[i]), i, -1)
+    def covering(self, ss, ts):
+        """The index of the piece whose interval holds the cell [s, t], for
+        each s of ss and t of ts, s < t, else -1.  The cell's ends find it,
+        not its middle, which may round onto an end of a cell one ulp
+        wide."""
+        i = self.lo.searchsorted(ss, "right") - 1  # bisect_right
+        return np.where((i >= 0) & (ts <= self.hi[i]), i, -1)
 
     def breakpoints_at(self, xs):
         """The index of the breakpoint at x, for each x of xs, else -1."""
@@ -891,8 +893,8 @@ def _beta1_claim(f: BvFunction, lo: int, hi: int, tol: float) -> _Claim:
     atoms_radius = 8.0 * _EPS * math.fsum(sizes) + math.fsum(errors)  # _slack(*terms)
     grid = _refinement_grid(float(lo), float(hi), (f,), with_integers=True)
     x = np.array(grid)
-    ks = lay.containing(0.5 * (x[:-1] + x[1:]))  # the pieces of the cells
     ss, ts = x[:-1], x[1:]
+    ks = lay.covering(ss, ts)  # the pieces of the cells
     uncovered = (ks < 0).nonzero()[0]
     route = lay.route[ks]
     values, radii = [], []
@@ -950,8 +952,8 @@ def _value(seen: dict, e: ex.Expr, x: float) -> float:
 
 class _Sides(NamedTuple):
     """A function's data on a refinement grid: at, the indices of its
-    pieces at the middles of the cells, -1 where none contains one; left
-    and right, its one-sided limits at the points as left_limit and
+    pieces that hold the cells, -1 where none holds one; left and
+    right, its one-sided limits at the points as left_limit and
     right_limit take them, not strict (NaN where its piece fails to
     evaluate); failed, which maps each such point to its EvalError;
     loose, the points with neither a breakpoint nor a piece, where a
@@ -966,11 +968,11 @@ class _Sides(NamedTuple):
     offset: int
 
 
-def _sides(fn: BvFunction, grid: list, x, mids, offset: int) -> _Sides:
+def _sides(fn: BvFunction, grid: list, x, offset: int) -> _Sides:
     """The _Sides of fn on a refinement grid: its points grid, as the
-    array x, and the middles mids of its cells.  The limits at fn's
-    breakpoints are its layout's; at each other point (a breakpoint of
-    the other function, or a grid end) its piece is evaluated, once."""
+    array x.  The limits at fn's breakpoints are its layout's; at each
+    other point (a breakpoint of the other function, or a grid end) its
+    piece is evaluated, once."""
     lay = fn.layout
     bp = lay.breakpoints_at(x)
     left, right = lay.left[bp], lay.right[bp]
@@ -986,7 +988,7 @@ def _sides(fn: BvFunction, grid: list, x, mids, offset: int) -> _Sides:
         except ex.EvalError as err:
             left[k] = right[k] = math.nan
             failed[k] = err.with_traceback(None)
-    return _Sides(lay.containing(mids), left, right, failed, loose, offset)
+    return _Sides(lay.covering(x[:-1], x[1:]), left, right, failed, loose, offset)
 
 
 def _strict_left(mid, fn: BvFunction, k: int) -> float:
@@ -1027,11 +1029,10 @@ def _mid_grid(f: BvFunction, g: BvFunction, lo: float, hi: float) -> _MidGrid:
             raise DomainError(f"[{lo}, {hi}[ outside a domain")
     grid = _refinement_grid(lo, hi, (f, g), with_integers=False)
     x = np.array(grid)
-    mids = 0.5 * (x[:-1] + x[1:])
-    sides = {id(f): _sides(f, grid, x, mids, 0)}
+    sides = {id(f): _sides(f, grid, x, 0)}
     if g is f:
         return _MidGrid(grid, x, sides, f.layout.plan)
-    sides[id(g)] = _sides(g, grid, x, mids, len(f.pieces))
+    sides[id(g)] = _sides(g, grid, x, len(f.pieces))
     return _MidGrid(grid, x, sides, f.layout.joined(g.layout))
 
 

@@ -198,7 +198,7 @@ def ref_validate(spec) -> BvFunction:
         raise ValidationError([Violation("BadSpec", "domain", f"bad domain [{lo}, {hi}]")])
     half_line = math.isinf(hi)
 
-    bps = []
+    bps, entry = [], []  # the breakpoints kept, the index of each in the spec
     for i, braw in enumerate(_entries(spec, "breakpoints", out)):
         if not isinstance(braw, Mapping):
             out.append(Violation("BadSpec", f"breakpoints[{i}]", "breakpoint must be an object"))
@@ -218,6 +218,7 @@ def ref_validate(spec) -> BvFunction:
                                  f"breakpoint x={x} outside domain"))
             continue
         bps.append(Breakpoint(x, l, v, r))
+        entry.append(i)
     for a, b in zip(bps, bps[1:]):
         if not (a.x < b.x):
             out.append(Violation("BadPartition", "breakpoints",
@@ -275,7 +276,7 @@ def ref_validate(spec) -> BvFunction:
     # breakpoint values vs adjacent piece limits
     piece_by_lo = {p.lo: p for p in pieces}
     piece_by_hi = {p.hi: p for p in pieces}
-    for i, bp in enumerate(bps):  # finite values, so equal ones are close
+    for i, bp in zip(entry, bps):  # finite values, so equal ones are close
         pl = piece_by_hi.get(bp.x)
         pr = piece_by_lo.get(bp.x)
         if pl is not None and bp.left_value != pl.right_boundary_limit \

@@ -613,6 +613,15 @@ class TestMalformedSpecs:
         assert _violations(spec) == [("BadSpec", "breakpoints[1]",
                                       "breakpoint must be an object")]
 
+    def test_breakpoint_named_by_its_entry_in_the_spec(self):
+        # an entry left out before it does not shift its index
+        spec = _two_pieces()
+        spec["breakpoints"][0]["right"] = 3
+        spec["breakpoints"].insert(0, {"x": 7, "left": 0, "value": 0, "right": 0})
+        want = [("BadPartition", "breakpoints[0]", "breakpoint x=7.0 outside domain"),
+                ("InconsistentLimits", "breakpoints[1]", "right value 3.0 != piece limit 2.0")]
+        assert _violations(spec) == want == _validated(spec, ref_validate)[1]
+
     @pytest.mark.parametrize("name", ["pieces", "breakpoints"])
     @pytest.mark.parametrize("value", [None, 5, "x", {"x": 1}])
     def test_entries_that_are_not_a_list(self, name, value):

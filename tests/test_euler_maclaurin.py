@@ -1,8 +1,11 @@
 import math
 import struct
 import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bvsum import (
     Breakpoint,
@@ -26,6 +29,7 @@ from bvsum import (
     series_sum,
     validate,
 )
+from bvsum import expr as ex
 from bvsum.bv import _BLOCK
 from bvsum.euler_maclaurin import _direct_sum
 from conftest import CORPUS_NAMES
@@ -466,3 +470,54 @@ def test_direct_sum_past_2_53_matches_evaluate_term_by_term():
                     (down, -n - 9, -n + 5000), (down, -n - 3, -n + 2)):
         assert _sum_outcome(_direct_sum, g, a, b) == \
             _sum_outcome(ref_direct_sum, g, a, b), (a, b)
+
+
+# A block on which a monotone evaluator is one zero at both ends is that
+# zero throughout, and adds it to the sum once.  The expressions below
+# underflow to 0.0 or -0.0 past some x, are 0 times x, or have a base or
+# divisor that changes sign (and may fail at its zero); the ranges start
+# on either side of the underflow and run over several blocks.
+
+_coefficients = st.sampled_from([1.0, 2.5, -1.5, 1e-300, -1e-300, 5e-324, 0.0])
+_rates = st.sampled_from([0.5, 1.0, 1.25, 2.0, 3.0])
+_shifts = st.integers(-40, 40).map("{:+d}".format)
+_monotone_texts = st.one_of(
+    st.builds("{}*exp(-{}*x)".format, _coefficients, _rates),
+    st.sampled_from(["-exp(-x)", "exp(-x)", "0*x", "-0*x", "x*0-0"]),
+    st.builds("{}/(x{})^{}".format, _coefficients, _shifts, st.integers(1, 60)),
+    st.builds("{}*pow(x{}, {})".format, _coefficients, _shifts, st.integers(-60, -1)),
+    st.builds("{}/(x{})".format, _coefficients, _shifts))
+
+
+_lengths = st.one_of(st.sampled_from([0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3,
+                                      3 * _BLOCK + 5]),
+                    st.integers(0, 3 * _BLOCK + 10))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_monotone_texts, st.integers(-99, 2500), _lengths)
+# zero at both ends of a block, but the base or divisor is 0 inside
+@example("1e-300*pow(x+3, -60)", -99, 200)
+@example("5e-324/(x-7)^2", -99, 3000)
+def test_direct_sum_of_zero_blocks_matches_evaluate_term_by_term(text, a, n):
+    f = _one_piece(text, -100.0, 40_000.0)
+    assert _sum_outcome(_direct_sum, f, a, a + n) == _sum_outcome(ref_direct_sum, f, a, a + n)
+
+
+def test_zero_blocks_skip_their_comprehension():
+    # the blocks of (3000, 3000 + 3 * _BLOCK) are all 0.0: each evaluates
+    # exp at its two ends only, not at its 4096 integers
+    f = _one_piece("7*exp(-(x+0.25)/3)", 0.0, 40_000.0)
+    calls = []
+
+    def exp(v):
+        calls.append(v)
+        return math.exp(v)
+
+    with mock.patch.dict(ex._NAMES, {"exp": exp}):
+        assert _direct_sum(f, 3000, 3000 + 3 * _BLOCK) == 0.0
+        assert len(calls) == 2 * 3
+        calls.clear()
+        # a block that is not zero throughout runs whole
+        assert _direct_sum(f, 1000, 1000 + _BLOCK) == ref_direct_sum(f, 1000, 1000 + _BLOCK)
+        assert len(calls) > _BLOCK

@@ -640,20 +640,32 @@ def test_pickled_node_compiles_again_to_the_same_bits(tree, xs):
 
 # The block kernel maps an integer run s <= k < t: ops on constants alone
 # once, the exact ops as ufuncs over the run, the others in one
-# comprehension, falling back to the float function.  Its values and first
-# error must be those of the float function called at each k in turn.
+# comprehension, falling back to the float function.  Its summands must
+# be the values of the float function called at each k in turn, or that
+# zero once on a run where it is one zero, and its first error that of
+# the float function.
+
+_ZEROS = (_bits(0.0), _bits(-0.0))
+
+
+def _summed(bits):
+    # a run of one zero adds the same to a sum as that zero once
+    if bits and bits[0] in _ZEROS and bits.count(bits[0]) == len(bits):
+        return bits[:1]
+    return bits
+
 
 def _block_outcome(e, s, t):
-    # the bits of the values, or the first EvalError's kind and x
+    # the bits of the summands, or the first EvalError's kind and x
     try:
-        return ("values", [_bits(v) for v in e.block(s, t)])
+        return ("values", _summed([_bits(v) for v in e.block(s, t)]))
     except EvalError as err:
         return ("error", err.kind, repr(err.x))
 
 
 def _pointwise_outcome(e, s, t):
     try:
-        return ("values", [_bits(e.compiled(float(k))) for k in range(s, t)])
+        return ("values", _summed([_bits(e.compiled(float(k))) for k in range(s, t)]))
     except EvalError as err:
         return ("error", err.kind, repr(err.x))
 
@@ -699,7 +711,14 @@ _RUNS = [(0, 5), (-3, 3), (2, 3), (1, 2), (0, 0), (5, 3), (-712, -700),
     "atan(exp(x)*1e307)", "atan(exp(-x)*1e307)", "exp(x)*1e307",
     # monotone operands tested at the ends; floor's zero has no sign
     "1/(1+x)^2", "2*exp(-0.5*x)", "3*atan(0.25*x)", "atan(floor(-x))",
-    "exp(log(x+1)*2)/(x+1)^0.5"])
+    "exp(log(x+1)*2)/(x+1)^0.5",
+    # one zero throughout, as one summand, or 0.0 on one side of 0 and
+    # -0.0 on the other
+    "0*x", "-0*x", "x*0-0", "0/(x+0.5)", "-exp(-x)", "2*exp(-3*x)", "-1e-300/(x+3)",
+    # zero at both ends, a base or divisor 0 inside
+    "1e-300/(x+3)^60", "5e-324/(x-7)", "pow(x-7, -60)*1e-300",
+    # a masked operand that overflows where the root is 0
+    "exp(-x*1e306)", "atan(exp(-x)*1e307)*0"])
 def test_block_matches_the_float_function_on_fixed_cases(text):
     e = parse(text)
     for s, t in _RUNS:
@@ -707,10 +726,13 @@ def test_block_matches_the_float_function_on_fixed_cases(text):
 
 
 def test_block_tests_monotone_operands_at_the_ends():
-    # a power of a base of one sign is tested at the run's ends, and a
-    # power whose exponent is not a finite literal term by term
-    ends, terms = (ex._kernel(parse(t).program) for t in ("1/(1+x)^2", "1/(1+x)^(-2)"))
+    # a power of a base of one sign is tested at the run's ends, also with
+    # an exponent made of constants alone, which must be finite, and a
+    # power whose exponent reads x term by term
+    ends, negated, terms = (ex._kernel(parse(t).program)
+                            for t in ("1/(1+x)^2", "1/(1+x)^(-2)", "1/(1+x)^(0*x-2)"))
     assert "x_0" in ends and "recheck()" not in ends
+    assert "x_0" in negated and "recheck()" not in negated and "isfinite(t1) and" in negated
     assert "x_0" not in terms and "recheck()" in terms
     # an exact expression runs as ufuncs alone
     assert "for " not in ex._kernel(parse("3/(1+0.5*x)").program)

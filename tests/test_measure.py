@@ -399,6 +399,16 @@ class TestStieltjesBeta1:
         assert res.radius <= 1e-6 and res.continuous_contribution == Certified(0.0, 0.0)
         assert abs(Fraction(res.value) - self.exact_atoms(f, lo, 2)) <= Fraction(res.radius)
 
+    def test_a_piece_one_ulp_wide(self):
+        # the cell between 1.9899999999999998 and 1.99 has its middle on
+        # its left end: its piece is found by its ends
+        xs = [1.9899999999999998, 1.99]
+        assert math.nextafter(xs[0], 2.0) == xs[1] and 0.5 * (xs[0] + xs[1]) == xs[0]
+        f = self.steps(xs, [1.0, 2.0, 4.0])
+        res = stieltjes_beta1(f, 0, 2, 1e-6)
+        assert res.continuous_contribution == Certified(0.0, 0.0)
+        assert abs(Fraction(res.value) - self.exact_atoms(f, 0, 2)) <= Fraction(res.radius)
+
     @staticmethod
     def scalar_atoms(f, lo, hi):
         """(value, radius) of the atoms, one float operation at a time: the
@@ -480,6 +490,26 @@ class TestStieltjesMidvalue:
         # [1, 2[ contains the atom at 1 with g_m(1) = 1
         got = stieltjes_midvalue(g, f, 1, 2, 1e-8)
         assert got.contains(1.0, slack=1e-12)
+
+    def test_a_cell_one_ulp_wide(self):
+        # f rises by rise on the one-ulp piece between 1.9899999999999998
+        # and 1.99, whose cell has its middle on its left end: its piece is
+        # found by its ends, and the cell is integrated
+        a, b = 1.9899999999999998, 1.99
+        rise = 1e17 * (b - a)
+        f = validate({
+            "domain": {"lo": 0, "hi": 2},
+            "pieces": [{"interval": [0, a], "expr": "0", "direction": "const",
+                        "left_limit": 0, "right_limit": 0},
+                       {"interval": [a, b], "expr": f"1e17*(x-{a!r})", "direction": "inc",
+                        "left_limit": 0, "right_limit": rise},
+                       {"interval": [b, 2], "expr": repr(rise), "direction": "const",
+                        "left_limit": rise, "right_limit": rise}],
+            "breakpoints": [{"x": a, "left": 0, "value": 0, "right": 0},
+                            {"x": b, "left": rise, "value": rise, "right": rise}]})
+        one = bare("1", 0, 2, "const", 1, 1)
+        got = stieltjes_midvalue(one, f, 0, 2, 1e-6)
+        assert got.contains(rise, slack=1e-12)
 
 
 def bare(expr, lo, hi, direction, left, right):
