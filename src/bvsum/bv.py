@@ -88,7 +88,10 @@ class MonotonePiece:
 
     A piece that validate makes holds its row of the spec's parsed texts
     in place of its trees, and makes each tree on first read (_Tree):
-    eq, hash, repr and pickle read them, compiled and block do not."""
+    eq, hash, repr and pickle read them.  The float functions of its
+    evaluator (compiled, with block) and of its antiderivative
+    (compiled_antiderivative) come from those texts while no tree is made
+    (_Compiled), so no query makes one."""
 
     lo: float
     hi: float  # math.inf on the tail piece of a half-line
@@ -104,16 +107,6 @@ class MonotonePiece:
     @property
     def delta(self) -> float:
         return self.right_boundary_limit - self.left_boundary_limit
-
-    @functools.cached_property
-    def compiled(self):
-        """The evaluator's function of a float (expr.Expr.compiled)."""
-        texts = vars(self).get("_texts")
-        if texts is None or "evaluator" in vars(self):
-            fn, vars(self)["block"] = self.evaluator.compiled, self.evaluator.block
-        else:
-            fn, vars(self)["block"] = texts[0].kernels(texts[1])
-        return fn
 
     @functools.cached_property
     def block(self):
@@ -144,16 +137,45 @@ class _Tree:
         return e
 
 
+class _Compiled:
+    """The float function of a tree field of a piece or tail
+    (expr.Expr.compiled), None where the field is None: made on first
+    read from the field's parsed text (expr.Parsed.kernels) while its
+    tree is not made, else from the tree, and then kept in the object's
+    __dict__ under name, and its block kernel under block if given."""
+
+    def __init__(self, name: str, field: str, at: int, block: str | None = None):
+        self.name, self.field, self.at, self.block = name, field, at, block
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        d = vars(obj)
+        if self.field in d:  # a tree, made or given, or None
+            e = d[self.field]
+            fn, block = (None, None) if e is None else (e.compiled, e.block)
+        else:
+            texts = d["_texts"]
+            fn, block = texts[self.at].kernels(texts[self.at + 1])
+        d[self.name] = fn
+        if self.block is not None:
+            d[self.block] = block
+        return fn
+
+
 _PIECE_FIELDS = tuple(f.name for f in dataclasses.fields(MonotonePiece))
 MonotonePiece.evaluator = _Tree("evaluator", 0)
 MonotonePiece.antiderivative = _Tree("antiderivative", 2)
+MonotonePiece.compiled = _Compiled("compiled", "evaluator", 0, "block")
+MonotonePiece.compiled_antiderivative = _Compiled("compiled_antiderivative", "antiderivative", 2)
 
 
 @dataclass(frozen=True)
 class TailSpec:
     """Behaviour at +inf: the finite limit f(inf) and optional
     antiderivative data for tail integrals.  Like a piece, a tail that
-    validate makes builds its antiderivative's tree on first read."""
+    validate makes builds its antiderivative's tree on first read, and
+    compiled_antiderivative is its float function."""
 
     limit_at_infinity: float
     antiderivative: ex.Expr | None = None
@@ -165,6 +187,7 @@ class TailSpec:
 
 _TAIL_FIELDS = tuple(f.name for f in dataclasses.fields(TailSpec))
 TailSpec.antiderivative = _Tree("antiderivative", 2)
+TailSpec.compiled_antiderivative = _Compiled("compiled_antiderivative", "antiderivative", 2)
 
 
 @dataclass(frozen=True)
@@ -1013,7 +1036,10 @@ def _antiderivative_scores(plan: ex.Rows, anti: np.ndarray, ev: np.ndarray,
         up, down, ref = vals[:n], vals[n:2 * n], vals[2 * n:]
         with np.errstate(all="ignore"):
             score = np.abs((up - down) / (2.0 * h) - ref) / (FD_REL_TOL * (1.0 + np.abs(ref)))
-        # fmax ignores NaN scores, from stencils at points that overflowed to inf
+            # a NaN score of finite stencil points fails, as of values
+            # that are not finite; fmax ignores the others, from stencils
+            # at points that overflowed to inf
+            score[np.isnan(score) & np.isfinite(xs[:n]) & np.isfinite(xs[n:2 * n])] = math.inf
         worst = np.fmax.reduce(score, axis=1, initial=0.0).tolist()
         for r, k in enumerate(ks.tolist()):
             err = errors.get(r) or errors.get(n + r) or errors.get(2 * n + r)

@@ -21,59 +21,55 @@ _MAX_DEPTH levels deep, in ops on one path or in parentheses and operands
 open at once, is a ParseError, so every accepted one is evaluated,
 compared, hashed and printed within the default recursion limit.
 
-parse works per template: texts whose tokens differ only in the values
-of their numbers share one, keyed by the text with its numbers blanked.
-The parser makes each template once, from a text of 0s in the place of
-the numbers, and a builder read off that tree's program then makes each
-text's tree from its numbers.  The builder sets each node's fields in
-its __dict__, as the frozen dataclasses' __init__ would without its
-object.__setattr__ per field, and sets on the root its array program,
-its shape and the source of its float functions' factory, all made once
-per template but for the bits of the shape's pinned constants.  The
-templates are kept in a bounded cache.  A text that does not parse, or
-has a number that is not finite, goes to the parser, which raises its
-errors.  parse_texts parses a spec's texts by columns, without trees:
-the texts of one key become the template's program and one matrix of
-their numbers, a row per text (Parsed), from which the sampled checks
-and the refinements evaluate them, and a text's tree is made only when
-something reads it (Parsed.tree, as parse makes it).
+parse is the parser, the only maker of trees.  parse_texts parses a
+spec's texts by columns, without trees: texts whose tokens differ only
+in the values of their numbers share a template, keyed by the text with
+its numbers blanked, which the parser makes once from a text of 0s in
+the place of the numbers: its program, its shape and the source of its
+float functions' factory, all the same for every text of the key but
+for the bits of the shape's pinned constants.  The templates are kept
+in a bounded cache.  The texts of one key become the template's program
+and one matrix of their numbers, a row per text (Parsed), from which the
+sampled checks, the refinements and the float functions evaluate them;
+a text's tree is made only when something reads it (Parsed.tree, which
+parses it).  A text that does not parse, or has a number that is not
+finite, goes to the parser, which raises its errors.
 
-Each node compiles itself once, on first use (parse sets the root's
-array program), and keeps the result outside its fields, so eq, hash,
-repr and pickle ignore it.  Only _program walks the tree: every other
-compiled form is a loop over its ops, each op's facts in its row of
-_OPS.  A float is evaluated by one straight-line
-function (Expr.compiled) with one group of statements per op of the
-program, in its order, that evaluates operands left to right and checks
-each result: a zero divisor before "/", finiteness after every binary
-op, pow and function, and the libm errors of the functions, each with
-the kind the array path gives it.  A run of integers s <= k < t is
-summed through a block kernel (Expr.block), made from the same ops,
-which gives summands whose math.fsum, inside any larger fsum, is the
-term-by-term sum.  The ops on constants alone run once.  A root that is
-monotone in x and one zero at both ends of the run, with the operands
-that the stages below would test finite there, is that zero throughout,
-and the kernel gives it once (the zero stage); so does a root on
-constants alone that is zero.  Otherwise the values are evaluated in two
-stages.  The ops in _EXACT that read x, constants and one another run
-as ufuncs over np.arange(s, t), and round as the float ops do; the others
-(powers, the libm calls and what reads them) run bare in one list
-comprehension over the .tolist() of those arrays, each with the float
-function's math call.  As in the unchecked run below, the values are
-tested once, through their total, and so is each operand of a masking
-op that is not a literal: an array by its sum, a comprehension value
-term by term, or at the run's two ends if it is monotone in x.  If a test
-trips, or an op raises, the run goes through the float function
-instead, lazily, so the values and the first failing point's EvalError
-are those of the float function at each integer in turn.  Both sources
-are made only of the ops' bare expressions in _OPS, the statements _OPS
-builds around them, ufunc names and register names (see _names), never
-text from the node.  So they depend only on the program's ops and on
-which constants are finite: the constants are the arguments of a
-generated factory that returns both functions, compiled once per shape
-and kept in a bounded cache that a CLI request, which parses its spec
-again, reuses; a root built by a template finds its factory by the
-source the template made.
+Each node compiles itself once, on first use, and keeps the result
+outside its fields, so eq, hash, repr and pickle ignore it.  Only
+_program walks the tree: every other compiled form is a loop over its
+ops, each op's facts in its row of _OPS.  A float is evaluated by one
+straight-line function (Expr.compiled) with one group of statements per
+op of the program, in its order, that evaluates operands left to right
+and checks each result: a zero divisor before "/", finiteness after
+every binary op, pow and function, and the libm errors of the
+functions, each with the kind the array path gives it.  A run of
+integers s <= k < t is summed through a block kernel (Expr.block), made
+from the same ops, which gives summands whose math.fsum, inside any
+larger fsum, is the term-by-term sum.  The ops on constants alone run
+once.  A root that is monotone in x and one zero at both ends of the
+run, with the operands that the stages below would test finite there,
+is that zero throughout, and the kernel gives it once (the zero stage);
+so does a root on constants alone that is zero.  Otherwise the values
+are evaluated in two stages.  The ops in _EXACT that read x, constants
+and one another run as ufuncs over np.arange(s, t), and round as the
+float ops do; the others (powers, the libm calls and what reads them)
+run bare in one list comprehension over the .tolist() of those arrays,
+each with the float function's math call.  As in the unchecked run
+below, the values are tested once, through their total, and so is each
+operand of a masking op that is not a literal: an array by its sum, a
+comprehension value term by term, or at the run's two ends if it is
+monotone in x.  If a test trips, or an op raises, the run goes through
+the float function instead, lazily, so the values and the first failing
+point's EvalError are those of the float function at each integer in
+turn.  Both sources are made only of the ops' bare expressions in _OPS,
+the statements _OPS builds around them, ufunc names and register names
+(see _names), never text from the node.  So they depend only on the
+program's ops and on which constants are finite: the constants are the
+arguments of a generated factory that returns both functions, compiled
+once per shape and kept in a bounded cache that a CLI request, which
+parses its spec again, reuses; a text of a template finds its factory
+by the source the template made.
 
 An array is evaluated by a flat postorder program of ufunc calls
 (Expr.program), run by one interpreter in two modes.  The unchecked run
@@ -144,8 +140,7 @@ class Expr:
     @functools.cached_property
     def compiled(self):
         """The function x -> e(x) for a float x (see _compile)."""
-        # a template's builder sets the source of the root's factory
-        fn, vars(self)["block"] = _compile(self.program, vars(self).get("source"))
+        fn, vars(self)["block"] = _compile(self.program)
         return fn
 
     @functools.cached_property
@@ -174,7 +169,7 @@ class Expr:
     def __getstate__(self):
         # functions do not pickle; the copy compiles again on first use
         return {k: v for k, v in vars(self).items()
-                if k not in ("compiled", "block", "program", "shape", "source")}
+                if k not in ("compiled", "block", "program", "shape")}
 
 
 @dataclass(frozen=True)
@@ -369,54 +364,25 @@ def _height(e: Expr) -> int:
 
 
 def parse(text: str) -> Expr:
-    """Parse expression text into an AST, raising ParseError on bad input.
-
-    Texts whose tokens differ only in the values of their numbers share a
-    template, keyed by the text cut at its numbers with the numbers
-    blanked.  The template's builder, made once per key when the key is
-    met a second time, builds the AST from the numbers in text order.  A
-    key met once or without a builder, or a number that is not finite,
-    takes the parser, whose errors hold the offsets in the text.
-    parse_texts parses many texts the same way, one program and one
-    matrix of numbers per key, without building their ASTs."""
-    parts = _NUMBER_RE.split(text)
-    key = tuple(parts[::2])
-    if _meet(key):
-        template = _template(key)
-        if template is not None:
-            values = list(map(float, parts[1::2]))
-            if math.isfinite(sum(values)):
-                return template.build(*values)
+    """Parse expression text into an AST, raising ParseError on bad input:
+    _Parser(text).parse().  parse_texts parses many texts without their
+    ASTs, one program and one matrix of numbers per template key."""
     return _Parser(text).parse()
 
 
 # The templates kept, one per key.  A CLI request parses its spec again:
 # the cache, not the request, makes each template once.
 _TEMPLATES = 256
-# The keys met, oldest first, at most 4 * _TEMPLATES.
-_MET: dict = {}
-
-
-def _meet(key: tuple) -> bool:
-    """Whether key was met before; it is met now.  A builder costs about
-    ten parses: it is made only for a key that comes back."""
-    if key in _MET:
-        return True
-    _MET[key] = None
-    if len(_MET) > 4 * _TEMPLATES:
-        del _MET[next(iter(_MET))]
-    return False
 
 
 class _Template(NamedTuple):
-    """What the texts cut into one key share (see _builder)."""
+    """What the texts cut into one key share (see _template)."""
 
-    build: object  # the builder of a text's AST from its numbers
     init: tuple  # the program's registers after x, 0.0 for each number
     code: tuple  # the program's ops
     numbers: tuple  # the indices in init of the numbers, in text order
     pinned: tuple  # the program's pinned constants (see _pinned)
-    shape: tuple | None  # the shape of every text, if none is pinned
+    shape: tuple | None  # the shape of every text, if no number is pinned
     source: str | None  # the source of the factory, if there are ops
     regs: tuple  # the registers of the constants that are not pinned
     take: list | None  # per register of regs its number, -1 if named; None if regs are the numbers
@@ -426,89 +392,28 @@ class _Template(NamedTuple):
 @functools.lru_cache(maxsize=_TEMPLATES)
 def _template(key: tuple) -> _Template | None:
     """The template of the texts cut into key, the text between their
-    numbers (see parse), or None if such a text does not parse.  The text
-    parsed has 0 for each number, set apart by spaces so that it runs into
-    no token beside it.  So it has the tokens of every text cut into key
-    but for the numbers, unless a number there runs on from a name, as
-    "2" in "x2": then the name is followed by a number, which no text of
-    the grammar has, and it fails.  A character that starts no token ("."
-    not before a digit, "$") fails there as in those texts."""
-    text = " 0 ".join(key)
+    numbers (see parse_texts), or None if such a text does not parse.
+    The text parsed has 0 for each number, set apart by spaces so that it
+    runs into no token beside it.  So it has the tokens of every text cut
+    into key but for the numbers, unless a number there runs on from a
+    name, as "2" in "x2": then the name is followed by a number, which no
+    text of the grammar has, and it fails.  A character that starts no
+    token ("." not before a digit, "$") fails there as in those texts.
+    The numbers are the registers that hold 0, as no named constant is 0,
+    and the postorder of the program is their text order."""
     try:
-        return _builder(_Parser(text).parse())
+        prog = init, code = _program(_Parser(" 0 ".join(key)).parse())
     except ParseError:
         return None
-
-
-def _builder(e: Expr) -> _Template:
-    """The template of e, whose numbers are 0 and whose named constants
-    are not.  Its builder is a function of the numbers, in text order,
-    that builds e's AST with them as one straight-line function, read off
-    e's program, whose registers hold the numbers in text order and each
-    node after its operands.  It makes each node without its __init__,
-    setting the fields in the node's __dict__ as that would, and sets on
-    the root its array program (e's ops, over those numbers and e's named
-    constants), its shape (the same for every text of the template but for
-    the bits of its pinned constants) and the source of its factory (see
-    _compile)."""
-    prog = init, code = _program(e)
     pinned = _pinned(prog)
-    ops = iter(code)
-    node = ["new(Var)"]  # per register, its node: x's is made per reader
-    lines = []
-    registers = []  # per register after x: (its source, its float's)
-    numbers = []  # the registers of the numbers
-    for r, v in enumerate(init, 1):
-        if v is None:
-            _, a, b, _, _, _, op = next(ops)
-            args = [node[k] for k in ((a,) if b is None else (a, b))]
-            if op == "neg":
-                t, fields = Neg, {"arg": args[0]}
-            elif op in FUNCTIONS or op == "pow":
-                t, fields = Call, {"fn": repr(op), "args": f"({', '.join(args)},)"}
-            else:
-                t, fields = Bin, {"op": repr(op), "left": args[0], "right": args[1]}
-            registers.append(("None", None))
-        elif v:
-            t, fields = Const, {"name": repr(_NAMED[v])}
-            registers.append((f"I[{r - 1}]",) * 2)
-        else:
-            count = len(numbers)
-            t, fields = Num, {"value": f"n{count}"}
-            registers.append((f"F(n{count})", f"n{count}"))
-            numbers.append(r - 1)
-        node.append(f"t{r}")
-        lines.append(f"    t{r} = new({t.__name__})\n    d = t{r}.__dict__\n"
-                     + "".join(f"    d[{k!r}] = {v}\n" for k, v in fields.items()))
-    init_source = "".join(f"{r}, " for r, _ in registers)
-    bits = "".join(f"B({registers[k - 1][1]}), " for k in pinned)
-    source = (f"def build({', '.join(f'n{i}' for i in range(len(numbers)))}):\n"
-              + "".join(lines)
-              + f"    root = {node[-1]}\n"
-              "    d = root.__dict__\n"
-              f"    d['program'] = (({init_source}), CODE)\n"
-              f"    d['shape'] = {f'(CODE, LEN, PINNED, ({bits}))' if pinned else 'SHAPE'}\n"
-              + ("    d['source'] = SOURCE\n" if code else "")
-              + "    return root\n")
-    scope = {}
-    shape = None if pinned else _shape(prog)
-    factory = _source(prog) if code else None
-    names = {"Num": Num, "Var": Var, "Const": Const, "Neg": Neg, "Bin": Bin,
-             "Call": Call, "new": object.__new__, "F": np.float64, "B": _BITS,
-             "I": init, "CODE": code, "LEN": len(init), "PINNED": pinned,
-             "SHAPE": shape, "SOURCE": factory}
-    exec(compile(source, "<bvsum.expr template>", "exec"), names, scope)
+    numbers = [r for r, v in enumerate(init) if v is not None and not v]
     regs = _column_registers(init, pinned)
     take = [numbers.index(r) if r in numbers else -1 for r in regs]
     pins = [numbers.index(r - 1) for r in pinned if r - 1 in numbers]
     if take == list(range(len(numbers))):
         take = None
-    return _Template(scope["build"], init, code, tuple(numbers), pinned, shape, factory,
-                     regs, take, pins)
-
-
-# A named constant by its value, which is not 0.
-_NAMED = {v: name for name, v in CONSTANTS.items()}
+    return _Template(init, code, tuple(numbers), pinned, None if pins else _shape(prog),
+                     _source(prog) if code else None, regs, take, pins)
 
 
 def _op(e: Expr) -> tuple[str, tuple[Expr, ...]]:
@@ -597,7 +502,8 @@ def _kernel(prog) -> str:
     constants alone that is zero, and a monotone root that is one zero at
     both ends of the run, with the operands the ufuncs would test finite
     there, so that f is that zero throughout (the zero stage, see
-    _end_tests).  A run where it is not goes on as above."""
+    _end_tests).  A run where it is not goes on as above: only then is
+    np.arange(s, t) made."""
     init, code = prog
     name = _names(init)
     # per register: "const", "numpy" (an array over the run) or "python"
@@ -647,6 +553,8 @@ def _kernel(prog) -> str:
     body = list(const)
     if ends or zero:
         body += _end_tests(code, name, stage, ends, tests, (root, summed) if zero else None)
+    if stage[root] != "const":  # the ufuncs or the comprehension read x
+        body.append("x = np.arange(s, t, dtype=np.float64)")
     if stage[root] == "numpy":
         arrays.append(f"if finite({name[root]}):\n    return {name[root]}.tolist()")
     if arrays:
@@ -664,12 +572,11 @@ def _kernel(prog) -> str:
     return ("    def block(s, t):\n"
             "        if s >= t:\n"
             "            return []\n"
-            "        x = np.arange(s, t, dtype=np.float64)\n"
             "        try:\n"
             + "".join(f"            {line}\n" for st in body for line in st.split("\n"))
             + "        except (Recheck, ArithmeticError, ValueError):\n"
             "            pass\n"
-            "        return map(f, x.tolist())\n")
+            "        return map(f, map(float, range(s, t)))\n")
 
 
 # Ufuncs monotone in their operand; add, subtract and multiply are
@@ -1239,25 +1146,25 @@ def eval_rows(exprs, x: np.ndarray):
 class Parsed:
     """Texts parsed per template key (parse_texts), without their ASTs.
 
-    The texts of a key with a template are the rows of a matrix of their
-    numbers, in text order; a text that takes the parser (its key met
-    once, without a template, or a number that is not finite) has its
-    AST, or its ParseError in errors.  key[i] is text i's key, or -1 if
-    it took the parser, and row[i] its row there or its place in trees.
-    tree(i) makes text i's AST as parse(text) makes it, and kernels(i) its
-    compiled functions without it.  blocks are the Rows blocks of all the
-    texts that parse, a key's program and matrix or an AST's program;
-    item[i] is text i's number there (-1 for a text that did not parse,
-    of which there are missing), and plan(indices) the Rows of texts."""
+    texts are the texts, as a tuple.  The texts of a key with a template
+    are the rows of a matrix of their numbers, in text order; a text that
+    takes the parser (without a template, or with a number that is not
+    finite) has its AST, or its ParseError in errors.  key[i] is text
+    i's key, or -1 if it took the parser, and row[i] its row there or its
+    place in trees.  tree(i) is text i's AST, which it parses, and
+    kernels(i) its compiled functions without it.  blocks are the Rows
+    blocks of all the texts that parse, a key's program and matrix or an
+    AST's program; item[i] is text i's number there (-1 for a text that
+    did not parse, of which there are missing), and plan(indices) the
+    Rows of texts."""
 
-    __slots__ = ("templates", "numbers", "key", "row", "trees", "errors", "blocks", "item",
-                 "missing")
+    __slots__ = ("texts", "templates", "numbers", "key", "row", "trees", "errors", "blocks",
+                 "item", "missing")
 
     def tree(self, i: int) -> Expr:
-        k = self.key[i]
-        if k < 0:
+        if self.key[i] < 0:
             return self.trees[self.row[i]]
-        return self.templates[k].build(*self.numbers[k][self.row[i]].tolist())
+        return _Parser(self.texts[i]).parse()
 
     def kernels(self, i: int):
         """(Expr.compiled, Expr.block) of text i's AST."""
@@ -1284,6 +1191,7 @@ def parse_texts(texts) -> Parsed:
     their ASTs (see Parsed).  An Expr among them is its own AST; any
     other entry that is not a str is left out (key and item -1)."""
     p = Parsed()
+    p.texts = texts = tuple(texts)
     n = len(texts)
     p.templates, p.numbers, p.trees, p.errors, p.blocks = [], [], [], {}, []
     p.key, p.row, item = [-1] * n, [-1] * n, [-1] * n
@@ -1298,8 +1206,8 @@ def parse_texts(texts) -> Parsed:
             p.trees.append(text)
     count = 0  # the texts in blocks
     for key, members in keys.items():
-        t = _template(key) if _meet(key) or len(members) > 1 else None
-        rows = []  # the numbers of the texts the template builds
+        t = _template(key)
+        rows = []  # the numbers of the texts of the template
         for i, numbers in members:
             values = list(map(float, numbers))
             if t is not None and math.isfinite(sum(values)):

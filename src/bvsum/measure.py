@@ -638,11 +638,10 @@ def _bracket_columns(f: BvFunction, ks, ss, ts) -> dict:
         for i, k, s, t, es, et in zip(clipped.tolist(), ks[clipped].tolist(),
                                       ss[clipped].tolist(), ts[clipped].tolist(),
                                       at_s[clipped].tolist(), at_t[clipped].tolist()):
-            e = f.pieces[k].evaluator
             if es:
-                v0[i] = _value(seen, e, s)
+                v0[i] = _value(seen, f, k, s)
             if et:
-                vn[i] = _value(seen, e, t)
+                vn[i] = _value(seen, f, k, t)
         bracket[2:, clipped] = _rounding(ss[clipped], ts[clipped], v0[clipped], vn[clipped])
     return {"plan": lay.plan, "rows": (ks,), "s": ss, "t": ts, "v0": v0, "vn": vn,
             "delta": delta, "term": term, "weight": weight, "floor": floor}
@@ -743,8 +742,8 @@ def _integral_claim(f: BvFunction, a: float, b: float, tol: float) -> _Claim:
             radii.append(0.0 if exact else _slack(values[-1])
                          + (5e-324 if abs(values[-1]) < sys.float_info.min else 0.0))
         else:
-            fs = ex.eval_expr(p.antiderivative, s)
-            ft = ex.eval_expr(p.antiderivative, t)
+            F = p.compiled_antiderivative
+            fs, ft = F(float(s)), F(float(t))
             values.append(ft - fs)
             radii.append(_slack(fs, ft, ft - fs))
     if c1 - c0 == j - i:  # nothing to bracket
@@ -773,14 +772,15 @@ def tail_integral(f: BvFunction, n: float, tol: float = DEFAULT_TOL):
     if not tol > 0.0:
         raise ToleranceUnreachable(f"tolerance {tol} below rounding floor")
     ts = f.tail
-    if ts is None or ts.antiderivative is None:
+    F = None if ts is None else ts.compiled_antiderivative
+    if F is None:
         raise MissingAntiderivative("no tail antiderivative supplied")
     tail_piece = f.pieces[-1]
     if ts.antiderivative_limit is None or math.isinf(ts.antiderivative_limit):
         return DIVERGENT
     f_inf = ts.antiderivative_limit
     start = max(n, tail_piece.lo)
-    f_start = ex.eval_expr(ts.antiderivative, start)
+    f_start = F(float(start))
     value = f_inf - f_start
     radius = _slack(f_inf, f_start, value)
     if n < tail_piece.lo:
@@ -904,8 +904,8 @@ def _beta1_claim(f: BvFunction, lo: int, hi: int, tol: float) -> _Claim:
         s, t = grid[k], grid[k + 1]
         p = f.pieces[ks[k]]
         v0, vn = _segment_endpoint_values(p, s, t)
-        fs = ex.eval_expr(p.antiderivative, s)
-        ft = ex.eval_expr(p.antiderivative, t)
+        F = p.compiled_antiderivative
+        fs, ft = F(float(s)), F(float(t))
         v = _parts(s, t, v0, vn, ft - fs)
         values.append(v)
         radii.append(_slack(fs, ft, v0, vn, v))
@@ -940,13 +940,13 @@ def _require_int(v) -> int:
     raise NonIntegerBounds(f"bounds must be integers, got {v!r}")
 
 
-def _value(seen: dict, e: ex.Expr, x: float) -> float:
-    """e(x), evaluated once per expression and point and kept in seen.
-    The key holds the sign of x, since 0.0 == -0.0."""
-    key = (id(e), x, math.copysign(1.0, x))
+def _value(seen: dict, f: BvFunction, k: int, x: float) -> float:
+    """f.pieces[k](x), evaluated once per piece and point and kept in
+    seen.  The key holds the sign of x, since 0.0 == -0.0."""
+    key = (k, x, math.copysign(1.0, x))
     v = seen.get(key)
     if v is None:
-        v = seen[key] = ex.eval_expr(e, x)
+        v = seen[key] = f.pieces[k].compiled(x)
     return v
 
 
@@ -984,7 +984,7 @@ def _sides(fn: BvFunction, grid: list, x, offset: int) -> _Sides:
             left[k], right[k] = left_limit(fn, grid[k]), right_limit(fn, grid[k])
             continue
         try:
-            left[k] = right[k] = ex.eval_expr(p.evaluator, grid[k])
+            left[k] = right[k] = p.compiled(float(grid[k]))
         except ex.EvalError as err:
             left[k] = right[k] = math.nan
             failed[k] = err.with_traceback(None)

@@ -456,6 +456,36 @@ class TestVectorValidation:
         spec["tail"]["antiderivative"] = "-exp(-x)"
         assert validate(spec).tail.antiderivative == ex.parse("-exp(-x)")
 
+    @pytest.mark.parametrize("text", ["1e400", "-1e400"])
+    def test_antiderivative_of_infinite_values_is_bad_antiderivative(self, text):
+        # its difference quotients are inf - inf, NaN at finite points
+        spec = {
+            "domain": {"lo": 0, "hi": 4},
+            "pieces": [{"interval": [0, 4], "expr": "1/(1+x)", "direction": "dec",
+                        "left_limit": 1, "right_limit": 0.2, "antiderivative": text}],
+            "breakpoints": [],
+        }
+        F = ex.parse(text)
+        assert check_antiderivative(ex.parse("1/(1+x)"), F, 0.0, 4.0) == math.inf
+        assert piece_check_antiderivative(ex.parse("1/(1+x)"), F, 0.0, 4.0) == math.inf
+        with pytest.raises(ValidationError) as exc:
+            validate(spec)
+        [v] = exc.value.violations
+        assert (v.kind, v.where) == ("BadAntiderivative", "pieces[0]")
+        assert v.message == "difference quotients of the antiderivative do not match"
+        assert_as_reference(spec)
+
+    def test_overflowing_stencil_points_are_skipped(self):
+        # a ladder's far points overflow to inf, where F is inf - inf: NaN
+        # scores there are no mismatch
+        lo = 1e300
+        with np.errstate(all="ignore"):
+            xs = lo + lo * _LADDER_POW2
+        assert not np.isfinite(xs).all()
+        F, fe = ex.parse("x"), ex.parse("1")
+        assert check_antiderivative(fe, F, lo, math.inf) < 1.0
+        assert piece_check_antiderivative(fe, F, lo, math.inf) < 1.0
+
     def test_piece_without_sample_points_is_not_sampled(self):
         # the middle piece is one ulp wide: no point lies inside it
         a = 1.0
@@ -890,6 +920,67 @@ class TestColumnLoader:
             assert code == 0
         capsys.readouterr()
         assert made == []  # harmonic's tail antiderivative too is made on first read
+
+    def test_golden_matrix_requests_make_no_tree(self, tmp_path, monkeypatch):
+        # every command kind of the golden matrix, on every corpus spec and
+        # the copies without piece antiderivatives: sum, series, gamma,
+        # convergence, and verify with midvalue, parts and pvv
+        from test_cli_matrix import REPO, matrix, run
+
+        made = []
+        real = ex.Parsed.tree
+        monkeypatch.setattr(ex.Parsed, "tree", lambda self, i: made.append(i) or real(self, i))
+        monkeypatch.chdir(REPO)
+        requests = matrix(tmp_path)
+        kinds = {argv[0] if argv[0] != "verify" else argv[3] for argv in requests.values()}
+        assert kinds == {"variation", "sum", "series", "gamma", "convergence", "midvalue",
+                         "parts", "pvv"}
+        for argv in requests.values():
+            run(argv, tmp_path)
+        assert made == []
+
+    def test_queries_on_validated_functions_make_no_tree(self, monkeypatch):
+        from bvsum import euler_maclaurin as em
+        from bvsum import measure
+        from bvsum.errors import BvError
+
+        made = []
+        real = ex.Parsed.tree
+        monkeypatch.setattr(ex.Parsed, "tree", lambda self, i: made.append(i) or real(self, i))
+        answered = set()
+        for spec in _corpus_specs():
+            bare = copy.deepcopy(spec)
+            for piece in bare["pieces"]:
+                piece.pop("antiderivative", None)
+            for s in (spec, bare):
+                f = validate(s)
+                lo, hi = f.domain_lo, f.domain_hi
+                a = max(0, math.ceil(lo))
+                b = a + 3 if math.isinf(hi) else min(a + 3, math.floor(hi))
+                top = min(hi, lo + 5.0)
+                calls = {
+                    "integrate": lambda: measure.integrate(f, lo, top, 1e-6),
+                    "integrate_clipped": lambda: measure.integrate(f, lo + 0.25, top - 0.5,
+                                                                   1e-6),
+                    "tail_integral": lambda: measure.tail_integral(f, a + 0.5, 1e-6),
+                    "stieltjes_beta1": lambda: measure.stieltjes_beta1(f, a, b, 1e-5),
+                    "stieltjes_midvalue": lambda: measure.stieltjes_midvalue(f, f, lo, top,
+                                                                             1e-4),
+                    "em_finite_sum": lambda: em.em_finite_sum(f, a, b, 1e-6),
+                    "series_sum": lambda: em.series_sum(f, 10, 1e-6),
+                    "euler_constant": lambda: em.euler_constant(f, 10, 1e-6),
+                    "asymptotic_sum": lambda: em.asymptotic_sum(f, 10, 1e-6, n_gamma=100),
+                    "em_midvalue_check": lambda: em.em_midvalue_check(f, a, b, 1e-5),
+                    "parts_check": lambda: em.parts_check(f, f, a, a + 1, 1e-4),
+                }
+                for name, call in calls.items():
+                    try:
+                        call()
+                    except (BvError, ValueError, ArithmeticError):
+                        continue
+                    answered.add(name)
+        assert answered == set(calls)  # each query answered somewhere
+        assert made == []
 
 
 class TestEvalAndLimits:

@@ -179,6 +179,21 @@ class TestExitCodes:
         assert code == 2
         assert "BadExpression" in err
 
+    @pytest.mark.parametrize("text", ["1e400", "-1e400"])
+    def test_infinite_antiderivative_is_bad_antiderivative_exit_2(self, tmp_path, capsys,
+                                                                  text):
+        spec = tmp_path / "infinite.json"
+        spec.write_text(json.dumps({
+            "format": 1, "name": "infinite-antiderivative",
+            "domain": {"lo": 0, "hi": 4},
+            "pieces": [{"interval": [0, 4], "expr": "1/(1+x)", "direction": "dec",
+                        "left_limit": 1, "right_limit": 0.2, "antiderivative": text}],
+            "breakpoints": [],
+        }))
+        code, _, err = run_main(capsys, "sum", spec, "--a", 0, "--b", 3)
+        assert code == 2
+        assert "difference quotients of the antiderivative do not match" in err
+
     @pytest.mark.parametrize("kind", sorted(DEEP))
     def test_deep_expression_runs_at_the_bound_and_is_refused_past_it(
             self, tmp_path, capsys, monkeypatch, kind):

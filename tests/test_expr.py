@@ -992,8 +992,9 @@ def test_row_errors_do_not_keep_the_points_alive():
 
 
 # ---------------------------------------------------------------------------
-# parse builds a text's AST from the template of its key, the text with its
-# numbers blanked; the parser itself makes each template and every error.
+# parse_texts reads each text through the template of its key, the text with
+# its numbers blanked, which the parser makes; parse is the parser, which
+# makes every tree and every error.
 
 _LITERALS = st.sampled_from(["0", "1", "2.", ".5", "1.5", "2e3", "2E+3", "1e-3",
                              "007", "1e400", "4.5e-310", "123456789012345678901"])
@@ -1022,39 +1023,69 @@ def _parse_outcome(parse_text, text):
     try:
         return parse_text(text)
     except ParseError as e:
-        return ("error", e.offset, e.message, e.expected)
+        return _error_outcome(e)
 
 
-def _assert_parses_as_the_parser(text):
-    want = _parse_outcome(lambda t: ex._Parser(t).parse(), text)
-    got = _parse_outcome(parse, text)
-    if isinstance(want, tuple):
-        assert got == want, text
-        return
-    assert got == want and repr(got) == repr(want) and hash(got) == hash(want), text
-    for x in (0.5, -1.5, 3.0, 0.0):
-        assert _scalar_outcome(lambda v: eval_expr(got, v), x) == \
-            _scalar_outcome(lambda v: eval_expr(want, v), x), text
+def _error_outcome(e: ParseError):
+    return ("error", e.offset, e.message, e.expected)
+
+
+def _block_of(p: ex.Parsed, item: int):
+    """The Rows block of parsed texts p that holds their item-th text."""
+    for block in p.blocks:
+        if item < len(block[4]):
+            return block
+        item -= len(block[4])
+    raise IndexError(item)
+
+
+def _rows_outcome(plan, x):
+    # the outcome of eval_expr over x, from a plan of one row
+    values, errors = plan(x[None, :])
+    if errors:
+        return ("error", errors[0].kind, repr(errors[0].x))
+    return ("value", values[0].dtype.str, values[0].tobytes())
+
+
+def _assert_parse_texts_as_the_parser(texts):
+    """parse_texts(texts) reads each text as the parser's tree: the same
+    error, or Parsed.tree equal to it in eq, hash and repr, Parsed.kernels
+    its scalar outcomes, and the plan's row its program, shape and array
+    outcomes."""
+    p = ex.parse_texts(texts)
+    assert p.texts == tuple(texts)
     xs = np.array([0.5, -1.5, 3.0, 0.0, 1e3])
-    assert _outcome(lambda: eval_expr(got, xs)) == _outcome(lambda: eval_expr(want, xs))
-    (init, code), (want_init, want_code) = got.program, ex._program(want)
-    assert code == want_code and got.shape == want.shape, text
-    assert [None if v is None else (type(v), _bits(v)) for v in init] == \
-        [None if v is None else (type(v), _bits(v)) for v in want_init], text
+    for i, text in enumerate(texts):
+        want = _parse_outcome(lambda t: ex._Parser(t).parse(), text)
+        assert _parse_outcome(parse, text) == want, text
+        if isinstance(want, tuple):
+            assert p.item[i] == -1 and _error_outcome(p.errors[i]) == want, text
+            continue
+        got = p.tree(i)
+        assert got == want and repr(got) == repr(want) and hash(got) == hash(want), text
+        fn, block = p.kernels(i)
+        for x in (0.5, -1.5, 3.0, 0.0):
+            assert _scalar_outcome(fn, x) == _scalar_outcome(want.compiled, x), text
+        assert _outcome(lambda: list(block(-2, 3))) == \
+            _outcome(lambda: list(want.block(-2, 3))), text
+        plan = p.plan(np.array([i]))
+        (init, code), (want_init, want_code) = plan.program(0), ex._program(want)
+        assert code == want_code and _block_of(p, p.item[i])[0] == want.shape, text
+        assert [None if v is None else (type(v), _bits(v)) for v in init] == \
+            [None if v is None else (type(v), _bits(v)) for v in want_init], text
+        assert _rows_outcome(plan, xs) == _outcome(lambda: eval_expr(want, xs)), text
 
 
 @settings(max_examples=600, deadline=None)
 @given(_text_pairs())
 def test_template_parse_is_the_parser(texts):
-    # the first text may meet its key, the second then makes and uses its
-    # template
-    for text in texts:
-        _assert_parses_as_the_parser(text)
+    # texts of one key share a template and its matrix of numbers
+    _assert_parse_texts_as_the_parser(texts)
 
 
 # A text per op of _OPS, each op reading a number, x and a named constant
-# through its operands: the template's builder makes each op's node, and
-# tells each number from each named constant, off the program's registers.
+# through its operands: the template tells each number from each named
+# constant off the program's registers.
 _OP_TEXTS = {"neg": "-(1.5*x)", "pow": "pow(1.5*x,e-x)",
              **{op: f"(1.5*x){op}(e-x)" for op in "+-*/^"},
              **{fn: f"{fn}(1.5*x+pi)" for fn in ex.FUNCTIONS}}
@@ -1062,54 +1093,46 @@ _OP_TEXTS = {"neg": "-(1.5*x)", "pow": "pow(1.5*x,e-x)",
 
 @pytest.mark.parametrize("text", [*(pytest.param(_OP_TEXTS[op], id=op) for op in ex._OPS),
                                   "x", "pi", "e", "2.5"])
-def test_template_builds_each_op_and_root_as_the_parser(text, monkeypatch):
-    monkeypatch.setattr(ex, "_MET", {})
+def test_template_reads_each_op_and_root_as_the_parser(text):
     ex._template.cache_clear()
-    _assert_parses_as_the_parser(text)  # meets the key
-    _assert_parses_as_the_parser(text)  # makes and uses the template
-    assert "program" in vars(parse(text))  # set by the template's builder
+    _assert_parse_texts_as_the_parser([text])  # makes the template
+    _assert_parse_texts_as_the_parser([text, text.replace("1.5", "2.5")])  # reads it
+    assert ex.parse_texts([text]).key == [0]  # not the parser's tree
 
 
 @pytest.mark.parametrize("text,offset", MALFORMED)
 def test_malformed_inputs_report_position_on_a_known_key(text, offset):
-    # the second parse finds the key that has no template
+    # the second call finds the key that has no template
     for _ in range(2):
-        with pytest.raises(ParseError) as exc:
-            parse(text)
-        assert exc.value.offset == offset
+        p = ex.parse_texts([text])
+        assert p.item[0] == -1 and p.errors[0].offset == offset
 
 
 def test_texts_of_one_template_share_their_ops():
-    parse("1*x + exp(-1*x)")  # the key is met: the texts below take its template
-    a, b = parse("2*x + exp(-1.5*x)"), parse("3*x + exp(-.25*x)")
-    assert a.program[1] is b.program[1] and a.shape is b.shape
-    assert a.program[0] is not b.program[0]
-    c = parse("2*x+exp(-1.5*x)")  # other spacing, another template
-    assert c == a and c.program[1] == a.program[1]
+    p = ex.parse_texts(["2*x + exp(-1.5*x)", "3*x + exp(-.25*x)", "2*x+exp(-1.5*x)"])
+    plan = p.plan(np.arange(3))
+    assert p.key[0] == p.key[1] != p.key[2]
+    assert plan.program(0)[1] is plan.program(1)[1]
+    assert plan.program(0)[0] != plan.program(1)[0]
+    # other spacing, another template, the same tree and ops
+    assert p.tree(2) == p.tree(0) and plan.program(2)[1] == plan.program(0)[1]
+    # a later call takes the templates from the cache
+    again = ex.parse_texts(["4*x + exp(-2*x)"])
+    assert again.templates[0] is p.templates[p.key[0]]
 
 
-def test_template_nodes_reach_their_factory_without_its_source(monkeypatch):
-    parse("0.5+2*exp(-1.5*(x-0.25))^2")  # the key is met
-    want = parse("0.75+2*exp(-1.5*(x-0.5))^2")  # and its template made
-    want.compiled
+def test_template_texts_reach_their_factory_without_its_source(monkeypatch):
+    p = ex.parse_texts(["0.75+2*exp(-1.5*(x-0.5))^2", "0.25+3*exp(-2.5*(x-0.75))^2"])
+    want = p.kernels(0)[0]
     made = []
     real = ex._source
     monkeypatch.setattr(ex, "_source", lambda e: made.append(e) or real(e))
-    e = parse("0.25+3*exp(-2.5*(x-0.75))^2")
-    fn = e.compiled
-    assert made == [] and fn.__code__ is want.compiled.__code__
+    fn = p.kernels(1)[0]
+    assert made == [] and fn.__code__ is want.__code__
     monkeypatch.undo()
-    assert vars(e)["source"] == ex._source(e.program) == ex._source(want.program)
     ref = ex._compile(ex._Parser("0.25+3*exp(-2.5*(x-0.75))^2").parse().program)[0]
     for x in (0.0, 0.5, 1e3, -1e3):
         assert _scalar_outcome(fn, x) == _scalar_outcome(ref, x)
-    # the template made each node without __init__, with the fields and
-    # the entries beside them that the parser's node has
-    assert vars(e).keys() - {"compiled", "block"} == {"op", "left", "right", "program",
-                                                      "shape", "source"}
-    assert [vars(n) for n in (e.left, e.right.left)] == [{"value": 0.25}, {"value": 3.0}]
-    copy = pickle.loads(pickle.dumps(e))
-    assert copy == e and "source" not in vars(copy)
 
 
 def test_template_cache_stays_at_its_bound():
@@ -1120,27 +1143,34 @@ def test_template_cache_stays_at_its_bound():
     for i in range(n):
         text = ("".join("sin(" if i >> k & 1 else "cos(" for k in range(levels))
                 + f"{i}*x" + ")" * levels)
-        for _ in range(2):  # the second parse makes the template
-            _assert_parses_as_the_parser(text)
+        _assert_parse_texts_as_the_parser([text])
     assert ex._template.cache_info().currsize == ex._TEMPLATES
 
 
-def test_template_made_when_a_key_is_met_again(monkeypatch):
-    monkeypatch.setattr(ex, "_MET", {})
-    ex._template.cache_clear()
+def test_zero_block_makes_no_array(monkeypatch):
+    # a block on which a monotone root is one zero returns it before the
+    # array of its integers is made
     made = []
-    real = ex._builder
-    monkeypatch.setattr(ex, "_builder", lambda e: made.append(e) or real(e))
-    _assert_parses_as_the_parser("atan(2.5*x)+sqrt(x+0.75)")
-    assert made == []  # the parser's AST, no builder compiled
-    _assert_parses_as_the_parser("atan(3*x)+sqrt(x+1e-3)")
-    assert len(made) == 1
-    _assert_parses_as_the_parser("atan(4*x)+sqrt(x+2)")
-    assert len(made) == 1
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def arange(self, *args, **kwargs):
+            made.append(args)
+            return np.arange(*args, **kwargs)
+
+    monkeypatch.setitem(ex._NAMES, "np", Numpy())
+    e = parse("1.75*exp(-1.375*x)")
+    assert list(e.block(10000, 14096)) == [0.0] and made == []
+    assert list(e.block(0, 3)) == [e.compiled(float(k)) for k in range(3)] and made
 
 
-def test_met_keys_stay_at_their_bound(monkeypatch):
-    monkeypatch.setattr(ex, "_MET", {})
-    for i in range(4 * ex._TEMPLATES + 10):
-        parse("x" + " " * i)  # a key per run of spaces
-    assert len(ex._MET) == 4 * ex._TEMPLATES
+def test_templates_pinning_named_constants_alone_keep_their_shapes():
+    # exp and sin pin pi and e, and no number: each key keeps its own shape
+    texts = ["exp(pi)+x", "sin(e)+x", "exp(pi)+2*x"]
+    for _ in range(2):  # the second call takes the cached templates
+        p = ex.parse_texts(texts)
+        values, errors = p.plan(np.arange(3))(np.zeros((3, 1)))
+        assert not errors
+        assert values[:, 0].tolist() == [eval_expr(parse(t), 0.0) for t in texts]

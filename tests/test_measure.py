@@ -1483,19 +1483,23 @@ class TestRoundingBelowTheRadius:
                 assert abs(mpmath.mpf(enc.value) - want) <= enc.radius, w
 
 
-def _scalar_evaluations(call):
-    """The (expression id, point) pairs of the scalar evaluations that
-    call makes, in order."""
+def _scalar_evaluations(call, *fns):
+    """The (piece, point) pairs of the scalar evaluations of the pieces
+    of the functions fns that call makes, in order."""
     pairs = []
-    real = ex.eval_expr
+    pieces = [p for fn in fns for p in fn.pieces]
+    real = [p.compiled for p in pieces]
 
-    def counting(e, x):
-        if not isinstance(x, np.ndarray):
-            pairs.append((id(e), x, math.copysign(1.0, x)))
-        return real(e, x)
+    def counting(p, fn):
+        return lambda x: pairs.append((id(p), x, math.copysign(1.0, x))) or fn(x)
 
-    with mock.patch.object(ex, "eval_expr", counting):
+    try:
+        for p, fn in zip(pieces, real):
+            vars(p)["compiled"] = counting(p, fn)
         call()
+    finally:
+        for p, fn in zip(pieces, real):
+            vars(p)["compiled"] = fn
     return pairs
 
 
@@ -1508,14 +1512,14 @@ class TestMidvalueEvaluations:
         # one integral, and both integrals and the limits of parts_check
         for call in (lambda: stieltjes_midvalue(g, f, 0.0, hi, tol),
                      lambda: parts_check(f, g, 0.0, hi, tol)):
-            pairs = _scalar_evaluations(lambda: _outcome(call))
+            pairs = _scalar_evaluations(lambda: _outcome(call), f, g)
             assert len(pairs) == len(set(pairs))
 
     def test_parts_check_pairs_on_the_corpus(self, corpus):
         # both orders of a pair, as parts_check calls them
         f, g = corpus["sin_arches.json"], corpus["vshape.json"]
         for a, b in ((f, g), (g, f)):
-            pairs = _scalar_evaluations(lambda: stieltjes_midvalue(a, b, 0.0, 2.0, 1e-6))
+            pairs = _scalar_evaluations(lambda: stieltjes_midvalue(a, b, 0.0, 2.0, 1e-6), a, b)
             assert pairs and len(pairs) == len(set(pairs))
 
 
