@@ -3,12 +3,14 @@
 A function is described by monotone pieces between breakpoints, with
 every one-sided limit stored explicitly.  That makes pointwise
 variation, jumps and the Jordan decomposition exact computations on the
-representation instead of estimates from samples.  Validation is a
-falsification check: evaluators are black boxes, so monotonicity and
-limit consistency are tested by sampling, not proved.  It works by
-columns (see validate), and a validated function keeps them
-(BvFunction.columns); its pieces and tail make their expression trees
-only when they are read.
+representation instead of estimates from samples.  Validation proves a
+piece monotone where the composition rule of expr._monotone covers its
+evaluator, from its values at its first and last sample points, and
+otherwise falsifies: monotonicity and limit consistency are tested by
+sampling (see the piece checks below).  It works by columns (see
+validate), and a validated function keeps them (BvFunction.columns),
+with whether each piece was proved or sampled; its pieces and tail make
+their expression trees only when they are read.
 """
 
 from __future__ import annotations
@@ -247,7 +249,8 @@ class Columns(NamedTuple):
     """A function's pieces and breakpoints as arrays, each a field of
     every piece or breakpoint in order, and the expr.Rows plan of its
     pieces' evaluators, a row per piece: what validate's sampled checks
-    and measure.Layout read."""
+    and measure.Layout read, and what validate found of each piece's
+    monotonicity."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -259,6 +262,9 @@ class Columns(NamedTuple):
     x: np.ndarray  # the breakpoints'
     bp_left: np.ndarray
     bp_right: np.ndarray
+    # whether validate proved the piece monotone (_proved), so that it
+    # was not sampled; False on a function that validate did not make
+    proved: np.ndarray
 
 
 def _columns(f: BvFunction) -> Columns:
@@ -274,7 +280,8 @@ def _columns(f: BvFunction) -> Columns:
                    column([_DIRECTION_INDEX[p.direction] for p in ps], np.intp),
                    column([p.antiderivative is not None for p in ps], bool),
                    ex.rows_of([p.evaluator for p in ps]), column([bp.x for bp in bps]),
-                   column([bp.left_value for bp in bps]), column([bp.right_value for bp in bps]))
+                   column([bp.left_value for bp in bps]), column([bp.right_value for bp in bps]),
+                   np.zeros(len(ps), bool))
 
 
 def _check_point(f: BvFunction, x: float) -> None:
@@ -806,6 +813,14 @@ _DIRECTION_RULES = ("increasing piece needs left_limit <= right_limit",
 # gives (tests/ref_validate.py keeps those checks, tests/test_bv.py the
 # previous batched sample points, as references); only the failing rows
 # reach Python.
+#
+# Monotonicity is first proved where the rule of expr._monotone covers a
+# piece's program (_proved): at its first and last sample points alone,
+# its values lie between which its values at all others do, under the
+# rule's premises (monotone rounding of the float ops and libm calls).
+# A piece so proved gives no violation and is not sampled; every other
+# piece is, so a piece that turns, fails or leaves its limits keeps the
+# violations sampling finds.
 
 _BATCH = 1 << 15  # points per batch, so that a batch stays in cache
 
@@ -922,12 +937,100 @@ _SAMPLES = MONO_SAMPLES + 2 * EDGE_SAMPLES  # the most sample points of a piece
 _DIRECTION_INDEX = {INC: 0, DEC: 1, CONST: 2}
 
 
+# Of the points lo + (w*2^-j)/1 and hi - w*2^-j of _sample_points, those
+# whose fraction 2^-j of w is below the least equispaced one, 1/1026,
+# and the upper end of the half-line's ladder
+_J = (MONO_SAMPLES + 1).bit_length()
+_TINY = np.array([2.0**-j for j in range(_J, EDGE_SAMPLES + 1)])
+_TOP = 2.0 ** (_LADDER - 1)
+
+
+def _end_points(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, known) for the pieces on (lo[i], hi[i]), all bounded or all
+    half-lines: x[i] holds the first and the last point of row i of
+    _sample_points, the least and the greatest of its points strictly
+    inside the piece, where known[i] is True.  They are found among a few
+    of its points, by the same float operations.
+
+    A point lo + (w*m)/d rounds monotonically in its exact fraction m/d
+    of w, and hi - w*2^-j in j.  So the first point is among the points
+    of fraction 2^-j below 1/1026, that at 1/1026 and hi - w/2, if those
+    two are inside: every other point is at least one of them.  The last
+    is among the points hi - w*2^-j of the same j and lo + (1025w)/1026,
+    if that one and the least of the former are inside; on a half-line it
+    is the ladder's top, lo + w*2^40, if finite.  known is False where
+    these conditions fail (a piece a few ulps wide, say)."""
+    half_line = math.isinf(hi[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.maximum(1.0, np.abs(lo)) if half_line else hi - lo
+        low = lo[:, None] + w[:, None] * _TINY
+        step = lo + w / (MONO_SAMPLES + 1)  # the first equispaced point
+        first = np.minimum(np.where(low > lo[:, None], low, math.inf).min(axis=1), step)
+        known = step > lo
+        if half_line:
+            last = lo + w * _TOP
+            known &= np.isfinite(last)
+        else:
+            mid = hi - w * 0.5
+            first = np.minimum(first, mid)
+            high = hi[:, None] - w[:, None] * _TINY
+            top = lo + w * float(MONO_SAMPLES) / (MONO_SAMPLES + 1)
+            last = np.maximum(np.where(high < hi[:, None], high, -math.inf).max(axis=1), top)
+            known &= (mid > lo) & (top < hi) & (high[:, 0] < hi) & (first < hi) & (last > lo)
+    return np.stack((first, last), axis=1), known
+
+
+def _proved(c: Columns, rows: np.ndarray) -> np.ndarray:
+    """Per piece i of rows, of the columns c, whether its monotonicity is
+    proved with no violation, which then sets c.proved[i].  Its program
+    must be proved monotone between its first and last sample points
+    (expr.Rows.monotone), and its values there, the least and the
+    greatest of its sampled values, must give _check_sampling's verdicts
+    without a violation: by the float operations of those verdicts, its
+    scale and slack, its spread if constant, and the limits it must stay
+    within; and if increasing or decreasing, it must not go the other
+    way, as then every step of the sampled values keeps its direction."""
+    proved = c.plan.provable(rows)
+    if not proved.any():
+        return proved
+    candidates = rows[proved]
+    # in arrays of at most _BATCH points; only the last piece can be a
+    # half-line, which goes alone
+    half_line = math.isinf(c.hi[candidates[-1]])
+    bounded = candidates[:-1] if half_line else candidates
+    size = max(1, _BATCH // (2 * len(_TINY)))
+    parts = [bounded[k:k + size] for k in range(0, len(bounded), size)]
+    if half_line:
+        parts.append(candidates[-1:])
+    for part in parts:
+        x, known = _end_points(c.lo[part], c.hi[part])
+        part = part[known]
+        values, mono = c.plan.monotone(x[known], part)
+        v0, v1 = values[:, 0], values[:, 1]
+        with np.errstate(all="ignore"):  # the rows not proved may hold NaN
+            left, right = c.left[part], c.right[part]
+            lim_lo, lim_hi = np.minimum(left, right), np.maximum(left, right)
+            vmin, vmax = np.minimum(v0, v1), np.maximum(v0, v1)
+            scale = np.maximum(np.maximum(vmax, -vmin), np.maximum(-lim_lo, lim_hi))
+            slack = ABS_TOL + REL_TOL * scale
+            direction = c.direction[part]
+            varies = np.where(direction == 0, v0 > v1, np.where(
+                direction == 1, v0 < v1, np.maximum(vmax - v0, v0 - vmin) > slack))
+            leaves = (vmin < lim_lo - slack) | (vmax > lim_hi + slack)
+        c.proved[part[mono & ~varies & ~leaves]] = True
+    return c.proved[rows]
+
+
 def _check_sampling(c: Columns, rows: np.ndarray, found: dict) -> None:
     """Sample each piece i of rows, of the columns c, at the points of
     _sample_points and add to found[i] what it violates: its evaluator
     must give finite values there, monotone in its direction and inside
     its boundary limits, up to a slack.  A piece with no point inside it
-    is not sampled."""
+    is not sampled, nor is one proved monotone with no violation
+    (_proved)."""
+    rows = rows[~_proved(c, rows)]
+    if not len(rows):
+        return
     for rows in _batches(rows, np.isinf(c.hi[rows]), c.plan.group[rows], _SAMPLES):
         xs, empty = _sample_points(c.lo[rows], c.hi[rows])
         if empty.any():
@@ -1214,7 +1317,7 @@ def validate(spec: Mapping) -> BvFunction:
         out.append(Violation("BadPartition", "tail", "tail given for a compact domain"))
 
     columns = Columns(ps.lo, ps.hi, ps.left, ps.right, ps.direction, ps.closed,
-                      ps.exprs.plan(ps.rows), x, bp_left, bp_right)
+                      ps.exprs.plan(ps.rows), x, bp_left, bp_right, np.zeros(len(ps.lo), bool))
     has_tail = tail is not None and anti is not None
     _check_pieces(columns, ps.antis, ps.rows, len(entries) if has_tail else None, out)
     if out:

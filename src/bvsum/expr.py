@@ -59,10 +59,10 @@ each with the float function's math call.  As in the unchecked run
 below, the values are tested once, through their total, and so is each
 operand of a masking op that is not a literal: an array by its sum, a
 comprehension value term by term, or at the run's two ends if it is
-monotone in x.  If a test trips, or an op raises, the run goes through
-the float function instead, lazily, so the values and the first failing
-point's EvalError are those of the float function at each integer in
-turn.  Both sources are made only of the ops' bare expressions in _OPS,
+monotone in x (see _monotone).  If a test trips, or an op raises, the
+run goes through the float function instead, lazily, so the values and
+the first failing point's EvalError are those of the float function at
+each integer in turn.  Both sources are made only of the ops' bare expressions in _OPS,
 the statements _OPS builds around them, ufunc names and register names
 (see _names), never text from the node.  So they depend only on the
 program's ops and on which constants are finite: the constants are the
@@ -93,10 +93,12 @@ than over a scalar, so a pinned constant stays the scalar it is in a run
 of its own, and every other constant is stacked into a column.  A root
 that is x or a constant has a shape too.  A plan is made of its shapes'
 programs and constant columns alone (Rows), from a list of trees
-(rows_of, eval_rows) or from parsed texts (Parsed.plan).  If a test of
-the shared run trips, each of its rows falls back to the evaluation of
-its own program, so every row's values and error are those of
-eval_expr.
+(rows_of) or from parsed texts (Parsed.plan).  If a test of the shared
+run trips, each of its rows falls back to the evaluation of its own
+program, so every row's values and error are those of eval_expr.  A
+plan also proves its rows monotone between two points each
+(Rows.monotone), by the rule of _monotone, which validate uses to spare
+a piece its sampling.
 """
 
 from __future__ import annotations
@@ -107,6 +109,7 @@ import math
 import re
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -162,7 +165,7 @@ class Expr:
 
     @functools.cached_property
     def shape(self):
-        """The key of the programs eval_rows may run together with this
+        """The key of the programs a Rows plan may run together with this
         one: the ops and the bits of the pinned constants (see _shape)."""
         return _shape(self.program)
 
@@ -488,14 +491,16 @@ def _kernel(prog) -> str:
     of constants alone, by a finite sum if it is an array (as the
     unchecked array run tests it), and in the comprehension term by term,
     by a clause before its reader, unless it is monotone in x (see
-    _monotone): then at the run's two ends, between which it lies.  So is
-    the root, by a finite sum.  A non-finite op result reaches the root
-    or such an operand, so if no test trips and no op raises, f raises at
-    no k and the list is returned.  Otherwise the kernel returns map(f,
-    floats of the run), which raises f's EvalError at the first failing
-    k when it gets there.  A subexpression of the comprehension's element
-    nested more than _NESTING brackets deep is bound to its register by a
-    clause, so that the source stays within the parser's limit.
+    _monotone) without a branch test, which would fail on most runs
+    longer than a branch: then at the run's two ends, between which it
+    lies.  So is the root, by a finite sum.  A non-finite op result
+    reaches the root or such an operand, so if no test trips and no op
+    raises, f raises at no k and the list is returned.  Otherwise the
+    kernel returns map(f, floats of the run), which raises f's EvalError
+    at the first failing k when it gets there.  A subexpression of the
+    comprehension's element nested more than _NESTING brackets deep is
+    bound to its register by a clause, so that the source stays within
+    the parser's limit.
 
     A run on which f is one zero adds that zero once, not t - s times,
     as fsum ignores zeros but for the sign of an all-zero sum: a root on
@@ -526,7 +531,9 @@ def _kernel(prog) -> str:
             elif stage[g] == "numpy":
                 arrays.append(f"if not finite({name[g]}):\n    raise Recheck")
                 summed.append(g)
-            elif mono[g]:
+            elif mono[g] and not any(kind in _PHASE for _, kind in tests[g]):
+                # a branch test would fail on most runs longer than a
+                # branch, so such an operand is tested term by term
                 ends.append(g)
             else:
                 clauses.append(f"if isfinite({name[g]} := {value[g]}) or recheck()")
@@ -583,41 +590,117 @@ def _kernel(prog) -> str:
 # monotone in one operand when the other is a finite constant, and so are
 # divide and power under the conditions of _monotone.
 _MONOTONE = frozenset((np.negative, np.sqrt, np.floor, np.exp, np.log, np.arctan))
+# Ufuncs monotone in a monotone operand that passes a test at both ends:
+# abs of one strict sign, sin and cos of one branch.
+_TESTED = {np.abs: "sign", np.sin: "sin", np.cos: "cos"}
 
 
 def _monotone(prog) -> tuple[list, list]:
     """(per register, whether it is monotone in x; per register, the
-    registers to test for it to be: an op result on constants alone must
-    be finite, and a register read from x must have one strict sign at
-    the run's two ends).  A monotone register is x, or built from x by
-    ops of _MONOTONE and +, -, * or / with a finite constant, or ^ or pow
-    with a finite constant exponent, where a constant is a literal or an
-    op result on constants alone, as the -c1 of c0*exp(-c1*x).  A power
-    is monotone only on a base of one strict sign, and so is c/v on a
-    divisor v of one: a monotone base of that sign at the run's ends
-    keeps it in between.  The float ops round monotonically, and the libm
-    calls are taken to, so over an integer run a monotone register lies
-    between its values at the two ends.  A libm call that did not could
-    matter only within an ulp of overflow or underflow."""
+    tests it needs to be, each (register, kind)).  The kinds: "finite",
+    an op result on constants alone, which must be finite; "sign", a
+    register read from x, which must have one strict sign at both ends of
+    the interval; "sin" or "cos", the argument of that function, whose
+    values at both ends must lie in one branch of it (see _in_branch).
+
+    A monotone register is x, a constant, or built from x by ops of
+    _MONOTONE, abs of one sign, sin or cos of one branch, and +, -, * or
+    / with a constant, or ^ or pow with a constant exponent, where a
+    constant is a finite literal or an op result on constants alone, as
+    the -c1 of c0*exp(-c1*x).  A power is monotone only on a base of one
+    strict sign, and so is c/v on a divisor v of one: a monotone base of
+    that sign at the interval's ends keeps it in between, as a monotone
+    argument with both ends in one branch stays in it.
+
+    The premises: the float ops round monotonically, and the libm calls
+    are taken to, so over any interval, an integer run or the points of a
+    piece, a monotone register lies between its values at the two ends.
+    A libm call that did not could matter only within an ulp of overflow
+    or underflow.  A branch of sin or cos is widened by _DELTA at each
+    end, past the extremum there: at a distance t <= _DELTA from it, the
+    function is within t^2/2 of its extremum, +-1, less than half an ulp
+    of 1, so a correctly rounded sin or cos is +-1 there and stays
+    monotone."""
     init, code = prog
     const = [False] + [v is not None and math.isfinite(v) for v in init]
-    mono, tests = [True] + [False] * len(init), [()] * (len(init) + 1)
+    mono, tests = [True] + const[1:], [()] * (len(init) + 1)
     for fn, a, b, dst, _, _, _ in code:
         if b is None:
-            mono[dst], tests[dst] = fn in _MONOTONE and mono[a], tests[a]
+            kind = _TESTED.get(fn)
+            mono[dst] = mono[a] and (fn in _MONOTONE or kind is not None)
+            tests[dst] = tests[a] + (((a, kind),) if kind and not const[a] else ())
             const[dst] = const[a]
         elif const[a] and const[b]:
             const[dst] = True
         elif fn in (np.add, np.subtract, np.multiply, np.true_divide, np.power):
             if mono[a] and const[b]:
                 mono[dst] = True
-                tests[dst] = tests[a] + tests[b] + ((a,) if fn is np.power else ())
+                tests[dst] = tests[a] + tests[b] + (((a, "sign"),) if fn is np.power else ())
             elif const[a] and mono[b] and fn is not np.power:
                 mono[dst] = True
-                tests[dst] = tests[a] + tests[b] + ((b,) if fn is np.true_divide else ())
+                tests[dst] = tests[a] + tests[b] + (((b, "sign"),) if fn is np.true_divide
+                                                    else ())
         if const[dst]:
-            tests[dst] = (dst,)
+            mono[dst], tests[dst] = True, ((dst, "finite"),)
     return mono, tests
+
+
+# The widening of a branch of sin or cos at each end (see _monotone),
+# below 2^-26.5, where t^2/2 reaches half an ulp of 1
+_DELTA = 1e-8
+# The phase of the branches [(n + phase)pi, (n + 1 + phase)pi] of sin and cos.
+_PHASE = {"sin": 0.5, "cos": 0.0}
+# pi to 70 decimals, rounded down, and so a rational enclosure of it
+_PI_LO = Fraction("3.14159265358979323846264338327950288419716939937510"
+                  "58209749445923078164")
+_PI_HI = _PI_LO + Fraction(1, 10 ** 70)
+# The largest |argument| tested; a larger one is not in a branch.
+_BRANCH_RANGE = 2.0 ** 30
+
+
+@np.errstate(all="ignore")
+def _in_branch(u0: np.ndarray, u1: np.ndarray, phase) -> np.ndarray:
+    """Per element, whether the floats u0 and u1 lie in one widened branch
+    [(n + phase)pi - _DELTA, (n + 1 + phase)pi + _DELTA] of sin (phase
+    1/2) or cos (phase 0), compared exactly against the real ends; phase
+    is one for all elements or one per element.  The branch is n =
+    floor((min + _DELTA)/pi - phase), the last whose lower end is at most
+    the lesser value: it has the highest upper end of those.  Float
+    arithmetic decides every element whose distances to the ends exceed
+    its error many times over; the others are decided with rationals
+    (_in_branch_exactly).  An argument above _BRANCH_RANGE in magnitude,
+    or not finite, is in no branch."""
+    lo, hi = np.minimum(u0, u1), np.maximum(u0, u1)
+    q = (lo + _DELTA) / math.pi - phase
+    n = np.floor(q)
+    end = (n + (1.0 + phase)) * math.pi
+    room = end + _DELTA - hi
+    # each float error is below 2^-50 of the magnitudes involved
+    unsure = ((np.minimum(q - n, n + 1.0 - q) < 2.0**-44 * (np.abs(q) + 1.0))
+              | (np.abs(room) < 2.0**-44 * (np.abs(hi) + np.abs(end) + 1.0)))
+    usable = (np.abs(lo) <= _BRANCH_RANGE) & (np.abs(hi) <= _BRANCH_RANGE)
+    inside = usable & (room >= 0.0) & ~unsure
+    for i in np.flatnonzero(usable & unsure).tolist():
+        inside[i] = _in_branch_exactly(float(lo[i]), float(hi[i]),
+                                       float(np.broadcast_to(phase, lo.shape)[i]))
+    return inside
+
+
+def _in_branch_exactly(lo: float, hi: float, phase: float) -> bool:
+    """_in_branch of lo <= hi, in rationals, with pi enclosed by _PI_LO
+    and _PI_HI; False where the enclosure cannot decide."""
+    delta, p = Fraction(_DELTA), Fraction(phase)
+    a = Fraction(lo) + delta
+    n = {math.floor(a / pi - p) for pi in (_PI_LO, _PI_HI)}
+    if len(n) > 1:
+        return False
+    m = n.pop() + 1 + p
+    return Fraction(hi) - delta <= min(m * _PI_LO, m * _PI_HI)
+
+
+def _branch(u0: float, u1: float, phase: float) -> bool:
+    """_in_branch of two floats, for the generated kernels."""
+    return bool(_in_branch(np.array([u0]), np.array([u1]), phase)[0])
 
 
 def _end_tests(code, name, stage, ends, tests, zero) -> list[str]:
@@ -652,11 +735,13 @@ def _end_tests(code, name, stage, ends, tests, zero) -> list[str]:
                 for _, a, b, dst, _, _, op in code if dst in regs]
 
     def passes(regs) -> list[str]:
-        return [f"isfinite({name[r]})" if stage[r] == "const" else
-                f"{at(r, '0')} * {at(r, '1')} > 0" for r in dict.fromkeys(regs)]
+        return [f"isfinite({name[r]})" if kind == "finite" else
+                f"{at(r, '0')} * {at(r, '1')} > 0" if kind == "sign" else
+                f"branch({at(r, '0')}, {at(r, '1')}, {_PHASE[kind]})"
+                for r, kind in dict.fromkeys(regs)]
 
     lines = []
-    tested = [r for g in ends for r in tests[g]]
+    tested = [test for g in ends for test in tests[g]]
     if ends:
         checks = [f"isfinite({at(g, end)})" for g in ends for end in "01"] + passes(tested)
         lines += ["x_0, x_1 = float(s), float(t - 1)", *evaluate(need, "0"), *evaluate(need, "1"),
@@ -666,7 +751,7 @@ def _end_tests(code, name, stage, ends, tests, zero) -> list[str]:
         r0, r1 = at(root, "0"), at(root, "1")
         checks = ([f"{r0} == 0.0", f"copysign(1.0, {r0}) == copysign(1.0, {r1})"]
                   + [f"isfinite({at(g, end)})" for g in summed for end in "01"]
-                  + passes(r for r in tests[root] if r not in tested))
+                  + passes(test for test in tests[root] if test not in tested))
         inner = [*([] if ends else ["x_0 = float(s)"]), *evaluate(more, "0"),
                  f"if {' and '.join(checks)}:\n    return [{r1}]"]
         lines += [*([] if ends else ["x_1 = float(t - 1)"]), *evaluate(more, "1"),
@@ -700,7 +785,7 @@ def _finite(v) -> bool:
 
 # The names the generated source may use besides its registers.
 _NAMES = {"EvalError": EvalError, "Recheck": _Recheck, "recheck": _recheck,
-          "np": np, "errstate": np.errstate, "finite": _finite,
+          "np": np, "errstate": np.errstate, "finite": _finite, "branch": _branch,
           **{name: getattr(math, name) for name in
              ("isfinite", "copysign", "pow", "exp", "log", "sqrt", "sin", "cos",
               "atan", "floor")}}
@@ -932,7 +1017,7 @@ _BITS = struct.Struct("d").pack
 
 def _shape(prog) -> tuple:
     """(ops, registers, pinned constants, their bits): the programs that
-    may run together in eval_rows are those of one shape."""
+    may run together in a Rows plan are those of one shape."""
     init, code = prog
     pinned = _pinned(prog)
     return code, len(init), pinned, tuple(_BITS(init[r - 1]) for r in pinned)
@@ -944,9 +1029,26 @@ def _column_registers(init, pinned) -> tuple[int, ...]:
     return tuple(r for r, v in enumerate(init) if v is not None and r + 1 not in pinned)
 
 
+@functools.lru_cache(maxsize=_FACTORIES)
+def _proof(code) -> tuple | None:
+    """The tests (see _monotone) under which the root of a program of the
+    ops code is monotone in x, or None if the rule cannot tell.  Its
+    literals are taken to be finite: a literal that is not makes a
+    register it reaches non-finite, as only a masking op can make a
+    non-finite operand finite, and a masking op reads a non-finite literal
+    in an op of another code (its guards hold it)."""
+    if not code:
+        return ()  # x or a constant
+    dsts = {dst for _, _, _, dst, _, _, _ in code}
+    root = code[-1][3]
+    mono, tests = _monotone(([None if r in dsts else 0.0 for r in range(1, root + 1)], code))
+    return tests[root] if mono[root] else None
+
+
 class Rows:
-    """The plan of eval_rows for rows of expressions, made once and run
-    on any rows of it, from the expressions' programs alone.
+    """The plan that evaluates rows of expressions, each over its own
+    points (__call__), made once and run on any rows of it, from the
+    expressions' programs alone.
 
     It is made of blocks, each the expressions of one shape (Expr.shape)
     as one program and a column per constant: (shape, init, code, regs,
@@ -967,9 +1069,12 @@ class Rows:
     pinned constant the scalar its rows share; if it holds more than one
     expression, each other constant is a column of consts, which has a
     row per row and is picked for a run's rows at once.  A plan of one
-    program without columns returns its run's values as they are."""
+    program without columns returns its run's values as they are.
 
-    __slots__ = ("blocks", "which", "group", "groups", "consts", "numbers")
+    proofs holds per group the tests under which its program is monotone
+    in x (_proof), or None, made on first use (provable, monotone)."""
+
+    __slots__ = ("blocks", "which", "group", "groups", "consts", "numbers", "proofs")
 
     def __init__(self, blocks: list, which=None):
         self.blocks = blocks
@@ -998,7 +1103,7 @@ class Rows:
                 regs = ()
             self.groups.append((init, code, regs))
             width = max(width, len(regs))
-        self.numbers = self.consts = None
+        self.numbers = self.consts = self.proofs = None
         if len(members) <= 1 and not width:  # one program, its constants scalars
             self.group = np.zeros(len(self.which), np.intp)
             return
@@ -1029,22 +1134,66 @@ class Rows:
                 init[r] = self.consts[row, j]
         return init, code
 
+    def _proofs(self) -> list:
+        if self.proofs is None:
+            self.proofs = [_proof(code) for _, code, _ in self.groups]
+        return self.proofs
+
+    def provable(self, rows) -> np.ndarray:
+        """Per row of rows, whether the monotonicity rule (_monotone)
+        covers its program, which monotone then tests."""
+        return np.array([proof is not None for proof in self._proofs()], bool)[self.group[rows]]
+
     @np.errstate(all="ignore")
-    def __call__(self, x: np.ndarray, rows=None):
-        """Evaluate row rows[i] over the points x[i] of a 2-D float64
-        array, or row i if rows is None: as eval_rows."""
-        errors: dict = {}
-        if not len(self.group) or rows is not None and not len(rows):
-            return np.empty(x.shape), errors
+    def monotone(self, x: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+        """(values, proved) for row rows[i] at the two points x[i, 0] <=
+        x[i, 1] of an (n, 2) float64 array: its values there, the bits
+        that __call__ gives, and whether it is proved monotone between
+        them, so that its value at any point between lies between those
+        two.  A row is proved when the rule covers its program (provable),
+        its values are finite and every test of the rule passes at both
+        points; the values of a row whose group the rule does not cover
+        are NaN.  Each group's program runs once over its rows, keeping
+        every register.  A non-finite op result reaches the root or an
+        operand that a masking op tests (its guards), as in the unchecked
+        run, so those are tested, through their sum: finite values whose
+        sum overflows are not proved."""
+        values, proved = np.full(x.shape, math.nan), np.zeros(len(rows), bool)
+        x, rows, order, parts = self._layout(x, rows)
+        branches = []  # the rows and arguments of the branch tests, made at once
+        for (init, code, _), a, b, tests in zip(*parts, self._proofs()):
+            if a == b or tests is None:
+                continue
+            v = [x[a:b], *init]
+            total = 0.0
+            for fn, i, j, dst, _, guards, _ in code:
+                v[dst] = fn(v[i]) if j is None else fn(v[i], v[j])
+                for g in guards:
+                    total = total + v[g]
+            ok = np.isfinite(total + v[-1])
+            ok = ok.all(axis=-1) if ok.ndim else np.full(b - a, ok)
+            for r, kind in tests:
+                if kind == "sign":
+                    ok &= v[r][:, 0] * v[r][:, 1] > 0.0
+                elif kind != "finite":  # an op result, tested above
+                    branches.append((np.arange(a, b), v[r], np.full(b - a, _PHASE[kind])))
+            values[a:b], proved[a:b] = v[-1], ok
+        if branches:
+            at, u, phase = (np.concatenate(part) for part in zip(*branches))
+            proved[at[~_in_branch(u[:, 0], u[:, 1], phase)]] = False
+        if order is not None:  # back to the caller's order
+            values[order], proved[order] = values.copy(), proved.copy()
+        return values, proved
+
+    def _layout(self, x: np.ndarray, rows):
+        """(x, rows, order, parts): the points x of the rows rows (every
+        row if None) laid out in group order, so that each group's rows
+        are a slice [a, b) of them, with the order that sorted them (None
+        if they were in group order), and parts, the groups' programs,
+        each constant of regs a column of its rows' values, and the start
+        and end a and b of each."""
         order = None
         if len(self.groups) == 1:
-            if self.consts is None and x.size:  # one program: its run, if it passes
-                try:
-                    r = _run(self.groups[0][:2], x, False)
-                    if r is not x and r.shape == x.shape and _finite(r):
-                        return r, errors
-                except _Recheck:
-                    pass
             cuts = [0, len(x)]
         else:
             group = self.group if rows is None else self.group[rows]
@@ -1054,15 +1203,45 @@ class Rows:
                 rows = order if rows is None else rows[order]
             cuts = group.searchsorted(self.numbers).tolist()
         consts = self.consts if rows is None or self.consts is None else self.consts[rows]
-        values = np.empty(x.shape)
-        ran, failed = [], []  # the groups' slices whose runs passed their tests, or not
+        programs = []
         for (init, code, regs), a, b in zip(self.groups, cuts, cuts[1:]):
-            if a == b:
-                continue
-            if regs:
+            if regs and a < b:
                 init = list(init)
                 for j, r in enumerate(regs):
                     init[r] = consts[a:b, j:j + 1]
+            programs.append((init, code, regs))
+        return x, rows, order, (programs, cuts, cuts[1:])
+
+    @np.errstate(all="ignore")
+    def __call__(self, x: np.ndarray, rows=None):
+        """Evaluate row rows[i] over the points x[i] of a 2-D float64
+        array, or row i if rows is None: (values, errors), where values[i]
+        is eval_expr of the row's expression over x[i] bit for bit and
+        errors maps each row on which eval_expr raises to its EvalError; a
+        failing row's values are NaN.
+
+        The rows of one shape run as one unchecked run: each pinned
+        constant stays the scalar the rows share, and each other constant
+        register is a column with one entry per row.  If any test of that
+        run trips, each of its rows falls back to the evaluation of its
+        own program, in row order, so error kinds and points are those of
+        eval_expr."""
+        errors: dict = {}
+        if not len(self.group) or rows is not None and not len(rows):
+            return np.empty(x.shape), errors
+        if len(self.groups) == 1 and self.consts is None and x.size:
+            try:  # one program: its run, if it passes
+                r = _run(self.groups[0][:2], x, False)
+                if r is not x and r.shape == x.shape and _finite(r):
+                    return r, errors
+            except _Recheck:
+                pass
+        x, rows, order, parts = self._layout(x, rows)
+        values = np.empty(x.shape)
+        ran, failed = [], []  # the groups' slices whose runs passed their tests, or not
+        for (init, code, _), a, b in zip(*parts):
+            if a == b:
+                continue
             out = values[a:b]
             if not x.size:
                 failed.append((a, b))
@@ -1101,9 +1280,9 @@ def _joined(blocks: list, which, then: Rows) -> Rows:
 
 
 def rows_of(exprs) -> Rows:
-    """The plan of eval_rows for the expressions exprs, a row each: a
-    block per shape of their programs, an expression met again found by
-    its identity."""
+    """The plan (Rows) of the expressions exprs, a row each: a block per
+    shape of their programs, an expression met again found by its
+    identity."""
     ids = list(map(id, exprs))
     distinct = dict(zip(ids, exprs))  # by id, in the order met
     blocks: dict = {}  # id(shape) -> block, its constants a list of rows
@@ -1125,22 +1304,6 @@ def rows_of(exprs) -> Rows:
     return Rows([(shape, init, code, regs,
                   np.array(consts, np.float64).reshape(len(consts), len(regs)))
                  for shape, init, code, regs, consts, _ in blocks.values()], which)
-
-
-def eval_rows(exprs, x: np.ndarray):
-    """Evaluate exprs[i] over the points x[i] of a 2-D float64 array:
-    (values, errors), where values[i] is eval_expr(exprs[i], x[i]) bit for
-    bit and errors maps each row on which eval_expr raises to its
-    EvalError; a failing row's values are NaN.
-
-    Rows whose programs have the same Expr.shape run as one unchecked
-    run: each pinned constant stays the scalar the rows share, and each
-    other constant register is stacked into a column with one entry per
-    row.  If any test of that run trips, each of its rows falls back to
-    eval_expr, in row order, so error kinds and points are those of
-    eval_expr.  rows_of(exprs) is this plan, made once for rows that a
-    caller evaluates again and again."""
-    return rows_of(exprs)(x)
 
 
 class Parsed:

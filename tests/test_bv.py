@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bvsum import (
@@ -32,6 +32,7 @@ from bvsum.bv import (
     FD_REL_TOL,
     MONO_SAMPLES,
     Certified,
+    _end_points,
     _sample_points,
     _stencils,
     check_antiderivative,
@@ -257,6 +258,16 @@ def _ulps_above(x: float, n: int) -> float:
 _LOS = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e300, 1e300))
 
 
+def assert_end_points(lo: float, hi: float) -> bool:
+    """_end_points of (lo, hi) are the first and last of its sample
+    points where it finds them; whether it does."""
+    (x,), (known,) = _end_points(np.array([lo]), np.array([hi]))
+    xs, (empty,) = _sample_points(np.array([lo]), np.array([hi]))
+    if known:
+        assert not empty and x.tolist() == [xs[0, 0], xs[0, -1]], (lo, hi)
+    return bool(known)
+
+
 class TestVectorValidation:
     @settings(max_examples=200, deadline=None)
     @given(_LOS, st.one_of(st.floats(1e-9, 1e9), st.floats(5e-324, 1e300)))
@@ -265,6 +276,28 @@ class TestVectorValidation:
         if not (lo < hi and math.isfinite(hi)):
             return
         assert_same_points(lo, hi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_LOS, st.one_of(st.floats(1e-9, 1e9), st.floats(5e-324, 1e300),
+                           st.integers(1, 3000), st.just(math.inf)))
+    @example(1.0, 4)
+    @example(-1e300, 2e300)  # the width overflows
+    @example(1e300, math.inf)  # the ladder overflows
+    @example(0.0, 5e-324)
+    @example(1e6, 1e-9)
+    def test_end_points_are_the_first_and_last_sample_points(self, lo, width):
+        # a width given as an integer is that many ulps
+        hi = (_ulps_above(lo, width) if isinstance(width, int) else
+              math.inf if math.isinf(width) else lo + width)
+        if lo < hi and not math.isnan(hi) and hi != -math.inf:
+            assert_end_points(lo, hi)
+
+    def test_end_points_are_found_on_common_pieces(self):
+        for lo, hi in [(0.0, 1.0), (1.7, 2.3), (-5.0, 5.0), (1e6, 1e6 + 1.0), (3.0, math.inf),
+                       (-1e6, math.inf), (0.0, 1e-300), (1.0, 1.0 + 2000 * math.ulp(1.0))]:
+            assert assert_end_points(lo, hi), (lo, hi)
+        # a few ulps wide: its points are sampled
+        assert not assert_end_points(1.0, _ulps_above(1.0, 4))
 
     @settings(max_examples=200, deadline=None)
     @given(_LOS, st.integers(1, 3000))
@@ -854,6 +887,127 @@ def assert_as_reference(spec):
         assert p.evaluator == ex.parse(raw["expr"])
         if raw.get("antiderivative") is not None:
             assert p.antiderivative == ex.parse(raw["antiderivative"])
+
+
+# Pieces that the monotonicity rule (expr._monotone) covers, or nearly:
+# validate proves those it can from their first and last sample points and
+# samples the others, and must give the violations and the function of
+# the reference, which samples all.  The pieces go the wrong way, leave
+# limits that are off, divide by or raise a base that crosses zero,
+# overflow at one end, end at, just past or one branch past an extremum
+# of sin or cos, are a few ulps wide or run to infinity.
+
+_RULE_SHAPES = ["{a}*x+{b}", "{a}*exp({b}*(x-{c}))", "{a}/(x-{c})", "{a}*(x-{c})^{k}",
+                "{a}*pow(x-{c},{k})+{b}", "{a}*sin(x-{c})+{b}", "{a}*cos(x-{c})",
+                "{a}*abs(x-{c})", "sqrt(abs(x-{c}))", "{a}*sin({b}*abs(x-{c}))",
+                "exp(cos(x-{c}))", "{a}+0*x", "{a}"]
+_OFFSETS = [0.0, 0.0, 5e-9, -5e-9, 2e-8, -2e-8, 1e-3, math.pi, -math.pi]
+
+
+@st.composite
+def rule_specs(draw):
+    lo = draw(st.sampled_from([0.0, 1.0, -3.5, 1e6]))
+    cuts = [lo]
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 5)) == 0:
+            cuts.append(_ulps_above(cuts[-1], draw(st.integers(1, 30))))
+        else:
+            cuts.append(cuts[-1] + draw(st.sampled_from([1e-9, 0.5, 1.5, 3.0, math.pi])))
+    half_line = draw(st.booleans())
+    ends = cuts[1:] + ([math.inf] if half_line else [])
+    pieces, bps = [], []
+    for i, (p, q) in enumerate(zip(cuts, ends)):
+        top = q if math.isfinite(q) else p + 2.0
+        # c: an end, the middle, or where sin(x - c) or cos(x - c) turns
+        # at an end, each moved by an offset
+        c = draw(st.sampled_from([p, top, 0.5 * (p + top), top - math.pi / 2, p + math.pi / 2]))
+        c += draw(st.sampled_from(_OFFSETS))
+        consts = {"a": draw(st.sampled_from([1.0, -2.0, 1e-3, 0.0])),
+                  "b": draw(st.sampled_from([1.0, -0.5, 700.0, 710.0])), "c": repr(c),
+                  "k": draw(st.sampled_from([2, -1, 0.5, -2, 3]))}
+        text = draw(st.sampled_from(_RULE_SHAPES)).format(**consts)
+        left = _limit_of(text, p, 0.0) + draw(st.sampled_from([0.0, 0.0, 0.0, 1e-3, -5.0]))
+        right = (_limit_of(text, q, 1.0) + draw(st.sampled_from([0.0, 0.0, 0.0, 1e-3, -5.0]))
+                 if math.isfinite(q) else draw(st.sampled_from([0.0, left])))
+        # the direction of the limits, or any
+        direction = draw(st.sampled_from(["inc", "dec", "const", None, None, None]))
+        if direction is None:
+            direction = "inc" if left < right else "dec" if left > right else "const"
+        pieces.append({"interval": [p, "inf" if math.isinf(q) else q], "expr": text,
+                       "direction": direction, "left_limit": left, "right_limit": right})
+        if i:
+            prev = pieces[i - 1]["right_limit"]
+            bps.append({"x": p, "left": prev, "value": prev, "right": left})
+    spec = {"domain": {"lo": lo, "hi": "inf" if half_line else cuts[-1]},
+            "pieces": pieces, "breakpoints": bps}
+    if half_line:
+        spec["tail"] = {"limit": pieces[-1]["right_limit"]}
+    return spec
+
+
+def _sin_arches(n: int, width: float) -> dict:
+    """A valid spec of n half-period sin pieces, alternately rising and
+    falling, each ending at its extremum, as the pool's do."""
+    pieces = []
+    for k in range(n):
+        p, q = k * width, (k + 1) * width
+        s = math.pi / width
+        sign = "-" if k % 2 == 0 else "+"
+        text = f"0.25+0.5*sin({s!r}*(x-{p!r}){sign}{math.pi / 2!r})"
+        left, right = (ex.eval_expr(ex.parse(text), v) for v in (p, q))
+        pieces.append({"interval": [p, q], "expr": text,
+                       "direction": "inc" if k % 2 == 0 else "dec",
+                       "left_limit": left, "right_limit": right})
+    bps = [{"x": pc["interval"][0], "left": prev["right_limit"], "value": prev["right_limit"],
+            "right": pc["left_limit"]} for prev, pc in zip(pieces, pieces[1:])]
+    return {"domain": {"lo": 0.0, "hi": n * width}, "pieces": pieces, "breakpoints": bps}
+
+
+class TestProvedMonotonicity:
+    @settings(max_examples=200, deadline=None)
+    @given(rule_specs(), st.sampled_from([1 << 15, 4000, 1]))
+    def test_proof_gives_the_reference_violations(self, spec, batch):
+        # a smaller batch splits the pieces of one shape across batches
+        with mock.patch.object(bv, "_BATCH", batch):
+            assert_as_reference(spec)
+
+    def test_pieces_proved_are_recorded_and_not_sampled(self):
+        sampled = []
+        real = bv._sample_points
+
+        def sample_points(lo, hi):
+            sampled.append(len(lo))
+            return real(lo, hi)
+
+        spec = _sin_arches(12, 0.75)
+        with mock.patch.object(bv, "_sample_points", sample_points):
+            f = validate(spec)
+        assert f.columns.proved.all() and not sampled
+        # one piece past its extremum, one leaving its limits: both are
+        # sampled, and found by sampling
+        spec["pieces"][3]["expr"] = spec["pieces"][3]["expr"].replace("+1.57", "+1.6")
+        spec["pieces"][5]["left_limit"] = spec["breakpoints"][4]["right"] = 0.7
+        with mock.patch.object(bv, "_sample_points", sample_points):
+            got = _validated(spec)
+        assert sum(sampled) == 2
+        assert [(kind, where) for kind, where, _ in got[1]] == [
+            ("NonMonotonePiece", "pieces[3]"), ("InconsistentLimits", "pieces[5]")]
+        assert got == _validated(spec, ref_validate)
+
+    def test_pieces_the_rule_cannot_prove_are_sampled(self):
+        spec = _sin_arches(4, 0.75)
+        spec["pieces"][1]["expr"] = "0.75-0.5*x*x/x+0*sin(x)*cos(x)"
+        left, right = (ex.eval_expr(ex.parse(spec["pieces"][1]["expr"]), v) for v in (0.75, 1.5))
+        spec["pieces"][1].update(left_limit=left, right_limit=right, direction="dec")
+        spec["breakpoints"][0].update(right=left)
+        spec["breakpoints"][1].update(left=right, value=right)
+        f = validate(spec)
+        assert f.columns.proved.tolist() == [True, False, True, True]
+        assert_as_reference(spec)
+
+    def test_function_made_otherwise_proves_nothing(self):
+        f = jordan_decompose(validate(_sin_arches(3, 1.0)))[0]
+        assert f.columns.proved.tolist() == [False] * 3
 
 
 class TestColumnLoader:

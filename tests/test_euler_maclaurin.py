@@ -476,7 +476,10 @@ def test_direct_sum_past_2_53_matches_evaluate_term_by_term():
 # zero throughout, and adds it to the sum once.  The expressions below
 # underflow to 0.0 or -0.0 past some x, are 0 times x, or have a base or
 # divisor that changes sign (and may fail at its zero); the ranges start
-# on either side of the underflow and run over several blocks.
+# on either side of the underflow and run over several blocks.  A sin or
+# cos is monotone on a run within one branch, where a tiny coefficient
+# rounds it to zero near its own zero: a run whose ends are zero in two
+# branches is not zero throughout; so is abs of a shifted x.
 
 _coefficients = st.sampled_from([1.0, 2.5, -1.5, 1e-300, -1e-300, 5e-324, 0.0])
 _rates = st.sampled_from([0.5, 1.0, 1.25, 2.0, 3.0])
@@ -486,7 +489,12 @@ _monotone_texts = st.one_of(
     st.sampled_from(["-exp(-x)", "exp(-x)", "0*x", "-0*x", "x*0-0"]),
     st.builds("{}/(x{})^{}".format, _coefficients, _shifts, st.integers(1, 60)),
     st.builds("{}*pow(x{}, {})".format, _coefficients, _shifts, st.integers(-60, -1)),
-    st.builds("{}/(x{})".format, _coefficients, _shifts))
+    st.builds("{}/(x{})".format, _coefficients, _shifts),
+    st.builds("{}*{}({}*x{})".format, _coefficients, st.sampled_from(["sin", "cos"]),
+              st.sampled_from([1e-3, 2e-3, 0.5, 1.0]), _shifts),
+    st.builds("{}*sin({}*abs(x{}))".format, _coefficients, st.sampled_from([1e-3, 0.25]),
+              _shifts),
+    st.builds("{}*abs(x{})".format, _coefficients, _shifts))
 
 
 _lengths = st.one_of(st.sampled_from([0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3,
@@ -499,6 +507,9 @@ _lengths = st.one_of(st.sampled_from([0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2
 # zero at both ends of a block, but the base or divisor is 0 inside
 @example("1e-300*pow(x+3, -60)", -99, 200)
 @example("5e-324/(x-7)^2", -99, 3000)
+# zero at both ends, in two branches, and not zero between them
+@example("5e-324*sin(0.001*x+0)", -10, 3200)
+@example("5e-324*cos(0.001*x+0)", 1560, 3200)
 def test_direct_sum_of_zero_blocks_matches_evaluate_term_by_term(text, a, n):
     f = _one_piece(text, -100.0, 40_000.0)
     assert _sum_outcome(_direct_sum, f, a, a + n) == _sum_outcome(ref_direct_sum, f, a, a + n)

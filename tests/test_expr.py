@@ -4,9 +4,10 @@ import pickle
 import struct
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bvsum import expr as ex
@@ -738,6 +739,129 @@ def test_block_tests_monotone_operands_at_the_ends():
     assert "for " not in ex._kernel(parse("3/(1+0.5*x)").program)
 
 
+def test_block_tests_branch_operands_term_by_term():
+    # a masked operand that needs a branch test is tested term by term, as
+    # the test would fail on most runs longer than a branch, not at the
+    # run's ends; a root that needs one takes it in the zero stage
+    for text in ("atan(sin(x))", "exp(cos(0.5*x))", "1/(2+sin(x))"):
+        source = ex._kernel(parse(text).program)
+        assert "recheck()" in source and "x_0, x_1 =" not in source, text
+        assert "branch(" in source, text
+    assert "branch(x_0, x_1, 0.5)" in ex._kernel(parse("0*sin(x)").program)
+    assert "branch(t0_0, t0_1, 0.0)" in ex._kernel(parse("1e-300*cos(x+1)").program)
+
+
+# The monotonicity rule (_monotone) proves a program monotone between two
+# points from its registers there (Rows.monotone): abs needs an operand of
+# one strict sign, sin and cos an argument within one branch, widened by
+# _DELTA past its extremum.  A proved program evaluates between the two
+# points without error, to values that are monotone and lie between its
+# values at the two.
+
+_small = st.sampled_from([0.0, 1.0, -2.5, 0.001, 3.0, -1e-300])
+_rates = st.sampled_from([1.0, -0.5, 2.0, 1e-3, 30.0])
+_tested_texts = st.one_of(
+    st.builds("{}+{}*{}({}*x+{})".format, _small, _small, st.sampled_from(["sin", "cos"]),
+              _rates, _small),
+    st.builds("{}*abs(x+{})".format, _small, _small),
+    st.builds("{}({}*abs(x+{}))".format, st.sampled_from(["sin", "cos", "exp", "sqrt"]),
+              _rates, _small),
+    st.sampled_from(["abs(sin(x))", "sin(cos(x))", "cos(sin(x))^2", "1/(2+sin(x))",
+                     "sqrt(abs(x-1))", "exp(-abs(x))*2", "atan(sin(x)/(x+30))",
+                     "sin(x)^2", "pow(abs(x-3), -1)", "1/sin(x)", "log(abs(x))"]))
+
+
+def _proved(e, a, b):
+    values, proved = ex.rows_of([e]).monotone(np.array([[a, b]]), np.array([0]))
+    return values[0], bool(proved[0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tested_texts, st.floats(-8.0, 8.0), st.floats(1e-9, 6.0))
+@example("sin(x)", -math.pi / 2 - 5e-9, math.pi + 1e-8)
+@example("cos(x)", -5e-9, math.pi + 5e-9)
+@example("abs(x+0.0)", -1e-300, 1.0)
+def test_rule_proves_only_monotone_programs(text, a, width):
+    e = parse(text)
+    b = a + width
+    values, proved = _proved(e, a, b)
+    xs = np.linspace(a, b, 4001)
+    if not proved:
+        return
+    dense = eval_expr(e, xs)  # raises nothing
+    assert values.tobytes() == eval_expr(e, np.array([a, b])).tobytes()
+    v0, v1 = values
+    steps = np.diff(dense)
+    assert (steps >= 0).all() if v0 <= v1 else (steps <= 0).all(), text
+    assert (min(v0, v1) <= dense).all() and (dense <= max(v0, v1)).all(), text
+
+
+@pytest.mark.parametrize("text,a,b,want", [
+    ("sin(x)", -1.5, 1.5, True), ("sin(x)", -1.6, 1.6, False), ("sin(x)", 1.6, 4.7, True),
+    ("cos(x)", 0.1, 3.1, True), ("cos(x)", -0.1, 3.1, False), ("cos(2*x)", 0.0, 1.5, True),
+    ("sin(x)", -math.pi / 2 - 9e-9, math.pi / 2 + 9e-9, True),
+    ("sin(x)", -math.pi / 2 - 2e-8, math.pi / 2, False),
+    ("abs(x-1)", 2.0, 3.0, True), ("abs(x-1)", 0.0, 2.0, False), ("abs(x-1)", 1.0, 2.0, False),
+    ("1/sin(x)", 0.5, 1.0, True), ("1/sin(x)", -0.5, 1.0, False),
+    ("sin(1e10*x)", 1.0, 1.0 + 1e-12, False),  # past the range of the branch test
+    ("sin(x)*cos(x)", 0.1, 0.2, False),  # a product of two monotone registers
+])
+def test_rule_on_fixed_cases(text, a, b, want):
+    assert _proved(parse(text), a, b)[1] is want
+
+
+def _float_at_most(v) -> float:
+    """The greatest float at most the mpmath number v."""
+    f = float(v)
+    return f if mpmath.mpf(f) <= v else math.nextafter(f, -math.inf)
+
+
+def _float_at_least(v) -> float:
+    """The least float at least the mpmath number v."""
+    f = float(v)
+    return f if mpmath.mpf(f) >= v else math.nextafter(f, math.inf)
+
+
+@pytest.mark.parametrize("phase", [0.5, 0.0])
+@pytest.mark.parametrize("n", [-7, -1, 0, 1, 2, 1000, -31_415, 10**6, 300_000_000])
+def test_branch_ends_are_exact_against_mpmath(phase, n):
+    # the floats on either side of each widened end, at 50 digits
+    with mpmath.workdps(50):
+        pi, delta = mpmath.pi, mpmath.mpf(ex._DELTA)
+        lower = (n + phase) * pi - delta
+        upper = (n + 1 + phase) * pi + delta
+        mid = float((n + phase + 0.5) * pi)
+        top, bottom = _float_at_most(upper), _float_at_least(lower)
+    below, above = math.nextafter(bottom, -math.inf), math.nextafter(top, math.inf)
+
+    def inside(u0, u1):
+        return bool(ex._in_branch(np.array([u0]), np.array([u1]), phase)[0])
+
+    assert inside(mid, top) and inside(bottom, mid) and inside(bottom, top)
+    assert not inside(mid, above) and not inside(below, mid)
+    assert inside(top, top) and inside(bottom, bottom)
+    assert ex._branch(top, mid, phase) and not ex._branch(above, mid, phase)
+
+
+def test_pi_enclosure_holds_pi():
+    with mpmath.workdps(90):
+        assert mpmath.mpf(ex._PI_LO.numerator) / ex._PI_LO.denominator < mpmath.pi
+        assert mpmath.pi < mpmath.mpf(ex._PI_HI.numerator) / ex._PI_HI.denominator
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0.5, 0.0]), st.integers(-50, 50), st.integers(-50, 50),
+       st.integers(-3, 3), st.sampled_from([0.0, 1e-8, -1e-8, 1e-7, 1e-3]))
+def test_branch_test_as_rationals(phase, k0, k1, branch, offset):
+    # points a few ulps from the widened ends of a branch, and anywhere:
+    # the float path decides each as the rationals do
+    end = (branch + phase) * math.pi + offset
+    u0, u1 = end + k0 * 2e-16, end + math.pi * (k1 / 40)
+    lo, hi = min(u0, u1), max(u0, u1)
+    got = ex._in_branch(np.array([u0]), np.array([u1]), phase)[0]
+    assert got == ex._in_branch_exactly(lo, hi, phase)
+
+
 def test_block_returns_the_list_unless_a_test_trips():
     e = parse("1/(1+x)")
     assert type(e.block(0, 2)) is list
@@ -872,7 +996,14 @@ def _batches(draw):
     return exprs, np.array(rows, dtype=np.float64)
 
 
-def _assert_rows_as_eval_expr(exprs, xs, run=ex.eval_rows):
+def _rows(exprs, xs):
+    return ex.rows_of(exprs)(xs)
+
+
+def _assert_rows_as_eval_expr(exprs, xs, run=_rows):
+    """run(exprs, xs) gives the values and errors of eval_expr, and so
+    does Rows.monotone at each row's first and last point, where the
+    rule proves the row."""
     x_before = xs.tobytes()
     values, errors = run(exprs, xs)
     assert values.shape == xs.shape
@@ -884,6 +1015,11 @@ def _assert_rows_as_eval_expr(exprs, xs, run=ex.eval_rows):
             got = ("value", values[i].dtype.str, values[i].tobytes())
         assert got == want, (i, render(e))
     assert xs.tobytes() == x_before  # never written into
+    ends = np.sort(xs[:, [0, -1]], axis=1)
+    if np.isfinite(ends).all():
+        ends, proved = ex.rows_of(exprs).monotone(ends, np.arange(len(exprs)))
+        for i in proved.nonzero()[0]:
+            assert ends[i].tobytes() == eval_expr(exprs[i], np.sort(xs[i, [0, -1]])).tobytes()
 
 
 @settings(max_examples=400, deadline=None)
@@ -952,7 +1088,7 @@ def test_rows_run_once_per_shape(monkeypatch):
     def runs_of(exprs):
         runs.clear()
         xs = np.linspace(0.0, 1.0, len(exprs) * 16).reshape(len(exprs), 16)
-        values, errors = ex.eval_rows(exprs, xs)
+        values, errors = _rows(exprs, xs)
         shapes = sorted(runs)
         assert not errors
         for e, x, v in zip(exprs, xs, values):
@@ -984,7 +1120,7 @@ def test_row_errors_do_not_keep_the_points_alive():
     try:
         xs = np.array([[-2.0, 1.0]])
         alive = weakref.ref(xs)
-        _, errors = ex.eval_rows([parse("log(x)")], xs)
+        _, errors = _rows([parse("log(x)")], xs)
         del xs
         assert errors[0].kind == "log_domain" and alive() is None
     finally:

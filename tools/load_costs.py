@@ -16,7 +16,10 @@ alternating sides, and the script prints per spec:
   the parent's over the change's (above 1 when the change loads faster);
 - that time per piece, in microseconds;
 - the gc-tracked objects that one load keeps alive, counted after a full
-  collection with the loaded function held and then released.
+  collection with the loaded function held and then released;
+- how many of its pieces each side proved monotone and how many it
+  sampled (``BvFunction.columns.proved``; a revision without that column
+  samples every piece).
 
 Naming one revision twice gives an A/A control.
 """
@@ -56,6 +59,13 @@ def objects_kept(load, path: str) -> int:
     return held - len(gc.get_objects())
 
 
+def proved(load, path: str) -> tuple[int, int]:
+    """(pieces proved monotone, pieces sampled) by one load of the spec."""
+    c = load(path).columns
+    n = int(getattr(c, "proved", c.lo < c.lo).sum())
+    return n, len(c.lo) - n
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="git revision of the parent side")
@@ -89,17 +99,19 @@ def main(argv=None) -> int:
             for side in sides if k % 2 == 0 else sides[::-1]:
                 best[side][n] = best_time(loads[side], paths[n], args.reps)
         kept = {side: {n: objects_kept(loads[side], paths[n]) for n in names} for side in sides}
+        checks = {side: {n: proved(loads[side], paths[n]) for n in names} for side in sides}
 
     for side in sides:
         print(f"{side:7s} {commits[side][:12]}")
     print(f"{'spec':16s} {'pieces':>6s} {'parent ms':>10s} {'change ms':>10s} {'ratio':>7s} "
           f"{'parent us/pc':>12s} {'change us/pc':>12s} {'parent objs':>11s} "
-          f"{'change objs':>11s}")
+          f"{'change objs':>11s} {'parent prv/smp':>14s} {'change prv/smp':>14s}")
     for n in names:
         p, c = best["parent"][n], best["change"][n]
         print(f"{n:16s} {pieces[n]:6d} {p * 1e3:10.3f} {c * 1e3:10.3f} {p / c:7.2f} "
               f"{p * 1e6 / pieces[n]:12.1f} {c * 1e6 / pieces[n]:12.1f} "
-              f"{kept['parent'][n]:11d} {kept['change'][n]:11d}")
+              f"{kept['parent'][n]:11d} {kept['change'][n]:11d} "
+              + " ".join(f"{'%d/%d' % checks[side][n]:>14s}" for side in sides))
     total = {side: sum(best[side].values()) for side in sides}
     print(f"all specs: parent {total['parent'] * 1e3:.2f} ms, change "
           f"{total['change'] * 1e3:.2f} ms, x{total['parent'] / total['change']:.3f} "
