@@ -980,9 +980,10 @@ def _end_points(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return np.stack((first, last), axis=1), known
 
 
-def _proved(c: Columns, rows: np.ndarray) -> np.ndarray:
+def _proved(c: Columns, rows: np.ndarray) -> np.ndarray | None:
     """Per piece i of rows, of the columns c, whether its monotonicity is
-    proved with no violation, which then sets c.proved[i].  Its program
+    proved with no violation, which then sets c.proved[i]; None if the
+    rule covers no program of the plan.  Its program
     must be proved monotone between its first and last sample points
     (expr.Rows.monotone), and its values there, the least and the
     greatest of its sampled values, must give _check_sampling's verdicts
@@ -991,7 +992,7 @@ def _proved(c: Columns, rows: np.ndarray) -> np.ndarray:
     within; and if increasing or decreasing, it must not go the other
     way, as then every step of the sampled values keeps its direction."""
     proved = c.plan.provable(rows)
-    if not proved.any():
+    if proved is None or not proved.any():
         return proved
     candidates = rows[proved]
     # in arrays of at most _BATCH points; only the last piece can be a
@@ -1028,9 +1029,11 @@ def _check_sampling(c: Columns, rows: np.ndarray, found: dict) -> None:
     its boundary limits, up to a slack.  A piece with no point inside it
     is not sampled, nor is one proved monotone with no violation
     (_proved)."""
-    rows = rows[~_proved(c, rows)]
-    if not len(rows):
-        return
+    proved = _proved(c, rows)
+    if proved is not None:
+        rows = rows[~proved]
+        if not len(rows):
+            return
     for rows in _batches(rows, np.isinf(c.hi[rows]), c.plan.group[rows], _SAMPLES):
         xs, empty = _sample_points(c.lo[rows], c.hi[rows])
         if empty.any():

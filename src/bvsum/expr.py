@@ -1139,10 +1139,12 @@ class Rows:
             self.proofs = [_proof(code) for _, code, _ in self.groups]
         return self.proofs
 
-    def provable(self, rows) -> np.ndarray:
+    def provable(self, rows) -> np.ndarray | None:
         """Per row of rows, whether the monotonicity rule (_monotone)
-        covers its program, which monotone then tests."""
-        return np.array([proof is not None for proof in self._proofs()], bool)[self.group[rows]]
+        covers its program, which monotone then tests; None, with no
+        array made, if it covers no program of the plan."""
+        known = [proof is not None for proof in self._proofs()]
+        return np.array(known, bool)[self.group[rows]] if any(known) else None
 
     @np.errstate(all="ignore")
     def monotone(self, x: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:

@@ -1005,6 +1005,14 @@ class TestProvedMonotonicity:
         assert f.columns.proved.tolist() == [True, False, True, True]
         assert_as_reference(spec)
 
+    def test_plan_the_rule_cannot_prove_is_only_sampled(self):
+        # the rule covers no program: no array is made for the proof
+        f = validate({"domain": {"lo": 0, "hi": 1}, "pieces": [
+            {"interval": [0, 1], "expr": "x*x/x", "direction": "inc",
+             "left_limit": 0, "right_limit": 1}]})
+        assert f.columns.plan.provable(np.arange(1)) is None
+        assert not f.columns.proved.any()
+
     def test_function_made_otherwise_proves_nothing(self):
         f = jordan_decompose(validate(_sin_arches(3, 1.0)))[0]
         assert f.columns.proved.tolist() == [False] * 3
